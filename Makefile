@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet ci serve bench bench-compare bench-gate bench-gate-baseline memprofile batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak check
+.PHONY: build test short race vet ci serve bench bench-build bench-compare bench-gate bench-gate-baseline memprofile batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak check
 
 build:
 	$(GO) build ./...
@@ -126,7 +126,13 @@ CHAOS_SEED ?= 20250808
 chaos-soak:
 	$(GO) run ./cmd/chaos -seed $(CHAOS_SEED)
 
-# Everything CI runs plus the fuzz smoke pass, the crash-recovery gate,
-# the distributed-result-tier gate, the continuous-batching gate, and the
-# chaos soak.
-check: build vet race batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak
+# The repo benchmark (BENCHMARK.json, bench/) is its own Go module compiled
+# against this one's API, so `go build ./... && go test ./...` at the root
+# never sees it: vet and self-test it here, or a rename breaks it silently.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Everything CI runs plus the benchmark-module build, the fuzz smoke pass,
+# the crash-recovery gate, the distributed-result-tier gate, the
+# continuous-batching gate, and the chaos soak.
+check: build vet race bench-build batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak

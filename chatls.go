@@ -36,6 +36,7 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/llm"
 	"repro/internal/overload"
+	"repro/internal/qorlog"
 	"repro/internal/resilience"
 	"repro/internal/synth"
 	"repro/internal/synthexpert"
@@ -72,10 +73,13 @@ func NewTask(ctx context.Context, d *designs.Design, lib *liberty.Library) (*Tas
 // for later runs otherwise. Results are bit-identical with or without the
 // store (nil disables checkpointing).
 func NewTaskWith(ctx context.Context, d *designs.Design, lib *liberty.Library, ckpt *synth.CheckpointStore) (*Task, synth.QoR, error) {
-	sess := synth.NewSession(lib)
-	sess.Checkpoints = ckpt
-	sess.AddSource(d.FileName, d.Source)
-	res, err := sess.RunContext(ctx, d.BaselineScript())
+	return EvalOptions{Checkpoints: ckpt}.newTask(ctx, d, lib, "", nil)
+}
+
+// newTask runs d's baseline script through synthesize and packages the
+// customization problem around its report.
+func (o EvalOptions) newTask(ctx context.Context, d *designs.Design, lib *liberty.Library, stage string, key *qorlog.Key) (*Task, synth.QoR, error) {
+	res, err := o.synthesize(ctx, lib, d, d.BaselineScript(), stage, key, false)
 	if err != nil {
 		return nil, synth.QoR{}, fmt.Errorf("baseline %s: %w", d.Name, err)
 	}
@@ -91,15 +95,19 @@ func NewTaskWith(ctx context.Context, d *designs.Design, lib *liberty.Library, c
 // Pipeline generates a customized script for a task. Sample indexes the
 // Pass@k attempt. The context bounds the whole generation flow; a cancelled
 // or expired context aborts with a resilience.ErrCancelled/ErrTimeout error.
+// Per-call results (script, CoT steps, degradation report) are returned, not
+// stored, so implementations must be safe for concurrent CustomizeResult
+// calls — the serving path and parallel Pass@k share one instance.
 type Pipeline interface {
 	Name() string
-	Customize(ctx context.Context, t *Task, sample int) (string, error)
+	CustomizeResult(ctx context.Context, t *Task, sample int) (Customization, error)
 }
 
-// Customization is the full result of one pipeline call: the script plus the
-// per-call reporting that used to live as mutable state on the pipeline
-// struct. Returning it makes a pipeline instance safe to share across
-// goroutines (the serving path and parallel Pass@k need exactly that).
+// ResultPipeline is the name Pipeline had while a string-returning Customize
+// existed beside CustomizeResult; kept for the benchmark harness.
+type ResultPipeline = Pipeline
+
+// Customization is the full result of one pipeline call.
 type Customization struct {
 	Script string
 	// Steps are SynthExpert's chain-of-thought steps (nil for pipelines
@@ -109,15 +117,6 @@ type Customization struct {
 	// nil for ChatLSPipeline (empty report = full strength), nil for
 	// pipelines that do not degrade.
 	Degradation *resilience.DegradationReport
-}
-
-// ResultPipeline is a Pipeline whose per-call results are returned rather
-// than stored on the struct. Implementations must be safe for concurrent
-// CustomizeResult calls; the evaluation harness and the server prefer this
-// interface when available.
-type ResultPipeline interface {
-	Pipeline
-	CustomizeResult(ctx context.Context, t *Task, sample int) (Customization, error)
 }
 
 // RawPipeline is the baseline comparison: the generator sees the
@@ -133,12 +132,6 @@ func (p *RawPipeline) Name() string { return p.Model.Profile.Name }
 // CustomizeResult performs one-shot prompting with the raw design text.
 // RawPipeline is stateless, so concurrent calls are safe.
 func (p *RawPipeline) CustomizeResult(ctx context.Context, t *Task, sample int) (Customization, error) {
-	script, err := p.Customize(ctx, t, sample)
-	return Customization{Script: script}, err
-}
-
-// Customize performs one-shot prompting with the raw design text.
-func (p *RawPipeline) Customize(ctx context.Context, t *Task, sample int) (string, error) {
 	var b strings.Builder
 	b.WriteString("## Requirement\n")
 	b.WriteString(t.Requirement)
@@ -150,9 +143,9 @@ func (p *RawPipeline) Customize(ctx context.Context, t *Task, sample int) (strin
 	b.WriteString(t.Design.Source)
 	script, err := p.Model.GenerateContext(ctx, llm.GenRequest{Prompt: b.String(), Sample: sample})
 	if err != nil {
-		return "", resilience.ContextError(resilience.CompGenerate, err)
+		return Customization{}, resilience.ContextError(resilience.CompGenerate, err)
 	}
-	return script, nil
+	return Customization{Script: script}, nil
 }
 
 // ChatLSPipeline is the full framework: CircuitMentor analysis, SynthRAG
@@ -168,12 +161,6 @@ type ChatLSPipeline struct {
 	DisableMentor bool // no design-characteristics analysis
 	DisableRAG    bool // no retrieved strategies
 	DisableExpert bool // no CoT refinement
-	// LastSteps records the CoT steps of the most recent Customize call.
-	//
-	// Deprecated: per-call state on a shared struct is unsafe for concurrent
-	// use; call CustomizeResult and read Customization.Steps instead.
-	// Only Customize updates this field.
-	LastSteps []synthexpert.Step
 	// Retry governs how component failures are retried before the pipeline
 	// degrades. Zero value means no retries (single attempt).
 	Retry resilience.RetryPolicy
@@ -192,13 +179,6 @@ type ChatLSPipeline struct {
 	// plus the mandatory generation that follows (recorded as a
 	// degradation). Nil disables budget awareness.
 	Costs *overload.CostModel
-	// LastReport records which components degraded during the most recent
-	// Customize call; nil before the first call.
-	//
-	// Deprecated: per-call state on a shared struct is unsafe for concurrent
-	// use; call CustomizeResult and read Customization.Degradation instead.
-	// Only Customize updates this field.
-	LastReport *resilience.DegradationReport
 }
 
 // NewChatLS assembles the standard pipeline over a built database.
@@ -228,13 +208,20 @@ func (p *ChatLSPipeline) Name() string {
 	return name
 }
 
-// guard executes one component call under the pipeline's retry policy,
-// panic-recovery boundary, (in tests) fault injector, and the component's
-// circuit breaker when one is installed: an open breaker rejects without
-// attempting the call, successes/failures feed the breaker, and a pure
-// caller-side cancellation is a no-verdict (the component's health was
-// never tested).
-func (p *ChatLSPipeline) guard(ctx context.Context, component string, fn func(context.Context) error) error {
+// stage is the one runner every component call of the flow goes through. In
+// order: deadline budget (the remaining deadline must cover need; need == 0
+// only rejects a deadline already past, need < 0 skips the check), the
+// component's circuit breaker when one is installed (an open breaker rejects
+// without attempting the call), then fn under the retry policy, the
+// panic-recovery boundary and (in tests) the fault injector. The outcome
+// feeds the breaker — a pure caller-side cancellation is a no-verdict, the
+// component's health was never tested — and a success feeds the cost model.
+func (p *ChatLSPipeline) stage(ctx context.Context, component string, need time.Duration, fn func(context.Context) error) error {
+	if need >= 0 {
+		if err := overload.CheckBudget(ctx, component, need); err != nil {
+			return err
+		}
+	}
 	br := p.Breakers[component]
 	if !br.Allow() {
 		return resilience.BreakerError(component)
@@ -259,24 +246,6 @@ func (p *ChatLSPipeline) guard(ctx context.Context, component string, fn func(co
 	return err
 }
 
-// overBudget rejects a stage group when the remaining deadline cannot
-// cover its expected cost plus the mandatory generation still ahead.
-// Unknown costs (cold model, nil model) admit.
-func (p *ChatLSPipeline) overBudget(ctx context.Context, lead string, components ...string) error {
-	need := p.Costs.Expect(resilience.CompGenerate)
-	for _, c := range components {
-		need += p.Costs.Expect(c)
-	}
-	return overload.CheckBudget(ctx, lead, need)
-}
-
-// Degradation reports which components degraded during the most recent
-// Customize call; nil before the first call, empty report when none did.
-//
-// Deprecated: like LastReport this reads per-call state off the shared
-// struct; use CustomizeResult's Customization.Degradation instead.
-func (p *ChatLSPipeline) Degradation() *resilience.DegradationReport { return p.LastReport }
-
 func hasErrors(issues []synth.Issue) bool {
 	for _, i := range issues {
 		if i.Severity == "error" {
@@ -286,26 +255,16 @@ func hasErrors(issues []synth.Issue) bool {
 	return false
 }
 
-// Customize runs the full ChatLS flow of Fig. 2 for one sample. It is a
-// thin wrapper over CustomizeResult that additionally stores the per-call
-// results in the deprecated LastSteps/LastReport fields, so existing call
-// sites keep working. Concurrent callers must use CustomizeResult instead.
-func (p *ChatLSPipeline) Customize(ctx context.Context, t *Task, sample int) (string, error) {
-	res, err := p.CustomizeResult(ctx, t, sample)
-	p.LastSteps = res.Steps
-	p.LastReport = res.Degradation
-	return res.Script, err
-}
-
 // CustomizeResult runs the full ChatLS flow of Fig. 2 for one sample,
 // returning the script together with the CoT steps and the degradation
 // report for this call.
 //
 // The flow is fault-tolerant: each auxiliary component (CircuitMentor,
-// SynthRAG embedding and retrieval, SynthExpert) runs under retry with
-// backoff and a panic-recovery boundary; if it still fails, the pipeline
-// degrades to the next-weaker configuration — proceeding without that
-// component's contribution — and records the event in the returned
+// SynthRAG embedding and retrieval, SynthExpert) is one stage call; if it
+// still fails after retries, is rejected by its breaker, or cannot fit the
+// remaining deadline beside the mandatory generation, the pipeline degrades
+// to the next-weaker configuration — proceeding without that component's
+// contribution — and records the event in the returned
 // Customization.Degradation. Only a generator failure or a context
 // cancellation/timeout aborts with an error, so a degraded call always
 // yields a runnable script (a wasted attempt in the Pass@k sense, never a
@@ -317,6 +276,19 @@ func (p *ChatLSPipeline) Customize(ctx context.Context, t *Task, sample int) (st
 func (p *ChatLSPipeline) CustomizeResult(ctx context.Context, t *Task, sample int) (Customization, error) {
 	report := &resilience.DegradationReport{}
 	out := Customization{Degradation: report}
+	// degrade turns an optional stage's failure into a report entry naming
+	// what the flow did instead; only a fatal error comes back to abort.
+	degrade := func(component, fallback string, err error) error {
+		if resilience.IsFatal(err) {
+			return err
+		}
+		if errors.Is(err, overload.ErrBudget) {
+			fallback = "skipped: insufficient deadline budget"
+		}
+		report.Record(component, fallback, err)
+		return nil
+	}
+	cost := p.Costs.Expect
 
 	var b strings.Builder
 	b.WriteString("## Requirement\n")
@@ -325,59 +297,46 @@ func (p *ChatLSPipeline) CustomizeResult(ctx context.Context, t *Task, sample in
 
 	var traits []string
 	if !p.DisableMentor {
-		if berr := p.overBudget(ctx, resilience.CompMentor, resilience.CompMentor); berr != nil {
-			report.Record(resilience.CompMentor, "skipped: insufficient deadline budget", berr)
-		} else {
-			var analysis *circuitmentor.Analysis
-			err := p.guard(ctx, resilience.CompMentor, func(ctx context.Context) error {
-				var err error
-				analysis, err = circuitmentor.AnalyzeContext(ctx, t.Design.Source, t.Design.Top, t.Design.Period, t.Lib)
-				return err
-			})
-			switch {
-			case err == nil:
-				traits = analysis.Traits
-				b.WriteString("\n## Design characteristics\n")
-				b.WriteString(analysis.Render())
-			case resilience.IsFatal(err):
-				return out, err
-			default:
-				report.Record(resilience.CompMentor, "proceed without design characteristics", err)
-			}
+		var analysis *circuitmentor.Analysis
+		err := p.stage(ctx, resilience.CompMentor, cost(resilience.CompMentor)+cost(resilience.CompGenerate), func(ctx context.Context) error {
+			var err error
+			analysis, err = circuitmentor.AnalyzeContext(ctx, t.Design.Source, t.Design.Top, t.Design.Period, t.Lib)
+			return err
+		})
+		if err == nil {
+			traits = analysis.Traits
+			b.WriteString("\n## Design characteristics\n")
+			b.WriteString(analysis.Render())
+		} else if err := degrade(resilience.CompMentor, "proceed without design characteristics", err); err != nil {
+			return out, err
 		}
 	}
 
 	if !p.DisableRAG {
-		if berr := p.overBudget(ctx, resilience.CompRAGEmbed, resilience.CompRAGEmbed, resilience.CompRAGRetrieve); berr != nil {
-			report.Record(resilience.CompRAGEmbed, "skipped: insufficient deadline budget", berr)
-		} else {
-			var emb []float64
-			err := p.guard(ctx, resilience.CompRAGEmbed, func(ctx context.Context) error {
+		// Embedding budgets the whole retrieval group, so retrieval has no
+		// check of its own.
+		var emb []float64
+		var hits []synthrag.StrategyHit
+		failed := resilience.CompRAGEmbed
+		need := cost(resilience.CompRAGEmbed) + cost(resilience.CompRAGRetrieve) + cost(resilience.CompGenerate)
+		err := p.stage(ctx, resilience.CompRAGEmbed, need, func(ctx context.Context) error {
+			var err error
+			emb, _, err = p.DB.EmbedDesignContext(ctx, t.Design.Source, t.Design.Top)
+			return err
+		})
+		if err == nil {
+			failed = resilience.CompRAGRetrieve
+			err = p.stage(ctx, resilience.CompRAGRetrieve, -1, func(ctx context.Context) error {
 				var err error
-				emb, _, err = p.DB.EmbedDesignContext(ctx, t.Design.Source, t.Design.Top)
+				hits, err = p.DB.RetrieveStrategiesForContext(ctx, emb, traits, 2, p.Alpha, p.Beta, 0.25)
 				return err
 			})
-			if err == nil {
-				var hits []synthrag.StrategyHit
-				err = p.guard(ctx, resilience.CompRAGRetrieve, func(ctx context.Context) error {
-					var err error
-					hits, err = p.DB.RetrieveStrategiesForContext(ctx, emb, traits, 2, p.Alpha, p.Beta, 0.25)
-					return err
-				})
-				switch {
-				case err == nil:
-					b.WriteString("\n## Retrieved strategies\n")
-					b.WriteString(synthrag.RenderStrategies(hits))
-				case resilience.IsFatal(err):
-					return out, err
-				default:
-					report.Record(resilience.CompRAGRetrieve, "proceed without retrieved strategies", err)
-				}
-			} else if resilience.IsFatal(err) {
-				return out, err
-			} else {
-				report.Record(resilience.CompRAGEmbed, "proceed without retrieved strategies", err)
-			}
+		}
+		if err == nil {
+			b.WriteString("\n## Retrieved strategies\n")
+			b.WriteString(synthrag.RenderStrategies(hits))
+		} else if err := degrade(failed, "proceed without retrieved strategies", err); err != nil {
+			return out, err
 		}
 	}
 
@@ -386,23 +345,18 @@ func (p *ChatLSPipeline) CustomizeResult(ctx context.Context, t *Task, sample in
 	b.WriteString("\n## Synthesis report\n")
 	b.WriteString(t.BaselineReport)
 
-	// Generation has no weaker fallback, so a budget that cannot cover it
-	// aborts the sample before any generator work happens.
-	if berr := overload.CheckBudget(ctx, resilience.CompGenerate, p.Costs.Expect(resilience.CompGenerate)); berr != nil {
-		return out, berr
-	}
+	// The generator is the one component with no weaker fallback: without a
+	// draft there is nothing to refine or emit, so any failure — a budget
+	// that cannot cover it included — aborts the sample.
 	var draft string
-	err := p.guard(ctx, resilience.CompGenerate, func(ctx context.Context) error {
+	err := p.stage(ctx, resilience.CompGenerate, cost(resilience.CompGenerate), func(ctx context.Context) error {
 		var err error
 		draft, err = p.Model.GenerateContext(ctx, llm.GenRequest{Prompt: b.String(), Sample: sample})
 		return err
 	})
 	if err != nil {
-		// The generator is the one component with no weaker fallback: without
-		// a draft there is nothing to refine or emit.
 		return out, err
 	}
-
 	if p.DisableExpert {
 		out.Script = draft
 		return out, nil
@@ -410,31 +364,22 @@ func (p *ChatLSPipeline) CustomizeResult(ctx context.Context, t *Task, sample in
 
 	var refined string
 	var steps []synthexpert.Step
-	err = overload.CheckBudget(ctx, resilience.CompExpert, p.Costs.Expect(resilience.CompExpert))
-	if err != nil {
-		// Refinement is optional: fall through to the same draft/baseline
-		// fallback a failed expert takes.
-	} else {
-		err = p.guard(ctx, resilience.CompExpert, func(ctx context.Context) error {
-			var err error
-			refined, steps, err = p.Expert.RefineContext(ctx, draft, t.Baseline)
-			return err
-		})
-	}
-	switch {
-	case err == nil:
-		out.Script = refined
-		out.Steps = steps
+	err = p.stage(ctx, resilience.CompExpert, cost(resilience.CompExpert), func(ctx context.Context) error {
+		var err error
+		refined, steps, err = p.Expert.RefineContext(ctx, draft, t.Baseline)
+		return err
+	})
+	if err == nil {
+		out.Script, out.Steps = refined, steps
 		return out, nil
-	case resilience.IsFatal(err):
+	}
+	script, fallback := draft, "emit unrefined draft"
+	if hasErrors(synth.ValidateScript(draft)) {
+		script, fallback = t.Baseline, "draft invalid without refinement; return baseline script"
+	}
+	if err := degrade(resilience.CompExpert, fallback, err); err != nil {
 		return out, err
 	}
-	if !hasErrors(synth.ValidateScript(draft)) {
-		report.Record(resilience.CompExpert, "emit unrefined draft", err)
-		out.Script = draft
-		return out, nil
-	}
-	report.Record(resilience.CompExpert, "draft invalid without refinement; return baseline script", err)
-	out.Script = t.Baseline
+	out.Script = script
 	return out, nil
 }

@@ -21,7 +21,6 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/llm"
 	"repro/internal/synth"
-	"repro/internal/synthexpert"
 )
 
 func main() {
@@ -82,22 +81,13 @@ func main() {
 	best := baseQoR
 	bestScript := ""
 	valid := 0
-	rp, _ := p.(chatls.ResultPipeline)
 	for s := 0; s < *k; s++ {
-		var script string
-		var steps []synthexpert.Step
-		var err error
-		if rp != nil {
-			var cres chatls.Customization
-			cres, err = rp.CustomizeResult(ctx, task, s)
-			script, steps = cres.Script, cres.Steps
-		} else {
-			script, err = p.Customize(ctx, task, s)
-		}
+		cres, err := p.CustomizeResult(ctx, task, s)
 		if err != nil {
 			fmt.Printf("  sample %d: customize failed: %v\n", s, err)
 			continue
 		}
+		script, steps := cres.Script, cres.Steps
 		sess := synth.NewSession(lib)
 		sess.AddSource(d.FileName, d.Source)
 		res, err := sess.Run(script)

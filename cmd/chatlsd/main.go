@@ -41,21 +41,11 @@ func main() {
 	workers := flag.Int("workers", 2, "worker-pool size")
 	queue := flag.Int("queue", 8, "admission-control queue depth")
 	reqTimeout := flag.Duration("req-timeout", 60*time.Second, "per-request deadline")
-	inflightFloor := flag.Int("max-inflight-floor", 0, "adaptive concurrency limit floor (0 = default 1)")
-	inflightCeiling := flag.Int("max-inflight-ceiling", 0, "adaptive concurrency limit ceiling (0 = workers+queue)")
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures that trip a stage circuit breaker (0 = default 5)")
 	breakerOpenFor := flag.Duration("breaker-open-for", 0, "circuit-breaker open dwell before half-open probes (0 = default 5s)")
-	breakerProbes := flag.Int("breaker-probes", 0, "concurrent half-open probe budget per breaker (0 = default 1)")
-	brownout := flag.Bool("brownout", true, "degrade (clamp Pass@k to 1) instead of failing under sustained overload")
-	taskCache := flag.Int("task-cache", 16, "baseline-task cache entries")
-	embedCache := flag.Int("embed-cache", 64, "design-embedding cache entries")
-	retrieveCache := flag.Int("retrieve-cache", 256, "strategy-retrieval cache entries")
 	batchWindow := flag.Duration("batch-window", 0, "embedding admission-queue wait window (0 = default, negative disables batching)")
 	batchMax := flag.Int("batch-max", 0, "embedding requests per coalesced batch before an early flush (0 = default)")
-	hnswEf := flag.Int("hnsw-ef", 0, "HNSW search beam width for indexes past the corpus-size threshold (0 = index default)")
-	checkpointCap := flag.Int("checkpoint-cap", 0, "elaboration-checkpoint store entries (0 = default, negative disables)")
 	qorLog := flag.String("qor-log", "", "durable QoR log path: synthesis outcomes persist across restarts (empty disables)")
-	qorCache := flag.Int("qor-cache", 0, "in-memory QoR record cache entries in front of the log (0 = default)")
 	remoteCache := flag.String("remote-cache", "", "base URL of a shared chatlscached result tier, e.g. http://cache:8090 (empty disables)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "fleet-wide work-lease TTL requested from the remote cache (0 = server default)")
 	defaultK := flag.Int("k", 1, "default Pass@k samples per request")
@@ -124,22 +114,12 @@ func main() {
 		Workers:           *workers,
 		QueueDepth:        *queue,
 		RequestTimeout:    *reqTimeout,
-		InflightFloor:     *inflightFloor,
-		InflightCeiling:   *inflightCeiling,
 		BreakerFailures:   *breakerFailures,
 		BreakerOpenFor:    *breakerOpenFor,
-		BreakerProbes:     *breakerProbes,
-		DisableBrownout:   !*brownout,
-		TaskCacheSize:     *taskCache,
-		EmbedCacheSize:    *embedCache,
-		RetrieveCacheSize: *retrieveCache,
 		BatchWindow:       *batchWindow,
 		BatchMax:          *batchMax,
 		DisableBatching:   *batchWindow < 0,
-		HNSWEf:            *hnswEf,
-		CheckpointCap:     *checkpointCap,
 		QoRLogPath:        *qorLog,
-		QoRCacheSize:      *qorCache,
 		RemoteCache:       rc,
 		DefaultK:          *defaultK,
 		MaxK:              *maxK,

@@ -56,17 +56,12 @@ func BetterTiming(a, b synth.QoR) bool {
 	return a.Area < b.Area
 }
 
-// degradationReporter is implemented by pipelines that record graceful
-// degradation (ChatLSPipeline); RunPassK copies the report into the sample.
-type degradationReporter interface {
-	Degradation() *resilience.DegradationReport
-}
-
 // EvalOptions tunes how a Pass@k evaluation runs. The zero value is the
 // paper's serial protocol with no checkpoint sharing.
 type EvalOptions struct {
 	// Workers bounds sample-evaluation concurrency; <= 1 is the serial
-	// protocol. See RunPassKParallel for the concurrency contract.
+	// protocol. workers > 1 yields the same samples, best, and counts — only
+	// wall-clock changes, because every sample is seeded by its index.
 	Workers int
 	// Checkpoints, when non-nil, is a shared elaboration-checkpoint store:
 	// every sample's synthesis run (and the baseline, for entry points that
@@ -109,41 +104,21 @@ func RunPassK(ctx context.Context, p Pipeline, d *designs.Design, k int, lib *li
 	return RunPassKOpts(ctx, p, d, k, lib, EvalOptions{})
 }
 
-// RunPassKParallel is RunPassK with the k samples evaluated on a bounded
-// worker pool. workers <= 1 is the serial protocol and produces
-// byte-identical results to RunPassK; workers > 1 requires a pipeline that
-// is safe for concurrent use (ResultPipeline implementations, or any
-// stateless Pipeline) and yields the same samples, best, and counts — only
-// wall-clock changes, because every sample is seeded by its index.
-func RunPassKParallel(ctx context.Context, p Pipeline, d *designs.Design, k int, lib *liberty.Library, workers int) (EvalResult, error) {
-	return RunPassKOpts(ctx, p, d, k, lib, EvalOptions{Workers: workers})
-}
-
 // RunPassKOpts is RunPassK with explicit options (worker pool, shared
-// checkpoint store).
+// checkpoint store, result store, cost model). A nearly-expired context is
+// rejected before the baseline synthesis starts, so the evaluation does no
+// partial work.
 func RunPassKOpts(ctx context.Context, p Pipeline, d *designs.Design, k int, lib *liberty.Library, opts EvalOptions) (EvalResult, error) {
-	// Budget admission: a nearly-expired context is rejected before the
-	// baseline synthesis starts, so the evaluation does no partial work.
-	if err := overload.CheckBudget(ctx, overload.StageBaseline, opts.Costs.Expect(overload.StageBaseline)); err != nil {
-		return EvalResult{}, err
-	}
-	start := time.Now()
-	task, baseQoR, err := NewTaskWith(ctx, d, lib, opts.Checkpoints)
+	task, baseQoR, err := opts.newTask(ctx, d, lib, overload.StageBaseline, nil)
 	if err != nil {
 		return EvalResult{}, err
 	}
-	opts.Costs.Observe(overload.StageBaseline, time.Since(start))
 	return EvalTaskOpts(ctx, p, task, baseQoR, k, lib, opts)
 }
 
-// EvalTask runs the Pass@k evaluation over an already-constructed task —
+// EvalTaskOpts runs the Pass@k evaluation over an already-constructed task —
 // the entry point for callers that cache baseline synthesis (the serving
-// daemon). See RunPassKParallel for the workers contract.
-func EvalTask(ctx context.Context, p Pipeline, task *Task, baseQoR synth.QoR, k int, lib *liberty.Library, workers int) (EvalResult, error) {
-	return EvalTaskOpts(ctx, p, task, baseQoR, k, lib, EvalOptions{Workers: workers})
-}
-
-// EvalTaskOpts is EvalTask with explicit options.
+// daemon).
 func EvalTaskOpts(ctx context.Context, p Pipeline, task *Task, baseQoR synth.QoR, k int, lib *liberty.Library, opts EvalOptions) (EvalResult, error) {
 	workers := opts.Workers
 	res := EvalResult{
@@ -229,79 +204,93 @@ func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Librar
 		return nil, err
 	}
 	sampleStart := time.Now()
-	var script string
-	var out SampleOutcome
-	if rp, ok := p.(ResultPipeline); ok {
-		cres, err := rp.CustomizeResult(ctx, task, s)
-		if err != nil {
-			if resilience.IsFatal(err) {
-				return nil, err
-			}
-			return &SampleOutcome{Err: fmt.Sprintf("customize: %v", err)}, nil
-		}
-		script = cres.Script
-		out = SampleOutcome{Script: script, Degraded: cres.Degradation.Components()}
-	} else {
-		var err error
-		script, err = p.Customize(ctx, task, s)
-		if err != nil {
-			if resilience.IsFatal(err) {
-				return nil, err
-			}
-			return &SampleOutcome{Err: fmt.Sprintf("customize: %v", err)}, nil
-		}
-		out = SampleOutcome{Script: script}
-		if dr, ok := p.(degradationReporter); ok {
-			if rep := dr.Degradation(); rep != nil {
-				out.Degraded = rep.Components()
-			}
-		}
-	}
-	var key qorlog.Key
-	if opts.Results != nil { // hashing the sources is not free; skip when unused
-		key = ResultKey(task.Lib, task.Design, script)
-		if rec, ok := opts.Results.Get(key); ok {
-			q := qorOf(rec)
-			out.QoR = &q
-			return &out, nil
-		}
-		// Budget admission for the synthesis ahead: reject before the lease
-		// claim, so a doomed sample never holds fleet-wide work hostage.
-		if err := overload.CheckBudget(ctx, overload.StageSynth, opts.Costs.Expect(overload.StageSynth)); err != nil {
-			return &out, err
-		}
-		if ls, ok := opts.Results.(LeasedResultStore); ok {
-			rec, done, release := ls.Acquire(ctx, key)
-			if done {
-				release()
-				q := qorOf(rec)
-				out.QoR = &q
-				return &out, nil
-			}
-			// We hold the lease (or coordination failed and release is a
-			// no-op). Release after the success-path Put publishes the
-			// record; on failure the lease lapses with nothing published
-			// and siblings recompute — slower, never wrong.
-			defer release()
-		}
-	}
-	synthStart := time.Now()
-	sess := synth.NewSession(lib)
-	sess.Checkpoints = opts.Checkpoints
-	sess.AddSource(task.Design.FileName, task.Design.Source)
-	run, err := sess.RunContext(ctx, script)
+	cres, err := p.CustomizeResult(ctx, task, s)
 	if err != nil {
 		if resilience.IsFatal(err) {
+			return nil, err
+		}
+		return &SampleOutcome{Err: fmt.Sprintf("customize: %v", err)}, nil
+	}
+	out := SampleOutcome{Script: cres.Script, Degraded: cres.Degradation.Components()}
+	key, logged := opts.lookup(task.Lib, task.Design, cres.Script)
+	if logged != nil {
+		out.QoR = logged
+		return &out, nil
+	}
+	run, err := opts.synthesize(ctx, lib, task.Design, cres.Script, overload.StageSynth, key, true)
+	if err != nil {
+		if isSweepFatal(err) {
 			return &out, err
 		}
 		out.Err = err.Error()
 		return &out, nil
 	}
-	opts.Costs.Observe(overload.StageSynth, time.Since(synthStart))
-	opts.Costs.Observe(overload.StageSample, time.Since(sampleStart))
-	out.QoR = run.QoR
-	if opts.Results != nil {
-		opts.Results.Put(key, recordOf(*run.QoR))
+	if run.Design != nil { // the tool ran here; a sibling replica's record says nothing about cost
+		opts.Costs.Observe(overload.StageSample, time.Since(sampleStart))
 	}
+	out.QoR = run.QoR
 	return &out, nil
+}
+
+// lookup addresses script's outcome on d in the result store: the key to
+// publish it under, and the logged QoR when the store already holds it. Both
+// are nil without a store (hashing the sources is not free; skip when
+// unused).
+func (o EvalOptions) lookup(lib *liberty.Library, d *designs.Design, script string) (*qorlog.Key, *synth.QoR) {
+	if o.Results == nil {
+		return nil, nil
+	}
+	key := ResultKey(lib, d, script)
+	if rec, ok := o.Results.Get(key); ok {
+		q := synth.QoR(rec)
+		return &key, &q
+	}
+	return &key, nil
+}
+
+// synthesize is the one place this package starts the synthesis tool: script
+// runs on a fresh session over d's sources, restoring post-link state from
+// o.Checkpoints. Around the run, in this order:
+//
+//   - a named stage is admitted against the deadline budget first, so a
+//     doomed deadline does no partial tool work, claims no lease and
+//     publishes nothing ("" — the bare NewTask — skips this and the cost
+//     observation);
+//   - with lease set, a store that coordinates fleet-wide work is asked for
+//     key: a record a sibling replica already published comes back as a
+//     Result carrying only its QoR; otherwise this caller computes, and the
+//     lease is released after the success-path Put publishes the record — on
+//     failure it lapses with nothing published and siblings recompute,
+//     slower, never wrong;
+//   - a successful run feeds its duration to o.Costs and, given a key, its
+//     QoR to o.Results.
+func (o EvalOptions) synthesize(ctx context.Context, lib *liberty.Library, d *designs.Design, script, stage string, key *qorlog.Key, lease bool) (*synth.Result, error) {
+	if stage != "" {
+		if err := overload.CheckBudget(ctx, stage, o.Costs.Expect(stage)); err != nil {
+			return nil, err
+		}
+	}
+	if ls, ok := o.Results.(LeasedResultStore); ok && lease && key != nil {
+		rec, done, release := ls.Acquire(ctx, *key)
+		defer release()
+		if done {
+			q := synth.QoR(rec)
+			return &synth.Result{QoR: &q}, nil
+		}
+	}
+	start := time.Now()
+	sess := synth.NewSession(lib)
+	sess.Checkpoints = o.Checkpoints
+	sess.AddSource(d.FileName, d.Source)
+	res, err := sess.RunContext(ctx, script)
+	if err != nil {
+		return nil, err
+	}
+	if stage != "" {
+		o.Costs.Observe(stage, time.Since(start))
+	}
+	if key != nil && o.Results != nil && res.QoR != nil {
+		o.Results.Put(*key, qorlog.Record(*res.QoR))
+	}
+	return res, nil
 }

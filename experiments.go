@@ -8,14 +8,12 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/circuitmentor"
 	"repro/internal/designs"
 	"repro/internal/liberty"
 	"repro/internal/llm"
 	"repro/internal/overload"
-	"repro/internal/qorlog"
 	"repro/internal/resilience"
 	"repro/internal/synth"
 	"repro/internal/synthrag"
@@ -135,6 +133,12 @@ func (c *ExperimentConfig) fill() {
 	}
 }
 
+// evalOptions is the slice of the config every synthesis run of a sweep
+// shares: worker bound, checkpoint store, result store, and cost model.
+func (c ExperimentConfig) evalOptions() EvalOptions {
+	return EvalOptions{Workers: c.Workers, Checkpoints: c.Checkpoints, Results: c.Results, Costs: c.Costs}
+}
+
 // BuildDatabase constructs the SynthRAG database for the experiments
 // (Table II's corpus synthesized under the strategy palette).
 func BuildDatabase(cfg ExperimentConfig) (*synthrag.Database, error) {
@@ -176,30 +180,15 @@ func Table4(ctx context.Context, cfg ExperimentConfig) ([]Table4Row, error) {
 		err error
 	}
 	results := make([]outcome, len(cfg.Designs))
+	o := cfg.evalOptions()
 	workpool.Run(workers, len(cfg.Designs), func(i int) {
 		d := cfg.Designs[i]
-		var key qorlog.Key
-		if cfg.Results != nil {
-			key = ResultKey(cfg.Lib, d, d.BaselineScript())
-			if rec, ok := cfg.Results.Get(key); ok {
-				results[i] = outcome{q: qorOf(rec)}
-				return
-			}
-		}
-		// Budget admission: a deadline that cannot cover the expected
-		// baseline synthesis rejects the design before any work starts.
-		if err := overload.CheckBudget(ctx, overload.StageBaseline, cfg.Costs.Expect(overload.StageBaseline)); err != nil {
-			results[i] = outcome{err: err}
+		key, logged := o.lookup(cfg.Lib, d, d.BaselineScript())
+		if logged != nil {
+			results[i] = outcome{q: *logged}
 			return
 		}
-		start := time.Now()
-		_, q, err := NewTaskWith(ctx, d, cfg.Lib, cfg.Checkpoints)
-		if err == nil {
-			cfg.Costs.Observe(overload.StageBaseline, time.Since(start))
-			if cfg.Results != nil {
-				cfg.Results.Put(key, recordOf(q))
-			}
-		}
+		_, q, err := o.newTask(ctx, d, cfg.Lib, overload.StageBaseline, key)
 		results[i] = outcome{q: q, err: err}
 	})
 	var rows []Table4Row
@@ -272,7 +261,7 @@ func Table3(ctx context.Context, cfg ExperimentConfig, db *synthrag.Database) ([
 		row := Table3Row{Design: d.Name}
 		failed := false
 		for _, p := range pipelines {
-			res, err := RunPassKOpts(ctx, p, d, cfg.K, cfg.Lib, EvalOptions{Workers: cfg.Workers, Checkpoints: cfg.Checkpoints, Results: cfg.Results, Costs: cfg.Costs})
+			res, err := RunPassKOpts(ctx, p, d, cfg.K, cfg.Lib, cfg.evalOptions())
 			if err != nil {
 				if isSweepFatal(err) {
 					return rows, err
@@ -614,7 +603,7 @@ func Ablations(ctx context.Context, cfg ExperimentConfig, db *synthrag.Database)
 	for _, variant := range AblationVariants {
 		p := mk(variant)
 		for _, d := range cfg.Designs {
-			res, err := RunPassKOpts(ctx, p, d, cfg.K, cfg.Lib, EvalOptions{Workers: cfg.Workers, Checkpoints: cfg.Checkpoints, Results: cfg.Results, Costs: cfg.Costs})
+			res, err := RunPassKOpts(ctx, p, d, cfg.K, cfg.Lib, cfg.evalOptions())
 			if err != nil {
 				if isSweepFatal(err) {
 					return rows, err
@@ -675,15 +664,13 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 		}
 		return cand.WNS >= 0 && cand.Area < cur.Area
 	}
+	o := cfg.evalOptions()
 	var rows []IterationRow
 	var errs SweepErrors
 	for _, d := range cfg.Designs {
 		p := NewChatLS(llm.New(llm.GPT4o, cfg.Seed), db)
 		p.Costs = cfg.Costs
-		if err := overload.CheckBudget(ctx, overload.StageBaseline, cfg.Costs.Expect(overload.StageBaseline)); err != nil {
-			return rows, err
-		}
-		task, q, err := NewTaskWith(ctx, d, cfg.Lib, cfg.Checkpoints)
+		task, q, err := o.newTask(ctx, d, cfg.Lib, overload.StageBaseline, nil)
 		if err != nil {
 			if isSweepFatal(err) {
 				return rows, err
@@ -700,7 +687,8 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 				task.Requirement = "Timing is met. Recover area while keeping every timing constraint satisfied."
 			}
 			task.Baseline = script
-			next, err := p.Customize(ctx, task, 0)
+			cres, err := p.CustomizeResult(ctx, task, 0)
+			next := cres.Script
 			if err != nil {
 				if isSweepFatal(err) {
 					return rows, err
@@ -713,27 +701,10 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 			// running the tool. A non-adopted candidate contributes nothing
 			// but its QoR, so a hit skips synthesis; an adopting round still
 			// runs, because adoption feeds the fresh report into the prompt.
-			var candidate *synth.QoR
 			var reports []string
-			var key qorlog.Key
-			if cfg.Results != nil {
-				key = ResultKey(cfg.Lib, d, next)
-				if rec, ok := cfg.Results.Get(key); ok {
-					cq := qorOf(rec)
-					candidate = &cq
-				}
-			}
+			key, candidate := o.lookup(cfg.Lib, d, next)
 			if candidate == nil || adopts(q, *candidate) {
-				// Budget admission before the synthesis run: no partial
-				// tool work on a doomed deadline.
-				if err := overload.CheckBudget(ctx, overload.StageSynth, cfg.Costs.Expect(overload.StageSynth)); err != nil {
-					return rows, err
-				}
-				synthStart := time.Now()
-				sess := synth.NewSession(cfg.Lib)
-				sess.Checkpoints = cfg.Checkpoints
-				sess.AddSource(d.FileName, d.Source)
-				res, err := sess.RunContext(ctx, next)
+				res, err := o.synthesize(ctx, cfg.Lib, d, next, overload.StageSynth, key, false)
 				if err != nil {
 					if isSweepFatal(err) {
 						return rows, err
@@ -743,12 +714,7 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 					rows = append(rows, IterationRow{Design: d.Name, Iter: it, QoR: q, Script: script})
 					continue
 				}
-				cfg.Costs.Observe(overload.StageSynth, time.Since(synthStart))
-				candidate = res.QoR
-				reports = res.Reports
-				if cfg.Results != nil {
-					cfg.Results.Put(key, recordOf(*res.QoR))
-				}
+				candidate, reports = res.QoR, res.Reports
 			}
 			// The user compares reports and adopts the new script only when
 			// it improves the active objective.

@@ -110,12 +110,12 @@ func TestBatchedCustomizeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHealthzEchoesBatchConfig: the effective batching and HNSW settings
-// must be visible on /healthz, including non-default overrides.
+// TestHealthzEchoesBatchConfig: the effective batching settings and index
+// backends must be visible on /healthz, including non-default overrides.
 func TestHealthzEchoesBatchConfig(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 4,
-		BatchWindow: 5 * time.Millisecond, BatchMax: 4, HNSWEf: 128,
+		BatchWindow: 5 * time.Millisecond, BatchMax: 4,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -132,9 +132,6 @@ func TestHealthzEchoesBatchConfig(t *testing.T) {
 	if !hz.BatchEnabled || hz.BatchWindowNS != (5*time.Millisecond).Nanoseconds() || hz.BatchMax != 4 {
 		t.Errorf("healthz batch echo = enabled=%v window=%dns max=%d, want enabled 5ms/4",
 			hz.BatchEnabled, hz.BatchWindowNS, hz.BatchMax)
-	}
-	if hz.HNSWEf != 128 {
-		t.Errorf("healthz hnsw_ef = %d, want 128", hz.HNSWEf)
 	}
 	// The shipped corpora are below the HNSW threshold: every index must
 	// report the exact flat backend.

@@ -69,24 +69,12 @@ type Config struct {
 	QueueDepth     int           // admission-control queue bound (default 8)
 	RequestTimeout time.Duration // per-request deadline (default 60s)
 
-	// Adaptive overload protection (see internal/overload). The limiter
-	// bounds admitted-but-unfinished requests between InflightFloor
-	// (default 1) and InflightCeiling (default Workers+QueueDepth — the
-	// old fixed cap), starting at the ceiling and adapting on observed
-	// completion latency.
-	InflightFloor   int
-	InflightCeiling int
 	// Per-stage circuit-breaker tuning for the pipeline's auxiliary
 	// components (mentor, RAG embed/retrieve, expert): BreakerFailures
 	// consecutive failures trip a stage open (default 5), it dwells open
-	// for BreakerOpenFor (default 5s), then admits BreakerProbes half-open
-	// probes (default 1).
+	// for BreakerOpenFor (default 5s), then admits one half-open probe.
 	BreakerFailures int
 	BreakerOpenFor  time.Duration
-	BreakerProbes   int
-	// DisableBrownout turns off the sustained-pressure degradation mode
-	// (Pass@k clamped to 1 while most recent admissions shed).
-	DisableBrownout bool
 	// Costs, when non-nil, is a shared (possibly pre-seeded) per-stage
 	// cost model; nil gets a fresh one. The chaos harness injects a
 	// primed model to exercise cost-based shedding deterministically.
@@ -98,10 +86,6 @@ type Config struct {
 	// every per-request chatls pipeline (tests and the chaos harness).
 	PipelineInject *resilience.Injector
 
-	TaskCacheSize     int // baseline-task LRU entries (default 16)
-	EmbedCacheSize    int // design-embedding LRU entries (default 64)
-	RetrieveCacheSize int // strategy-retrieval LRU entries (default 256)
-
 	// BatchWindow and BatchMax tune the continuous-batching admission queue
 	// over the database's embedding models: concurrent cache-missing embed
 	// requests arriving within BatchWindow coalesce into one stacked forward
@@ -112,18 +96,6 @@ type Config struct {
 	BatchMax        int
 	DisableBatching bool
 
-	// HNSWEf, when > 0, widens the HNSW search beam on every database index
-	// that has migrated to graph search (no-op while indexes are still exact
-	// Flat scans below the corpus-size threshold).
-	HNSWEf int
-
-	// CheckpointCap bounds the process-wide elaboration-checkpoint store:
-	// every synthesis run the daemon executes (baselines and Pass@k samples
-	// alike) restores post-link compile state from it instead of
-	// re-elaborating identical sources. 0 selects
-	// synth.DefaultCheckpointCap; negative disables checkpointing.
-	CheckpointCap int
-
 	// QoRLogPath, when non-empty, opens the durable QoR log there: every
 	// sample synthesis outcome is appended, and a restarted daemon warm-fills
 	// its result cache from the log instead of recomputing (warm restart).
@@ -131,9 +103,6 @@ type Config struct {
 	// log degrades the daemon to memory-only result caching with a warning
 	// rather than failing startup. Empty disables result caching.
 	QoRLogPath string
-	// QoRCacheSize bounds the in-memory record cache in front of the log
-	// (default qorlog.DefaultCacheCap).
-	QoRCacheSize int
 	// QoRLogOpts tunes recompaction and fault injection (tests).
 	QoRLogOpts qorlog.Options
 
@@ -154,6 +123,14 @@ type Config struct {
 	MaxRequirementLen int   // requirement string length cap (default 8 KiB)
 }
 
+// LRU sizes of the serving caches. The QoR record cache and the
+// elaboration-checkpoint store take their packages' defaults.
+const (
+	taskCacheSize     = 16  // baseline-task LRU entries
+	embedCacheSize    = 64  // design-embedding LRU entries
+	retrieveCacheSize = 256 // strategy-retrieval LRU entries
+)
+
 // taskEntry is one cached baseline synthesis: the pristine task (requirement
 // left at the default — requests get a copy) and its QoR.
 type taskEntry struct {
@@ -169,14 +146,14 @@ type Server struct {
 	pool    *workpool.Pool
 	flight  *flightGroup
 	tasks   *lru.Cache[string, taskEntry]
-	ckpt    *synth.CheckpointStore // nil when CheckpointCap < 0
+	ckpt    *synth.CheckpointStore // process-wide: baselines and Pass@k samples alike restore post-link state from it
 	results *qorlog.Store          // nil when QoRLogPath == ""
 	tier    *remotecache.Tier      // nil when RemoteCache is nil
 	reg     *metrics.Registry
 	closed  atomic.Bool
 
 	limiter  *overload.Limiter
-	brownout *overload.Brownout // nil when DisableBrownout
+	brownout *overload.Brownout
 	costs    *overload.CostModel
 	breakers map[string]*resilience.Breaker // per-stage, shared across requests
 
@@ -231,15 +208,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 60 * time.Second
 	}
-	if cfg.TaskCacheSize <= 0 {
-		cfg.TaskCacheSize = 16
-	}
-	if cfg.EmbedCacheSize <= 0 {
-		cfg.EmbedCacheSize = 64
-	}
-	if cfg.RetrieveCacheSize <= 0 {
-		cfg.RetrieveCacheSize = 256
-	}
 	if cfg.DefaultK <= 0 {
 		cfg.DefaultK = 1
 	}
@@ -260,36 +228,19 @@ func New(cfg Config) (*Server, error) {
 		cfg.BatchMax = batch.DefaultMaxBatch
 	}
 
-	if cfg.InflightFloor <= 0 {
-		cfg.InflightFloor = 1
-	}
-	if cfg.InflightCeiling <= 0 {
-		// The ceiling defaults to the old fixed admission cap, so a
-		// fresh (uncongested) server admits exactly what it used to.
-		cfg.InflightCeiling = cfg.Workers + cfg.QueueDepth
-	}
-	if cfg.InflightCeiling < cfg.InflightFloor {
-		cfg.InflightCeiling = cfg.InflightFloor
-	}
 	if cfg.BreakerFailures <= 0 {
 		cfg.BreakerFailures = 5
 	}
 	if cfg.BreakerOpenFor <= 0 {
 		cfg.BreakerOpenFor = 5 * time.Second
 	}
-	if cfg.BreakerProbes <= 0 {
-		cfg.BreakerProbes = 1
-	}
 	if cfg.Costs == nil {
 		cfg.Costs = overload.NewCostModel(0)
 	}
 
-	cfg.DB.EnableCache(cfg.EmbedCacheSize, cfg.RetrieveCacheSize)
+	cfg.DB.EnableCache(embedCacheSize, retrieveCacheSize)
 	if !cfg.DisableBatching {
 		cfg.DB.EnableBatching(cfg.BatchWindow, cfg.BatchMax)
-	}
-	if cfg.HNSWEf > 0 {
-		cfg.DB.SetHNSWEf(cfg.HNSWEf)
 	}
 
 	s := &Server{
@@ -297,16 +248,14 @@ func New(cfg Config) (*Server, error) {
 		byName: make(map[string]*designs.Design, len(cfg.Designs)),
 		pool:   workpool.New(cfg.Workers, cfg.QueueDepth),
 		flight: newFlightGroup(),
-		tasks:  lru.New[string, taskEntry](cfg.TaskCacheSize),
+		tasks:  lru.New[string, taskEntry](taskCacheSize),
+		ckpt:   synth.NewCheckpointStore(synth.DefaultCheckpointCap),
 		reg:    metrics.NewRegistry(),
 		costs:  cfg.Costs,
-		limiter: overload.NewLimiter(overload.LimiterConfig{
-			Floor:   cfg.InflightFloor,
-			Ceiling: cfg.InflightCeiling,
-		}),
-	}
-	if !cfg.DisableBrownout {
-		s.brownout = overload.NewBrownout(overload.BrownoutConfig{})
+		// The adaptive limit starts at its ceiling, the old fixed admission
+		// cap, so a fresh (uncongested) server admits exactly what it used to.
+		limiter:  overload.NewLimiter(overload.LimiterConfig{Ceiling: cfg.Workers + cfg.QueueDepth}),
+		brownout: overload.NewBrownout(overload.BrownoutConfig{}),
 	}
 	s.breakers = make(map[string]*resilience.Breaker, 4)
 	for _, comp := range []string{
@@ -319,7 +268,6 @@ func New(cfg Config) (*Server, error) {
 		s.breakers[comp] = resilience.NewBreaker(resilience.BreakerConfig{
 			Failures: cfg.BreakerFailures,
 			OpenFor:  cfg.BreakerOpenFor,
-			Probes:   cfg.BreakerProbes,
 			OnOpen: func() {
 				log.Printf("chatlsd: circuit breaker for %s opened (stage skipped until recovery probes succeed)", comp)
 			},
@@ -328,17 +276,14 @@ func New(cfg Config) (*Server, error) {
 			},
 		})
 	}
-	if cfg.CheckpointCap >= 0 {
-		s.ckpt = synth.NewCheckpointStore(cfg.CheckpointCap)
-	}
 	if cfg.QoRLogPath != "" {
-		store, err := qorlog.OpenStore(cfg.QoRLogPath, cfg.QoRCacheSize, cfg.QoRLogOpts)
+		store, err := qorlog.OpenStore(cfg.QoRLogPath, qorlog.DefaultCacheCap, cfg.QoRLogOpts)
 		if err != nil {
 			// An unopenable log is a degraded start, not a failed one: the
 			// daemon serves correctly from memory, it just recomputes.
 			log.Printf("chatlsd: cannot open QoR log %s, running memory-only (results will not survive a restart): %v",
 				cfg.QoRLogPath, err)
-			store = qorlog.NewMemoryStore(cfg.QoRCacheSize)
+			store = qorlog.NewMemoryStore(qorlog.DefaultCacheCap)
 		}
 		s.results = store
 	}
@@ -346,9 +291,7 @@ func New(cfg Config) (*Server, error) {
 		// The tier layers the remote cache over the local store (which may
 		// be nil — *qorlog.Store is nil-safe — leaving a remote-only tier).
 		s.tier = remotecache.NewTier(s.results, cfg.RemoteCache)
-		if s.ckpt != nil {
-			s.ckpt.SetRemote(cfg.RemoteCache)
-		}
+		s.ckpt.SetRemote(cfg.RemoteCache)
 	}
 	for _, d := range cfg.Designs {
 		s.byName[d.Name] = d
@@ -747,8 +690,10 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 			out, werr = s.runCustomize(d, req)
 		}) {
 			// The pool is the hard backstop behind the adaptive limiter
-			// (reachable only when the ceiling is configured above
-			// workers+queue). The slot never ran: no latency observation.
+			// (reachable when a finished request's slot is re-acquired
+			// before its worker has taken the next task off a full queue,
+			// or while the pool closes). The slot never ran: no latency
+			// observation.
 			s.limiter.Cancel()
 			return nil, errOverloaded
 		}
@@ -960,7 +905,6 @@ type healthzResponse struct {
 	BatchEnabled      bool                  `json:"batch_enabled"`
 	BatchWindowNS     int64                 `json:"batch_window_ns"`
 	BatchMax          int                   `json:"batch_max"`
-	HNSWEf            int                   `json:"hnsw_ef,omitempty"`
 	IndexBackends     map[string]string     `json:"index_backends"`
 	ParserBudgets     map[string]budgetJSON `json:"parser_budgets"`
 	Overload          overloadJSON          `json:"overload"`
@@ -987,7 +931,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		BatchEnabled:      !s.cfg.DisableBatching,
 		BatchWindowNS:     s.cfg.BatchWindow.Nanoseconds(),
 		BatchMax:          s.cfg.BatchMax,
-		HNSWEf:            s.cfg.HNSWEf,
 		IndexBackends:     s.cfg.DB.IndexBackends(),
 		ParserBudgets: map[string]budgetJSON{
 			inputlimits.SurfaceVerilog: toBudgetJSON(limits.Verilog),

@@ -68,14 +68,6 @@ func (db *Database) BatchStats() batch.Stats {
 	return batch.Stats{Flushes: g.Flushes + t.Flushes, Items: g.Items + t.Items}
 }
 
-// SetHNSWEf forwards the search beam width to every index that has built an
-// HNSW graph. Call before serving (it is not synchronized with searches).
-func (db *Database) SetHNSWEf(ef int) {
-	db.globalIndex.SetEfSearch(ef)
-	db.moduleIndex.SetEfSearch(ef)
-	db.manualIndex.SetEfSearch(ef)
-}
-
 // IndexBackends reports which backend ("flat" or "hnsw") each retrieval
 // index is serving from, keyed by index name.
 func (db *Database) IndexBackends() map[string]string {

@@ -72,13 +72,3 @@ func (a *Auto) Backend() string {
 
 // Exact always searches the Flat oracle, regardless of backend.
 func (a *Auto) Exact(query []float64, k int) []Hit { return a.flat.Search(query, k) }
-
-// SetEfSearch forwards the beam-width knob to the HNSW backend if built.
-func (a *Auto) SetEfSearch(ef int) {
-	if a.hnsw != nil {
-		a.hnsw.SetEfSearch(ef)
-	}
-	if ef > 0 {
-		a.cfg.EfSearch = ef
-	}
-}

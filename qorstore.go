@@ -44,6 +44,12 @@ type LeasedResultStore interface {
 // library by content fingerprint, design by (file name, source), script
 // verbatim — address the result. Any change to any of them changes the key,
 // which is how skip-if-unchanged sweeps and warm restarts stay sound.
+//
+// The stored value is the QoR itself: qorlog.Record and synth.QoR carry
+// identical fields (qorlog is a leaf package and must not import synth), so
+// the struct conversions qorlog.Record(q) / synth.QoR(rec) cross floats
+// unmodified — a logged record round-trips bit-identically — and stop
+// compiling if the two structs ever drift.
 func ResultKey(lib *liberty.Library, d *designs.Design, script string) qorlog.Key {
 	return qorlog.KeyOf(
 		synth.LibraryFingerprint(lib),
@@ -51,39 +57,4 @@ func ResultKey(lib *liberty.Library, d *designs.Design, script string) qorlog.Ke
 		d.Source,
 		script,
 	)
-}
-
-// recordOf converts a synthesis QoR into the log's on-disk record. The two
-// structs carry identical fields (qorlog is a leaf package and must not
-// import synth); floats cross unmodified, so a logged record round-trips
-// bit-identically.
-func recordOf(q synth.QoR) qorlog.Record {
-	return qorlog.Record{
-		Design:     q.Design,
-		Period:     q.Period,
-		WNS:        q.WNS,
-		CPS:        q.CPS,
-		TNS:        q.TNS,
-		Area:       q.Area,
-		Leakage:    q.Leakage,
-		Cells:      q.Cells,
-		Seq:        q.Seq,
-		Violations: q.Violations,
-	}
-}
-
-// qorOf is the inverse of recordOf.
-func qorOf(rec qorlog.Record) synth.QoR {
-	return synth.QoR{
-		Design:     rec.Design,
-		Period:     rec.Period,
-		WNS:        rec.WNS,
-		CPS:        rec.CPS,
-		TNS:        rec.TNS,
-		Area:       rec.Area,
-		Leakage:    rec.Leakage,
-		Cells:      rec.Cells,
-		Seq:        rec.Seq,
-		Violations: rec.Violations,
-	}
 }

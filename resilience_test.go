@@ -74,7 +74,8 @@ func TestFaultInjectionMatrix(t *testing.T) {
 					defer cancel()
 				}
 
-				script, err := p.Customize(ctx, task, 0)
+				cres, err := p.CustomizeResult(ctx, task, 0)
+				script, rep := cres.Script, cres.Degradation
 
 				if mode == resilience.ModeHang {
 					// A hang is bounded by the deadline and surfaces as a
@@ -107,7 +108,6 @@ func TestFaultInjectionMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s should degrade, got error: %v", comp, mode, err)
 				}
-				rep := p.Degradation()
 				if !rep.Degraded() {
 					t.Fatalf("%s %s: no degradation recorded", comp, mode)
 				}
@@ -138,18 +138,18 @@ func TestFaultInjectionRetryRecovers(t *testing.T) {
 	})
 	p.Inject = inj
 
-	script, err := p.Customize(context.Background(), task, 0)
+	cres, err := p.CustomizeResult(context.Background(), task, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if script == "" {
+	if cres.Script == "" {
 		t.Fatal("empty script")
 	}
 	if got := inj.Calls(resilience.CompMentor); got != 2 {
 		t.Errorf("mentor boundary crossed %d times, want 2 (fail then retry)", got)
 	}
-	if p.Degradation().Degraded() {
-		t.Errorf("retry should recover without degrading: %v", p.Degradation())
+	if cres.Degradation.Degraded() {
+		t.Errorf("retry should recover without degrading: %v", cres.Degradation)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestCustomizeCancelledContext(t *testing.T) {
 	p := NewChatLS(llm.New(llm.GPT4o, 2), db)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := p.Customize(ctx, task, 0)
+	_, err := p.CustomizeResult(ctx, task, 0)
 	if !errors.Is(err, resilience.ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
