@@ -53,12 +53,16 @@ bench-compare:
 # gate rerun — allocs/op is deterministic only under identical process
 # conditions (which earlier benchmarks warmed the intern table and the
 # scratch pools matters), so the gate must not compare against the
-# full-set BENCH_6.json record. Regenerate the baseline whenever a change
-# intentionally moves an allocation count.
+# full-set BENCH_6.json record. Both run at -cpu 1: the row-sharded tensor
+# kernels fan out over GOMAXPROCS goroutines (tensor.ParallelRows), each a
+# few allocations, so EmbedGlobalSerial reads 36 allocs/op on one CPU, 50
+# on two and 72 on eight — a baseline from one machine failed the gate on
+# another. Regenerate the baseline whenever a change intentionally moves an
+# allocation count.
 GATE ?= CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|EmbedGlobalBatched
 GATE_BASELINE ?= BENCH_GATE.json
-GATE_RUN = { $(GO) test -bench='$(GATE)' -benchmem -benchtime=1x -count=3 -run=^$$ . ; \
-	  $(GO) test -bench='$(SEARCH_COMPARE)' -benchmem -count=3 -run=^$$ ./internal/vecindex ; }
+GATE_RUN = { $(GO) test -bench='$(GATE)' -benchmem -benchtime=1x -count=3 -cpu 1 -run=^$$ . ; \
+	  $(GO) test -bench='$(SEARCH_COMPARE)' -benchmem -count=3 -cpu 1 -run=^$$ ./internal/vecindex ; }
 bench-gate:
 	$(GATE_RUN) | $(GO) run ./cmd/benchjson -baseline $(GATE_BASELINE) > /dev/null
 

@@ -38,8 +38,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 20250706, "generation seed")
 	epochs := flag.Int("epochs", 40, "metric-learning epochs for the database build")
-	workers := flag.Int("workers", 2, "worker-pool size")
-	queue := flag.Int("queue", 8, "admission-control queue depth")
+	workers := flag.Int("workers", 2, "customizations running at once")
+	queue := flag.Int("queue", 8, "admitted requests that may wait for a worker")
 	reqTimeout := flag.Duration("req-timeout", 60*time.Second, "per-request deadline")
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures that trip a stage circuit breaker (0 = default 5)")
 	breakerOpenFor := flag.Duration("breaker-open-for", 0, "circuit-breaker open dwell before half-open probes (0 = default 5s)")
@@ -161,8 +161,9 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*(*reqTimeout))
 		defer cancel()
 		httpSrv.Shutdown(ctx)
-		// Drain the worker pool under the same deadline, then flush and
-		// close the QoR log so every completed result survives the restart.
+		// Wait for the customizations still running under the same deadline,
+		// then flush and close the QoR log so every completed result
+		// survives the restart.
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("shutdown: %v (abandoning remaining work)", err)
 		}

@@ -91,15 +91,11 @@ func main() {
 		})
 		// The tier layers the remote cache over the local log (which may be
 		// absent — a remote-only tier still dedups work fleet-wide).
-		tier := remotecache.NewTier(store, rc)
-		cfg.Results = tier
+		cfg.Results = remotecache.NewTier(store, rc)
 		if cfg.Checkpoints != nil {
 			cfg.Checkpoints.SetRemote(rc)
 		}
-		// Registered after the log-close defer above, so this flush runs
-		// first: queued publishes reach the tier before the log closes.
 		defer func() {
-			tier.Close()
 			st := rc.Stats()
 			fmt.Fprintf(os.Stderr,
 				"remote cache: %d QoR hit(s), %d published, %d checkpoint hit(s), %d lease(s) granted, %d sibling wait(s)\n",

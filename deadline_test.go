@@ -48,7 +48,7 @@ func (c *countingLeaseStore) Acquire(context.Context, qorlog.Key) (qorlog.Record
 // wrapping overload.ErrBudget, no partial samples beyond the one that hit
 // the check, and crucially no fleet-wide lease claimed and no record
 // published. Covers the Pass@k evaluation and the Table IV sweep; the
-// serving surface's equivalent (cost shed before pool submission) is
+// serving surface's equivalent (cost shed before admission) is
 // TestCostShedRejectsBeforeAnyWork in internal/server.
 func TestDeadlineRejectedBeforeSynthesis(t *testing.T) {
 	d := designs.RiscV32i()

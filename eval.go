@@ -3,6 +3,7 @@ package chatls
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/designs"
@@ -104,7 +105,7 @@ func RunPassK(ctx context.Context, p Pipeline, d *designs.Design, k int, lib *li
 	return RunPassKOpts(ctx, p, d, k, lib, EvalOptions{})
 }
 
-// RunPassKOpts is RunPassK with explicit options (worker pool, shared
+// RunPassKOpts is RunPassK with explicit options (worker count, shared
 // checkpoint store, result store, cost model). A nearly-expired context is
 // rejected before the baseline synthesis starts, so the evaluation does no
 // partial work.
@@ -120,7 +121,6 @@ func RunPassKOpts(ctx context.Context, p Pipeline, d *designs.Design, k int, lib
 // the entry point for callers that cache baseline synthesis (the serving
 // daemon).
 func EvalTaskOpts(ctx context.Context, p Pipeline, task *Task, baseQoR synth.QoR, k int, lib *liberty.Library, opts EvalOptions) (EvalResult, error) {
-	workers := opts.Workers
 	res := EvalResult{
 		Pipeline:   p.Name(),
 		Design:     task.Design.Name,
@@ -129,51 +129,43 @@ func EvalTaskOpts(ctx context.Context, p Pipeline, task *Task, baseQoR synth.QoR
 		Best:       baseQoR,
 		BestSample: -1,
 	}
-	if workers > k {
-		workers = k
-	}
-
-	if workers <= 1 {
-		for s := 0; s < k; s++ {
-			out, fatal := evalSample(ctx, p, task, lib, s, opts)
-			if fatal != nil && out == nil {
-				return res, fatal
-			}
-			res.Samples = append(res.Samples, *out)
-			if fatal != nil {
-				return res, fatal
-			}
-			accumulate(&res, *out, s)
-		}
-		return res, nil
-	}
-
 	type slot struct {
 		out   *SampleOutcome
 		fatal error
 	}
 	slots := make([]slot, k)
-	pool := workpool.New(workers, k)
-	for s := 0; s < k; s++ {
-		s := s
-		pool.TrySubmit(func() {
-			slots[s].out, slots[s].fatal = evalSample(ctx, p, task, lib, s, opts)
-		})
-	}
-	pool.Close()
+	// fatalAt is the lowest sample index known to have failed fatally (k
+	// while there is none). Samples above it are skipped — no tool run
+	// starts after a fatal one — and samples below it always run, so the
+	// fold sees every slot up to the first fatal one whatever the schedule.
+	var mu sync.Mutex
+	fatalAt := k
+	workpool.Run(opts.Workers, k, func(s int) {
+		mu.Lock()
+		skip := s > fatalAt
+		mu.Unlock()
+		if skip {
+			return
+		}
+		out, fatal := evalSample(ctx, p, task, lib, s, opts)
+		slots[s] = slot{out, fatal}
+		if fatal != nil {
+			mu.Lock()
+			fatalAt = min(fatalAt, s)
+			mu.Unlock()
+		}
+	})
 
-	// Fold in index order so Best/BestSample match the serial protocol; a
-	// fatal error truncates the result at its sample, as the serial loop
-	// would have.
-	for s := 0; s < k; s++ {
-		if slots[s].fatal != nil && slots[s].out == nil {
-			return res, slots[s].fatal
+	// Fold in index order, so Best/BestSample do not depend on the schedule;
+	// a fatal error truncates the result at its sample.
+	for s, sl := range slots {
+		if sl.out != nil {
+			res.Samples = append(res.Samples, *sl.out)
 		}
-		res.Samples = append(res.Samples, *slots[s].out)
-		if slots[s].fatal != nil {
-			return res, slots[s].fatal
+		if sl.fatal != nil {
+			return res, sl.fatal
 		}
-		accumulate(&res, *slots[s].out, s)
+		accumulate(&res, *sl.out, s)
 	}
 	return res, nil
 }

@@ -2,12 +2,14 @@ package chatls
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/designs"
 	"repro/internal/llm"
+	"repro/internal/resilience"
 )
 
 // brokenPipeline always emits a script that dies in the tool.
@@ -58,6 +60,64 @@ func TestRunPassKParallelMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Errorf("parallel result diverged from serial:\nserial:   %+v\nparallel: %+v", serial, par)
+	}
+}
+
+// abortingPipeline fails sample `at` fatally (a cancelled caller) and notes
+// every sample that was started.
+type abortingPipeline struct {
+	inner   Pipeline
+	at      int
+	mu      sync.Mutex
+	started map[int]bool
+}
+
+func (p *abortingPipeline) Name() string { return p.inner.Name() }
+func (p *abortingPipeline) CustomizeResult(ctx context.Context, t *Task, sample int) (Customization, error) {
+	p.mu.Lock()
+	p.started[sample] = true
+	p.mu.Unlock()
+	if sample == p.at {
+		return Customization{}, resilience.ContextError("test", context.Canceled)
+	}
+	return p.inner.CustomizeResult(ctx, t, sample)
+}
+
+// TestEvalTruncatesAtFirstFatalSample: a fatal sample ends the evaluation
+// with the samples before it and its error, whatever the worker count; the
+// serial protocol starts nothing after it, and a parallel one never skips a
+// sample before it.
+func TestEvalTruncatesAtFirstFatalSample(t *testing.T) {
+	const k, at = 6, 2
+	task, base, err := NewTask(context.Background(), designs.RiscV32i(), testLib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) (EvalResult, map[int]bool) {
+		p := &abortingPipeline{inner: &RawPipeline{Model: llm.New(llm.GPT4o, 20250706)}, at: at, started: map[int]bool{}}
+		res, err := EvalTaskOpts(context.Background(), p, task, base, k, testLib, EvalOptions{Workers: workers})
+		if !errors.Is(err, resilience.ErrCancelled) {
+			t.Fatalf("workers=%d: err = %v, want the fatal sample's cancellation", workers, err)
+		}
+		return res, p.started
+	}
+	want, started := run(1)
+	if len(want.Samples) != at {
+		t.Fatalf("serial run kept %d samples, want the %d before the fatal one", len(want.Samples), at)
+	}
+	if len(started) != at+1 {
+		t.Errorf("serial run started samples %v, want exactly 0..%d", started, at)
+	}
+	for _, workers := range []int{2, 4, k + 3} {
+		got, started := run(workers)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d diverged from the serial run:\nserial:   %+v\nparallel: %+v", workers, want, got)
+		}
+		for s := 0; s <= at; s++ {
+			if !started[s] {
+				t.Errorf("workers=%d: sample %d, before the fatal one, never ran", workers, s)
+			}
+		}
 	}
 }
 

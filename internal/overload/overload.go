@@ -145,7 +145,7 @@ func (m *CostModel) Snapshot() map[string]time.Duration {
 	return out
 }
 
-// LimiterConfig bounds and tunes the adaptive concurrency limiter.
+// LimiterConfig bounds the adaptive concurrency limiter.
 type LimiterConfig struct {
 	// Floor/Ceiling bound the adaptive limit. Floor defaults to 1;
 	// Ceiling defaults to max(Floor, 16).
@@ -158,17 +158,21 @@ type LimiterConfig struct {
 	// Window is the number of recent latencies kept for the moving p50
 	// baseline (default 64).
 	Window int
-	// Threshold is the congestion trigger: a completion slower than
-	// Threshold x baseline-p50 counts as congested (default 2.0).
-	Threshold float64
-	// Decrease is the multiplicative backoff applied to the limit on
-	// congestion (default 0.9).
-	Decrease float64
-	// BaselineInflate bounds how fast the p50 baseline may drift upward
-	// per window epoch, so a sustained latency spike cannot quickly
-	// redefine "normal" (default 1.25 = +25% per half-window).
-	BaselineInflate float64
 }
+
+// AIMD tuning of the Limiter.
+const (
+	// limiterThreshold is the congestion trigger: a completion slower than
+	// limiterThreshold x baseline-p50 counts as congested.
+	limiterThreshold = 2.0
+	// limiterDecrease is the multiplicative backoff applied to the limit
+	// on congestion.
+	limiterDecrease = 0.9
+	// limiterBaselineInflate bounds how fast the p50 baseline may drift
+	// upward per window epoch (+25% per half-window), so a sustained
+	// latency spike cannot quickly redefine "normal".
+	limiterBaselineInflate = 1.25
+)
 
 func (c *LimiterConfig) fill() {
 	if c.Floor <= 0 {
@@ -194,20 +198,11 @@ func (c *LimiterConfig) fill() {
 	if c.Window <= 0 {
 		c.Window = 64
 	}
-	if c.Threshold <= 1 {
-		c.Threshold = 2.0
-	}
-	if c.Decrease <= 0 || c.Decrease >= 1 {
-		c.Decrease = 0.9
-	}
-	if c.BaselineInflate < 1 {
-		c.BaselineInflate = 1.25
-	}
 }
 
 // Limiter is an AIMD adaptive concurrency limiter. Completions feed
 // observed latencies into a moving window; the median of the best recent
-// window epoch is the baseline. A completion slower than Threshold x
+// window epoch is the baseline. A completion slower than limiterThreshold x
 // baseline multiplicatively shrinks the limit (rate-limited to one
 // decrease per `limit` completions, the AIMD analogue of once-per-RTT);
 // an on-time completion additively grows it by 1/limit. The limit always
@@ -257,16 +252,6 @@ func (l *Limiter) Acquire() bool {
 	return true
 }
 
-// Cancel releases a slot claimed by Acquire without contributing a
-// latency observation (the work never ran).
-func (l *Limiter) Cancel() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.inflight > 0 {
-		l.inflight--
-	}
-}
-
 // Release returns a slot and folds the observed completion latency into
 // the AIMD feedback loop.
 func (l *Limiter) Release(latency time.Duration) {
@@ -287,7 +272,7 @@ func (l *Limiter) Release(latency time.Duration) {
 	l.obs++
 
 	// Re-anchor the baseline every half window: take the window median,
-	// but never let the baseline climb more than BaselineInflate per
+	// but never let the baseline climb more than limiterBaselineInflate per
 	// epoch — a sustained spike must not redefine "normal" before the
 	// limiter has contracted.
 	half := int64(len(l.ring) / 2)
@@ -302,7 +287,7 @@ func (l *Limiter) Release(latency time.Duration) {
 		case med < l.baseline:
 			l.baseline = med
 		default:
-			inflated := time.Duration(float64(l.baseline) * l.cfg.BaselineInflate)
+			inflated := time.Duration(float64(l.baseline) * limiterBaselineInflate)
 			if med < inflated {
 				l.baseline = med
 			} else {
@@ -317,10 +302,10 @@ func (l *Limiter) Release(latency time.Duration) {
 	if l.baseline == 0 {
 		return // not enough history yet
 	}
-	congested := float64(latency) > l.cfg.Threshold*float64(l.baseline)
+	congested := float64(latency) > limiterThreshold*float64(l.baseline)
 	if congested {
 		if l.obs >= l.cooldown {
-			l.limit *= l.cfg.Decrease
+			l.limit *= limiterDecrease
 			if l.limit < float64(l.cfg.Floor) {
 				l.limit = float64(l.cfg.Floor)
 			}

@@ -32,9 +32,9 @@ func TestLimiterAcquireShedsAtLimit(t *testing.T) {
 	if l.Sheds() != 1 {
 		t.Fatalf("sheds = %d, want 1", l.Sheds())
 	}
-	l.Cancel()
+	l.Release(time.Millisecond)
 	if !l.Acquire() {
-		t.Fatal("acquire after cancel should succeed")
+		t.Fatal("acquire after release should succeed")
 	}
 	if l.Inflight() != 2 {
 		t.Fatalf("inflight = %d, want 2", l.Inflight())

@@ -416,24 +416,27 @@ func TestClientDegradesOnDeadServer(t *testing.T) {
 	}
 }
 
-func TestTierReadThroughWriteBehind(t *testing.T) {
+func TestTierReadThroughWriteThrough(t *testing.T) {
 	srv, ts := newTestTier(t)
 	key := testKey("t")
 	rec := testRecord("d", 7)
 
-	// Replica A publishes through its tier.
-	a := NewTier(qorlog.NewMemoryStore(0), newTestClient(ts, "a"))
-	defer a.Close()
+	// Replica A publishes through its tier: the record is on the server by
+	// the time Put returns.
+	aLocal := qorlog.NewMemoryStore(0)
+	a := NewTier(aLocal, newTestClient(ts, "a"))
 	a.Put(key, rec)
-	a.Flush()
 	if srv.cfg.QoR.Len() != 1 {
-		t.Fatalf("server holds %d records after flush, want 1", srv.cfg.QoR.Len())
+		t.Fatalf("server holds %d records after Put, want 1", srv.cfg.QoR.Len())
+	}
+	if _, ok := aLocal.Get(key); !ok {
+		t.Fatal("Put skipped the local store")
 	}
 
 	// Replica B's local store is cold; the tier reads through and backfills.
 	bLocal := qorlog.NewMemoryStore(0)
-	b := NewTier(bLocal, newTestClient(ts, "b"))
-	defer b.Close()
+	bClient := newTestClient(ts, "b")
+	b := NewTier(bLocal, bClient)
 	got, ok := b.Get(key)
 	if !ok || got != rec {
 		t.Fatalf("read-through = %+v %v", got, ok)
@@ -441,17 +444,90 @@ func TestTierReadThroughWriteBehind(t *testing.T) {
 	if _, ok := bLocal.Get(key); !ok {
 		t.Fatal("remote hit was not written back to the local store")
 	}
-	if b.Remote().Stats().QoRHits != 1 {
-		t.Fatalf("client stats = %+v", b.Remote().Stats())
+	if bClient.Stats().QoRHits != 1 {
+		t.Fatalf("client stats = %+v", bClient.Stats())
 	}
 
 	// Dead tier: the Tier degrades to local-only silently.
 	ts.Close()
 	key2 := testKey("t2")
 	b.Put(key2, rec)
-	b.Flush()
 	if got, ok := b.Get(key2); !ok || got != rec {
 		t.Fatal("local tier lost a record after remote death")
+	}
+}
+
+// TestTierReleaseFollowsPublish is the dedup guarantee the lease protocol
+// rests on: the holder's Put is on the server before its release completes
+// the lease, so a sibling claiming the instant the lease is gone is told
+// the result exists — it is never granted the same work again.
+func TestTierReleaseFollowsPublish(t *testing.T) {
+	_, ts := newTestTier(t)
+	holder := NewTier(qorlog.NewMemoryStore(0), newTestClient(ts, "holder"))
+	sibling := newTestClient(ts, "sibling")
+	for i := 0; i < 50; i++ {
+		key := testKey(fmt.Sprintf("work-%d", i))
+		_, done, release := holder.Acquire(context.Background(), key)
+		if done {
+			t.Fatalf("key %d: empty tier served a record", i)
+		}
+		if resp, err := sibling.claim(context.Background(), key); err != nil || resp.Status != StatusHeld {
+			t.Fatalf("key %d: claim against a live lease = %+v, %v; want held", i, resp, err)
+		}
+		holder.Put(key, testRecord("d", float64(i)))
+		release()
+		resp, err := sibling.claim(context.Background(), key)
+		if err != nil || resp.Status != StatusDone {
+			t.Fatalf("key %d: claim after release = %+v, %v; want done", i, resp, err)
+		}
+	}
+	if n := sibling.Stats().LeasesGranted; n != 0 {
+		t.Fatalf("sibling was granted %d leases for published work", n)
+	}
+}
+
+// TestTierPutAgainstDeadTierIsBounded: the remote write sits on the caller's
+// goroutine, so what a dying tier can cost it is bounded — one request's
+// retries the first time, nothing once the breaker is open.
+func TestTierPutAgainstDeadTierIsBounded(t *testing.T) {
+	// A tier that accepts connections and never answers: the slowest way to
+	// be dead, every attempt runs into the client timeout.
+	hang := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-hang }))
+	defer ts.Close()
+	defer close(hang) // first, or Close waits on the parked handlers
+	const timeout = 50 * time.Millisecond
+	warnings := 0
+	local := qorlog.NewMemoryStore(0)
+	tier := NewTier(local, NewClient(ClientConfig{
+		BaseURL: ts.URL,
+		Timeout: timeout,
+		Warnf:   func(string, ...any) { warnings++ },
+	}))
+
+	start := time.Now()
+	tier.Put(testKey("k0"), testRecord("d", 0))
+	first := time.Since(start)
+	if first < timeout {
+		t.Fatalf("first Put returned in %v, before one client timeout (%v): the hung tier was never tried", first, timeout)
+	}
+	if bound := requestAttempts*timeout + time.Second; first > bound {
+		t.Fatalf("first Put took %v, want under %v (%d attempts of %v)", first, bound, requestAttempts, timeout)
+	}
+	start = time.Now()
+	for i := 1; i < 5; i++ {
+		tier.Put(testKey(fmt.Sprintf("k%d", i)), testRecord("d", float64(i)))
+	}
+	if rest := time.Since(start); rest > timeout {
+		t.Fatalf("Puts behind an open breaker took %v, want no network wait", rest)
+	}
+	for i := 0; i < 5; i++ {
+		if _, ok := local.Get(testKey(fmt.Sprintf("k%d", i))); !ok {
+			t.Errorf("record k%d did not land in the local store", i)
+		}
+	}
+	if warnings != 1 {
+		t.Errorf("degradation warned %d times, want exactly 1", warnings)
 	}
 }
 

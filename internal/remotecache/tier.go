@@ -2,116 +2,37 @@ package remotecache
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/qorlog"
 )
 
 // Tier composes the local QoR store and the remote tier into the two-level
 // result store replicas actually use: read-through (local first, then
-// remote, with remote hits written back locally) and write-behind (local
-// synchronously — it is the correctness tier — remote via a background
-// publisher, so a slow or dying tier never sits on the synthesis path).
+// remote, with remote hits written back locally) and write-through (local
+// first — it is the correctness tier — then the remote tier, on the caller's
+// goroutine). The remote write is Client.PutQoR, which is total: a dying tier
+// costs one bounded-retry request before the breaker opens, and nothing after.
 //
 // Lease coordination (Acquire) passes through to the client; records a
 // sibling computed land in the local store on the way out, so the rest of
 // the request is served at local speed.
 //
-// Every method is nil-safe and total: with the remote side degraded or
-// absent, a Tier behaves exactly like its local store.
+// With the remote side degraded or nil, a Tier behaves exactly like its
+// local store.
 type Tier struct {
 	local  *qorlog.Store
 	remote *Client
-
-	queue  chan tierPut
-	stop   chan struct{}
-	done   chan struct{}
-	closed atomic.Bool
-
-	// pending counts queued-but-unpublished records. A plain WaitGroup
-	// cannot express this: Put (Add) races Wait from concurrent lease
-	// releases, and a WaitGroup panics when the counter bounces off zero
-	// while a Wait is in flight — the chaos soak hits exactly that.
-	mu      sync.Mutex
-	pending int
-	drained *sync.Cond
 }
 
-type tierPut struct {
-	key qorlog.Key
-	rec qorlog.Record
-}
-
-// publishQueueDepth bounds the write-behind queue. A full queue blocks Put
-// briefly rather than dropping (a degraded client drains instantly, so the
-// queue only backs up while the tier is alive but slow).
-const publishQueueDepth = 256
-
-// NewTier wires a two-level store. local is required; remote may be nil
-// (the Tier is then a thin wrapper over local). Call Close when done to
-// flush the publisher.
+// NewTier wires a two-level store. Either side may be nil: both are
+// nil-safe, so the Tier is then a thin wrapper over the other.
 func NewTier(local *qorlog.Store, remote *Client) *Tier {
-	t := &Tier{
-		local:  local,
-		remote: remote,
-		queue:  make(chan tierPut, publishQueueDepth),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	t.drained = sync.NewCond(&t.mu)
-	go t.publishLoop()
-	return t
-}
-
-func (t *Tier) publishLoop() {
-	defer close(t.done)
-	for {
-		select {
-		case p := <-t.queue:
-			t.remote.PutQoR(p.key, p.rec)
-			t.finish()
-		case <-t.stop:
-			for {
-				select {
-				case p := <-t.queue:
-					t.remote.PutQoR(p.key, p.rec)
-					t.finish()
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// finish marks one queued publish attempted, waking drain waiters at zero.
-func (t *Tier) finish() {
-	t.mu.Lock()
-	t.pending--
-	if t.pending == 0 {
-		t.drained.Broadcast()
-	}
-	t.mu.Unlock()
-}
-
-// drain blocks until no queued publish is outstanding. Unlike a WaitGroup
-// it is safe against concurrent Puts re-raising the count: the waiter
-// simply keeps waiting until a real zero.
-func (t *Tier) drain() {
-	t.mu.Lock()
-	for t.pending > 0 {
-		t.drained.Wait()
-	}
-	t.mu.Unlock()
+	return &Tier{local: local, remote: remote}
 }
 
 // Get is the read-through lookup: local store first, then the remote tier.
 // A remote hit is written back locally so the next lookup stays local.
 func (t *Tier) Get(key qorlog.Key) (qorlog.Record, bool) {
-	if t == nil {
-		return qorlog.Record{}, false
-	}
 	if rec, ok := t.local.Get(key); ok {
 		return rec, true
 	}
@@ -122,79 +43,20 @@ func (t *Tier) Get(key qorlog.Key) (qorlog.Record, bool) {
 	return qorlog.Record{}, false
 }
 
-// Put stores locally now and publishes to the remote tier behind the
-// caller's back.
+// Put stores locally, then publishes to the remote tier. The record is on
+// the server (or dropped, with the tier degraded) when Put returns, so a
+// lease released after it never completes ahead of its result.
 func (t *Tier) Put(key qorlog.Key, rec qorlog.Record) {
-	if t == nil {
-		return
-	}
 	t.local.Put(key, rec)
-	if t.remote == nil || t.remote.Degraded() || t.closed.Load() {
-		return
-	}
-	t.mu.Lock()
-	t.pending++
-	t.mu.Unlock()
-	select {
-	case t.queue <- tierPut{key, rec}:
-	case <-t.stop:
-		t.finish()
-	}
+	t.remote.PutQoR(key, rec)
 }
 
 // Acquire claims fleet-wide ownership of key's work (see Client.Acquire).
-// A record a sibling computed is written back to the local store. When the
-// lease is granted, the returned release first drains the write-behind
-// queue: the caller's Put must be visible on the server before the lease
-// completes, or a waiting sibling could re-claim the key and recompute it
-// (correct — results are idempotent — but the dedup guarantee would leak).
+// A record a sibling computed is written back to the local store.
 func (t *Tier) Acquire(ctx context.Context, key qorlog.Key) (qorlog.Record, bool, func()) {
-	if t == nil || t.remote == nil {
-		return qorlog.Record{}, false, func() {}
-	}
 	rec, ok, release := t.remote.Acquire(ctx, key)
 	if ok {
 		t.local.Put(key, rec)
-		return rec, true, release
 	}
-	return rec, false, func() {
-		t.drain()
-		release()
-	}
-}
-
-// Flush blocks until every queued publish has been attempted.
-func (t *Tier) Flush() {
-	if t == nil {
-		return
-	}
-	t.drain()
-}
-
-// Close flushes and stops the publisher. Call after the last Put (the
-// serving path closes the tier during shutdown, after request drain);
-// late Puts still land locally and skip the remote tier. Idempotent.
-func (t *Tier) Close() {
-	if t == nil || !t.closed.CompareAndSwap(false, true) {
-		return
-	}
-	t.drain()
-	close(t.stop)
-	<-t.done
-}
-
-// Local exposes the local store (metrics wiring).
-func (t *Tier) Local() *qorlog.Store {
-	if t == nil {
-		return nil
-	}
-	return t.local
-}
-
-// Remote exposes the remote client (metrics wiring). May be nil.
-func (t *Tier) Remote() *Client {
-	if t == nil {
-		return nil
-	}
-	return t.remote
+	return rec, ok, release
 }

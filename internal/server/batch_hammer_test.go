@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -29,31 +30,6 @@ func TestBatchedCustomizeByteIdentical(t *testing.T) {
 		}
 		return db
 	}
-	newSrv := func(cfg Config) *Server {
-		cfg.Model = llm.New(llm.GPT4o, 2)
-		cfg.Lib = testLib
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatalf("server.New: %v", err)
-		}
-		t.Cleanup(s.Close)
-		return s
-	}
-	// A wide window and generous pool force real coalescing: requests for
-	// distinct designs miss the embed cache together and meet in one flush.
-	batched := newSrv(Config{
-		DB: build(), Workers: 8, QueueDepth: 64,
-		BatchWindow: 20 * time.Millisecond, BatchMax: 8,
-	})
-	serial := newSrv(Config{
-		DB: build(), Workers: 8, QueueDepth: 64,
-		DisableBatching: true,
-	})
-	tsBatched := httptest.NewServer(batched.Handler())
-	defer tsBatched.Close()
-	tsSerial := httptest.NewServer(serial.Handler())
-	defer tsSerial.Close()
-
 	// Distinct designs and requirements defeat both the embed LRU (per
 	// design) and singleflight (per full request), so the batcher sees real
 	// concurrent traffic on the GNN and text embedding paths.
@@ -64,6 +40,38 @@ func TestBatchedCustomizeByteIdentical(t *testing.T) {
 			reqs = append(reqs, fmt.Sprintf(`{"design":%q,"requirement":"optimize variant %d for timing","k":1}`, d, i*3+r))
 		}
 	}
+
+	// Coalescing is asserted below, so the requests must meet in the batcher
+	// by construction rather than by scheduling luck: every request gets a
+	// worker, parks in BeforeWork until all of them hold one, and leaves the
+	// barrier with the baseline already cached — what remains before the
+	// first embedding (mentor analysis, graph build) is short against the
+	// 100 ms window.
+	newSrv := func(cfg Config) *Server {
+		var barrier sync.WaitGroup
+		barrier.Add(len(reqs))
+		cfg.BeforeWork = func() { barrier.Done(); barrier.Wait() }
+		cfg.Workers, cfg.QueueDepth = len(reqs), 1
+		cfg.Model = llm.New(llm.GPT4o, 2)
+		cfg.Lib = testLib
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("server.New: %v", err)
+		}
+		t.Cleanup(s.Close)
+		for _, d := range designNames {
+			if _, _, err := s.baselineTask(context.Background(), s.byName[d]); err != nil {
+				t.Fatalf("baseline %s: %v", d, err)
+			}
+		}
+		return s
+	}
+	batched := newSrv(Config{DB: build(), BatchWindow: 100 * time.Millisecond, BatchMax: 8})
+	serial := newSrv(Config{DB: build(), DisableBatching: true})
+	tsBatched := httptest.NewServer(batched.Handler())
+	defer tsBatched.Close()
+	tsSerial := httptest.NewServer(serial.Handler())
+	defer tsSerial.Close()
 
 	hammer := func(url string) []string {
 		out := make([]string, len(reqs))

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,7 +50,7 @@ func checkRetryable(t *testing.T, hr *http.Response, body []byte) {
 
 // TestCostShedRejectsBeforeAnyWork primes the cost model so the expected
 // end-to-end request cost exceeds the per-request deadline: requests must
-// be shed with 503 + Retry-After before any pool work starts (BeforeWork
+// be shed with 503 + Retry-After before any work starts (BeforeWork
 // never fires), except the deterministic 1-in-8 probe-through that lets
 // the model re-learn.
 func TestCostShedRejectsBeforeAnyWork(t *testing.T) {
@@ -81,7 +80,7 @@ func TestCostShedRejectsBeforeAnyWork(t *testing.T) {
 		}
 	}
 	if n := worked.Load(); n != 0 {
-		t.Fatalf("shed requests reached the worker pool %d times, want 0", n)
+		t.Fatalf("shed requests reached a worker %d times, want 0", n)
 	}
 
 	// The 8th would-be shed probes through so the model can re-learn a
@@ -91,7 +90,7 @@ func TestCostShedRejectsBeforeAnyWork(t *testing.T) {
 		t.Fatalf("probe-through request: status %d, want 200: %s", hr.StatusCode, body)
 	}
 	if n := worked.Load(); n != 1 {
-		t.Errorf("probe-through ran %d pool tasks, want 1", n)
+		t.Errorf("probe-through ran %d customizations, want 1", n)
 	}
 
 	// One cheap observation moves a 10s EWMA only 20% of the way down —
@@ -156,14 +155,8 @@ func TestHealthzReportsOverloadState(t *testing.T) {
 // and an explicit "brownout" degradation marker, and sustained healthy
 // traffic exits the mode so k>1 service recovers.
 func TestBrownoutClampsPassK(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.hookBeforeWork = func() {
-		once.Do(func() { close(started) })
-		<-release
-	}
+	hook, started, release := newGate()
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, BeforeWork: hook})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -175,14 +168,7 @@ func TestBrownoutClampsPassK(t *testing.T) {
 	go post(`{"design":"riscv32i","k":1}`)
 	<-started // worker occupied
 	go post(`{"design":"dynamic_node","k":1}`)
-	deadline := time.After(5 * time.Second)
-	for s.limiter.Inflight() != 2 { // second request admitted, parked in queue
-		select {
-		case <-deadline:
-			t.Fatal("second request never occupied the limiter")
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
+	waitMetric(t, ts.URL, "overload_inflight", 2) // second request admitted, waiting for the worker
 
 	// A full brownout window of distinct requests, every one shed at the
 	// saturated limiter.

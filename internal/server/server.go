@@ -2,12 +2,13 @@
 // API that customizes synthesis scripts on demand. It layers, on top of the
 // one-shot experiment harness, the machinery a long-lived daemon needs:
 //
-//   - a bounded worker pool with admission control (full queue → 429),
-//   - adaptive overload protection (internal/overload): an AIMD concurrency
-//     limiter in front of the pool, cost-based load shedding when the
+//   - one admission function (admit): cost-based load shedding when the
 //     learned end-to-end request cost cannot fit the deadline (503 +
-//     Retry-After), and a brownout mode that clamps Pass@k to one sample
-//     under sustained shedding,
+//     Retry-After), then an AIMD concurrency limiter (internal/overload)
+//     bounding admitted-but-unfinished requests (full → 429), then a
+//     Workers-sized semaphore bounding the ones that run at once,
+//   - a brownout mode that clamps Pass@k to one sample under sustained
+//     shedding,
 //   - per-stage circuit breakers (internal/resilience) around the pipeline's
 //     auxiliary components, so a persistently failing stage is skipped
 //     immediately instead of burning retries on every request,
@@ -34,6 +35,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,7 +55,6 @@ import (
 	"repro/internal/synth"
 	"repro/internal/synthrag"
 	"repro/internal/vecindex"
-	"repro/internal/workpool"
 )
 
 // Config assembles a Server. Zero values get serving defaults (see New).
@@ -65,8 +66,8 @@ type Config struct {
 
 	Designs []*designs.Design // servable designs; nil = full benchmark set
 
-	Workers        int           // worker pool size (default 2)
-	QueueDepth     int           // admission-control queue bound (default 8)
+	Workers        int           // customizations running at once (default 2)
+	QueueDepth     int           // admitted requests that may wait for a worker (default 8)
 	RequestTimeout time.Duration // per-request deadline (default 60s)
 
 	// Per-stage circuit-breaker tuning for the pipeline's auxiliary
@@ -79,8 +80,9 @@ type Config struct {
 	// cost model; nil gets a fresh one. The chaos harness injects a
 	// primed model to exercise cost-based shedding deterministically.
 	Costs *overload.CostModel
-	// BeforeWork, when set, runs at the start of every pool-executed
-	// customization — the chaos harness injects latency spikes here.
+	// BeforeWork, when set, runs at the start of every customization, on
+	// its worker slot — the chaos harness injects latency spikes here, and
+	// tests hold a worker in place with it.
 	BeforeWork func()
 	// PipelineInject, when set, is installed as the fault injector on
 	// every per-request chatls pipeline (tests and the chaos harness).
@@ -108,7 +110,7 @@ type Config struct {
 
 	// RemoteCache, when non-nil, connects this replica to a shared
 	// chatlscached result tier: QoR lookups read through to it, fresh
-	// results publish to it in the background, elaboration checkpoints are
+	// results are written through to it, elaboration checkpoints are
 	// shared by content key, and Pass@k samples claim fleet-wide leases so
 	// concurrent replicas synthesize each unique (library, sources, script)
 	// exactly once between them. A dead or unreachable tier degrades the
@@ -139,18 +141,23 @@ type taskEntry struct {
 }
 
 // Server handles the ChatLS HTTP API. Create with New, serve via Handler,
-// stop with Close.
+// stop with Shutdown.
 type Server struct {
 	cfg     Config
 	byName  map[string]*designs.Design
-	pool    *workpool.Pool
+	slots   chan struct{} // Workers-sized semaphore: one token per running customization
 	flight  *flightGroup
 	tasks   *lru.Cache[string, taskEntry]
 	ckpt    *synth.CheckpointStore // process-wide: baselines and Pass@k samples alike restore post-link state from it
 	results *qorlog.Store          // nil when QoRLogPath == ""
 	tier    *remotecache.Tier      // nil when RemoteCache is nil
 	reg     *metrics.Registry
-	closed  atomic.Bool
+
+	// mu orders closed against active.Add, so Shutdown's Wait never races
+	// the Add of a handler that read closed just before it was set.
+	mu     sync.Mutex
+	closed bool
+	active sync.WaitGroup // customize handlers in flight
 
 	limiter  *overload.Limiter
 	brownout *overload.Brownout
@@ -169,15 +176,10 @@ type Server struct {
 	badJSON      *metrics.Counter
 	invalidReq   *metrics.Counter
 	latency      *metrics.Histogram
-
-	// hookBeforeWork, when set, runs at the start of every pool-executed
-	// customization. Tests use it to hold a worker in place while they
-	// observe admission control, singleflight joins, and shutdown draining.
-	hookBeforeWork func()
 }
 
 var (
-	errOverloaded = errors.New("queue full")
+	errOverloaded = errors.New("adaptive concurrency limit reached")
 	// errShed marks a cost-based shed: the learned end-to-end request cost
 	// no longer fits the per-request deadline, so running the work could
 	// only produce a 504 after burning a worker.
@@ -246,14 +248,14 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		byName: make(map[string]*designs.Design, len(cfg.Designs)),
-		pool:   workpool.New(cfg.Workers, cfg.QueueDepth),
+		slots:  make(chan struct{}, cfg.Workers),
 		flight: newFlightGroup(),
 		tasks:  lru.New[string, taskEntry](taskCacheSize),
 		ckpt:   synth.NewCheckpointStore(synth.DefaultCheckpointCap),
 		reg:    metrics.NewRegistry(),
 		costs:  cfg.Costs,
-		// The adaptive limit starts at its ceiling, the old fixed admission
-		// cap, so a fresh (uncongested) server admits exactly what it used to.
+		// The ceiling is every request that can run or wait; the adaptive
+		// limit starts there, so an uncongested server admits all of them.
 		limiter:  overload.NewLimiter(overload.LimiterConfig{Ceiling: cfg.Workers + cfg.QueueDepth}),
 		brownout: overload.NewBrownout(overload.BrownoutConfig{}),
 	}
@@ -345,10 +347,10 @@ func New(cfg Config) (*Server, error) {
 			}
 			return 0
 		})
-	s.reg.NewGaugeFunc("chatlsd_queue_depth", "tasks waiting in the worker-pool queue",
-		func() int64 { return int64(s.pool.Queued()) })
+	s.reg.NewGaugeFunc("chatlsd_queue_depth", "admitted requests waiting for a worker",
+		func() int64 { return int64(max(0, s.limiter.Inflight()-len(s.slots))) })
 	s.reg.NewGaugeFunc("chatlsd_workers_busy", "workers currently executing a request",
-		func() int64 { return int64(s.pool.Busy()) })
+		func() int64 { return int64(len(s.slots)) })
 	s.reg.NewGaugeFunc("overload_limit", "current adaptive concurrency limit",
 		func() int64 { return int64(s.limiter.Limit()) })
 	s.reg.NewGaugeFunc("overload_inflight", "requests holding adaptive-limiter slots",
@@ -435,29 +437,27 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops admitting requests, drains in-flight and queued work with no
-// deadline, and flushes and closes the QoR log. Idempotent.
-func (s *Server) Close() {
-	if s.closed.CompareAndSwap(false, true) {
-		s.pool.Close()
-		s.tier.Close()
-		s.results.Close()
-	}
-}
+// Close is Shutdown with no deadline, for callers that want a func().
+func (s *Server) Close() { _ = s.Shutdown(context.Background()) }
 
-// Shutdown is the graceful-stop path: it stops admitting requests, drains
-// the worker pool until ctx expires, then flushes and closes the QoR log so
-// every completed result is durable for the next warm restart. A deadline
-// overrun returns ctx.Err() — the log still closes (appends after close
-// land only in memory), but workers past the deadline are abandoned to the
-// process exit. Idempotent with Close; the first caller wins.
+// Shutdown is the stop path: it refuses new customize requests, waits until
+// ctx expires for the ones in flight (running or still waiting for a worker)
+// to reply, then flushes and closes the QoR log so every completed result is
+// durable for the next warm restart. A deadline overrun returns ctx.Err() —
+// the log still closes (appends after close land only in memory), and the
+// requests past the deadline are abandoned to the process exit. Idempotent;
+// the first caller wins.
 func (s *Server) Shutdown(ctx context.Context) error {
-	if !s.closed.CompareAndSwap(false, true) {
+	s.mu.Lock()
+	first := !s.closed
+	s.closed = true
+	s.mu.Unlock()
+	if !first {
 		return nil
 	}
 	drained := make(chan struct{})
 	go func() {
-		s.pool.Close()
+		s.active.Wait()
 		close(drained)
 	}()
 	var err error
@@ -466,11 +466,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-	s.tier.Close() // flush queued remote publishes before the local log closes
 	if cerr := s.results.Close(); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// enter registers one customize handler as in flight, or reports false once
+// shutdown has begun. The caller owes s.active.Done().
+func (s *Server) enter() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.active.Add(1)
+	return true
 }
 
 // QoRStats exposes the QoR store's counters (zeros when no log is
@@ -625,10 +636,11 @@ func (s *Server) decodeCustomize(w http.ResponseWriter, r *http.Request) (custom
 }
 
 func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
-	if s.closed.Load() {
+	if !s.enter() {
 		s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	}
+	defer s.active.Done()
 	s.requests.Inc()
 
 	req, code, err := s.decodeCustomize(w, r)
@@ -663,45 +675,7 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 	// Identical concurrent requests share one execution (and one worker
 	// slot); the key is every input that shapes the result.
 	key := fmt.Sprintf("%s\x00%s\x00%s\x00%d", req.Design, req.Requirement, req.Pipeline, req.K)
-	v, _, err := s.flight.Do(key, func() (any, error) {
-		// Cost-based shed: when the learned end-to-end cost cannot fit the
-		// per-request deadline, admitting the work could only produce a 504
-		// after burning a worker — reject now. Every 8th would-be shed is
-		// deterministically admitted anyway so the cost model keeps
-		// re-learning and a recovered backend un-sheds itself.
-		if s.costs.Expect(overload.StageRequest) > s.cfg.RequestTimeout {
-			if s.shedProbe.Add(1)%8 != 0 {
-				s.costSheds.Add(1)
-				return nil, errShed
-			}
-		}
-		// Adaptive admission: the limiter bounds admitted-but-unfinished
-		// requests, contracting under latency congestion and re-expanding
-		// when completions come back on time.
-		if !s.limiter.Acquire() {
-			return nil, errOverloaded
-		}
-		start := time.Now()
-		var out *customizeResponse
-		var werr error
-		done := make(chan struct{})
-		if !s.pool.TrySubmit(func() {
-			defer close(done)
-			out, werr = s.runCustomize(d, req)
-		}) {
-			// The pool is the hard backstop behind the adaptive limiter
-			// (reachable when a finished request's slot is re-acquired
-			// before its worker has taken the next task off a full queue,
-			// or while the pool closes). The slot never ran: no latency
-			// observation.
-			s.limiter.Cancel()
-			return nil, errOverloaded
-		}
-		<-done
-		// Queue wait plus service time is the congestion signal AIMD needs.
-		s.limiter.Release(time.Since(start))
-		return out, werr
-	})
+	v, _, err := s.flight.Do(key, func() (any, error) { return s.admit(d, req) })
 	shed := err != nil && (errors.Is(err, errOverloaded) || errors.Is(err, errShed))
 	s.brownout.Note(shed)
 	if err != nil {
@@ -736,15 +710,40 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// runCustomize executes one deduplicated customization on a pool worker.
+// admit is the whole admission path of one deduplicated customization, run
+// on the singleflight leader's handler goroutine. Every step it takes is
+// undone by a defer, so a panic below it (net/http recovers those per
+// connection) leaves no limiter slot or worker held.
+func (s *Server) admit(d *designs.Design, req customizeRequest) (*customizeResponse, error) {
+	// Cost-based shed: when the learned end-to-end cost cannot fit the
+	// per-request deadline, admitting the work could only produce a 504
+	// after burning a worker — reject now. Every 8th would-be shed is
+	// deterministically admitted anyway so the cost model keeps
+	// re-learning and a recovered backend un-sheds itself.
+	if s.costs.Expect(overload.StageRequest) > s.cfg.RequestTimeout && s.shedProbe.Add(1)%8 != 0 {
+		s.costSheds.Add(1)
+		return nil, errShed
+	}
+	// Adaptive admission: the limiter bounds admitted-but-unfinished
+	// requests, contracting under latency congestion and re-expanding
+	// when completions come back on time.
+	if !s.limiter.Acquire() {
+		return nil, errOverloaded
+	}
+	start := time.Now()
+	// Wait for a worker plus service time is the congestion signal AIMD needs.
+	defer func() { s.limiter.Release(time.Since(start)) }()
+	s.slots <- struct{}{}
+	defer func() { <-s.slots }()
+	return s.runCustomize(d, req)
+}
+
+// runCustomize executes one admitted customization on its worker slot.
 // The deadline derives from context.Background(), not the client's request
 // context, so a client disconnect does not abort work a coalesced follower
 // may still be waiting on — and so graceful shutdown drains rather than
 // cancels.
 func (s *Server) runCustomize(d *designs.Design, req customizeRequest) (resp *customizeResponse, err error) {
-	if h := s.hookBeforeWork; h != nil {
-		h()
-	}
 	if h := s.cfg.BeforeWork; h != nil {
 		h()
 	}
@@ -911,7 +910,10 @@ type healthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.closed.Load() {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
 		s.writeError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}

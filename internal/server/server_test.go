@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -37,6 +40,31 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	}
 	t.Cleanup(s.Close)
 	return s
+}
+
+// newGate returns a Config.BeforeWork hook that parks every customization
+// on its worker slot until release is closed; started is closed when the
+// first one arrives.
+func newGate() (hook func(), started, release chan struct{}) {
+	started, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(started) })
+		<-release
+	}, started, release
+}
+
+// waitMetric polls /metrics until name reads want.
+func waitMetric(t *testing.T, url, name string, want float64) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for metricValue(t, url, name) != want {
+		select {
+		case <-deadline:
+			t.Fatalf("%s never reached %v", name, want)
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
 }
 
 func postCustomize(t *testing.T, url string, body string) (*http.Response, []byte) {
@@ -179,14 +207,8 @@ func TestTaskCacheHit(t *testing.T) {
 // (observable in the shared counter before the leader finishes), and that
 // both callers get the same response.
 func TestSingleflight(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.hookBeforeWork = func() {
-		once.Do(func() { close(started) })
-		<-release
-	}
+	hook, started, release := newGate()
+	s := newTestServer(t, Config{Workers: 2, QueueDepth: 8, BeforeWork: hook})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -206,14 +228,7 @@ func TestSingleflight(t *testing.T) {
 
 	// The follower joins the in-flight call; the join is counted before the
 	// leader completes, so the counter must reach 1 while work is blocked.
-	deadline := time.After(5 * time.Second)
-	for metricValue(t, ts.URL, "chatlsd_singleflight_shared_total") != 1 {
-		select {
-		case <-deadline:
-			t.Fatal("second identical request never joined the in-flight call")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
+	waitMetric(t, ts.URL, "chatlsd_singleflight_shared_total", 1)
 	close(release)
 
 	a, b := <-replies, <-replies
@@ -229,104 +244,213 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl saturates a 1-worker/1-slot pool with distinct
-// requests and checks the third is rejected with 429.
+// TestAdmissionControl covers the admit path (cost shed aside, see
+// TestCostShedRejectsBeforeAnyWork): limiter, worker slot, and the defers
+// that undo both.
 func TestAdmissionControl(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.hookBeforeWork = func() {
-		once.Do(func() { close(started) })
-		<-release
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	codes := make(chan int, 2)
-	post := func(design string) {
-		hr, _ := postCustomize(t, ts.URL, fmt.Sprintf(`{"design":%q,"k":1}`, design))
-		codes <- hr.StatusCode
-	}
-	go post("riscv32i")
-	<-started // worker occupied
-	go post("dynamic_node")
-	deadline := time.After(5 * time.Second)
-	for s.pool.Queued() != 1 { // second request parked in the queue slot
-		select {
-		case <-deadline:
-			t.Fatal("second request never queued")
-		case <-time.After(2 * time.Millisecond):
+	idle := func(t *testing.T, url string) {
+		t.Helper()
+		for _, name := range []string{"overload_inflight", "chatlsd_workers_busy", "chatlsd_queue_depth"} {
+			if v := metricValue(t, url, name); v != 0 {
+				t.Errorf("%s = %v on an idle server, want 0", name, v)
+			}
 		}
 	}
 
-	hr, _ := postCustomize(t, ts.URL, `{"design":"ethmac","k":1}`)
-	if hr.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated server returned %d, want 429", hr.StatusCode)
-	}
-	if n := metricValue(t, ts.URL, "chatlsd_rejected_total"); n != 1 {
-		t.Errorf("rejected_total = %v, want 1", n)
-	}
+	// One worker, one waiting place: the third distinct request is shed.
+	t.Run("saturated", func(t *testing.T) {
+		hook, started, release := newGate()
+		s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, BeforeWork: hook})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
 
-	close(release)
-	if c := <-codes; c != http.StatusOK {
-		t.Errorf("first request: %d, want 200", c)
-	}
-	if c := <-codes; c != http.StatusOK {
-		t.Errorf("queued request: %d, want 200", c)
-	}
+		codes := make(chan int, 2)
+		post := func(design string) {
+			hr, _ := postCustomize(t, ts.URL, fmt.Sprintf(`{"design":%q,"k":1}`, design))
+			codes <- hr.StatusCode
+		}
+		go post("riscv32i")
+		<-started // worker occupied
+		go post("dynamic_node")
+		waitMetric(t, ts.URL, "chatlsd_queue_depth", 1) // second request admitted, waiting for the worker
+		if v := metricValue(t, ts.URL, "chatlsd_workers_busy"); v != 1 {
+			t.Errorf("workers_busy = %v, want 1", v)
+		}
+
+		hr, body := postCustomize(t, ts.URL, `{"design":"ethmac","k":1}`)
+		if hr.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("saturated server returned %d, want 429", hr.StatusCode)
+		}
+		checkRetryable(t, hr, body)
+		if n := metricValue(t, ts.URL, "chatlsd_rejected_total"); n != 1 {
+			t.Errorf("rejected_total = %v, want 1", n)
+		}
+
+		close(release)
+		for i := 0; i < 2; i++ {
+			if c := <-codes; c != http.StatusOK {
+				t.Errorf("admitted request finished %d, want 200", c)
+			}
+		}
+		idle(t, ts.URL)
+	})
+
+	// A finished request has given back its worker and its limiter slot
+	// before its reply is written, so a client that sends the next request
+	// the moment it has the reply can never be shed — even with nowhere to
+	// wait but the one worker.
+	t.Run("back-to-back", func(t *testing.T) {
+		s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		for i := 0; i < 200; i++ {
+			hr, body := postCustomize(t, ts.URL, `{"design":"dynamic_node","pipeline":"gpt4o","k":1}`)
+			if hr.StatusCode != http.StatusOK {
+				t.Fatalf("sequential request %d: status %d: %s", i, hr.StatusCode, body)
+			}
+		}
+		if n := metricValue(t, ts.URL, "chatlsd_rejected_total"); n != 0 {
+			t.Errorf("rejected_total = %v, want 0", n)
+		}
+	})
+
+	// A panic on the worker slot: net/http aborts the leader's connection,
+	// the followers are answered, and nothing stays held.
+	t.Run("panic", func(t *testing.T) {
+		const followers = 3
+		hook, started, release := newGate()
+		s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, BeforeWork: func() {
+			hook()
+			panic("injected")
+		}})
+		ts := httptest.NewUnstartedServer(s.Handler())
+		ts.Config.ErrorLog = log.New(io.Discard, "", 0) // net/http logs the recovered panic
+		ts.Start()
+		defer ts.Close()
+
+		req := `{"design":"riscv32i","k":1}`
+		leader := make(chan error, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/customize", "application/json", strings.NewReader(req))
+			if err == nil {
+				resp.Body.Close()
+			}
+			leader <- err
+		}()
+		<-started
+		codes := make(chan int, followers)
+		for i := 0; i < followers; i++ {
+			go func() {
+				hr, body := postCustomize(t, ts.URL, req)
+				var e errorResponse
+				if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+					t.Errorf("follower body is not an error reply: %s", body)
+				}
+				codes <- hr.StatusCode
+			}()
+		}
+		waitMetric(t, ts.URL, "chatlsd_singleflight_shared_total", followers)
+		close(release)
+
+		if err := <-leader; err == nil {
+			t.Error("leader got a reply, want an aborted connection")
+		}
+		for i := 0; i < followers; i++ {
+			if c := <-codes; c != http.StatusInternalServerError {
+				t.Errorf("follower of a panicked leader got %d, want 500", c)
+			}
+		}
+		idle(t, ts.URL)
+	})
 }
 
-// TestShutdownDrains verifies Close refuses new work immediately but does
-// not return until in-flight work finishes — and that the drained request
-// still gets its full response.
+// TestShutdownDrains verifies the stop path refuses new work immediately
+// but does not return until every request in flight — running or still
+// waiting for a worker — has its full response, unless the deadline passes
+// first.
 func TestShutdownDrains(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.hookBeforeWork = func() {
-		once.Do(func() { close(started) })
-		<-release
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
 	type reply struct {
 		code int
 		body []byte
 	}
-	replies := make(chan reply, 1)
-	go func() {
-		hr, body := postCustomize(t, ts.URL, `{"design":"riscv32i","k":1}`)
+	post := func(t *testing.T, url, design string, replies chan<- reply) {
+		hr, body := postCustomize(t, url, fmt.Sprintf(`{"design":%q,"k":1}`, design))
 		replies <- reply{hr.StatusCode, body}
-	}()
-	<-started
-
-	closed := make(chan struct{})
-	go func() { s.Close(); close(closed) }()
-	select {
-	case <-closed:
-		t.Fatal("Close returned while a request was in flight")
-	case <-time.After(20 * time.Millisecond):
+	}
+	checkDrained := func(t *testing.T, r reply, design string) {
+		t.Helper()
+		if r.code != http.StatusOK {
+			t.Fatalf("drained request: %d %s", r.code, r.body)
+		}
+		var out customizeResponse
+		if err := json.Unmarshal(r.body, &out); err != nil || out.Design != design {
+			t.Errorf("drained response corrupt: %v %s", err, r.body)
+		}
 	}
 
-	// New work is refused while draining.
-	hr, _ := postCustomize(t, ts.URL, `{"design":"riscv32i","k":1}`)
-	if hr.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("draining server returned %d, want 503", hr.StatusCode)
-	}
+	t.Run("running and waiting", func(t *testing.T) {
+		hook, started, release := newGate()
+		s := newTestServer(t, Config{Workers: 1, QueueDepth: 4, BeforeWork: hook})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
 
-	close(release)
-	<-closed
-	r := <-replies
-	if r.code != http.StatusOK {
-		t.Fatalf("drained request: %d %s", r.code, r.body)
-	}
-	var out customizeResponse
-	if err := json.Unmarshal(r.body, &out); err != nil || out.Design != "riscv32i" {
-		t.Errorf("drained response corrupt: %v %s", err, r.body)
-	}
+		running, waiting := make(chan reply, 1), make(chan reply, 1)
+		go post(t, ts.URL, "riscv32i", running)
+		<-started
+		go post(t, ts.URL, "dynamic_node", waiting)
+		waitMetric(t, ts.URL, "chatlsd_queue_depth", 1)
+
+		closed := make(chan struct{})
+		go func() { s.Close(); close(closed) }()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+			resp, err := http.Get(ts.URL + "/healthz")
+			if err != nil {
+				t.Fatalf("GET /healthz: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusServiceUnavailable {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("server never started shutting down")
+			}
+		}
+		// New work is refused while draining — even a request identical to
+		// the running one, which would otherwise join its flight.
+		hr, _ := postCustomize(t, ts.URL, `{"design":"riscv32i","k":1}`)
+		if hr.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("draining server returned %d, want 503", hr.StatusCode)
+		}
+		select {
+		case <-closed:
+			t.Fatal("Close returned while requests were in flight")
+		case <-time.After(20 * time.Millisecond):
+		}
+
+		close(release)
+		<-closed
+		checkDrained(t, <-running, "riscv32i")
+		checkDrained(t, <-waiting, "dynamic_node")
+	})
+
+	t.Run("deadline", func(t *testing.T) {
+		hook, started, release := newGate()
+		s := newTestServer(t, Config{Workers: 1, QueueDepth: 4, BeforeWork: hook})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+
+		running := make(chan reply, 1)
+		go post(t, ts.URL, "riscv32i", running)
+		<-started
+
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Shutdown past its deadline returned %v, want context.DeadlineExceeded", err)
+		}
+		close(release)
+		checkDrained(t, <-running, "riscv32i")
+	})
 }
 
 // TestConcurrentHammer drives mixed concurrent traffic through the server;

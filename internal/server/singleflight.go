@@ -1,6 +1,13 @@
 package server
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
+
+// errFlightAborted is what followers get when their leader panicked out of
+// fn instead of returning.
+var errFlightAborted = errors.New("the identical in-flight request this one was waiting on aborted")
 
 // flightCall is one in-flight unit of work shared by every request that
 // arrived with the same key while it ran.
@@ -30,7 +37,9 @@ func newFlightGroup() *flightGroup {
 
 // Do runs fn for key, unless an identical call is already in flight, in
 // which case it waits for that call and returns its result. shared reports
-// whether this caller was a follower.
+// whether this caller was a follower. The call is completed by a defer: a
+// panic in fn passes through to the leader's caller, and its followers are
+// released with errFlightAborted rather than left waiting.
 func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, shared bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.m[key]; ok {
@@ -41,15 +50,16 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, shared bo
 		<-c.done
 		return c.val, true, c.err
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{done: make(chan struct{}), err: errFlightAborted}
 	g.m[key] = c
 	g.mu.Unlock()
 
+	defer func() {
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 	c.val, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.val, false, c.err
 }

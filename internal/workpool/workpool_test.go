@@ -3,88 +3,59 @@ package workpool
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-func TestRunsSubmittedTasks(t *testing.T) {
-	p := New(4, 16)
-	var n atomic.Int64
-	for i := 0; i < 16; i++ {
-		if !p.TrySubmit(func() { n.Add(1) }) {
-			t.Fatal("submit rejected with room in queue")
+func TestRunVisitsEveryIndexOnce(t *testing.T) {
+	for _, tc := range []struct{ workers, n int }{
+		{4, 0}, {4, 1}, {1, 100}, {0, 7}, {-3, 7}, {4, 100}, {16, 3}, {100, 100}, {3, 1000},
+	} {
+		hits := make([]atomic.Int32, tc.n)
+		Run(tc.workers, tc.n, func(i int) { hits[i].Add(1) })
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Errorf("Run(%d, %d): index %d visited %d times, want 1", tc.workers, tc.n, i, got)
+			}
 		}
 	}
-	p.Close()
-	if n.Load() != 16 {
-		t.Errorf("ran %d tasks, want 16", n.Load())
+}
+
+func TestRunNothingToDo(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		Run(4, n, func(i int) { t.Errorf("Run(4, %d) called fn(%d)", n, i) })
 	}
 }
 
-func TestAdmissionControl(t *testing.T) {
-	p := New(1, 1)
-	defer p.Close()
-	running := make(chan struct{})
-	release := make(chan struct{})
-	if !p.TrySubmit(func() { close(running); <-release }) {
-		t.Fatal("first submit rejected")
-	}
-	<-running
-	// Worker busy; one queue slot free.
-	if !p.TrySubmit(func() {}) {
-		t.Fatal("queue slot should admit one task")
-	}
-	// Queue full: admission control rejects.
-	if p.TrySubmit(func() {}) {
-		t.Error("saturated pool should reject")
-	}
-	close(release)
-}
-
-func TestCloseDrainsQueuedTasks(t *testing.T) {
-	p := New(1, 8)
-	var n atomic.Int64
-	started := make(chan struct{})
-	release := make(chan struct{})
-	p.TrySubmit(func() { close(started); <-release; n.Add(1) })
-	<-started
-	for i := 0; i < 5; i++ {
-		if !p.TrySubmit(func() { n.Add(1) }) {
-			t.Fatal("queue should have room")
+// TestRunInlineWhenSerial: with at most one worker (or one index) fn runs on
+// the caller's goroutine, in index order. The unsynchronised append is the
+// check on the first half — under -race a second goroutine would be reported.
+func TestRunInlineWhenSerial(t *testing.T) {
+	for _, tc := range []struct{ workers, n int }{{1, 50}, {0, 50}, {-1, 50}, {8, 1}} {
+		var order []int
+		Run(tc.workers, tc.n, func(i int) { order = append(order, i) })
+		if len(order) != tc.n {
+			t.Fatalf("Run(%d, %d) made %d calls", tc.workers, tc.n, len(order))
+		}
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("Run(%d, %d): call %d was fn(%d), want index order", tc.workers, tc.n, i, got)
+			}
 		}
 	}
-	done := make(chan struct{})
-	go func() { p.Close(); close(done) }()
-	select {
-	case <-done:
-		t.Fatal("Close returned while a task was still running")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(release)
-	<-done
-	if n.Load() != 6 {
-		t.Errorf("drained %d tasks, want 6 (queued work must finish)", n.Load())
-	}
-	if p.TrySubmit(func() {}) {
-		t.Error("closed pool must reject submissions")
-	}
 }
 
-func TestBusyAndQueuedGauges(t *testing.T) {
-	p := New(1, 4)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	p.TrySubmit(func() { close(started); <-release })
-	<-started
-	p.TrySubmit(func() {})
-	if p.Busy() != 1 {
-		t.Errorf("busy = %d, want 1", p.Busy())
-	}
-	if p.Queued() != 1 {
-		t.Errorf("queued = %d, want 1", p.Queued())
-	}
-	close(release)
-	p.Close()
-	if p.Busy() != 0 || p.Queued() != 0 {
-		t.Errorf("after close: busy %d queued %d", p.Busy(), p.Queued())
+// TestRunBoundsConcurrency: no more than workers calls are ever in progress,
+// and no more than n.
+func TestRunBoundsConcurrency(t *testing.T) {
+	for _, tc := range []struct{ workers, n, limit int }{{3, 200, 3}, {16, 4, 4}} {
+		var now, peak atomic.Int32
+		Run(tc.workers, tc.n, func(int) {
+			cur := now.Add(1)
+			for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+			}
+			now.Add(-1)
+		})
+		if got := int(peak.Load()); got > tc.limit {
+			t.Errorf("Run(%d, %d) ran %d calls at once, want at most %d", tc.workers, tc.n, got, tc.limit)
+		}
 	}
 }

@@ -29,7 +29,6 @@ func newReplica(t *testing.T, baseURL, owner string, warnf func(string, ...any))
 		Warnf:   warnf,
 	})
 	tier := remotecache.NewTier(qorlog.NewMemoryStore(0), client)
-	t.Cleanup(tier.Close)
 	ckpt := synth.NewCheckpointStore(0)
 	ckpt.SetRemote(client)
 	return client, tier, ckpt
@@ -113,9 +112,6 @@ func TestTwoReplicasDedupAndMatchSingleReplica(t *testing.T) {
 	if errA != nil || errB != nil {
 		t.Fatalf("replica runs failed: A=%v B=%v", errA, errB)
 	}
-	tierA.Flush()
-	tierB.Flush()
-
 	if !reflect.DeepEqual(gotA, want) {
 		t.Errorf("replica A diverged from the storeless run:\nwant: %+v\ngot:  %+v", want, gotA)
 	}
@@ -206,7 +202,6 @@ func TestReplicaDegradesWhenTierDiesMidRun(t *testing.T) {
 		inner: &RawPipeline{Model: llm.New(llm.GPT4o, seed)},
 		at:    killAt,
 		kill: func() {
-			tier.Flush() // let in-flight publishes finish so Close doesn't race them
 			ts.CloseClientConnections()
 			ts.Close()
 		},
