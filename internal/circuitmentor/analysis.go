@@ -28,12 +28,12 @@ type Analysis struct {
 	// ungrouping.
 	BoundaryInvPairs int
 	// Critical path shape.
-	PathSteps  int
-	StartAtPI  bool
-	EndAtPO    bool
-	XorFrac    float64
-	MulHeavy   bool
-	Traits     []string
+	PathSteps int
+	StartAtPI bool
+	EndAtPO   bool
+	XorFrac   float64
+	MulHeavy  bool
+	Traits    []string
 }
 
 // Analysis thresholds: tuned so the detector reproduces the ground-truth

@@ -100,14 +100,14 @@ func TestDesignTraits(t *testing.T) {
 
 func TestModuleCategory(t *testing.T) {
 	cases := map[string]string{
-		"cpu_rocket":   CatProcessor,
-		"rv_alu":       CatProcessor,
-		"mac_gemmini":  CatMLAccel,
-		"pe_cell":      CatMLAccel,
-		"lane_simd":    CatVector,
-		"vec_simd":     CatVector,
-		"bfly_fft":     CatDSP,
-		"keccak_sha3":  CatCrypto,
+		"cpu_rocket":    CatProcessor,
+		"rv_alu":        CatProcessor,
+		"mac_gemmini":   CatMLAccel,
+		"pe_cell":       CatMLAccel,
+		"lane_simd":     CatVector,
+		"vec_simd":      CatVector,
+		"bfly_fft":      CatDSP,
+		"keccak_sha3":   CatCrypto,
 		"uncategorized": "",
 	}
 	for mod, want := range cases {

@@ -19,13 +19,13 @@ import (
 //	item    := expr [AS name]
 //	expr    := literals, $params, var.prop, comparisons, AND/OR/NOT, count(var)
 type cypherQuery struct {
-	create   []*patternAST
-	match    []*patternAST
-	where    exprAST
-	returns  []returnItem
-	orderBy  exprAST
+	create    []*patternAST
+	match     []*patternAST
+	where     exprAST
+	returns   []returnItem
+	orderBy   exprAST
 	orderDesc bool
-	limit    int // 0 = no limit
+	limit     int // 0 = no limit
 }
 
 type patternAST struct {

@@ -228,9 +228,9 @@ func TestQueryErrors(t *testing.T) {
 	db := buildCircuitDB()
 	bad := []string{
 		`SELECT * FROM modules`,
-		`MATCH (m:Module)`,          // no RETURN
-		`MATCH m:Module RETURN m`,   // missing parens
-		`MATCH (m:Module) RETURN zz.name`, // unbound var
+		`MATCH (m:Module)`,                                     // no RETURN
+		`MATCH m:Module RETURN m`,                              // missing parens
+		`MATCH (m:Module) RETURN zz.name`,                      // unbound var
 		`MATCH (m:Module) WHERE m.gates > 'abc' RETURN m.name`, // bad comparison
 	}
 	for _, q := range bad {

@@ -193,9 +193,9 @@ func TestParseLibErrors(t *testing.T) {
 	bad := []string{
 		"",
 		"library { }",
-		"library (x) { cell (A) { } }",                           // no function
-		"library (x) { cell (A) { function : \"WAT\"; } }",       // unknown kind
-		"library (x) { bogus_item : 3; }",                        // unknown item
+		"library (x) { cell (A) { } }", // no function
+		"library (x) { cell (A) { function : \"WAT\"; } }",           // unknown kind
+		"library (x) { bogus_item : 3; }",                            // unknown item
 		"library (x) { cell (A) { function : \"INV\"; area : z; } }", // bad float
 	}
 	for _, src := range bad {

@@ -131,9 +131,9 @@ type strategy struct {
 }
 
 var strategies = map[string]strategy{
-	"effort": {"effort", []string{"compile_ultra"}},
-	"retime": {"retime", []string{"compile_ultra -retime", "optimize_registers"}},
-	"fanout": {"fanout", []string{"set_max_fanout 16 [current_design]", "compile_ultra", "balance_buffers"}},
+	"effort":  {"effort", []string{"compile_ultra"}},
+	"retime":  {"retime", []string{"compile_ultra -retime", "optimize_registers"}},
+	"fanout":  {"fanout", []string{"set_max_fanout 16 [current_design]", "compile_ultra", "balance_buffers"}},
 	"ungroup": {"ungroup", []string{"ungroup -all -flatten", "compile_ultra -retime"}},
 	"deep":    {"deep", []string{"compile_ultra -timing_high_effort_script"}},
 	"area":    {"area", []string{"compile_ultra -area_high_effort_script"}},

@@ -175,7 +175,7 @@ func (el *elab) materialize() error {
 		if cnt == 0 {
 			continue
 		}
-		n.Sinks = sinkSlab[off:off:off+cnt]
+		n.Sinks = sinkSlab[off : off : off+cnt]
 		off += cnt
 	}
 	pi := 0

@@ -20,14 +20,14 @@ import (
 type Net struct {
 	ID     int
 	Name   string
-	Driver *Cell   // nil if driven by a primary input or constant
-	Sinks  []*Pin  // input pins this net feeds
-	PI     bool    // primary input
-	PO     bool    // primary output (also listed in Netlist.Outputs)
-	Const  bool    // constant net
-	Val    bool    // constant value when Const
-	IsClk  bool    // net is a clock
-	IsRst  bool    // net is an asynchronous reset
+	Driver *Cell  // nil if driven by a primary input or constant
+	Sinks  []*Pin // input pins this net feeds
+	PI     bool   // primary input
+	PO     bool   // primary output (also listed in Netlist.Outputs)
+	Const  bool   // constant net
+	Val    bool   // constant value when Const
+	IsClk  bool   // net is a clock
+	IsRst  bool   // net is an asynchronous reset
 }
 
 // Fanout returns the number of sink pins plus one if the net is a primary
@@ -53,8 +53,8 @@ type Cell struct {
 	Ref    *liberty.Cell
 	Inputs []*Net // logic inputs (D for flops)
 	Output *Net
-	Clock  *Net // sequential only
-	Reset  *Net // DFFR only
+	Clock  *Net   // sequential only
+	Reset  *Net   // DFFR only
 	Module string // defining RTL module name (analysis/reporting)
 	Group  string // hierarchical optimization group; "" after ungrouping
 	Fixed  bool   // dont_touch

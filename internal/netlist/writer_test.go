@@ -79,11 +79,11 @@ endmodule`, "c")
 
 func TestSanitize(t *testing.T) {
 	cases := map[string]string{
-		"a[3]":   "a_3",
-		"plain":  "plain",
-		"1bad":   "n1bad",
-		"u/x.y":  "u_x_y",
-		"":       "n_unnamed",
+		"a[3]":  "a_3",
+		"plain": "plain",
+		"1bad":  "n1bad",
+		"u/x.y": "u_x_y",
+		"":      "n_unnamed",
 	}
 	for in, want := range cases {
 		if got := sanitize(in); got != want {

@@ -350,4 +350,3 @@ endmodule`, "d")
 		t.Fatal(err)
 	}
 }
-

@@ -156,17 +156,17 @@ var Commands = map[string]*CommandSpec{
 		Requires: "create_clock must be defined; the design must be linked.",
 	},
 	"optimize_registers": {
-		Name:     "optimize_registers",
-		Brief:    "Retime registers to balance pipeline stages.",
-		Detail:   "Moves flip-flops across combinational gates on violating paths when the neighbouring stage has slack to absorb the gate delay. Effective on designs whose critical path is caused by unbalanced register placement; ineffective on already-balanced or purely combinational-depth-limited paths. Must run after an initial compile.",
-		MinArgs:  0, MaxArgs: 0,
+		Name:    "optimize_registers",
+		Brief:   "Retime registers to balance pipeline stages.",
+		Detail:  "Moves flip-flops across combinational gates on violating paths when the neighbouring stage has slack to absorb the gate delay. Effective on designs whose critical path is caused by unbalanced register placement; ineffective on already-balanced or purely combinational-depth-limited paths. Must run after an initial compile.",
+		MinArgs: 0, MaxArgs: 0,
 		Requires: "Must follow compile or compile_ultra.",
 	},
 	"balance_buffers": {
-		Name:     "balance_buffers",
-		Brief:    "Build buffer trees on high-fanout nets.",
-		Detail:   "Splits nets whose fanout exceeds the discipline limit (12, or the set_max_fanout value) into balanced buffer trees. Effective on designs whose timing is dominated by high-fanout broadcast or control nets; ineffective when paths are deep but narrow. Must run after an initial compile.",
-		MinArgs:  0, MaxArgs: 0,
+		Name:    "balance_buffers",
+		Brief:   "Build buffer trees on high-fanout nets.",
+		Detail:  "Splits nets whose fanout exceeds the discipline limit (12, or the set_max_fanout value) into balanced buffer trees. Effective on designs whose timing is dominated by high-fanout broadcast or control nets; ineffective when paths are deep but narrow. Must run after an initial compile.",
+		MinArgs: 0, MaxArgs: 0,
 		Requires: "Must follow compile or compile_ultra.",
 	},
 	"report_timing": {

@@ -66,12 +66,12 @@ type Range struct {
 
 // Module is a Verilog module declaration.
 type Module struct {
-	Name     string
-	Pos      Position
-	Params   []*Param
-	Ports    []*Port
-	Items    []Item  // body items in source order
-	Source   string  // raw source text of the module, for RAG code retrieval
+	Name   string
+	Pos    Position
+	Params []*Param
+	Ports  []*Port
+	Items  []Item // body items in source order
+	Source string // raw source text of the module, for RAG code retrieval
 }
 
 // Param is a parameter or localparam declaration.
@@ -111,11 +111,11 @@ type Assign struct {
 
 // AlwaysFF is a clocked always block: always @(posedge Clk [or posedge/negedge Rst]) ...
 type AlwaysFF struct {
-	Clk      string
-	Rst      string // asynchronous reset signal name, "" if none
-	RstNeg   bool   // reset triggers on negedge
-	Body     []Stmt
-	Pos      Position
+	Clk    string
+	Rst    string // asynchronous reset signal name, "" if none
+	RstNeg bool   // reset triggers on negedge
+	Body   []Stmt
+	Pos    Position
 }
 
 // Instance is a module or primitive-gate instantiation.
@@ -183,15 +183,15 @@ type Ident struct {
 
 // Number is a literal, optionally sized: 8'hFF, 4'b1010, 12, 'd3.
 type Number struct {
-	Width int    // 0 if unsized
+	Width int // 0 if unsized
 	Value uint64
 	Pos   Position
 }
 
 // Unary is a unary operation. Op is one of ~ ! - & | ^ ~& ~| ~^.
 type Unary struct {
-	Op string
-	X  Expr
+	Op  string
+	X   Expr
 	Pos Position
 }
 

@@ -284,12 +284,12 @@ func TestRangeWidth(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		"module",                                     // truncated
-		"module m(; endmodule",                       // bad port list
-		"module m(input a); assign a = ; endmodule",  // missing RHS
-		"module m(input a); garbage !! ; endmodule",  // junk item
+		"module",               // truncated
+		"module m(; endmodule", // bad port list
+		"module m(input a); assign a = ; endmodule",        // missing RHS
+		"module m(input a); garbage !! ; endmodule",        // junk item
 		"module m(input a); always @(a) x <= 1; endmodule", // non-edge sensitivity
-		"module m(input a) endmodule",                // missing semicolon
+		"module m(input a) endmodule",                      // missing semicolon
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
