@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet ci serve bench bench-build bench-compare bench-gate bench-gate-baseline memprofile batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak check
+.PHONY: build test short race vet fmt-check ci serve bench bench-build bench-compare bench-gate bench-gate-baseline memprofile batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak check
 
 build:
 	$(GO) build ./...
@@ -19,13 +19,19 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Run the serving daemon (builds the SynthRAG database first, ~a minute).
+# Fails, listing the files, when any .go file is not gofmt-clean.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l . ; exit 1 ; }
+
+# Run the serving daemon (builds the SynthRAG database first: ≈0.4 s to
+# `listening`, the repo benchmark's `setup_s`; `go run` compiles before that).
 serve:
 	$(GO) run ./cmd/chatlsd -addr :8080
 
-# Micro-benchmarks: substrate and serving-path cache costs. Override BENCH
-# to regenerate the paper tables instead (e.g. make bench BENCH=Table3).
-BENCH ?= Elaborate|Compile|Customize|Embed
+# Micro-benchmarks: substrate and serving-path cache costs, plus the work
+# behind one warm request (WarmRequest). Override BENCH to regenerate the
+# paper tables instead (e.g. make bench BENCH=Table3).
+BENCH ?= Elaborate|Compile|Customize|WarmRequest|Embed
 bench:
 	$(GO) test -bench='$(BENCH)' -benchmem -run=^$$ .
 
@@ -139,4 +145,4 @@ bench-build:
 # Everything CI runs plus the benchmark-module build, the fuzz smoke pass,
 # the crash-recovery gate, the distributed-result-tier gate, the
 # continuous-batching gate, and the chaos soak.
-check: build vet race bench-build batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak
+check: build vet fmt-check race bench-build batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak

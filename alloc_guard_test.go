@@ -3,8 +3,10 @@
 package chatls
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/circuitmentor"
 	"repro/internal/designs"
 	"repro/internal/liberty"
 	"repro/internal/netlist"
@@ -41,5 +43,26 @@ func TestInternedReparseAllocGuard(t *testing.T) {
 	const budget = 21000 // measured ~16.6k steady-state
 	if allocs > budget {
 		t.Errorf("interned re-parse allocs/op = %v, budget %d", allocs, budget)
+	}
+}
+
+// TestAnalysisMemoHitAllocGuard pins what a memoized CircuitMentor analysis
+// costs once the design has been seen: the library fingerprint (sorted cell
+// list + SHA-256 state) and the caller's private copy of the result — no
+// parse, no elaboration, no timing pass. Exact: a hit that allocates more has
+// started doing per-call work again.
+func TestAnalysisMemoHitAllocGuard(t *testing.T) {
+	d := designs.SweRV()
+	lib := liberty.Nangate45()
+	analyze := func() {
+		if _, err := circuitmentor.AnalyzeContext(context.Background(), d.Source, d.Top, d.Period, lib); err != nil {
+			t.Fatal(err)
+		}
+	}
+	analyze() // fill the entry
+	allocs := testing.AllocsPerRun(20, analyze)
+	const want = 8
+	if allocs != want {
+		t.Errorf("memoized analysis allocs/op = %v, want %d", allocs, want)
 	}
 }

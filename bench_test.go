@@ -274,6 +274,45 @@ func BenchmarkCustomizeChatLS(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmRequest measures the work behind one warm POST /v1/customize
+// the way the daemon does it: the baseline task is cached, the database has
+// its embed/retrieve caches on, and EvalTaskOpts runs one chatls sample
+// (k=1, Workers: 1) through customization and synthesis over the shared
+// checkpoint store — round-robin over all seven designs, so one op is the
+// mean request. BenchmarkCustomizeChatLS covers one design and no synthesis.
+func BenchmarkWarmRequest(b *testing.B) {
+	db := *sharedBenchDB(b) // private copy: the caches must not leak into other benchmarks
+	db.EnableCache(64, 256)
+	lib := liberty.Nangate45()
+	ctx := context.Background()
+	opts := EvalOptions{Workers: 1, Checkpoints: synth.NewCheckpointStore(0)}
+	p := NewChatLS(llm.New(llm.GPT4o, 1), &db)
+	type cached struct {
+		task *Task
+		qor  synth.QoR
+	}
+	var tasks []cached
+	for _, d := range designs.Benchmarks() {
+		task, qor, err := NewTaskWith(ctx, d, lib, opts.Checkpoints)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tasks = append(tasks, cached{task, qor})
+		// One request per design fills every cache the measured ones hit.
+		if _, err := EvalTaskOpts(ctx, p, task, qor, 1, lib, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := tasks[i%len(tasks)]
+		if _, err := EvalTaskOpts(ctx, p, c.task, c.qor, 1, lib, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEmbedDesignUncached and BenchmarkEmbedDesignCached quantify what
 // the serving layer's embedding cache saves per request: the uncached path
 // re-parses the RTL and runs the GNN forward pass every time, the cached

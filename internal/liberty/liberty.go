@@ -8,7 +8,10 @@
 package liberty
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -124,6 +127,58 @@ func (l *Library) Cells() []*Cell {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// Fingerprint identifies the library by content, not pointer: the name plus
+// a SHA-256 digest of every cell's timing-relevant parameters and the
+// wireload tables. Two libraries built the same way (e.g. two Nangate45()
+// calls) fingerprint identically; a library differing in any delay model
+// does not. Everything keyed on "the same library" uses it — elaboration
+// checkpoints, the durable QoR log, CircuitMentor's analysis memo — so a
+// library change invalidates them all.
+func (l *Library) Fingerprint() string {
+	h := sha256.New()
+	hs := func(v string) {
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(v)))
+		h.Write(n[:])
+		h.Write([]byte(v))
+	}
+	hf := func(v float64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	hs(l.Name)
+	hs(l.DefaultWL)
+	for _, c := range l.Cells() { // sorted by name
+		hs(c.Name)
+		hs(string(c.Kind))
+		hf(float64(c.Drive))
+		hf(c.Area)
+		hf(c.InputCap)
+		hf(c.Intrinsic)
+		hf(c.DriveRes)
+		hf(c.MaxCap)
+		hf(c.Leakage)
+		hf(c.Setup)
+		hf(c.ClkToQ)
+	}
+	wls := make([]string, 0, len(l.WireLoads))
+	for name := range l.WireLoads {
+		wls = append(wls, name)
+	}
+	sort.Strings(wls)
+	for _, name := range wls {
+		wl := l.WireLoads[name]
+		hs(wl.Name)
+		hf(wl.Res)
+		hf(wl.Slope)
+		for _, cap := range wl.Table {
+			hf(cap)
+		}
+	}
+	return string(h.Sum(nil))
 }
 
 // OfKind returns cells of a kind sorted by ascending drive strength.

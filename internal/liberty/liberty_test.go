@@ -235,3 +235,32 @@ func TestWireLoadMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The fingerprint is the library's identity in every content-keyed cache
+// (checkpoints, QoR log, analysis memo): equal for equal content whatever the
+// pointer, different as soon as one timing parameter is.
+func TestFingerprintIsContentIdentity(t *testing.T) {
+	base := Nangate45().Fingerprint()
+	if len(base) != 32 {
+		t.Fatalf("fingerprint is %d bytes, want a SHA-256", len(base))
+	}
+	if Nangate45().Fingerprint() != base {
+		t.Error("two Nangate45() instances fingerprint differently")
+	}
+	for name, edit := range map[string]func(*Library){
+		"name":           func(l *Library) { l.Name += "x" },
+		"default wl":     func(l *Library) { l.DefaultWL = "5K_light_1k" },
+		"cell intrinsic": func(l *Library) { l.Cell("NAND2_X1").Intrinsic += 1e-6 },
+		"cell drive res": func(l *Library) { l.Cell("INV_X4").DriveRes *= 1.001 },
+		"cell setup":     func(l *Library) { l.Cell("DFF_X1").Setup += 1e-6 },
+		"wl table":       func(l *Library) { l.WireLoads["5K_heavy_1k"].Table[3] += 1e-6 },
+		"wl slope":       func(l *Library) { l.WireLoads["5K_heavy_1k"].Slope += 1e-6 },
+		"wl res":         func(l *Library) { l.WireLoads["5K_medium_1k"].Res += 1e-6 },
+	} {
+		l := Nangate45()
+		edit(l)
+		if l.Fingerprint() == base {
+			t.Errorf("fingerprint ignores a changed %s", name)
+		}
+	}
+}

@@ -89,6 +89,16 @@ func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	return zero, false
 }
 
+// Purge drops every entry. The hit/miss/eviction counters keep counting:
+// they are lifetime totals (exported as monotonic metrics), not a property
+// of the current contents.
+func (c *Cache[K, V]) Purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ll.Init()
+	clear(c.items)
+}
+
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()

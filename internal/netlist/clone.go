@@ -66,6 +66,7 @@ func (nl *Netlist) Clone() *Netlist {
 		*cc = Cell{
 			ID: c.ID, Name: c.Name, Ref: c.Ref,
 			Module: c.Module, Group: c.Group, Fixed: c.Fixed,
+			pos: i,
 		}
 		out.Cells[i] = cc
 		cellByID[c.ID] = cc

@@ -232,6 +232,7 @@ func Decode(data []byte, lib *liberty.Library) (*Netlist, error) {
 		c.Output = d.optNet(netByID)
 		c.Clock = d.optNet(netByID)
 		c.Reset = d.optNet(netByID)
+		c.pos = i
 		nl.Cells[i] = c
 		cellByID[c.ID] = c
 	}

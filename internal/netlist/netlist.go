@@ -58,6 +58,12 @@ type Cell struct {
 	Module string // defining RTL module name (analysis/reporting)
 	Group  string // hierarchical optimization group; "" after ungrouping
 	Fixed  bool   // dont_touch
+
+	// pos is the cell's index in its netlist's Cells slice, so RemoveCell
+	// needs no scan. Invariant: nl.Cells[c.pos] == c for every live cell,
+	// kept by the only writers of nl.Cells — AddCell, RemoveCell, Clone and
+	// Decode.
+	pos int
 }
 
 // IsSeq reports whether the cell is a flip-flop.
@@ -179,6 +185,7 @@ func (nl *Netlist) AddCell(ref *liberty.Cell, group, module string, inputs ...*N
 	c.Output = out
 	c.Module = module
 	c.Group = group
+	c.pos = len(nl.Cells)
 	nl.nextCell++
 	out.Driver = c
 	for i, in := range inputs {
@@ -262,7 +269,9 @@ func (nl *Netlist) MoveOutput(c *Cell, n *Net) error {
 }
 
 // RemoveCell deletes a cell, detaching its pins. Its output net keeps
-// existing but becomes driverless; callers must rewire sinks first.
+// existing but becomes driverless; callers must rewire sinks first. The last
+// cell takes the removed one's place in nl.Cells; a cell that is not (or no
+// longer) in nl.Cells leaves the slice untouched.
 func (nl *Netlist) RemoveCell(c *Cell) {
 	for i, in := range c.Inputs {
 		if in != nil {
@@ -274,13 +283,13 @@ func (nl *Netlist) RemoveCell(c *Cell) {
 	}
 	nl.Groups[c.Group]--
 	nl.noteTopo()
-	for i, cc := range nl.Cells {
-		if cc == c {
-			nl.Cells[i] = nl.Cells[len(nl.Cells)-1]
-			nl.Cells = nl.Cells[:len(nl.Cells)-1]
-			return
-		}
+	if c.pos >= len(nl.Cells) || nl.Cells[c.pos] != c {
+		return
 	}
+	last := nl.Cells[len(nl.Cells)-1]
+	nl.Cells[c.pos] = last
+	last.pos = c.pos
+	nl.Cells = nl.Cells[:len(nl.Cells)-1]
 }
 
 // ReplaceNet moves every sink of old onto repl (and primary-output status).

@@ -41,6 +41,7 @@ import (
 
 	chatls "repro"
 	"repro/internal/batch"
+	"repro/internal/circuitmentor"
 	"repro/internal/designs"
 	"repro/internal/inputlimits"
 	"repro/internal/liberty"
@@ -318,6 +319,10 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return cfg.DB.CacheStats().RetrieveHits })
 	s.reg.NewCounterFunc("chatlsd_retrieve_cache_misses_total", "strategy-retrieval cache misses",
 		func() int64 { return cfg.DB.CacheStats().RetrieveMisses })
+	s.reg.NewCounterFunc("chatlsd_mentor_cache_hits_total", "CircuitMentor analyses served from the per-design memo (process-wide)",
+		func() int64 { return circuitmentor.Stats().Hits })
+	s.reg.NewCounterFunc("chatlsd_mentor_cache_misses_total", "CircuitMentor analyses computed (parse + elaborate + timing pass)",
+		func() int64 { return circuitmentor.Stats().Misses })
 	s.reg.NewCounterFunc("synth_checkpoint_hits_total", "synthesis runs restored from an elaboration checkpoint",
 		func() int64 { return s.ckpt.Stats().Hits })
 	s.reg.NewCounterFunc("synth_checkpoint_misses_total", "checkpointable synthesis runs that elaborated fresh",

@@ -186,11 +186,26 @@ func TestTaskCacheHit(t *testing.T) {
 		t.Errorf("after first request: task cache hits = %v, want 0", h)
 	}
 
+	// The analysis memo is process-wide, so its counters are read as deltas.
+	mentorHits := metricValue(t, ts.URL, "chatlsd_mentor_cache_hits_total")
+	mentorMisses := metricValue(t, ts.URL, "chatlsd_mentor_cache_misses_total")
+	if mentorHits+mentorMisses < 1 {
+		t.Errorf("after first request: mentor cache saw %v lookups, want >= 1", mentorHits+mentorMisses)
+	}
+
 	if hr, body := postCustomize(t, ts.URL, req); hr.StatusCode != http.StatusOK {
 		t.Fatalf("second POST: %d %s", hr.StatusCode, body)
 	}
 	if h := metricValue(t, ts.URL, "chatlsd_task_cache_hits_total"); h != 1 {
 		t.Errorf("after repeat request: task cache hits = %v, want 1", h)
+	}
+	// The design was analysed by the first request: the repeat's one sample
+	// is served from the memo.
+	if h := metricValue(t, ts.URL, "chatlsd_mentor_cache_hits_total"); h != mentorHits+1 {
+		t.Errorf("after repeat request: mentor cache hits = %v, want %v", h, mentorHits+1)
+	}
+	if m := metricValue(t, ts.URL, "chatlsd_mentor_cache_misses_total"); m != mentorMisses {
+		t.Errorf("after repeat request: mentor cache misses = %v, want %v", m, mentorMisses)
 	}
 	// The design embedding is cached too: the repeat request must not
 	// re-run the GNN forward pass.

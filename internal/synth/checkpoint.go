@@ -3,7 +3,6 @@ package synth
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"math"
 	"sort"
 	"strconv"
 
@@ -162,7 +161,7 @@ func (s *Session) checkpointKey(files []string, top string) (string, bool) {
 		h.Write([]byte(b))
 	}
 	frame("lib")
-	frame(LibraryFingerprint(s.Lib))
+	frame(s.Lib.Fingerprint())
 	frame("order")
 	for _, f := range files {
 		frame(f)
@@ -191,56 +190,6 @@ func (s *Session) checkpointKey(files []string, top string) (string, bool) {
 		frame(strconv.FormatInt(s.ParamOverrides[k], 10))
 	}
 	return string(h.Sum(nil)), true
-}
-
-// LibraryFingerprint identifies a library by content, not pointer: the name
-// plus a digest of every cell's timing-relevant parameters and the wireload
-// tables. Two libraries built the same way (e.g. two Nangate45() calls)
-// fingerprint identically; a library differing in any delay model does not.
-// Exported because the durable QoR log keys results by the same fingerprint:
-// a library change must invalidate cached synthesis outcomes.
-func LibraryFingerprint(lib *liberty.Library) string {
-	h := sha256.New()
-	hs := func(v string) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(v)))
-		h.Write(n[:])
-		h.Write([]byte(v))
-	}
-	hf := func(v float64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-	hs(lib.Name)
-	hs(lib.DefaultWL)
-	for _, c := range lib.Cells() { // sorted by name
-		hs(c.Name)
-		hs(string(c.Kind))
-		hf(float64(c.Drive))
-		hf(c.Area)
-		hf(c.InputCap)
-		hf(c.Intrinsic)
-		hf(c.DriveRes)
-		hf(c.MaxCap)
-		hf(c.Leakage)
-		hf(c.Setup)
-		hf(c.ClkToQ)
-	}
-	wls := make([]string, 0, len(lib.WireLoads))
-	for name := range lib.WireLoads {
-		wls = append(wls, name)
-	}
-	sort.Strings(wls)
-	for _, name := range wls {
-		wl := lib.WireLoads[name]
-		hs(wl.Name)
-		hf(wl.Res)
-		for _, cap := range wl.Table {
-			hf(cap)
-		}
-	}
-	return string(h.Sum(nil))
 }
 
 // get returns the snapshot for key, nil on a miss. On a local miss with a

@@ -2,8 +2,8 @@ package synthrag
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
+	"strings"
 
 	"repro/internal/circuitmentor"
 	"repro/internal/lru"
@@ -25,7 +25,7 @@ type embedEntry struct {
 // dbCache memoizes the two expensive idempotent retrieval stages: design
 // graph embedding (parse + GNN forward) and reranked strategy retrieval.
 type dbCache struct {
-	embed    *lru.Cache[string, embedEntry]
+	embed    *lru.Cache[designKey, embedEntry]
 	retrieve *lru.Cache[string, []StrategyHit]
 }
 
@@ -35,9 +35,16 @@ type dbCache struct {
 // one-shot experiment harness leaves it off. Call before sharing the
 // database across goroutines (the caches themselves are concurrency-safe,
 // but enabling mid-flight races with readers).
+//
+// Calling it again starts a new serving lifetime: both caches are replaced
+// by empty ones and CircuitMentor's process-wide analysis memo is emptied
+// with them, so a caller that re-enables to model a daemon restart (the
+// repo benchmark's cold-lifecycle replay) gets the cold analysis a restarted
+// daemon pays.
 func (db *Database) EnableCache(embedCap, retrieveCap int) {
+	circuitmentor.ResetMemo()
 	db.cache = &dbCache{
-		embed:    lru.New[string, embedEntry](embedCap),
+		embed:    lru.New[designKey, embedEntry](embedCap),
 		retrieve: lru.New[string, []StrategyHit](retrieveCap),
 	}
 }
@@ -62,32 +69,32 @@ func (db *Database) CacheStats() CacheStats {
 	}
 }
 
-// embedKey identifies a design source for the embedding cache. The source
-// length feeds the hash stream alongside the bytes so two sources never
-// collapse to one key through hash-input ambiguity — a wrong embedding served
-// from the cache would silently corrupt retrieval.
-func embedKey(src, top string) string {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(len(src)))
-	h.Write(b[:])
-	h.Write([]byte(src))
-	binary.LittleEndian.PutUint64(b[:], h.Sum64())
-	return top + "\x00" + string(b[:])
+// designKey identifies a design for the embedding cache by the source and
+// top themselves: a wrong embedding served from the cache would silently
+// corrupt retrieval, so the key is the content, never a digest of it.
+type designKey struct {
+	src, top string
 }
 
-// retrieveKey identifies one retrieval request: the query embedding bits,
-// the trait set, and the rerank parameters. Element and trait counts (and
-// each trait's length) are framed into the stream, so the query/trait
-// boundary and trait boundaries are unambiguous: a query float can never be
-// re-read as trait bytes, and traits containing NUL cannot alias a longer
-// trait list.
+func embedKey(src, top string) designKey { return designKey{src: src, top: top} }
+
+// retrieveKey identifies one retrieval request by its framed bytes: the
+// query embedding bits, the trait set, and the rerank parameters. Element
+// and trait counts (and each trait's length) are framed into the key, so
+// the query/trait boundary and trait boundaries are unambiguous: a query
+// float can never be re-read as trait bytes, and traits containing NUL
+// cannot alias a longer trait list.
 func retrieveKey(query []float64, traits []string, k int, alpha, beta, gamma float64) string {
-	h := fnv.New64a()
+	n := 8 * (len(query) + len(traits) + 6)
+	for _, t := range traits {
+		n += len(t)
+	}
+	var key strings.Builder
+	key.Grow(n)
 	var b [8]byte
 	putU := func(u uint64) {
 		binary.LittleEndian.PutUint64(b[:], u)
-		h.Write(b[:])
+		key.Write(b[:])
 	}
 	put := func(f float64) { putU(math.Float64bits(f)) }
 	putU(uint64(len(query)))
@@ -97,19 +104,18 @@ func retrieveKey(query []float64, traits []string, k int, alpha, beta, gamma flo
 	putU(uint64(len(traits)))
 	for _, t := range traits {
 		putU(uint64(len(t)))
-		h.Write([]byte(t))
+		key.WriteString(t)
 	}
 	putU(uint64(k))
 	put(alpha)
 	put(beta)
 	put(gamma)
-	binary.LittleEndian.PutUint64(b[:], h.Sum64())
-	return string(b[:])
+	return key.String()
 }
 
 // cachedEmbed consults the embedding cache; ok is false when caching is off
 // or the key misses.
-func (db *Database) cachedEmbed(key string) ([]float64, *circuitmentor.DesignGraph, bool) {
+func (db *Database) cachedEmbed(key designKey) ([]float64, *circuitmentor.DesignGraph, bool) {
 	if db.cache == nil {
 		return nil, nil, false
 	}
@@ -122,7 +128,7 @@ func (db *Database) cachedEmbed(key string) ([]float64, *circuitmentor.DesignGra
 	return append([]float64(nil), e.emb...), e.dg, true
 }
 
-func (db *Database) storeEmbed(key string, emb []float64, dg *circuitmentor.DesignGraph) {
+func (db *Database) storeEmbed(key designKey, emb []float64, dg *circuitmentor.DesignGraph) {
 	if db.cache == nil {
 		return
 	}

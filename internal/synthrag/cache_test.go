@@ -1,16 +1,22 @@
 package synthrag
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/circuitmentor"
+	"repro/internal/liberty"
+)
 
 // TestEmbedKeyDistinguishesSources: keys separate sources that share a
-// prefix or differ only in the top module. Length framing makes the hash
-// stream unambiguous, so none of these may alias.
+// prefix or differ only in the top module. The key is the (source, top) pair
+// itself, so none of these may alias.
 func TestEmbedKeyDistinguishesSources(t *testing.T) {
 	pairs := [][2][2]string{
 		{{"module a; endmodule", "a"}, {"module a; endmodule ", "a"}},
 		{{"module a; endmodule", "a"}, {"module a; endmodule", "b"}},
 		{{"abc", "t"}, {"abcabc", "t"}},
 		{{"", "t"}, {"\x00", "t"}},
+		{{"a\x00b", "c"}, {"a", "b\x00c"}},
 	}
 	for _, p := range pairs {
 		if embedKey(p[0][0], p[0][1]) == embedKey(p[1][0], p[1][1]) {
@@ -54,5 +60,32 @@ func TestRetrieveKeyFramesBoundaries(t *testing.T) {
 	if retrieveKey([]float64{1}, []string{"t"}, 5, 0.7, 0.3, 0.25) ==
 		retrieveKey([]float64{1}, []string{"t"}, 6, 0.7, 0.3, 0.25) {
 		t.Error("k must participate in the key")
+	}
+}
+
+// TestEnableCacheStartsEveryDesignMemoEmpty: re-enabling models a daemon
+// restart, so the process-wide analysis memo must go cold with the database
+// caches — the next analysis of a seen design is computed, not served.
+func TestEnableCacheStartsEveryDesignMemoEmpty(t *testing.T) {
+	const src = "module m (input a, input b, output y); assign y = a & b; endmodule"
+	lib := liberty.Nangate45()
+	analyze := func() (hit bool) {
+		before := circuitmentor.Stats()
+		if _, err := circuitmentor.Analyze(src, "m", 1.0, lib); err != nil {
+			t.Fatal(err)
+		}
+		return circuitmentor.Stats().Hits == before.Hits+1
+	}
+	db := &Database{}
+	db.EnableCache(1, 1)
+	if analyze() {
+		t.Error("first analysis after EnableCache was served from the memo")
+	}
+	if !analyze() {
+		t.Error("repeat analysis was not served from the memo")
+	}
+	db.EnableCache(1, 1)
+	if analyze() {
+		t.Error("analysis after re-enabling was served from the memo")
 	}
 }

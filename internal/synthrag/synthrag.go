@@ -554,7 +554,7 @@ func (db *Database) EmbedDesignContext(ctx context.Context, src, top string) ([]
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	var key string
+	var key designKey
 	if db.cache != nil {
 		key = embedKey(src, top)
 		if emb, dg, ok := db.cachedEmbed(key); ok {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/designs"
 	"repro/internal/liberty"
 	"repro/internal/qorlog"
-	"repro/internal/synth"
 )
 
 // ResultStore is what the evaluation path needs from a result cache: logged
@@ -52,7 +51,7 @@ type LeasedResultStore interface {
 // compiling if the two structs ever drift.
 func ResultKey(lib *liberty.Library, d *designs.Design, script string) qorlog.Key {
 	return qorlog.KeyOf(
-		synth.LibraryFingerprint(lib),
+		lib.Fingerprint(),
 		d.FileName,
 		d.Source,
 		script,
