@@ -38,18 +38,23 @@ bench:
 # Headline perf record: runs the paper-scale benchmarks, the checkpointing
 # pair, the batched-vs-serial embedding pair, and the Flat-vs-HNSW retrieval
 # pair five times each and writes the averaged ns/op, B/op, allocs/op (plus
-# custom units like recall and hops/op) to BENCH_6.json for comparison
+# custom units like recall and hops/op) to BENCH_7.json for comparison
 # against earlier checked-in records. CompileUltraSwerv matches both the
 # fresh and the checkpointed variant (their ratio is the checkpoint
 # speedup); EmbedGlobalSerial/Batched is the batching speedup per flush;
-# FlatSearch10k/HNSWSearch10k is the sublinear-retrieval speedup.
+# FlatSearch10k/HNSWSearch10k is the sublinear-retrieval speedup;
+# WarmRequest and WarmRequestRawK5 are the work behind one warm chatls k=1
+# and one raw Pass@5 request, 14 requests an iteration so each record
+# covers every design under both raw models.
 COMPARE ?= Table2DatabaseBuild|Table4Baseline|CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|EmbedGlobalBatched
+REQUEST_COMPARE ?= WarmRequest$$|WarmRequestRawK5
 SEARCH_COMPARE ?= FlatSearch10k|HNSWSearch10k
 bench-compare:
 	{ $(GO) test -bench='$(COMPARE)' -benchmem -benchtime=1x -count=5 -run=^$$ . ; \
+	  $(GO) test -bench='$(REQUEST_COMPARE)' -benchmem -benchtime=14x -count=5 -run=^$$ . ; \
 	  $(GO) test -bench='$(SEARCH_COMPARE)' -benchmem -count=5 -run=^$$ ./internal/vecindex ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_6.json
-	@cat BENCH_6.json
+		| $(GO) run ./cmd/benchjson > BENCH_7.json
+	@cat BENCH_7.json
 
 # Allocation-regression gate: reruns the fast benchmarks (the paper-scale
 # Table2/Table4 database builds are excluded to keep this CI-speed) and
@@ -59,15 +64,15 @@ bench-compare:
 # gate rerun — allocs/op is deterministic only under identical process
 # conditions (which earlier benchmarks warmed the intern table and the
 # scratch pools matters), so the gate must not compare against the
-# full-set BENCH_6.json record. Both run at -cpu 1: the row-sharded tensor
+# full-set BENCH_7.json record. Both run at -cpu 1: the row-sharded tensor
 # kernels fan out over GOMAXPROCS goroutines (tensor.ParallelRows), each a
 # few allocations, so EmbedGlobalSerial reads 36 allocs/op on one CPU, 50
 # on two and 72 on eight — a baseline from one machine failed the gate on
 # another. Regenerate the baseline whenever a change intentionally moves an
 # allocation count.
-GATE ?= CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|EmbedGlobalBatched
+GATE ?= CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|EmbedGlobalBatched|WarmRequest|WarmRequestRawK5|UpdateBatch
 GATE_BASELINE ?= BENCH_GATE.json
-GATE_RUN = { $(GO) test -bench='$(GATE)' -benchmem -benchtime=1x -count=3 -cpu 1 -run=^$$ . ; \
+GATE_RUN = { $(GO) test -bench='$(GATE)' -benchmem -benchtime=1x -count=3 -cpu 1 -run=^$$ . ./internal/sta ; \
 	  $(GO) test -bench='$(SEARCH_COMPARE)' -benchmem -count=3 -cpu 1 -run=^$$ ./internal/vecindex ; }
 bench-gate:
 	$(GATE_RUN) | $(GO) run ./cmd/benchjson -baseline $(GATE_BASELINE) > /dev/null

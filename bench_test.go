@@ -313,6 +313,41 @@ func BenchmarkWarmRequest(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmRequestRawK5 is the in-repo twin of the repo benchmark's
+// warm_raw_k5 workload: one op is one raw-prompting Pass@5 request the way
+// the daemon serves it (cached task, shared checkpoint store, no QoR log, so
+// all five samples synthesize), round-robin over the seven designs under
+// both raw models. Synthesis and STA do nearly all of the work here; the
+// ChatLS layers BenchmarkWarmRequest exercises do none.
+func BenchmarkWarmRequestRawK5(b *testing.B) {
+	lib := liberty.Nangate45()
+	ctx := context.Background()
+	opts := EvalOptions{Workers: 1, Checkpoints: synth.NewCheckpointStore(0)}
+	type request struct {
+		p    Pipeline
+		task *Task
+		qor  synth.QoR
+	}
+	var reqs []request
+	for _, prof := range []llm.Profile{llm.GPT4o, llm.Claude35} {
+		for _, d := range designs.Benchmarks() {
+			task, qor, err := NewTaskWith(ctx, d, lib, opts.Checkpoints)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reqs = append(reqs, request{&RawPipeline{Model: llm.New(prof, 1)}, task, qor})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := reqs[i%len(reqs)]
+		if _, err := EvalTaskOpts(ctx, r.p, r.task, r.qor, 5, lib, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEmbedDesignUncached and BenchmarkEmbedDesignCached quantify what
 // the serving layer's embedding cache saves per request: the uncached path
 // re-parses the RTL and runs the GNN forward pass every time, the cached

@@ -132,7 +132,9 @@ func summarize(accums map[string]*accum) map[string]Result {
 }
 
 // gate compares allocs/op of every benchmark present in both records and
-// returns the violations: current > baseline * (1 + threshold/100).
+// returns the violations: current > baseline * (1 + threshold/100). A
+// baseline of zero is a limit of zero, so an allocation-free benchmark is
+// gated on staying that way.
 func gate(baseline, current map[string]Result, thresholdPct float64) []string {
 	var bad []string
 	names := make([]string, 0, len(current))
@@ -142,7 +144,7 @@ func gate(baseline, current map[string]Result, thresholdPct float64) []string {
 	sort.Strings(names)
 	for _, n := range names {
 		base, ok := baseline[n]
-		if !ok || base.AllocsPerOp <= 0 {
+		if !ok {
 			continue
 		}
 		cur := current[n]

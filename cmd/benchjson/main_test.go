@@ -68,3 +68,25 @@ func TestStripProcs(t *testing.T) {
 		}
 	}
 }
+
+func TestGateZeroBaselineAdmitsNoAllocs(t *testing.T) {
+	baseline := map[string]Result{
+		"BenchmarkFree":  {NsPerOp: 10, Runs: 3},
+		"BenchmarkHeavy": {NsPerOp: 10, AllocsPerOp: 100, Runs: 3},
+	}
+	ok := map[string]Result{
+		"BenchmarkFree":  {NsPerOp: 12, Runs: 3},
+		"BenchmarkHeavy": {NsPerOp: 12, AllocsPerOp: 120, Runs: 3},
+		"BenchmarkNew":   {NsPerOp: 12, AllocsPerOp: 7, Runs: 3},
+	}
+	if bad := gate(baseline, ok, 20); len(bad) != 0 {
+		t.Errorf("within-limit run flagged: %v", bad)
+	}
+	regressed := map[string]Result{
+		"BenchmarkFree":  {NsPerOp: 12, AllocsPerOp: 1, Runs: 3},
+		"BenchmarkHeavy": {NsPerOp: 12, AllocsPerOp: 121, Runs: 3},
+	}
+	if bad := gate(baseline, regressed, 20); len(bad) != 2 {
+		t.Errorf("gate flagged %d of 2 regressions: %v", len(bad), bad)
+	}
+}

@@ -160,8 +160,31 @@ type evidence struct {
 var (
 	reWNS       = regexp.MustCompile(`WNS:?\s*(-?\d+\.\d+)`)
 	reTraitLine = regexp.MustCompile(`trait:\s*([a-z-]+)`)
-	reIdent     = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
 )
+
+// scanIdents calls fn with each identifier in s, in order: the maximal runs
+// matching [A-Za-z_][A-Za-z0-9_]*, exactly as a leftmost regexp search finds
+// them (so "9abc" yields "abc"). Identifier bytes are ASCII, and no byte of a
+// multi-byte UTF-8 sequence is, so a byte scan cannot split or extend a token.
+func scanIdents(s string, fn func(id string)) {
+	for i := 0; i < len(s); {
+		if !identByte(s[i]) || isDigit(s[i]) {
+			i++
+			continue
+		}
+		start := i
+		for i < len(s) && identByte(s[i]) {
+			i++
+		}
+		fn(s[start:i])
+	}
+}
+
+func isDigit(b byte) bool { return '0' <= b && b <= '9' }
+
+func identByte(b byte) bool {
+	return 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z' || b == '_' || isDigit(b)
+}
 
 // readEvidence scans the attended prompt sections for design signals. The
 // characteristics section (when the pipeline provides one) is authoritative;
@@ -205,9 +228,7 @@ func (m *Model) readEvidence(secs map[string]string) evidence {
 	rtl := m.attend(secs["RTL"])
 	if rtl != "" {
 		counts := make(map[string]int)
-		for _, id := range reIdent.FindAllString(rtl, -1) {
-			counts[id]++
-		}
+		scanIdents(rtl, func(id string) { counts[id]++ })
 		for id, n := range counts {
 			if n > 60 && !verilogKeyword(id) {
 				ev.highFanout = true
@@ -502,9 +523,7 @@ func (m *Model) ScoreRelevance(query, doc string) float64 {
 
 func tokenSet(s string) map[string]bool {
 	out := make(map[string]bool)
-	for _, t := range reIdent.FindAllString(s, -1) {
-		out[t] = true
-	}
+	scanIdents(s, func(t string) { out[t] = true })
 	return out
 }
 

@@ -1,8 +1,12 @@
 package llm
 
 import (
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/designs"
 )
 
 const basePrompt = `## Requirement
@@ -250,5 +254,41 @@ func TestEvidenceExplicitFlag(t *testing.T) {
 	ev = m.readEvidence(raw)
 	if ev.explicit {
 		t.Error("raw prompt wrongly marked explicit")
+	}
+}
+
+// TestScanIdentsMatchesRegexp: the hand-rolled identifier scanner yields
+// exactly the token sequence of the regexp it replaced — on every shipped
+// design's source (what readEvidence tokenises), on inputs where a digit, a
+// symbol or the string's end borders a token, and on non-ASCII and invalid
+// UTF-8 bytes, which must separate tokens without joining one.
+func TestScanIdentsMatchesRegexp(t *testing.T) {
+	reIdent := regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
+	inputs := map[string]string{
+		"empty":        "",
+		"edges":        "9abc _x a$b",
+		"digits only":  "0123 456",
+		"digit prefix": "12ab34 5_6 __7",
+		"ends in id":   "wire [7:0] data_q",
+		"non-ascii":    "módulo über_x Δt naïve_9 日本語abc",
+		"invalid utf8": "ab\xffcd \xc3(x1 \xe2\x82y",
+	}
+	for _, d := range append(designs.Benchmarks(), designs.DatabaseDesigns()...) {
+		inputs[d.Name] = d.Source
+		inputs[d.Name+" lowered"] = strings.ToLower(d.Source)
+	}
+	for name, in := range inputs {
+		var got []string
+		scanIdents(in, func(id string) { got = append(got, id) })
+		want := reIdent.FindAllString(in, -1)
+		if slices.Equal(got, want) {
+			continue
+		}
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Errorf("%s: scanIdents yields %d tokens, regexp %d; first difference at token %d: %q vs %q",
+			name, len(got), len(want), i, got[i:min(i+1, len(got))], want[i:min(i+1, len(want))])
 	}
 }

@@ -3,6 +3,8 @@
 package sta_test
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/designs"
@@ -59,5 +61,49 @@ func TestUpdateAllocGuard(t *testing.T) {
 	const budget = 0
 	if allocs > budget {
 		t.Errorf("delay-only Update allocs/op = %v, budget %d", allocs, budget)
+	}
+}
+
+// TestReanalyzeAllocGuard pins "re-analyzes in place": a topology edit that
+// adds a handful of cells sends Update through the full-analysis fallback,
+// and with the headroom grow leaves in every per-net and per-cell buffer
+// that analysis allocates nothing — round after round, as in a retiming
+// loop. The count is taken the way testing.AllocsPerRun takes it (the
+// runtime's malloc counter on one P, averaged over the rounds and rounded
+// down, which absorbs the odd allocation a GC cycle starting mid-round
+// makes) but around Update alone: the AddCell before it has to allocate
+// the cells. Without headroom every round allocates nine buffers.
+func TestReanalyzeAllocGuard(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	d := designs.Benchmarks()[0]
+	nl := elaborate(t, d)
+	tm, err := sta.Analyze(nl, eqLib.WireLoad(""), sta.Constraints{Period: d.Period})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var before, after runtime.MemStats
+	const rounds = 20
+	var mallocs uint64
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < 4; i++ {
+			if !insertBuffer(nl, rng) {
+				t.Fatal("no net to buffer")
+			}
+		}
+		full := sta.FullAnalyses()
+		runtime.ReadMemStats(&before)
+		err := tm.Update(nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sta.FullAnalyses() != full+1 {
+			t.Fatalf("round %d: Update did not re-analyze", round)
+		}
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	if allocs := mallocs / rounds; allocs != 0 {
+		t.Errorf("re-analysis after adding 4 cells: %d allocs/round, want 0", allocs)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // propagation stops on exact equality, the incremental result is
 // bit-identical to a fresh Analyze of the edited netlist.
 //
-// The worklists are heap methods on Timing rather than local closures so a
-// delay-only update runs allocation-free; see the alloc guard tests.
+// The worklists are flags and counters on Timing rather than local closures
+// so a delay-only update runs allocation-free; see the alloc guard tests.
 func (t *Timing) Update(changed []*netlist.Cell) error {
 	nl := t.NL
 	if nl.TopoGen() != t.topoGen {
@@ -34,6 +34,7 @@ func (t *Timing) Update(changed []*netlist.Cell) error {
 	}
 	incrementalUpdates.Add(1)
 	t.dirty = 0
+	t.fMin, t.bMax = int32(len(t.order)), -1
 
 	// Forward: re-propagate arrivals through the fanout cones.
 	for _, c := range changed {
@@ -54,9 +55,13 @@ func (t *Timing) Update(changed []*netlist.Cell) error {
 			}
 		}
 	}
-	for len(t.fheap) > 0 {
-		c := t.popFwd()
+	for i := t.fMin; t.fPending > 0; i++ {
+		c := t.order[i]
+		if !t.inFQ[c.ID] {
+			continue
+		}
 		t.inFQ[c.ID] = false
+		t.fPending--
 		t.dirty++
 		a := t.cellArrival(c)
 		if a != t.arr[c.Output.ID] {
@@ -70,10 +75,10 @@ func (t *Timing) Update(changed []*netlist.Cell) error {
 		}
 	}
 
-	// Backward: re-propagate required times through the fanin cones. Nets
-	// are keyed by their driver's topological position and processed in
-	// decreasing order; PI-/flop-/const-driven nets (key -1) depend only on
-	// keyed nets and absorb changes without propagating further.
+	// Backward: re-propagate required times through the fanin cones, in
+	// decreasing order of the driving cell's topological position. PI-, flop-
+	// and constant-driven nets depend only on combinationally driven ones and
+	// absorb changes without propagating further, so they are drained last.
 	for _, c := range changed {
 		// req of c's inputs depends on c's stage delay (comb) or Setup
 		// (seq); req of the driver's other fanin depends on the driver's
@@ -87,20 +92,28 @@ func (t *Timing) Update(changed []*netlist.Cell) error {
 			}
 		}
 	}
-	for len(t.bheap) > 0 {
-		n := t.popBwd()
+	for i := t.bMax; t.bPending > 0; i-- {
+		d := t.order[i]
+		n := d.Output
+		if !t.inBQ[n.ID] {
+			continue
+		}
 		t.inBQ[n.ID] = false
+		t.bPending--
 		t.dirty++
-		r := t.recomputeReq(n)
-		if r != t.req[n.ID] {
+		if r := t.recomputeReq(n); r != t.req[n.ID] {
 			t.req[n.ID] = r
-			if d := n.Driver; d != nil && !d.IsSeq() {
-				for _, in := range d.Inputs {
-					t.pushBwd(in)
-				}
+			for _, in := range d.Inputs {
+				t.pushBwd(in)
 			}
 		}
 	}
+	for _, n := range t.bSrc {
+		t.inBQ[n.ID] = false
+		t.dirty++
+		t.req[n.ID] = t.recomputeReq(n)
+	}
+	t.bSrc = t.bSrc[:0]
 
 	t.gen = nl.Gen()
 	observeDirty(t.dirty)
@@ -126,67 +139,24 @@ func (t *Timing) seedSource(n *netlist.Net) {
 }
 
 // ----------------------------------------------------------------------------
-// Worklist heaps. t.fheap is a min-heap of combinational cells ordered by
-// topological position (positions are unique, so keys never tie); t.bheap is
-// a max-heap of nets ordered by driver position (-1 for nets without a
-// combinational driver — those are mutually independent, so their pop order
-// does not matter). The inFQ/inBQ flags deduplicate pushes.
+// Worklists. A queued item is a set flag, not a heap entry: the forward list
+// is the cells of t.order with inFQ set, visited by walking the order up from
+// the lowest flagged position; the backward list is the nets with inBQ set,
+// visited by walking the order down from the highest flagged driver. Cells
+// only ever queue cells after them and nets only nets driven before them, so
+// one pass in each direction reaches every flagged item, in exactly the order
+// a priority queue keyed on position would pop them. The pending counters end
+// each pass as soon as nothing is left ahead of it.
 
 func (t *Timing) pushFwd(c *netlist.Cell) {
 	if t.inFQ[c.ID] {
 		return
 	}
 	t.inFQ[c.ID] = true
-	h := append(t.fheap, c)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if t.pos[h[p].ID] <= t.pos[h[i].ID] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
+	t.fPending++
+	if p := t.pos[c.ID]; p < t.fMin {
+		t.fMin = p
 	}
-	t.fheap = h
-}
-
-func (t *Timing) popFwd() *netlist.Cell {
-	h := t.fheap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = nil
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && t.pos[h[l].ID] < t.pos[h[m].ID] {
-			m = l
-		}
-		if r < last && t.pos[h[r].ID] < t.pos[h[m].ID] {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	t.fheap = h
-	return top
-}
-
-type netItem struct {
-	key int32
-	n   *netlist.Net
-}
-
-func (t *Timing) bwdKeyOf(n *netlist.Net) int32 {
-	if d := n.Driver; d != nil && !d.IsSeq() {
-		return t.pos[d.ID]
-	}
-	return -1
 }
 
 func (t *Timing) pushBwd(n *netlist.Net) {
@@ -194,44 +164,14 @@ func (t *Timing) pushBwd(n *netlist.Net) {
 		return
 	}
 	t.inBQ[n.ID] = true
-	h := append(t.bheap, netItem{t.bwdKeyOf(n), n})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].key >= h[i].key {
-			break
+	if d := n.Driver; d != nil && !d.IsSeq() {
+		t.bPending++
+		if p := t.pos[d.ID]; p > t.bMax {
+			t.bMax = p
 		}
-		h[p], h[i] = h[i], h[p]
-		i = p
+	} else {
+		t.bSrc = append(t.bSrc, n)
 	}
-	t.bheap = h
-}
-
-func (t *Timing) popBwd() *netlist.Net {
-	h := t.bheap
-	top := h[0].n
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = netItem{}
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && h[l].key > h[m].key {
-			m = l
-		}
-		if r < last && h[r].key > h[m].key {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	t.bheap = h
-	return top
 }
 
 // ----------------------------------------------------------------------------

@@ -9,12 +9,13 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/netlist"
 	"repro/internal/sta"
+	"repro/internal/synth"
 	"repro/internal/verilog"
 )
 
 var eqLib = liberty.Nangate45()
 
-func elaborate(t *testing.T, d *designs.Design) *netlist.Netlist {
+func elaborate(t testing.TB, d *designs.Design) *netlist.Netlist {
 	t.Helper()
 	f, err := verilog.Parse(d.Source)
 	if err != nil {
@@ -226,5 +227,173 @@ func TestIncrementalCountersAndObserver(t *testing.T) {
 	}
 	if observed[0] <= 0 || observed[0] > 2*(len(nl.Nets)+len(nl.Cells)) {
 		t.Errorf("dirty nodes = %d out of plausible range", observed[0])
+	}
+}
+
+// resizable lists every cell — sequential ones included — that has a
+// neighbouring drive strength, with the library cell to swap it to.
+func resizable(nl *netlist.Netlist) (cells []*netlist.Cell, refs []*liberty.Cell) {
+	for _, c := range nl.Cells {
+		next := nl.Lib.Upsize(c.Ref)
+		if next == nil || next == c.Ref {
+			next = nl.Lib.Downsize(c.Ref)
+		}
+		if next != nil && next != c.Ref {
+			cells = append(cells, c)
+			refs = append(refs, next)
+		}
+	}
+	return cells, refs
+}
+
+// swapBatch swaps cells[j] to refs[j] for every j in idx and returns the
+// swapped cells with the library cells they had, for Update and for a revert.
+func swapBatch(nl *netlist.Netlist, cells []*netlist.Cell, refs []*liberty.Cell, idx []int) (changed []*netlist.Cell, old []*liberty.Cell) {
+	changed = make([]*netlist.Cell, len(idx))
+	old = make([]*liberty.Cell, len(idx))
+	for i, j := range idx {
+		changed[i], old[i] = cells[j], cells[j].Ref
+		nl.SetRef(cells[j], refs[j])
+	}
+	return changed, old
+}
+
+// requireBitIdentical is requireEquivalent without the tolerance: Update
+// promises the same floats as a fresh Analyze, not merely close ones.
+func requireBitIdentical(t *testing.T, name string, inc *sta.Timing, nl *netlist.Netlist, wl *liberty.WireLoad, cons sta.Constraints) {
+	t.Helper()
+	full, err := sta.Analyze(nl, wl, cons)
+	if err != nil {
+		t.Fatalf("%s: full analyze: %v", name, err)
+	}
+	if inc.WNS() != full.WNS() || inc.TNS() != full.TNS() || inc.CPS() != full.CPS() {
+		t.Fatalf("%s: headline metrics (%v %v %v) != full (%v %v %v)", name,
+			inc.WNS(), inc.TNS(), inc.CPS(), full.WNS(), full.TNS(), full.CPS())
+	}
+	for _, n := range nl.Nets {
+		if inc.Arrival(n) != full.Arrival(n) || inc.Required(n) != full.Required(n) {
+			t.Fatalf("%s: net %s arrival/required (%v %v) != full (%v %v)", name, n.Name,
+				inc.Arrival(n), inc.Required(n), full.Arrival(n), full.Required(n))
+		}
+	}
+}
+
+// TestIncrementalMatchesFullAtProductionBatchSizes checks Update at the
+// batch sizes the sizing passes actually issue — SizeForTimingWith and
+// AreaRecoveryWith hand it every violating (or slack-rich) cell at once, not
+// the handful the randomized rounds above use — and at the rollback that
+// follows a rejected batch: the same cells, reverted.
+func TestIncrementalMatchesFullAtProductionBatchSizes(t *testing.T) {
+	for _, d := range designs.Benchmarks() {
+		d := d
+		t.Run(d.Name, func(t *testing.T) {
+			nl := elaborate(t, d)
+			wl := eqLib.WireLoad("")
+			cons := sta.Constraints{Period: d.Period}
+			tm, err := sta.Analyze(nl, wl, cons)
+			if err != nil {
+				t.Fatalf("analyze: %v", err)
+			}
+			cells, refs := resizable(nl)
+			if len(cells) == 0 {
+				t.Fatal("no resizable cell")
+			}
+			rng := rand.New(rand.NewSource(int64(len(d.Name)) * 104729))
+			for _, size := range []int{1, 8, len(cells) / 10, len(cells) / 2, len(cells)} {
+				changed, old := swapBatch(nl, cells, refs, rng.Perm(len(cells))[:size])
+				if err := tm.Update(changed); err != nil {
+					t.Fatalf("batch %d: update: %v", size, err)
+				}
+				requireBitIdentical(t, d.Name, tm, nl, wl, cons)
+				for i, c := range changed {
+					nl.SetRef(c, old[i])
+				}
+				if err := tm.Update(changed); err != nil {
+					t.Fatalf("batch %d: revert: %v", size, err)
+				}
+				requireBitIdentical(t, d.Name, tm, nl, wl, cons)
+			}
+		})
+	}
+}
+
+// TestDirtyNodesPinned pins the work set of one seeded 10 % batch per design
+// to the counts the heap-based worklists of PR 15 produced: the ordered
+// sweep is a cheaper traversal of exactly the same nodes, not a different
+// propagation.
+func TestDirtyNodesPinned(t *testing.T) {
+	want := map[string]int{
+		"aes": 9273, "dynamic_node": 1219, "ethmac": 2499, "jpeg": 17625,
+		"riscv32i": 1944, "swerv": 9106, "tinyRocket": 4082,
+	}
+	var got int
+	sta.SetDirtyNodesObserver(func(n int) { got = n })
+	defer sta.SetDirtyNodesObserver(nil)
+	for _, d := range designs.Benchmarks() {
+		nl := elaborate(t, d)
+		tm, err := sta.Analyze(nl, eqLib.WireLoad(""), sta.Constraints{Period: d.Period})
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", d.Name, err)
+		}
+		cells, refs := resizable(nl)
+		rng := rand.New(rand.NewSource(16))
+		changed, _ := swapBatch(nl, cells, refs, rng.Perm(len(cells))[:len(cells)/10])
+		if err := tm.Update(changed); err != nil {
+			t.Fatalf("%s: update: %v", d.Name, err)
+		}
+		if got != want[d.Name] {
+			t.Errorf("%s: dirty nodes = %d for a %d-cell batch, want %d", d.Name, got, len(changed), want[d.Name])
+		}
+	}
+}
+
+// TestLaunchCellMatchesTracePath: for every endpoint of every benchmark
+// design, elaborated and compiled, LaunchCell names the cell that starts
+// TracePath when that cell is a register, and nil when the path starts at a
+// port or at a cell that is not sequential (a tie cell) — the contract
+// RetimeWith's forward move reads it under.
+func TestLaunchCellMatchesTracePath(t *testing.T) {
+	launched, ports, ties := 0, 0, 0
+	check := func(name string, tm *sta.Timing) {
+		for _, end := range tm.Endpoints() {
+			var want *netlist.Cell
+			switch first := tm.TracePath(end).Steps[0]; {
+			case first.Cell == nil:
+				ports++
+			case first.Cell.IsSeq():
+				want = first.Cell
+				launched++
+			default:
+				ties++
+			}
+			if got := tm.LaunchCell(end); got != want {
+				t.Fatalf("%s: endpoint %s: LaunchCell = %v, TracePath starts at %v", name, end.Name, got, want)
+			}
+		}
+	}
+	// No shipped design compiles to a path that starts at a tie cell; this one
+	// folds to nothing else.
+	tied := &designs.Design{Name: "tied", Top: "tied", Period: 1, Source: `
+module tied(input clk, input a, output y, output reg q);
+    assign y = a & 1'b0;
+    always @(posedge clk) q <= a | 1'b1;
+endmodule`}
+	for _, d := range append(designs.Benchmarks(), tied) {
+		sd := &synth.Design{NL: elaborate(t, d), WL: eqLib.WireLoad(""), Cons: sta.Constraints{Period: d.Period}}
+		tm, err := sd.Timing()
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", d.Name, err)
+		}
+		check(d.Name+" elaborated", tm)
+		if err := synth.Compile(sd, synth.CompileOptions{Ultra: true, Retime: true}); err != nil {
+			t.Fatalf("%s: compile: %v", d.Name, err)
+		}
+		if tm, err = sd.Timing(); err != nil {
+			t.Fatalf("%s: analyze compiled: %v", d.Name, err)
+		}
+		check(d.Name+" compiled", tm)
+	}
+	if launched == 0 || ports == 0 || ties == 0 {
+		t.Errorf("corpus covers %d register-, %d port- and %d tie-launched paths; want all three", launched, ports, ties)
 	}
 }

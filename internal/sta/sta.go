@@ -13,9 +13,12 @@
 package sta
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/intern"
 	"repro/internal/liberty"
@@ -56,13 +59,16 @@ type Timing struct {
 	endNext    []int32 // by endpoint index; next endpoint on the same net
 	endsSorted bool
 
-	// Worklist scratch, reused across Update calls. The visited flags are
-	// always all-false between calls (cleared as items pop).
-	fheap []*netlist.Cell
-	bheap []netItem
-	inFQ  []bool // by Cell.ID: cell is queued forward
-	inBQ  []bool // by Net.ID: net is queued backward
-	dirty int    // nets recomputed by the current Update
+	// Worklist state, reused across Update calls (see incremental.go). The
+	// flags are always all-false and the counters zero between calls.
+	inFQ     []bool         // by Cell.ID: cell is queued forward
+	inBQ     []bool         // by Net.ID: net is queued backward
+	fPending int            // cells flagged in inFQ
+	bPending int            // combinationally driven nets flagged in inBQ
+	fMin     int32          // lowest position in order flagged forward
+	bMax     int32          // highest driver position flagged backward
+	bSrc     []*netlist.Net // flagged nets with no combinational driver
+	dirty    int            // nets recomputed by the current Update
 
 	// Levelize scratch, reused across full re-analyses.
 	indeg []int32
@@ -98,16 +104,20 @@ func Analyze(nl *netlist.Netlist, wl *liberty.WireLoad, cons Constraints) (*Timi
 	return t, nil
 }
 
-// reanalyze rebuilds all timing state in place, reusing buffers.
+// reanalyze rebuilds all timing state in place. Every per-net and per-cell
+// buffer is reused: grow leaves headroom, so an edit that adds a few cells
+// (a retiming sweep, a buffer tree) re-analyzes without allocating.
 func (t *Timing) reanalyze() error {
 	fullAnalyses.Add(1)
 	nNets := t.NL.NetIDBound()
 	nCells := t.NL.CellIDBound()
-	t.arr = growFloats(t.arr, nNets)
-	t.req = growFloats(t.req, nNets)
-	t.pos = growInt32s(t.pos, nCells)
-	t.inFQ = growBools(t.inFQ, nCells)
-	t.inBQ = growBools(t.inBQ, nNets)
+	t.arr = grow(t.arr, nNets)
+	t.req = grow(t.req, nNets)
+	t.pos = grow(t.pos, nCells)
+	t.inFQ = grow(t.inFQ, nCells)
+	t.inBQ = grow(t.inBQ, nNets)
+	clear(t.inFQ)
+	clear(t.inBQ)
 	if err := t.levelize(); err != nil {
 		return err
 	}
@@ -119,29 +129,14 @@ func (t *Timing) reanalyze() error {
 	return nil
 }
 
-func growFloats(s []float64, n int) []float64 {
+// grow returns s with length n, reallocating — with a quarter again as
+// headroom, contents not preserved — only when n exceeds its capacity. The
+// result is s[:n]: nothing reads the headroom until a later grow claims it.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n, n+n/4)
 	}
 	return s[:n]
-}
-
-func growInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
 }
 
 // LoadCap returns the total capacitive load on a net: sink pin caps, the
@@ -175,12 +170,14 @@ func (t *Timing) stageDelay(c *netlist.Cell) float64 {
 func (t *Timing) levelize() error {
 	// indeg needs no clearing: every slot read below is assigned in the
 	// first loop first.
-	indeg := growInt32s(t.indeg, t.NL.CellIDBound())
+	indeg := grow(t.indeg, t.NL.CellIDBound())
 	for i := range t.pos {
 		t.pos[i] = -1
 	}
 	comb := 0
-	ready := t.ready[:0]
+	// Both end up holding every combinational cell; sized up front (by the
+	// cell count, with grow's headroom) they never regrow mid-levelize.
+	ready := grow(t.ready, len(t.NL.Cells))[:0]
 	for _, c := range t.NL.Cells {
 		if c.IsSeq() {
 			continue
@@ -197,8 +194,8 @@ func (t *Timing) levelize() error {
 			ready = append(ready, c)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i].ID < ready[j].ID })
-	order := t.order[:0]
+	slices.SortFunc(ready, func(a, b *netlist.Cell) int { return a.ID - b.ID })
+	order := grow(t.order, len(t.NL.Cells))[:0]
 	for head := 0; head < len(ready); head++ {
 		c := ready[head]
 		t.pos[c.ID] = int32(len(order))
@@ -377,15 +374,11 @@ func (t *Timing) collectEndpoints() {
 // refresh only the endpoints whose arrival changed. A net can carry several
 // endpoints (a D pin shared by multiple flops, a PO that also feeds a flop).
 func (t *Timing) rebuildEndChains() {
-	t.endHead = growInt32s(t.endHead, t.NL.NetIDBound())
+	t.endHead = grow(t.endHead, t.NL.NetIDBound())
 	for i := range t.endHead {
 		t.endHead[i] = -1
 	}
-	if cap(t.endNext) < len(t.ends) {
-		t.endNext = make([]int32, len(t.ends))
-	} else {
-		t.endNext = t.endNext[:len(t.ends)]
-	}
+	t.endNext = grow(t.endNext, len(t.ends))
 	for i := range t.ends {
 		id := t.ends[i].Net.ID
 		t.endNext[i] = t.endHead[id]
@@ -416,11 +409,13 @@ func (t *Timing) ensureSorted() {
 	if t.endsSorted {
 		return
 	}
-	sort.Slice(t.ends, func(i, j int) bool {
-		if t.ends[i].Slack != t.ends[j].Slack {
-			return t.ends[i].Slack < t.ends[j].Slack
+	// Total on (Slack, Name): TNS sums t.ends in slice order, so the sorted
+	// permutation must not depend on the one the sort started from.
+	slices.SortFunc(t.ends, func(a, b Endpoint) int {
+		if a.Slack != b.Slack {
+			return cmp.Compare(a.Slack, b.Slack)
 		}
-		return t.ends[i].Name < t.ends[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	t.rebuildEndChains()
 	t.endsSorted = true
@@ -534,17 +529,7 @@ func (t *Timing) TracePath(end Endpoint) Path {
 			p.Startpoint = intern.Concat(c.Name, "/CK")
 			break
 		}
-		// Continue via the input with the latest arrival.
-		var worstIn *netlist.Net
-		worstArr := math.Inf(-1)
-		for _, in := range c.Inputs {
-			a := t.Arrival(in)
-			if a > worstArr || (a == worstArr && worstIn != nil && in.ID < worstIn.ID) {
-				worstArr = a
-				worstIn = in
-			}
-		}
-		n = worstIn
+		n = t.latestInput(c)
 	}
 	// Reverse into source-to-sink order.
 	p.Steps = make([]PathStep, 0, len(rev))
@@ -552,6 +537,37 @@ func (t *Timing) TracePath(end Endpoint) Path {
 		p.Steps = append(p.Steps, rev[i])
 	}
 	return p
+}
+
+// latestInput returns the input of c with the latest arrival (lowest Net.ID
+// on a tie) — the net a critical path through c continues on — or nil for a
+// cell without inputs.
+func (t *Timing) latestInput(c *netlist.Cell) *netlist.Net {
+	var worstIn *netlist.Net
+	worstArr := math.Inf(-1)
+	for _, in := range c.Inputs {
+		a := t.Arrival(in)
+		if a > worstArr || (a == worstArr && worstIn != nil && in.ID < worstIn.ID) {
+			worstArr = a
+			worstIn = in
+		}
+	}
+	return worstIn
+}
+
+// LaunchCell returns the register that launches the worst path into end —
+// TracePath(end).Steps[0].Cell when that is a sequential cell — or nil when
+// the path starts at a port or a tie cell. It walks the same inputs TracePath
+// does without building the path.
+func (t *Timing) LaunchCell(end Endpoint) *netlist.Cell {
+	for n := end.Net; n != nil; {
+		c := n.Driver
+		if c == nil || c.IsSeq() {
+			return c
+		}
+		n = t.latestInput(c)
+	}
+	return nil
 }
 
 // WorstPaths returns up to n paths, one per worst endpoint.

@@ -176,13 +176,16 @@ func Compile(d *Design, opts CompileOptions) error {
 
 	// Effort controls how hard sizing works: iterations, the strongest
 	// drive it may use, and the smallest win it still takes.
-	so := map[Effort]SizeOptions{
-		EffortLow:    {MaxIters: 2, MaxDrive: 2, MinGain: 0.004},
-		EffortMedium: {MaxIters: 8, MaxDrive: 4, MinGain: 0.0015},
-		EffortHigh:   {MaxIters: 16, MaxDrive: 8, MinGain: 0.0004},
-	}[effort]
-	if opts.Ultra {
+	var so SizeOptions
+	switch {
+	case opts.Ultra:
 		so = SizeOptions{MaxIters: 24, MaxDrive: 16, MinGain: 0.0001}
+	case effort == EffortLow:
+		so = SizeOptions{MaxIters: 2, MaxDrive: 2, MinGain: 0.004}
+	case effort == EffortMedium:
+		so = SizeOptions{MaxIters: 8, MaxDrive: 4, MinGain: 0.0015}
+	case effort == EffortHigh:
+		so = SizeOptions{MaxIters: 16, MaxDrive: 8, MinGain: 0.0004}
 	}
 	if opts.TimingHighEffort {
 		so.MaxIters += 12

@@ -9,7 +9,6 @@ package synth
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/liberty"
 	"repro/internal/netlist"
@@ -457,28 +456,13 @@ type SizeOptions struct {
 	MinGain     float64 // smallest accepted benefit-penalty, ns
 }
 
-// SizeForTiming upsizes violating cells with default (unbounded) options.
-func SizeForTiming(nl *netlist.Netlist, wl *liberty.WireLoad, cons sta.Constraints, targetSlack float64, maxIters int) int {
-	return SizeForTimingOpt(nl, wl, cons, SizeOptions{TargetSlack: targetSlack, MaxIters: maxIters, MinGain: 1e-5})
-}
-
-// SizeForTimingOpt iteratively upsizes cells below the slack target until
+// SizeForTimingWith iteratively upsizes cells below the slack target until
 // the critical-path slack reaches it, improvement stalls, or MaxIters
 // passes complete. A candidate is upsized only when its estimated local
 // benefit (lower drive resistance under the actual load) outweighs the
 // upstream penalty of its increased input capacitance by at least MinGain;
-// a regressing iteration is rolled back and ends the pass.
-func SizeForTimingOpt(nl *netlist.Netlist, wl *liberty.WireLoad, cons sta.Constraints, o SizeOptions) int {
-	tm, err := sta.Analyze(nl, wl, cons)
-	if err != nil {
-		return 0
-	}
-	return SizeForTimingWith(tm, o)
-}
-
-// SizeForTimingWith is SizeForTimingOpt against an existing, current Timing,
-// refreshed incrementally after each batch of resizes instead of re-analyzed
-// from scratch.
+// a regressing iteration is rolled back and ends the pass. tm is refreshed
+// incrementally after each batch of resizes.
 func SizeForTimingWith(tm *sta.Timing, o SizeOptions) int {
 	if err := tm.Update(nil); err != nil {
 		return 0
@@ -556,18 +540,9 @@ func SizeForTimingWith(tm *sta.Timing, o SizeOptions) int {
 	return resized
 }
 
-// AreaRecovery downsizes cells with slack above margin, reclaiming area
-// without creating violations; a regressing pass is rolled back.
-func AreaRecovery(nl *netlist.Netlist, wl *liberty.WireLoad, cons sta.Constraints, margin float64) int {
-	tm, err := sta.Analyze(nl, wl, cons)
-	if err != nil {
-		return 0
-	}
-	return AreaRecoveryWith(tm, margin)
-}
-
-// AreaRecoveryWith is AreaRecovery against an existing, current Timing,
-// refreshed incrementally instead of re-analyzed.
+// AreaRecoveryWith downsizes cells with slack above margin, reclaiming area
+// without creating violations; a regressing pass is rolled back. tm is
+// refreshed incrementally.
 func AreaRecoveryWith(tm *sta.Timing, margin float64) int {
 	if err := tm.Update(nil); err != nil {
 		return 0
@@ -580,10 +555,15 @@ func AreaRecoveryWith(tm *sta.Timing, margin float64) int {
 	}
 	var changes []change
 	var changedCells []*netlist.Cell
-	cells := append([]*netlist.Cell(nil), nl.Cells...)
-	sort.Slice(cells, func(i, j int) bool { return cells[i].ID < cells[j].ID })
-	for _, c := range cells {
-		if c.Fixed || c.IsSeq() {
+	// Visit cells in ID order. nl.Cells is permuted by every removal, but IDs
+	// are unique and below the bound, so scattering by ID orders them without
+	// a sort.
+	byID := make([]*netlist.Cell, nl.CellIDBound())
+	for _, c := range nl.Cells {
+		byID[c.ID] = c
+	}
+	for _, c := range byID {
+		if c == nil || c.Fixed || c.IsSeq() {
 			continue
 		}
 		slack := tm.Slack(c.Output)

@@ -3,29 +3,20 @@ package synth
 import (
 	"math"
 
-	"repro/internal/liberty"
 	"repro/internal/netlist"
 	"repro/internal/sta"
 )
 
-// Retime implements timing-driven register retiming (the optimize_registers
-// command): flip-flops move backward or forward across single gates on
-// critical paths whenever the neighbouring pipeline stage has enough slack
-// to absorb the gate's delay. This is the pass that rescues designs with
-// unbalanced register placement — the scenario the paper cites as the case
-// where retiming beats buffer balancing — and it does nothing for designs
-// whose stages are already balanced.
-func Retime(nl *netlist.Netlist, wl *liberty.WireLoad, cons sta.Constraints, maxMoves int) int {
-	tm, err := sta.Analyze(nl, wl, cons)
-	if err != nil {
-		return 0
-	}
-	return RetimeWith(tm, maxMoves)
-}
-
-// RetimeWith is Retime against an existing, current Timing. Register moves
-// change the topology, so each sweep triggers the timer's full-reanalysis
-// fallback — but in place, reusing the analysis buffers.
+// RetimeWith implements timing-driven register retiming (the
+// optimize_registers command) against an existing Timing: flip-flops move
+// backward or forward across single gates on critical paths whenever the
+// neighbouring pipeline stage has enough slack to absorb the gate's delay.
+// This is the pass that rescues designs with unbalanced register placement —
+// the scenario the paper cites as the case where retiming beats buffer
+// balancing — and it does nothing for designs whose stages are already
+// balanced. Register moves change the topology, so each sweep is one full
+// re-analysis, in place: the timer's buffers keep headroom for the flops a
+// sweep adds.
 func RetimeWith(tm *sta.Timing, maxMoves int) int {
 	nl := tm.NL
 	const margin = 0.02
@@ -90,30 +81,26 @@ func RetimeWith(tm *sta.Timing, maxMoves int) int {
 				}
 			}
 			// Try a forward move at the path's launching register.
-			path := tm.TracePath(end)
-			if len(path.Steps) > 0 {
-				first := path.Steps[0]
-				if first.Cell != nil && first.Cell.IsSeq() && inSweep(first.Cell) {
-					if g := soleCombSink(first.Cell.Output); g != nil && !g.IsSeq() {
-						// Capture the feeding flops before the move rewires g.
-						fwdFlops = fwdFlops[:0]
-						okAll := true
-						for _, in := range g.Inputs {
-							f := in.Driver
-							if f == nil || !f.IsSeq() || !inSweep(f) {
-								okAll = false
-								break
-							}
-							fwdFlops = append(fwdFlops, f)
+			if launch := tm.LaunchCell(end); launch != nil && inSweep(launch) {
+				if g := soleCombSink(launch.Output); g != nil && !g.IsSeq() {
+					// Capture the feeding flops before the move rewires g.
+					fwdFlops = fwdFlops[:0]
+					okAll := true
+					for _, in := range g.Inputs {
+						f := in.Driver
+						if f == nil || !f.IsSeq() || !inSweep(f) {
+							okAll = false
+							break
 						}
-						if okAll && retimeForward(nl, tm, g, margin, &sc) {
-							for _, f := range fwdFlops {
-								if f.ID < bound {
-									present[f.ID] = false
-								}
+						fwdFlops = append(fwdFlops, f)
+					}
+					if okAll && retimeForward(nl, tm, g, margin, &sc) {
+						for _, f := range fwdFlops {
+							if f.ID < bound {
+								present[f.ID] = false
 							}
-							applied++
 						}
+						applied++
 					}
 				}
 			}

@@ -380,7 +380,11 @@ func (st *execState) exec(c Cmd) error {
 			return fmt.Errorf("optimize_registers must follow compile or compile_ultra")
 		}
 		d := st.design
-		moves := Retime(d.NL, d.WL, d.Cons, 4000)
+		moves := 0
+		// A combinational loop leaves nothing to time: no moves, as in Compile.
+		if tm, err := d.Timing(); err == nil {
+			moves = RetimeWith(tm, 4000)
+		}
 		Sweep(d.NL)
 		st.logf("optimize_registers: %d register moves", moves)
 
@@ -394,7 +398,9 @@ func (st *execState) exec(c Cmd) error {
 			limit = 12
 		}
 		n := BufferHighFanout(d.NL, limit)
-		SizeForTiming(d.NL, d.WL, d.Cons, 0, 6)
+		if tm, err := d.Timing(); err == nil {
+			SizeForTimingWith(tm, SizeOptions{MaxIters: 6, MinGain: 1e-5})
+		}
 		st.logf("balance_buffers: %d buffers inserted", n)
 
 	case "report_timing":
