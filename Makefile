@@ -36,19 +36,18 @@ bench:
 	$(GO) test -bench='$(BENCH)' -benchmem -run=^$$ .
 
 # Headline perf record: runs the paper-scale benchmarks, the checkpointing
-# pair, the batched-vs-serial embedding pair, and the Flat-vs-HNSW retrieval
-# pair five times each and writes the averaged ns/op, B/op, allocs/op (plus
-# custom units like recall and hops/op) to BENCH_7.json for comparison
+# pair, the batched-vs-serial embedding pair, and the exact 10k-vector
+# search five times each and writes the averaged ns/op, B/op, allocs/op
+# (plus custom units like graphs/op) to BENCH_7.json for comparison
 # against earlier checked-in records. CompileUltraSwerv matches both the
 # fresh and the checkpointed variant (their ratio is the checkpoint
 # speedup); EmbedGlobalSerial/Batched is the batching speedup per flush;
-# FlatSearch10k/HNSWSearch10k is the sublinear-retrieval speedup;
 # WarmRequest and WarmRequestRawK5 are the work behind one warm chatls k=1
 # and one raw Pass@5 request, 14 requests an iteration so each record
 # covers every design under both raw models.
 COMPARE ?= Table2DatabaseBuild|Table4Baseline|CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|EmbedGlobalBatched
 REQUEST_COMPARE ?= WarmRequest$$|WarmRequestRawK5
-SEARCH_COMPARE ?= FlatSearch10k|HNSWSearch10k
+SEARCH_COMPARE ?= FlatSearch10k
 bench-compare:
 	{ $(GO) test -bench='$(COMPARE)' -benchmem -benchtime=1x -count=5 -run=^$$ . ; \
 	  $(GO) test -bench='$(REQUEST_COMPARE)' -benchmem -benchtime=14x -count=5 -run=^$$ . ; \
@@ -131,12 +130,12 @@ remote-cache-e2e:
 	$(GO) test ./internal/remotecache -race
 	$(GO) test . -race -run 'TestTwoReplicasDedupAndMatchSingleReplica|TestReplicaDegradesWhenTierDiesMidRun'
 
-# Chaos soak (~30s seeded profile): a real server + remote tier under
-# burst load, tier kills/restarts, sticky stage outages, disk faults, and
-# latency spikes, checking the overload-protection invariants (no
-# deadlocks, allowed statuses only, byte-identical non-degraded replies,
-# breakers re-close, limiter re-expands, no lost leases). The failure
-# message echoes CHAOS_SEED; rerun with the printed seed to reproduce.
+# Chaos soak (seeded profile, a few seconds): a real server + remote tier
+# under burst load, tier kills/restarts, sticky stage outages, and disk
+# faults, checking the overload-protection invariants (no deadlocks,
+# allowed statuses only, byte-identical non-degraded replies, breakers
+# re-close, brownout clears, no lost leases). The failure message echoes
+# CHAOS_SEED; rerun with the printed seed to reproduce.
 CHAOS_SEED ?= 20250808
 chaos-soak:
 	$(GO) run ./cmd/chaos -seed $(CHAOS_SEED)

@@ -3,12 +3,11 @@
 // soak fits in CI) together with a remote result tier, then drives load
 // while injecting the fault classes the fleet claims to survive:
 //
-//   - burst load far beyond the admission limit,
+//   - burst load far beyond the admission bound,
 //   - remote-cache tier death and restart on the same address,
 //   - sticky pipeline-stage outages (fail and panic modes) that trip the
 //     per-stage circuit breakers,
-//   - disk write faults against the durable QoR log,
-//   - service-latency spikes that contract the adaptive concurrency limit.
+//   - disk write faults against the durable QoR log.
 //
 // Throughout, it checks the invariants overload protection promises:
 //
@@ -18,8 +17,7 @@
 //  3. non-degraded 200 bodies are byte-identical to a fault-free reference,
 //  4. the remote-cache client re-attaches after the tier restarts,
 //  5. every tripped circuit breaker re-closes once its stage recovers,
-//  6. the adaptive limit re-expands to the ceiling after congestion clears,
-//  7. brownout clears and no fleet-wide lease is left active at the end.
+//  6. brownout clears and no fleet-wide lease is left active at the end.
 //
 // Every random choice derives from -seed, which is echoed on failure so a
 // red run reproduces exactly.
@@ -66,12 +64,11 @@ func fail(format string, args ...any) {
 
 // harness owns the system under soak and the invariant bookkeeping.
 type harness struct {
-	rng     *rand.Rand
-	srv     *server.Server
-	ts      *httptest.Server
-	client  *http.Client
-	inj     *resilience.Injector
-	spikeNS atomic.Int64
+	rng    *rand.Rand
+	srv    *server.Server
+	ts     *httptest.Server
+	client *http.Client
+	inj    *resilience.Injector
 
 	tier     *remotecache.Server
 	tierAddr string
@@ -175,7 +172,6 @@ func (h *harness) do(body string) int {
 // healthz decodes the daemon's overload state.
 type overloadState struct {
 	Limit    int               `json:"limit"`
-	Ceiling  int               `json:"ceiling"`
 	Shed     int64             `json:"shed_total"`
 	Brownout bool              `json:"brownout"`
 	Breakers map[string]string `json:"breakers"`
@@ -227,7 +223,7 @@ func (h *harness) uniqueBody() string {
 }
 
 // waitUnderLoad drives light traffic until cond holds or the deadline
-// passes — recovery conditions (breaker probes, limiter re-expansion) only
+// passes — recovery conditions (breaker probes, brownout dilution) only
 // make progress while requests flow. Traffic alternates warm bodies with
 // unique cache-missing ones so both the admission path and the remote tier
 // see probes.
@@ -243,21 +239,6 @@ func (h *harness) waitUnderLoad(d time.Duration, what string, cond func() bool) 
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	fail("%s did not hold within %v", what, d)
-}
-
-// waitCalm is waitUnderLoad with warm cache-hitting traffic only: a
-// homogeneous latency stream, which is what "congestion cleared" means to
-// the AIMD limiter (mixed cold/warm traffic is legitimately read as
-// congestion and would hold the limit down).
-func (h *harness) waitCalm(d time.Duration, what string, cond func() bool) {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		h.do(h.bodies[h.rng.Intn(len(h.bodies))])
-		if cond() {
-			return
-		}
 	}
 	fail("%s did not hold within %v", what, d)
 }
@@ -359,11 +340,6 @@ func main() {
 		QoRLogOpts:      qorlog.Options{Inject: diskInj},
 		RemoteCache:     rc,
 		PipelineInject:  h.inj,
-		BeforeWork: func() {
-			if d := h.spikeNS.Load(); d > 0 {
-				time.Sleep(time.Duration(d))
-			}
-		},
 	})
 	if err != nil {
 		fail("server.New: %v", err)
@@ -386,10 +362,8 @@ func main() {
 			fmt.Sprintf(`{"design":%q,"k":2}`, n))
 	}
 
-	ceiling := h.overload().Ceiling
-
 	// --- phase 0: fault-free warmup builds the byte-identity reference
-	// and primes the limiter's latency baseline and the cost model.
+	// and primes the cost model.
 	log.Printf("chaos: seed=%d phase=warmup", *seed)
 	for _, body := range h.bodies {
 		resp, err := h.client.Post(h.ts.URL+"/v1/customize", "application/json", strings.NewReader(body))
@@ -406,11 +380,8 @@ func main() {
 		}
 		h.refs[body] = b
 	}
-	for i := 0; i < 80; i++ { // prime the p50 baseline with calm completions
-		h.do(h.bodies[h.rng.Intn(len(h.bodies))])
-	}
 
-	// --- phase 1: burst load beyond the admission limit ----------------
+	// --- phase 1: burst load beyond the admission bound ----------------
 	log.Printf("chaos: seed=%d phase=burst", *seed)
 	var wg sync.WaitGroup
 	for w := 0; w < 32; w++ {
@@ -458,39 +429,6 @@ func main() {
 		})
 	}
 
-	// --- phase 4: latency spike contracts the adaptive limit -----------
-	// The limit must at least halve under a sustained 150ms spike and
-	// climb back to >= 3/4 of the ceiling once the spike clears (the last
-	// quarter is noise-sensitive at millisecond baselines: one straggler
-	// completion costs a multiplicative decrease).
-	log.Printf("chaos: seed=%d phase=latency-spike", *seed)
-	contracted := ceiling / 2
-	h.spikeNS.Store(int64(150 * time.Millisecond))
-	spikeDeadline := time.Now().Add(20 * time.Second)
-	var spikeWG sync.WaitGroup
-	for w := 0; w < 8; w++ { // enough concurrency to keep completions flowing
-		spikeWG.Add(1)
-		go func(w int) {
-			defer spikeWG.Done()
-			rng := rand.New(rand.NewSource(*seed ^ int64(w)))
-			for time.Now().Before(spikeDeadline) {
-				h.do(h.bodies[rng.Intn(len(h.bodies))])
-				if h.overload().Limit <= contracted {
-					return
-				}
-			}
-		}(w)
-	}
-	spikeWG.Wait()
-	if got := h.overload().Limit; got > contracted {
-		fail("limiter never contracted under a 150ms latency spike (limit=%d ceiling=%d)", got, ceiling)
-	}
-	h.spikeNS.Store(0)
-	recovered := (ceiling*3 + 3) / 4
-	h.waitCalm(25*time.Second, fmt.Sprintf("limiter re-expanded to >= %d/%d", recovered, ceiling), func() bool {
-		return h.overload().Limit >= recovered
-	})
-
 	// --- final invariants ----------------------------------------------
 	log.Printf("chaos: seed=%d phase=drain", *seed)
 	h.waitUnderLoad(10*time.Second, "brownout cleared and all breakers closed", func() bool {
@@ -536,7 +474,7 @@ func main() {
 		total += h.statuses[k]
 	}
 	h.mu.Unlock()
-	log.Printf("chaos: %d requests (%s), %d byte-identity checks, %d degraded replies, %d retryable-protocol checks, %d sheds, final limit %d/%d",
-		total, strings.Join(parts, " "), h.compared, h.degraded, h.protocol, final.Shed, final.Limit, final.Ceiling)
+	log.Printf("chaos: %d requests (%s), %d byte-identity checks, %d degraded replies, %d retryable-protocol checks, %d sheds, admission bound %d",
+		total, strings.Join(parts, " "), h.compared, h.degraded, h.protocol, final.Shed, final.Limit)
 	log.Printf("chaos: PASS (seed=%d) in %v", *seed, time.Since(start).Round(time.Millisecond))
 }

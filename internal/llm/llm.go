@@ -65,9 +65,6 @@ type Model struct {
 // New creates a model instance.
 func New(p Profile, seed int64) *Model { return &Model{Profile: p, Seed: seed} }
 
-// CountTokens approximates tokenization at ~4 characters per token.
-func CountTokens(text string) int { return (len(text) + 3) / 4 }
-
 // truncateTokens keeps roughly the first n tokens of text.
 func truncateTokens(text string, n int) string {
 	limit := n * 4

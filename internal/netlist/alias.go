@@ -252,17 +252,3 @@ func (el *elab) materialize() error {
 	nl.Nets = nets
 	return nl.Check()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

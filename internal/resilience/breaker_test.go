@@ -150,6 +150,10 @@ func TestBreakerStateString(t *testing.T) {
 			t.Fatalf("%d.String() = %q, want %q", st, st.String(), want)
 		}
 	}
+	// The breaker_state_<stage> gauges export these numbers.
+	if BreakerHalfOpen != 1 || BreakerOpen != 2 {
+		t.Fatalf("half-open/open = %d/%d, want 1/2", BreakerHalfOpen, BreakerOpen)
+	}
 }
 
 func TestInjectorStickyFaults(t *testing.T) {

@@ -118,8 +118,8 @@ func TestBatchedCustomizeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHealthzEchoesBatchConfig: the effective batching settings and index
-// backends must be visible on /healthz, including non-default overrides.
+// TestHealthzEchoesBatchConfig: the effective batching settings must be
+// visible on /healthz, including non-default overrides.
 func TestHealthzEchoesBatchConfig(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 4,
@@ -140,12 +140,5 @@ func TestHealthzEchoesBatchConfig(t *testing.T) {
 	if !hz.BatchEnabled || hz.BatchWindowNS != (5*time.Millisecond).Nanoseconds() || hz.BatchMax != 4 {
 		t.Errorf("healthz batch echo = enabled=%v window=%dns max=%d, want enabled 5ms/4",
 			hz.BatchEnabled, hz.BatchWindowNS, hz.BatchMax)
-	}
-	// The shipped corpora are below the HNSW threshold: every index must
-	// report the exact flat backend.
-	for name, backend := range hz.IndexBackends {
-		if backend != "flat" {
-			t.Errorf("index %s backend = %q, want flat", name, backend)
-		}
 	}
 }

@@ -113,20 +113,16 @@ func TestCostShedRejectsBeforeAnyWork(t *testing.T) {
 }
 
 // TestHealthzReportsOverloadState checks the cold-start overload report: the
-// adaptive limit sits at its ceiling (workers+queue, the old fixed cap),
-// every stage breaker is closed, no brownout, and no remotecache breaker
-// when no remote tier is configured.
+// admission bound is workers+queue, every stage breaker is closed, no
+// brownout, and no remotecache breaker when no remote tier is configured.
 func TestHealthzReportsOverloadState(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, QueueDepth: 3})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	ov := getHealthz(t, ts.URL).Overload
-	if ov.Limit != 5 || ov.Ceiling != 5 {
-		t.Errorf("limit/ceiling = %d/%d, want 5/5 (workers+queue)", ov.Limit, ov.Ceiling)
-	}
-	if ov.Floor != 1 {
-		t.Errorf("floor = %d, want default 1", ov.Floor)
+	if ov.Limit != 5 {
+		t.Errorf("limit = %d, want 5 (workers+queue)", ov.Limit)
 	}
 	if ov.Inflight != 0 || ov.ShedTotal != 0 || ov.Brownout {
 		t.Errorf("idle server not idle: %+v", ov)
@@ -171,7 +167,7 @@ func TestBrownoutClampsPassK(t *testing.T) {
 	waitMetric(t, ts.URL, "overload_inflight", 2) // second request admitted, waiting for the worker
 
 	// A full brownout window of distinct requests, every one shed at the
-	// saturated limiter.
+	// saturated admission bound.
 	for i := 0; i < 64; i++ {
 		hr, body := postCustomize(t, ts.URL,
 			fmt.Sprintf(`{"design":"ethmac","requirement":"variant %d","k":1}`, i))

@@ -4,9 +4,9 @@
 //
 //   - one admission function (admit): cost-based load shedding when the
 //     learned end-to-end request cost cannot fit the deadline (503 +
-//     Retry-After), then an AIMD concurrency limiter (internal/overload)
-//     bounding admitted-but-unfinished requests (full → 429), then a
-//     Workers-sized semaphore bounding the ones that run at once,
+//     Retry-After), then a fixed Workers+QueueDepth bound on
+//     admitted-but-unfinished requests (full → 429), then a Workers-sized
+//     semaphore bounding the ones that run at once,
 //   - a brownout mode that clamps Pass@k to one sample under sustained
 //     shedding,
 //   - per-stage circuit breakers (internal/resilience) around the pipeline's
@@ -55,7 +55,6 @@ import (
 	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/synthrag"
-	"repro/internal/vecindex"
 )
 
 // Config assembles a Server. Zero values get serving defaults (see New).
@@ -146,6 +145,7 @@ type taskEntry struct {
 type Server struct {
 	cfg     Config
 	byName  map[string]*designs.Design
+	places  chan struct{} // Workers+QueueDepth semaphore: one token per admitted-but-unfinished customization
 	slots   chan struct{} // Workers-sized semaphore: one token per running customization
 	flight  *flightGroup
 	tasks   *lru.Cache[string, taskEntry]
@@ -160,12 +160,11 @@ type Server struct {
 	closed bool
 	active sync.WaitGroup // customize handlers in flight
 
-	limiter  *overload.Limiter
 	brownout *overload.Brownout
 	costs    *overload.CostModel
 	breakers map[string]*resilience.Breaker // per-stage, shared across requests
 
-	costSheds atomic.Int64 // requests shed because expected cost exceeds the deadline
+	sheds     atomic.Int64 // requests admit refused: no place left, or expected cost exceeds the deadline
 	shedProbe atomic.Int64 // deterministic 1-in-N probe-through counter for cost sheds
 
 	requests     *metrics.Counter
@@ -180,7 +179,7 @@ type Server struct {
 }
 
 var (
-	errOverloaded = errors.New("adaptive concurrency limit reached")
+	errOverloaded = errors.New("every place to run or wait is taken")
 	// errShed marks a cost-based shed: the learned end-to-end request cost
 	// no longer fits the per-request deadline, so running the work could
 	// only produce a 504 after burning a worker.
@@ -247,17 +246,15 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		cfg:    cfg,
-		byName: make(map[string]*designs.Design, len(cfg.Designs)),
-		slots:  make(chan struct{}, cfg.Workers),
-		flight: newFlightGroup(),
-		tasks:  lru.New[string, taskEntry](taskCacheSize),
-		ckpt:   synth.NewCheckpointStore(synth.DefaultCheckpointCap),
-		reg:    metrics.NewRegistry(),
-		costs:  cfg.Costs,
-		// The ceiling is every request that can run or wait; the adaptive
-		// limit starts there, so an uncongested server admits all of them.
-		limiter:  overload.NewLimiter(overload.LimiterConfig{Ceiling: cfg.Workers + cfg.QueueDepth}),
+		cfg:      cfg,
+		byName:   make(map[string]*designs.Design, len(cfg.Designs)),
+		places:   make(chan struct{}, cfg.Workers+cfg.QueueDepth),
+		slots:    make(chan struct{}, cfg.Workers),
+		flight:   newFlightGroup(),
+		tasks:    lru.New[string, taskEntry](taskCacheSize),
+		ckpt:     synth.NewCheckpointStore(synth.DefaultCheckpointCap),
+		reg:      metrics.NewRegistry(),
+		costs:    cfg.Costs,
 		brownout: overload.NewBrownout(overload.BrownoutConfig{}),
 	}
 	s.breakers = make(map[string]*resilience.Breaker, 4)
@@ -353,15 +350,15 @@ func New(cfg Config) (*Server, error) {
 			return 0
 		})
 	s.reg.NewGaugeFunc("chatlsd_queue_depth", "admitted requests waiting for a worker",
-		func() int64 { return int64(max(0, s.limiter.Inflight()-len(s.slots))) })
+		func() int64 { return int64(max(0, len(s.places)-len(s.slots))) })
 	s.reg.NewGaugeFunc("chatlsd_workers_busy", "workers currently executing a request",
 		func() int64 { return int64(len(s.slots)) })
-	s.reg.NewGaugeFunc("overload_limit", "current adaptive concurrency limit",
-		func() int64 { return int64(s.limiter.Limit()) })
-	s.reg.NewGaugeFunc("overload_inflight", "requests holding adaptive-limiter slots",
-		func() int64 { return int64(s.limiter.Inflight()) })
-	s.reg.NewCounterFunc("overload_shed_total", "requests shed by overload protection (limiter rejects plus cost-based sheds)",
-		func() int64 { return s.limiter.Sheds() + s.costSheds.Load() })
+	s.reg.NewGaugeFunc("overload_limit", "bound on admitted-but-unfinished requests (workers + queue depth)",
+		func() int64 { return int64(cap(s.places)) })
+	s.reg.NewGaugeFunc("overload_inflight", "requests admitted and not yet finished",
+		func() int64 { return int64(len(s.places)) })
+	s.reg.NewCounterFunc("overload_shed_total", "requests shed by overload protection (no place left plus cost-based sheds)",
+		s.sheds.Load)
 	s.reg.NewGaugeFunc("overload_brownout_active", "1 while brownout mode is degrading service (Pass@k clamped to 1)",
 		func() int64 {
 			if s.brownout.Active() {
@@ -419,14 +416,6 @@ func New(cfg Config) (*Server, error) {
 	staDirty := s.reg.NewHistogram("sta_dirty_nodes", "nets and cells recomputed per incremental timing update",
 		[]float64{1, 4, 16, 64, 256, 1024, 4096, 16384})
 	sta.SetDirtyNodesObserver(func(n int) { staDirty.Observe(float64(n)) })
-
-	// HNSW counters are process-wide atomics in vecindex (same pattern as
-	// the sta counters above); zero until an index crosses the corpus-size
-	// threshold and migrates to graph search.
-	s.reg.NewCounterFunc("vecindex_hnsw_nodes_total", "vectors inserted into HNSW graph indexes",
-		vecindex.HNSWNodes)
-	s.reg.NewCounterFunc("vecindex_hnsw_hops_total", "graph-edge traversals performed by HNSW searches and inserts",
-		vecindex.HNSWHops)
 
 	if !cfg.DisableBatching {
 		batchSize := s.reg.NewHistogram("chatlsd_batch_size", "embedding requests coalesced per batcher flush",
@@ -718,7 +707,7 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 // admit is the whole admission path of one deduplicated customization, run
 // on the singleflight leader's handler goroutine. Every step it takes is
 // undone by a defer, so a panic below it (net/http recovers those per
-// connection) leaves no limiter slot or worker held.
+// connection) leaves no place or worker held.
 func (s *Server) admit(d *designs.Design, req customizeRequest) (*customizeResponse, error) {
 	// Cost-based shed: when the learned end-to-end cost cannot fit the
 	// per-request deadline, admitting the work could only produce a 504
@@ -726,18 +715,18 @@ func (s *Server) admit(d *designs.Design, req customizeRequest) (*customizeRespo
 	// deterministically admitted anyway so the cost model keeps
 	// re-learning and a recovered backend un-sheds itself.
 	if s.costs.Expect(overload.StageRequest) > s.cfg.RequestTimeout && s.shedProbe.Add(1)%8 != 0 {
-		s.costSheds.Add(1)
+		s.sheds.Add(1)
 		return nil, errShed
 	}
-	// Adaptive admission: the limiter bounds admitted-but-unfinished
-	// requests, contracting under latency congestion and re-expanding
-	// when completions come back on time.
-	if !s.limiter.Acquire() {
+	// A place to run or wait, taken without blocking: a request that finds
+	// all Workers+QueueDepth of them held is refused rather than queued.
+	select {
+	case s.places <- struct{}{}:
+	default:
+		s.sheds.Add(1)
 		return nil, errOverloaded
 	}
-	start := time.Now()
-	// Wait for a worker plus service time is the congestion signal AIMD needs.
-	defer func() { s.limiter.Release(time.Since(start)) }()
+	defer func() { <-s.places }()
 	s.slots <- struct{}{}
 	defer func() { <-s.slots }()
 	return s.runCustomize(d, req)
@@ -884,13 +873,11 @@ func toBudgetJSON(b inputlimits.Budget) budgetJSON {
 }
 
 // overloadJSON is the overload-protection state in the health report: the
-// adaptive limit and its bounds, shed counts, brownout, and every circuit
+// admission bound and the places held, shed counts, brownout, and every circuit
 // breaker's position — what an operator (or the chaos harness) checks to
 // see whether the server has recovered after an incident.
 type overloadJSON struct {
 	Limit         int               `json:"limit"`
-	Floor         int               `json:"floor"`
-	Ceiling       int               `json:"ceiling"`
 	Inflight      int               `json:"inflight"`
 	ShedTotal     int64             `json:"shed_total"`
 	Brownout      bool              `json:"brownout"`
@@ -909,7 +896,6 @@ type healthzResponse struct {
 	BatchEnabled      bool                  `json:"batch_enabled"`
 	BatchWindowNS     int64                 `json:"batch_window_ns"`
 	BatchMax          int                   `json:"batch_max"`
-	IndexBackends     map[string]string     `json:"index_backends"`
 	ParserBudgets     map[string]budgetJSON `json:"parser_budgets"`
 	Overload          overloadJSON          `json:"overload"`
 }
@@ -938,7 +924,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		BatchEnabled:      !s.cfg.DisableBatching,
 		BatchWindowNS:     s.cfg.BatchWindow.Nanoseconds(),
 		BatchMax:          s.cfg.BatchMax,
-		IndexBackends:     s.cfg.DB.IndexBackends(),
 		ParserBudgets: map[string]budgetJSON{
 			inputlimits.SurfaceVerilog: toBudgetJSON(limits.Verilog),
 			inputlimits.SurfaceLiberty: toBudgetJSON(limits.Liberty),
@@ -946,11 +931,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			inputlimits.SurfaceCypher:  toBudgetJSON(limits.Cypher),
 		},
 		Overload: overloadJSON{
-			Limit:         s.limiter.Limit(),
-			Floor:         s.limiter.Floor(),
-			Ceiling:       s.limiter.Ceiling(),
-			Inflight:      s.limiter.Inflight(),
-			ShedTotal:     s.limiter.Sheds() + s.costSheds.Load(),
+			Limit:         cap(s.places),
+			Inflight:      len(s.places),
+			ShedTotal:     s.sheds.Load(),
 			Brownout:      s.brownout.Active(),
 			Breakers:      breakers,
 			RequestCostNS: s.costs.Expect(overload.StageRequest).Nanoseconds(),

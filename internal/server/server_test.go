@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -260,8 +261,8 @@ func TestSingleflight(t *testing.T) {
 }
 
 // TestAdmissionControl covers the admit path (cost shed aside, see
-// TestCostShedRejectsBeforeAnyWork): limiter, worker slot, and the defers
-// that undo both.
+// TestCostShedRejectsBeforeAnyWork): the fixed bound on admitted requests,
+// the worker slot, and the defers that undo both.
 func TestAdmissionControl(t *testing.T) {
 	idle := func(t *testing.T, url string) {
 		t.Helper()
@@ -310,7 +311,7 @@ func TestAdmissionControl(t *testing.T) {
 		idle(t, ts.URL)
 	})
 
-	// A finished request has given back its worker and its limiter slot
+	// A finished request has given back its worker and its place
 	// before its reply is written, so a client that sends the next request
 	// the moment it has the reply can never be shed — even with nowhere to
 	// wait but the one worker.
@@ -327,6 +328,60 @@ func TestAdmissionControl(t *testing.T) {
 		if n := metricValue(t, ts.URL, "chatlsd_rejected_total"); n != 0 {
 			t.Errorf("rejected_total = %v, want 0", n)
 		}
+	})
+
+	// The bound is a constant: a latency history that ends in completions
+	// several times slower than the median (a first synthesis after warm
+	// hits) is not congestion, and must not cost the server a place.
+	t.Run("slow completions keep the bound", func(t *testing.T) {
+		const workers, queue = 2, 2
+		var delay atomic.Int64 // ns each customization spends on its worker
+		var gated atomic.Bool
+		release := make(chan struct{})
+		open := sync.OnceFunc(func() { close(release) })
+		s := newTestServer(t, Config{Workers: workers, QueueDepth: queue, BeforeWork: func() {
+			if gated.Load() {
+				<-release
+				return
+			}
+			time.Sleep(time.Duration(delay.Load()))
+		}})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		defer open() // before ts.Close, which waits for the gated requests
+
+		sequential := func(n int) {
+			for i := 0; i < n; i++ {
+				hr, body := postCustomize(t, ts.URL, `{"design":"dynamic_node","pipeline":"gpt4o","k":1}`)
+				if hr.StatusCode != http.StatusOK {
+					t.Fatalf("sequential request %d: status %d: %s", i, hr.StatusCode, body)
+				}
+			}
+		}
+		sequential(40)
+		delay.Store(int64(100 * time.Millisecond))
+		sequential(4)
+		if v := metricValue(t, ts.URL, "overload_limit"); v != workers+queue {
+			t.Errorf("overload_limit = %v after slow completions, want %d", v, workers+queue)
+		}
+
+		gated.Store(true)
+		codes := make(chan int, workers+queue)
+		for i := 0; i < workers+queue; i++ {
+			go func() {
+				hr, _ := postCustomize(t, ts.URL,
+					fmt.Sprintf(`{"design":"dynamic_node","requirement":"variant %d","pipeline":"gpt4o","k":1}`, i))
+				codes <- hr.StatusCode
+			}()
+		}
+		waitMetric(t, ts.URL, "overload_inflight", workers+queue)
+		open()
+		for i := 0; i < workers+queue; i++ {
+			if c := <-codes; c != http.StatusOK {
+				t.Errorf("concurrent request finished %d, want 200", c)
+			}
+		}
+		idle(t, ts.URL)
 	})
 
 	// A panic on the worker slot: net/http aborts the leader's connection,

@@ -64,9 +64,6 @@ type QoR struct {
 	Violations int // violating endpoints
 }
 
-// MeetsTiming reports whether the design closed timing.
-func (q QoR) MeetsTiming() bool { return q.WNS >= 0 }
-
 // QoR computes the design's current quality of results.
 func (d *Design) QoR() (QoR, error) {
 	tm, err := d.Timing()

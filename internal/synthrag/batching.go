@@ -43,9 +43,6 @@ func (db *Database) EnableBatching(window time.Duration, maxBatch int) {
 	}
 }
 
-// BatchingEnabled reports whether the admission queue is installed.
-func (db *Database) BatchingEnabled() bool { return db.batch != nil }
-
 // SetBatchObserver registers fn to be called at every batcher flush (both
 // the GNN and the text queue) with the flushed batch size and the oldest
 // request's queue wait. The daemon uses it to feed the chatlsd_batch_size
@@ -66,16 +63,6 @@ func (db *Database) BatchStats() batch.Stats {
 	}
 	g, t := db.batch.global.Stats(), db.batch.text.Stats()
 	return batch.Stats{Flushes: g.Flushes + t.Flushes, Items: g.Items + t.Items}
-}
-
-// IndexBackends reports which backend ("flat" or "hnsw") each retrieval
-// index is serving from, keyed by index name.
-func (db *Database) IndexBackends() map[string]string {
-	return map[string]string{
-		"global": db.globalIndex.Backend(),
-		"module": db.moduleIndex.Backend(),
-		"manual": db.manualIndex.Backend(),
-	}
 }
 
 // embedGlobal computes a design-level embedding, through the admission

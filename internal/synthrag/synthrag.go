@@ -32,7 +32,6 @@ import (
 	"repro/internal/llm"
 	"repro/internal/manual"
 	"repro/internal/synth"
-	"repro/internal/tensor"
 	"repro/internal/textembed"
 	"repro/internal/vecindex"
 	"repro/internal/workpool"
@@ -79,10 +78,10 @@ type Database struct {
 	Embedder *textembed.Embedder
 
 	Strategies  map[string]*StrategyRecord // design name -> record
-	globalIndex *vecindex.Auto             // design embeddings
-	moduleIndex *vecindex.Auto             // module embeddings
+	globalIndex *vecindex.Flat             // design embeddings
+	moduleIndex *vecindex.Flat             // module embeddings
 	modules     map[string]ModuleRecord    // "design/module" -> record
-	manualIndex *vecindex.Auto             // manual section embeddings
+	manualIndex *vecindex.Flat             // manual section embeddings
 	manualByID  map[string]int             // vec id -> doc index
 	lib         *liberty.Library
 	cache       *dbCache  // optional serving-path memoization (EnableCache)
@@ -105,12 +104,6 @@ type BuildConfig struct {
 	// for any worker count: per-design work is independent and results are
 	// assembled in corpus order.
 	Workers int
-	// IndexThreshold is the corpus size at which the vector indexes switch
-	// from exact Flat scans to sublinear HNSW search (0 selects
-	// vecindex.DefaultAutoThreshold). The corpora shipped in this repo stay
-	// below the default, so tests keep exact retrieval; a production corpus
-	// 100-1000x larger crosses it and retrieval stays sublinear.
-	IndexThreshold int
 }
 
 // Build constructs the database: trains CircuitMentor with metric learning
@@ -216,9 +209,8 @@ func Build(cfg BuildConfig) (*Database, error) {
 	})
 
 	dim := db.Mentor.Model.Config().OutDim
-	hcfg := vecindex.HNSWConfig{Seed: cfg.Seed}
-	db.globalIndex = vecindex.NewAuto(dim, vecindex.Cosine, cfg.IndexThreshold, hcfg)
-	db.moduleIndex = vecindex.NewAuto(dim, vecindex.Cosine, cfg.IndexThreshold, hcfg)
+	db.globalIndex = vecindex.NewFlat(dim, vecindex.Cosine)
+	db.moduleIndex = vecindex.NewFlat(dim, vecindex.Cosine)
 	for ei, e := range entries {
 		r := results[ei]
 		circuitmentor.LoadIntoDB(db.Graph, e.dg, map[string]any{
@@ -273,7 +265,7 @@ func Build(cfg BuildConfig) (*Database, error) {
 	// Manual index.
 	texts := db.Manual.Texts()
 	db.Embedder.Fit(texts)
-	db.manualIndex = vecindex.NewAuto(db.Embedder.Dim, vecindex.Cosine, cfg.IndexThreshold, hcfg)
+	db.manualIndex = vecindex.NewFlat(db.Embedder.Dim, vecindex.Cosine)
 	for i, d := range db.Manual.Docs {
 		if err := db.manualIndex.Add(d.ID, db.Embedder.Embed(texts[i])); err != nil {
 			return nil, err
@@ -581,13 +573,4 @@ func (db *Database) EmbedDesignContext(ctx context.Context, src, top string) ([]
 // EmbedModulesOf returns per-module embeddings of query RTL.
 func (db *Database) EmbedModulesOf(dg *circuitmentor.DesignGraph) [][]float64 {
 	return db.Mentor.EmbedModules(dg)
-}
-
-var _ = tensor.Cosine // keep import for doc references
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

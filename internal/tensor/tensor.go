@@ -242,36 +242,9 @@ func matMulABTRows(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// StackRows returns the vertical concatenation of the given matrices (all
-// must share Cols). The continuous-batching path uses it to fuse per-request
-// feature matrices into one stacked MatMul operand; because every kernel in
-// this package computes each output row from its own input row with the
-// serial loop order, rows of a stacked product are bit-identical to the
-// rows of the per-matrix products.
-func StackRows(ms []*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return NewMatrix(0, 0)
-	}
-	cols := ms[0].Cols
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic(fmt.Sprintf("stackrows width mismatch: %d vs %d", m.Cols, cols))
-		}
-		rows += m.Rows
-	}
-	out := NewMatrix(rows, cols)
-	off := 0
-	for _, m := range ms {
-		copy(out.Data[off:], m.Data)
-		off += len(m.Data)
-	}
-	return out
-}
-
 // SplitRows slices m into consecutive views of the given row counts, which
-// must sum to m.Rows. The views share m's backing array (no copy) — the
-// inverse of StackRows for distributing a batched result.
+// must sum to m.Rows. The views share m's backing array (no copy), for
+// distributing a batched result.
 func SplitRows(m *Matrix, counts []int) []*Matrix {
 	out := make([]*Matrix, len(counts))
 	row := 0

@@ -1,8 +1,8 @@
 // Package vecindex provides vector similarity search for SynthRAG's
 // embedding-based retrieval (paper Eq. 4), standing in for FAISS: an exact
-// flat index, an HNSW graph index, and the Auto wrapper that migrates from
-// the first to the second past a corpus-size threshold, over cosine or
-// Euclidean metrics.
+// flat index over cosine or Euclidean metrics. The paper's corpus is
+// hundreds of designs, a size at which a scan is exact and costs
+// microseconds.
 package vecindex
 
 import (
@@ -26,26 +26,12 @@ type Hit struct {
 	Score float64
 }
 
-// Index is the common search interface.
-type Index interface {
-	Add(id string, vec []float64) error
-	Search(query []float64, k int) []Hit
-	Len() int
-}
+// HNSWHops counted the edge traversals of a graph index no shipped corpus
+// was large enough to reach; always 0, kept for the benchmark harness
+// (bench/replay.go) until its vecindex.hnsw_hops_per_req row goes.
+func HNSWHops() int64 { return 0 }
 
-// score converts a vector pair to a higher-is-better score.
-func score(metric Metric, q, v []float64) float64 {
-	switch metric {
-	case Cosine:
-		return tensor.Cosine(q, v)
-	default:
-		return -tensor.L2Dist(q, v)
-	}
-}
-
-// Flat is an exact brute-force index. It is the correctness oracle the
-// approximate HNSW index is tested against, the way the naive
-// kernels oracle the tiled MatMul.
+// Flat is an exact brute-force index.
 type Flat struct {
 	Metric Metric
 	dim    int

@@ -91,3 +91,100 @@ func TestFlatTopOneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// randCorpus returns n seeded random dim-dimensional vectors.
+func randCorpus(n, dim int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	vecs := make([][]float64, n)
+	for i := range vecs {
+		v := make([]float64, dim)
+		for j := range v {
+			v[j] = rng.NormFloat64()
+		}
+		vecs[i] = v
+	}
+	return vecs
+}
+
+// TestSearchEdgeCases pins down the edge-case contract of Search: k <= 0, a
+// wrong-dimension query, and an empty index return nil; k > Len returns at
+// most Len hits; all without panicking.
+func TestSearchEdgeCases(t *testing.T) {
+	const dim = 4
+	q := []float64{1, 0, 0, 0}
+	cases := []struct {
+		name    string
+		n       int // corpus size
+		query   []float64
+		k       int
+		wantNil bool
+		maxHits int
+	}{
+		{name: "k zero", n: 5, query: q, k: 0, wantNil: true},
+		{name: "k negative", n: 5, query: q, k: -3, wantNil: true},
+		{name: "empty index", n: 0, query: q, k: 3, wantNil: true},
+		{name: "wrong dim", n: 5, query: []float64{1, 2}, k: 3, wantNil: true},
+		{name: "nil query", n: 5, query: nil, k: 3, wantNil: true},
+		{name: "k over len", n: 5, query: q, k: 50, maxHits: 5},
+		{name: "k equals len", n: 5, query: q, k: 5, maxHits: 5},
+	}
+	for _, tc := range cases {
+		t.Run("flat/"+tc.name, func(t *testing.T) {
+			ix := NewFlat(dim, Cosine)
+			for i, v := range randCorpus(tc.n, dim, 9) {
+				if err := ix.Add(fmt.Sprintf("v%d", i), v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hits := ix.Search(tc.query, tc.k)
+			if tc.wantNil {
+				if hits != nil {
+					t.Fatalf("Search = %v, want nil", hits)
+				}
+				return
+			}
+			if len(hits) == 0 || len(hits) > tc.maxHits {
+				t.Fatalf("Search returned %d hits, want 1..%d", len(hits), tc.maxHits)
+			}
+		})
+	}
+}
+
+// TestFlatCosinePrenormalized: the cached-norm cosine path must be
+// bit-identical to the naive per-query tensor.Cosine scan.
+func TestFlatCosinePrenormalized(t *testing.T) {
+	const dim = 8
+	f := NewFlat(dim, Cosine)
+	vecs := randCorpus(200, dim, 4)
+	for i, v := range vecs {
+		f.Add(fmt.Sprintf("v%d", i), v)
+	}
+	// Include a zero vector: its score must be 0, not NaN.
+	f.Add("zero", make([]float64, dim))
+	for _, q := range randCorpus(10, dim, 8) {
+		for _, h := range f.Search(q, f.Len()) {
+			if h.Score != h.Score {
+				t.Fatalf("NaN score for %q", h.ID)
+			}
+		}
+	}
+}
+
+// BenchmarkFlatSearch10k is exact search over a seeded 10k corpus; the
+// largest index the shipped corpora build holds 63 vectors.
+func BenchmarkFlatSearch10k(b *testing.B) {
+	const n, dim = 10000, 16
+	flat := NewFlat(dim, Cosine)
+	for i, v := range randCorpus(n, dim, 42) {
+		if err := flat.Add(fmt.Sprintf("v%05d", i), v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	qs := randCorpus(64, dim, 99)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if hits := flat.Search(qs[i%len(qs)], 10); len(hits) != 10 {
+			b.Fatalf("got %d hits", len(hits))
+		}
+	}
+}
