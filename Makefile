@@ -38,10 +38,12 @@ bench:
 # Headline perf record: runs the paper-scale benchmarks, the checkpointing
 # pair, the batched-vs-serial embedding pair, and the exact 10k-vector
 # search five times each and writes the averaged ns/op, B/op, allocs/op
-# (plus custom units like graphs/op) to BENCH_7.json for comparison
+# (plus custom units like graphs/op) to BENCH_8.json for comparison
 # against earlier checked-in records. CompileUltraSwerv matches both the
 # fresh and the checkpointed variant (their ratio is the checkpoint
-# speedup); EmbedGlobalSerial/Batched is the batching speedup per flush;
+# speedup); CheckpointRestore is capture / restore / restore-recycled (a
+# miss, a hit thawed into new storage, a hit thawed over a released
+# workspace); EmbedGlobalSerial/Batched is the batching speedup per flush;
 # WarmRequest and WarmRequestRawK5 are the work behind one warm chatls k=1
 # and one raw Pass@5 request, 14 requests an iteration so each record
 # covers every design under both raw models.
@@ -52,18 +54,19 @@ bench-compare:
 	{ $(GO) test -bench='$(COMPARE)' -benchmem -benchtime=1x -count=5 -run=^$$ . ; \
 	  $(GO) test -bench='$(REQUEST_COMPARE)' -benchmem -benchtime=14x -count=5 -run=^$$ . ; \
 	  $(GO) test -bench='$(SEARCH_COMPARE)' -benchmem -count=5 -run=^$$ ./internal/vecindex ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_7.json
-	@cat BENCH_7.json
+		| $(GO) run ./cmd/benchjson > BENCH_8.json
+	@cat BENCH_8.json
 
 # Allocation-regression gate: reruns the fast benchmarks (the paper-scale
 # Table2/Table4 database builds are excluded to keep this CI-speed) and
-# fails if any benchmark's allocs/op regresses more than 20% against the
-# checked-in BENCH_GATE.json baseline. The baseline is recorded by
+# fails if any benchmark's allocs/op — or B/op, where the baseline is at
+# least 100 kB — regresses more than 20% against the checked-in
+# BENCH_GATE.json baseline. The baseline is recorded by
 # bench-gate-baseline with the *same* benchmark subset and -count as the
 # gate rerun — allocs/op is deterministic only under identical process
 # conditions (which earlier benchmarks warmed the intern table and the
 # scratch pools matters), so the gate must not compare against the
-# full-set BENCH_7.json record. Both run at -cpu 1: the row-sharded tensor
+# full-set BENCH_8.json record. Both run at -cpu 1: the row-sharded tensor
 # kernels fan out over GOMAXPROCS goroutines (tensor.ParallelRows), each a
 # few allocations, so EmbedGlobalSerial reads 36 allocs/op on one CPU, 50
 # on two and 72 on eight — a baseline from one machine failed the gate on

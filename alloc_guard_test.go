@@ -4,12 +4,14 @@ package chatls
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/circuitmentor"
 	"repro/internal/designs"
 	"repro/internal/liberty"
 	"repro/internal/netlist"
+	"repro/internal/synth"
 	"repro/internal/verilog"
 )
 
@@ -64,5 +66,46 @@ func TestAnalysisMemoHitAllocGuard(t *testing.T) {
 	const want = 8
 	if allocs != want {
 		t.Errorf("memoized analysis allocs/op = %v, want %d", allocs, want)
+	}
+}
+
+// TestRecycledRestoreAllocGuard pins what a checkpoint restore costs once a
+// released workspace is parked in the store: script parsing, the session and
+// its Result, the module-slice header — not a copy of the netlist, which is
+// thawed over the previous run's. Counted in bytes, since that is what the
+// copy cost (1.8 MB on aes when every restore cloned); the budget is about
+// three times the measured steady state.
+func TestRecycledRestoreAllocGuard(t *testing.T) {
+	d := designs.AES()
+	lib := liberty.Nangate45()
+	store := synth.NewCheckpointStore(0)
+	link := "read_verilog " + d.FileName + "\ncurrent_design " + d.Top + "\nlink\n"
+	restore := func() {
+		sess := synth.NewSession(lib)
+		sess.Checkpoints = store
+		sess.AddSource(d.FileName, d.Source)
+		res, err := sess.Run(link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+	restore() // captures
+	restore() // allocates the workspace
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		restore()
+	}
+	runtime.ReadMemStats(&after)
+	if st := store.Stats(); st.Allocated != 1 || st.Reused != runs {
+		t.Fatalf("workspaces allocated/reused = %d/%d, want 1/%d", st.Allocated, st.Reused, runs)
+	}
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("recycled link-only restore: %d B/run", perRun)
+	const budget = 64 << 10
+	if perRun > budget {
+		t.Errorf("recycled restore allocates %d B/run, budget %d", perRun, budget)
 	}
 }

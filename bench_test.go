@@ -226,32 +226,64 @@ func BenchmarkCompileUltraSwervCheckpointed(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointRestore isolates the restore path itself: elaborate
-// SweRV once, then measure only the snapshot-clone-and-resume of the link
-// prefix (no compile). Compare against BenchmarkElaborateJPEG-style fresh
-// elaboration to see what a hit saves.
+// BenchmarkCheckpointRestore isolates the checkpoint paths themselves on
+// SweRV's link prefix (no compile): capture is a miss — parse, elaborate,
+// freeze the linked netlist into the store; restore is a hit whose result is
+// never released, so every iteration thaws into new storage (what callers
+// that keep Result.Design pay); restore-recycled releases each result, so
+// the next iteration thaws over it (what the serving path pays).
 func BenchmarkCheckpointRestore(b *testing.B) {
 	d := designs.SweRV()
 	lib := liberty.Nangate45()
 	prefix := "read_verilog " + d.FileName + "\ncurrent_design " + d.Top + "\nlink\n"
-	store := synth.NewCheckpointStore(0)
-	warm := synth.NewSession(lib)
-	warm.Checkpoints = store
-	warm.AddSource(d.FileName, d.Source)
-	if _, err := warm.Run(prefix); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	run := func(b *testing.B, store *synth.CheckpointStore) *synth.Result {
 		sess := synth.NewSession(lib)
 		sess.Checkpoints = store
 		sess.AddSource(d.FileName, d.Source)
-		if _, err := sess.Run(prefix); err != nil {
+		res, err := sess.Run(prefix)
+		if err != nil {
 			b.Fatal(err)
 		}
+		return res
 	}
-	if store.Stats().Hits == 0 {
-		b.Fatal("no checkpoint hits: the store never restored")
+	b.Run("capture", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			store := synth.NewCheckpointStore(0)
+			run(b, store)
+			if store.Len() != 1 {
+				b.Fatal("the link prefix captured no checkpoint")
+			}
+		}
+	})
+	for _, release := range []bool{false, true} {
+		name := "restore"
+		if release {
+			name = "restore-recycled"
+		}
+		b.Run(name, func(b *testing.B) {
+			store := synth.NewCheckpointStore(0)
+			run(b, store)
+			if release {
+				run(b, store).Release() // allocates the workspace
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res := run(b, store)
+				if release {
+					res.Release()
+				}
+			}
+			b.StopTimer()
+			st := store.Stats()
+			if st.Hits == 0 {
+				b.Fatal("no checkpoint hits: the store never restored")
+			}
+			if release && st.Allocated != 1 {
+				b.Fatalf("released restores allocated %d workspaces, want 1", st.Allocated)
+			}
+		})
 	}
 }
 

@@ -10,10 +10,14 @@
 //
 // With -baseline, benchjson additionally gates on allocation regressions:
 // every benchmark present in both the baseline record and the new run is
-// compared on allocs/op, and any regression beyond -threshold percent fails
-// the run (exit 1) with a per-benchmark report on stderr. Allocation counts
-// are deterministic — unlike ns/op they do not wobble with machine load —
-// so the gate is reliable at tight thresholds.
+// compared on allocs/op and — where the baseline allocates at least
+// gateBytesFloor a run — on B/op, and any regression beyond -threshold
+// percent fails the run (exit 1) with a per-benchmark report on stderr.
+// Both are deterministic — unlike ns/op they do not wobble with machine
+// load — so the gate is reliable at tight thresholds. Bytes are gated as
+// well as counts because they move independently: a restore that copies a
+// netlist and one that overwrites the last copy make the same number of
+// allocations, two thirds of the bytes apart.
 //
 //	... | benchjson -baseline BENCH_6.json -threshold 20 > /dev/null
 //
@@ -131,9 +135,15 @@ func summarize(accums map[string]*accum) map[string]Result {
 	return out
 }
 
-// gate compares allocs/op of every benchmark present in both records and
-// returns the violations: current > baseline * (1 + threshold/100). A
-// baseline of zero is a limit of zero, so an allocation-free benchmark is
+// gateBytesFloor is the baseline B/op from which a benchmark's bytes are
+// gated: below it a few incidental allocations (a map growing, a GC-timing
+// dependent buffer) are a large share of the total.
+const gateBytesFloor = 100_000
+
+// gate compares allocs/op — and B/op, for baselines of at least
+// gateBytesFloor — of every benchmark present in both records and returns
+// the violations: current > baseline * (1 + threshold/100). A baseline of
+// zero allocations is a limit of zero, so an allocation-free benchmark is
 // gated on staying that way.
 func gate(baseline, current map[string]Result, thresholdPct float64) []string {
 	var bad []string
@@ -153,6 +163,14 @@ func gate(baseline, current map[string]Result, thresholdPct float64) []string {
 			bad = append(bad, fmt.Sprintf(
 				"%s: allocs/op %.1f exceeds baseline %.1f by more than %.0f%% (limit %.1f)",
 				n, cur.AllocsPerOp, base.AllocsPerOp, thresholdPct, limit))
+		}
+		if base.BPerOp < gateBytesFloor {
+			continue
+		}
+		if limit := base.BPerOp * (1 + thresholdPct/100); cur.BPerOp > limit {
+			bad = append(bad, fmt.Sprintf(
+				"%s: B/op %.0f exceeds baseline %.0f by more than %.0f%% (limit %.0f)",
+				n, cur.BPerOp, base.BPerOp, thresholdPct, limit))
 		}
 	}
 	return bad
@@ -179,8 +197,8 @@ func fail(args ...any) {
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "", "baseline JSON record; fail if allocs/op regresses past -threshold")
-		threshold    = flag.Float64("threshold", 20, "allowed allocs/op regression over baseline, percent")
+		baselinePath = flag.String("baseline", "", "baseline JSON record; fail if allocs/op or B/op regresses past -threshold")
+		threshold    = flag.Float64("threshold", 20, "allowed allocs/op and B/op regression over baseline, percent")
 		drivePattern = flag.String("drive", "", "run `go test -bench` with this pattern instead of reading stdin")
 		pkg          = flag.String("pkg", ".", "package argument for -drive")
 		memprofile   = flag.String("memprofile", "", "with -drive: write the benchmark heap profile here (inspect with go tool pprof)")

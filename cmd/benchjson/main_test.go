@@ -90,3 +90,27 @@ func TestGateZeroBaselineAdmitsNoAllocs(t *testing.T) {
 		t.Errorf("gate flagged %d of 2 regressions: %v", len(bad), bad)
 	}
 }
+
+// TestGateBytesPerOp: bytes are gated independently of the count — the same
+// number of allocations, each three times the size, is a regression — but
+// only from a baseline large enough that incidental allocations are noise.
+func TestGateBytesPerOp(t *testing.T) {
+	baseline := map[string]Result{
+		"BenchmarkRestore": {NsPerOp: 10, BPerOp: 800_000, AllocsPerOp: 3500, Runs: 3},
+		"BenchmarkSmall":   {NsPerOp: 10, BPerOp: 4_000, AllocsPerOp: 10, Runs: 3},
+	}
+	ok := map[string]Result{
+		"BenchmarkRestore": {NsPerOp: 10, BPerOp: 960_000, AllocsPerOp: 3500, Runs: 3},
+		"BenchmarkSmall":   {NsPerOp: 10, BPerOp: 40_000, AllocsPerOp: 10, Runs: 3},
+	}
+	if bad := gate(baseline, ok, 20); len(bad) != 0 {
+		t.Errorf("within-limit run flagged: %v", bad)
+	}
+	regressed := map[string]Result{
+		"BenchmarkRestore": {NsPerOp: 10, BPerOp: 2_400_000, AllocsPerOp: 3500, Runs: 3},
+	}
+	bad := gate(baseline, regressed, 20)
+	if len(bad) != 1 || !strings.Contains(bad[0], "B/op") {
+		t.Errorf("a tripled B/op at an unchanged allocs/op must be the one violation, got %v", bad)
+	}
+}

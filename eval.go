@@ -209,7 +209,7 @@ func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Librar
 		out.QoR = logged
 		return &out, nil
 	}
-	run, err := opts.synthesize(ctx, lib, task.Design, cres.Script, overload.StageSynth, key, true)
+	run, ran, err := opts.synthesize(ctx, lib, task.Design, cres.Script, overload.StageSynth, key, true)
 	if err != nil {
 		if isSweepFatal(err) {
 			return &out, err
@@ -217,7 +217,7 @@ func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Librar
 		out.Err = err.Error()
 		return &out, nil
 	}
-	if run.Design != nil { // the tool ran here; a sibling replica's record says nothing about cost
+	if ran { // a sibling replica's record says nothing about cost
 		opts.Costs.Observe(overload.StageSample, time.Since(sampleStart))
 	}
 	out.QoR = run.QoR
@@ -255,11 +255,17 @@ func (o EvalOptions) lookup(lib *liberty.Library, d *designs.Design, script stri
 //     failure it lapses with nothing published and siblings recompute,
 //     slower, never wrong;
 //   - a successful run feeds its duration to o.Costs and, given a key, its
-//     QoR to o.Results.
-func (o EvalOptions) synthesize(ctx context.Context, lib *liberty.Library, d *designs.Design, script, stage string, key *qorlog.Key, lease bool) (*synth.Result, error) {
+//     QoR to o.Results;
+//   - the result is then released: callers get the QoR and the reports,
+//     never the design, whose storage goes back to o.Checkpoints for the
+//     next restore.
+//
+// ran reports whether the tool ran here, as opposed to a sibling's record
+// being served.
+func (o EvalOptions) synthesize(ctx context.Context, lib *liberty.Library, d *designs.Design, script, stage string, key *qorlog.Key, lease bool) (res *synth.Result, ran bool, err error) {
 	if stage != "" {
 		if err := overload.CheckBudget(ctx, stage, o.Costs.Expect(stage)); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
 	if ls, ok := o.Results.(LeasedResultStore); ok && lease && key != nil {
@@ -267,16 +273,16 @@ func (o EvalOptions) synthesize(ctx context.Context, lib *liberty.Library, d *de
 		defer release()
 		if done {
 			q := synth.QoR(rec)
-			return &synth.Result{QoR: &q}, nil
+			return &synth.Result{QoR: &q}, false, nil
 		}
 	}
 	start := time.Now()
 	sess := synth.NewSession(lib)
 	sess.Checkpoints = o.Checkpoints
 	sess.AddSource(d.FileName, d.Source)
-	res, err := sess.RunContext(ctx, script)
+	res, err = sess.RunContext(ctx, script)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if stage != "" {
 		o.Costs.Observe(stage, time.Since(start))
@@ -284,5 +290,6 @@ func (o EvalOptions) synthesize(ctx context.Context, lib *liberty.Library, d *de
 	if key != nil && o.Results != nil && res.QoR != nil {
 		o.Results.Put(*key, qorlog.Record(*res.QoR))
 	}
-	return res, nil
+	res.Release()
+	return res, true, nil
 }

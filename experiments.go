@@ -704,7 +704,7 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 			var reports []string
 			key, candidate := o.lookup(cfg.Lib, d, next)
 			if candidate == nil || adopts(q, *candidate) {
-				res, err := o.synthesize(ctx, cfg.Lib, d, next, overload.StageSynth, key, false)
+				res, _, err := o.synthesize(ctx, cfg.Lib, d, next, overload.StageSynth, key, false)
 				if err != nil {
 					if isSweepFatal(err) {
 						return rows, err

@@ -64,26 +64,7 @@ func Encode(nl *Netlist) []byte {
 	for _, n := range nl.Nets {
 		e.uvarint(uint64(n.ID))
 		e.str(n.Name)
-		var flags byte
-		if n.PI {
-			flags |= 1
-		}
-		if n.PO {
-			flags |= 2
-		}
-		if n.Const {
-			flags |= 4
-		}
-		if n.Val {
-			flags |= 8
-		}
-		if n.IsClk {
-			flags |= 16
-		}
-		if n.IsRst {
-			flags |= 32
-		}
-		e.buf = append(e.buf, flags)
+		e.buf = append(e.buf, netFlagBits(n))
 	}
 
 	e.uvarint(uint64(len(nl.Cells)))
@@ -129,6 +110,40 @@ func Encode(nl *Netlist) []byte {
 	e.optID(netID(nl.ClkNet))
 	e.optID(netID(nl.RstNet))
 	return e.buf
+}
+
+// netFlagBits packs a net's six booleans into one byte, the form they take in
+// a blob and in an Image; setNetFlagBits is its inverse.
+func netFlagBits(n *Net) byte {
+	var flags byte
+	if n.PI {
+		flags |= 1
+	}
+	if n.PO {
+		flags |= 2
+	}
+	if n.Const {
+		flags |= 4
+	}
+	if n.Val {
+		flags |= 8
+	}
+	if n.IsClk {
+		flags |= 16
+	}
+	if n.IsRst {
+		flags |= 32
+	}
+	return flags
+}
+
+func setNetFlagBits(n *Net, flags byte) {
+	n.PI = flags&1 != 0
+	n.PO = flags&2 != 0
+	n.Const = flags&4 != 0
+	n.Val = flags&8 != 0
+	n.IsClk = flags&16 != 0
+	n.IsRst = flags&32 != 0
 }
 
 func netID(n *Net) int {
@@ -181,13 +196,7 @@ func Decode(data []byte, lib *liberty.Library) (*Netlist, error) {
 		n := &netSlab[i]
 		n.ID = d.count()
 		n.Name = d.str()
-		flags := d.byte()
-		n.PI = flags&1 != 0
-		n.PO = flags&2 != 0
-		n.Const = flags&4 != 0
-		n.Val = flags&8 != 0
-		n.IsClk = flags&16 != 0
-		n.IsRst = flags&32 != 0
+		setNetFlagBits(n, d.byte())
 		if d.err != nil {
 			break
 		}

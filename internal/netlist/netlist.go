@@ -61,7 +61,7 @@ type Cell struct {
 
 	// pos is the cell's index in its netlist's Cells slice, so RemoveCell
 	// needs no scan. Invariant: nl.Cells[c.pos] == c for every live cell,
-	// kept by the only writers of nl.Cells — AddCell, RemoveCell, Clone and
+	// kept by the only writers of nl.Cells — AddCell, RemoveCell, Thaw and
 	// Decode.
 	pos int
 }
@@ -97,11 +97,19 @@ type Netlist struct {
 	// editing API. Pointers handed out are stable (chunks never move), and
 	// the chunks live exactly as long as the netlist — the same lifetime
 	// per-object allocations had, at a fraction of the GC-visible objects.
-	// Clone() builds its own exact-size slabs and leaves the clone's arenas
-	// empty; post-clone edits fill them on demand.
 	netArena  arena.Arena[Net]
 	cellArena arena.Arena[Cell]
 	pinArena  arena.Arena[Pin]
+
+	// Slabs behind the objects of a thawed netlist (see Image.Thaw), one per
+	// object kind, kept so the next Thaw into this netlist can overwrite them
+	// in place; empty on an elaborated or decoded one. Edits after the thaw
+	// draw on the arenas above, which a thaw leaves empty.
+	nets      []Net
+	cells     []Cell
+	pins      []Pin
+	sinkSlab  []*Pin // every net's Sinks, carved in Nets order
+	inputSlab []*Net // every cell's Inputs, carved in Cells order
 }
 
 // newPin carves an input-pin record from the pin arena.

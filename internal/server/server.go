@@ -326,6 +326,10 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return s.ckpt.Stats().Misses })
 	s.reg.NewCounterFunc("synth_checkpoint_evictions_total", "elaboration checkpoints displaced by capacity pressure",
 		func() int64 { return s.ckpt.Stats().Evictions })
+	s.reg.NewCounterFunc("synth_checkpoint_workspace_reuses_total", "checkpoint restores thawed into a parked workspace",
+		func() int64 { return s.ckpt.Stats().Reused })
+	s.reg.NewCounterFunc("synth_checkpoint_workspace_allocs_total", "checkpoint restores thawed into fresh storage",
+		func() int64 { return s.ckpt.Stats().Allocated })
 	s.reg.NewCounterFunc("qorlog_hits_total", "sample syntheses served from the durable QoR store",
 		func() int64 { return s.results.Stats().Hits })
 	s.reg.NewCounterFunc("qorlog_misses_total", "QoR store lookups that ran the synthesis tool",

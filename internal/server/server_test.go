@@ -193,6 +193,13 @@ func TestTaskCacheHit(t *testing.T) {
 	if mentorHits+mentorMisses < 1 {
 		t.Errorf("after first request: mentor cache saw %v lookups, want >= 1", mentorHits+mentorMisses)
 	}
+	// The first request's sample restored the checkpoint its baseline captured,
+	// into fresh storage, and released it.
+	wsReuses := metricValue(t, ts.URL, "synth_checkpoint_workspace_reuses_total")
+	wsAllocs := metricValue(t, ts.URL, "synth_checkpoint_workspace_allocs_total")
+	if wsAllocs != 1 || wsReuses != 0 {
+		t.Errorf("after first request: workspace allocs/reuses = %v/%v, want 1/0", wsAllocs, wsReuses)
+	}
 
 	if hr, body := postCustomize(t, ts.URL, req); hr.StatusCode != http.StatusOK {
 		t.Fatalf("second POST: %d %s", hr.StatusCode, body)
@@ -207,6 +214,13 @@ func TestTaskCacheHit(t *testing.T) {
 	}
 	if m := metricValue(t, ts.URL, "chatlsd_mentor_cache_misses_total"); m != mentorMisses {
 		t.Errorf("after repeat request: mentor cache misses = %v, want %v", m, mentorMisses)
+	}
+	// The repeat's sample restores into the workspace the first one released.
+	if r := metricValue(t, ts.URL, "synth_checkpoint_workspace_reuses_total"); r != wsReuses+1 {
+		t.Errorf("after repeat request: workspace reuses = %v, want %v", r, wsReuses+1)
+	}
+	if a := metricValue(t, ts.URL, "synth_checkpoint_workspace_allocs_total"); a != wsAllocs {
+		t.Errorf("after repeat request: workspace allocs = %v, want %v", a, wsAllocs)
 	}
 	// The design embedding is cached too: the repeat request must not
 	// re-run the GNN forward pass.

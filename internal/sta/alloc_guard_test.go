@@ -107,3 +107,31 @@ func TestReanalyzeAllocGuard(t *testing.T) {
 		t.Errorf("re-analysis after adding 4 cells: %d allocs/round, want 0", allocs)
 	}
 }
+
+// TestResetAllocGuard pins what recycling a Timing buys: pointed at another
+// netlist of the same size — the next restore of the same checkpoint — Reset
+// analyses it entirely inside the buffers the last analysis grew.
+func TestResetAllocGuard(t *testing.T) {
+	d := designs.Benchmarks()[0]
+	nls := [2]*netlist.Netlist{elaborate(t, d), elaborate(t, d)}
+	wl := eqLib.WireLoad("")
+	cons := sta.Constraints{Period: d.Period}
+	tm, err := sta.Analyze(nls[0], wl, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tm.TNS()
+	i := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		i++
+		if err := tm.Reset(nls[i&1], wl, cons); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Reset onto a same-size netlist allocs/op = %v, want 0", allocs)
+	}
+	if tm.NL != nls[i&1] || tm.TNS() != want {
+		t.Errorf("Reset did not re-point the analysis: TNS %v, want %v", tm.TNS(), want)
+	}
+}

@@ -91,17 +91,43 @@ type Endpoint struct {
 // Analyze runs full forward/backward timing propagation. It returns an error
 // on combinational loops.
 func Analyze(nl *netlist.Netlist, wl *liberty.WireLoad, cons Constraints) (*Timing, error) {
+	t := new(Timing)
+	if err := t.Reset(nl, wl, cons); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Reset points t at nl under wl and cons and analyses it in place, exactly
+// as Analyze would have into a new Timing: the buffers t grew analysing
+// whatever it was pointed at before are reused, so onto a netlist no larger
+// than the last one it allocates nothing. Nothing of the earlier netlist
+// stays reachable through t, and nothing of the earlier analysis is read —
+// t may come from a run that was aborted at any point. After an error
+// (a combinational loop) t holds no analysis and may only be Reset again.
+func (t *Timing) Reset(nl *netlist.Netlist, wl *liberty.WireLoad, cons Constraints) error {
 	if cons.OutputLoad == 0 {
 		cons.OutputLoad = DefaultOutputLoad
 	}
 	if cons.InputDriveRes == 0 {
 		cons.InputDriveRes = DefaultInputDriveRes
 	}
-	t := &Timing{NL: nl, WL: wl, Cons: cons}
-	if err := t.reanalyze(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t.NL, t.WL, t.Cons = nl, wl, cons
+	// The slices of pointers into the netlist are rebuilt from length zero;
+	// zero them to capacity so a stale tail cannot pin the old netlist's
+	// cells. The ID-indexed slices hold no pointers and are overwritten.
+	t.order = zeroed(t.order)
+	t.ready = zeroed(t.ready)
+	t.bSrc = zeroed(t.bSrc)
+	t.ends = zeroed(t.ends)
+	t.fPending, t.bPending, t.dirty = 0, 0, 0
+	return t.reanalyze()
+}
+
+// zeroed returns s[:0] with every element up to its capacity zeroed.
+func zeroed[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // reanalyze rebuilds all timing state in place. Every per-net and per-cell

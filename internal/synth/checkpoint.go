@@ -3,12 +3,16 @@ package synth
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"runtime"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/liberty"
 	"repro/internal/lru"
 	"repro/internal/netlist"
+	"repro/internal/sta"
 	"repro/internal/verilog"
 )
 
@@ -28,14 +32,71 @@ import (
 // under a collision-resistant content hash (see checkpointKey) so repeat
 // runs skip parsing and elaboration entirely.
 //
-// Snapshots are immutable once stored: a restore hands the session a
-// netlist.Clone of the snapshot (and a fresh module-slice header), so
-// concurrent sessions never share mutable state and a session mutating its
-// restored design can never corrupt the snapshot. Eviction is LRU with a
-// bounded entry count.
+// Snapshots are immutable once stored: the netlist is kept frozen, as a
+// netlist.Image, and a restore thaws it for the session (with a fresh
+// module-slice header), so concurrent sessions never share mutable state and
+// a session mutating its restored design can never corrupt the snapshot.
+// Eviction is LRU with a bounded entry count.
+//
+// The store also owns the storage restores thaw into: see workspace.
 type CheckpointStore struct {
 	cache  *lru.Cache[string, *checkpoint]
 	remote BlobCache
+
+	mu   sync.Mutex
+	idle []*workspace // parked workspaces, most recently parked last
+
+	reused, allocated atomic.Int64
+}
+
+// workspace is the storage one restored run works in: the netlist the image
+// was thawed into and the Timing that analysed it. A run that restores takes
+// an idle one — the next thaw overwrites the netlist in place and Timing.Reset
+// reuses the analysis buffers, so a warm restore allocates next to nothing —
+// and whoever ends the run hands it back: Result.Release when the run
+// succeeded, RunContext itself when it failed and no Result escapes.
+//
+// Only storage that came out of a thaw is ever parked. A freshly elaborated
+// design is arena-backed and cannot be overwritten in place; parking it would
+// only pin a dead netlist.
+//
+// The idle list is LIFO, so the storage most recently in a CPU cache is the
+// next one used, and holds at most GOMAXPROCS workspaces: no more runs than
+// that make progress at once, so a deeper list would only keep more
+// largest-design-sized netlists alive. (The standard library's per-P object
+// pool keeps a primary and a victim copy per P, each grown to the largest
+// design — measured, that raised peak RSS by a third; see DESIGN.md.)
+type workspace struct {
+	home *CheckpointStore
+	nl   *netlist.Netlist
+	tm   *sta.Timing
+}
+
+// acquire hands out the most recently parked workspace, or one with nothing
+// in it yet when none is idle.
+func (s *CheckpointStore) acquire() *workspace {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.idle); n > 0 {
+		ws := s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+		s.reused.Add(1)
+		return ws
+	}
+	s.allocated.Add(1)
+	return &workspace{home: s, tm: new(sta.Timing)}
+}
+
+// park takes a workspace back. The caller must hold the only reference to
+// its netlist and Timing. Over the bound, the workspace is left to the
+// garbage collector.
+func (s *CheckpointStore) park(ws *workspace) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.idle) < runtime.GOMAXPROCS(0) {
+		s.idle = append(s.idle, ws)
+	}
 }
 
 // BlobCache is a second, remote tier of checkpoint storage shared by
@@ -76,9 +137,13 @@ func NewCheckpointStore(capacity int) *CheckpointStore {
 }
 
 // CheckpointStats are the store's lifetime counters, exposed by the serving
-// daemon as synth_checkpoint_{hits,misses,evictions}_total.
+// daemon as synth_checkpoint_{hits,misses,evictions}_total and
+// synth_checkpoint_workspace_{reuses,allocs}_total. Every restore is counted
+// once as Reused (thawed into a parked workspace) or Allocated (into fresh
+// storage).
 type CheckpointStats struct {
 	Hits, Misses, Evictions int64
+	Reused, Allocated       int64
 }
 
 // Stats returns the current counters. Nil-safe: a nil store reports zeros.
@@ -90,6 +155,8 @@ func (s *CheckpointStore) Stats() CheckpointStats {
 		Hits:      s.cache.Hits(),
 		Misses:    s.cache.Misses(),
 		Evictions: s.cache.Evictions(),
+		Reused:    s.reused.Load(),
+		Allocated: s.allocated.Load(),
 	}
 }
 
@@ -103,7 +170,7 @@ func (s *CheckpointStore) Len() int {
 
 // checkpoint is one immutable post-link snapshot.
 type checkpoint struct {
-	nl   *netlist.Netlist    // pristine post-link netlist; restores clone it
+	img  *netlist.Image      // pristine post-link netlist, frozen; restores thaw it
 	file *verilog.SourceFile // parsed sources (modules shared read-only)
 	top  string              // resolved top module
 	log  []string            // transcript lines the prefix produced
@@ -222,7 +289,7 @@ func (s *CheckpointStore) get(key string, lib *liberty.Library) *checkpoint {
 
 // put stores a snapshot locally and, when a remote tier is attached, pushes
 // its serialized form so sibling replicas skip the same elaboration. The
-// caller must hand over a snapshot it will never mutate (RunContext clones
+// caller must hand over a snapshot it will never mutate (RunContext freezes
 // the live netlist at capture time). Nil-safe.
 func (s *CheckpointStore) put(key string, cp *checkpoint) {
 	if s == nil {

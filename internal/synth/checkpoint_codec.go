@@ -28,7 +28,9 @@ const (
 )
 
 // encodeCheckpoint serializes a snapshot. Deterministic for a given
-// snapshot, so re-uploads of the same checkpoint are byte-identical.
+// snapshot, so re-uploads of the same checkpoint are byte-identical. The
+// netlist codec walks a netlist, so the image is thawed for it — once per
+// capture, and only with a remote tier attached.
 func encodeCheckpoint(cp *checkpoint) []byte {
 	buf := append([]byte(ckptMagic), ckptVersion)
 	str := func(s string) {
@@ -45,7 +47,7 @@ func encodeCheckpoint(cp *checkpoint) []byte {
 		str(src.Name)
 		str(src.Text)
 	}
-	nb := netlist.Encode(cp.nl)
+	nb := netlist.Encode(cp.img.Thaw(nil))
 	buf = binary.AppendUvarint(buf, uint64(len(nb)))
 	buf = append(buf, nb...)
 	return buf
@@ -134,6 +136,6 @@ func decodeCheckpoint(blob []byte, lib *liberty.Library) (*checkpoint, error) {
 	if cp.top != "" && cp.file.FindModule(cp.top) == nil {
 		return nil, fmt.Errorf("checkpoint blob: top %q not among sources", cp.top)
 	}
-	cp.nl = nl
+	cp.img = netlist.Freeze(nl)
 	return cp, nil
 }

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -186,8 +187,8 @@ func TestCheckpointSnapshotImmutable(t *testing.T) {
 	if cp == nil {
 		t.Fatal("prefix-only run did not store a snapshot")
 	}
-	before := netlist.WriteVerilog(cp.nl)
-	genBefore, topoBefore := cp.nl.Gen(), cp.nl.TopoGen()
+	// The blob covers structure, IDs, orders and edit generations alike.
+	before := netlist.Encode(cp.img.Thaw(nil))
 
 	// A heavyweight mutating run restored from the snapshot.
 	heavy := prefix + "create_clock -period 1.2 clk\ncompile_ultra -retime\noptimize_registers\nbalance_buffers\nreport_qor\n"
@@ -197,13 +198,11 @@ func TestCheckpointSnapshotImmutable(t *testing.T) {
 	if store.Stats().Hits == 0 {
 		t.Fatal("heavy run should have restored from the snapshot")
 	}
-	if got := netlist.WriteVerilog(cp.nl); got != before {
-		t.Fatal("mutating a restored clone perturbed the stored snapshot")
+	after := cp.img.Thaw(nil)
+	if !bytes.Equal(netlist.Encode(after), before) {
+		t.Fatal("mutating a restored design perturbed the stored snapshot")
 	}
-	if cp.nl.Gen() != genBefore || cp.nl.TopoGen() != topoBefore {
-		t.Fatal("snapshot edit generations moved")
-	}
-	if err := cp.nl.Check(); err != nil {
+	if err := after.Check(); err != nil {
 		t.Fatalf("snapshot invariants violated: %v", err)
 	}
 }

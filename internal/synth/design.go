@@ -21,32 +21,38 @@ type Design struct {
 
 	// Cached timing, refreshed via sta's generation tracking: report and
 	// optimization commands between edits share one analysis, delay-only
-	// edits refresh it incrementally, structural edits rebuild it in place.
+	// edits refresh it incrementally, structural edits rebuild it in place,
+	// and so do constraint changes. tm is the storage — a restored design
+	// starts with the one its workspace last used (see workspace) — and tmOK
+	// says whether it holds an analysis of NL under tmCons.
 	tm     *sta.Timing
+	tmOK   bool
 	tmCons sta.Constraints // constraints the cache was built under
 }
 
 // Timing returns STA results for the design's current constraints. The
 // analysis is cached across calls; netlist edits are picked up through the
-// netlist's edit generations, constraint changes force a fresh analysis.
+// netlist's edit generations, constraint changes force a full re-analysis.
 func (d *Design) Timing() (*sta.Timing, error) {
 	if d.Cons.Period <= 0 {
 		return nil, fmt.Errorf("no clock constraint: run create_clock first")
 	}
-	if d.tm != nil && d.tm.NL == d.NL && d.tm.WL == d.WL && d.tmCons == d.Cons {
+	if d.tmOK && d.tm.NL == d.NL && d.tm.WL == d.WL && d.tmCons == d.Cons {
 		if err := d.tm.Update(nil); err != nil {
-			d.tm = nil
+			d.tmOK = false
 			return nil, err
 		}
 		return d.tm, nil
 	}
-	tm, err := sta.Analyze(d.NL, d.WL, d.Cons)
+	if d.tm == nil {
+		d.tm = new(sta.Timing)
+	}
+	err := d.tm.Reset(d.NL, d.WL, d.Cons)
+	d.tmOK, d.tmCons = err == nil, d.Cons
 	if err != nil {
-		d.tm = nil
 		return nil, err
 	}
-	d.tm, d.tmCons = tm, d.Cons
-	return tm, nil
+	return d.tm, nil
 }
 
 // QoR summarizes quality of results: the metrics in the paper's Tables III

@@ -32,10 +32,11 @@ type Session struct {
 	MaxCommands int
 	// Checkpoints, when non-nil, caches post-link elaboration state: scripts
 	// starting with the canonical read_verilog/current_design/link prefix
-	// restore from a prior identical elaboration (a clone, never shared
+	// restore from a prior identical elaboration (a thawed copy, never shared
 	// mutable state) instead of re-parsing and re-elaborating. Results are
 	// bit-identical either way; only wall-clock changes. Sessions may share
-	// one store concurrently.
+	// one store concurrently. A caller done with a restored Result.Design can
+	// hand its storage back to the store with Result.Release.
 	Checkpoints *CheckpointStore
 }
 
@@ -54,6 +55,26 @@ type Result struct {
 	Reports  []string // output of report_* commands in order
 	Netlists []string // output of write commands (structural Verilog)
 	Log      []string // transcript lines
+
+	ws *workspace // the storage Design was restored into; nil when it was elaborated afresh
+}
+
+// Release hands the storage behind a restored design back to the checkpoint
+// store, where the next restore overwrites it, and sets r.Design to nil: the
+// design — its netlist, its timing, every cell and net reached through them —
+// must not be touched again by anyone. QoR, Reports, Netlists and Log are
+// values and stay valid. Releasing is optional; a design that is never
+// released is garbage-collected like any other.
+//
+// A second call does nothing, and neither does a call on a result whose
+// design was elaborated afresh rather than restored, which keeps its Design.
+// Not safe for concurrent calls on one Result.
+func (r *Result) Release() {
+	if r.ws == nil {
+		return
+	}
+	r.ws.home.park(r.ws)
+	r.ws, r.Design = nil, nil
 }
 
 // Run parses and executes a script. Any command error aborts the run, the
@@ -66,7 +87,7 @@ func (s *Session) Run(script string) (*Result, error) {
 // RunContext is Run with cooperative cancellation and a command budget: the
 // context is checked before every command, and execution aborts with
 // resilience.ErrBudgetExceeded once MaxCommands commands have run.
-func (s *Session) RunContext(ctx context.Context, script string) (*Result, error) {
+func (s *Session) RunContext(ctx context.Context, script string) (_ *Result, err error) {
 	cmds, err := ParseScript(script)
 	if err != nil {
 		return nil, err
@@ -77,10 +98,18 @@ func (s *Session) RunContext(ctx context.Context, script string) (*Result, error
 	}
 	res := &Result{}
 	st := &execState{sess: s, res: res}
+	// A run that dies after a restore — an invalid option value, a command
+	// out of order, a budget overrun, a cancelled context — returns no Result
+	// to release, so its workspace goes back here.
+	defer func() {
+		if err != nil && st.ws != nil {
+			s.Checkpoints.park(st.ws)
+		}
+	}()
 
 	// Elaboration checkpointing: when the script opens with the canonical
-	// link prefix and a snapshot of that exact elaboration exists, restore a
-	// clone of it and resume after the link command. On a miss the prefix
+	// link prefix and a snapshot of that exact elaboration exists, thaw it
+	// and resume after the link command. On a miss the prefix
 	// executes normally and its state is captured right after link. The
 	// command budget counts skipped prefix commands as executed, so budget
 	// overruns surface at the same command either way.
@@ -124,6 +153,7 @@ func (s *Session) RunContext(ctx context.Context, script string) (*Result, error
 		res.QoR = &q
 		res.Design = st.design
 	}
+	res.ws = st.ws
 	return res, nil
 }
 
@@ -133,6 +163,7 @@ type execState struct {
 	file    *verilog.SourceFile
 	top     string
 	design  *Design
+	ws      *workspace // what design was restored into; nil when elaborated afresh
 	wlName  string
 	didComp bool
 }
@@ -142,9 +173,9 @@ func (st *execState) logf(format string, args ...any) {
 }
 
 // snapshot captures the session state right after the link command executed:
-// a pristine clone of the linked netlist, the parsed sources, the resolved
+// the linked netlist frozen into an image, the parsed sources, the resolved
 // top, the transcript lines the prefix wrote, and the source texts in read
-// order (so the snapshot can be serialized for the remote tier). The clone
+// order (so the snapshot can be serialized for the remote tier). Freezing
 // decouples the snapshot from every later mutation of the live design.
 func (st *execState) snapshot(files []string) *checkpoint {
 	srcs := make([]srcText, 0, len(files))
@@ -152,7 +183,7 @@ func (st *execState) snapshot(files []string) *checkpoint {
 		srcs = append(srcs, srcText{Name: f, Text: st.sess.Sources[f]})
 	}
 	return &checkpoint{
-		nl:   st.design.NL.Clone(),
+		img:  netlist.Freeze(st.design.NL),
 		file: st.file,
 		top:  st.top,
 		log:  append([]string(nil), st.res.Log...),
@@ -161,16 +192,19 @@ func (st *execState) snapshot(files []string) *checkpoint {
 }
 
 // restore rebuilds the post-link session state from a snapshot, exactly as
-// executing the prefix would have: the design is a clone of the snapshot's
-// netlist (IDs, levelization inputs, and edit generations preserved, so
-// downstream incremental timing behaves identically), the module list is a
-// fresh slice header (modules themselves are immutable and shared), the
-// wireload is the library default the link step would have picked, and the
-// prefix's transcript lines are replayed.
+// executing the prefix would have: the design is the snapshot's netlist
+// thawed into one of the store's workspaces (IDs, levelization inputs, and
+// edit generations preserved, so downstream incremental timing behaves
+// identically), analysed in the Timing that workspace brought along, the
+// module list is a fresh slice header (modules themselves are immutable and
+// shared), the wireload is the library default the link step would have
+// picked, and the prefix's transcript lines are replayed.
 func (st *execState) restore(cp *checkpoint) {
 	st.file = &verilog.SourceFile{Modules: append([]*verilog.Module(nil), cp.file.Modules...)}
 	st.top = cp.top
-	st.design = &Design{NL: cp.nl.Clone(), WL: st.sess.Lib.WireLoad(st.wlName)}
+	st.ws = st.sess.Checkpoints.acquire()
+	st.ws.nl = cp.img.Thaw(st.ws.nl)
+	st.design = &Design{NL: st.ws.nl, WL: st.sess.Lib.WireLoad(st.wlName), tm: st.ws.tm}
 	st.res.Log = append(st.res.Log, cp.log...)
 }
 
