@@ -29,7 +29,8 @@ serve:
 	$(GO) run ./cmd/chatlsd -addr :8080
 
 # Micro-benchmarks: substrate and serving-path cache costs, plus the work
-# behind one warm request (WarmRequest). Override BENCH to regenerate the
+# behind one warm request (WarmRequest, and WarmRequestParallel from
+# GOMAXPROCS goroutines over one store). Override BENCH to regenerate the
 # paper tables instead (e.g. make bench BENCH=Table3).
 BENCH ?= Elaborate|Compile|Customize|WarmRequest|Embed
 bench:
@@ -38,7 +39,7 @@ bench:
 # Headline perf record: runs the paper-scale benchmarks, the checkpointing
 # pair, the batched-vs-serial embedding pair, and the exact 10k-vector
 # search five times each and writes the averaged ns/op, B/op, allocs/op
-# (plus custom units like graphs/op) to BENCH_8.json for comparison
+# (plus custom units like graphs/op) to BENCH_9.json for comparison
 # against earlier checked-in records. CompileUltraSwerv matches both the
 # fresh and the checkpointed variant (their ratio is the checkpoint
 # speedup); CheckpointRestore is capture / restore / restore-recycled (a
@@ -46,16 +47,20 @@ bench:
 # workspace); EmbedGlobalSerial/Batched is the batching speedup per flush;
 # WarmRequest and WarmRequestRawK5 are the work behind one warm chatls k=1
 # and one raw Pass@5 request, 14 requests an iteration so each record
-# covers every design under both raw models.
+# covers every design under both raw models; WarmRequestParallel is
+# WarmRequest from two goroutines over one store (-cpu 2: its ns/op is wall
+# time per request with both cores busy, about half the CPU time).
 COMPARE ?= Table2DatabaseBuild|Table4Baseline|CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|EmbedGlobalBatched
-REQUEST_COMPARE ?= WarmRequest$$|WarmRequestRawK5
+REQUEST_COMPARE ?= WarmRequest$$|WarmRequestRawK5$$
+PARALLEL_COMPARE ?= WarmRequestParallel$$
 SEARCH_COMPARE ?= FlatSearch10k
 bench-compare:
 	{ $(GO) test -bench='$(COMPARE)' -benchmem -benchtime=1x -count=5 -run=^$$ . ; \
 	  $(GO) test -bench='$(REQUEST_COMPARE)' -benchmem -benchtime=14x -count=5 -run=^$$ . ; \
+	  $(GO) test -bench='$(PARALLEL_COMPARE)' -benchmem -benchtime=14x -count=5 -cpu 2 -run=^$$ . ; \
 	  $(GO) test -bench='$(SEARCH_COMPARE)' -benchmem -count=5 -run=^$$ ./internal/vecindex ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_8.json
-	@cat BENCH_8.json
+		| $(GO) run ./cmd/benchjson > BENCH_9.json
+	@cat BENCH_9.json
 
 # Allocation-regression gate: reruns the fast benchmarks (the paper-scale
 # Table2/Table4 database builds are excluded to keep this CI-speed) and
@@ -66,15 +71,18 @@ bench-compare:
 # gate rerun — allocs/op is deterministic only under identical process
 # conditions (which earlier benchmarks warmed the intern table and the
 # scratch pools matters), so the gate must not compare against the
-# full-set BENCH_8.json record. Both run at -cpu 1: the row-sharded tensor
+# full-set BENCH_9.json record. Both run at -cpu 1: the row-sharded tensor
 # kernels fan out over GOMAXPROCS goroutines (tensor.ParallelRows), each a
 # few allocations, so EmbedGlobalSerial reads 36 allocs/op on one CPU, 50
 # on two and 72 on eight — a baseline from one machine failed the gate on
-# another. Regenerate the baseline whenever a change intentionally moves an
-# allocation count.
-GATE ?= CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|EmbedGlobalBatched|WarmRequest|WarmRequestRawK5|UpdateBatch
+# another. The one exception is WarmRequestParallel, which exists to put two
+# goroutines on one store and runs at -cpu 2, seven requests an iteration
+# (its GNN forward is a cache hit, so no kernel fans out). Regenerate the
+# baseline whenever a change intentionally moves an allocation count.
+GATE ?= CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|EmbedGlobalBatched|WarmRequest$$|WarmRequestRawK5$$|UpdateBatch
 GATE_BASELINE ?= BENCH_GATE.json
 GATE_RUN = { $(GO) test -bench='$(GATE)' -benchmem -benchtime=1x -count=3 -cpu 1 -run=^$$ . ./internal/sta ; \
+	  $(GO) test -bench='$(PARALLEL_COMPARE)' -benchmem -benchtime=7x -count=3 -cpu 2 -run=^$$ . ; \
 	  $(GO) test -bench='$(SEARCH_COMPARE)' -benchmem -count=3 -cpu 1 -run=^$$ ./internal/vecindex ; }
 bench-gate:
 	$(GATE_RUN) | $(GO) run ./cmd/benchjson -baseline $(GATE_BASELINE) > /dev/null

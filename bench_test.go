@@ -15,7 +15,9 @@ package chatls
 
 import (
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/circuitmentor"
@@ -306,19 +308,22 @@ func BenchmarkCustomizeChatLS(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmRequest measures the work behind one warm POST /v1/customize
-// the way the daemon does it: the baseline task is cached, the database has
-// its embed/retrieve caches on, and EvalTaskOpts runs one chatls sample
-// (k=1, Workers: 1) through customization and synthesis over the shared
-// checkpoint store — round-robin over all seven designs, so one op is the
-// mean request. BenchmarkCustomizeChatLS covers one design and no synthesis.
-func BenchmarkWarmRequest(b *testing.B) {
+// warmRequests sets up what a warm POST /v1/customize runs on, the way the
+// daemon holds it: the baseline task of every design cached, the database with
+// its embed/retrieve caches on, one shared checkpoint store. The function it
+// returns serves request i — one chatls sample (k=1, Workers: 1) through
+// customization and synthesis, on a pipeline built for the request over the
+// shared model and database — round-robin over all seven designs, so the mean
+// over a multiple of seven is the mean request. Every design has been
+// requested three times when it returns: each cache the measured requests hit
+// is full, and each compile's structural front half is in the store.
+func warmRequests(b *testing.B) (request func(i int) error, store *synth.CheckpointStore, lib *liberty.Library) {
 	db := *sharedBenchDB(b) // private copy: the caches must not leak into other benchmarks
 	db.EnableCache(64, 256)
-	lib := liberty.Nangate45()
+	lib = liberty.Nangate45()
 	ctx := context.Background()
 	opts := EvalOptions{Workers: 1, Checkpoints: synth.NewCheckpointStore(0)}
-	p := NewChatLS(llm.New(llm.GPT4o, 1), &db)
+	model := llm.New(llm.GPT4o, 1)
 	type cached struct {
 		task *Task
 		qor  synth.QoR
@@ -330,19 +335,71 @@ func BenchmarkWarmRequest(b *testing.B) {
 			b.Fatal(err)
 		}
 		tasks = append(tasks, cached{task, qor})
-		// One request per design fills every cache the measured ones hit.
-		if _, err := EvalTaskOpts(ctx, p, task, qor, 1, lib, opts); err != nil {
+	}
+	request = func(i int) error {
+		c := tasks[i%len(tasks)]
+		_, err := EvalTaskOpts(ctx, NewChatLS(model, &db), c.task, c.qor, 1, lib, opts)
+		return err
+	}
+	for i := 0; i < 3*len(tasks); i++ {
+		if err := request(i); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return request, opts.Checkpoints, lib
+}
+
+// BenchmarkWarmRequest measures the work behind one warm POST /v1/customize
+// the way the daemon does it, one request at a time (see warmRequests).
+// BenchmarkCustomizeChatLS covers one design and no synthesis.
+func BenchmarkWarmRequest(b *testing.B) {
+	request, _, _ := warmRequests(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := tasks[i%len(tasks)]
-		if _, err := EvalTaskOpts(ctx, p, c.task, c.qor, 1, lib, opts); err != nil {
+		if err := request(i); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWarmRequestParallel is BenchmarkWarmRequest from GOMAXPROCS
+// goroutines at once over the one store, the daemon's shape with as many
+// workers: what the single-worker twin cannot see is whatever the workers
+// share — the generated-name table, the store's locks, the collector. Run it
+// with -cpu 2 or more; at -cpu 1 it is BenchmarkWarmRequest.
+func BenchmarkWarmRequestParallel(b *testing.B) {
+	request, store, lib := warmRequests(b)
+	// The sequential warm-up worked in one workspace. Bring one per goroutine
+	// to full size before the clock starts — each has held every design,
+	// compiled — so B/op does not depend on when two requests first overlap.
+	for _, d := range designs.Benchmarks() {
+		held := make([]*synth.Result, runtime.GOMAXPROCS(0))
+		for g := range held {
+			sess := synth.NewSession(lib)
+			sess.Checkpoints = store
+			sess.AddSource(d.FileName, d.Source)
+			res, err := sess.Run(d.BaselineScript())
+			if err != nil {
+				b.Fatal(err)
+			}
+			held[g] = res
+		}
+		for _, res := range held {
+			res.Release()
+		}
+	}
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := request(int(next.Add(1))); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkWarmRequestRawK5 is the in-repo twin of the repo benchmark's

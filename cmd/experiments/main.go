@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	chatls "repro"
@@ -106,61 +107,96 @@ func main() {
 		}()
 	}
 
-	wantTable := func(n int) bool { return *all || *table == n }
-	wantFig := func(n int) bool { return *all || *fig == n }
+	sel := selection{table: *table, fig: *fig, ablation: *ablation, rerank: *rerank, iterate: *iterate, all: *all}
+	if !sel.any() {
+		flag.Usage()
+		return
+	}
+	fatal(run(ctx, os.Stdout, cfg, sel))
+}
 
+// selection says which experiments a run regenerates.
+type selection struct {
+	table, fig                     int
+	ablation, rerank, iterate, all bool
+}
+
+func (s selection) wantTable(n int) bool { return s.all || s.table == n }
+func (s selection) wantFig(n int) bool   { return s.all || s.fig == n }
+
+// needDB reports whether any selected experiment reads the SynthRAG database.
+func (s selection) needDB() bool {
+	return s.wantTable(2) || s.wantTable(3) || s.all || s.ablation || s.rerank || s.iterate
+}
+
+func (s selection) any() bool { return s.needDB() || s.wantTable(4) || s.wantFig(5) }
+
+// run regenerates the selected experiments onto w, in the paper's order.
+// Progress and per-design failures go to stderr; the text on w is a function
+// of cfg and sel alone (testdata/all.golden pins it for -all).
+func run(ctx context.Context, w io.Writer, cfg chatls.ExperimentConfig, sel selection) error {
 	var db *synthrag.Database
-	needDB := wantTable(2) || wantTable(3) || *all || *ablation || *rerank || *iterate
-	if needDB {
+	if sel.needDB() {
 		fmt.Fprintln(os.Stderr, "building SynthRAG database (expert-draft synthesis)...")
 		var err error
-		db, err = chatls.BuildDatabase(cfg)
-		fatal(err)
+		if db, err = chatls.BuildDatabase(cfg); err != nil {
+			return err
+		}
 	}
 
-	if wantTable(2) {
-		fmt.Println(chatls.FormatTable2(chatls.Table2(db)))
+	if sel.wantTable(2) {
+		fmt.Fprintln(w, chatls.FormatTable2(chatls.Table2(db)))
 	}
-	if wantTable(4) {
+	if sel.wantTable(4) {
 		rows, err := chatls.Table4(ctx, cfg)
-		warnPartial(err)
-		fmt.Println(chatls.FormatTable4(rows))
+		if err := warnPartial(err); err != nil {
+			return err
+		}
+		fmt.Fprintln(w, chatls.FormatTable4(rows))
 	}
-	if wantTable(3) {
+	if sel.wantTable(3) {
 		fmt.Fprintln(os.Stderr, "running Table III (3 pipelines x 7 designs x Pass@5)...")
 		rows, err := chatls.Table3(ctx, cfg, db)
-		warnPartial(err)
-		fmt.Println(chatls.FormatTable3(rows))
+		if err := warnPartial(err); err != nil {
+			return err
+		}
+		fmt.Fprintln(w, chatls.FormatTable3(rows))
 	}
-	if wantFig(5) {
+	if sel.wantFig(5) {
 		fmt.Fprintln(os.Stderr, "running Fig. 5 retrieval evaluation...")
 		points, err := chatls.Fig5(cfg)
-		fatal(err)
-		fmt.Println(chatls.FormatFig5(points))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, chatls.FormatFig5(points))
 	}
-	if *ablation || *all {
+	if sel.ablation || sel.all {
 		fmt.Fprintln(os.Stderr, "running ablations...")
 		rows, err := chatls.Ablations(ctx, cfg, db)
-		warnPartial(err)
-		fmt.Println(chatls.FormatAblations(rows))
+		if err := warnPartial(err); err != nil {
+			return err
+		}
+		fmt.Fprintln(w, chatls.FormatAblations(rows))
 	}
-	if *rerank || *all {
+	if sel.rerank || sel.all {
 		fmt.Fprintln(os.Stderr, "running rerank-weight sweep...")
 		points, err := chatls.RerankSweep(cfg, db)
-		fatal(err)
-		fmt.Println(chatls.FormatRerankSweep(points))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, chatls.FormatRerankSweep(points))
 	}
-	if *iterate || *all {
+	if sel.iterate || sel.all {
 		fmt.Fprintln(os.Stderr, "running iterative-resynthesis study...")
 		itCfg := cfg
 		itCfg.Designs = []*designs.Design{designs.EthMAC(), designs.TinyRocket(), designs.JPEG()}
 		rows, err := chatls.IterativeClosure(ctx, itCfg, db, 3)
-		warnPartial(err)
-		fmt.Println(chatls.FormatIterations(rows))
+		if err := warnPartial(err); err != nil {
+			return err
+		}
+		fmt.Fprintln(w, chatls.FormatIterations(rows))
 	}
-	if !needDB && !wantTable(4) && !wantFig(5) {
-		flag.Usage()
-	}
+	return nil
 }
 
 func fatal(err error) {
@@ -171,17 +207,14 @@ func fatal(err error) {
 }
 
 // warnPartial keeps going when a sweep returned partial results (per-design
-// failures) and exits only on any other error, e.g. a timeout.
-func warnPartial(err error) {
-	if err == nil {
-		return
-	}
+// failures), which it reports, and passes any other error on, e.g. a timeout.
+func warnPartial(err error) error {
 	var sweep chatls.SweepErrors
 	if errors.As(err, &sweep) {
 		for _, de := range sweep {
 			fmt.Fprintln(os.Stderr, "warning: design failed:", de.Error())
 		}
-		return
+		return nil
 	}
-	fatal(err)
+	return err
 }

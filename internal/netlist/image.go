@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"slices"
+
 	"repro/internal/arena"
 	"repro/internal/liberty"
 )
@@ -12,12 +14,19 @@ import (
 // Every reference is a position — a cell's index in Cells, a net's index in
 // Nets — held in int32 columns with offset arrays for the variable-length
 // lists (each cell's inputs, each net's sinks). Library references, module
-// and group names are small tables the per-cell columns index into. The two
-// name columns and those tables are the only pointer-bearing data, so a kept
+// and group names are small tables the per-cell columns index into. Those
+// tables and the name exceptions are the only pointer-bearing data, so a kept
 // image costs the garbage collector a few slices to mark where the netlist
 // it froze cost about twenty pointers a cell, and Thaw turns a position into
 // a pointer by indexing the slab it is filling: there are no ID→pointer
 // tables to build.
+//
+// Names are not stored where they can be regenerated. Every cell and most
+// nets carry the canonical name of their ID ("U<ID>", "n<ID>" — what AddCell
+// and NewNet assign), which Thaw takes from the shared namers; an image keeps
+// only the exceptions (port nets, a renamed cell), as sorted positions beside
+// their names. That is two string headers a cell — about a third of the
+// image — that no image holds.
 //
 // An Image is read-only after Freeze; any number of goroutines may Thaw the
 // same one concurrently.
@@ -37,7 +46,6 @@ type Image struct {
 	// Per net, in Nets order. sinkOff has one more entry than there are nets;
 	// net i's sinks are sinkCell/sinkIdx[sinkOff[i]:sinkOff[i+1]].
 	netID     []int32
-	netName   []string
 	netFlags  []byte  // netFlagBits layout
 	netDriver []int32 // cell position, -1 = none
 	sinkOff   []int32
@@ -47,7 +55,6 @@ type Image struct {
 	// Per cell, in Cells order. inOff has one more entry than there are cells;
 	// cell i's inputs are inNet[inOff[i]:inOff[i+1]].
 	cellID     []int32
-	cellName   []string
 	cellRef    []int32
 	cellModule []int32
 	cellGroup  []int32
@@ -60,6 +67,11 @@ type Image struct {
 
 	inputs, outputs []int32 // net positions
 	clk, rst        int32   // net positions, -1 = none
+
+	// The nets and cells whose name is not the canonical one of their ID:
+	// positions in increasing order, and the names they carry.
+	namedNets, namedCells       []int32
+	namedNetName, namedCellName []string
 }
 
 // Freeze snapshots nl. It only reads nl, so any number of goroutines may
@@ -120,7 +132,6 @@ func Freeze(nl *Netlist) *Image {
 	}
 
 	im.netID = carve(nNets)
-	im.netName = make([]string, nNets)
 	im.netFlags = make([]byte, nNets)
 	im.netDriver = carve(nNets)
 	im.sinkOff = carve(nNets + 1)
@@ -129,7 +140,10 @@ func Freeze(nl *Netlist) *Image {
 	si := int32(0)
 	for i, n := range nl.Nets {
 		im.netID[i] = int32(n.ID)
-		im.netName[i] = n.Name
+		if n.Name != netNames.Name(n.ID) {
+			im.namedNets = append(im.namedNets, int32(i))
+			im.namedNetName = append(im.namedNetName, n.Name)
+		}
 		im.netFlags[i] = netFlagBits(n)
 		im.netDriver[i] = cpos(n.Driver)
 		im.sinkOff[i] = si
@@ -145,7 +159,6 @@ func Freeze(nl *Netlist) *Image {
 	modIdx := make(map[string]int32)
 	groupIdx := make(map[string]int32)
 	im.cellID = carve(nCells)
-	im.cellName = make([]string, nCells)
 	im.cellRef = carve(nCells)
 	im.cellModule = carve(nCells)
 	im.cellGroup = carve(nCells)
@@ -158,7 +171,10 @@ func Freeze(nl *Netlist) *Image {
 	ii := int32(0)
 	for i, c := range nl.Cells {
 		im.cellID[i] = int32(c.ID)
-		im.cellName[i] = c.Name
+		if c.Name != cellNames.Name(c.ID) {
+			im.namedCells = append(im.namedCells, int32(i))
+			im.namedCellName = append(im.namedCellName, c.Name)
+		}
 		im.cellRef[i] = tableIndex(&im.refs, refIdx, c.Ref)
 		im.cellModule[i] = tableIndex(&im.modules, modIdx, c.Module)
 		im.cellGroup[i] = tableIndex(&im.groups, groupIdx, c.Group)
@@ -173,6 +189,10 @@ func Freeze(nl *Netlist) *Image {
 		im.cellRst[i] = npos(c.Reset)
 	}
 	im.inOff[nCells] = ii
+	// An image is kept for as long as its store: give back what append
+	// over-allocated for the exceptions (nothing, when there are none).
+	im.namedNets, im.namedNetName = slices.Clone(im.namedNets), slices.Clone(im.namedNetName)
+	im.namedCells, im.namedCellName = slices.Clone(im.namedCells), slices.Clone(im.namedCellName)
 
 	im.inputs = carve(len(nl.Inputs))
 	for i, n := range nl.Inputs {
@@ -258,7 +278,7 @@ func (im *Image) Thaw(into *Netlist) *Netlist {
 
 	for i := range nets {
 		n := &nets[i]
-		*n = Net{ID: int(im.netID[i]), Name: im.netName[i], Driver: cellAt(im.netDriver[i])}
+		*n = Net{ID: int(im.netID[i]), Name: netNames.Name(int(im.netID[i])), Driver: cellAt(im.netDriver[i])}
 		setNetFlagBits(n, im.netFlags[i])
 		if lo, hi := im.sinkOff[i], im.sinkOff[i+1]; lo < hi {
 			n.Sinks = sinks[lo:hi:hi]
@@ -276,7 +296,7 @@ func (im *Image) Thaw(into *Netlist) *Netlist {
 		}
 		c := &cells[i]
 		*c = Cell{
-			ID: int(im.cellID[i]), Name: im.cellName[i], Ref: im.refs[im.cellRef[i]],
+			ID: int(im.cellID[i]), Name: cellNames.Name(int(im.cellID[i])), Ref: im.refs[im.cellRef[i]],
 			Inputs: ins[lo:hi:hi],
 			Output: netAt(im.cellOut[i]), Clock: netAt(im.cellClk[i]), Reset: netAt(im.cellRst[i]),
 			Module: im.modules[im.cellModule[i]], Group: im.groups[im.cellGroup[i]],
@@ -284,6 +304,12 @@ func (im *Image) Thaw(into *Netlist) *Netlist {
 			pos:   i,
 		}
 		nl.Cells[i] = c
+	}
+	for k, p := range im.namedNets {
+		nets[p].Name = im.namedNetName[k]
+	}
+	for k, p := range im.namedCells {
+		cells[p].Name = im.namedCellName[k]
 	}
 	for i, p := range im.inputs {
 		nl.Inputs[i] = netAt(p)

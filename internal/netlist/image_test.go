@@ -45,7 +45,35 @@ func imageCases(t testing.TB) []imageCase {
 			imageCase{d.Name + "/elaborated", run(t, d, link)},
 			imageCase{d.Name + "/compiled", run(t, d, link+"compile_ultra -retime\nbalance_buffers\n")})
 	}
-	return cases
+	return append(cases, imageCase{"renamed", renamed(t)})
+}
+
+// renamed is a compiled design with names an image cannot regenerate from
+// IDs: cells and generated nets renamed — to hierarchical names, to the empty
+// name, to the canonical name of a different ID — among the canonical ones.
+func renamed(t testing.TB) *netlist.Netlist {
+	t.Helper()
+	d := designs.RiscV32i()
+	nl := run(t, d, fmt.Sprintf("read_verilog %s\ncurrent_design %s\nlink\ncreate_clock -period %.2f clk\ncompile_ultra\n", d.FileName, d.Top, d.Period))
+	for i, c := range nl.Cells {
+		switch i % 7 {
+		case 0:
+			c.Name = fmt.Sprintf("core/u_alu/%s_reg", c.Name)
+		case 3:
+			c.Name = fmt.Sprintf("U%d", c.ID+1)
+		}
+	}
+	nl.Cells[1].Name = ""
+	for i, n := range nl.Nets {
+		switch i % 5 {
+		case 1:
+			n.Name = fmt.Sprintf("n%d", n.ID+1)
+		case 4:
+			n.Name = "core/" + n.Name
+		}
+	}
+	nl.Nets[0].Name = ""
+	return nl
 }
 
 // mutate edits nl the way a synthesis run does, leaving arena-backed cells
@@ -144,6 +172,11 @@ func BenchmarkThaw(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			netlist.Freeze(nl)
 		}
+		// What the image holds per cell, and what it held when it stored every
+		// name: the canonical "U<ID>" / "n<ID>" ones are regenerated by Thaw.
+		held, denseNames := netlist.ImageBytes(im)
+		b.ReportMetric(float64(held)/float64(len(nl.Cells)), "imageB/cell")
+		b.ReportMetric(float64(held+denseNames)/float64(len(nl.Cells)), "imageB/cell-with-names")
 	})
 	b.Run("new", func(b *testing.B) {
 		b.ReportAllocs()

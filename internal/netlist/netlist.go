@@ -112,6 +112,13 @@ type Netlist struct {
 	inputSlab []*Net // every cell's Inputs, carved in Cells order
 }
 
+// The canonical names of generated nets and cells, "n<ID>" and "U<ID>": what
+// NewNet and AddCell assign, and what an Image leaves out and Thaw puts back.
+var (
+	netNames  = intern.NewNamer("n")
+	cellNames = intern.NewNamer("U")
+)
+
 // newPin carves an input-pin record from the pin arena.
 func (nl *Netlist) newPin(c *Cell, idx int) *Pin {
 	p := nl.pinArena.New()
@@ -158,7 +165,7 @@ func New(name string, lib *liberty.Library) *Netlist {
 // NewNet allocates a net with an auto-generated or given name.
 func (nl *Netlist) NewNet(name string) *Net {
 	if name == "" {
-		name = intern.Index("n", nl.nextNet)
+		name = netNames.Name(nl.nextNet)
 	}
 	n := nl.netArena.New()
 	n.ID = nl.nextNet
@@ -187,7 +194,7 @@ func (nl *Netlist) AddCell(ref *liberty.Cell, group, module string, inputs ...*N
 	out := nl.NewNet("")
 	c := nl.cellArena.New()
 	c.ID = nl.nextCell
-	c.Name = intern.Index("U", nl.nextCell)
+	c.Name = cellNames.Name(nl.nextCell)
 	c.Ref = ref
 	c.Inputs = inputs
 	c.Output = out

@@ -229,10 +229,11 @@ func leafModule(r *liberty.Cell) string {
 	return b.String()
 }
 
+var identReplacer = strings.NewReplacer("[", "_", "]", "", ".", "_", "/", "_")
+
 // sanitize converts net names like "a[3]" into legal flat identifiers.
 func sanitize(name string) string {
-	r := strings.NewReplacer("[", "_", "]", "", ".", "_", "/", "_")
-	out := r.Replace(name)
+	out := identReplacer.Replace(name)
 	if out == "" {
 		return "n_unnamed"
 	}

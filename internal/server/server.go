@@ -330,6 +330,12 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return s.ckpt.Stats().Reused })
 	s.reg.NewCounterFunc("synth_checkpoint_workspace_allocs_total", "checkpoint restores thawed into fresh storage",
 		func() int64 { return s.ckpt.Stats().Allocated })
+	s.reg.NewCounterFunc("synth_checkpoint_derived_hits_total", "first compiles of a restored design whose structural front half was served from the store",
+		func() int64 { return s.ckpt.Stats().DerivedHits })
+	s.reg.NewCounterFunc("synth_checkpoint_derived_misses_total", "first compiles of a restored design whose structural front half was computed",
+		func() int64 { return s.ckpt.Stats().DerivedMisses })
+	s.reg.NewCounterFunc("synth_checkpoint_derived_captures_total", "front-half netlists frozen into the store, on a front half's second computation",
+		func() int64 { return s.ckpt.Stats().DerivedCaptures })
 	s.reg.NewCounterFunc("qorlog_hits_total", "sample syntheses served from the durable QoR store",
 		func() int64 { return s.results.Stats().Hits })
 	s.reg.NewCounterFunc("qorlog_misses_total", "QoR store lookups that ran the synthesis tool",

@@ -200,6 +200,19 @@ func TestTaskCacheHit(t *testing.T) {
 	if wsAllocs != 1 || wsReuses != 0 {
 		t.Errorf("after first request: workspace allocs/reuses = %v/%v, want 1/0", wsAllocs, wsReuses)
 	}
+	// The baseline elaborated afresh and computed its compile's structural
+	// front half unseen; the sample, restored, computed its own and noted it.
+	derived := func() [3]float64 {
+		return [3]float64{
+			metricValue(t, ts.URL, "synth_checkpoint_derived_hits_total"),
+			metricValue(t, ts.URL, "synth_checkpoint_derived_misses_total"),
+			metricValue(t, ts.URL, "synth_checkpoint_derived_captures_total"),
+		}
+	}
+	if got, want := derived(), [3]float64{0, 1, 0}; got != want {
+		t.Errorf("after first request: derived hits/misses/captures = %v, want %v", got, want)
+	}
+	ckptHits := metricValue(t, ts.URL, "synth_checkpoint_hits_total")
 
 	if hr, body := postCustomize(t, ts.URL, req); hr.StatusCode != http.StatusOK {
 		t.Fatalf("second POST: %d %s", hr.StatusCode, body)
@@ -229,6 +242,20 @@ func TestTaskCacheHit(t *testing.T) {
 	}
 	if n := metricValue(t, ts.URL, "chatlsd_requests_total"); n != 2 {
 		t.Errorf("requests_total = %v, want 2", n)
+	}
+	// A front half's second run captures it, its third is served; neither
+	// shows in the post-link counters, which count one restore a request.
+	if got, want := derived(), [3]float64{0, 2, 1}; got != want {
+		t.Errorf("after repeat request: derived hits/misses/captures = %v, want %v", got, want)
+	}
+	if hr, body := postCustomize(t, ts.URL, req); hr.StatusCode != http.StatusOK {
+		t.Fatalf("third POST: %d %s", hr.StatusCode, body)
+	}
+	if got, want := derived(), [3]float64{1, 2, 1}; got != want {
+		t.Errorf("after third request: derived hits/misses/captures = %v, want %v", got, want)
+	}
+	if h := metricValue(t, ts.URL, "synth_checkpoint_hits_total"); h != ckptHits+2 {
+		t.Errorf("after third request: checkpoint hits = %v, want %v", h, ckptHits+2)
 	}
 }
 

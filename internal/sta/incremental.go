@@ -36,19 +36,23 @@ func (t *Timing) Update(changed []*netlist.Cell) error {
 	t.dirty = 0
 	t.fMin, t.bMax = int32(len(t.order)), -1
 
-	// Forward: re-propagate arrivals through the fanout cones.
+	// Forward: re-propagate arrivals through the fanout cones. A swapped cell
+	// has a new delay, and a new InputCap on each input net, which moves that
+	// net's load and with it the driving stage's delay: those are all the
+	// stage delays the edit moved, and queueing their cells refreshes them —
+	// every one of them before the sweep below reads the first.
 	for _, c := range changed {
 		if c.IsSeq() {
 			// New Delay and Setup: output arrival and D-endpoint slack.
 			t.seedSource(c.Output)
 			t.refreshEndsOnNet(c.Inputs[0])
 		} else {
+			t.stage[c.ID] = t.stageDelay(c)
 			t.pushFwd(c)
 		}
-		// The swap changed c's InputCap, so each input net's load — and
-		// with it the driving stage's delay — changed too.
 		for _, in := range c.Inputs {
 			if d := in.Driver; d != nil && !d.IsSeq() {
+				t.stage[d.ID] = t.stageDelay(d)
 				t.pushFwd(d)
 			} else {
 				t.seedSource(in)

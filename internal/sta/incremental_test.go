@@ -357,7 +357,8 @@ func TestLaunchCellMatchesTracePath(t *testing.T) {
 	check := func(name string, tm *sta.Timing) {
 		for _, end := range tm.Endpoints() {
 			var want *netlist.Cell
-			switch first := tm.TracePath(end).Steps[0]; {
+			path := tm.TracePath(end)
+			switch first := path.Steps[0]; {
 			case first.Cell == nil:
 				ports++
 			case first.Cell.IsSeq():
@@ -367,7 +368,7 @@ func TestLaunchCellMatchesTracePath(t *testing.T) {
 				ties++
 			}
 			if got := tm.LaunchCell(end); got != want {
-				t.Fatalf("%s: endpoint %s: LaunchCell = %v, TracePath starts at %v", name, end.Name, got, want)
+				t.Fatalf("%s: endpoint %s: LaunchCell = %v, TracePath starts at %v", name, path.Endpoint, got, want)
 			}
 		}
 	}

@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/intern"
 	"repro/internal/liberty"
 	"repro/internal/netlist"
 )
@@ -53,11 +52,19 @@ type Timing struct {
 	req   []float64       // by Net.ID; +Inf = unconstrained
 	pos   []int32         // by Cell.ID; topological position, -1 = sequential
 	order []*netlist.Cell // combinational cells in topological order
+	// stage caches stageDelay by Cell.ID for the combinational cells: forward
+	// fills it, the backward pass and both incremental directions read it —
+	// one load walk per cell and analysis instead of one per visit and sink —
+	// and Update refreshes exactly the entries a resize moved.
+	stage []float64
 
-	ends       []Endpoint
-	endHead    []int32 // by Net.ID; first endpoint index on that net, -1 = none
-	endNext    []int32 // by endpoint index; next endpoint on the same net
-	endsSorted bool
+	ends    []Endpoint
+	endHead []int32 // by Net.ID; first endpoint index on that net, -1 = none
+	endNext []int32 // by endpoint index; next endpoint on the same net
+	// How far ends is in worst-first order (see sortEnds), and, from
+	// violatorsSorted on, how many endpoints lead it as violators.
+	endsOrder endsOrder
+	nViol     int
 
 	// Worklist state, reused across Update calls (see incremental.go). The
 	// flags are always all-false and the counters zero between calls.
@@ -80,13 +87,32 @@ type Timing struct {
 }
 
 // Endpoint is a timing path endpoint: a flip-flop D pin or a primary output.
+// Its name — the flop's cell name + "/D", or the output net's name — is not
+// kept: an analysis has hundreds of endpoints and a report names a handful,
+// so TracePath builds the ones it is asked for.
 type Endpoint struct {
-	Name    string
 	Net     *netlist.Net  // the net arriving at the endpoint
 	Cell    *netlist.Cell // nil for primary outputs
 	Arrival float64
 	Slack   float64
 }
+
+// nameParts returns the endpoint's name as a base and a suffix to append.
+func (e *Endpoint) nameParts() (base, suffix string) {
+	if e.Cell != nil {
+		return e.Cell.Name, "/D"
+	}
+	return e.Net.Name, ""
+}
+
+// endsOrder says how much of Timing.ends is sorted.
+type endsOrder uint8
+
+const (
+	unsorted        endsOrder = iota
+	violatorsSorted           // violators lead, in order; the rest follow in no order
+	allSorted
+)
 
 // Analyze runs full forward/backward timing propagation. It returns an error
 // on combinational loops.
@@ -140,6 +166,7 @@ func (t *Timing) reanalyze() error {
 	t.arr = grow(t.arr, nNets)
 	t.req = grow(t.req, nNets)
 	t.pos = grow(t.pos, nCells)
+	t.stage = grow(t.stage, nCells)
 	t.inFQ = grow(t.inFQ, nCells)
 	t.inBQ = grow(t.inBQ, nNets)
 	clear(t.inFQ)
@@ -266,7 +293,7 @@ func (t *Timing) sourceArrival(n *netlist.Net) (float64, bool) {
 }
 
 // cellArrival computes the output arrival of a combinational cell from its
-// inputs' current arrivals.
+// inputs' current arrivals and its cached stage delay.
 func (t *Timing) cellArrival(c *netlist.Cell) float64 {
 	worst := 0.0
 	for _, in := range c.Inputs {
@@ -274,7 +301,7 @@ func (t *Timing) cellArrival(c *netlist.Cell) float64 {
 			worst = a
 		}
 	}
-	return worst + t.stageDelay(c)
+	return worst + t.stage[c.ID]
 }
 
 func (t *Timing) forward() {
@@ -296,6 +323,7 @@ func (t *Timing) forward() {
 	}
 	// Propagate through combinational cells.
 	for _, c := range t.order {
+		t.stage[c.ID] = t.stageDelay(c)
 		t.arr[c.Output.ID] = t.cellArrival(c)
 	}
 }
@@ -321,7 +349,7 @@ func (t *Timing) recomputeReq(n *netlist.Net) float64 {
 			}
 			continue
 		}
-		if v := t.req[s.Output.ID] - t.stageDelay(s); v < r {
+		if v := t.req[s.Output.ID] - t.stage[s.ID]; v < r {
 			r = v
 		}
 	}
@@ -358,7 +386,7 @@ func (t *Timing) backward() {
 	// Propagate backward through combinational cells.
 	for i := len(t.order) - 1; i >= 0; i-- {
 		c := t.order[i]
-		r := t.req[c.Output.ID] - t.stageDelay(c)
+		r := t.req[c.Output.ID] - t.stage[c.ID]
 		for _, in := range c.Inputs {
 			if r < t.req[in.ID] {
 				t.req[in.ID] = r
@@ -376,7 +404,6 @@ func (t *Timing) collectEndpoints() {
 		d := c.Inputs[0]
 		arr := t.Arrival(d)
 		t.ends = append(t.ends, Endpoint{
-			Name:    intern.Concat(c.Name, "/D"),
 			Net:     d,
 			Cell:    c,
 			Arrival: arr,
@@ -386,13 +413,12 @@ func (t *Timing) collectEndpoints() {
 	for _, o := range t.NL.Outputs {
 		arr := t.Arrival(o)
 		t.ends = append(t.ends, Endpoint{
-			Name:    o.Name,
 			Net:     o,
 			Arrival: arr,
 			Slack:   t.Cons.Period - t.Cons.OutputDelay - arr,
 		})
 	}
-	t.endsSorted = false
+	t.endsOrder = unsorted
 	t.rebuildEndChains()
 }
 
@@ -428,29 +454,94 @@ func (t *Timing) refreshEndsOnNet(n *netlist.Net) {
 			e.Slack = t.Cons.Period - t.Cons.OutputDelay - arr
 		}
 	}
-	t.endsSorted = false
+	t.endsOrder = unsorted
 }
 
-func (t *Timing) ensureSorted() {
-	if t.endsSorted {
+// compareEndpoints is the worst-first order: total on (Slack, name). TNS sums
+// t.ends in slice order, so the sorted permutation must not depend on the one
+// the sort started from. Equal slacks are common — every flop behind one
+// shared cone — so the names are compared where they lie, not built.
+func compareEndpoints(a, b Endpoint) int {
+	if a.Slack != b.Slack {
+		return cmp.Compare(a.Slack, b.Slack)
+	}
+	an, as := a.nameParts()
+	bn, bs := b.nameParts()
+	return compareSuffixed(an, as, bn, bs)
+}
+
+// compareSuffixed returns strings.Compare(a+as, b+bs) without building
+// either string.
+func compareSuffixed(a, as, b, bs string) int {
+	n := min(len(a), len(b))
+	if c := strings.Compare(a[:n], b[:n]); c != 0 {
+		return c
+	}
+	switch {
+	case len(a) > n:
+		return compareRest(a[n:], as, bs)
+	case len(b) > n:
+		return -compareRest(b[n:], bs, as)
+	}
+	return strings.Compare(as, bs)
+}
+
+// compareRest returns strings.Compare(x+xs, y).
+func compareRest(x, xs, y string) int {
+	n := min(len(x), len(y))
+	if c := strings.Compare(x[:n], y[:n]); c != 0 {
+		return c
+	}
+	if len(x) > n {
+		return 1 // y ran out inside x
+	}
+	return strings.Compare(xs, y[n:])
+}
+
+// sortEnds brings t.ends into worst-first order: the endpoints that do not
+// meet timing moved to the front and sorted, and with all set the rest sorted
+// behind them — which, the order being total with negative slacks first, is
+// the one order a sort of the whole slice gives. Most readers want the
+// violators only (9–76 of 216–334 endpoints on tinyRocket's analyses).
+//
+// "Does not meet" is !(Slack >= 0) rather than Slack < 0 so that a NaN slack
+// (a NaN period parses), which the order puts before every number, stays in
+// front.
+func (t *Timing) sortEnds(all bool) {
+	if t.endsOrder == allSorted || (t.endsOrder == violatorsSorted && !all) {
 		return
 	}
-	// Total on (Slack, Name): TNS sums t.ends in slice order, so the sorted
-	// permutation must not depend on the one the sort started from.
-	slices.SortFunc(t.ends, func(a, b Endpoint) int {
-		if a.Slack != b.Slack {
-			return cmp.Compare(a.Slack, b.Slack)
+	if t.endsOrder == unsorted {
+		k := 0
+		for i := range t.ends {
+			if !(t.ends[i].Slack >= 0) {
+				t.ends[i], t.ends[k] = t.ends[k], t.ends[i]
+				k++
+			}
 		}
-		return strings.Compare(a.Name, b.Name)
-	})
+		t.nViol = k
+		slices.SortFunc(t.ends[:k], compareEndpoints)
+		t.endsOrder = violatorsSorted
+	}
+	if all {
+		slices.SortFunc(t.ends[t.nViol:], compareEndpoints)
+		t.endsOrder = allSorted
+	}
 	t.rebuildEndChains()
-	t.endsSorted = true
 }
 
 // Endpoints returns all endpoints sorted worst-slack first.
 func (t *Timing) Endpoints() []Endpoint {
-	t.ensureSorted()
+	t.sortEnds(true)
 	return t.ends
+}
+
+// Violators returns the endpoints that do not meet timing, worst first: the
+// leading Slack < 0 run of Endpoints, without ordering the endpoints behind
+// it. The slice is valid until the next analysis or update.
+func (t *Timing) Violators() []Endpoint {
+	t.sortEnds(false)
+	return t.ends[:t.nViol:t.nViol]
 }
 
 // CPS is the critical path slack: the slack of the single worst path,
@@ -459,7 +550,7 @@ func (t *Timing) CPS() float64 {
 	if len(t.ends) == 0 {
 		return t.Cons.Period
 	}
-	if t.endsSorted {
+	if t.endsOrder == allSorted || (t.endsOrder == violatorsSorted && t.nViol > 0) {
 		return t.ends[0].Slack
 	}
 	worst := math.Inf(1)
@@ -531,7 +622,7 @@ type Path struct {
 
 // CriticalPath traces the single worst path in the design.
 func (t *Timing) CriticalPath() Path {
-	t.ensureSorted()
+	t.sortEnds(true)
 	if len(t.ends) == 0 {
 		return Path{}
 	}
@@ -540,7 +631,8 @@ func (t *Timing) CriticalPath() Path {
 
 // TracePath walks backward from an endpoint along maximum-arrival inputs.
 func (t *Timing) TracePath(end Endpoint) Path {
-	p := Path{Endpoint: end.Name, Slack: end.Slack}
+	base, suffix := end.nameParts()
+	p := Path{Endpoint: base + suffix, Slack: end.Slack}
 	var rev []PathStep
 	n := end.Net
 	for n != nil {
@@ -552,7 +644,7 @@ func (t *Timing) TracePath(end Endpoint) Path {
 		}
 		rev = append(rev, PathStep{Cell: c, Net: n, Incr: t.stageDelay(c), Arrival: t.Arrival(n)})
 		if c.IsSeq() {
-			p.Startpoint = intern.Concat(c.Name, "/CK")
+			p.Startpoint = c.Name + "/CK"
 			break
 		}
 		n = t.latestInput(c)
@@ -598,7 +690,7 @@ func (t *Timing) LaunchCell(end Endpoint) *netlist.Cell {
 
 // WorstPaths returns up to n paths, one per worst endpoint.
 func (t *Timing) WorstPaths(n int) []Path {
-	t.ensureSorted()
+	t.sortEnds(true)
 	if n > len(t.ends) {
 		n = len(t.ends)
 	}

@@ -28,6 +28,17 @@ type Design struct {
 	tm     *sta.Timing
 	tmOK   bool
 	tmCons sta.Constraints // constraints the cache was built under
+
+	sc *passScratch // see scratch
+}
+
+// scratch returns the working storage the design's passes share, the
+// workspace's own on a restored design.
+func (d *Design) scratch() *passScratch {
+	if d.sc == nil {
+		d.sc = new(passScratch)
+	}
+	return d.sc
 }
 
 // Timing returns STA results for the design's current constraints. The
@@ -76,12 +87,7 @@ func (d *Design) QoR() (QoR, error) {
 	if err != nil {
 		return QoR{}, err
 	}
-	viol := 0
-	for _, e := range tm.Endpoints() {
-		if e.Slack < 0 {
-			viol++
-		}
-	}
+	viol := countViolations(tm)
 	return QoR{
 		Design:     d.NL.Name,
 		Period:     d.Cons.Period,
@@ -94,6 +100,17 @@ func (d *Design) QoR() (QoR, error) {
 		Seq:        d.NL.SeqCount(),
 		Violations: viol,
 	}, nil
+}
+
+// countViolations counts the endpoints with negative slack.
+func countViolations(tm *sta.Timing) int {
+	viol := 0
+	for _, e := range tm.Violators() {
+		if e.Slack < 0 { // a NaN slack leads the violators but is not one
+			viol++
+		}
+	}
+	return viol
 }
 
 // Effort is a compile effort level.
@@ -130,39 +147,75 @@ type CompileOptions struct {
 	AreaHighEffort   bool // compile_ultra -area_high_effort_script
 }
 
+// effort is the mapping effort the options select.
+func (o CompileOptions) effort() Effort {
+	if o.Ultra {
+		return EffortHigh
+	}
+	return o.MapEffort
+}
+
+// frontHalf is everything besides the netlist and its library that Compile's
+// structural front half — the passes before the first timing analysis —
+// reads: three booleans the options decide and the fanout limit. No
+// constraint, wireload or timing-side option enters it, which is what lets
+// the checkpoint store keep the netlist a front half produces and hand it to
+// every later run that asks for the same one (see CheckpointStore). A pass
+// added to run, or a new input to one already there, must show up here.
+type frontHalf struct {
+	ungroup     bool // flatten, then sweep the boundary inverter pairs freed
+	restructure bool // merge gate/inverter pairs
+	balance     bool // rebalance associative chains, then restructure again
+	maxFanout   int  // split nets above this fanout; 0 = no limit set
+}
+
+func (o CompileOptions) frontHalf(maxFanout int) frontHalf {
+	return frontHalf{
+		ungroup:     o.Ultra && !o.NoAutoUngroup,
+		restructure: o.effort() >= EffortMedium && !o.Incremental,
+		balance:     o.effort() >= EffortHigh && !o.Incremental,
+		maxFanout:   maxFanout,
+	}
+}
+
+// run applies the structural passes to nl.
+func (f frontHalf) run(nl *netlist.Netlist, sc *passScratch) {
+	sweep(nl, sc)
+	if f.ungroup {
+		nl.Ungroup("")
+		sweep(nl, sc) // boundary inverter pairs become removable
+	}
+	if f.restructure {
+		restructure(nl, sc)
+	}
+	if f.balance {
+		balanceTrees(nl, sc)
+		restructure(nl, sc)
+	}
+	// Fanout buffering happens only under an explicit constraint: choosing
+	// set_max_fanout/balance_buffers is exactly the kind of design-specific
+	// decision the customization experiment measures.
+	if f.maxFanout > 0 {
+		BufferHighFanout(nl, f.maxFanout)
+	}
+}
+
 // Compile runs the synthesis optimization flow. Which passes run — and
 // therefore what QoR comes out — depends mechanically on the options, so a
 // well-customized script visibly beats a generic one.
 func Compile(d *Design, opts CompileOptions) error {
+	return compileFrom(d, opts, func(f frontHalf) { f.run(d.NL, d.scratch()) })
+}
+
+// compileFrom is Compile with the structural front half left to front, which
+// must leave d.NL exactly as frontHalf.run would: the session passes one that
+// can take the result from the checkpoint store instead of computing it.
+func compileFrom(d *Design, opts CompileOptions, front func(frontHalf)) error {
 	if d.Cons.Period <= 0 {
 		return fmt.Errorf("compile: no clock constraint defined (create_clock)")
 	}
-	Sweep(d.NL)
-
-	if opts.Ultra && !opts.NoAutoUngroup {
-		d.NL.Ungroup("")
-		Sweep(d.NL) // boundary inverter pairs become removable
-	}
-
-	effort := opts.MapEffort
-	if opts.Ultra {
-		effort = EffortHigh
-	}
-
-	if effort >= EffortMedium && !opts.Incremental {
-		Restructure(d.NL)
-	}
-	if effort >= EffortHigh && !opts.Incremental {
-		BalanceTrees(d.NL)
-		Restructure(d.NL)
-	}
-
-	// Fanout buffering happens only under an explicit constraint: choosing
-	// set_max_fanout/balance_buffers is exactly the kind of design-specific
-	// decision the customization experiment measures.
-	if d.MaxFanout > 0 {
-		BufferHighFanout(d.NL, d.MaxFanout)
-	}
+	front(opts.frontHalf(d.MaxFanout))
+	effort := opts.effort()
 
 	// One shared timing analysis drives the remaining passes; each refreshes
 	// it incrementally (sizing) or rebuilds it in place (retiming). A nil tm
@@ -210,13 +263,13 @@ func Compile(d *Design, opts CompileOptions) error {
 		areaMargin = 0.30
 	}
 	if areaMargin >= 0 && tm != nil {
-		AreaRecoveryWith(tm, areaMargin)
+		areaRecovery(tm, areaMargin, d.scratch())
 		if opts.AreaHighEffort {
-			AreaRecoveryWith(tm, areaMargin)
+			areaRecovery(tm, areaMargin, d.scratch())
 		}
 	}
 
-	Sweep(d.NL)
+	sweep(d.NL, d.scratch())
 	d.Compiled = true
 	return nil
 }

@@ -20,11 +20,12 @@ import (
 // Inverter pairs are only collapsed within one optimization group (or after
 // ungrouping), mirroring hierarchical boundary optimization. Returns the
 // number of cells removed or simplified.
-func Sweep(nl *netlist.Netlist) int {
+func Sweep(nl *netlist.Netlist) int { return sweep(nl, new(passScratch)) }
+
+func sweep(nl *netlist.Netlist, sc *passScratch) int {
 	total := 0
-	var sc sweepScratch
 	for {
-		n := sweepOnce(nl, &sc)
+		n := sweepOnce(nl, sc)
 		total += n
 		if n == 0 {
 			return total
@@ -32,28 +33,59 @@ func Sweep(nl *netlist.Netlist) int {
 	}
 }
 
-// sweepScratch reuses the snapshot and liveness buffers across the
-// fixed-point iterations of one Sweep call.
-type sweepScratch struct {
-	snapshot []*netlist.Cell
-	alive    []bool // indexed by Cell.ID
+// passScratch is the working storage the structural passes and area recovery
+// share: a list of cells (a snapshot of nl.Cells a pass can edit under, or
+// the cells scattered by ID) and one flag per Cell.ID. Each use overwrites the
+// last; nothing carries over between passes. A Design keeps one for all its
+// passes, and a restored design the one its workspace brought along, so a
+// warm run's passes allocate neither.
+type passScratch struct {
+	cells []*netlist.Cell
+	flags []bool
 }
 
-func sweepOnce(nl *netlist.Netlist, sc *sweepScratch) int {
+// snapshot returns a copy of nl.Cells in sc's storage.
+func (sc *passScratch) snapshot(nl *netlist.Netlist) []*netlist.Cell {
+	sc.cells = append(sc.cells[:0], nl.Cells...)
+	return sc.cells
+}
+
+// byID returns a zeroed slice of one cell slot per Cell.ID of nl. Like the
+// flags, it is allocated with headroom for the IDs a run's edits add.
+func (sc *passScratch) byID(nl *netlist.Netlist) []*netlist.Cell {
+	bound := nl.CellIDBound()
+	if cap(sc.cells) < bound {
+		sc.cells = make([]*netlist.Cell, bound, bound+bound/4)
+	} else {
+		sc.cells = sc.cells[:bound]
+		clear(sc.cells)
+	}
+	return sc.cells
+}
+
+// flagsByID returns an all-false slice of one flag per Cell.ID of nl.
+func (sc *passScratch) flagsByID(nl *netlist.Netlist) []bool {
+	bound := nl.CellIDBound()
+	if cap(sc.flags) < bound {
+		sc.flags = make([]bool, bound, bound+bound/4)
+	} else {
+		sc.flags = sc.flags[:bound]
+		clear(sc.flags)
+	}
+	return sc.flags
+}
+
+// forget drops every cell pointer sc holds, so that storage handed to a new
+// run pins nothing of the netlist the last run edited.
+func (sc *passScratch) forget() {
+	clear(sc.cells[:cap(sc.cells)])
+}
+
+func sweepOnce(nl *netlist.Netlist, sc *passScratch) int {
 	lib := nl.Lib
 	changed := 0
-	sc.snapshot = append(sc.snapshot[:0], nl.Cells...)
-	snapshot := sc.snapshot
-	bound := nl.CellIDBound()
-	if cap(sc.alive) < bound {
-		sc.alive = make([]bool, bound)
-	} else {
-		sc.alive = sc.alive[:bound]
-		for i := range sc.alive {
-			sc.alive[i] = false
-		}
-	}
-	alive := sc.alive
+	snapshot := sc.snapshot(nl)
+	alive := sc.flagsByID(nl)
 	for _, c := range snapshot {
 		alive[c.ID] = true
 	}
@@ -132,8 +164,7 @@ func sweepOnce(nl *netlist.Netlist, sc *sweepScratch) int {
 		}
 	}
 	// Dangling removal. The first snapshot is no longer needed; reuse it.
-	sc.snapshot = append(sc.snapshot[:0], nl.Cells...)
-	for _, c := range sc.snapshot {
+	for _, c := range sc.snapshot(nl) {
 		if c.Fixed || c.IsSeq() {
 			continue
 		}
@@ -285,11 +316,12 @@ var restructureMerge = map[liberty.Kind]liberty.Kind{
 	liberty.KindXnor2: liberty.KindXor2,
 }
 
-func Restructure(nl *netlist.Netlist) int {
+func Restructure(nl *netlist.Netlist) int { return restructure(nl, new(passScratch)) }
+
+func restructure(nl *netlist.Netlist, sc *passScratch) int {
 	merge := restructureMerge
 	changed := 0
-	snapshot := append([]*netlist.Cell(nil), nl.Cells...)
-	for _, inv := range snapshot {
+	for _, inv := range sc.snapshot(nl) {
 		if inv.Ref.Kind != liberty.KindInv || inv.Fixed {
 			continue
 		}
@@ -334,15 +366,16 @@ var assocKinds = map[liberty.Kind]bool{
 // BalanceTrees rebalances left-leaning chains of associative gates into
 // balanced trees, reducing logic depth from O(n) to O(log n). Chains are
 // only collected within one optimization group.
-func BalanceTrees(nl *netlist.Netlist) int {
+func BalanceTrees(nl *netlist.Netlist) int { return balanceTrees(nl, new(passScratch)) }
+
+func balanceTrees(nl *netlist.Netlist, ps *passScratch) int {
 	changed := 0
 	// Snapshot cells all have IDs below the starting bound; cells AddCell
 	// creates during rebalancing are never roots, so they need no liveness
 	// bit and the slice never has to grow.
-	inTree := make([]bool, nl.CellIDBound())
-	snapshot := append([]*netlist.Cell(nil), nl.Cells...)
+	inTree := ps.flagsByID(nl)
 	var sc chainScratch
-	for _, root := range snapshot {
+	for _, root := range ps.snapshot(nl) {
 		if inTree[root.ID] || root.Fixed || !assocKinds[root.Ref.Kind] {
 			continue
 		}
@@ -544,6 +577,10 @@ func SizeForTimingWith(tm *sta.Timing, o SizeOptions) int {
 // without creating violations; a regressing pass is rolled back. tm is
 // refreshed incrementally.
 func AreaRecoveryWith(tm *sta.Timing, margin float64) int {
+	return areaRecovery(tm, margin, new(passScratch))
+}
+
+func areaRecovery(tm *sta.Timing, margin float64, sc *passScratch) int {
 	if err := tm.Update(nil); err != nil {
 		return 0
 	}
@@ -558,7 +595,7 @@ func AreaRecoveryWith(tm *sta.Timing, margin float64) int {
 	// Visit cells in ID order. nl.Cells is permuted by every removal, but IDs
 	// are unique and below the bound, so scattering by ID orders them without
 	// a sort.
-	byID := make([]*netlist.Cell, nl.CellIDBound())
+	byID := sc.byID(nl)
 	for _, c := range nl.Cells {
 		byID[c.ID] = c
 	}

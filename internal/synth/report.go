@@ -98,12 +98,7 @@ func ReportConstraint(d *Design) (string, error) {
 	}
 	var b strings.Builder
 	b.WriteString("**** report_constraint ****\n")
-	viol := 0
-	for _, e := range tm.Endpoints() {
-		if e.Slack < 0 {
-			viol++
-		}
-	}
+	viol := countViolations(tm)
 	fmt.Fprintf(&b, "max_delay (clock %.3f ns): %d violating endpoints, WNS %.3f, TNS %.3f\n",
 		d.Cons.Period, viol, tm.WNS(), tm.TNS())
 	if d.MaxFanout > 0 {

@@ -59,10 +59,7 @@ func RetimeWith(tm *sta.Timing, maxMoves int) int {
 		}
 		inSweep := func(c *netlist.Cell) bool { return c.ID < bound && present[c.ID] }
 		applied := 0
-		for _, end := range tm.Endpoints() {
-			if end.Slack >= 0 {
-				break
-			}
+		for _, end := range tm.Violators() {
 			if moves+applied >= maxMoves {
 				break
 			}

@@ -166,6 +166,14 @@ type execState struct {
 	ws      *workspace // what design was restored into; nil when elaborated afresh
 	wlName  string
 	didComp bool
+
+	// pristine is the checkpoint design was restored from while its netlist
+	// may still be that checkpoint's image untouched — nil on a fresh
+	// elaboration, after set_dont_touch (which marks cells without moving an
+	// edit generation) and from the first compile on. restoredGen is the edit
+	// generation the restore left; any edit through the netlist API moves it.
+	pristine    *checkpoint
+	restoredGen uint64
 }
 
 func (st *execState) logf(format string, args ...any) {
@@ -204,8 +212,25 @@ func (st *execState) restore(cp *checkpoint) {
 	st.top = cp.top
 	st.ws = st.sess.Checkpoints.acquire()
 	st.ws.nl = cp.img.Thaw(st.ws.nl)
-	st.design = &Design{NL: st.ws.nl, WL: st.sess.Lib.WireLoad(st.wlName), tm: st.ws.tm}
+	st.ws.sc.forget()
+	st.design = &Design{NL: st.ws.nl, WL: st.sess.Lib.WireLoad(st.wlName), tm: st.ws.tm, sc: st.ws.sc}
 	st.res.Log = append(st.res.Log, cp.log...)
+	st.pristine, st.restoredGen = cp, st.ws.nl.Gen()
+}
+
+// runFrontHalf performs the structural front half of a compile on the session's
+// design: through the checkpoint store's derived level when this is the first
+// compile of a restored design nothing has edited, computed in place
+// otherwise — a freshly elaborated design, a later compile, a script that
+// edits first.
+func (st *execState) runFrontHalf(front frontHalf) {
+	cp := st.pristine
+	st.pristine = nil
+	if cp == nil || st.design.NL.Gen() != st.restoredGen {
+		front.run(st.design.NL, st.design.scratch())
+		return
+	}
+	st.sess.Checkpoints.runFront(cp, front, st.design)
 }
 
 func (st *execState) needDesign() (*Design, error) {
@@ -350,6 +375,7 @@ func (st *execState) exec(c Cmd) error {
 				n++
 			}
 		}
+		st.pristine = nil
 		st.logf("set_dont_touch: %d cells protected", n)
 
 	case "ungroup":
@@ -399,7 +425,7 @@ func (st *execState) exec(c Cmd) error {
 			}
 			_, opts.Incremental = c.Opts["-incremental"]
 		}
-		if err := Compile(d, opts); err != nil {
+		if err := compileFrom(d, opts, st.runFrontHalf); err != nil {
 			return err
 		}
 		st.didComp = true
@@ -419,7 +445,7 @@ func (st *execState) exec(c Cmd) error {
 		if tm, err := d.Timing(); err == nil {
 			moves = RetimeWith(tm, 4000)
 		}
-		Sweep(d.NL)
+		sweep(d.NL, d.scratch())
 		st.logf("optimize_registers: %d register moves", moves)
 
 	case "balance_buffers":
