@@ -437,6 +437,43 @@ func BenchmarkWarmRequestRawK5(b *testing.B) {
 	}
 }
 
+// coldPass is what a freshly started daemon does for its first request on each
+// of the seven designs, one after the other: over a private copy of built with
+// empty embed/retrieve caches and an empty analysis memo (EnableCache) and an
+// empty checkpoint store, the baseline task and then one chatls sample (k=1,
+// Workers: 1) per design. It returns the store the pass ran against.
+func coldPass(ctx context.Context, built *synthrag.Database, lib *liberty.Library) (*synth.CheckpointStore, error) {
+	db := *built // private copy: the caches must not leak into other benchmarks and tests
+	db.EnableCache(64, 256)
+	opts := EvalOptions{Workers: 1, Checkpoints: synth.NewCheckpointStore(0)}
+	model := llm.New(llm.GPT4o, 1)
+	for _, d := range designs.Benchmarks() {
+		task, qor, err := NewTaskWith(ctx, d, lib, opts.Checkpoints)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := EvalTaskOpts(ctx, NewChatLS(model, &db), task, qor, 1, lib, opts); err != nil {
+			return nil, err
+		}
+	}
+	return opts.Checkpoints, nil
+}
+
+// BenchmarkColdRequests is the in-repo twin of the repo benchmark's cold_start
+// request pass: one op is one coldPass. The database build before it is
+// BenchmarkTable2DatabaseBuild.
+func BenchmarkColdRequests(b *testing.B) {
+	shared := sharedBenchDB(b)
+	lib := liberty.Nangate45()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := coldPass(context.Background(), shared, lib); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEmbedDesignUncached and BenchmarkEmbedDesignCached quantify what
 // the serving layer's embedding cache saves per request: the uncached path
 // re-parses the RTL and runs the GNN forward pass every time, the cached

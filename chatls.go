@@ -58,6 +58,13 @@ type Task struct {
 	Baseline       string
 	BaselineReport string
 	Lib            *liberty.Library
+
+	// Snapshot names the post-link state the baseline run left in the
+	// checkpoint store it ran against (zero without one): the mentor and
+	// embedding stages read the design's netlist and parsed sources from
+	// there instead of parsing and elaborating Design.Source again. Only a
+	// handle — the store may evict the snapshot, and the stages then do.
+	Snapshot synth.Snapshot
 }
 
 // NewTask runs the baseline script once and packages the customization
@@ -89,6 +96,7 @@ func (o EvalOptions) newTask(ctx context.Context, d *designs.Design, lib *libert
 		Baseline:       d.BaselineScript(),
 		BaselineReport: strings.Join(res.Reports, "\n"),
 		Lib:            lib,
+		Snapshot:       res.Snapshot,
 	}, *res.QoR, nil
 }
 
@@ -300,7 +308,7 @@ func (p *ChatLSPipeline) CustomizeResult(ctx context.Context, t *Task, sample in
 		var analysis *circuitmentor.Analysis
 		err := p.stage(ctx, resilience.CompMentor, cost(resilience.CompMentor)+cost(resilience.CompGenerate), func(ctx context.Context) error {
 			var err error
-			analysis, err = circuitmentor.AnalyzeContext(ctx, t.Design.Source, t.Design.Top, t.Design.Period, t.Lib)
+			analysis, err = circuitmentor.AnalyzeSnapshotContext(ctx, t.Snapshot, t.Design.Source, t.Design.Top, t.Design.Period, t.Lib)
 			return err
 		})
 		if err == nil {
@@ -321,7 +329,7 @@ func (p *ChatLSPipeline) CustomizeResult(ctx context.Context, t *Task, sample in
 		need := cost(resilience.CompRAGEmbed) + cost(resilience.CompRAGRetrieve) + cost(resilience.CompGenerate)
 		err := p.stage(ctx, resilience.CompRAGEmbed, need, func(ctx context.Context) error {
 			var err error
-			emb, _, err = p.DB.EmbedDesignContext(ctx, t.Design.Source, t.Design.Top)
+			emb, _, err = p.DB.EmbedSnapshotContext(ctx, t.Snapshot, t.Design.Source, t.Design.Top)
 			return err
 		})
 		if err == nil {

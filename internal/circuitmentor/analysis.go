@@ -6,11 +6,13 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/liberty"
 	"repro/internal/lru"
 	"repro/internal/netlist"
 	"repro/internal/sta"
+	"repro/internal/synth"
 	"repro/internal/verilog"
 )
 
@@ -73,15 +75,22 @@ type memoKey struct {
 // the second and later samples of a design cost a lookup.
 var memo = lru.New[memoKey, Analysis](memoCap)
 
+// snapshotReads counts the memo misses characterized from a checkpoint
+// store's snapshot.
+var snapshotReads atomic.Int64
+
 // MemoStats are the analysis memo's lifetime lookup counters, exposed by the
-// serving daemon as chatlsd_mentor_cache_{hits,misses}_total.
+// serving daemon as chatlsd_mentor_cache_{hits,misses}_total and
+// chatlsd_mentor_snapshot_reads_total. SnapshotReads is the part of Misses
+// that read the design's post-link snapshot; the rest parsed and elaborated.
 type MemoStats struct {
-	Hits, Misses int64
+	Hits, Misses  int64
+	SnapshotReads int64
 }
 
 // Stats returns the analysis memo's counters.
 func Stats() MemoStats {
-	return MemoStats{Hits: memo.Hits(), Misses: memo.Misses()}
+	return MemoStats{Hits: memo.Hits(), Misses: memo.Misses(), SnapshotReads: snapshotReads.Load()}
 }
 
 // ResetMemo empties the analysis memo, which is what a process restart does
@@ -96,13 +105,23 @@ func ResetMemo() { memo.Purge() }
 // successful analyses are memoized (errors never are); every caller gets its
 // own copy, Traits included.
 func AnalyzeContext(ctx context.Context, src, top string, period float64, lib *liberty.Library) (*Analysis, error) {
+	return AnalyzeSnapshotContext(ctx, synth.Snapshot{}, src, top, period, lib)
+}
+
+// AnalyzeSnapshotContext is AnalyzeContext for a caller that holds the handle
+// of a synthesis run of the same design on the same library: a memo miss
+// characterizes the post-link netlist the checkpoint store already holds
+// instead of parsing and elaborating src again. The result does not depend on
+// snap — the zero handle, or one whose snapshot the store has evicted, takes
+// the parse-and-elaborate path to the same analysis.
+func AnalyzeSnapshotContext(ctx context.Context, snap synth.Snapshot, src, top string, period float64, lib *liberty.Library) (*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	key := memoKey{lib: lib.Fingerprint(), src: src, top: top, period: math.Float64bits(period)}
 	a, ok := memo.Get(key)
 	if !ok {
-		fresh, err := analyze(ctx, src, top, period, lib)
+		fresh, err := analyze(ctx, snap, src, top, period, lib)
 		if err != nil {
 			return nil, err
 		}
@@ -113,8 +132,26 @@ func AnalyzeContext(ctx context.Context, src, top string, period float64, lib *l
 	return &a, nil
 }
 
-// analyze is the unmemoized analysis: parse, elaborate, characterize.
-func analyze(ctx context.Context, src, top string, period float64, lib *liberty.Library) (*Analysis, error) {
+// analyze is the unmemoized analysis: characterize the netlist snap lends,
+// thawed into the store's own workspace and timed in that workspace's Timing —
+// storage the design's next synthesis run overwrites anyway — or, when snap
+// finds nothing, parse, elaborate, characterize.
+func analyze(ctx context.Context, snap synth.Snapshot, src, top string, period float64, lib *liberty.Library) (*Analysis, error) {
+	var a *Analysis
+	found, err := snap.Netlist(src, top, func(nl *netlist.Netlist, tm *sta.Timing) error {
+		if err := tm.Reset(nl, nl.Lib.WireLoad(""), sta.Constraints{Period: period}); err != nil {
+			return err
+		}
+		a = characterize(nl, tm)
+		return nil
+	})
+	if found {
+		if err != nil {
+			return nil, err
+		}
+		snapshotReads.Add(1)
+		return a, nil
+	}
 	file, err := verilog.Parse(src)
 	if err != nil {
 		return nil, err
@@ -134,11 +171,16 @@ func analyze(ctx context.Context, src, top string, period float64, lib *liberty.
 
 // AnalyzeNetlist characterizes an already-elaborated netlist.
 func AnalyzeNetlist(nl *netlist.Netlist, period float64) (*Analysis, error) {
-	wl := nl.Lib.WireLoad("")
-	tm, err := sta.Analyze(nl, wl, sta.Constraints{Period: period})
+	tm, err := sta.Analyze(nl, nl.Lib.WireLoad(""), sta.Constraints{Period: period})
 	if err != nil {
 		return nil, err
 	}
+	return characterize(nl, tm), nil
+}
+
+// characterize reads the analysis off a netlist and the quick timing pass tm
+// holds of it. It keeps nothing of either but strings and numbers.
+func characterize(nl *netlist.Netlist, tm *sta.Timing) *Analysis {
 	a := &Analysis{
 		Design:    nl.Name,
 		Cells:     len(nl.Cells),
@@ -216,7 +258,7 @@ func AnalyzeNetlist(nl *netlist.Netlist, period float64) (*Analysis, error) {
 	if len(a.Traits) == 0 {
 		a.Traits = append(a.Traits, "balanced")
 	}
-	return a, nil
+	return a
 }
 
 // HasTrait reports whether the analysis detected the trait.

@@ -2,11 +2,20 @@ package netlist
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/intern"
 	"repro/internal/liberty"
 	"repro/internal/verilog"
 )
+
+// elaborations counts Elaborate calls; like sta's analysis counters it is a
+// plain atomic, so the package stays free of a dependency on internal/metrics.
+var elaborations atomic.Uint64
+
+// Elaborations returns the number of elaborations started process-wide,
+// surfaced by the serving daemon as netlist_elaborations_total.
+func Elaborations() uint64 { return elaborations.Load() }
 
 // Elaborate synthesizes a Verilog design into a flattened gate-level netlist
 // on the target library: the "read_verilog + elaborate" step of the synthesis
@@ -15,6 +24,7 @@ import (
 // with mux-based enable logic, and the module hierarchy is recorded on each
 // cell as its optimization group.
 func Elaborate(file *verilog.SourceFile, top string, overrides map[string]int64, lib *liberty.Library) (*Netlist, error) {
+	elaborations.Add(1)
 	m := file.FindModule(top)
 	if m == nil {
 		return nil, fmt.Errorf("top module %q not found", top)

@@ -48,6 +48,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/lru"
 	"repro/internal/metrics"
+	"repro/internal/netlist"
 	"repro/internal/overload"
 	"repro/internal/qorlog"
 	"repro/internal/remotecache"
@@ -55,6 +56,7 @@ import (
 	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/synthrag"
+	"repro/internal/verilog"
 )
 
 // Config assembles a Server. Zero values get serving defaults (see New).
@@ -318,17 +320,19 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return cfg.DB.CacheStats().RetrieveMisses })
 	s.reg.NewCounterFunc("chatlsd_mentor_cache_hits_total", "CircuitMentor analyses served from the per-design memo (process-wide)",
 		func() int64 { return circuitmentor.Stats().Hits })
-	s.reg.NewCounterFunc("chatlsd_mentor_cache_misses_total", "CircuitMentor analyses computed (parse + elaborate + timing pass)",
+	s.reg.NewCounterFunc("chatlsd_mentor_cache_misses_total", "CircuitMentor analyses computed (a timing pass over the design's netlist, read from its checkpoint or elaborated)",
 		func() int64 { return circuitmentor.Stats().Misses })
+	s.reg.NewCounterFunc("chatlsd_mentor_snapshot_reads_total", "CircuitMentor analyses computed on the post-link snapshot in the checkpoint store (no parse, no elaboration)",
+		func() int64 { return circuitmentor.Stats().SnapshotReads })
 	s.reg.NewCounterFunc("synth_checkpoint_hits_total", "synthesis runs restored from an elaboration checkpoint",
 		func() int64 { return s.ckpt.Stats().Hits })
 	s.reg.NewCounterFunc("synth_checkpoint_misses_total", "checkpointable synthesis runs that elaborated fresh",
 		func() int64 { return s.ckpt.Stats().Misses })
 	s.reg.NewCounterFunc("synth_checkpoint_evictions_total", "elaboration checkpoints displaced by capacity pressure",
 		func() int64 { return s.ckpt.Stats().Evictions })
-	s.reg.NewCounterFunc("synth_checkpoint_workspace_reuses_total", "checkpoint restores thawed into a parked workspace",
+	s.reg.NewCounterFunc("synth_checkpoint_workspace_reuses_total", "checkpoint thaws (restores and snapshot reads) into a parked workspace",
 		func() int64 { return s.ckpt.Stats().Reused })
-	s.reg.NewCounterFunc("synth_checkpoint_workspace_allocs_total", "checkpoint restores thawed into fresh storage",
+	s.reg.NewCounterFunc("synth_checkpoint_workspace_allocs_total", "checkpoint thaws (restores and snapshot reads) into fresh storage",
 		func() int64 { return s.ckpt.Stats().Allocated })
 	s.reg.NewCounterFunc("synth_checkpoint_derived_hits_total", "first compiles of a restored design whose structural front half was served from the store",
 		func() int64 { return s.ckpt.Stats().DerivedHits })
@@ -423,6 +427,10 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return int64(sta.FullAnalyses()) })
 	s.reg.NewCounterFunc("sta_incremental_updates_total", "incremental timing updates run",
 		func() int64 { return int64(sta.IncrementalUpdates()) })
+	s.reg.NewCounterFunc("netlist_elaborations_total", "designs elaborated from parsed sources (process-wide, the database build included)",
+		func() int64 { return int64(netlist.Elaborations()) })
+	s.reg.NewCounterFunc("verilog_parses_total", "Verilog source files parsed (process-wide, the database build included)",
+		func() int64 { return int64(verilog.Parses()) })
 	staDirty := s.reg.NewHistogram("sta_dirty_nodes", "nets and cells recomputed per incremental timing update",
 		[]float64{1, 4, 16, 64, 256, 1024, 4096, 16384})
 	sta.SetDirtyNodesObserver(func(n int) { staDirty.Observe(float64(n)) })

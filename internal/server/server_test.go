@@ -193,12 +193,18 @@ func TestTaskCacheHit(t *testing.T) {
 	if mentorHits+mentorMisses < 1 {
 		t.Errorf("after first request: mentor cache saw %v lookups, want >= 1", mentorHits+mentorMisses)
 	}
-	// The first request's sample restored the checkpoint its baseline captured,
-	// into fresh storage, and released it.
+	// The first request's analysis read the checkpoint its baseline captured,
+	// thawed into fresh storage; its sample restored into that same workspace
+	// and released it. (New re-enables the database cache, which empties the
+	// memo, so the analysis was a miss.)
 	wsReuses := metricValue(t, ts.URL, "synth_checkpoint_workspace_reuses_total")
 	wsAllocs := metricValue(t, ts.URL, "synth_checkpoint_workspace_allocs_total")
-	if wsAllocs != 1 || wsReuses != 0 {
-		t.Errorf("after first request: workspace allocs/reuses = %v/%v, want 1/0", wsAllocs, wsReuses)
+	if wsAllocs != 1 || wsReuses != 1 {
+		t.Errorf("after first request: workspace allocs/reuses = %v/%v, want 1/1", wsAllocs, wsReuses)
+	}
+	snapshotReads := metricValue(t, ts.URL, "chatlsd_mentor_snapshot_reads_total")
+	if snapshotReads < 1 {
+		t.Errorf("after first request: mentor snapshot reads = %v, want >= 1", snapshotReads)
 	}
 	// The baseline elaborated afresh and computed its compile's structural
 	// front half unseen; the sample, restored, computed its own and noted it.

@@ -42,6 +42,12 @@ import (
 // the structural front half of a compile makes of it (see checkpoint.derived
 // and runFront). The store also owns the storage restores thaw into: see
 // workspace.
+//
+// A snapshot is the design's one front-end artefact: besides the sessions that
+// restore it, whoever needs the parsed sources or the linked netlist of a
+// design a run has been through reads them from the store, through the
+// Snapshot handle the run's Result carries, instead of parsing and elaborating
+// the text again.
 type CheckpointStore struct {
 	cache  *lru.Cache[string, *checkpoint]
 	remote BlobCache
@@ -59,7 +65,9 @@ type CheckpointStore struct {
 // the netlist in place and Timing.Reset reuses the analysis buffers, so a warm
 // restore allocates next to nothing —
 // and whoever ends the run hands it back: Result.Release when the run
-// succeeded, RunContext itself when it failed and no Result escapes.
+// succeeded, RunContext itself when it failed and no Result escapes. A
+// Snapshot.Netlist read borrows one the same way for the length of its
+// callback.
 //
 // Only storage that came out of a thaw is ever parked. A freshly elaborated
 // design is arena-backed and cannot be overwritten in place; parking it would
@@ -92,6 +100,17 @@ func (s *CheckpointStore) acquire() *workspace {
 	}
 	s.allocated.Add(1)
 	return &workspace{home: s, tm: new(sta.Timing), sc: new(passScratch)}
+}
+
+// thaw is every reader's way to a snapshot's netlist: cp's image thawed into
+// the most recently parked workspace (or a new one), whose scratch no longer
+// pins the netlist it last worked on. The caller parks the workspace when it is
+// done with the netlist.
+func (s *CheckpointStore) thaw(cp *checkpoint) *workspace {
+	ws := s.acquire()
+	ws.nl = cp.img.Thaw(ws.nl)
+	ws.sc.forget()
+	return ws
 }
 
 // park takes a workspace back. The caller must hold the only reference to
@@ -145,13 +164,14 @@ func NewCheckpointStore(capacity int) *CheckpointStore {
 // CheckpointStats are the store's lifetime counters, exposed by the serving
 // daemon as synth_checkpoint_{hits,misses,evictions}_total,
 // synth_checkpoint_workspace_{reuses,allocs}_total and
-// synth_checkpoint_derived_{hits,misses,captures}_total. Every restore is
-// counted once as Reused (thawed into a parked workspace) or Allocated (into
-// fresh storage). Every first compile of a restored, unedited design is
-// counted once as a DerivedHit (its structural front half was served) or a
-// DerivedMiss (computed); DerivedCaptures counts the front-half netlists
-// frozen into the store. Hits, Misses and Evictions count post-link snapshots
-// only.
+// synth_checkpoint_derived_{hits,misses,captures}_total. Every thaw — a
+// restore, or a Snapshot.Netlist read — is counted once as Reused (into a
+// parked workspace) or Allocated (into fresh storage). Every first compile of
+// a restored, unedited design is counted once as a DerivedHit (its structural
+// front half was served) or a DerivedMiss (computed); DerivedCaptures counts
+// the front-half netlists frozen into the store. Hits, Misses and Evictions
+// count the post-link snapshot lookups of synthesis runs only; reads through a
+// Snapshot handle move none of them.
 type CheckpointStats struct {
 	Hits, Misses, Evictions                     int64
 	Reused, Allocated                           int64
@@ -198,6 +218,71 @@ type checkpoint struct {
 	// this snapshot's LRU entry and never leave the process.
 	mu      sync.Mutex
 	derived []derivedResult
+}
+
+// sourceFile returns the parsed sources under a slice header of the caller's
+// own: the modules are immutable and shared, the header is not — a session
+// that reads further files appends to it.
+func (cp *checkpoint) sourceFile() *verilog.SourceFile {
+	return &verilog.SourceFile{Modules: append([]*verilog.Module(nil), cp.file.Modules...)}
+}
+
+// Snapshot names one post-link snapshot in a CheckpointStore — the store and
+// the content key, never the image: the store stays the only owner of what it
+// caches, so a handle pins nothing, and a snapshot evicted since reads as
+// absent. Every Result of a run that went through the store's link prefix
+// carries one, whether the run restored the snapshot or captured it. The zero
+// Snapshot names nothing.
+//
+// Both accessors take the single source text and the top module the caller
+// wants the front end of, and find nothing unless the snapshot is the
+// elaboration of exactly that text under that top (the library and the absence
+// of parameter overrides are the caller's to match: the handle comes from a run
+// of the same design on the same library). A reader that finds nothing parses
+// and elaborates for itself, with the same result — restored and fresh state
+// are indistinguishable.
+type Snapshot struct {
+	store *CheckpointStore
+	key   string
+}
+
+func (h Snapshot) resolve(src, top string) *checkpoint {
+	if h.store == nil {
+		return nil
+	}
+	cp, ok := h.store.cache.Peek(h.key)
+	if !ok || cp.top != top || len(cp.srcs) != 1 || cp.srcs[0].Text != src {
+		return nil
+	}
+	return cp
+}
+
+// File returns the snapshot's parsed sources: shared, immutable modules under
+// a slice header of the caller's own.
+func (h Snapshot) File(src, top string) (*verilog.SourceFile, bool) {
+	cp := h.resolve(src, top)
+	if cp == nil {
+		return nil, false
+	}
+	return cp.sourceFile(), true
+}
+
+// Netlist lends fn the snapshot's linked netlist, thawed into one of the
+// store's own workspaces exactly as a restoring session would get it, and that
+// workspace's Timing, which holds no analysis of it yet (Reset it). The
+// workspace goes back to the store when fn returns, and the next restore
+// overwrites it: fn must keep no reference to the netlist, the timing or
+// anything reached through them. found is false, and fn not called, when the
+// store no longer holds the snapshot; err is fn's.
+func (h Snapshot) Netlist(src, top string, fn func(nl *netlist.Netlist, tm *sta.Timing) error) (found bool, err error) {
+	cp := h.resolve(src, top)
+	if cp == nil {
+		return false, nil
+	}
+	ws := h.store.thaw(cp)
+	err = fn(ws.nl, ws.tm)
+	h.store.park(ws)
+	return true, err
 }
 
 // maxDerived bounds the front-half results one snapshot keeps. A front half

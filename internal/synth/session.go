@@ -56,6 +56,11 @@ type Result struct {
 	Netlists []string // output of write commands (structural Verilog)
 	Log      []string // transcript lines
 
+	// Snapshot names the post-link snapshot of this run in
+	// Session.Checkpoints, restored or captured; zero when the run had no
+	// store or its script no canonical link prefix.
+	Snapshot Snapshot
+
 	ws *workspace // the storage Design was restored into; nil when it was elaborated afresh
 }
 
@@ -119,6 +124,7 @@ func (s *Session) RunContext(ctx context.Context, script string) (_ *Result, err
 	if s.Checkpoints != nil {
 		if end, files, top, ok := linkPrefix(cmds); ok && (budget <= 0 || end < budget) {
 			if key, ok := s.checkpointKey(files, top); ok {
+				res.Snapshot = Snapshot{store: s.Checkpoints, key: key}
 				if cp := s.Checkpoints.get(key, s.Lib); cp != nil {
 					st.restore(cp)
 					start = end + 1
@@ -208,11 +214,9 @@ func (st *execState) snapshot(files []string) *checkpoint {
 // shared), the wireload is the library default the link step would have
 // picked, and the prefix's transcript lines are replayed.
 func (st *execState) restore(cp *checkpoint) {
-	st.file = &verilog.SourceFile{Modules: append([]*verilog.Module(nil), cp.file.Modules...)}
+	st.file = cp.sourceFile()
 	st.top = cp.top
-	st.ws = st.sess.Checkpoints.acquire()
-	st.ws.nl = cp.img.Thaw(st.ws.nl)
-	st.ws.sc.forget()
+	st.ws = st.sess.Checkpoints.thaw(cp)
 	st.design = &Design{NL: st.ws.nl, WL: st.sess.Lib.WireLoad(st.wlName), tm: st.ws.tm, sc: st.ws.sc}
 	st.res.Log = append(st.res.Log, cp.log...)
 	st.pristine, st.restoredGen = cp, st.ws.nl.Gen()

@@ -187,10 +187,11 @@ func Build(cfg BuildConfig) (*Database, error) {
 	}
 
 	// Embed and synthesize expert strategies per design in parallel — the
-	// trained model is only read from here on, and each palette run uses its
-	// own synthesis session. Indexes and the graph store are then assembled
-	// serially in corpus order, keeping the database bit-identical to a
-	// serial build.
+	// trained model is only read from here on, and each design's palette
+	// sweep has its own sessions and checkpoint store. Indexes and the graph
+	// store are then assembled serially in corpus order, keeping the database
+	// bit-identical to a serial build.
+	palette := paletteNames()
 	type built struct {
 		global  []float64
 		modEmbs [][]float64
@@ -204,7 +205,7 @@ func Build(cfg BuildConfig) (*Database, error) {
 		r.global = db.Mentor.EmbedGlobal(e.dg)
 		r.modEmbs = db.Mentor.EmbedModules(e.dg)
 		if !cfg.SkipSynth && !isIndexOnly[e.d.Name] {
-			r.best, r.err = bestStrategy(e.d, cfg.Lib)
+			r.best, r.err = bestStrategy(e.d, cfg.Lib, palette)
 		}
 	})
 
@@ -275,30 +276,46 @@ func Build(cfg BuildConfig) (*Database, error) {
 	return db, nil
 }
 
-type paletteResult struct {
-	name string
-	qor  synth.QoR
-}
-
-// bestStrategy synthesizes a design under every palette plan and returns
-// the best by timing, then area — the expert-draft selection.
-func bestStrategy(d *designs.Design, lib *liberty.Library) (paletteResult, error) {
-	var best paletteResult
-	first := true
+// paletteNames lists the palette's plans in the order every sweep tries them.
+func paletteNames() []string {
 	names := make([]string, 0, len(StrategyPalette))
 	for n := range StrategyPalette {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	return names
+}
+
+type paletteResult struct {
+	name string
+	qor  synth.QoR
+}
+
+// bestStrategy synthesizes a design under every palette plan, in the order of
+// names, and returns the best by timing, then area — the expert-draft
+// selection.
+//
+// The plans share one checkpoint store that lives for this sweep only: the
+// design is parsed and elaborated once, the other plans restore the snapshot
+// into the store's one workspace, and its derived level serves the front
+// halves the palette repeats. Every result is released and the store is
+// garbage when the sweep returns, so a build keeps at most Workers designs'
+// images and workspaces alive at once, and none after it (a store that
+// outlived its sweep is what raised peak RSS; see DESIGN.md).
+func bestStrategy(d *designs.Design, lib *liberty.Library, names []string) (paletteResult, error) {
+	var best paletteResult
+	first := true
+	store := synth.NewCheckpointStore(1)
 	for _, name := range names {
 		sess := synth.NewSession(lib)
+		sess.Checkpoints = store
 		sess.AddSource(d.FileName, d.Source)
-		script := llm.SpliceScript(d.BaselineScript(), StrategyPalette[name])
-		res, err := sess.Run(script)
+		res, err := sess.Run(sweepScript(d, StrategyPalette[name]))
 		if err != nil {
 			continue // a palette entry can be inapplicable; skip it
 		}
 		q := *res.QoR
+		res.Release()
 		if first || betterQoR(q, best.qor) {
 			best = paletteResult{name, q}
 			first = false
@@ -308,6 +325,18 @@ func bestStrategy(d *designs.Design, lib *liberty.Library) (paletteResult, error
 		return best, fmt.Errorf("no palette strategy ran successfully")
 	}
 	return best, nil
+}
+
+// sweepScript splices plan into d's baseline script and drops the report
+// commands SpliceScript re-emits at the end: the sweep reads a run's QoR,
+// never its report text, and the reports change nothing the QoR is computed
+// from.
+func sweepScript(d *designs.Design, plan []string) string {
+	lines := strings.Split(strings.TrimSuffix(llm.SpliceScript(d.BaselineScript(), plan), "\n"), "\n")
+	for len(lines) > 0 && strings.HasPrefix(lines[len(lines)-1], "report_") {
+		lines = lines[:len(lines)-1]
+	}
+	return strings.Join(lines, "\n") + "\n"
 }
 
 // betterQoR orders by WNS, then CPS, then smaller area.
@@ -543,6 +572,15 @@ func (db *Database) EmbedDesign(src, top string) ([]float64, *circuitmentor.Desi
 // EmbedDesignContext is EmbedDesign with cooperative cancellation: the
 // context is checked between the graph-build and GNN-embed phases.
 func (db *Database) EmbedDesignContext(ctx context.Context, src, top string) ([]float64, *circuitmentor.DesignGraph, error) {
+	return db.EmbedSnapshotContext(ctx, synth.Snapshot{}, src, top)
+}
+
+// EmbedSnapshotContext is EmbedDesignContext for a caller that holds the
+// handle of a synthesis run of the same design: on an embedding-cache miss the
+// graph is built over the sources the checkpoint store already holds parsed.
+// The zero handle, or one whose snapshot has been evicted, parses src — the
+// graph and the embedding are the same either way.
+func (db *Database) EmbedSnapshotContext(ctx context.Context, snap synth.Snapshot, src, top string) ([]float64, *circuitmentor.DesignGraph, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -553,7 +591,13 @@ func (db *Database) EmbedDesignContext(ctx context.Context, src, top string) ([]
 			return emb, dg, nil
 		}
 	}
-	dg, err := circuitmentor.BuildGraph(src, top)
+	var dg *circuitmentor.DesignGraph
+	var err error
+	if file, ok := snap.File(src, top); ok {
+		dg, err = circuitmentor.BuildGraphFromFile(file, top)
+	} else {
+		dg, err = circuitmentor.BuildGraph(src, top)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
