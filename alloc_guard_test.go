@@ -69,8 +69,9 @@ func TestAnalysisMemoHitAllocGuard(t *testing.T) {
 	}
 }
 
-// TestRecycledRestoreAllocGuard pins what a checkpoint restore costs once a
-// released workspace is parked in the store: script parsing, the session and
+// TestRecycledRestoreAllocGuard pins what a checkpoint restore and the first
+// read of its netlist (uniquify, which reads and does nothing else) cost once
+// a released workspace is parked in the store: script parsing, the session and
 // its Result, the module-slice header — not a copy of the netlist, which is
 // thawed over the previous run's. Counted in bytes, since that is what the
 // copy cost (1.8 MB on aes when every restore cloned); the budget is about
@@ -79,7 +80,7 @@ func TestRecycledRestoreAllocGuard(t *testing.T) {
 	d := designs.AES()
 	lib := liberty.Nangate45()
 	store := synth.NewCheckpointStore(0)
-	link := "read_verilog " + d.FileName + "\ncurrent_design " + d.Top + "\nlink\n"
+	link := "read_verilog " + d.FileName + "\ncurrent_design " + d.Top + "\nlink\nuniquify\n"
 	restore := func() {
 		sess := synth.NewSession(lib)
 		sess.Checkpoints = store
@@ -99,8 +100,8 @@ func TestRecycledRestoreAllocGuard(t *testing.T) {
 		restore()
 	}
 	runtime.ReadMemStats(&after)
-	if st := store.Stats(); st.Allocated != 1 || st.Reused != runs {
-		t.Fatalf("workspaces allocated/reused = %d/%d, want 1/%d", st.Allocated, st.Reused, runs)
+	if st := store.Stats(); st.Allocated != 1 || st.Reused != runs || st.ThawsSkipped != 0 {
+		t.Fatalf("workspaces allocated/reused = %d/%d, %d restores thawed nothing, want 1/%d and 0", st.Allocated, st.Reused, st.ThawsSkipped, runs)
 	}
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("recycled link-only restore: %d B/run", perRun)

@@ -229,15 +229,18 @@ func BenchmarkCompileUltraSwervCheckpointed(b *testing.B) {
 }
 
 // BenchmarkCheckpointRestore isolates the checkpoint paths themselves on
-// SweRV's link prefix (no compile): capture is a miss — parse, elaborate,
+// SweRV's link prefix and the first read of its netlist (uniquify: a restore
+// thaws nothing until a command asks for the netlist, and this one asks and
+// does nothing else; no compile): capture is a miss — parse, elaborate,
 // freeze the linked netlist into the store; restore is a hit whose result is
 // never released, so every iteration thaws into new storage (what callers
 // that keep Result.Design pay); restore-recycled releases each result, so
-// the next iteration thaws over it (what the serving path pays).
+// the next iteration thaws over it (what the serving path pays when a
+// compile's result is not in the store).
 func BenchmarkCheckpointRestore(b *testing.B) {
 	d := designs.SweRV()
 	lib := liberty.Nangate45()
-	prefix := "read_verilog " + d.FileName + "\ncurrent_design " + d.Top + "\nlink\n"
+	prefix := "read_verilog " + d.FileName + "\ncurrent_design " + d.Top + "\nlink\nuniquify\n"
 	run := func(b *testing.B, store *synth.CheckpointStore) *synth.Result {
 		sess := synth.NewSession(lib)
 		sess.Checkpoints = store
@@ -282,6 +285,9 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 			if st.Hits == 0 {
 				b.Fatal("no checkpoint hits: the store never restored")
 			}
+			if st.ThawsSkipped != 0 {
+				b.Fatalf("%d restores thawed nothing: the benchmark times no thaw", st.ThawsSkipped)
+			}
 			if release && st.Allocated != 1 {
 				b.Fatalf("released restores allocated %d workspaces, want 1", st.Allocated)
 			}
@@ -316,7 +322,7 @@ func BenchmarkCustomizeChatLS(b *testing.B) {
 // shared model and database — round-robin over all seven designs, so the mean
 // over a multiple of seven is the mean request. Every design has been
 // requested three times when it returns: each cache the measured requests hit
-// is full, and each compile's structural front half is in the store.
+// is full, and what each compile sizes is in the store.
 func warmRequests(b *testing.B) (request func(i int) error, store *synth.CheckpointStore, lib *liberty.Library) {
 	db := *sharedBenchDB(b) // private copy: the caches must not leak into other benchmarks
 	db.EnableCache(64, 256)

@@ -330,15 +330,17 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return s.ckpt.Stats().Misses })
 	s.reg.NewCounterFunc("synth_checkpoint_evictions_total", "elaboration checkpoints displaced by capacity pressure",
 		func() int64 { return s.ckpt.Stats().Evictions })
-	s.reg.NewCounterFunc("synth_checkpoint_workspace_reuses_total", "checkpoint thaws (restores and snapshot reads) into a parked workspace",
+	s.reg.NewCounterFunc("synth_checkpoint_workspace_reuses_total", "workspace acquisitions (restores and snapshot reads) that took a parked workspace",
 		func() int64 { return s.ckpt.Stats().Reused })
-	s.reg.NewCounterFunc("synth_checkpoint_workspace_allocs_total", "checkpoint thaws (restores and snapshot reads) into fresh storage",
+	s.reg.NewCounterFunc("synth_checkpoint_workspace_allocs_total", "workspace acquisitions (restores and snapshot reads) that made a new, empty one",
 		func() int64 { return s.ckpt.Stats().Allocated })
-	s.reg.NewCounterFunc("synth_checkpoint_derived_hits_total", "first compiles of a restored design whose structural front half was served from the store",
+	s.reg.NewCounterFunc("synth_checkpoint_restore_thaws_skipped_total", "restores whose post-link image was never thawed: the compile's result was served instead, or the run ended before any command read the netlist",
+		func() int64 { return s.ckpt.Stats().ThawsSkipped })
+	s.reg.NewCounterFunc("synth_checkpoint_derived_hits_total", "first compiles of a restored design served the netlist they size (after the structural passes and, with -retime, the register moves) from the store",
 		func() int64 { return s.ckpt.Stats().DerivedHits })
-	s.reg.NewCounterFunc("synth_checkpoint_derived_misses_total", "first compiles of a restored design whose structural front half was computed",
+	s.reg.NewCounterFunc("synth_checkpoint_derived_misses_total", "first compiles of a restored design that computed the netlist they size",
 		func() int64 { return s.ckpt.Stats().DerivedMisses })
-	s.reg.NewCounterFunc("synth_checkpoint_derived_captures_total", "front-half netlists frozen into the store, on a front half's second computation",
+	s.reg.NewCounterFunc("synth_checkpoint_derived_captures_total", "pre-sizing netlists (post-retime under -retime) frozen into the store, on a key's second computation",
 		func() int64 { return s.ckpt.Stats().DerivedCaptures })
 	s.reg.NewCounterFunc("qorlog_hits_total", "sample syntheses served from the durable QoR store",
 		func() int64 { return s.results.Stats().Hits })

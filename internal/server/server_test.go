@@ -206,8 +206,13 @@ func TestTaskCacheHit(t *testing.T) {
 	if snapshotReads < 1 {
 		t.Errorf("after first request: mentor snapshot reads = %v, want >= 1", snapshotReads)
 	}
-	// The baseline elaborated afresh and computed its compile's structural
-	// front half unseen; the sample, restored, computed its own and noted it.
+	// The baseline elaborated afresh and ran its compile unseen; the sample,
+	// restored, computed what its own compile sizes and noted the key — which
+	// thawed the post-link image, as the capturing run after it does.
+	skipped := func() float64 { return metricValue(t, ts.URL, "synth_checkpoint_restore_thaws_skipped_total") }
+	if got := skipped(); got != 0 {
+		t.Errorf("after first request: restore thaws skipped = %v, want 0", got)
+	}
 	derived := func() [3]float64 {
 		return [3]float64{
 			metricValue(t, ts.URL, "synth_checkpoint_derived_hits_total"),
@@ -249,16 +254,23 @@ func TestTaskCacheHit(t *testing.T) {
 	if n := metricValue(t, ts.URL, "chatlsd_requests_total"); n != 2 {
 		t.Errorf("requests_total = %v, want 2", n)
 	}
-	// A front half's second run captures it, its third is served; neither
-	// shows in the post-link counters, which count one restore a request.
+	// A key's second run captures its result, its third is served — into a
+	// workspace the post-link image is then never thawed into; neither shows
+	// in the post-link counters, which count one restore a request.
 	if got, want := derived(), [3]float64{0, 2, 1}; got != want {
 		t.Errorf("after repeat request: derived hits/misses/captures = %v, want %v", got, want)
+	}
+	if got := skipped(); got != 0 {
+		t.Errorf("after repeat request: restore thaws skipped = %v, want 0", got)
 	}
 	if hr, body := postCustomize(t, ts.URL, req); hr.StatusCode != http.StatusOK {
 		t.Fatalf("third POST: %d %s", hr.StatusCode, body)
 	}
 	if got, want := derived(), [3]float64{1, 2, 1}; got != want {
 		t.Errorf("after third request: derived hits/misses/captures = %v, want %v", got, want)
+	}
+	if got := skipped(); got != 1 {
+		t.Errorf("after third request: restore thaws skipped = %v, want 1", got)
 	}
 	if h := metricValue(t, ts.URL, "synth_checkpoint_hits_total"); h != ckptHits+2 {
 		t.Errorf("after third request: checkpoint hits = %v, want %v", h, ckptHits+2)

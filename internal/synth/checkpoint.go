@@ -39,9 +39,10 @@ import (
 // Eviction is LRU with a bounded entry count.
 //
 // Beside each snapshot the store keeps a second, derived level: the netlists
-// the structural front half of a compile makes of it (see checkpoint.derived
-// and runFront). The store also owns the storage restores thaw into: see
-// workspace.
+// a compile makes of it before sizing — the structural passes and, with
+// -retime, the register moves (see checkpoint.derived, preSizing and
+// execState.runPreSizing). The store also owns the storage restores thaw
+// into: see workspace.
 //
 // A snapshot is the design's one front-end artefact: besides the sessions that
 // restore it, whoever needs the parsed sources or the linked netlist of a
@@ -55,11 +56,11 @@ type CheckpointStore struct {
 	mu   sync.Mutex
 	idle []*workspace // parked workspaces, most recently parked last
 
-	reused, allocated                           atomic.Int64
+	reused, allocated, thawsSkipped             atomic.Int64
 	derivedHits, derivedMisses, derivedCaptures atomic.Int64
 }
 
-// workspace is the storage one restored run works in: the netlist the image
+// workspace is the storage one restored run works in: the netlist an image
 // was thawed into, the Timing that analysed it and the scratch its passes
 // worked in. A run that restores takes an idle one — the next thaw overwrites
 // the netlist in place and Timing.Reset reuses the analysis buffers, so a warm
@@ -69,9 +70,10 @@ type CheckpointStore struct {
 // Snapshot.Netlist read borrows one the same way for the length of its
 // callback.
 //
-// Only storage that came out of a thaw is ever parked. A freshly elaborated
-// design is arena-backed and cannot be overwritten in place; parking it would
-// only pin a dead netlist.
+// Only storage the store handed out is ever parked — thawed into or, when the
+// run ended before any command read the netlist, exactly as it was acquired.
+// A freshly elaborated design is arena-backed and cannot be overwritten in
+// place; parking it would only pin a dead netlist.
 //
 // The idle list is LIFO, so the storage most recently in a CPU cache is the
 // next one used, and holds at most GOMAXPROCS workspaces: no more runs than
@@ -102,15 +104,13 @@ func (s *CheckpointStore) acquire() *workspace {
 	return &workspace{home: s, tm: new(sta.Timing), sc: new(passScratch)}
 }
 
-// thaw is every reader's way to a snapshot's netlist: cp's image thawed into
-// the most recently parked workspace (or a new one), whose scratch no longer
-// pins the netlist it last worked on. The caller parks the workspace when it is
-// done with the netlist.
-func (s *CheckpointStore) thaw(cp *checkpoint) *workspace {
-	ws := s.acquire()
-	ws.nl = cp.img.Thaw(ws.nl)
+// thaw is every reader's way to a frozen netlist: img thawed over whatever ws
+// last held, whose scratch then no longer pins the netlist it last worked on.
+// It has two callers, Snapshot.Netlist and execState.thaw.
+func (ws *workspace) thaw(img *netlist.Image) *netlist.Netlist {
+	ws.nl = img.Thaw(ws.nl)
 	ws.sc.forget()
-	return ws
+	return ws.nl
 }
 
 // park takes a workspace back. The caller must hold the only reference to
@@ -163,18 +163,22 @@ func NewCheckpointStore(capacity int) *CheckpointStore {
 
 // CheckpointStats are the store's lifetime counters, exposed by the serving
 // daemon as synth_checkpoint_{hits,misses,evictions}_total,
-// synth_checkpoint_workspace_{reuses,allocs}_total and
-// synth_checkpoint_derived_{hits,misses,captures}_total. Every thaw — a
-// restore, or a Snapshot.Netlist read — is counted once as Reused (into a
-// parked workspace) or Allocated (into fresh storage). Every first compile of
-// a restored, unedited design is counted once as a DerivedHit (its structural
-// front half was served) or a DerivedMiss (computed); DerivedCaptures counts
-// the front-half netlists frozen into the store. Hits, Misses and Evictions
-// count the post-link snapshot lookups of synthesis runs only; reads through a
-// Snapshot handle move none of them.
+// synth_checkpoint_workspace_{reuses,allocs}_total,
+// synth_checkpoint_restore_thaws_skipped_total and
+// synth_checkpoint_derived_{hits,misses,captures}_total. Every workspace
+// acquisition — a restore, or a Snapshot.Netlist read — is counted once as
+// Reused (a parked workspace) or Allocated (a new, empty one); ThawsSkipped
+// counts the restores whose post-link image was never thawed into theirs: the
+// compile's result was served instead, or the run ended before any command
+// read the netlist. Every first compile of a restored, unedited design is
+// counted once as a DerivedHit (the netlist it sizes — after the structural
+// passes and, with -retime, the register moves — was served) or a DerivedMiss
+// (computed); DerivedCaptures counts those netlists frozen into the store.
+// Hits, Misses and Evictions count the post-link snapshot lookups of synthesis
+// runs only; reads through a Snapshot handle move none of them.
 type CheckpointStats struct {
 	Hits, Misses, Evictions                     int64
-	Reused, Allocated                           int64
+	Reused, Allocated, ThawsSkipped             int64
 	DerivedHits, DerivedMisses, DerivedCaptures int64
 }
 
@@ -187,8 +191,10 @@ func (s *CheckpointStore) Stats() CheckpointStats {
 		Hits:      s.cache.Hits(),
 		Misses:    s.cache.Misses(),
 		Evictions: s.cache.Evictions(),
-		Reused:    s.reused.Load(),
-		Allocated: s.allocated.Load(),
+
+		Reused:       s.reused.Load(),
+		Allocated:    s.allocated.Load(),
+		ThawsSkipped: s.thawsSkipped.Load(),
 
 		DerivedHits:     s.derivedHits.Load(),
 		DerivedMisses:   s.derivedMisses.Load(),
@@ -213,7 +219,7 @@ type checkpoint struct {
 	log  []string            // transcript lines the prefix produced
 	srcs []srcText           // (file, text) in read order, for serialization
 
-	// The derived level: what compile's structural front halves make of img,
+	// The derived level: what compiles make of img before they size it,
 	// oldest entry first, at most maxDerived of them. They live and die with
 	// this snapshot's LRU entry and never leave the process.
 	mu      sync.Mutex
@@ -279,99 +285,67 @@ func (h Snapshot) Netlist(src, top string, fn func(nl *netlist.Netlist, tm *sta.
 	if cp == nil {
 		return false, nil
 	}
-	ws := h.store.thaw(cp)
-	err = fn(ws.nl, ws.tm)
+	ws := h.store.acquire()
+	err = fn(ws.thaw(cp.img), ws.tm)
 	h.store.park(ws)
 	return true, err
 }
 
-// maxDerived bounds the front-half results one snapshot keeps. A front half
-// is three booleans and a fanout limit, and over a whole benchmark run the
-// scripts aimed at one design use two or three of them; past the bound the
-// oldest entry goes.
+// maxDerived bounds the pre-sizing results one snapshot keeps. A key is four
+// booleans and a fanout limit, plus — with -retime — the wireload and the
+// constraints, which a design keeps over a whole benchmark run; the scripts
+// aimed at one design use two or three keys, and past the bound the oldest
+// entry goes.
 const maxDerived = 4
 
-// derivedResult is one front half's outcome on one snapshot. An entry starts
-// unresolved, as a note that the front half was computed once; the run that
+// derivedResult is the outcome of one preSizing on one snapshot. An entry
+// starts unresolved, as a note that it was computed once; the run that
 // computes it a second time resolves it. Scripts compiled once per process
 // life (a cold start compiles each design under each option set once) thus
 // never pay for a freeze or hold an image.
 type derivedResult struct {
-	front    frontHalf
+	pre      preSizing
 	resolved bool
-	img      *netlist.Image // the resulting netlist; nil when resolved means the front half edits nothing
+	img      *netlist.Image // the resulting netlist; nil when resolved means the passes edit nothing
 }
 
-// lookup finds front's entry. hit reports a resolved one, whose img is then
-// the result (nil: the front half leaves the netlist as it is). Otherwise the
+// lookup finds pre's entry. hit reports a resolved one, whose img is then
+// the result (nil: the passes leave the netlist as it is). Otherwise the
 // caller computes, and capture says whether to resolve the entry with what it
 // got: true on the second computation, false on the first, which lookup has
-// just noted.
-func (cp *checkpoint) lookup(front frontHalf) (img *netlist.Image, hit, capture bool) {
+// just noted — unless pre holds a NaN constraint (create_clock -period NaN
+// parses) and so equals nothing, itself included: noted, it could never be
+// found again and would only push a useful entry out.
+func (cp *checkpoint) lookup(pre preSizing) (img *netlist.Image, hit, capture bool) {
+	if pre != pre {
+		return nil, false, false
+	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	for i := range cp.derived {
-		if e := &cp.derived[i]; e.front == front {
+		if e := &cp.derived[i]; e.pre == pre {
 			return e.img, e.resolved, !e.resolved
 		}
 	}
 	if len(cp.derived) == maxDerived {
 		cp.derived = append(cp.derived[:0], cp.derived[1:]...)
 	}
-	cp.derived = append(cp.derived, derivedResult{front: front})
+	cp.derived = append(cp.derived, derivedResult{pre: pre})
 	return nil, false, false
 }
 
-// resolve records img as front's result and reports whether it did: not when
+// resolve records img as pre's result and reports whether it did: not when
 // a concurrent run got there first or the entry has been pushed out since.
-func (cp *checkpoint) resolve(front frontHalf, img *netlist.Image) bool {
+func (cp *checkpoint) resolve(pre preSizing, img *netlist.Image) bool {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	for i := range cp.derived {
-		if e := &cp.derived[i]; e.front == front && !e.resolved {
+		if e := &cp.derived[i]; e.pre == pre && !e.resolved {
 			e.resolved, e.img = true, img
 			return true
 		}
 	}
 	return false
-}
-
-// runFront leaves d.NL as front.run would, for a design whose netlist is
-// still exactly cp's image as restored — nothing has edited it, through the
-// netlist API or around it. Everything front.run reads is then cp's image
-// and front itself, so its result is a function of the two and can be kept:
-// a resolved entry is thawed over the netlist in place (IDs, bounds, slice
-// orders and generations come back as the passes would have left them), an
-// unresolved one is computed and, the second time, frozen for the runs after
-// this one. A front half that edits nothing is recorded as just that, with no
-// image.
-//
-// The thaw overwrites the slabs d's cached Timing points into (report_timing
-// before compile is legal), so a hit drops the cached analysis; the compile
-// re-analyses in either case — the passes would have moved the topology
-// generation — so a hit removes passes, never analyses.
-func (s *CheckpointStore) runFront(cp *checkpoint, front frontHalf, d *Design) {
-	img, hit, capture := cp.lookup(front)
-	if hit {
-		s.derivedHits.Add(1)
-		if img != nil {
-			img.Thaw(d.NL)
-			d.tmOK = false
-		}
-		return
-	}
-	s.derivedMisses.Add(1)
-	before := d.NL.Gen()
-	front.run(d.NL, d.scratch())
-	if !capture {
-		return
-	}
-	if d.NL.Gen() != before {
-		img = netlist.Freeze(d.NL)
-	}
-	if cp.resolve(front, img) && img != nil {
-		s.derivedCaptures.Add(1)
-	}
 }
 
 // srcText is one source file as the prefix read it. Carried so a checkpoint

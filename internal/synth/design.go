@@ -155,48 +155,79 @@ func (o CompileOptions) effort() Effort {
 	return o.MapEffort
 }
 
-// frontHalf is everything besides the netlist and its library that Compile's
-// structural front half — the passes before the first timing analysis —
-// reads: three booleans the options decide and the fanout limit. No
-// constraint, wireload or timing-side option enters it, which is what lets
-// the checkpoint store keep the netlist a front half produces and hand it to
-// every later run that asks for the same one (see CheckpointStore). A pass
+// retimeMoves bounds the register moves one retiming pass may make.
+const retimeMoves = 4000
+
+// preSizing is everything besides the netlist and its library that Compile
+// reads before it sizes — the structural passes, then retiming — and so the
+// key under which the checkpoint store keeps the netlist they produce and
+// hands it to every later run that asks for the same one (see
+// CheckpointStore). Every input those passes read is a field here:
+//
+//   - the structural passes read the netlist, the library, the three booleans
+//     the options decide and the fanout limit;
+//   - RetimeWith reads the netlist (Fixed and Group included), the library,
+//     the wireload, all five Constraints fields (through the Timing it is
+//     handed) and the retimeMoves budget, a constant.
+//
+// The netlist and the library are the snapshot's own key. The wireload goes
+// in by name — the library fingerprint binds every wireload table — and, like
+// the constraints, only with retime set: without it no pass here reads
+// either, and the key stays what every period and wireload share. A pass
 // added to run, or a new input to one already there, must show up here.
-type frontHalf struct {
+type preSizing struct {
 	ungroup     bool // flatten, then sweep the boundary inverter pairs freed
 	restructure bool // merge gate/inverter pairs
 	balance     bool // rebalance associative chains, then restructure again
 	maxFanout   int  // split nets above this fanout; 0 = no limit set
+
+	retime   bool            // move registers across gates on violating paths
+	wireload string          // zero unless retime
+	cons     sta.Constraints // zero unless retime
 }
 
-func (o CompileOptions) frontHalf(maxFanout int) frontHalf {
-	return frontHalf{
+func (o CompileOptions) preSizing(d *Design) preSizing {
+	p := preSizing{
 		ungroup:     o.Ultra && !o.NoAutoUngroup,
 		restructure: o.effort() >= EffortMedium && !o.Incremental,
 		balance:     o.effort() >= EffortHigh && !o.Incremental,
-		maxFanout:   maxFanout,
+		maxFanout:   d.MaxFanout,
 	}
+	if o.Retime {
+		p.retime, p.cons = true, d.Cons
+		if d.WL != nil {
+			p.wireload = d.WL.Name
+		}
+	}
+	return p
 }
 
-// run applies the structural passes to nl.
-func (f frontHalf) run(nl *netlist.Netlist, sc *passScratch) {
+// run applies the passes to d.
+func (p preSizing) run(d *Design) {
+	nl, sc := d.NL, d.scratch()
 	sweep(nl, sc)
-	if f.ungroup {
+	if p.ungroup {
 		nl.Ungroup("")
 		sweep(nl, sc) // boundary inverter pairs become removable
 	}
-	if f.restructure {
+	if p.restructure {
 		restructure(nl, sc)
 	}
-	if f.balance {
+	if p.balance {
 		balanceTrees(nl, sc)
 		restructure(nl, sc)
 	}
 	// Fanout buffering happens only under an explicit constraint: choosing
 	// set_max_fanout/balance_buffers is exactly the kind of design-specific
 	// decision the customization experiment measures.
-	if f.maxFanout > 0 {
-		BufferHighFanout(nl, f.maxFanout)
+	if p.maxFanout > 0 {
+		BufferHighFanout(nl, p.maxFanout)
+	}
+	// A combinational loop leaves nothing to time: no moves.
+	if p.retime {
+		if tm, err := d.Timing(); err == nil {
+			RetimeWith(tm, retimeMoves)
+		}
 	}
 }
 
@@ -204,30 +235,27 @@ func (f frontHalf) run(nl *netlist.Netlist, sc *passScratch) {
 // therefore what QoR comes out — depends mechanically on the options, so a
 // well-customized script visibly beats a generic one.
 func Compile(d *Design, opts CompileOptions) error {
-	return compileFrom(d, opts, func(f frontHalf) { f.run(d.NL, d.scratch()) })
+	return compileFrom(d, opts, func(p preSizing) { p.run(d) })
 }
 
-// compileFrom is Compile with the structural front half left to front, which
-// must leave d.NL exactly as frontHalf.run would: the session passes one that
+// compileFrom is Compile with everything before sizing left to pre, which
+// must leave d.NL exactly as preSizing.run would: the session passes one that
 // can take the result from the checkpoint store instead of computing it.
-func compileFrom(d *Design, opts CompileOptions, front func(frontHalf)) error {
+func compileFrom(d *Design, opts CompileOptions, pre func(preSizing)) error {
 	if d.Cons.Period <= 0 {
 		return fmt.Errorf("compile: no clock constraint defined (create_clock)")
 	}
-	front(opts.frontHalf(d.MaxFanout))
+	pre(opts.preSizing(d))
 	effort := opts.effort()
 
-	// One shared timing analysis drives the remaining passes; each refreshes
-	// it incrementally (sizing) or rebuilds it in place (retiming). A nil tm
-	// means the netlist has a combinational loop — the timing passes would
+	// One shared timing analysis drives the remaining passes, each refreshing
+	// it incrementally (after a computed retime this call picks up the last
+	// sweep's moves; after a served one it is the only full analysis). A nil
+	// tm means the netlist has a combinational loop — the timing passes would
 	// each have bailed out individually, so skip them as a group.
 	tm, tmErr := d.Timing()
 	if tmErr != nil {
 		tm = nil
-	}
-
-	if opts.Retime && tm != nil {
-		RetimeWith(tm, 4000)
 	}
 
 	// Effort controls how hard sizing works: iterations, the strongest

@@ -105,15 +105,22 @@ func (s *Session) RunContext(ctx context.Context, script string) (_ *Result, err
 	st := &execState{sess: s, res: res}
 	// A run that dies after a restore — an invalid option value, a command
 	// out of order, a budget overrun, a cancelled context — returns no Result
-	// to release, so its workspace goes back here.
+	// to release, so its workspace goes back here. A restored run that ends,
+	// either way, with no netlist in its design never read one.
 	defer func() {
-		if err != nil && st.ws != nil {
+		if st.ws == nil {
+			return
+		}
+		if st.design.NL == nil {
+			s.Checkpoints.thawsSkipped.Add(1)
+		}
+		if err != nil {
 			s.Checkpoints.park(st.ws)
 		}
 	}()
 
 	// Elaboration checkpointing: when the script opens with the canonical
-	// link prefix and a snapshot of that exact elaboration exists, thaw it
+	// link prefix and a snapshot of that exact elaboration exists, restore it
 	// and resume after the link command. On a miss the prefix
 	// executes normally and its state is captured right after link. The
 	// command budget counts skipped prefix commands as executed, so budget
@@ -152,12 +159,13 @@ func (s *Session) RunContext(ctx context.Context, script string) (_ *Result, err
 		}
 	}
 	if st.design != nil && st.design.Cons.Period > 0 {
-		q, err := st.design.QoR()
+		d, _ := st.netlist() // the design is there: no error to have
+		q, err := d.QoR()
 		if err != nil {
 			return nil, err
 		}
 		res.QoR = &q
-		res.Design = st.design
+		res.Design = d
 	}
 	res.ws = st.ws
 	return res, nil
@@ -173,13 +181,12 @@ type execState struct {
 	wlName  string
 	didComp bool
 
-	// pristine is the checkpoint design was restored from while its netlist
-	// may still be that checkpoint's image untouched — nil on a fresh
-	// elaboration, after set_dont_touch (which marks cells without moving an
-	// edit generation) and from the first compile on. restoredGen is the edit
-	// generation the restore left; any edit through the netlist API moves it.
-	pristine    *checkpoint
-	restoredGen uint64
+	// pristine is the checkpoint design was restored from for as long as its
+	// netlist is that checkpoint's image untouched, thawed or not yet: nil on
+	// a fresh elaboration, after set_dont_touch (which marks cells without
+	// moving an edit generation), after an ungroup that moved one, and from
+	// the first compile on.
+	pristine *checkpoint
 }
 
 func (st *execState) logf(format string, args ...any) {
@@ -206,35 +213,96 @@ func (st *execState) snapshot(files []string) *checkpoint {
 }
 
 // restore rebuilds the post-link session state from a snapshot, exactly as
-// executing the prefix would have: the design is the snapshot's netlist
-// thawed into one of the store's workspaces (IDs, levelization inputs, and
-// edit generations preserved, so downstream incremental timing behaves
-// identically), analysed in the Timing that workspace brought along, the
-// module list is a fresh slice header (modules themselves are immutable and
-// shared), the wireload is the library default the link step would have
-// picked, and the prefix's transcript lines are replayed.
+// executing the prefix would have, except that the design has no netlist yet:
+// it gets the snapshot's, thawed into the workspace acquired here (IDs,
+// levelization inputs, and edit generations preserved, so downstream
+// incremental timing behaves identically), when the first command asks for it
+// through netlist — or never, when all the run does with it is a compile whose
+// result the store already holds. The timing and scratch are the ones that
+// workspace brought along, the module list is a fresh slice header (modules
+// themselves are immutable and shared), the wireload is the library default
+// the link step would have picked, and the prefix's transcript lines are
+// replayed.
 func (st *execState) restore(cp *checkpoint) {
 	st.file = cp.sourceFile()
 	st.top = cp.top
-	st.ws = st.sess.Checkpoints.thaw(cp)
-	st.design = &Design{NL: st.ws.nl, WL: st.sess.Lib.WireLoad(st.wlName), tm: st.ws.tm, sc: st.ws.sc}
+	st.ws = st.sess.Checkpoints.acquire()
+	st.design = &Design{WL: st.sess.Lib.WireLoad(st.wlName), tm: st.ws.tm, sc: st.ws.sc}
 	st.res.Log = append(st.res.Log, cp.log...)
-	st.pristine, st.restoredGen = cp, st.ws.nl.Gen()
+	st.pristine = cp
 }
 
-// runFrontHalf performs the structural front half of a compile on the session's
+// thaw makes img the restored design's netlist, over whatever the workspace
+// holds — which a cached analysis of the design may point into.
+func (st *execState) thaw(img *netlist.Image) {
+	st.design.NL = st.ws.thaw(img)
+	st.design.tmOK = false
+}
+
+// netlist is needDesign for a command that reads or edits the netlist, which
+// is every command but the constraint setters and compile's entry: a restored
+// design whose image is still frozen gets it thawed. exec reaches Design.NL
+// through here and nowhere else before the first compile.
+func (st *execState) netlist() (*Design, error) {
+	d, err := st.needDesign()
+	if err == nil && d.NL == nil {
+		st.thaw(st.pristine.img)
+	}
+	return d, err
+}
+
+// runPreSizing does what a compile does before sizing on the session's
 // design: through the checkpoint store's derived level when this is the first
 // compile of a restored design nothing has edited, computed in place
 // otherwise — a freshly elaborated design, a later compile, a script that
 // edits first.
-func (st *execState) runFrontHalf(front frontHalf) {
-	cp := st.pristine
+//
+// On the derived level everything pre.run reads is cp's image and pre itself,
+// so its result is a function of the two and can be kept: a resolved entry is
+// thawed into the workspace — over the post-link netlist if a report has
+// already asked for it, instead of it otherwise (IDs, bounds, slice orders and
+// generations come back as the passes would have left them) — and an
+// unresolved one is computed and, the second time, frozen for the runs after
+// this one. Passes that edit nothing are recorded as just that, with no image.
+// The compile analyses the result once in either case; what a hit removes is
+// the passes and, with -retime, the analysis each of its sweeps ran.
+func (st *execState) runPreSizing(pre preSizing) {
+	cp, d, store := st.pristine, st.design, st.sess.Checkpoints
 	st.pristine = nil
-	if cp == nil || st.design.NL.Gen() != st.restoredGen {
-		front.run(st.design.NL, st.design.scratch())
+	if cp == nil {
+		pre.run(d)
 		return
 	}
-	st.sess.Checkpoints.runFront(cp, front, st.design)
+	img, hit, capture := cp.lookup(pre)
+	if hit {
+		store.derivedHits.Add(1)
+	} else {
+		store.derivedMisses.Add(1)
+	}
+	if img != nil {
+		if d.NL == nil {
+			store.thawsSkipped.Add(1)
+		}
+		st.thaw(img)
+		return
+	}
+	if d.NL == nil {
+		st.thaw(cp.img)
+	}
+	if hit {
+		return
+	}
+	before := d.NL.Gen()
+	pre.run(d)
+	if !capture {
+		return
+	}
+	if d.NL.Gen() != before {
+		img = netlist.Freeze(d.NL)
+	}
+	if cp.resolve(pre, img) && img != nil {
+		store.derivedCaptures.Add(1)
+	}
 }
 
 func (st *execState) needDesign() (*Design, error) {
@@ -367,7 +435,7 @@ func (st *execState) exec(c Cmd) error {
 		d.MaxArea = a
 
 	case "set_dont_touch":
-		d, err := st.needDesign()
+		d, err := st.netlist()
 		if err != nil {
 			return err
 		}
@@ -383,7 +451,7 @@ func (st *execState) exec(c Cmd) error {
 		st.logf("set_dont_touch: %d cells protected", n)
 
 	case "ungroup":
-		d, err := st.needDesign()
+		d, err := st.netlist()
 		if err != nil {
 			return err
 		}
@@ -394,10 +462,13 @@ func (st *execState) exec(c Cmd) error {
 			}
 		}
 		n := d.NL.Ungroup(prefix)
+		if n > 0 {
+			st.pristine = nil
+		}
 		st.logf("ungrouped %d cells", n)
 
 	case "uniquify":
-		_, err := st.needDesign()
+		_, err := st.netlist()
 		return err
 
 	case "compile", "compile_ultra":
@@ -429,7 +500,7 @@ func (st *execState) exec(c Cmd) error {
 			}
 			_, opts.Incremental = c.Opts["-incremental"]
 		}
-		if err := compileFrom(d, opts, st.runFrontHalf); err != nil {
+		if err := compileFrom(d, opts, st.runPreSizing); err != nil {
 			return err
 		}
 		st.didComp = true
@@ -447,7 +518,7 @@ func (st *execState) exec(c Cmd) error {
 		moves := 0
 		// A combinational loop leaves nothing to time: no moves, as in Compile.
 		if tm, err := d.Timing(); err == nil {
-			moves = RetimeWith(tm, 4000)
+			moves = RetimeWith(tm, retimeMoves)
 		}
 		sweep(d.NL, d.scratch())
 		st.logf("optimize_registers: %d register moves", moves)
@@ -468,7 +539,7 @@ func (st *execState) exec(c Cmd) error {
 		st.logf("balance_buffers: %d buffers inserted", n)
 
 	case "report_timing":
-		d, err := st.needDesign()
+		d, err := st.netlist()
 		if err != nil {
 			return err
 		}
@@ -485,14 +556,14 @@ func (st *execState) exec(c Cmd) error {
 		st.res.Reports = append(st.res.Reports, rep)
 
 	case "report_area":
-		d, err := st.needDesign()
+		d, err := st.netlist()
 		if err != nil {
 			return err
 		}
 		st.res.Reports = append(st.res.Reports, ReportArea(d))
 
 	case "report_qor":
-		d, err := st.needDesign()
+		d, err := st.netlist()
 		if err != nil {
 			return err
 		}
@@ -503,7 +574,7 @@ func (st *execState) exec(c Cmd) error {
 		st.res.Reports = append(st.res.Reports, rep)
 
 	case "report_power":
-		d, err := st.needDesign()
+		d, err := st.netlist()
 		if err != nil {
 			return err
 		}
@@ -523,14 +594,14 @@ func (st *execState) exec(c Cmd) error {
 		st.res.Reports = append(st.res.Reports, rep.Format(d.NL.Name))
 
 	case "report_hierarchy":
-		d, err := st.needDesign()
+		d, err := st.netlist()
 		if err != nil {
 			return err
 		}
 		st.res.Reports = append(st.res.Reports, ReportHierarchy(d))
 
 	case "report_constraint":
-		d, err := st.needDesign()
+		d, err := st.netlist()
 		if err != nil {
 			return err
 		}
@@ -541,7 +612,7 @@ func (st *execState) exec(c Cmd) error {
 		st.res.Reports = append(st.res.Reports, rep)
 
 	case "write":
-		d, err := st.needDesign()
+		d, err := st.netlist()
 		if err != nil {
 			return err
 		}
