@@ -23,8 +23,9 @@ vet:
 fmt-check:
 	@test -z "$$(gofmt -l .)" || { gofmt -l . ; exit 1 ; }
 
-# Run the serving daemon (builds the SynthRAG database first: ≈0.4 s to
-# `listening`, the repo benchmark's `setup_s`; `go run` compiles before that).
+# Run the serving daemon (builds the SynthRAG database first: ≈0.2 s to
+# `listening` on a 2-core VM, the repo benchmark's `setup_s`; `go run`
+# compiles before that).
 serve:
 	$(GO) run ./cmd/chatlsd -addr :8080
 
@@ -39,7 +40,7 @@ bench:
 # Headline perf record: runs the paper-scale benchmarks, the checkpointing
 # pair, the batched-vs-serial embedding pair, and the exact 10k-vector
 # search five times each and writes the averaged ns/op, B/op, allocs/op
-# (plus custom units like graphs/op) to BENCH_11.json for comparison
+# (plus custom units like graphs/op) to BENCH_12.json for comparison
 # against earlier checked-in records. ColdRequests is the request half of a
 # daemon restart — the first chatls k=1 request on each of the seven designs
 # over empty caches and an empty checkpoint store, one pass an iteration —
@@ -62,8 +63,8 @@ bench-compare:
 	  $(GO) test -bench='$(REQUEST_COMPARE)' -benchmem -benchtime=14x -count=5 -run=^$$ . ; \
 	  $(GO) test -bench='$(PARALLEL_COMPARE)' -benchmem -benchtime=14x -count=5 -cpu 2 -run=^$$ . ; \
 	  $(GO) test -bench='$(SEARCH_COMPARE)' -benchmem -count=5 -run=^$$ ./internal/vecindex ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_11.json
-	@cat BENCH_11.json
+		| $(GO) run ./cmd/benchjson > BENCH_12.json
+	@cat BENCH_12.json
 
 # Allocation-regression gate: reruns the fast benchmarks — the database
 # build and the cold pass over it included, a second each: how often a
@@ -75,7 +76,7 @@ bench-compare:
 # gate rerun — allocs/op is deterministic only under identical process
 # conditions (which earlier benchmarks warmed the intern table and the
 # scratch pools matters), so the gate must not compare against the
-# full-set BENCH_11.json record. Both run at -cpu 1: the row-sharded tensor
+# full-set BENCH_12.json record. Both run at -cpu 1: the row-sharded tensor
 # kernels fan out over GOMAXPROCS goroutines (tensor.ParallelRows), each a
 # few allocations, so EmbedGlobalSerial reads 36 allocs/op on one CPU, 50
 # on two and 72 on eight — a baseline from one machine failed the gate on

@@ -400,13 +400,15 @@ type TrainSample struct {
 	Labels []string
 }
 
-// Train runs metric learning so same-category modules cluster.
-func (m *Mentor) Train(samples []TrainSample, epochs int, cfg gnn.TrainConfig) ([]float64, error) {
+// Train runs metric learning so same-category modules cluster, each step
+// spreading the samples' graphs over up to workers goroutines (0 =
+// GOMAXPROCS, 1 = serial); the trained model is the same for any count.
+func (m *Mentor) Train(samples []TrainSample, epochs int, cfg gnn.TrainConfig, workers int) ([]float64, error) {
 	batch := make([]gnn.Sample, len(samples))
 	for i, s := range samples {
 		batch[i] = gnn.Sample{G: s.DG.G, Labels: s.Labels}
 	}
-	tr := gnn.NewTrainer(m.Model, cfg)
+	tr := gnn.NewTrainer(m.Model, cfg, workers)
 	return tr.Train(batch, epochs)
 }
 

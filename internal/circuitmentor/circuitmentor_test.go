@@ -117,7 +117,7 @@ func TestTrainingSeparatesCategories(t *testing.T) {
 	before := quality()
 	cfg := gnn.DefaultTrainConfig()
 	cfg.LR = 0.02
-	if _, err := m.Train(samples, 40, cfg); err != nil {
+	if _, err := m.Train(samples, 40, cfg, 0); err != nil {
 		t.Fatal(err)
 	}
 	after := quality()

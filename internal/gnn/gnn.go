@@ -115,13 +115,6 @@ func aggregateInto(out, h *tensor.Matrix, adj [][]int, agg Aggregator) {
 	}
 }
 
-// aggregate is aggregateInto with a freshly allocated output.
-func aggregate(h *tensor.Matrix, adj [][]int, agg Aggregator) *tensor.Matrix {
-	out := tensor.NewMatrix(h.Rows, h.Cols)
-	aggregateInto(out, h, adj, agg)
-	return out
-}
-
 func aggregateRows(out, h *tensor.Matrix, adj [][]int, base int, agg Aggregator) {
 	for dv, nbrs := range adj {
 		v := base + dv
@@ -158,11 +151,10 @@ func aggregateRows(out, h *tensor.Matrix, adj [][]int, base int, agg Aggregator)
 	}
 }
 
-// aggregateT applies the transpose of the mean/sum aggregation operator,
-// needed for backpropagation: grad_in[u] += grad_out[v]/|N(v)| for each v
-// with u in N(v).
-func aggregateT(g *tensor.Matrix, adj [][]int, agg Aggregator) *tensor.Matrix {
-	out := tensor.NewMatrix(g.Rows, g.Cols)
+// aggregateTInto applies the transpose of the mean/sum aggregation operator,
+// needed for backpropagation: out[u] += g[v]/|N(v)| for each v with u in
+// N(v), into out, a zeroed g.Rows×g.Cols matrix.
+func aggregateTInto(out, g *tensor.Matrix, adj [][]int, agg Aggregator) {
 	for v, nbrs := range adj {
 		if len(nbrs) == 0 {
 			continue
@@ -179,14 +171,13 @@ func aggregateT(g *tensor.Matrix, adj [][]int, agg Aggregator) *tensor.Matrix {
 			}
 		}
 	}
-	return out
 }
 
-// forwardState retains intermediates for backprop. States come from a
-// process-wide pool: forward draws one and release returns it with its
-// matrices attached, so steady-state inference reuses the same buffers
+// forwardState retains intermediates for backprop. Inference states come
+// from a process-wide pool: forward draws one and release returns it with
+// its matrices attached, so steady-state inference reuses the same buffers
 // instead of re-allocating every intermediate per call. A state must not be
-// touched after release.
+// touched after release. The trainer owns its states instead (forwardInto).
 type forwardState struct {
 	g       *Graph
 	h0      *tensor.Matrix
@@ -208,10 +199,17 @@ func (st *forwardState) release() {
 	statePool.Put(st)
 }
 
-// forward computes node, module, and global embeddings. The caller owns the
-// returned state and must release it (after backward on the training path).
+// forward computes node, module, and global embeddings into a pooled state.
+// The caller owns the returned state and must release it.
 func (m *Model) forward(g *Graph) *forwardState {
 	st := statePool.Get().(*forwardState)
+	m.forwardInto(st, g)
+	return st
+}
+
+// forwardInto is forward into a state the caller keeps, reusing its buffers;
+// the trainer holds one per batch graph from step to step.
+func (m *Model) forwardInto(st *forwardState, g *Graph) {
 	st.g, st.h0 = g, g.Feats
 	st.agg0 = tensor.EnsureZero(st.agg0, g.Feats.Rows, g.Feats.Cols)
 	aggregateInto(st.agg0, st.h0, g.Adj, m.cfg.Agg)
@@ -264,7 +262,6 @@ func (m *Model) forward(g *Graph) *forwardState {
 			}
 		}
 	}
-	return st
 }
 
 // Embed returns the module embeddings (one row per module) for a graph.
@@ -313,35 +310,74 @@ func meanRows(m *tensor.Matrix) []float64 {
 	return out
 }
 
-// backward propagates module-embedding gradients into parameter gradients.
-func (m *Model) backward(st *forwardState, dModules *tensor.Matrix, grads *Grads) {
+// gradShare is one batch graph's share of a training step's gradient: its
+// weight-gradient products, the node gradients whose column sums are its
+// bias shares, and the scratch behind them. The trainer keeps one per batch
+// graph and reuses its buffers from step to step.
+type gradShare struct {
+	wSelf1, wNb1, wSelf2, wNb2 *tensor.Matrix
+	dH1, dH2                   *tensor.Matrix
+	dPool, dSelf, dNb          *tensor.Matrix // per module
+	dAgg1, aggT                *tensor.Matrix // per node
+}
+
+// backward propagates one graph's module-embedding gradients (a row per
+// module) into the share. It writes nothing else, so the graphs of a batch
+// run it concurrently; add then sums the shares in batch order.
+func (s *gradShare) backward(m *Model, st *forwardState, dModules [][]float64) {
 	g := st.g
-	// Unpool: node gradient = module gradient / module size.
-	dH2 := tensor.NewMatrix(st.h2.Rows, st.h2.Cols)
-	for v := 0; v < st.h2.Rows; v++ {
-		mi := g.ModuleOf[v]
-		if st.modSize[mi] == 0 {
-			continue
-		}
-		inv := 1.0 / float64(st.modSize[mi])
-		drow := dModules.Row(mi)
-		vrow := dH2.Row(v)
-		for j := range vrow {
-			vrow[j] = inv * drow[j]
+	n, hid := st.h2.Rows, m.cfg.Hidden
+	// Unpool: node gradient = module gradient / module size. Every node of a
+	// module gets the same row, so its products with the layer-2 weights are
+	// taken once per module and copied to the module's nodes.
+	s.dPool = tensor.EnsureZero(s.dPool, g.NumModule, m.cfg.OutDim)
+	for mi, size := range st.modSize {
+		if size > 0 {
+			inv := 1.0 / float64(size)
+			prow := s.dPool.Row(mi)
+			for j, d := range dModules[mi] {
+				prow[j] = inv * d
+			}
 		}
 	}
-	// Layer 2.
-	tensor.AddInPlace(grads.WSelf2, tensor.MatMulATB(st.h1, dH2))
-	tensor.AddInPlace(grads.WNb2, tensor.MatMulATB(st.agg1, dH2))
-	addColSums(grads.B2, dH2)
-	dH1 := tensor.MatMulABT(dH2, m.WSelf2)
-	dAgg1 := tensor.MatMulABT(dH2, m.WNb2)
-	tensor.AddInPlace(dH1, aggregateT(dAgg1, g.Adj, m.cfg.Agg))
-	tensor.MaskInPlace(dH1, st.mask1)
-	// Layer 1.
-	tensor.AddInPlace(grads.WSelf1, tensor.MatMulATB(st.h0, dH1))
-	tensor.AddInPlace(grads.WNb1, tensor.MatMulATB(st.agg0, dH1))
-	addColSums(grads.B1, dH1)
+	s.dSelf = tensor.Ensure(s.dSelf, g.NumModule, hid)
+	tensor.MatMulABTInto(s.dPool, m.WSelf2, s.dSelf)
+	s.dNb = tensor.Ensure(s.dNb, g.NumModule, hid)
+	tensor.MatMulABTInto(s.dPool, m.WNb2, s.dNb)
+	s.dH2 = tensor.Ensure(s.dH2, n, m.cfg.OutDim)
+	s.dH1 = tensor.Ensure(s.dH1, n, hid)
+	s.dAgg1 = tensor.Ensure(s.dAgg1, n, hid)
+	for v, mi := range g.ModuleOf {
+		copy(s.dH2.Row(v), s.dPool.Row(mi))
+		copy(s.dH1.Row(v), s.dSelf.Row(mi))
+		copy(s.dAgg1.Row(v), s.dNb.Row(mi))
+	}
+	s.aggT = tensor.EnsureZero(s.aggT, n, hid)
+	aggregateTInto(s.aggT, s.dAgg1, g.Adj, m.cfg.Agg)
+	tensor.AddInPlace(s.dH1, s.aggT)
+	tensor.MaskInPlace(s.dH1, st.mask1)
+	// Weight products of both layers.
+	s.wSelf2 = tensor.EnsureZero(s.wSelf2, hid, m.cfg.OutDim)
+	tensor.MatMulATBInto(st.h1, s.dH2, s.wSelf2)
+	s.wNb2 = tensor.EnsureZero(s.wNb2, hid, m.cfg.OutDim)
+	tensor.MatMulATBInto(st.agg1, s.dH2, s.wNb2)
+	s.wSelf1 = tensor.EnsureZero(s.wSelf1, m.cfg.InDim, hid)
+	tensor.MatMulATBInto(st.h0, s.dH1, s.wSelf1)
+	s.wNb1 = tensor.EnsureZero(s.wNb1, m.cfg.InDim, hid)
+	tensor.MatMulATBInto(st.agg0, s.dH1, s.wNb1)
+}
+
+// add sums the share into grads: a whole-matrix add per weight and a
+// row-by-row column sum per bias. Called once per graph in batch order,
+// these are the additions a serial backward makes, in its order, so the
+// gradient is bit-identical for any number of workers.
+func (s *gradShare) add(grads *Grads) {
+	tensor.AddInPlace(grads.WSelf2, s.wSelf2)
+	tensor.AddInPlace(grads.WNb2, s.wNb2)
+	addColSums(grads.B2, s.dH2)
+	tensor.AddInPlace(grads.WSelf1, s.wSelf1)
+	tensor.AddInPlace(grads.WNb1, s.wNb1)
+	addColSums(grads.B1, s.dH1)
 }
 
 func addColSums(dst []float64, m *tensor.Matrix) {
@@ -369,5 +405,11 @@ func newGrads(cfg Config) *Grads {
 		WSelf2: tensor.NewMatrix(cfg.Hidden, cfg.OutDim),
 		WNb2:   tensor.NewMatrix(cfg.Hidden, cfg.OutDim),
 		B2:     make([]float64, cfg.OutDim),
+	}
+}
+
+func (g *Grads) zero() {
+	for _, p := range [...][]float64{g.WSelf1.Data, g.WNb1.Data, g.B1, g.WSelf2.Data, g.WNb2.Data, g.B2} {
+		clear(p)
 	}
 }

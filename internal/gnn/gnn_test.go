@@ -108,6 +108,11 @@ func TestAggregators(t *testing.T) {
 	feats.Set(1, 0, 3)
 	feats.Set(1, 1, -1)
 	adj := [][]int{{1}, {}}
+	aggregate := func(h *tensor.Matrix, adj [][]int, agg Aggregator) *tensor.Matrix {
+		out := tensor.NewMatrix(h.Rows, h.Cols)
+		aggregateInto(out, h, adj, agg)
+		return out
+	}
 	mean := aggregate(feats, adj, AggMean)
 	if mean.At(0, 0) != 3 || mean.At(0, 1) != -1 {
 		t.Errorf("mean agg wrong: %v", mean.Row(0))
@@ -173,7 +178,7 @@ func TestMetricLearningImprovesClustering(t *testing.T) {
 		before := clusterQuality(m, test)
 		cfg := DefaultTrainConfig()
 		cfg.Loss = loss
-		tr := NewTrainer(m, cfg)
+		tr := NewTrainer(m, cfg, 0)
 		curve, err := tr.Train(train, 60)
 		if err != nil {
 			t.Fatalf("loss %d: %v", loss, err)
@@ -190,7 +195,7 @@ func TestMetricLearningImprovesClustering(t *testing.T) {
 
 func TestTrainerErrors(t *testing.T) {
 	m := New(Config{InDim: 4, Hidden: 4, OutDim: 4, Agg: AggMean, Seed: 1})
-	tr := NewTrainer(m, DefaultTrainConfig())
+	tr := NewTrainer(m, DefaultTrainConfig(), 0)
 	if _, err := tr.Step(nil); err == nil {
 		t.Error("empty batch should error")
 	}
@@ -200,54 +205,73 @@ func TestTrainerErrors(t *testing.T) {
 	}
 }
 
-// Gradient check: numeric vs analytic gradient for contrastive loss through
-// the whole network on a tiny graph.
+// Gradient check: numeric vs analytic gradient through the whole network
+// over a batch of two tiny graphs (of two and three modules), each
+// backpropagated into its own share and the shares summed in batch order.
+// Both losses run: the contrastive one sees only differences of embeddings,
+// so its bias gradients are zero, and the multi-similarity one checks them.
 func TestGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	g := makeGraph(rng, 3, testPatterns[:2])
-	labels := []string{"a", "b"}
-	m := New(Config{InDim: 4, Hidden: 5, OutDim: 3, Agg: AggMean, Seed: 21})
+	gs := []*Graph{makeGraph(rng, 3, testPatterns[:2]), makeGraph(rng, 2, testPatterns)}
+	labels := []string{"a", "b", "a", "b", "c"}
+	for _, kind := range []LossKind{LossContrastive, LossMultiSimilarity} {
+		m := New(Config{InDim: 4, Hidden: 5, OutDim: 3, Agg: AggMean, Seed: 21})
 
-	lossOf := func() float64 {
-		st := m.forward(g)
-		embs := [][]float64{st.modules.Row(0), st.modules.Row(1)}
-		d := [][]float64{make([]float64, 3), make([]float64, 3)}
-		return contrastiveLoss(embs, labels, 1.0, d)
-	}
-	// Analytic gradient.
-	grads := newGrads(m.cfg)
-	st := m.forward(g)
-	embs := [][]float64{st.modules.Row(0), st.modules.Row(1)}
-	dEmb := [][]float64{make([]float64, 3), make([]float64, 3)}
-	contrastiveLoss(embs, labels, 1.0, dEmb)
-	dm := tensor.NewMatrix(2, 3)
-	copy(dm.Row(0), dEmb[0])
-	copy(dm.Row(1), dEmb[1])
-	m.backward(st, dm, grads)
-
-	// Numeric check on a few entries of WSelf1 and WNb2.
-	check := func(w []float64, gw []float64, name string) {
-		const eps = 1e-5
-		for _, idx := range []int{0, 3, 7} {
-			if idx >= len(w) {
-				continue
+		// lossOf runs the forward passes and the loss, returning the states
+		// and the per-module embedding gradients.
+		lossOf := func() (float64, []*forwardState, [][]float64) {
+			var sts []*forwardState
+			var embs, dEmb [][]float64
+			for _, g := range gs {
+				st := m.forward(g)
+				sts = append(sts, st)
+				for mi := 0; mi < g.NumModule; mi++ {
+					embs = append(embs, st.modules.Row(mi))
+					dEmb = append(dEmb, make([]float64, 3))
+				}
 			}
-			orig := w[idx]
-			w[idx] = orig + eps
-			lp := lossOf()
-			w[idx] = orig - eps
-			lm := lossOf()
-			w[idx] = orig
-			numeric := (lp - lm) / (2 * eps)
-			if math.Abs(numeric-gw[idx]) > 1e-4*(1+math.Abs(numeric)) {
-				t.Errorf("%s[%d]: numeric %g vs analytic %g", name, idx, numeric, gw[idx])
+			if kind == LossContrastive {
+				return contrastiveLoss(embs, labels, 1.0, dEmb, make([]float64, 3)), sts, dEmb
+			}
+			return multiSimilarityLoss(embs, labels, DefaultTrainConfig(), dEmb), sts, dEmb
+		}
+		// Analytic gradient.
+		grads := newGrads(m.cfg)
+		_, sts, dEmb := lossOf()
+		shares := make([]gradShare, len(gs))
+		for i, off := 0, 0; i < len(gs); i++ {
+			shares[i].backward(m, sts[i], dEmb[off:off+gs[i].NumModule])
+			off += gs[i].NumModule
+		}
+		for i := range shares {
+			shares[i].add(grads)
+		}
+
+		// Numeric check on a few entries of every parameter.
+		check := func(w []float64, gw []float64, name string) {
+			const eps = 1e-5
+			for _, idx := range []int{0, 3, 7} {
+				if idx >= len(w) {
+					continue
+				}
+				orig := w[idx]
+				w[idx] = orig + eps
+				lp, _, _ := lossOf()
+				w[idx] = orig - eps
+				lm, _, _ := lossOf()
+				w[idx] = orig
+				numeric := (lp - lm) / (2 * eps)
+				// Some gradients here are ~1e-4, so the bound is relative.
+				if math.Abs(numeric-gw[idx]) > 1e-6*math.Abs(numeric)+1e-10 {
+					t.Errorf("loss %d: %s[%d]: numeric %g vs analytic %g", kind, name, idx, numeric, gw[idx])
+				}
 			}
 		}
+		check(m.WSelf1.Data, grads.WSelf1.Data, "WSelf1")
+		check(m.WNb1.Data, grads.WNb1.Data, "WNb1")
+		check(m.WSelf2.Data, grads.WSelf2.Data, "WSelf2")
+		check(m.WNb2.Data, grads.WNb2.Data, "WNb2")
+		check(m.B1, grads.B1, "B1")
+		check(m.B2, grads.B2, "B2")
 	}
-	check(m.WSelf1.Data, grads.WSelf1.Data, "WSelf1")
-	check(m.WNb1.Data, grads.WNb1.Data, "WNb1")
-	check(m.WSelf2.Data, grads.WSelf2.Data, "WSelf2")
-	check(m.WNb2.Data, grads.WNb2.Data, "WNb2")
-	check(m.B1, grads.B1, "B1")
-	check(m.B2, grads.B2, "B2")
 }

@@ -3,8 +3,10 @@ package gnn
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/tensor"
+	"repro/internal/workpool"
 )
 
 // Sample is one training graph with a category label per module.
@@ -45,16 +47,36 @@ func DefaultTrainConfig() TrainConfig {
 
 // Trainer performs metric-learning training with Adam.
 type Trainer struct {
-	M    *Model
-	Cfg  TrainConfig
-	step int
+	M       *Model
+	Cfg     TrainConfig
+	workers int
+	step    int
 	// Adam first/second moment estimates, matching Grads layout.
 	m1, m2 *Grads
+
+	// Step buffers, reused from step to step: a forward state and gradient
+	// share per batch graph, the loss's inputs and outputs (offs[i] is graph
+	// i's first row in embs), the contrastive diff, and the summed gradient.
+	states []forwardState
+	shares []gradShare
+	embs   [][]float64
+	labels []string
+	offs   []int
+	dEmb   *tensor.Matrix
+	dRows  [][]float64
+	diff   []float64
+	grads  *Grads
 }
 
-// NewTrainer creates a trainer for a model.
-func NewTrainer(m *Model, cfg TrainConfig) *Trainer {
-	return &Trainer{M: m, Cfg: cfg, m1: newGrads(m.cfg), m2: newGrads(m.cfg)}
+// NewTrainer creates a trainer for a model. Each step runs the batch's
+// graphs on up to workers goroutines (0 = GOMAXPROCS, 1 = serial); the
+// trained model is bit-identical for any worker count.
+func NewTrainer(m *Model, cfg TrainConfig, workers int) *Trainer {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &Trainer{M: m, Cfg: cfg, workers: workers, m1: newGrads(m.cfg), m2: newGrads(m.cfg),
+		grads: newGrads(m.cfg), diff: make([]float64, m.cfg.OutDim)}
 }
 
 // Step runs one optimization step over the batch and returns the loss.
@@ -62,60 +84,53 @@ func (t *Trainer) Step(batch []Sample) (float64, error) {
 	if len(batch) == 0 {
 		return 0, fmt.Errorf("empty batch")
 	}
-	grads := newGrads(t.M.cfg)
-	// Forward every graph, collecting module embeddings and labels.
-	type entry struct {
-		sample int
-		module int
-	}
-	var states []*forwardState
-	var embs [][]float64
-	var labels []string
-	var origin []entry
 	for si, s := range batch {
 		if len(s.Labels) != s.G.NumModule {
 			return 0, fmt.Errorf("sample %d: %d labels for %d modules", si, len(s.Labels), s.G.NumModule)
 		}
-		st := t.M.forward(s.G)
-		states = append(states, st)
+	}
+	if grow := len(batch) - len(t.states); grow > 0 {
+		t.states = append(t.states, make([]forwardState, grow)...)
+		t.shares = append(t.shares, make([]gradShare, grow)...)
+	}
+	// Forward every graph on its own worker (the model is only read), then
+	// collect module embeddings and labels in batch order.
+	workpool.Run(t.workers, len(batch), func(i int) { t.M.forwardInto(&t.states[i], batch[i].G) })
+	t.embs, t.labels, t.offs = t.embs[:0], t.labels[:0], t.offs[:0]
+	for si, s := range batch {
+		t.offs = append(t.offs, len(t.embs))
 		for mi := 0; mi < s.G.NumModule; mi++ {
-			embs = append(embs, st.modules.Row(mi))
-			labels = append(labels, s.Labels[mi])
-			origin = append(origin, entry{si, mi})
+			t.embs = append(t.embs, t.states[si].modules.Row(mi))
+			t.labels = append(t.labels, s.Labels[mi])
 		}
 	}
 
 	var loss float64
-	dEmb := make([][]float64, len(embs))
-	for i := range dEmb {
-		dEmb[i] = make([]float64, t.M.cfg.OutDim)
+	t.dEmb = tensor.EnsureZero(t.dEmb, len(t.embs), t.M.cfg.OutDim)
+	t.dRows = t.dRows[:0]
+	for i := range t.embs {
+		t.dRows = append(t.dRows, t.dEmb.Row(i))
 	}
 	switch t.Cfg.Loss {
 	case LossContrastive:
-		loss = contrastiveLoss(embs, labels, t.Cfg.Margin, dEmb)
+		loss = contrastiveLoss(t.embs, t.labels, t.Cfg.Margin, t.dRows, t.diff)
 	case LossMultiSimilarity:
-		loss = multiSimilarityLoss(embs, labels, t.Cfg, dEmb)
+		loss = multiSimilarityLoss(t.embs, t.labels, t.Cfg, t.dRows)
 	default:
 		return 0, fmt.Errorf("unknown loss kind %d", t.Cfg.Loss)
 	}
 
-	// Scatter embedding gradients back per graph and backprop.
-	perSample := make([]*tensor.Matrix, len(batch))
-	for i, s := range batch {
-		perSample[i] = tensor.NewMatrix(s.G.NumModule, t.M.cfg.OutDim)
-	}
-	for i, e := range origin {
-		copy(perSample[e.sample].Row(e.module), dEmb[i])
-	}
+	// Backprop every graph into its own share on its own worker, then sum
+	// the shares in batch order.
+	workpool.Run(t.workers, len(batch), func(i int) {
+		lo := t.offs[i]
+		t.shares[i].backward(t.M, &t.states[i], t.dRows[lo:lo+batch[i].G.NumModule])
+	})
+	t.grads.zero()
 	for i := range batch {
-		t.M.backward(states[i], perSample[i], grads)
+		t.shares[i].add(t.grads)
 	}
-	// embs rows alias the states' module matrices; the losses above consumed
-	// them, so the states can go back to the pool now.
-	for _, st := range states {
-		st.release()
-	}
-	t.applyAdam(grads)
+	t.applyAdam(t.grads)
 	return loss, nil
 }
 
@@ -133,14 +148,14 @@ func (t *Trainer) Train(samples []Sample, epochs int) ([]float64, error) {
 }
 
 // contrastiveLoss computes pairwise contrastive loss and fills dEmb.
-// Positive pairs are pulled (d^2), negatives pushed to margin.
-func contrastiveLoss(embs [][]float64, labels []string, margin float64, dEmb [][]float64) float64 {
+// Positive pairs are pulled (d^2), negatives pushed to margin. diff is
+// scratch of the embedding width.
+func contrastiveLoss(embs [][]float64, labels []string, margin float64, dEmb [][]float64, diff []float64) float64 {
 	var loss float64
 	pairs := 0
 	for i := 0; i < len(embs); i++ {
 		for j := i + 1; j < len(embs); j++ {
 			pairs++
-			diff := make([]float64, len(embs[i]))
 			for k := range diff {
 				diff[k] = embs[i][k] - embs[j][k]
 			}
@@ -183,9 +198,9 @@ func multiSimilarityLoss(embs [][]float64, labels []string, cfg TrainConfig, dEm
 	sim := func(i, j int) float64 { return tensor.Dot(unit[i], unit[j]) }
 
 	var loss float64
-	// dSim accumulates dL/dS_ij in a sparse-ish map keyed by pair.
-	type pair struct{ i, j int }
-	dSim := make(map[pair]float64)
+	// dSim[i*n+j] accumulates dL/dS_ij; the backprop below walks it in (i, j)
+	// order, so the float additions into dEmb run in one fixed order.
+	dSim := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		var posSum, negSum float64
 		var posPairs, negPairs []int
@@ -206,14 +221,14 @@ func multiSimilarityLoss(embs [][]float64, labels []string, cfg TrainConfig, dEm
 			loss += math.Log(1+posSum) / cfg.Alpha
 			for _, j := range posPairs {
 				e := math.Exp(-cfg.Alpha * (sim(i, j) - cfg.Lambda))
-				dSim[pair{i, j}] += -e / (1 + posSum)
+				dSim[i*n+j] += -e / (1 + posSum)
 			}
 		}
 		if len(negPairs) > 0 {
 			loss += math.Log(1+negSum) / cfg.Beta
 			for _, j := range negPairs {
 				e := math.Exp(cfg.Beta * (sim(i, j) - cfg.Lambda))
-				dSim[pair{i, j}] += e / (1 + negSum)
+				dSim[i*n+j] += e / (1 + negSum)
 			}
 		}
 	}
@@ -223,7 +238,10 @@ func multiSimilarityLoss(embs [][]float64, labels []string, cfg TrainConfig, dEm
 	// Backprop S_ij = unit_i . unit_j through normalization:
 	// dS/dx_i = (unit_j - S*unit_i)/||x_i||.
 	for p, g := range dSim {
-		i, j := p.i, p.j
+		i, j := p/n, p%n
+		if i == j {
+			continue // never a pair
+		}
 		if norms[i] > 1e-9 {
 			s := sim(i, j)
 			for k := range dEmb[i] {

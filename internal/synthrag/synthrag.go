@@ -99,10 +99,11 @@ type BuildConfig struct {
 	// no expert-script synthesis (default: designs.TrainingVariants).
 	IndexOnly []*designs.Design
 	// Workers bounds the per-design fan-out of the build's parallel phases
-	// (graph construction, embedding, expert-draft synthesis). 0 means
-	// GOMAXPROCS, 1 forces the serial path. The built database is identical
-	// for any worker count: per-design work is independent and results are
-	// assembled in corpus order.
+	// (graph construction, each training step's per-graph forward and
+	// backward, embedding, expert-draft synthesis). 0 means GOMAXPROCS, 1
+	// forces the serial path. The built database is identical for any worker
+	// count: per-design work is independent, and results and gradient shares
+	// are assembled in corpus order.
 	Workers int
 }
 
@@ -181,7 +182,7 @@ func Build(cfg BuildConfig) (*Database, error) {
 	if cfg.TrainEpochs > 0 {
 		tc := gnn.DefaultTrainConfig()
 		tc.LR = 0.02
-		if _, err := db.Mentor.Train(samples, cfg.TrainEpochs, tc); err != nil {
+		if _, err := db.Mentor.Train(samples, cfg.TrainEpochs, tc, workers); err != nil {
 			return nil, err
 		}
 	}

@@ -200,8 +200,9 @@ func TestRetrieveStrategiesRerank(t *testing.T) {
 }
 
 // TestBuildParallelMatchesSerial is the determinism check for the build
-// fan-out: any worker count must produce an identical database, because
-// per-design work is independent and assembly happens in corpus order.
+// fan-out: any worker count must produce an identical database — the
+// trained weights included — because per-design work is independent and
+// assembly, gradient shares too, happens in corpus order.
 func TestBuildParallelMatchesSerial(t *testing.T) {
 	sub := designs.DatabaseDesigns()[:5]
 	mk := func(workers int) *Database {
@@ -221,6 +222,9 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 	serial := mk(1)
 	parallel := mk(8)
 
+	if !reflect.DeepEqual(serial.Mentor.Model, parallel.Mentor.Model) {
+		t.Error("trained weights differ between serial and parallel builds")
+	}
 	if !reflect.DeepEqual(serial.Strategies, parallel.Strategies) {
 		t.Error("strategy records differ between serial and parallel builds")
 	}

@@ -178,14 +178,15 @@ func matMulRows(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulATB returns aᵀ*b, used for weight gradients. It stays serial: its
-// output rows are reductions across a's rows, and sharding the reduction
-// would change float summation order (breaking run-to-run determinism).
-func MatMulATB(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("matmulATB shape mismatch: %dx%d ᵀ* %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+// MatMulATBInto computes aᵀ*b into out, which must be a zeroed a.Cols×b.Cols
+// matrix; used for weight gradients. Every output entry is a sum over a's
+// rows, so sharding the output rows would keep each sum's order (only
+// sharding across a's rows would not). It stays serial because training
+// already runs one graph per core (gnn.Trainer.Step), which fills them.
+func MatMulATBInto(a, b, out *Matrix) {
+	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
+		panic(fmt.Sprintf("matmulATB shape mismatch: %dx%d ᵀ* %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	out := NewMatrix(a.Cols, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		brow := b.Row(i)
@@ -200,21 +201,19 @@ func MatMulATB(a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	return out
 }
 
-// MatMulABT returns a*bᵀ, used for input gradients.
-func MatMulABT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("matmulABT shape mismatch: %dx%d * %dx%d ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
+// MatMulABTInto computes a*bᵀ into out, an a.Rows×b.Rows matrix whose
+// contents it overwrites; used for input gradients.
+func MatMulABTInto(a, b, out *Matrix) {
+	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
+		panic(fmt.Sprintf("matmulABT shape mismatch: %dx%d * %dx%d ᵀ into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	out := NewMatrix(a.Rows, b.Rows)
 	if a.Rows*a.Cols*b.Rows >= parallelFlops && runtime.GOMAXPROCS(0) > 1 {
 		ParallelRows(a.Rows, func(lo, hi int) { matMulABTRows(a, b, out, lo, hi) })
 	} else {
 		matMulABTRows(a, b, out, 0, a.Rows)
 	}
-	return out
 }
 
 // matMulABTRows computes out rows [lo, hi) as dot products of row pairs,

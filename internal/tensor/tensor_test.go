@@ -47,8 +47,8 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := NewRandom(4, 3, rng)
 	b := NewRandom(4, 5, rng)
-	// aᵀ*b via MatMulATB must equal transpose(a)*b computed manually.
-	atb := MatMulATB(a, b)
+	// aᵀ*b via MatMulATBInto must equal transpose(a)*b computed manually.
+	atb := matMulATB(a, b)
 	at := NewMatrix(3, 4)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 3; j++ {
@@ -61,9 +61,10 @@ func TestMatMulTransposedVariants(t *testing.T) {
 			t.Fatalf("MatMulATB mismatch at %d", i)
 		}
 	}
-	// a*bᵀ via MatMulABT.
+	// a*bᵀ via MatMulABTInto, over an output holding stale values.
 	c := NewRandom(6, 5, rng)
-	abt := MatMulABT(b, c) // (4x5)*(6x5)ᵀ = 4x6
+	abt := NewRandom(4, 6, rng)
+	MatMulABTInto(b, c, abt) // (4x5)*(6x5)ᵀ = 4x6
 	ct := NewMatrix(5, 6)
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 5; j++ {
