@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet fmt-check ci serve bench bench-build bench-compare bench-gate bench-gate-baseline memprofile batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak check
+.PHONY: build test short race vet fmt-check ci serve drafts bench bench-build bench-compare bench-gate bench-gate-baseline memprofile batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak check
 
 build:
 	$(GO) build ./...
@@ -23,11 +23,17 @@ vet:
 fmt-check:
 	@test -z "$$(gofmt -l .)" || { gofmt -l . ; exit 1 ; }
 
-# Run the serving daemon (builds the SynthRAG database first: ≈0.2 s to
-# `listening` on a 2-core VM, the repo benchmark's `setup_s`; `go run`
-# compiles before that).
+# Run the serving daemon (builds the SynthRAG database first, its expert
+# drafts read from the checked-in table: ≈0.1 s to `listening` on a 2-core
+# VM, the repo benchmark's `setup_s`; `go run` compiles before that).
 serve:
 	$(GO) run ./cmd/chatlsd -addr :8080
+
+# Regenerate internal/synthrag/expert_drafts.go, the expert-draft table, from
+# a fresh palette sweep. TestExpertDraftsCurrent fails when a change moves a
+# sweep result; run this when the change is meant to, and review the diff.
+drafts:
+	$(GO) test ./internal/synthrag -run TestExpertDraftsCurrent -update
 
 # Micro-benchmarks: substrate and serving-path cache costs, plus the work
 # behind one warm request (WarmRequest, and WarmRequestParallel from
@@ -40,11 +46,13 @@ bench:
 # Headline perf record: runs the paper-scale benchmarks, the checkpointing
 # pair, the batched-vs-serial embedding pair, and the exact 10k-vector
 # search five times each and writes the averaged ns/op, B/op, allocs/op
-# (plus custom units like graphs/op) to BENCH_12.json for comparison
+# (plus custom units like graphs/op) to BENCH_13.json for comparison
 # against earlier checked-in records. ColdRequests is the request half of a
 # daemon restart — the first chatls k=1 request on each of the seven designs
 # over empty caches and an empty checkpoint store, one pass an iteration —
-# and Table2DatabaseBuild the build half. CompileUltraSwerv matches both the
+# and Table2DatabaseBuild the build half (expert drafts from the table;
+# ExpertSweep is the palette sweep that computes them, 88 runs an op, the
+# build's cost whenever the table misses). CompileUltraSwerv matches both the
 # fresh and the checkpointed variant (their ratio is the checkpoint
 # speedup); CheckpointRestore is capture / restore / restore-recycled (a
 # miss, a hit whose first netlist read thaws into new storage, one whose first read thaws over a released
@@ -62,21 +70,23 @@ bench-compare:
 	{ $(GO) test -bench='$(COMPARE)' -benchmem -benchtime=1x -count=5 -run=^$$ . ; \
 	  $(GO) test -bench='$(REQUEST_COMPARE)' -benchmem -benchtime=14x -count=5 -run=^$$ . ; \
 	  $(GO) test -bench='$(PARALLEL_COMPARE)' -benchmem -benchtime=14x -count=5 -cpu 2 -run=^$$ . ; \
-	  $(GO) test -bench='$(SEARCH_COMPARE)' -benchmem -count=5 -run=^$$ ./internal/vecindex ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_12.json
-	@cat BENCH_12.json
+	  $(GO) test -bench='$(SEARCH_COMPARE)' -benchmem -count=5 -run=^$$ ./internal/vecindex ; \
+	  $(GO) test -bench='ExpertSweep' -benchmem -benchtime=1x -count=5 -run=^$$ ./internal/synthrag ; } \
+		| $(GO) run ./cmd/benchjson > BENCH_13.json
+	@cat BENCH_13.json
 
 # Allocation-regression gate: reruns the fast benchmarks — the database
-# build and the cold pass over it included, a second each: how often a
-# restart parses and elaborates shows in their allocs/op and B/op before it
-# shows anywhere else — and fails if any benchmark's allocs/op — or B/op,
+# build, the expert-draft sweep it skips and the cold pass over it included,
+# a second or less each: how often a restart parses and elaborates shows in
+# their allocs/op and B/op before it shows anywhere else — and fails if any
+# benchmark's allocs/op — or B/op,
 # where the baseline is at least 100 kB — regresses more than 20% against
 # the checked-in BENCH_GATE.json baseline. The baseline is recorded by
 # bench-gate-baseline with the *same* benchmark subset and -count as the
 # gate rerun — allocs/op is deterministic only under identical process
 # conditions (which earlier benchmarks warmed the intern table and the
 # scratch pools matters), so the gate must not compare against the
-# full-set BENCH_12.json record. Both run at -cpu 1: the row-sharded tensor
+# full-set BENCH_13.json record. Both run at -cpu 1: the row-sharded tensor
 # kernels fan out over GOMAXPROCS goroutines (tensor.ParallelRows), each a
 # few allocations, so EmbedGlobalSerial reads 36 allocs/op on one CPU, 50
 # on two and 72 on eight — a baseline from one machine failed the gate on
@@ -84,9 +94,9 @@ bench-compare:
 # goroutines on one store and runs at -cpu 2, seven requests an iteration
 # (its GNN forward is a cache hit, so no kernel fans out). Regenerate the
 # baseline whenever a change intentionally moves an allocation count.
-GATE ?= Table2DatabaseBuild|ColdRequests|CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|EmbedGlobalBatched|WarmRequest$$|WarmRequestRawK5$$|UpdateBatch
+GATE ?= Table2DatabaseBuild|ExpertSweep|ColdRequests|CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|EmbedGlobalBatched|WarmRequest$$|WarmRequestRawK5$$|UpdateBatch
 GATE_BASELINE ?= BENCH_GATE.json
-GATE_RUN = { $(GO) test -bench='$(GATE)' -benchmem -benchtime=1x -count=3 -cpu 1 -run=^$$ . ./internal/sta ; \
+GATE_RUN = { $(GO) test -bench='$(GATE)' -benchmem -benchtime=1x -count=3 -cpu 1 -run=^$$ . ./internal/sta ./internal/synthrag ; \
 	  $(GO) test -bench='$(PARALLEL_COMPARE)' -benchmem -benchtime=7x -count=3 -cpu 2 -run=^$$ . ; \
 	  $(GO) test -bench='$(SEARCH_COMPARE)' -benchmem -count=3 -cpu 1 -run=^$$ ./internal/vecindex ; }
 bench-gate:

@@ -46,9 +46,11 @@ func sharedBenchDB(b *testing.B) *synthrag.Database {
 	return benchDB
 }
 
-// BenchmarkTable2DatabaseBuild measures the SynthRAG database construction:
-// graph building, metric learning, and expert-draft synthesis of the
-// Table II corpus under the full strategy palette.
+// BenchmarkTable2DatabaseBuild measures the SynthRAG database construction
+// as chatlsd starts it: graph building, metric learning, embedding and
+// indexing, with the Table II corpus's expert drafts read from the checked-in
+// table. The sweep that computes them is BenchmarkExpertSweep in
+// internal/synthrag.
 func BenchmarkTable2DatabaseBuild(b *testing.B) {
 	cfg := DefaultConfig()
 	for i := 0; i < b.N; i++ {

@@ -94,6 +94,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
+	fromTable, swept := db.ExpertDrafts()
+	log.Printf("expert drafts: %d from the table, %d swept", fromTable, swept)
 
 	var rc *remotecache.Client
 	if *remoteCache != "" {

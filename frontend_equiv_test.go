@@ -15,7 +15,7 @@ import (
 
 // frontEndCorpus is every design whose front end the pipeline reads from a
 // snapshot: the seven benchmarks a request names and the eleven corpus
-// designs the database build synthesizes.
+// designs the expert-draft sweep synthesizes.
 func frontEndCorpus(t *testing.T) []*designs.Design {
 	t.Helper()
 	all := append(designs.Benchmarks(), designs.DatabaseDesigns()...)
@@ -133,12 +133,13 @@ func elaborated(t *testing.T, d *designs.Design) *netlist.Netlist {
 }
 
 // TestFrontEndRunsOncePerDesign pins the counts: building the default
-// database elaborates each of the eleven expert-entry designs once (not once
-// per palette plan) and parses once per corpus graph and once per sweep; a
-// first chatls request then elaborates and parses its design once (not once
-// each for the baseline, the analysis and the graph). The cold pass is
-// sequential, so the serving store never needs a second workspace: the
-// analysis borrows the one the samples restore into.
+// database elaborates nothing — every expert entry comes from the checked-in
+// table — and parses once per corpus graph (a build that sweeps adds one
+// elaboration and one parse per expert-entry design: TestSweepFrontEndCounts
+// in internal/synthrag); a first chatls request then elaborates and parses its
+// design once (not once each for the baseline, the analysis and the graph).
+// The cold pass is sequential, so the serving store never needs a second
+// workspace: the analysis borrows the one the samples restore into.
 func TestFrontEndRunsOncePerDesign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the full database")
@@ -149,12 +150,15 @@ func TestFrontEndRunsOncePerDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus, indexOnly := len(built.Strategies), len(designs.TrainingVariants())
-	if got, want := netlist.Elaborations()-elabs, uint64(corpus); got != want {
-		t.Errorf("database build: %d elaborations, want %d (one per expert-entry design)", got, want)
+	if _, swept := built.ExpertDrafts(); swept != 0 {
+		t.Fatalf("database build swept %d expert-entry designs, want 0 (all from the table)", swept)
 	}
-	if got, want := verilog.Parses()-parses, uint64(corpus+indexOnly+corpus); got != want {
-		t.Errorf("database build: %d parses, want %d (one per corpus graph, one per sweep)", got, want)
+	corpus, indexOnly := len(built.Strategies), len(designs.TrainingVariants())
+	if got := netlist.Elaborations() - elabs; got != 0 {
+		t.Errorf("database build: %d elaborations, want 0", got)
+	}
+	if got, want := verilog.Parses()-parses, uint64(corpus+indexOnly); got != want {
+		t.Errorf("database build: %d parses, want %d (one per corpus graph)", got, want)
 	}
 
 	requested := designs.Benchmarks()

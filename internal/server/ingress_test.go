@@ -8,7 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/designs"
 	"repro/internal/inputlimits"
+	"repro/internal/liberty"
+	"repro/internal/llm"
+	"repro/internal/synthrag"
 )
 
 // TestIngressRejections exercises the /v1/customize trust boundary: every
@@ -99,6 +103,37 @@ func TestHealthzEchoesLimits(t *testing.T) {
 		if _, ok := hz.ParserBudgets[surface]; !ok {
 			t.Fatalf("healthz missing budget for %s", surface)
 		}
+	}
+}
+
+// TestHealthzEchoesExpertDraftsSwept: /healthz says whether the database
+// build swept the palette — 0 when every expert entry came from the
+// checked-in table (the shipped library), all eleven when the library the
+// table was swept under has changed.
+func TestHealthzEchoesExpertDraftsSwept(t *testing.T) {
+	changed := liberty.Nangate45()
+	changed.Cell("NAND2_X1").Area += 0.01
+	for _, c := range []struct {
+		name string
+		lib  *liberty.Library
+		want int
+	}{{"shipped library", testLib, 0}, {"changed library", changed, 11}} {
+		t.Run(c.name, func(t *testing.T) {
+			db, err := synthrag.Build(synthrag.BuildConfig{Seed: 2, Lib: c.lib, IndexOnly: []*designs.Design{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(Config{Model: llm.New(llm.GPT4o, 2), DB: db, Lib: c.lib})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			if got := getHealthz(t, ts.URL).ExpertDraftsSwept; got != c.want {
+				t.Errorf("expert_drafts_swept = %d, want %d", got, c.want)
+			}
+		})
 	}
 }
 

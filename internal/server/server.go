@@ -918,6 +918,10 @@ type healthzResponse struct {
 	BatchMax          int                   `json:"batch_max"`
 	ParserBudgets     map[string]budgetJSON `json:"parser_budgets"`
 	Overload          overloadJSON          `json:"overload"`
+	// ExpertDraftsSwept counts the expert-entry designs the database build
+	// synthesized under the palette because the checked-in table had no row
+	// for them: 0 for the shipped corpus and library.
+	ExpertDraftsSwept int `json:"expert_drafts_swept"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -936,6 +940,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		breakers[resilience.CompRemoteCache] = rc.BreakerState().String()
 	}
 	limits := inputlimits.Defaults()
+	_, swept := s.cfg.DB.ExpertDrafts()
 	writeJSON(w, http.StatusOK, healthzResponse{
 		Status:            "ok",
 		MaxBodyBytes:      s.cfg.MaxBodyBytes,
@@ -958,6 +963,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			Breakers:      breakers,
 			RequestCostNS: s.costs.Expect(overload.StageRequest).Nanoseconds(),
 		},
+		ExpertDraftsSwept: swept,
 	})
 }
 

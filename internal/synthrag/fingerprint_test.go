@@ -42,19 +42,23 @@ func fingerprint(db *Database) uint64 {
 }
 
 // TestShippedBuildFingerprint pins the shipped build, bit for bit, for
-// serial and parallel training.
+// serial and parallel training, with its expert entries read from the
+// checked-in table and, once, swept.
 func TestShippedBuildFingerprint(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three full database builds")
+		t.Skip("four full database builds")
 	}
 	lib := liberty.Nangate45()
-	for _, workers := range []int{1, 2, 8} {
-		db, err := Build(BuildConfig{Seed: 20250706, TrainEpochs: 40, Lib: lib, Workers: workers})
+	for _, c := range []struct {
+		workers int
+		drafts  map[string]paletteResult
+	}{{1, expertDrafts}, {2, expertDrafts}, {8, expertDrafts}, {2, nil}} {
+		db, err := build(BuildConfig{Seed: 20250706, TrainEpochs: 40, Lib: lib, Workers: c.workers}, c.drafts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := fingerprint(db); got != shippedFingerprint {
-			t.Errorf("workers=%d: fingerprint %#x, want %#x", workers, got, shippedFingerprint)
+			t.Errorf("workers=%d, table %v: fingerprint %#x, want %#x", c.workers, c.drafts != nil, got, shippedFingerprint)
 		}
 	}
 }

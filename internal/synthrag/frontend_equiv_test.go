@@ -15,8 +15,8 @@ func buildCorpus() []*designs.Design {
 	return append(designs.DatabaseDesigns(), designs.DatabaseVariants()...)
 }
 
-// TestBuildMatchesStorelessSweep: the database built with each design's sweep
-// sharing one checkpoint store and running without its report tail is the
+// TestBuildMatchesStorelessSweep: the database built (with no expert-draft
+// table) with each design's sweep sharing one checkpoint store and running without its report tail is the
 // database the storeless sweep builds — the chosen plan and every QoR bit of
 // every expert entry — at one worker and at two, and the three indexes do not
 // depend on the worker count either. Run under -race this also exercises two
@@ -25,7 +25,7 @@ func TestBuildMatchesStorelessSweep(t *testing.T) {
 	lib := liberty.Nangate45()
 	mk := func(workers int) *Database {
 		t.Helper()
-		db, err := Build(BuildConfig{Seed: 7, TrainEpochs: 2, Lib: lib, Workers: workers})
+		db, err := build(BuildConfig{Seed: 7, TrainEpochs: 2, Lib: lib, Workers: workers}, nil)
 		if err != nil {
 			t.Fatalf("build (workers=%d): %v", workers, err)
 		}
@@ -121,7 +121,7 @@ func TestSweepLeavesNothingBehind(t *testing.T) {
 	ref = nil
 
 	base = heapAfterGC()
-	db, err := Build(cfg)
+	db, err := build(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,16 +12,22 @@
 //   - Tool user manual — text embeddings over the manual corpus with the
 //     LLM as reranker.
 //
-// The strategy database is built by actually synthesizing the corpus
-// designs under the full strategy palette and keeping the best script per
-// design — the "expert drafts" of the paper's §V setup.
+// The strategy database holds the best script per corpus design under the
+// full strategy palette — the "expert drafts" of the paper's §V setup. Those
+// are found by synthesizing each design under every plan; the answer for the
+// shipped corpus is checked in (expert_drafts.go), content-keyed, and a
+// design whose key has no row is swept at build time.
 package synthrag
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/circuitmentor"
@@ -86,6 +92,15 @@ type Database struct {
 	lib         *liberty.Library
 	cache       *dbCache  // optional serving-path memoization (EnableCache)
 	batch       *batchers // optional embedding admission queue (EnableBatching)
+
+	draftsFromTable, draftsSwept int // how the expert entries were found
+}
+
+// ExpertDrafts reports how the build found its expert entries: read from the
+// checked-in table, or swept under the palette because no row's key matched
+// (another library, an edited corpus design or an edited palette).
+func (db *Database) ExpertDrafts() (fromTable, swept int) {
+	return db.draftsFromTable, db.draftsSwept
 }
 
 // BuildConfig controls database construction.
@@ -108,10 +123,17 @@ type BuildConfig struct {
 }
 
 // Build constructs the database: trains CircuitMentor with metric learning
-// on the corpus, synthesizes every corpus design under the strategy palette
-// to find its expert script, and indexes embeddings, graphs, the target
-// library, and the manual.
+// on the corpus, takes every corpus design's expert script from the
+// checked-in expert-draft table or, on a key miss, synthesizes the design
+// under the strategy palette to find it, and indexes embeddings, graphs, the
+// target library, and the manual.
 func Build(cfg BuildConfig) (*Database, error) {
+	return build(cfg, expertDrafts)
+}
+
+// build is Build over the expert-draft table drafts, keyed by draftKey; a nil
+// table sweeps every expert-entry design.
+func build(cfg BuildConfig, drafts map[string]paletteResult) (*Database, error) {
 	if cfg.Lib == nil {
 		cfg.Lib = liberty.Nangate45()
 	}
@@ -187,16 +209,18 @@ func Build(cfg BuildConfig) (*Database, error) {
 		}
 	}
 
-	// Embed and synthesize expert strategies per design in parallel — the
-	// trained model is only read from here on, and each design's palette
-	// sweep has its own sessions and checkpoint store. Indexes and the graph
-	// store are then assembled serially in corpus order, keeping the database
-	// bit-identical to a serial build.
+	// Embed per design and find expert strategies in parallel — the trained
+	// model is only read from here on, and each design's palette sweep has its
+	// own sessions and checkpoint store. Indexes and the graph store are then
+	// assembled serially in corpus order, keeping the database bit-identical to
+	// a serial build.
 	palette := paletteNames()
+	libFP := cfg.Lib.Fingerprint()
 	type built struct {
 		global  []float64
 		modEmbs [][]float64
 		best    paletteResult
+		swept   bool
 		err     error
 	}
 	results := make([]built, len(entries))
@@ -205,8 +229,13 @@ func Build(cfg BuildConfig) (*Database, error) {
 		r := &results[i]
 		r.global = db.Mentor.EmbedGlobal(e.dg)
 		r.modEmbs = db.Mentor.EmbedModules(e.dg)
-		if !cfg.SkipSynth && !isIndexOnly[e.d.Name] {
+		if cfg.SkipSynth || isIndexOnly[e.d.Name] {
+			return
+		}
+		var ok bool
+		if r.best, ok = drafts[draftKey(libFP, palette, e.d)]; !ok {
 			r.best, r.err = bestStrategy(e.d, cfg.Lib, palette)
+			r.swept = true
 		}
 	})
 
@@ -249,9 +278,17 @@ func Build(cfg BuildConfig) (*Database, error) {
 				return nil, fmt.Errorf("%s: expert synthesis: %v", e.d.Name, r.err)
 			}
 			rec.Strategy = r.best.name
-			rec.Plan = StrategyPalette[r.best.name]
+			// A copy: a caller editing one record's plan must edit neither
+			// the palette (and with it every later build's draft keys) nor
+			// any other record.
+			rec.Plan = append([]string(nil), StrategyPalette[r.best.name]...)
 			rec.QoR = r.best.qor
 			rec.Quality = quality(r.best.qor)
+			if r.swept {
+				db.draftsSwept++
+			} else {
+				db.draftsFromTable++
+			}
 		}
 		db.Strategies[e.d.Name] = rec
 	}
@@ -287,6 +324,40 @@ func paletteNames() []string {
 	return names
 }
 
+// draftKey is the content address of a design's expert draft: a SHA-256 over
+// everything bestStrategy reads as data, each field length-framed as in the
+// checkpoint key — the library's fingerprint, the palette's names and plan
+// lines in sweep order, and the design's name, file name, top, source and
+// baseline script. A change to the code the sweep runs is not in the key;
+// TestExpertDraftsCurrent catches that.
+func draftKey(libFingerprint string, names []string, d *designs.Design) string {
+	h := sha256.New()
+	frame := func(b string) {
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
+		h.Write(n[:])
+		h.Write([]byte(b))
+	}
+	frame("lib")
+	frame(libFingerprint)
+	frame("palette")
+	for _, name := range names {
+		plan := StrategyPalette[name]
+		frame(name)
+		frame(strconv.Itoa(len(plan)))
+		for _, line := range plan {
+			frame(line)
+		}
+	}
+	frame("design")
+	for _, s := range []string{d.Name, d.FileName, d.Top, d.Source, d.BaselineScript()} {
+		frame(s)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// paletteResult is one sweep's answer: the winning plan's palette name and
+// the QoR it achieved. The expert-draft table holds one per design.
 type paletteResult struct {
 	name string
 	qor  synth.QoR
@@ -294,7 +365,9 @@ type paletteResult struct {
 
 // bestStrategy synthesizes a design under every palette plan, in the order of
 // names, and returns the best by timing, then area — the expert-draft
-// selection.
+// selection. It is the only code that sweeps: a build's table misses, the
+// table's freshness test and its regeneration all come here. When no plan
+// runs, the error wraps the first plan's.
 //
 // The plans share one checkpoint store that lives for this sweep only: the
 // design is parsed and elaborated once, the other plans restore the snapshot
@@ -305,6 +378,7 @@ type paletteResult struct {
 // outlived its sweep is what raised peak RSS; see DESIGN.md).
 func bestStrategy(d *designs.Design, lib *liberty.Library, names []string) (paletteResult, error) {
 	var best paletteResult
+	var firstErr error
 	first := true
 	store := synth.NewCheckpointStore(1)
 	for _, name := range names {
@@ -313,6 +387,9 @@ func bestStrategy(d *designs.Design, lib *liberty.Library, names []string) (pale
 		sess.AddSource(d.FileName, d.Source)
 		res, err := sess.Run(sweepScript(d, StrategyPalette[name]))
 		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%s: %w", name, err)
+			}
 			continue // a palette entry can be inapplicable; skip it
 		}
 		q := *res.QoR
@@ -323,7 +400,7 @@ func bestStrategy(d *designs.Design, lib *liberty.Library, names []string) (pale
 		}
 	}
 	if first {
-		return best, fmt.Errorf("no palette strategy ran successfully")
+		return best, fmt.Errorf("no palette strategy ran successfully (first plan %w)", firstErr)
 	}
 	return best, nil
 }

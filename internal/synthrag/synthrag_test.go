@@ -202,18 +202,19 @@ func TestRetrieveStrategiesRerank(t *testing.T) {
 // TestBuildParallelMatchesSerial is the determinism check for the build
 // fan-out: any worker count must produce an identical database — the
 // trained weights included — because per-design work is independent and
-// assembly, gradient shares too, happens in corpus order.
+// assembly, gradient shares too, happens in corpus order. Both sides sweep
+// (no expert-draft table), so the sweep's fan-out is what is compared.
 func TestBuildParallelMatchesSerial(t *testing.T) {
 	sub := designs.DatabaseDesigns()[:5]
 	mk := func(workers int) *Database {
 		t.Helper()
-		db, err := Build(BuildConfig{
+		db, err := build(BuildConfig{
 			Seed:        7,
 			TrainEpochs: 2,
 			Designs:     sub,
 			IndexOnly:   []*designs.Design{}, // non-nil: skip the default variants, keep it fast
 			Workers:     workers,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("build (workers=%d): %v", workers, err)
 		}
