@@ -124,7 +124,7 @@ batch-race:
 
 ci: build vet race
 
-# Short fuzzing pass over every untrusted-input parser. Each target gets
+# Short fuzzing pass over every untrusted-input parser and decoder. Each target gets
 # FUZZTIME of coverage-guided input generation on top of its checked-in
 # seed corpus (testdata/fuzz/); any crash is a failure. Raise FUZZTIME for
 # a deeper soak, e.g. make fuzz-smoke FUZZTIME=5m.
@@ -136,6 +136,8 @@ fuzz-smoke:
 	$(GO) test ./internal/graphdb -run='^$$' -fuzz=FuzzParseCypher -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzCustomizeRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qorlog -run='^$$' -fuzz=FuzzQoRLogRecover -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/netlist -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/synth -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME)
 
 # Crash-recovery gate for the durable QoR log: fault-injected kills
 # mid-append and mid-recompaction, torn/corrupt-tail truncation, the

@@ -7,90 +7,36 @@ import (
 	"repro/internal/liberty"
 )
 
-// TestCodecRoundTrip: Decode(Encode(nl)) reproduces the netlist with the
-// same exactness contract as Clone — IDs, slice orders, sink orders,
-// generations, ID bounds, and structural verilog all preserved.
+// wire is nl's image in its wire form.
+func wire(nl *Netlist) []byte { return Freeze(nl).AppendBinary(nil) }
+
+// TestCodecRoundTrip: an image decoded from its wire form thaws to the
+// netlist it froze — IDs, slice orders, sink orders, generations, ID bounds,
+// group counts and names, as the Encode oracle sees them — and the thawed
+// netlist is editable and isolated from the original.
 func TestCodecRoundTrip(t *testing.T) {
 	nl := cloneTestNetlist(t)
 	nl.Groups["scratch"] = 0 // survive an empty group entry too
+	nl.Cells[0].Name = "u0/renamed"
 
-	blob := Encode(nl)
-	cp, err := Decode(blob, nl.Lib)
+	im, err := DecodeImage(wire(nl), nl.Lib)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeImage: %v", err)
 	}
+	cp := im.Thaw(nil)
 	if err := cp.Check(); err != nil {
 		t.Fatalf("decoded netlist fails invariant check: %v", err)
 	}
-	if cp.Name != nl.Name || cp.Lib != nl.Lib {
-		t.Fatalf("name/lib mismatch: %q vs %q", cp.Name, nl.Name)
+	if cp.Lib != nl.Lib {
+		t.Fatal("decoded netlist does not use the decoder's library")
 	}
-	if cp.Gen() != nl.Gen() || cp.TopoGen() != nl.TopoGen() {
-		t.Fatalf("generations not preserved: (%d,%d) vs (%d,%d)",
-			cp.Gen(), cp.TopoGen(), nl.Gen(), nl.TopoGen())
-	}
-	if cp.NetIDBound() != nl.NetIDBound() || cp.CellIDBound() != nl.CellIDBound() {
-		t.Fatalf("ID bounds not preserved")
-	}
-	if len(cp.Groups) != len(nl.Groups) {
-		t.Fatalf("group counts differ: %d vs %d", len(cp.Groups), len(nl.Groups))
-	}
-	for g, n := range nl.Groups {
-		if cp.Groups[g] != n {
-			t.Fatalf("group %q count %d, want %d", g, cp.Groups[g], n)
-		}
-	}
-	if len(cp.Cells) != len(nl.Cells) || len(cp.Nets) != len(nl.Nets) {
-		t.Fatalf("object counts differ")
-	}
-	for i := range nl.Cells {
-		a, b := nl.Cells[i], cp.Cells[i]
-		if a.ID != b.ID || a.Name != b.Name || a.Ref != b.Ref || a.Module != b.Module ||
-			a.Group != b.Group || a.Fixed != b.Fixed {
-			t.Fatalf("cell %d fields differ: %+v vs %+v", i, a, b)
-		}
-		if len(a.Inputs) != len(b.Inputs) {
-			t.Fatalf("cell %d input counts differ", i)
-		}
-		for j := range a.Inputs {
-			if a.Inputs[j].ID != b.Inputs[j].ID {
-				t.Fatalf("cell %d input %d net ID differs", i, j)
-			}
-		}
-		if a.Output.ID != b.Output.ID {
-			t.Fatalf("cell %d output net ID differs", i)
-		}
-		if (a.Clock == nil) != (b.Clock == nil) || (a.Reset == nil) != (b.Reset == nil) {
-			t.Fatalf("cell %d clock/reset shape differs", i)
-		}
-		if a.Clock != nil && a.Clock.ID != b.Clock.ID {
-			t.Fatalf("cell %d clock net differs", i)
-		}
-	}
-	for i := range nl.Nets {
-		a, b := nl.Nets[i], cp.Nets[i]
-		if a.ID != b.ID || a.Name != b.Name || a.PI != b.PI || a.PO != b.PO ||
-			a.Const != b.Const || a.Val != b.Val || a.IsClk != b.IsClk || a.IsRst != b.IsRst {
-			t.Fatalf("net %d fields differ", i)
-		}
-		if len(a.Sinks) != len(b.Sinks) {
-			t.Fatalf("net %d sink counts differ", i)
-		}
-		for j := range a.Sinks {
-			if a.Sinks[j].Cell.ID != b.Sinks[j].Cell.ID || a.Sinks[j].Index != b.Sinks[j].Index {
-				t.Fatalf("net %d sink %d order not preserved", i, j)
-			}
-		}
-		if (a.Driver == nil) != (b.Driver == nil) ||
-			(a.Driver != nil && a.Driver.ID != b.Driver.ID) {
-			t.Fatalf("net %d driver differs", i)
-		}
+	if !bytes.Equal(Encode(cp), Encode(nl)) {
+		t.Fatal("decoded image thaws to a different netlist")
 	}
 	if WriteVerilog(cp) != WriteVerilog(nl) {
 		t.Fatalf("structural verilog of decoded netlist differs from original")
 	}
 
-	// The decoded netlist is fully editable and isolated from the original.
 	before := WriteVerilog(nl)
 	cp.Ungroup("")
 	cp.NewNet("scratch_net")
@@ -100,51 +46,59 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // TestCodecDeterministic: the same netlist always encodes to the same bytes,
-// and a decode→re-encode round trip is byte-identical. This is what makes
-// checkpoint blobs content-addressable across replicas.
+// whatever order its Groups map iterates in, and a decode→re-encode round
+// trip is byte-identical. This is what makes checkpoint blobs
+// content-addressable across replicas.
 func TestCodecDeterministic(t *testing.T) {
 	nl := cloneTestNetlist(t)
-	b1, b2 := Encode(nl), Encode(nl)
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("two encodes of the same netlist differ")
+	for _, g := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
+		nl.Groups[g] = len(g)
 	}
-	cp, err := Decode(b1, nl.Lib)
+	b1 := wire(nl)
+	for i := 0; i < 8; i++ {
+		if !bytes.Equal(wire(nl), b1) {
+			t.Fatalf("two encodes of the same netlist differ")
+		}
+	}
+	im, err := DecodeImage(b1, nl.Lib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(Encode(cp), b1) {
+	if !bytes.Equal(im.AppendBinary(nil), b1) {
 		t.Fatalf("re-encode after decode is not byte-identical")
 	}
-	b3 := Encode(nl.Clone())
-	if !bytes.Equal(b3, b1) {
+	if !bytes.Equal(wire(nl.Clone()), b1) {
 		t.Fatalf("encode of a clone differs from encode of the original")
+	}
+	if prefix := []byte("prefix"); !bytes.Equal(Freeze(nl).AppendBinary(prefix)[len(prefix):], b1) {
+		t.Fatalf("AppendBinary does not append")
 	}
 }
 
 // TestCodecRejectsCorruption: no prefix truncation, byte flip, or trailing
-// garbage may panic or decode successfully into a netlist that fails Check.
+// garbage may panic or decode into an image whose thaw fails Check.
 func TestCodecRejectsCorruption(t *testing.T) {
 	nl := cloneTestNetlist(t)
-	blob := Encode(nl)
+	blob := wire(nl)
 
 	for n := 0; n < len(blob); n++ {
-		if _, err := Decode(blob[:n], nl.Lib); err == nil {
+		if _, err := DecodeImage(blob[:n], nl.Lib); err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully", n)
 		}
 	}
-	if _, err := Decode(append(append([]byte{}, blob...), 0xFF), nl.Lib); err == nil {
+	if _, err := DecodeImage(append(append([]byte{}, blob...), 0xFF), nl.Lib); err == nil {
 		t.Fatalf("trailing byte decoded successfully")
 	}
 	for i := 0; i < len(blob); i++ {
 		mut := append([]byte{}, blob...)
 		mut[i] ^= 0x41
-		cp, err := Decode(mut, nl.Lib)
+		im, err := DecodeImage(mut, nl.Lib)
 		if err != nil {
 			continue
 		}
-		// A flip in a name or flag byte can decode; it must still be a
+		// A flip in a name or flag byte can decode; it must still thaw to a
 		// structurally sound netlist, never a half-built one.
-		if err := cp.Check(); err != nil {
+		if err := im.Thaw(nil).Check(); err != nil {
 			t.Fatalf("flip at byte %d decoded into inconsistent netlist: %v", i, err)
 		}
 	}
@@ -154,32 +108,32 @@ func TestCodecRejectsCorruption(t *testing.T) {
 // library does not have is an error, not a nil Ref.
 func TestCodecUnknownLibraryCell(t *testing.T) {
 	nl := cloneTestNetlist(t)
-	var victim string
-	for _, c := range nl.Cells {
-		victim = c.Ref.Name
-		break
-	}
-	blob := bytes.Replace(Encode(nl), []byte(victim), []byte("ZZZZ"+victim[4:]), 1)
-	if _, err := Decode(blob, liberty.Nangate45()); err == nil {
+	victim := nl.Cells[0].Ref.Name
+	blob := bytes.Replace(wire(nl), []byte(victim), []byte("ZZZZ"+victim[4:]), 1)
+	if _, err := DecodeImage(blob, liberty.Nangate45()); err == nil {
 		t.Fatalf("unknown library cell decoded successfully")
 	}
 }
 
+// FuzzDecode feeds arbitrary bytes to DecodeImage, the one decoder of a
+// netlist at rest. Whatever decodes must thaw to a netlist that passes Check;
+// nothing may panic. The seeds, also checked in under testdata/fuzz, are a
+// real blob, a truncation of it and the bare magic.
 func FuzzDecode(f *testing.F) {
 	nl := cloneTestNetlist(f)
-	blob := Encode(nl)
+	blob := wire(nl)
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
-	f.Add([]byte(codecMagic))
+	f.Add([]byte(imageMagic))
 	f.Add([]byte{})
 	lib := nl.Lib
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := Decode(data, lib)
+		im, err := DecodeImage(data, lib)
 		if err != nil {
 			return
 		}
-		if err := cp.Check(); err != nil {
-			t.Fatalf("decoded netlist fails invariant check: %v", err)
+		if err := im.Thaw(nil).Check(); err != nil {
+			t.Fatalf("decoded image thaws to an inconsistent netlist: %v", err)
 		}
 	})
 }

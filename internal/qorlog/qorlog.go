@@ -326,16 +326,6 @@ func (l *Log) Appends() int64 { return l.appends }
 // Recompactions returns how many recompaction rewrites completed.
 func (l *Log) Recompactions() int64 { return l.recompactions }
 
-// Each calls fn for every live record in deterministic (first-append)
-// order — the warm-restart repopulation path.
-func (l *Log) Each(fn func(Key, Record)) {
-	for _, k := range l.order {
-		if rec, ok := l.index[k]; ok {
-			fn(k, rec)
-		}
-	}
-}
-
 // Append writes one record. On a write failure the log rewinds (truncates)
 // to the last fully-written record so a retry starts from a clean tail; if
 // the rewind itself fails the log is marked broken and every later append

@@ -9,18 +9,22 @@ import (
 	"repro/internal/resilience"
 )
 
-// Store is the serving-path view of the QoR log: a bounded LRU read cache
-// warm-filled from the on-disk log at open, write-through appends with
-// retry, and graceful degradation — when the disk stops cooperating the
-// store drops to memory-only mode with a warning instead of failing
-// requests. A nil *Store disables result caching entirely (every method is
-// nil-safe), so callers thread it through unconditionally.
+// Store is the serving-path view of the QoR log: reads served from the log's
+// replay index, write-through appends with retry, and graceful degradation —
+// when the disk stops cooperating the store drops to memory-only mode with a
+// warning instead of failing requests. Records that never reach a log — a
+// memory-only store's, or those put after the log degraded or closed — live in
+// a bounded LRU, which a log-backed store otherwise leaves empty: a logged
+// record is held once, in the index. A nil *Store disables result caching
+// entirely (every method is nil-safe), so callers thread it through
+// unconditionally.
 //
 // Safe for concurrent use.
 type Store struct {
-	mu    sync.Mutex
-	log   *Log // nil for a memory-only store
-	cache *lru.Cache[Key, Record]
+	mu     sync.Mutex
+	log    *Log // nil for a memory-only store
+	closed bool // the log's file is closed; its index still serves
+	cache  *lru.Cache[Key, Record]
 
 	degraded   atomic.Bool
 	hits       atomic.Int64
@@ -34,27 +38,26 @@ type Store struct {
 
 // DefaultCacheCap bounds the in-memory record cache when the caller passes
 // a non-positive capacity. Records are ~100 bytes, so even the default is
-// cheap; the on-disk log retains everything regardless of evictions.
+// cheap.
 const DefaultCacheCap = 4096
 
 // appendAttempts bounds the retries of one record append while the error
 // classifies as transient (resilience.IsRetryableDisk).
 const appendAttempts = 3
 
-// OpenStore opens the durable log at path and repopulates the in-memory
-// cache from it — the warm-restart path. Record-level corruption never
-// fails the open (see Open); a real I/O error does, and the caller decides
-// whether to run memory-only instead.
+// OpenStore opens the durable log at path — the warm-restart path: every
+// record the log replays is served from its index at once. Record-level
+// corruption never fails the open (see Open); a real I/O error does, and the
+// caller decides whether to run memory-only instead. cacheCap bounds only the
+// records that never reach the log (see Store); the log's own are unbounded,
+// like the file.
 func OpenStore(path string, cacheCap int, opts Options) (*Store, error) {
 	l, err := Open(path, opts)
 	if err != nil {
 		return nil, err
 	}
 	s := newStore(l, cacheCap)
-	l.Each(func(k Key, rec Record) {
-		s.cache.Add(k, rec)
-		s.warmed++
-	})
+	s.warmed = int64(l.Len())
 	return s, nil
 }
 
@@ -75,28 +78,31 @@ func newStore(l *Log, cacheCap int) *Store {
 	}
 }
 
-// Get returns the logged record for key. A key evicted from the LRU but
-// live in the log's replay index still hits (and is re-promoted).
+// Get returns the record for key: the one put since the log stopped taking
+// writes, else the log's.
 func (s *Store) Get(key Key) (Record, bool) {
 	if s == nil {
 		return Record{}, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rec, ok := s.cache.Get(key); ok {
+	if rec, ok := s.get(key); ok {
 		s.hits.Add(1)
 		return rec, true
-	}
-	if s.log != nil {
-		if rec, ok := s.log.Get(key); ok {
-			s.cache.Add(key, rec)
-			s.hits.Add(1)
-			return rec, true
-		}
 	}
 	s.misses.Add(1)
 	return Record{}, false
 }
+
+func (s *Store) get(key Key) (Record, bool) {
+	if rec, ok := s.cache.Get(key); ok || s.log == nil {
+		return rec, ok
+	}
+	return s.log.Get(key)
+}
+
+// writable reports whether puts still append to the log.
+func (s *Store) writable() bool { return s.log != nil && !s.closed && !s.degraded.Load() }
 
 // Put stores a record, appending it to the log when one is open and the
 // store has not degraded. Re-putting an identical record is a no-op
@@ -110,17 +116,11 @@ func (s *Store) Put(key Key, rec Record) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.cache.Peek(key); ok && prev == rec {
+	if prev, ok := s.get(key); ok && prev == rec {
 		return
 	}
-	if s.log != nil {
-		if prev, ok := s.log.Get(key); ok && prev == rec {
-			s.cache.Add(key, rec)
-			return
-		}
-	}
-	s.cache.Add(key, rec)
-	if s.log == nil || s.degraded.Load() {
+	if !s.writable() {
+		s.cache.Add(key, rec)
 		return
 	}
 	failures, err := resilience.RetryBounded(appendAttempts, resilience.IsRetryableDisk,
@@ -129,6 +129,7 @@ func (s *Store) Put(key Key, rec Record) {
 	if err == nil {
 		return
 	}
+	s.cache.Add(key, rec)
 	s.degraded.Store(true)
 	s.warnf("qorlog: log write failed, degrading to memory-only mode "+
 		"(results from this process will not survive a restart): %v", err)
@@ -137,8 +138,8 @@ func (s *Store) Put(key Key, rec Record) {
 // Degraded reports whether log writes have been abandoned for this process.
 func (s *Store) Degraded() bool { return s != nil && s.degraded.Load() }
 
-// Len returns the number of live records (log-backed stores count the full
-// replay index, not just what the LRU retains).
+// Len returns the number of live records (a log-backed store counts the
+// log's).
 func (s *Store) Len() int {
 	if s == nil {
 		return 0
@@ -161,7 +162,7 @@ func (s *Store) Recompact() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log == nil || s.degraded.Load() {
+	if !s.writable() {
 		return nil
 	}
 	return s.log.Recompact()
@@ -174,26 +175,26 @@ func (s *Store) Sync() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log == nil || s.degraded.Load() {
+	if !s.writable() {
 		return nil
 	}
 	return s.log.Sync()
 }
 
 // Close flushes and closes the backing log. Nil-safe and idempotent; the
-// in-memory cache keeps serving after Close (shutdown calls it early).
+// store keeps serving after Close (shutdown calls it early), the log's
+// records from its index and later puts from memory.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log == nil {
+	if s.log == nil || s.closed {
 		return nil
 	}
-	l := s.log
-	s.log = nil
-	err := l.Close()
+	s.closed = true
+	err := s.log.Close()
 	if s.degraded.Load() {
 		return nil // the failure was already reported when it degraded
 	}
@@ -204,7 +205,7 @@ func (s *Store) Close() error {
 // qorlog_* metrics. Nil-safe: a nil store reports zeros.
 type StoreStats struct {
 	Hits, Misses int64 // result-cache lookups
-	Warmed       int64 // records repopulated from the log at open
+	Warmed       int64 // records the log replayed at open
 	Appends      int64 // records appended this session
 	AppendErrors int64 // failed append attempts (before retry/degradation)
 	Recovered    int64 // fully-written records replayed by recovery

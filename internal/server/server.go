@@ -356,7 +356,7 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return s.results.Stats().DroppedBytes })
 	s.reg.NewCounterFunc("qorlog_recompactions_total", "QoR-log recompaction rewrites completed",
 		func() int64 { return s.results.Stats().Recompacted })
-	s.reg.NewCounterFunc("qorlog_warm_records_total", "QoR records warm-filled into the cache at startup",
+	s.reg.NewCounterFunc("qorlog_warm_records_total", "QoR records the log served warm at startup",
 		func() int64 { return s.results.Stats().Warmed })
 	s.reg.NewGaugeFunc("qorlog_degraded", "1 once QoR-log writes were abandoned (memory-only mode)",
 		func() int64 {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/liberty"
 	"repro/internal/lru"
 	"repro/internal/netlist"
 	"repro/internal/sta"
@@ -431,12 +430,13 @@ func (s *Session) checkpointKey(files []string, top string) (string, bool) {
 }
 
 // get returns the snapshot for key, nil on a miss. On a local miss with a
-// remote tier attached, the tier is consulted: a blob that decodes cleanly
-// against lib (the session's library — the key binds its fingerprint, so a
-// remote hit always pairs with an equivalent library) is cached locally and
-// served; an undecodable blob is treated as a miss, because remote bytes are
-// untrusted input and a fresh elaboration is always available. Nil-safe.
-func (s *CheckpointStore) get(key string, lib *liberty.Library) *checkpoint {
+// remote tier attached, the tier is consulted, and a blob is served — and
+// cached locally — only when it decodes cleanly against sess.Lib (the key
+// binds its fingerprint, so a remote hit always pairs with an equivalent
+// library) and is the elaboration the key was derived from: see readFrom.
+// Anything else is a miss, because remote bytes are untrusted input and a
+// fresh elaboration is always available. Nil-safe.
+func (s *CheckpointStore) get(key string, sess *Session, files []string, top string) *checkpoint {
 	if s == nil {
 		return nil
 	}
@@ -450,12 +450,33 @@ func (s *CheckpointStore) get(key string, lib *liberty.Library) *checkpoint {
 	if !ok {
 		return nil
 	}
-	cp, err := decodeCheckpoint(blob, lib)
-	if err != nil {
+	cp, err := decodeCheckpoint(blob, sess.Lib)
+	if err != nil || !cp.readFrom(sess.Sources, files, top) {
 		return nil
 	}
 	s.cache.Add(key, cp)
 	return cp
+}
+
+// readFrom reports whether cp is what a link prefix reading files from
+// sources, in that order, under top makes: the same file names and texts in
+// the same order, and the same resolved top — top itself, or with none given
+// the last module read, as link picks it. A tier that serves one key's bytes
+// under another fails here instead of restoring the wrong netlist. (The
+// parameter overrides are not in a blob; only the key tells those apart.)
+func (cp *checkpoint) readFrom(sources map[string]string, files []string, top string) bool {
+	if len(cp.srcs) != len(files) {
+		return false
+	}
+	for i, f := range files {
+		if text, ok := sources[f]; !ok || cp.srcs[i].Name != f || cp.srcs[i].Text != text {
+			return false
+		}
+	}
+	if top == "" && len(cp.file.Modules) > 0 {
+		top = cp.file.Modules[len(cp.file.Modules)-1].Name
+	}
+	return cp.top == top
 }
 
 // put stores a snapshot locally and, when a remote tier is attached, pushes

@@ -11,26 +11,26 @@ import (
 
 // Checkpoint blob codec: the wire form a post-link snapshot takes through
 // the remote result tier. A blob carries the resolved top, the prefix's
-// transcript lines, the source files in read order, and the netlist in its
-// bit-exact binary form (netlist.Encode). The decoder re-parses the sources
-// — rebuilding file.Modules identically, since modules are pure values of
-// the text — and netlist.Decode restores the post-link netlist with IDs,
-// orders, and edit generations intact, so a session restored from a remote
-// blob behaves byte-for-byte like one restored from a local snapshot.
+// transcript lines, the source files in read order, and the snapshot's
+// netlist image in its own wire form (netlist.Image.AppendBinary), which runs
+// to the end of the blob. The decoder re-parses the sources — rebuilding
+// file.Modules identically, since modules are pure values of the text — and
+// keeps the decoded image as the snapshot's, so a session restored from a
+// remote blob thaws the same columns as one restored from a local snapshot
+// and behaves byte for byte like it.
 //
 // decodeCheckpoint treats its input as untrusted network bytes: malformed
 // blobs return an error (the store then falls back to fresh elaboration),
-// never a panic or a half-built snapshot.
+// never a panic or a half-built snapshot. A blob of another version is
+// malformed too, so it reads as a miss and the next capture replaces it.
 
 const (
 	ckptMagic   = "CKPT"
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
 // encodeCheckpoint serializes a snapshot. Deterministic for a given
-// snapshot, so re-uploads of the same checkpoint are byte-identical. The
-// netlist codec walks a netlist, so the image is thawed for it — once per
-// capture, and only with a remote tier attached.
+// snapshot, so re-uploads of the same checkpoint are byte-identical.
 func encodeCheckpoint(cp *checkpoint) []byte {
 	buf := append([]byte(ckptMagic), ckptVersion)
 	str := func(s string) {
@@ -47,95 +47,62 @@ func encodeCheckpoint(cp *checkpoint) []byte {
 		str(src.Name)
 		str(src.Text)
 	}
-	nb := netlist.Encode(cp.img.Thaw(nil))
-	buf = binary.AppendUvarint(buf, uint64(len(nb)))
-	buf = append(buf, nb...)
-	return buf
+	return cp.img.AppendBinary(buf)
 }
 
 // decodeCheckpoint reconstructs a snapshot from an encodeCheckpoint blob,
 // resolving library-cell references against lib.
 func decodeCheckpoint(blob []byte, lib *liberty.Library) (*checkpoint, error) {
-	pos := 0
-	fail := func(what string) error {
-		return fmt.Errorf("checkpoint blob: bad %s at byte %d", what, pos)
+	if len(blob) <= len(ckptMagic) || string(blob[:len(ckptMagic)]) != ckptMagic {
+		return nil, fmt.Errorf("checkpoint blob: bad magic")
 	}
-	uvarint := func() (int, bool) {
+	if v := blob[len(ckptMagic)]; v != ckptVersion {
+		return nil, fmt.Errorf("checkpoint blob: unsupported version %d", v)
+	}
+	// uvarint reads a count or a string length, neither of which can exceed
+	// the bytes left; the first failure latches ok and zeroes every later read.
+	pos, ok := len(ckptMagic)+1, true
+	uvarint := func() int {
 		v, n := binary.Uvarint(blob[pos:])
-		if n <= 0 || v > uint64(len(blob)) {
-			return 0, false
+		if !ok || n <= 0 || v > uint64(len(blob)-pos-n) {
+			ok = false
+			return 0
 		}
 		pos += n
-		return int(v), true
+		return int(v)
 	}
-	str := func() (string, bool) {
-		n, ok := uvarint()
-		if !ok || pos+n > len(blob) {
-			return "", false
-		}
-		s := string(blob[pos : pos+n])
+	str := func() string {
+		n := uvarint()
 		pos += n
-		return s, true
+		return string(blob[pos-n : pos])
 	}
 
-	if len(blob) < len(ckptMagic)+1 || string(blob[:len(ckptMagic)]) != ckptMagic {
-		return nil, fail("magic")
-	}
-	pos = len(ckptMagic)
-	if blob[pos] != ckptVersion {
-		return nil, fmt.Errorf("checkpoint blob: unsupported version %d", blob[pos])
-	}
-	pos++
-
-	cp := &checkpoint{}
-	var ok bool
-	if cp.top, ok = str(); !ok {
-		return nil, fail("top")
-	}
-	nLog, ok := uvarint()
-	if !ok {
-		return nil, fail("log count")
-	}
-	cp.log = make([]string, nLog)
+	cp := &checkpoint{top: str(), log: make([]string, uvarint())}
 	for i := range cp.log {
-		if cp.log[i], ok = str(); !ok {
-			return nil, fail("log line")
-		}
+		cp.log[i] = str()
 	}
-	nSrc, ok := uvarint()
-	if !ok {
-		return nil, fail("source count")
-	}
-	cp.srcs = make([]srcText, nSrc)
-	cp.file = &verilog.SourceFile{}
+	cp.srcs = make([]srcText, uvarint())
 	for i := range cp.srcs {
-		if cp.srcs[i].Name, ok = str(); !ok {
-			return nil, fail("source name")
-		}
-		if cp.srcs[i].Text, ok = str(); !ok {
-			return nil, fail("source text")
-		}
-		f, err := verilog.Parse(cp.srcs[i].Text)
+		cp.srcs[i] = srcText{Name: str(), Text: str()}
+	}
+	if !ok {
+		return nil, fmt.Errorf("checkpoint blob: truncated at byte %d", pos)
+	}
+	cp.file = &verilog.SourceFile{}
+	for _, src := range cp.srcs {
+		f, err := verilog.Parse(src.Text)
 		if err != nil {
-			return nil, fmt.Errorf("checkpoint blob: source %q does not parse: %v", cp.srcs[i].Name, err)
+			return nil, fmt.Errorf("checkpoint blob: source %q does not parse: %v", src.Name, err)
 		}
 		cp.file.Modules = append(cp.file.Modules, f.Modules...)
-	}
-	nNL, ok := uvarint()
-	if !ok || pos+nNL > len(blob) {
-		return nil, fail("netlist length")
-	}
-	nl, err := netlist.Decode(blob[pos:pos+nNL], lib)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint blob: %v", err)
-	}
-	pos += nNL
-	if pos != len(blob) {
-		return nil, fmt.Errorf("checkpoint blob: %d trailing bytes", len(blob)-pos)
 	}
 	if cp.top != "" && cp.file.FindModule(cp.top) == nil {
 		return nil, fmt.Errorf("checkpoint blob: top %q not among sources", cp.top)
 	}
-	cp.img = netlist.Freeze(nl)
+	img, err := netlist.DecodeImage(blob[pos:], lib)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint blob: %v", err)
+	}
+	cp.img = img
 	return cp, nil
 }

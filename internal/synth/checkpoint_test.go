@@ -183,7 +183,7 @@ func TestCheckpointSnapshotImmutable(t *testing.T) {
 	if !ok {
 		t.Fatal("key underivable")
 	}
-	cp := store.get(key, liberty.Nangate45())
+	cp := store.get(key, newTestSession(), []string{"tiny.v"}, "tiny")
 	if cp == nil {
 		t.Fatal("prefix-only run did not store a snapshot")
 	}

@@ -132,7 +132,7 @@ func (s *Session) RunContext(ctx context.Context, script string) (_ *Result, err
 		if end, files, top, ok := linkPrefix(cmds); ok && (budget <= 0 || end < budget) {
 			if key, ok := s.checkpointKey(files, top); ok {
 				res.Snapshot = Snapshot{store: s.Checkpoints, key: key}
-				if cp := s.Checkpoints.get(key, s.Lib); cp != nil {
+				if cp := s.Checkpoints.get(key, s, files, top); cp != nil {
 					st.restore(cp)
 					start = end + 1
 				} else {
