@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet fmt-check ci serve drafts bench bench-build bench-compare bench-gate bench-gate-baseline memprofile batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak check
+.PHONY: build test short race vet fmt-check ci serve drafts bench bench-build bench-compare bench-gate bench-gate-baseline memprofile fuzz-smoke crash-recovery remote-cache-e2e chaos-soak check
 
 build:
 	$(GO) build ./...
@@ -44,7 +44,7 @@ bench:
 	$(GO) test -bench='$(BENCH)' -benchmem -run=^$$ .
 
 # Headline perf record: runs the paper-scale benchmarks, the checkpointing
-# pair, the batched-vs-serial embedding pair, and the exact 10k-vector
+# pair, the serial design embedding, and the exact 10k-vector
 # search five times each and writes the averaged ns/op, B/op, allocs/op
 # (plus custom units like graphs/op) to BENCH_13.json for comparison
 # against earlier checked-in records. ColdRequests is the request half of a
@@ -56,13 +56,13 @@ bench:
 # fresh and the checkpointed variant (their ratio is the checkpoint
 # speedup); CheckpointRestore is capture / restore / restore-recycled (a
 # miss, a hit whose first netlist read thaws into new storage, one whose first read thaws over a released
-# workspace); EmbedGlobalSerial/Batched is the batching speedup per flush;
+# workspace); EmbedGlobalSerial is one GNN embedding of each design;
 # WarmRequest and WarmRequestRawK5 are the work behind one warm chatls k=1
 # and one raw Pass@5 request, 14 requests an iteration so each record
 # covers every design under both raw models; WarmRequestParallel is
 # WarmRequest from two goroutines over one store (-cpu 2: its ns/op is wall
 # time per request with both cores busy, about half the CPU time).
-COMPARE ?= Table2DatabaseBuild|Table4Baseline|ColdRequests|CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|EmbedGlobalBatched
+COMPARE ?= Table2DatabaseBuild|Table4Baseline|ColdRequests|CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial
 REQUEST_COMPARE ?= WarmRequest$$|WarmRequestRawK5$$
 PARALLEL_COMPARE ?= WarmRequestParallel$$
 SEARCH_COMPARE ?= FlatSearch10k
@@ -94,7 +94,7 @@ bench-compare:
 # goroutines on one store and runs at -cpu 2, seven requests an iteration
 # (its GNN forward is a cache hit, so no kernel fans out). Regenerate the
 # baseline whenever a change intentionally moves an allocation count.
-GATE ?= Table2DatabaseBuild|ExpertSweep|ColdRequests|CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|EmbedGlobalBatched|WarmRequest$$|WarmRequestRawK5$$|UpdateBatch
+GATE ?= Table2DatabaseBuild|ExpertSweep|ColdRequests|CompileUltraSwerv|CheckpointRestore|EmbedGlobalSerial|WarmRequest$$|WarmRequestRawK5$$|UpdateBatch
 GATE_BASELINE ?= BENCH_GATE.json
 GATE_RUN = { $(GO) test -bench='$(GATE)' -benchmem -benchtime=1x -count=3 -cpu 1 -run=^$$ . ./internal/sta ./internal/synthrag ; \
 	  $(GO) test -bench='$(PARALLEL_COMPARE)' -benchmem -benchtime=7x -count=3 -cpu 2 -run=^$$ . ; \
@@ -114,13 +114,6 @@ PROFILE_PKG ?= .
 memprofile:
 	$(GO) run ./cmd/benchjson -drive '$(PROFILE_BENCH)' -pkg $(PROFILE_PKG) -memprofile mem.out > /dev/null
 	@echo "wrote mem.out; try: go tool pprof -top -alloc_objects mem.out"
-
-# Continuous-batching correctness gate: the concurrent /v1/customize hammer
-# must produce byte-identical responses to a batching-disabled server, and
-# the batcher itself must be race-free, both under -race.
-batch-race:
-	$(GO) test ./internal/batch -race
-	$(GO) test ./internal/server -race -run 'TestBatchedCustomizeByteIdentical|TestHealthzEchoesBatchConfig'
 
 ci: build vet race
 
@@ -175,6 +168,6 @@ bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Everything CI runs plus the benchmark-module build, the fuzz smoke pass,
-# the crash-recovery gate, the distributed-result-tier gate, the
-# continuous-batching gate, and the chaos soak.
-check: build vet fmt-check race bench-build batch-race fuzz-smoke crash-recovery remote-cache-e2e chaos-soak
+# the crash-recovery gate, the distributed-result-tier gate, and the chaos
+# soak.
+check: build vet fmt-check race bench-build fuzz-smoke crash-recovery remote-cache-e2e chaos-soak

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/circuitmentor"
 	"repro/internal/designs"
-	"repro/internal/gnn"
 	"repro/internal/liberty"
 	"repro/internal/llm"
 	"repro/internal/synth"
@@ -515,10 +514,13 @@ func BenchmarkEmbedDesignCached(b *testing.B) {
 	}
 }
 
-// benchGraphs parses the benchmark designs into design graphs once, for the
-// embedding-batch benchmarks.
-func benchGraphs(b *testing.B) []*circuitmentor.DesignGraph {
-	b.Helper()
+// BenchmarkEmbedGlobalSerial is one GNN design embedding for each of the
+// seven benchmark designs, the work of a cold request's embedding.
+func BenchmarkEmbedGlobalSerial(b *testing.B) {
+	db, err := synthrag.Build(synthrag.BuildConfig{Seed: 2, SkipSynth: true, Lib: liberty.Nangate45()})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var dgs []*circuitmentor.DesignGraph
 	for _, d := range designs.Benchmarks() {
 		dg, err := circuitmentor.BuildGraph(d.Source, d.Top)
@@ -527,21 +529,6 @@ func benchGraphs(b *testing.B) []*circuitmentor.DesignGraph {
 		}
 		dgs = append(dgs, dg)
 	}
-	return dgs
-}
-
-// BenchmarkEmbedGlobalSerial and BenchmarkEmbedGlobalBatched compare the two
-// ways of embedding N concurrent designs: one GNN forward pass per design
-// versus a single stacked forward over their disjoint union — the work the
-// continuous-batching admission queue coalesces. Their ns/op ratio is the
-// per-flush speedup of batching (results are byte-identical; see
-// gnn.EmbedBatch).
-func BenchmarkEmbedGlobalSerial(b *testing.B) {
-	db, err := synthrag.Build(synthrag.BuildConfig{Seed: 2, SkipSynth: true, Lib: liberty.Nangate45()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dgs := benchGraphs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, dg := range dgs {
@@ -551,26 +538,6 @@ func BenchmarkEmbedGlobalSerial(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(dgs)), "graphs/op")
-}
-
-func BenchmarkEmbedGlobalBatched(b *testing.B) {
-	db, err := synthrag.Build(synthrag.BuildConfig{Seed: 2, SkipSynth: true, Lib: liberty.Nangate45()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dgs := benchGraphs(b)
-	gs := make([]*gnn.Graph, len(dgs))
-	for i, dg := range dgs {
-		gs[i] = dg.G
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		embs := db.Mentor.Model.EmbedGlobalBatch(gs)
-		if len(embs) != len(gs) {
-			b.Fatal("short batch result")
-		}
-	}
-	b.ReportMetric(float64(len(gs)), "graphs/op")
 }
 
 // BenchmarkIterativeClosure regenerates the iterative-resynthesis study:

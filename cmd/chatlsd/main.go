@@ -43,8 +43,6 @@ func main() {
 	reqTimeout := flag.Duration("req-timeout", 60*time.Second, "per-request deadline")
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures that trip a stage circuit breaker (0 = default 5)")
 	breakerOpenFor := flag.Duration("breaker-open-for", 0, "circuit-breaker open dwell before half-open probes (0 = default 5s)")
-	batchWindow := flag.Duration("batch-window", 0, "embedding admission-queue wait window (0 = default, negative disables batching)")
-	batchMax := flag.Int("batch-max", 0, "embedding requests per coalesced batch before an early flush (0 = default)")
 	qorLog := flag.String("qor-log", "", "durable QoR log path: synthesis outcomes persist across restarts (empty disables)")
 	remoteCache := flag.String("remote-cache", "", "base URL of a shared chatlscached result tier, e.g. http://cache:8090 (empty disables)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "fleet-wide work-lease TTL requested from the remote cache (0 = server default)")
@@ -118,9 +116,6 @@ func main() {
 		RequestTimeout:    *reqTimeout,
 		BreakerFailures:   *breakerFailures,
 		BreakerOpenFor:    *breakerOpenFor,
-		BatchWindow:       *batchWindow,
-		BatchMax:          *batchMax,
-		DisableBatching:   *batchWindow < 0,
 		QoRLogPath:        *qorLog,
 		RemoteCache:       rc,
 		DefaultK:          *defaultK,

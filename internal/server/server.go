@@ -40,7 +40,6 @@ import (
 	"time"
 
 	chatls "repro"
-	"repro/internal/batch"
 	"repro/internal/circuitmentor"
 	"repro/internal/designs"
 	"repro/internal/inputlimits"
@@ -89,16 +88,6 @@ type Config struct {
 	// PipelineInject, when set, is installed as the fault injector on
 	// every per-request chatls pipeline (tests and the chaos harness).
 	PipelineInject *resilience.Injector
-
-	// BatchWindow and BatchMax tune the continuous-batching admission queue
-	// over the database's embedding models: concurrent cache-missing embed
-	// requests arriving within BatchWindow coalesce into one stacked forward
-	// pass, flushing early once BatchMax requests are queued. Defaults are
-	// batch.DefaultWindow / batch.DefaultMaxBatch; DisableBatching turns the
-	// queue off entirely (requests embed serially, as before).
-	BatchWindow     time.Duration
-	BatchMax        int
-	DisableBatching bool
 
 	// QoRLogPath, when non-empty, opens the durable QoR log there: every
 	// sample synthesis outcome is appended, and a restarted daemon warm-fills
@@ -225,13 +214,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxRequirementLen = 8 << 10
 	}
 
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = batch.DefaultWindow
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = batch.DefaultMaxBatch
-	}
-
 	if cfg.BreakerFailures <= 0 {
 		cfg.BreakerFailures = 5
 	}
@@ -243,9 +225,6 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	cfg.DB.EnableCache(embedCacheSize, retrieveCacheSize)
-	if !cfg.DisableBatching {
-		cfg.DB.EnableBatching(cfg.BatchWindow, cfg.BatchMax)
-	}
 
 	s := &Server{
 		cfg:      cfg,
@@ -436,17 +415,6 @@ func New(cfg Config) (*Server, error) {
 	staDirty := s.reg.NewHistogram("sta_dirty_nodes", "nets and cells recomputed per incremental timing update",
 		[]float64{1, 4, 16, 64, 256, 1024, 4096, 16384})
 	sta.SetDirtyNodesObserver(func(n int) { staDirty.Observe(float64(n)) })
-
-	if !cfg.DisableBatching {
-		batchSize := s.reg.NewHistogram("chatlsd_batch_size", "embedding requests coalesced per batcher flush",
-			[]float64{1, 2, 4, 8, 16, 32, 64})
-		batchWait := s.reg.NewHistogram("chatlsd_batch_wait_ns", "oldest request's queue wait per batcher flush, nanoseconds",
-			[]float64{1e3, 1e4, 1e5, 5e5, 1e6, 2e6, 5e6, 1e7})
-		cfg.DB.SetBatchObserver(func(size int, wait time.Duration) {
-			batchSize.Observe(float64(size))
-			batchWait.Observe(float64(wait.Nanoseconds()))
-		})
-	}
 
 	return s, nil
 }
@@ -913,9 +881,6 @@ type healthzResponse struct {
 	MaxBodyBytes      int64                 `json:"max_body_bytes"`
 	MaxRequirementLen int                   `json:"max_requirement_len"`
 	MaxK              int                   `json:"max_k"`
-	BatchEnabled      bool                  `json:"batch_enabled"`
-	BatchWindowNS     int64                 `json:"batch_window_ns"`
-	BatchMax          int                   `json:"batch_max"`
 	ParserBudgets     map[string]budgetJSON `json:"parser_budgets"`
 	Overload          overloadJSON          `json:"overload"`
 	// ExpertDraftsSwept counts the expert-entry designs the database build
@@ -946,9 +911,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		MaxBodyBytes:      s.cfg.MaxBodyBytes,
 		MaxRequirementLen: s.cfg.MaxRequirementLen,
 		MaxK:              s.cfg.MaxK,
-		BatchEnabled:      !s.cfg.DisableBatching,
-		BatchWindowNS:     s.cfg.BatchWindow.Nanoseconds(),
-		BatchMax:          s.cfg.BatchMax,
 		ParserBudgets: map[string]budgetJSON{
 			inputlimits.SurfaceVerilog: toBudgetJSON(limits.Verilog),
 			inputlimits.SurfaceLiberty: toBudgetJSON(limits.Liberty),

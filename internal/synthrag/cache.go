@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"math"
 	"strings"
+	"time"
 
+	"repro/internal/batch"
 	"repro/internal/circuitmentor"
 	"repro/internal/lru"
 )
@@ -67,6 +69,18 @@ func (db *Database) CacheStats() CacheStats {
 		RetrieveHits:   db.cache.retrieve.Hits(),
 		RetrieveMisses: db.cache.retrieve.Misses(),
 	}
+}
+
+// EnableBatching does nothing. It is kept for the benchmark module (bench/),
+// which calls it while embeddings now always run inline on the caller.
+func (db *Database) EnableBatching(time.Duration, int) {}
+
+// BatchStats is kept for the benchmark module (bench/): Items counts the
+// serving-path embeddings computed so far (EmbedDesign* misses and
+// SearchManual* queries), which the replay differences around a refinement
+// to count manual searches.
+func (db *Database) BatchStats() batch.Stats {
+	return batch.Stats{Items: db.embeds.Load()}
 }
 
 // designKey identifies a design for the embedding cache by the source and

@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/circuitmentor"
 	"repro/internal/designs"
@@ -90,8 +91,8 @@ type Database struct {
 	manualIndex *vecindex.Flat             // manual section embeddings
 	manualByID  map[string]int             // vec id -> doc index
 	lib         *liberty.Library
-	cache       *dbCache  // optional serving-path memoization (EnableCache)
-	batch       *batchers // optional embedding admission queue (EnableBatching)
+	cache       *dbCache      // optional serving-path memoization (EnableCache)
+	embeds      *atomic.Int64 // serving-path embeddings computed (BatchStats); shallow copies share it
 
 	draftsFromTable, draftsSwept int // how the expert entries were found
 }
@@ -159,6 +160,7 @@ func build(cfg BuildConfig, drafts map[string]paletteResult) (*Database, error) 
 		modules:    make(map[string]ModuleRecord),
 		manualByID: make(map[string]int),
 		lib:        cfg.Lib,
+		embeds:     new(atomic.Int64),
 	}
 
 	workers := cfg.Workers
@@ -600,10 +602,8 @@ func (db *Database) SearchManualContext(ctx context.Context, query string, k int
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	qvec, err := db.embedText(ctx, query)
-	if err != nil {
-		return nil, err
-	}
+	qvec := db.Embedder.Embed(query)
+	db.embeds.Add(1)
 	raw := db.manualIndex.Search(qvec, max(k*3, k))
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -682,10 +682,8 @@ func (db *Database) EmbedSnapshotContext(ctx context.Context, snap synth.Snapsho
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	emb, err := db.embedGlobal(ctx, dg)
-	if err != nil {
-		return nil, nil, err
-	}
+	emb := db.Mentor.EmbedGlobal(dg)
+	db.embeds.Add(1)
 	if db.cache != nil {
 		db.storeEmbed(key, emb, dg)
 	}

@@ -241,22 +241,6 @@ func matMulABTRows(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// SplitRows slices m into consecutive views of the given row counts, which
-// must sum to m.Rows. The views share m's backing array (no copy), for
-// distributing a batched result.
-func SplitRows(m *Matrix, counts []int) []*Matrix {
-	out := make([]*Matrix, len(counts))
-	row := 0
-	for i, n := range counts {
-		out[i] = &Matrix{Rows: n, Cols: m.Cols, Data: m.Data[row*m.Cols : (row+n)*m.Cols]}
-		row += n
-	}
-	if row != m.Rows {
-		panic(fmt.Sprintf("splitrows counts sum to %d, matrix has %d rows", row, m.Rows))
-	}
-	return out
-}
-
 // AddInPlace adds b into a.
 func AddInPlace(a, b *Matrix) {
 	for i := range a.Data {

@@ -160,22 +160,6 @@ func (e *Embedder) Embed(text string) []float64 {
 	return tensor.Normalize(vec)
 }
 
-// EmbedBatch embeds each text, one vector per input in order. The model is
-// hashing + TF-IDF (no shared kernel to stack), so the batched form exists
-// for the continuous-batching admission queue: coalesced requests amortize
-// the queue handoff and keep the serving path uniform with the GNN batcher.
-// Result i is byte-identical to Embed(texts[i]).
-func (e *Embedder) EmbedBatch(texts []string) [][]float64 {
-	if len(texts) == 0 {
-		return nil
-	}
-	out := make([][]float64, len(texts))
-	for i, t := range texts {
-		out[i] = e.Embed(t)
-	}
-	return out
-}
-
 // Similarity returns the cosine similarity of two texts under this embedder.
 func (e *Embedder) Similarity(a, b string) float64 {
 	return tensor.Cosine(e.Embed(a), e.Embed(b))
