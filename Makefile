@@ -131,6 +131,7 @@ fuzz-smoke:
 	$(GO) test ./internal/qorlog -run='^$$' -fuzz=FuzzQoRLogRecover -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netlist -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/synth -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/llm -run='^$$' -fuzz=FuzzSections -fuzztime=$(FUZZTIME)
 
 # Crash-recovery gate for the durable QoR log: fault-injected kills
 # mid-append and mid-recompaction, torn/corrupt-tail truncation, the

@@ -10,6 +10,7 @@ import (
 	"repro/internal/circuitmentor"
 	"repro/internal/designs"
 	"repro/internal/liberty"
+	"repro/internal/llm"
 	"repro/internal/netlist"
 	"repro/internal/synth"
 	"repro/internal/verilog"
@@ -108,5 +109,56 @@ func TestRecycledRestoreAllocGuard(t *testing.T) {
 	const budget = 64 << 10
 	if perRun > budget {
 		t.Errorf("recycled restore allocates %d B/run, budget %d", perRun, budget)
+	}
+}
+
+// TestWarmRawRequestAllocGuard pins what a warm raw-prompting Pass@5 request
+// (the repo benchmark's warm_raw_k5; BenchmarkWarmRequestRawK5 is its twin)
+// feeds the collector, in bytes per request: the prompt, read in place; five
+// generations, each one copy of the prompt's last section; five restored
+// syntheses that size in their workspace's scratch and format reports with
+// strconv. The first pass over all fourteen requests captures every derived
+// checkpoint; the budget is about 1.5 times the measured steady state that
+// follows (≈ 296 kB, against ≈ 1.07 MB when every prompt line was copied and
+// every sizing round grew its change list from nil).
+func TestWarmRawRequestAllocGuard(t *testing.T) {
+	lib := liberty.Nangate45()
+	ctx := context.Background()
+	opts := EvalOptions{Workers: 1, Checkpoints: synth.NewCheckpointStore(0)}
+	type request struct {
+		p    Pipeline
+		task *Task
+		qor  synth.QoR
+	}
+	var reqs []request
+	for _, prof := range []llm.Profile{llm.GPT4o, llm.Claude35} {
+		for _, d := range designs.Benchmarks() {
+			task, qor, err := NewTaskWith(ctx, d, lib, opts.Checkpoints)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, request{&RawPipeline{Model: llm.New(prof, 1)}, task, qor})
+		}
+	}
+	serve := func() {
+		for _, r := range reqs {
+			if _, err := EvalTaskOpts(ctx, r.p, r.task, r.qor, 5, lib, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serve() // captures
+	const passes = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	perRequest := (after.TotalAlloc - before.TotalAlloc) / uint64(passes*len(reqs))
+	t.Logf("warm raw Pass@5 request: %d B", perRequest)
+	const budget = 440 << 10
+	if perRequest > budget {
+		t.Errorf("warm raw Pass@5 request allocates %d B, budget %d", perRequest, budget)
 	}
 }

@@ -140,14 +140,22 @@ func (p *RawPipeline) Name() string { return p.Model.Profile.Name }
 // CustomizeResult performs one-shot prompting with the raw design text.
 // RawPipeline is stateless, so concurrent calls are safe.
 func (p *RawPipeline) CustomizeResult(ctx context.Context, t *Task, sample int) (Customization, error) {
+	const (
+		reqHead    = "## Requirement\n"
+		scriptHead = "\n\n## Baseline script\n"
+		reportHead = "\n## Synthesis report\n"
+		rtlHead    = "\n## RTL\n"
+	)
 	var b strings.Builder
-	b.WriteString("## Requirement\n")
+	b.Grow(len(reqHead) + len(t.Requirement) + len(scriptHead) + len(t.Baseline) +
+		len(reportHead) + len(t.BaselineReport) + len(rtlHead) + len(t.Design.Source))
+	b.WriteString(reqHead)
 	b.WriteString(t.Requirement)
-	b.WriteString("\n\n## Baseline script\n")
+	b.WriteString(scriptHead)
 	b.WriteString(t.Baseline)
-	b.WriteString("\n## Synthesis report\n")
+	b.WriteString(reportHead)
 	b.WriteString(t.BaselineReport)
-	b.WriteString("\n## RTL\n")
+	b.WriteString(rtlHead)
 	b.WriteString(t.Design.Source)
 	script, err := p.Model.GenerateContext(ctx, llm.GenRequest{Prompt: b.String(), Sample: sample})
 	if err != nil {

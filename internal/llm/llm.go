@@ -26,11 +26,12 @@ package llm
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // Profile calibrates one simulated model.
@@ -87,35 +88,70 @@ func (m *Model) attend(section string) string {
 	return section[:head] + "\n... [middle of section not attended] ...\n" + section[len(section)-tail:]
 }
 
-// rng derives the deterministic sampling stream for one generation.
+// rngs recycles the sampling streams: a math/rand source is 4.9 kB, and
+// seeding one in place yields exactly the stream a new one would.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// rng derives the deterministic sampling stream for one generation: a source
+// seeded with the FNV-64a hash of the prompt followed by
+// "|profile|seed|sample". The caller may hand it back to rngs when done.
 func (m *Model) rng(prompt string, sample int) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(prompt))
-	fmt.Fprintf(h, "|%s|%d|%d", m.Profile.Name, m.Seed, sample)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	var buf [64]byte
+	suffix := append(buf[:0], '|')
+	suffix = append(suffix, m.Profile.Name...)
+	suffix = append(suffix, '|')
+	suffix = strconv.AppendInt(suffix, m.Seed, 10)
+	suffix = append(suffix, '|')
+	suffix = strconv.AppendInt(suffix, int64(sample), 10)
+	const prime64 = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(prompt); i++ {
+		h = (h ^ uint64(prompt[i])) * prime64
+	}
+	for _, b := range suffix {
+		h = (h ^ uint64(b)) * prime64
+	}
+	r := rngs.Get().(*rand.Rand)
+	r.Seed(int64(h))
+	return r
 }
 
-// Sections splits a prompt into its "## Header" sections.
+// Sections splits a prompt into its "## Header" sections. A section is the
+// lines between its header and the next, each with its "\n"; text before
+// the first header or under a header with an empty name belongs to no
+// section, and a repeated header keeps its last section. Every section but
+// the prompt's last is a substring of the prompt.
 func Sections(prompt string) map[string]string {
 	out := make(map[string]string)
-	var cur string
-	var buf strings.Builder
-	flush := func() {
-		if cur != "" {
-			out[cur] = buf.String()
-			buf.Reset()
+	cur, body := "", 0 // the open section and where its body starts
+	for pos := 0; ; {
+		end := strings.IndexByte(prompt[pos:], '\n')
+		if end < 0 {
+			end = len(prompt)
+		} else {
+			end += pos
+		}
+		if line := prompt[pos:end]; strings.HasPrefix(line, "## ") {
+			if cur != "" {
+				out[cur] = prompt[body:pos]
+			}
+			cur, body = strings.TrimSpace(line[len("## "):]), end+1
+		}
+		if end == len(prompt) {
+			break
+		}
+		pos = end + 1
+	}
+	if cur != "" {
+		// The last section runs to the end of the prompt, and its last line
+		// gets the "\n" the prompt may not have. A header on the last line
+		// has no lines under it.
+		if body > len(prompt) {
+			out[cur] = ""
+		} else {
+			out[cur] = prompt[body:] + "\n"
 		}
 	}
-	for _, line := range strings.Split(prompt, "\n") {
-		if strings.HasPrefix(line, "## ") {
-			flush()
-			cur = strings.TrimSpace(strings.TrimPrefix(line, "## "))
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteString("\n")
-	}
-	flush()
 	return out
 }
 
@@ -446,6 +482,7 @@ func (m *Model) GenerateContext(ctx context.Context, req GenRequest) (string, er
 	}
 	secs := Sections(truncateTokens(req.Prompt, m.Profile.ContextWindow))
 	rng := m.rng(req.Prompt, req.Sample)
+	defer rngs.Put(rng)
 	ev := m.readEvidence(secs)
 	if err := ctx.Err(); err != nil {
 		return "", err

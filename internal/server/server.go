@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -412,11 +413,31 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return int64(netlist.Elaborations()) })
 	s.reg.NewCounterFunc("verilog_parses_total", "Verilog source files parsed (process-wide, the database build included)",
 		func() int64 { return int64(verilog.Parses()) })
+	// What the collector is fed and how often it runs, process-wide: a
+	// request's heap bytes and objects are the differences across it.
+	s.reg.NewCounterFunc("go_gc_cycles_total", "completed garbage-collection cycles (runtime/metrics /gc/cycles/total)",
+		runtimeCounter("/gc/cycles/total:gc-cycles"))
+	s.reg.NewCounterFunc("go_heap_alloc_bytes_total", "bytes allocated on the heap (runtime/metrics /gc/heap/allocs:bytes)",
+		runtimeCounter("/gc/heap/allocs:bytes"))
+	s.reg.NewCounterFunc("go_heap_alloc_objects_total", "objects allocated on the heap (runtime/metrics /gc/heap/allocs:objects)",
+		runtimeCounter("/gc/heap/allocs:objects"))
 	staDirty := s.reg.NewHistogram("sta_dirty_nodes", "nets and cells recomputed per incremental timing update",
 		[]float64{1, 4, 16, 64, 256, 1024, 4096, 16384})
 	sta.SetDirtyNodesObserver(func(n int) { staDirty.Observe(float64(n)) })
 
 	return s, nil
+}
+
+// runtimeCounter reads the cumulative runtime/metrics counter name.
+func runtimeCounter(name string) func() int64 {
+	return func() int64 {
+		sample := []rtmetrics.Sample{{Name: name}}
+		rtmetrics.Read(sample)
+		if sample[0].Value.Kind() != rtmetrics.KindUint64 {
+			return 0
+		}
+		return int64(sample[0].Value.Uint64())
+	}
 }
 
 // Close is Shutdown with no deadline, for callers that want a func().

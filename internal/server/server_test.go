@@ -666,3 +666,27 @@ func TestSTAMetricsExposed(t *testing.T) {
 		t.Error("sta_dirty_nodes histogram missing from /metrics exposition")
 	}
 }
+
+// TestRuntimeAllocMetricsExposed: the collector's counters from
+// runtime/metrics ride along on /metrics, and a customize request between two
+// scrapes moves the heap's byte and object totals.
+func TestRuntimeAllocMetricsExposed(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	bytes0 := metricValue(t, ts.URL, "go_heap_alloc_bytes_total")
+	objects0 := metricValue(t, ts.URL, "go_heap_alloc_objects_total")
+	if hr, body := postCustomize(t, ts.URL, `{"design":"riscv32i"}`); hr.StatusCode != http.StatusOK {
+		t.Fatalf("customize status %d: %s", hr.StatusCode, body)
+	}
+	if n := metricValue(t, ts.URL, "go_heap_alloc_bytes_total"); n <= bytes0 {
+		t.Errorf("go_heap_alloc_bytes_total = %v after a request, want > %v", n, bytes0)
+	}
+	if n := metricValue(t, ts.URL, "go_heap_alloc_objects_total"); n <= objects0 {
+		t.Errorf("go_heap_alloc_objects_total = %v after a request, want > %v", n, objects0)
+	}
+	if n := metricValue(t, ts.URL, "go_gc_cycles_total"); n < 0 {
+		t.Errorf("go_gc_cycles_total = %v, want >= 0", n)
+	}
+}

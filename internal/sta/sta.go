@@ -630,29 +630,34 @@ func (t *Timing) CriticalPath() Path {
 }
 
 // TracePath walks backward from an endpoint along maximum-arrival inputs.
+// It walks twice, to count the stages and then to fill them in from the
+// end, so the path's steps are one allocation of their exact length.
 func (t *Timing) TracePath(end Endpoint) Path {
 	base, suffix := end.nameParts()
 	p := Path{Endpoint: base + suffix, Slack: end.Slack}
-	var rev []PathStep
-	n := end.Net
-	for n != nil {
+	steps := 0
+	for n := end.Net; n != nil; steps++ {
+		c := n.Driver
+		if c == nil || c.IsSeq() {
+			steps++
+			break
+		}
+		n = t.latestInput(c)
+	}
+	p.Steps = make([]PathStep, steps)
+	for n, i := end.Net, steps-1; n != nil; i-- {
 		c := n.Driver
 		if c == nil {
 			p.Startpoint = n.Name
-			rev = append(rev, PathStep{Net: n, Arrival: t.Arrival(n)})
+			p.Steps[i] = PathStep{Net: n, Arrival: t.Arrival(n)}
 			break
 		}
-		rev = append(rev, PathStep{Cell: c, Net: n, Incr: t.stageDelay(c), Arrival: t.Arrival(n)})
+		p.Steps[i] = PathStep{Cell: c, Net: n, Incr: t.stageDelay(c), Arrival: t.Arrival(n)}
 		if c.IsSeq() {
 			p.Startpoint = c.Name + "/CK"
 			break
 		}
 		n = t.latestInput(c)
-	}
-	// Reverse into source-to-sink order.
-	p.Steps = make([]PathStep, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		p.Steps = append(p.Steps, rev[i])
 	}
 	return p
 }

@@ -391,11 +391,17 @@ func linkPrefix(cmds []Cmd) (end int, files []string, top string, ok bool) {
 // run then proceeds — and fails — exactly like an uncheckpointed one.
 func (s *Session) checkpointKey(files []string, top string) (string, bool) {
 	h := sha256.New()
+	// Strings go in through chunk rather than as []byte(b), which would copy
+	// each source whole.
+	var chunk [256]byte
 	frame := func(b string) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
-		h.Write(n[:])
-		h.Write([]byte(b))
+		binary.LittleEndian.PutUint64(chunk[:8], uint64(len(b)))
+		h.Write(chunk[:8])
+		for len(b) > 0 {
+			n := copy(chunk[:], b)
+			h.Write(chunk[:n])
+			b = b[n:]
+		}
 	}
 	frame("lib")
 	frame(s.Lib.Fingerprint())

@@ -276,7 +276,7 @@ func compileFrom(d *Design, opts CompileOptions, pre func(preSizing)) error {
 		so.TargetSlack = 0.10 * d.Cons.Period
 	}
 	if tm != nil {
-		SizeForTimingWith(tm, so)
+		sizeForTiming(tm, so, d.scratch())
 	}
 
 	areaMargin := -1.0 // skip

@@ -33,15 +33,34 @@ func sweep(nl *netlist.Netlist, sc *passScratch) int {
 	}
 }
 
-// passScratch is the working storage the structural passes and area recovery
-// share: a list of cells (a snapshot of nl.Cells a pass can edit under, or
-// the cells scattered by ID) and one flag per Cell.ID. Each use overwrites the
-// last; nothing carries over between passes. A Design keeps one for all its
-// passes, and a restored design the one its workspace brought along, so a
-// warm run's passes allocate neither.
+// passScratch is the working storage the structural passes, sizing and area
+// recovery share: a list of cells (a snapshot of nl.Cells a pass can edit
+// under, or the cells scattered by ID), one flag per Cell.ID, and the change
+// list of a sizing round. Each use overwrites the last; nothing carries over
+// between passes. A Design keeps one for all its passes, and a restored
+// design the one its workspace brought along, so a warm run's passes
+// allocate none of it.
 type passScratch struct {
 	cells []*netlist.Cell
 	flags []bool
+	// moved lists the cells a sizing round resized, in order, and was the
+	// library cell each had before (the rollback).
+	moved []*netlist.Cell
+	was   []*liberty.Cell
+}
+
+// resize sets c's library cell to ref and records the change.
+func (sc *passScratch) resize(nl *netlist.Netlist, c *netlist.Cell, ref *liberty.Cell) {
+	sc.moved = append(sc.moved, c)
+	sc.was = append(sc.was, c.Ref)
+	nl.SetRef(c, ref)
+}
+
+// rollback undoes the round's resizes.
+func (sc *passScratch) rollback(nl *netlist.Netlist) {
+	for i, c := range sc.moved {
+		nl.SetRef(c, sc.was[i])
+	}
 }
 
 // snapshot returns a copy of nl.Cells in sc's storage.
@@ -79,6 +98,7 @@ func (sc *passScratch) flagsByID(nl *netlist.Netlist) []bool {
 // run pins nothing of the netlist the last run edited.
 func (sc *passScratch) forget() {
 	clear(sc.cells[:cap(sc.cells)])
+	clear(sc.moved[:cap(sc.moved)])
 }
 
 func sweepOnce(nl *netlist.Netlist, sc *passScratch) int {
@@ -497,6 +517,10 @@ type SizeOptions struct {
 // a regressing iteration is rolled back and ends the pass. tm is refreshed
 // incrementally after each batch of resizes.
 func SizeForTimingWith(tm *sta.Timing, o SizeOptions) int {
+	return sizeForTiming(tm, o, new(passScratch))
+}
+
+func sizeForTiming(tm *sta.Timing, o SizeOptions, sc *passScratch) int {
 	if err := tm.Update(nil); err != nil {
 		return 0
 	}
@@ -507,19 +531,12 @@ func SizeForTimingWith(tm *sta.Timing, o SizeOptions) int {
 		minGain = 1e-5
 	}
 	resized := 0
-	type change struct {
-		cell *netlist.Cell
-		old  *liberty.Cell
-	}
-	var changes []change
-	var changedCells []*netlist.Cell
 	for iter := 0; iter < maxIters; iter++ {
 		if tm.CPS() >= targetSlack {
 			return resized
 		}
 		prevCPS, prevTNS := tm.CPS(), tm.TNS()
-		changes = changes[:0]
-		changedCells = changedCells[:0]
+		sc.moved, sc.was = sc.moved[:0], sc.was[:0]
 		// Candidates: every cell below the slack target, so all violating
 		// cones improve together instead of whack-a-mole on a few paths.
 		for _, c := range nl.Cells {
@@ -549,26 +566,22 @@ func SizeForTimingWith(tm *sta.Timing, o SizeOptions) int {
 			if benefit-penalty <= minGain {
 				continue
 			}
-			changes = append(changes, change{c, c.Ref})
-			changedCells = append(changedCells, c)
-			nl.SetRef(c, up)
+			sc.resize(nl, c, up)
 		}
-		if len(changes) == 0 {
+		if len(sc.moved) == 0 {
 			return resized
 		}
-		if err := tm.Update(changedCells); err != nil {
+		if err := tm.Update(sc.moved); err != nil {
 			return resized
 		}
 		improved := tm.CPS() > prevCPS+1e-9 ||
 			(tm.TNS() > prevTNS+1e-9 && tm.CPS() >= prevCPS-1e-9)
 		if !improved {
-			for _, ch := range changes {
-				nl.SetRef(ch.cell, ch.old)
-			}
-			tm.Update(changedCells)
+			sc.rollback(nl)
+			tm.Update(sc.moved)
 			return resized
 		}
-		resized += len(changes)
+		resized += len(sc.moved)
 	}
 	return resized
 }
@@ -586,12 +599,7 @@ func areaRecovery(tm *sta.Timing, margin float64, sc *passScratch) int {
 	}
 	nl := tm.NL
 	baseWNS := tm.WNS()
-	type change struct {
-		cell *netlist.Cell
-		old  *liberty.Cell
-	}
-	var changes []change
-	var changedCells []*netlist.Cell
+	sc.moved, sc.was = sc.moved[:0], sc.was[:0]
 	// Visit cells in ID order. nl.Cells is permuted by every removal, but IDs
 	// are unique and below the bound, so scattering by ID orders them without
 	// a sort.
@@ -616,21 +624,17 @@ func areaRecovery(tm *sta.Timing, margin float64, sc *passScratch) int {
 		if slack-delta <= margin {
 			continue
 		}
-		changes = append(changes, change{c, c.Ref})
-		changedCells = append(changedCells, c)
-		nl.SetRef(c, down)
+		sc.resize(nl, c, down)
 	}
-	if len(changes) == 0 {
+	if len(sc.moved) == 0 {
 		return 0
 	}
-	if err := tm.Update(changedCells); err != nil || tm.WNS() < baseWNS-1e-9 {
-		for _, ch := range changes {
-			nl.SetRef(ch.cell, ch.old)
-		}
-		tm.Update(changedCells)
+	if err := tm.Update(sc.moved); err != nil || tm.WNS() < baseWNS-1e-9 {
+		sc.rollback(nl)
+		tm.Update(sc.moved)
 		return 0
 	}
-	return len(changes)
+	return len(sc.moved)
 }
 
 // BufferHighFanout splits nets whose fanout exceeds limit into buffer

@@ -2,7 +2,9 @@ package synth
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ReportTiming formats the worst timing paths the way report_timing does:
@@ -13,48 +15,84 @@ func ReportTiming(d *Design, maxPaths int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	b.WriteString("**** report_timing ****\n")
-	fmt.Fprintf(&b, "Design: %s   clock period: %.3f ns\n\n", d.NL.Name, d.Cons.Period)
-	for i, p := range tm.WorstPaths(maxPaths) {
-		fmt.Fprintf(&b, "Path %d\n", i+1)
-		fmt.Fprintf(&b, "  Startpoint: %s\n", p.Startpoint)
-		fmt.Fprintf(&b, "  Endpoint:   %s\n", p.Endpoint)
+	paths := tm.WorstPaths(maxPaths)
+	size := 80 + len(d.NL.Name)
+	for _, p := range paths {
+		size += 64 + len(p.Startpoint) + len(p.Endpoint)
 		for _, s := range p.Steps {
-			name := "(input)"
-			lib := ""
-			group := ""
+			size += 64
 			if s.Cell != nil {
-				name = s.Cell.Name
-				lib = s.Cell.Ref.Name
-				if s.Cell.Group != "" {
-					group = " [" + s.Cell.Group + "]"
-				}
+				size += len(s.Cell.Name) + len(s.Cell.Ref.Name) + len(s.Cell.Group)
 			}
-			fmt.Fprintf(&b, "    %-10s %-10s%s  +%.4f  arr %.4f\n", name, lib, group, s.Incr, s.Arrival)
 		}
-		status := "MET"
-		if p.Slack < 0 {
-			status = "VIOLATED"
-		}
-		fmt.Fprintf(&b, "  slack: %.4f (%s)\n\n", p.Slack, status)
 	}
-	return b.String(), nil
+	var r report
+	r.Grow(size)
+	r.WriteString("**** report_timing ****\nDesign: ")
+	r.WriteString(d.NL.Name)
+	r.WriteString("   clock period: ")
+	r.float(d.Cons.Period, 3, 0)
+	r.WriteString(" ns\n\n")
+	for i, p := range paths {
+		r.WriteString("Path ")
+		r.int(i + 1)
+		r.WriteString("\n  Startpoint: ")
+		r.WriteString(p.Startpoint)
+		r.WriteString("\n  Endpoint:   ")
+		r.WriteString(p.Endpoint)
+		r.WriteString("\n")
+		for _, s := range p.Steps {
+			name, lib := "(input)", ""
+			if s.Cell != nil {
+				name, lib = s.Cell.Name, s.Cell.Ref.Name
+			}
+			r.WriteString("    ")
+			r.left(name, 10)
+			r.WriteString(" ")
+			r.left(lib, 10)
+			if s.Cell != nil && s.Cell.Group != "" {
+				r.WriteString(" [")
+				r.WriteString(s.Cell.Group)
+				r.WriteString("]")
+			}
+			r.WriteString("  +")
+			r.float(s.Incr, 4, 0)
+			r.WriteString("  arr ")
+			r.float(s.Arrival, 4, 0)
+			r.WriteString("\n")
+		}
+		r.WriteString("  slack: ")
+		r.float(p.Slack, 4, 0)
+		if p.Slack < 0 {
+			r.WriteString(" (VIOLATED)\n\n")
+		} else {
+			r.WriteString(" (MET)\n\n")
+		}
+	}
+	return r.String(), nil
 }
 
 // ReportArea formats area statistics.
 func ReportArea(d *Design) string {
 	s := d.NL.Summary()
-	var b strings.Builder
-	b.WriteString("**** report_area ****\n")
-	fmt.Fprintf(&b, "Design: %s\n", d.NL.Name)
-	fmt.Fprintf(&b, "Combinational cells: %d\n", s.Comb)
-	fmt.Fprintf(&b, "Sequential cells:    %d\n", s.Seq)
-	fmt.Fprintf(&b, "Total cells:         %d\n", s.Cells)
-	fmt.Fprintf(&b, "Total area:          %.2f um^2\n", s.Area)
-	fmt.Fprintf(&b, "Leakage power:       %.2f nW\n", s.Leakage)
-	fmt.Fprintf(&b, "Max fanout:          %d\n", s.MaxFanout)
-	return b.String()
+	var r report
+	r.Grow(256 + len(d.NL.Name))
+	r.WriteString("**** report_area ****\nDesign: ")
+	r.WriteString(d.NL.Name)
+	r.WriteString("\nCombinational cells: ")
+	r.int(s.Comb)
+	r.WriteString("\nSequential cells:    ")
+	r.int(s.Seq)
+	r.WriteString("\nTotal cells:         ")
+	r.int(s.Cells)
+	r.WriteString("\nTotal area:          ")
+	r.float(s.Area, 2, 0)
+	r.WriteString(" um^2\nLeakage power:       ")
+	r.float(s.Leakage, 2, 0)
+	r.WriteString(" nW\nMax fanout:          ")
+	r.int(s.MaxFanout)
+	r.WriteString("\n")
+	return r.String()
 }
 
 // ReportQoR formats the quality-of-results summary.
@@ -63,15 +101,58 @@ func ReportQoR(d *Design) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	b.WriteString("**** report_qor ****\n")
-	fmt.Fprintf(&b, "Design: %s   clock period: %.3f ns\n", q.Design, q.Period)
-	fmt.Fprintf(&b, "WNS: %8.3f ns\n", q.WNS)
-	fmt.Fprintf(&b, "CPS: %8.3f ns\n", q.CPS)
-	fmt.Fprintf(&b, "TNS: %8.3f ns\n", q.TNS)
-	fmt.Fprintf(&b, "Violating endpoints: %d\n", q.Violations)
-	fmt.Fprintf(&b, "Area: %.2f um^2   cells: %d   registers: %d\n", q.Area, q.Cells, q.Seq)
-	return b.String(), nil
+	var r report
+	r.Grow(256 + len(q.Design))
+	r.WriteString("**** report_qor ****\nDesign: ")
+	r.WriteString(q.Design)
+	r.WriteString("   clock period: ")
+	r.float(q.Period, 3, 0)
+	r.WriteString(" ns\nWNS: ")
+	r.float(q.WNS, 3, 8)
+	r.WriteString(" ns\nCPS: ")
+	r.float(q.CPS, 3, 8)
+	r.WriteString(" ns\nTNS: ")
+	r.float(q.TNS, 3, 8)
+	r.WriteString(" ns\nViolating endpoints: ")
+	r.int(q.Violations)
+	r.WriteString("\nArea: ")
+	r.float(q.Area, 2, 0)
+	r.WriteString(" um^2   cells: ")
+	r.int(q.Cells)
+	r.WriteString("   registers: ")
+	r.int(q.Seq)
+	r.WriteString("\n")
+	return r.String(), nil
+}
+
+// report is the text buffer the hot report writers append to with strconv
+// rather than fmt: each caller grows it once to about the report's length,
+// and a number is formatted in num, on the stack, before it is copied in.
+// The output is what the fmt verbs in the method comments produce.
+type report struct {
+	strings.Builder
+	num [32]byte
+}
+
+// int writes v as %d.
+func (r *report) int(v int) { r.Write(strconv.AppendInt(r.num[:0], int64(v), 10)) }
+
+// float writes v as %.<prec>f, right-aligned in width bytes as
+// %<width>.<prec>f is (a number's text is ASCII, so bytes are runes).
+func (r *report) float(v float64, prec, width int) {
+	num := strconv.AppendFloat(r.num[:0], v, 'f', prec, 64)
+	for n := len(num); n < width; n++ {
+		r.WriteByte(' ')
+	}
+	r.Write(num)
+}
+
+// left writes s as %-<width>s: padded with spaces to width runes.
+func (r *report) left(s string, width int) {
+	r.WriteString(s)
+	for n := utf8.RuneCountInString(s); n < width; n++ {
+		r.WriteByte(' ')
+	}
 }
 
 // ReportHierarchy lists optimization groups with their cell counts.

@@ -534,7 +534,7 @@ func (st *execState) exec(c Cmd) error {
 		}
 		n := BufferHighFanout(d.NL, limit)
 		if tm, err := d.Timing(); err == nil {
-			SizeForTimingWith(tm, SizeOptions{MaxIters: 6, MinGain: 1e-5})
+			sizeForTiming(tm, SizeOptions{MaxIters: 6, MinGain: 1e-5}, d.scratch())
 		}
 		st.logf("balance_buffers: %d buffers inserted", n)
 
