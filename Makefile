@@ -152,15 +152,19 @@ remote-cache-e2e:
 	$(GO) test ./internal/remotecache -race
 	$(GO) test . -race -run 'TestTwoReplicasDedupAndMatchSingleReplica|TestReplicaDegradesWhenTierDiesMidRun'
 
-# Chaos soak (seeded profile, a few seconds): a real server + remote tier
-# under burst load, tier kills/restarts, sticky stage outages, and disk
-# faults, checking the overload-protection invariants (no deadlocks,
-# allowed statuses only, byte-identical non-degraded replies, breakers
-# re-close, brownout clears, no lost leases). The failure message echoes
-# CHAOS_SEED; rerun with the printed seed to reproduce.
+# Chaos soak (five consecutive seeds from CHAOS_SEED, a few seconds each): a
+# real server + remote tier under burst load, tier kills/restarts, sticky
+# stage outages, and disk faults, checking the overload-protection invariants
+# (no deadlocks, allowed statuses only, byte-identical non-degraded replies,
+# a faulted stage degrades itself and nothing else and is whole again once
+# cleared, the tier breaker re-closes, brownout clears, no lost leases). The
+# harness is built once. A failure message echoes its seed; rerun with
+# CHAOS_SEED=<seed> to reproduce.
 CHAOS_SEED ?= 20250808
 chaos-soak:
-	$(GO) run ./cmd/chaos -seed $(CHAOS_SEED)
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/chaos" ./cmd/chaos && \
+	for i in 0 1 2 3 4; do "$$dir/chaos" -seed $$(($(CHAOS_SEED) + i)) || exit 1; done
 
 # The repo benchmark (BENCHMARK.json, bench/) is its own Go module compiled
 # against this one's API, so `go build ./... && go test ./...` at the root

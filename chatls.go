@@ -177,17 +177,12 @@ type ChatLSPipeline struct {
 	DisableMentor bool // no design-characteristics analysis
 	DisableRAG    bool // no retrieved strategies
 	DisableExpert bool // no CoT refinement
-	// Retry governs how component failures are retried before the pipeline
-	// degrades. Zero value means no retries (single attempt).
-	Retry resilience.RetryPolicy
 	// Inject, when set, is the fault-injection layer consulted before every
 	// component call (tests only).
 	Inject *resilience.Injector
-	// Breakers, when set, maps component names to shared circuit breakers
-	// consulted before each guarded stage: an open breaker skips the stage
-	// immediately (degrading, like a failed stage) instead of burning
-	// retries on a component that has been failing. The server installs one
-	// per auxiliary stage; absent entries (and a nil map) mean no breaker.
+	// Breakers is read by nothing: stages are deterministic and run once,
+	// with no circuit breaker. The field is kept only so the frozen bench/
+	// module, which still assigns it, compiles.
 	Breakers map[string]*resilience.Breaker
 	// Costs, when set, is the shared per-stage EWMA cost model: successful
 	// stage durations feed it, and optional stages are skipped up front
@@ -205,7 +200,6 @@ func NewChatLS(model *llm.Model, db *synthrag.Database) *ChatLSPipeline {
 		Expert: synthexpert.New(model, db),
 		Alpha:  0.7,
 		Beta:   0.3,
-		Retry:  resilience.DefaultRetryPolicy(model.Seed),
 	}
 }
 
@@ -226,38 +220,20 @@ func (p *ChatLSPipeline) Name() string {
 
 // stage is the one runner every component call of the flow goes through. In
 // order: deadline budget (the remaining deadline must cover need; need == 0
-// only rejects a deadline already past, need < 0 skips the check), the
-// component's circuit breaker when one is installed (an open breaker rejects
-// without attempting the call), then fn under the retry policy, the
-// panic-recovery boundary and (in tests) the fault injector. The outcome
-// feeds the breaker — a pure caller-side cancellation is a no-verdict, the
-// component's health was never tested — and a success feeds the cost model.
+// only rejects a deadline already past, need < 0 skips the check), then fn
+// once behind the panic-recovery boundary and (in tests) the fault injector.
+// A success feeds the cost model. Stages are not retried: each is a seeded,
+// in-process function of its inputs, so a retry would repeat the failure.
 func (p *ChatLSPipeline) stage(ctx context.Context, component string, need time.Duration, fn func(context.Context) error) error {
 	if need >= 0 {
 		if err := overload.CheckBudget(ctx, component, need); err != nil {
 			return err
 		}
 	}
-	br := p.Breakers[component]
-	if !br.Allow() {
-		return resilience.BreakerError(component)
-	}
 	start := time.Now()
-	err := resilience.Execute(ctx, resilience.Op{
-		Component: component,
-		Policy:    p.Retry,
-		Injector:  p.Inject,
-	}, fn)
-	switch {
-	case err == nil:
-		br.Success()
+	err := resilience.Execute(ctx, resilience.Op{Component: component, Injector: p.Inject}, fn)
+	if err == nil {
 		p.Costs.Observe(component, time.Since(start))
-	case errors.Is(err, resilience.ErrCancelled):
-		br.Drop()
-	default:
-		// Timeouts count against the breaker: a stage that blows the
-		// deadline is as sick as one that errors.
-		br.Failure()
 	}
 	return err
 }
@@ -277,14 +253,13 @@ func hasErrors(issues []synth.Issue) bool {
 //
 // The flow is fault-tolerant: each auxiliary component (CircuitMentor,
 // SynthRAG embedding and retrieval, SynthExpert) is one stage call; if it
-// still fails after retries, is rejected by its breaker, or cannot fit the
-// remaining deadline beside the mandatory generation, the pipeline degrades
-// to the next-weaker configuration — proceeding without that component's
-// contribution — and records the event in the returned
-// Customization.Degradation. Only a generator failure or a context
-// cancellation/timeout aborts with an error, so a degraded call always
-// yields a runnable script (a wasted attempt in the Pass@k sense, never a
-// crash).
+// fails, panics, or cannot fit the remaining deadline beside the mandatory
+// generation, the pipeline degrades to the next-weaker configuration —
+// proceeding without that component's contribution — and records the event
+// in the returned Customization.Degradation. Only a generator failure or a
+// context cancellation/timeout aborts with an error, so a degraded call
+// always yields a runnable script (a wasted attempt in the Pass@k sense,
+// never a crash).
 //
 // CustomizeResult mutates no pipeline state: a single instance over a built
 // database is safe for concurrent calls (the database, model, and expert

@@ -5,8 +5,8 @@
 //
 //   - burst load far beyond the admission bound,
 //   - remote-cache tier death and restart on the same address,
-//   - sticky pipeline-stage outages (fail and panic modes) that trip the
-//     per-stage circuit breakers,
+//   - sticky pipeline-stage outages (fail and panic modes) on CircuitMentor
+//     and SynthExpert,
 //   - disk write faults against the durable QoR log.
 //
 // Throughout, it checks the invariants overload protection promises:
@@ -16,7 +16,9 @@
 //     status carries Retry-After plus a {"error","retryable":true} body,
 //  3. non-degraded 200 bodies are byte-identical to a fault-free reference,
 //  4. the remote-cache client re-attaches after the tier restarts,
-//  5. every tripped circuit breaker re-closes once its stage recovers,
+//  5. while a stage is faulted, every 200 names that stage, and only it, as
+//     degraded in each sample; once the fault is cleared, the next reply is
+//     non-degraded and byte-identical to its reference,
 //  6. brownout clears and no fleet-wide lease is left active at the end.
 //
 // Every random choice derives from -seed, which is echoed on failure so a
@@ -123,8 +125,9 @@ func isDegraded(body []byte) bool {
 
 // do issues one request and checks the per-response invariants: allowed
 // status set, retryable protocol on 429/503/504, and byte-identity of
-// non-degraded 200s against the fault-free reference.
-func (h *harness) do(body string) int {
+// non-degraded 200s against the fault-free reference. It returns the status
+// and the body.
+func (h *harness) do(body string) (int, []byte) {
 	resp, err := h.client.Post(h.ts.URL+"/v1/customize", "application/json", strings.NewReader(body))
 	if err != nil {
 		fail("request error (client timeout is the deadlock tripwire): %v", err)
@@ -166,7 +169,7 @@ func (h *harness) do(body string) int {
 	default:
 		fail("unexpected status %d for %s: %s", resp.StatusCode, body, b)
 	}
-	return resp.StatusCode
+	return resp.StatusCode, b
 }
 
 // healthz decodes the daemon's overload state.
@@ -223,10 +226,10 @@ func (h *harness) uniqueBody() string {
 }
 
 // waitUnderLoad drives light traffic until cond holds or the deadline
-// passes — recovery conditions (breaker probes, brownout dilution) only
-// make progress while requests flow. Traffic alternates warm bodies with
-// unique cache-missing ones so both the admission path and the remote tier
-// see probes.
+// passes — recovery conditions (the tier breaker's probe, brownout
+// dilution) only make progress while requests flow. Traffic alternates warm
+// bodies with unique cache-missing ones so both the admission path and the
+// remote tier see probes.
 func (h *harness) waitUnderLoad(d time.Duration, what string, cond func() bool) {
 	deadline := time.Now().Add(d)
 	for i := 0; time.Now().Before(deadline); i++ {
@@ -326,20 +329,18 @@ func main() {
 	defer os.Remove(qorPath)
 
 	srv, err := server.New(server.Config{
-		Model:           llm.New(llm.GPT4o, *seed),
-		DB:              db,
-		Lib:             lib,
-		Seed:            *seed,
-		Workers:         4,
-		QueueDepth:      8,
-		RequestTimeout:  2 * time.Second,
-		BreakerFailures: 2,
-		BreakerOpenFor:  300 * time.Millisecond,
-		DefaultK:        1,
-		QoRLogPath:      qorPath,
-		QoRLogOpts:      qorlog.Options{Inject: diskInj},
-		RemoteCache:     rc,
-		PipelineInject:  h.inj,
+		Model:          llm.New(llm.GPT4o, *seed),
+		DB:             db,
+		Lib:            lib,
+		Seed:           *seed,
+		Workers:        4,
+		QueueDepth:     8,
+		RequestTimeout: 2 * time.Second,
+		DefaultK:       1,
+		QoRLogPath:     qorPath,
+		QoRLogOpts:     qorlog.Options{Inject: diskInj},
+		RemoteCache:    rc,
+		PipelineInject: h.inj,
 	})
 	if err != nil {
 		fail("server.New: %v", err)
@@ -414,34 +415,50 @@ func main() {
 		return h.overload().Breakers["remotecache"] == "closed" && !rc.Degraded()
 	})
 
-	// --- phase 3: sticky stage outages trip and clear breakers ---------
+	// --- phase 3: a sticky stage outage degrades that stage and nothing
+	// else, and its replies are whole again as soon as it clears ------
 	log.Printf("chaos: seed=%d phase=stage-outage", *seed)
 	stageModes := []resilience.Mode{resilience.ModeFail, resilience.ModePanic}
 	for i, comp := range []string{resilience.CompMentor, resilience.CompExpert} {
 		mode := stageModes[(i+h.rng.Intn(2))%2]
 		h.inj.Set(comp, mode)
-		h.waitUnderLoad(10*time.Second, comp+" breaker open under injected "+mode.String(), func() bool {
-			return h.overload().Breakers[comp] == "open"
-		})
+		ran := 0
+		for j := 0; j < 6; j++ {
+			body := h.uniqueBody()
+			if j%2 == 0 {
+				body = h.bodies[h.rng.Intn(len(h.bodies))]
+			}
+			code, b := h.do(body)
+			if code != http.StatusOK {
+				continue
+			}
+			var r response
+			if err := json.Unmarshal(b, &r); err != nil || len(r.Samples) == 0 {
+				fail("200 for %s under a %s fault on %s has no samples: %s", body, mode, comp, b)
+			}
+			for _, smp := range r.Samples {
+				if len(smp.Degraded) != 1 || smp.Degraded[0] != comp {
+					fail("under a %s fault on %s a sample degraded %v, want exactly [%s]: %s", mode, comp, smp.Degraded, comp, b)
+				}
+			}
+			ran++
+		}
+		if ran == 0 {
+			fail("no request ran the pipeline while %s was faulted", comp)
+		}
 		h.inj.Set(comp, 0)
-		h.waitUnderLoad(10*time.Second, comp+" breaker re-closed after recovery", func() bool {
-			return h.overload().Breakers[comp] == "closed"
-		})
+		// A k=1 body: brownout clamps only k>1, so this reply must be whole.
+		body := h.bodies[2*h.rng.Intn(len(h.names))]
+		if code, b := h.do(body); code != http.StatusOK || isDegraded(b) || !bytes.Equal(b, h.refs[body]) {
+			fail("first reply after clearing the %s fault on %s: status %d, want a non-degraded 200 identical to its reference: %s",
+				mode, comp, code, b)
+		}
 	}
 
 	// --- final invariants ----------------------------------------------
 	log.Printf("chaos: seed=%d phase=drain", *seed)
-	h.waitUnderLoad(10*time.Second, "brownout cleared and all breakers closed", func() bool {
-		o := h.overload()
-		if o.Brownout {
-			return false
-		}
-		for _, st := range o.Breakers {
-			if st != "closed" {
-				return false
-			}
-		}
-		return true
+	h.waitUnderLoad(10*time.Second, "brownout cleared", func() bool {
+		return !h.overload().Brownout
 	})
 	// No lost leases: abandoned leases must have lapsed (2s TTL) and none
 	// may still be active once traffic stops.

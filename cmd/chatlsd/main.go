@@ -41,8 +41,6 @@ func main() {
 	workers := flag.Int("workers", 2, "customizations running at once")
 	queue := flag.Int("queue", 8, "admitted requests that may wait for a worker")
 	reqTimeout := flag.Duration("req-timeout", 60*time.Second, "per-request deadline")
-	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures that trip a stage circuit breaker (0 = default 5)")
-	breakerOpenFor := flag.Duration("breaker-open-for", 0, "circuit-breaker open dwell before half-open probes (0 = default 5s)")
 	qorLog := flag.String("qor-log", "", "durable QoR log path: synthesis outcomes persist across restarts (empty disables)")
 	remoteCache := flag.String("remote-cache", "", "base URL of a shared chatlscached result tier, e.g. http://cache:8090 (empty disables)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "fleet-wide work-lease TTL requested from the remote cache (0 = server default)")
@@ -114,8 +112,6 @@ func main() {
 		Workers:           *workers,
 		QueueDepth:        *queue,
 		RequestTimeout:    *reqTimeout,
-		BreakerFailures:   *breakerFailures,
-		BreakerOpenFor:    *breakerOpenFor,
 		QoRLogPath:        *qorLog,
 		RemoteCache:       rc,
 		DefaultK:          *defaultK,

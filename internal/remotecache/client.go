@@ -70,9 +70,9 @@ type ClientConfig struct {
 	// Warnf sinks the single degradation warning and the per-recovery
 	// re-attach notice (default log.Printf).
 	Warnf func(format string, args ...any)
-	// Breaker tunes the tier circuit breaker. Zero-valued fields get the
-	// client defaults: one hard failure opens (a dead tier should not eat
-	// further requests), DefaultBreakerOpenFor dwell, one probe.
+	// Breaker tunes the tier circuit breaker: one hard failure opens it (a
+	// dead tier should not eat further requests), and after OpenFor
+	// (default DefaultBreakerOpenFor) one probe tests the tier again.
 	Breaker resilience.BreakerConfig
 }
 
@@ -100,9 +100,6 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 	if cfg.Warnf == nil {
 		cfg.Warnf = log.Printf
-	}
-	if cfg.Breaker.Failures <= 0 {
-		cfg.Breaker.Failures = 1
 	}
 	if cfg.Breaker.OpenFor <= 0 {
 		cfg.Breaker.OpenFor = DefaultBreakerOpenFor

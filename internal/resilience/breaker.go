@@ -1,16 +1,9 @@
 package resilience
 
 import (
-	"errors"
 	"sync"
 	"time"
 )
-
-// ErrBreakerOpen marks calls rejected because a circuit breaker is open:
-// the component has failed enough consecutive times that further attempts
-// would only burn retries. Like other non-fatal taxonomy errors, callers
-// degrade and continue; the breaker itself probes for recovery.
-var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
 
 // BreakerState is the circuit-breaker state machine position.
 type BreakerState int32
@@ -18,8 +11,8 @@ type BreakerState int32
 const (
 	// BreakerClosed: normal operation, calls flow through.
 	BreakerClosed BreakerState = iota
-	// BreakerHalfOpen: the open dwell elapsed; a bounded probe budget is
-	// let through to test recovery.
+	// BreakerHalfOpen: the open dwell elapsed; one probe is let through to
+	// test recovery.
 	BreakerHalfOpen
 	// BreakerOpen: calls are rejected without being attempted.
 	BreakerOpen
@@ -39,70 +32,45 @@ func (s BreakerState) String() string {
 
 // BreakerConfig tunes one circuit breaker.
 type BreakerConfig struct {
-	// Failures is the consecutive-failure count that trips the breaker
-	// from closed to open (default 5).
-	Failures int
-	// OpenFor is how long the breaker dwells open before admitting
-	// half-open probes (default 5s).
+	// OpenFor is how long the breaker dwells open before admitting its
+	// half-open probe (default 5s).
 	OpenFor time.Duration
-	// Probes bounds how many probe calls may be in flight at once while
-	// half-open (default 1).
-	Probes int
-	// Successes is how many probe successes close the breaker again
-	// (default 1).
-	Successes int
-	// Now supplies the clock; nil means time.Now. Tests and the chaos
-	// harness inject a seeded clock here for determinism.
+	// Now supplies the clock; nil means time.Now. Tests inject a manual
+	// clock here for determinism.
 	Now func() time.Time
-	// OnOpen/OnClose fire (outside the breaker lock) on each transition
-	// to open and on each half-open -> closed recovery. Used for
-	// warn-once logging and metrics.
-	OnOpen  func()
+	// OnClose fires (outside the breaker lock) on each half-open -> closed
+	// recovery. Used for the re-attach notice.
 	OnClose func()
 }
 
-func (c *BreakerConfig) fill() {
-	if c.Failures <= 0 {
-		c.Failures = 5
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 5 * time.Second
-	}
-	if c.Probes <= 0 {
-		c.Probes = 1
-	}
-	if c.Successes <= 0 {
-		c.Successes = 1
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-}
-
-// Breaker is a closed/open/half-open circuit breaker with a bounded
-// half-open probe budget. Callers pair every admitted call (Allow() ==
-// true) with exactly one Success or Failure so probe slots are returned.
+// Breaker is a closed/open/half-open circuit breaker for an endpoint whose
+// hard failures mean it is gone: one failure opens it, after OpenFor it
+// admits one probe, and that probe's success closes it again (its failure
+// reopens it). Callers pair every admitted call (Allow() == true) with
+// exactly one Success, Failure or Drop so the probe slot is returned.
 // A nil *Breaker is inert: Allow always admits, outcomes are dropped.
 type Breaker struct {
-	mu        sync.Mutex
-	cfg       BreakerConfig
-	state     BreakerState
-	fails     int // consecutive failures while closed
-	openedAt  time.Time
-	probes    int // probes in flight while half-open
-	successes int // probe successes while half-open
-	opens     int64
+	mu       sync.Mutex
+	cfg      BreakerConfig
+	state    BreakerState
+	openedAt time.Time
+	probing  bool // the half-open probe is in flight
 }
 
 // NewBreaker builds a breaker; zero-valued cfg fields get defaults.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	cfg.fill()
+	if cfg.OpenFor <= 0 {
+		cfg.OpenFor = 5 * time.Second
+	}
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
 	return &Breaker{cfg: cfg}
 }
 
 // Allow reports whether a call may proceed. While open it flips to
-// half-open once the dwell has elapsed and admits a probe; while
-// half-open it admits calls up to the probe budget.
+// half-open once the dwell has elapsed and admits the probe; while
+// half-open it admits a call only when no probe is in flight.
 func (b *Breaker) Allow() bool {
 	if b == nil {
 		return true
@@ -113,76 +81,50 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.cfg.Now().Sub(b.openedAt) >= b.cfg.OpenFor {
-			b.state = BreakerHalfOpen
-			b.probes = 1
-			b.successes = 0
-			return true
+		if b.cfg.Now().Sub(b.openedAt) < b.cfg.OpenFor {
+			return false
 		}
-		return false
+		b.state = BreakerHalfOpen
 	default: // half-open
-		if b.probes < b.cfg.Probes {
-			b.probes++
-			return true
+		if b.probing {
+			return false
 		}
-		return false
 	}
+	b.probing = true
+	return true
 }
 
-// Success records a successful call. Closed: resets the consecutive
-// failure count. Half-open: returns the probe slot and closes the breaker
-// once enough probes succeeded.
+// Success records a successful call. Half-open: closes the breaker.
 func (b *Breaker) Success() {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
-	var fire func()
-	switch b.state {
-	case BreakerClosed:
-		b.fails = 0
-	case BreakerHalfOpen:
-		if b.probes > 0 {
-			b.probes--
-		}
-		b.successes++
-		if b.successes >= b.cfg.Successes {
-			b.state = BreakerClosed
-			b.fails = 0
-			fire = b.cfg.OnClose
-		}
+	fire := b.state == BreakerHalfOpen
+	if fire {
+		b.state = BreakerClosed
+		b.probing = false
 	}
-	// Late successes from calls admitted before an open are ignored.
+	// Closed: nothing to reset. Open: a late success from a call admitted
+	// before the trip is ignored.
 	b.mu.Unlock()
-	if fire != nil {
-		fire()
+	if fire && b.cfg.OnClose != nil {
+		b.cfg.OnClose()
 	}
 }
 
-// Failure records a failed call. Closed: trips to open after Failures
-// consecutive failures. Half-open: a failed probe reopens immediately.
+// Failure records a failed call: closed or half-open, the breaker opens.
+// Late failures while already open are ignored.
 func (b *Breaker) Failure() {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
-	var fire func()
-	switch b.state {
-	case BreakerClosed:
-		b.fails++
-		if b.fails >= b.cfg.Failures {
-			fire = b.trip()
-		}
-	case BreakerHalfOpen:
-		if b.probes > 0 {
-			b.probes--
-		}
-		fire = b.trip()
-	}
-	// Late failures while already open are ignored.
-	b.mu.Unlock()
-	if fire != nil {
-		fire()
+	defer b.mu.Unlock()
+	if b.state != BreakerOpen {
+		b.state = BreakerOpen
+		b.openedAt = b.cfg.Now()
+		b.probing = false
 	}
 }
 
@@ -196,18 +138,9 @@ func (b *Breaker) Drop() {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerHalfOpen && b.probes > 0 {
-		b.probes--
+	if b.state == BreakerHalfOpen {
+		b.probing = false
 	}
-}
-
-// trip moves to open and returns the OnOpen hook. Caller holds b.mu.
-func (b *Breaker) trip() func() {
-	b.state = BreakerOpen
-	b.openedAt = b.cfg.Now()
-	b.fails = 0
-	b.opens++
-	return b.cfg.OnOpen
 }
 
 // State returns the current state. A nil breaker reads as closed.
@@ -218,20 +151,4 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Opens returns how many times the breaker has tripped open.
-func (b *Breaker) Opens() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
-}
-
-// BreakerError wraps ErrBreakerOpen for a component so callers see the
-// standard taxonomy shape.
-func BreakerError(component string) *Error {
-	return &Error{Component: component, Kind: ErrBreakerOpen}
 }

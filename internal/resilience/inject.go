@@ -61,8 +61,9 @@ func NewInjector(faults ...Fault) *Injector {
 
 // Set installs (mode > 0) or clears (mode 0) a sticky fault: every call to
 // component faults with mode until cleared. The chaos harness drives
-// outage windows through this — it turns a component off, lets breakers
-// trip, then turns it back on and watches them close.
+// outage windows through this — it turns a component off, checks that every
+// reply degrades that component and nothing else, then turns it back on and
+// checks that the next reply is whole again.
 func (in *Injector) Set(component string, mode Mode) {
 	if in == nil {
 		return

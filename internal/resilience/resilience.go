@@ -5,12 +5,10 @@
 // that provides:
 //
 //   - a typed error taxonomy (ErrTimeout, ErrCancelled, ErrBudgetExceeded,
-//     ErrComponentPanic, ErrRetryExhausted) so callers can distinguish
+//     ErrComponentPanic, ErrComponentFailed) so callers can distinguish
 //     "give up on this request" from "degrade and continue";
 //   - panic recovery, converting panics anywhere below the boundary into
 //     ErrComponentPanic instead of crashing the process;
-//   - retry with deterministic, seed-driven jittered backoff — no
-//     wall-clock randomness, so every experiment and test is reproducible;
 //   - seeded fault injection (fail / panic / hang the Nth call to a named
 //     component) for the fault-injection test suite.
 //
@@ -22,11 +20,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"runtime/debug"
 	"strings"
-	"time"
 )
 
 // Component names used at the pipeline's guarded boundaries.
@@ -52,25 +47,21 @@ var (
 	ErrBudgetExceeded = errors.New("resilience: budget exceeded")
 	// ErrComponentPanic: a component panicked and the boundary recovered it.
 	ErrComponentPanic = errors.New("resilience: component panic")
-	// ErrRetryExhausted: a component kept failing after every retry attempt.
-	ErrRetryExhausted = errors.New("resilience: retries exhausted")
+	// ErrComponentFailed: a component returned an error.
+	ErrComponentFailed = errors.New("resilience: component failed")
 )
 
 // Error is a classified failure from a guarded component call.
 type Error struct {
 	Component string
 	Kind      error // one of the taxonomy sentinels
-	Attempts  int   // attempts made before giving up (0 = not applicable)
-	Cause     error // underlying failure (last attempt's error, recovered panic, ctx error)
+	Cause     error // underlying failure (the component's error, recovered panic, ctx error)
 	Stack     []byte
 }
 
 func (e *Error) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %v", e.Component, e.Kind)
-	if e.Attempts > 1 {
-		fmt.Fprintf(&b, " after %d attempts", e.Attempts)
-	}
 	if e.Cause != nil {
 		fmt.Fprintf(&b, ": %v", e.Cause)
 	}
@@ -109,109 +100,25 @@ func ContextError(component string, err error) *Error {
 	return &Error{Component: component, Kind: ctxKind(err), Cause: err}
 }
 
-// RetryPolicy controls retry-with-backoff around a component call. The
-// jitter is derived from Seed and the attempt number only, never from the
-// wall clock, so a given policy always produces the same delay sequence.
-type RetryPolicy struct {
-	MaxAttempts int           // total attempts (0 or less = 1, no retry)
-	BaseDelay   time.Duration // first backoff; doubles per attempt (0 = no sleep)
-	MaxDelay    time.Duration // backoff cap (0 = uncapped)
-	Seed        int64         // jitter seed
-}
-
-// DefaultRetryPolicy is the serving-path default: three attempts with a few
-// milliseconds of jittered backoff.
-func DefaultRetryPolicy(seed int64) RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: seed}
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 1
-	}
-	return p
-}
-
-// Backoff returns the deterministic jittered delay after the attempt-th
-// failure (1-based): exponential growth capped at MaxDelay, scaled by a
-// seed-derived factor in [0.5, 1.0).
-func (p RetryPolicy) Backoff(attempt int) time.Duration {
-	if p.BaseDelay <= 0 {
-		return 0
-	}
-	d := p.BaseDelay
-	for i := 1; i < attempt && (p.MaxDelay <= 0 || d < p.MaxDelay); i++ {
-		d *= 2
-	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d", p.Seed, attempt)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	return time.Duration(float64(d) * (0.5 + 0.5*rng.Float64()))
-}
-
-// sleep waits for d, returning early with the context error if cancelled.
-func sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // Op names one guarded component call.
 type Op struct {
 	Component string
-	Policy    RetryPolicy
 	Injector  *Injector // nil outside the fault-injection suite
 }
 
-// Execute runs fn behind the full boundary: fault injection, panic
-// recovery, retry with deterministic backoff, and context classification.
-// The returned error (if any) is always a *Error from the taxonomy:
+// Execute runs fn once behind the full boundary: fault injection, panic
+// recovery, and context classification. Every component it guards is an
+// in-process, deterministic function of its inputs, so a second attempt
+// would only repeat the first. The returned error (if any) is always a
+// *Error from the taxonomy:
 //
-//   - context cancellation/deadline  -> ErrCancelled / ErrTimeout (fatal,
-//     never retried);
-//   - a panic in fn                  -> ErrComponentPanic (retried);
-//   - persistent failure             -> ErrRetryExhausted wrapping the last
-//     attempt's error.
-func Execute(ctx context.Context, op Op, fn func(context.Context) error) error {
-	pol := op.Policy.withDefaults()
-	var last error
-	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return &Error{Component: op.Component, Kind: ctxKind(err), Attempts: attempt - 1, Cause: err}
-		}
-		err := guarded(ctx, op, fn)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-			errors.Is(err, ErrTimeout) || errors.Is(err, ErrCancelled) {
-			return &Error{Component: op.Component, Kind: ctxKind(err), Attempts: attempt, Cause: err}
-		}
-		last = err
-		if attempt < pol.MaxAttempts {
-			if serr := sleep(ctx, pol.Backoff(attempt)); serr != nil {
-				return &Error{Component: op.Component, Kind: ctxKind(serr), Attempts: attempt, Cause: serr}
-			}
-		}
+//   - context cancellation/deadline -> ErrCancelled / ErrTimeout (fatal);
+//   - a panic in fn                 -> ErrComponentPanic;
+//   - any other failure             -> ErrComponentFailed wrapping it.
+func Execute(ctx context.Context, op Op, fn func(context.Context) error) (err error) {
+	if cerr := ctx.Err(); cerr != nil {
+		return &Error{Component: op.Component, Kind: ctxKind(cerr), Cause: cerr}
 	}
-	return &Error{Component: op.Component, Kind: ErrRetryExhausted, Attempts: pol.MaxAttempts, Cause: last}
-}
-
-// guarded runs one attempt: injector first (so injected panics and hangs
-// exercise the same recovery as real ones), then fn, with panics converted
-// into typed errors.
-func guarded(ctx context.Context, op Op, fn func(context.Context) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &Error{
@@ -222,14 +129,23 @@ func guarded(ctx context.Context, op Op, fn func(context.Context) error) (err er
 			}
 		}
 	}()
-	if ferr := op.Injector.Fire(ctx, op.Component); ferr != nil {
-		return ferr
+	// The injector goes first, so injected panics and hangs exercise the
+	// same recovery as real ones.
+	if err = op.Injector.Fire(ctx, op.Component); err == nil {
+		err = fn(ctx)
 	}
-	return fn(ctx)
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, ErrTimeout) || errors.Is(err, ErrCancelled):
+		return &Error{Component: op.Component, Kind: ctxKind(err), Cause: err}
+	}
+	return &Error{Component: op.Component, Kind: ErrComponentFailed, Cause: err}
 }
 
-// Degradation is one recorded fallback: a component failed after retries
-// and the pipeline continued in a weaker configuration instead of erroring.
+// Degradation is one recorded fallback: a component failed and the
+// pipeline continued in a weaker configuration instead of erroring.
 type Degradation struct {
 	Component string
 	Fallback  string // what the pipeline did instead

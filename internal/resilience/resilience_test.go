@@ -3,86 +3,37 @@ package resilience
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 )
 
-func TestBackoffDeterministic(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 42}
-	q := p
-	for attempt := 1; attempt <= 5; attempt++ {
-		a, b := p.Backoff(attempt), q.Backoff(attempt)
-		if a != b {
-			t.Errorf("attempt %d: backoff not deterministic: %v vs %v", attempt, a, b)
-		}
-		if a < time.Millisecond || a > 20*time.Millisecond {
-			t.Errorf("attempt %d: backoff %v outside [base/2, max]", attempt, a)
-		}
-	}
-	// Exponential growth up to the cap (jitter is within [0.5, 1.0) of the
-	// raw delay, so the raw delay doubles: 2, 4, 8, 16, 20-capped).
-	if p.Backoff(4) <= p.Backoff(1) {
-		t.Errorf("backoff should grow: %v then %v", p.Backoff(1), p.Backoff(4))
-	}
-	other := RetryPolicy{MaxAttempts: 5, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Seed: 43}
-	same := true
-	for attempt := 1; attempt <= 5; attempt++ {
-		if p.Backoff(attempt) != other.Backoff(attempt) {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds should jitter differently")
-	}
-}
-
-func TestZeroBaseDelayNoSleep(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 3}
-	if d := p.Backoff(2); d != 0 {
-		t.Errorf("zero base delay must not sleep, got %v", d)
-	}
-}
-
-func TestExecuteRetriesThenSucceeds(t *testing.T) {
-	calls := 0
-	err := Execute(context.Background(), Op{Component: "c", Policy: RetryPolicy{MaxAttempts: 3}}, func(ctx context.Context) error {
-		calls++
-		if calls < 3 {
-			return fmt.Errorf("transient %d", calls)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("should succeed on 3rd attempt: %v", err)
-	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
-	}
-}
-
-func TestExecuteRetryExhausted(t *testing.T) {
+func TestExecuteComponentFailed(t *testing.T) {
 	boom := errors.New("boom")
-	err := Execute(context.Background(), Op{Component: "c", Policy: RetryPolicy{MaxAttempts: 2}}, func(ctx context.Context) error {
+	calls := 0
+	err := Execute(context.Background(), Op{Component: "c"}, func(ctx context.Context) error {
+		calls++
 		return boom
 	})
-	if !errors.Is(err, ErrRetryExhausted) {
-		t.Fatalf("want ErrRetryExhausted, got %v", err)
+	if calls != 1 {
+		t.Errorf("calls = %d, want 1 (no retry)", calls)
+	}
+	if !errors.Is(err, ErrComponentFailed) {
+		t.Fatalf("want ErrComponentFailed, got %v", err)
 	}
 	if !errors.Is(err, boom) {
 		t.Error("cause must be preserved through the wrap")
 	}
 	var re *Error
-	if !errors.As(err, &re) || re.Attempts != 2 || re.Component != "c" {
+	if !errors.As(err, &re) || re.Component != "c" {
 		t.Errorf("classified error wrong: %+v", re)
 	}
 	if IsFatal(err) {
-		t.Error("retry exhaustion is degradable, not fatal")
+		t.Error("a component failure is degradable, not fatal")
 	}
 }
 
 func TestExecutePanicConverted(t *testing.T) {
-	err := Execute(context.Background(), Op{Component: "c", Policy: RetryPolicy{MaxAttempts: 1}}, func(ctx context.Context) error {
+	err := Execute(context.Background(), Op{Component: "c"}, func(ctx context.Context) error {
 		panic("kaboom")
 	})
 	if !errors.Is(err, ErrComponentPanic) {
@@ -92,10 +43,9 @@ func TestExecutePanicConverted(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatal("not a *Error")
 	}
-	// The panic is one attempt; a single-attempt policy reports it as
-	// exhausted retries wrapping the panic.
-	if !errors.Is(err, ErrRetryExhausted) {
-		t.Error("exhaustion wrap missing")
+	// Every guarded failure wraps exactly one sentinel.
+	if errors.Is(err, ErrComponentFailed) {
+		t.Error("a recovered panic must not also read as ErrComponentFailed")
 	}
 }
 
@@ -104,14 +54,7 @@ func TestExecutePanicStackCaptured(t *testing.T) {
 		panic("kaboom")
 	})
 	var re *Error
-	for e := err; errors.As(e, &re); {
-		if errors.Is(re.Kind, ErrComponentPanic) {
-			break
-		}
-		e = re.Cause
-		re = nil
-	}
-	if re == nil || len(re.Stack) == 0 {
+	if !errors.As(err, &re) || len(re.Stack) == 0 {
 		t.Error("panic stack not captured")
 	}
 }
@@ -120,7 +63,7 @@ func TestExecutePreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	err := Execute(ctx, Op{Component: "c", Policy: RetryPolicy{MaxAttempts: 3}}, func(ctx context.Context) error {
+	err := Execute(ctx, Op{Component: "c"}, func(ctx context.Context) error {
 		calls++
 		return nil
 	})
@@ -140,7 +83,7 @@ func TestExecuteTimeoutDuringHang(t *testing.T) {
 	defer cancel()
 	inj := NewInjector(Fault{Component: "c", Mode: ModeHang})
 	start := time.Now()
-	err := Execute(ctx, Op{Component: "c", Policy: RetryPolicy{MaxAttempts: 3}, Injector: inj}, func(ctx context.Context) error {
+	err := Execute(ctx, Op{Component: "c", Injector: inj}, func(ctx context.Context) error {
 		return nil
 	})
 	if !errors.Is(err, ErrTimeout) {
@@ -156,7 +99,7 @@ func TestExecuteTimeoutDuringHang(t *testing.T) {
 
 func TestExecuteCtxErrorNotRetried(t *testing.T) {
 	calls := 0
-	err := Execute(context.Background(), Op{Component: "c", Policy: RetryPolicy{MaxAttempts: 3}}, func(ctx context.Context) error {
+	err := Execute(context.Background(), Op{Component: "c"}, func(ctx context.Context) error {
 		calls++
 		return context.DeadlineExceeded
 	})

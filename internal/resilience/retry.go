@@ -17,9 +17,10 @@ import (
 // log's append path (retryable = IsRetryableDisk) and the remote-cache
 // client's HTTP operations (retryable = IsRetryableNet) both classify with
 // their own predicate but retry with the same shape. Unlike Execute it adds
-// no backoff, panic recovery, or context plumbing — it is for tight local
-// loops over operations that either succeed quickly or should stop being
-// hammered.
+// no panic recovery or context plumbing — it is for tight local loops over
+// operations that either succeed quickly or should stop being hammered.
+// Pipeline stages are never retried: they are deterministic, so only I/O
+// like this can fail transiently.
 func RetryBounded(attempts int, retryable func(error) bool, op func() error) (failures int, err error) {
 	if attempts <= 0 {
 		attempts = 1

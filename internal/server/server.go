@@ -9,9 +9,9 @@
 //     semaphore bounding the ones that run at once,
 //   - a brownout mode that clamps Pass@k to one sample under sustained
 //     shedding,
-//   - per-stage circuit breakers (internal/resilience) around the pipeline's
-//     auxiliary components, so a persistently failing stage is skipped
-//     immediately instead of burning retries on every request,
+//   - no stage retries or circuit breakers: pipeline stages are
+//     deterministic, so a failing one runs once and degrades only the
+//     sample that ran it, named in that sample's "degraded" list,
 //   - a per-request deadline (resilience timeout → 504),
 //   - singleflight deduplication of identical in-flight requests,
 //   - LRU caches for the expensive idempotent stages (baseline task
@@ -35,7 +35,6 @@ import (
 	"net/http"
 	rtmetrics "runtime/metrics"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,12 +71,6 @@ type Config struct {
 	QueueDepth     int           // admitted requests that may wait for a worker (default 8)
 	RequestTimeout time.Duration // per-request deadline (default 60s)
 
-	// Per-stage circuit-breaker tuning for the pipeline's auxiliary
-	// components (mentor, RAG embed/retrieve, expert): BreakerFailures
-	// consecutive failures trip a stage open (default 5), it dwells open
-	// for BreakerOpenFor (default 5s), then admits one half-open probe.
-	BreakerFailures int
-	BreakerOpenFor  time.Duration
 	// Costs, when non-nil, is a shared (possibly pre-seeded) per-stage
 	// cost model; nil gets a fresh one. The chaos harness injects a
 	// primed model to exercise cost-based shedding deterministically.
@@ -154,7 +147,6 @@ type Server struct {
 
 	brownout *overload.Brownout
 	costs    *overload.CostModel
-	breakers map[string]*resilience.Breaker // per-stage, shared across requests
 
 	sheds     atomic.Int64 // requests admit refused: no place left, or expected cost exceeds the deadline
 	shedProbe atomic.Int64 // deterministic 1-in-N probe-through counter for cost sheds
@@ -215,12 +207,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxRequirementLen = 8 << 10
 	}
 
-	if cfg.BreakerFailures <= 0 {
-		cfg.BreakerFailures = 5
-	}
-	if cfg.BreakerOpenFor <= 0 {
-		cfg.BreakerOpenFor = 5 * time.Second
-	}
 	if cfg.Costs == nil {
 		cfg.Costs = overload.NewCostModel(0)
 	}
@@ -238,25 +224,6 @@ func New(cfg Config) (*Server, error) {
 		reg:      metrics.NewRegistry(),
 		costs:    cfg.Costs,
 		brownout: overload.NewBrownout(overload.BrownoutConfig{}),
-	}
-	s.breakers = make(map[string]*resilience.Breaker, 4)
-	for _, comp := range []string{
-		resilience.CompMentor,
-		resilience.CompRAGEmbed,
-		resilience.CompRAGRetrieve,
-		resilience.CompExpert,
-	} {
-		comp := comp
-		s.breakers[comp] = resilience.NewBreaker(resilience.BreakerConfig{
-			Failures: cfg.BreakerFailures,
-			OpenFor:  cfg.BreakerOpenFor,
-			OnOpen: func() {
-				log.Printf("chatlsd: circuit breaker for %s opened (stage skipped until recovery probes succeed)", comp)
-			},
-			OnClose: func() {
-				log.Printf("chatlsd: circuit breaker for %s closed (stage restored)", comp)
-			},
-		})
 	}
 	if cfg.QoRLogPath != "" {
 		store, err := qorlog.OpenStore(cfg.QoRLogPath, qorlog.DefaultCacheCap, cfg.QoRLogOpts)
@@ -364,12 +331,6 @@ func New(cfg Config) (*Server, error) {
 		})
 	s.reg.NewCounterFunc("overload_brownout_entries_total", "times brownout mode has been entered",
 		s.brownout.Entries)
-	for comp, br := range s.breakers {
-		br := br
-		s.reg.NewGaugeFunc("breaker_state_"+metricName(comp),
-			"circuit-breaker state for "+comp+" (0=closed, 1=half-open, 2=open)",
-			func() int64 { return int64(br.State()) })
-	}
 	if rc := cfg.RemoteCache; rc != nil {
 		s.reg.NewCounterFunc("remotecache_client_qor_hits_total", "QoR records served by the remote result tier",
 			func() int64 { return rc.Stats().QoRHits })
@@ -589,12 +550,6 @@ func (s *Server) retryAfterSeconds() int {
 		secs = 1
 	}
 	return secs
-}
-
-// metricName flattens a component name ("synthrag/embed") into a metric
-// suffix ("synthrag_embed") — the registry has no labels.
-func metricName(comp string) string {
-	return strings.NewReplacer("/", "_", "-", "_", ".", "_").Replace(comp)
 }
 
 // decodeCustomize decodes and validates a customize request body. It is the
@@ -835,10 +790,9 @@ func (s *Server) newPipeline(name string) chatls.Pipeline {
 		return &chatls.RawPipeline{Model: llm.New(llm.Claude35, s.cfg.Seed)}
 	default:
 		p := chatls.NewChatLS(s.cfg.Model, s.cfg.DB)
-		// Breakers and the cost model are shared across every request, so
-		// stage health and learned costs persist beyond one pipeline
-		// instance; the injector is the chaos/test fault layer.
-		p.Breakers = s.breakers
+		// The cost model is shared across every request, so learned costs
+		// persist beyond one pipeline instance; the injector is the
+		// chaos/test fault layer.
 		p.Costs = s.costs
 		p.Inject = s.cfg.PipelineInject
 		return p
@@ -882,9 +836,10 @@ func toBudgetJSON(b inputlimits.Budget) budgetJSON {
 }
 
 // overloadJSON is the overload-protection state in the health report: the
-// admission bound and the places held, shed counts, brownout, and every circuit
-// breaker's position — what an operator (or the chaos harness) checks to
-// see whether the server has recovered after an incident.
+// admission bound and the places held, shed counts, brownout, and the remote
+// tier's circuit-breaker position (present only when a tier is configured) —
+// what an operator (or the chaos harness) checks to see whether the server
+// has recovered after an incident.
 type overloadJSON struct {
 	Limit         int               `json:"limit"`
 	Inflight      int               `json:"inflight"`
@@ -918,10 +873,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
-	breakers := make(map[string]string, len(s.breakers)+1)
-	for comp, br := range s.breakers {
-		breakers[comp] = br.State().String()
-	}
+	breakers := map[string]string{}
 	if rc := s.cfg.RemoteCache; rc != nil {
 		breakers[resilience.CompRemoteCache] = rc.BreakerState().String()
 	}

@@ -64,7 +64,6 @@ func TestFaultInjectionMatrix(t *testing.T) {
 		for _, mode := range modes {
 			t.Run(fmt.Sprintf("%s/%s", comp, mode), func(t *testing.T) {
 				p := NewChatLS(llm.New(llm.GPT4o, 2), db)
-				p.Retry.BaseDelay = 0 // no real sleeping in tests
 				p.Inject = resilience.NewInjector(resilience.Fault{Component: comp, Mode: mode})
 
 				ctx := context.Background()
@@ -89,13 +88,9 @@ func TestFaultInjectionMatrix(t *testing.T) {
 				if comp == resilience.CompGenerate {
 					// No weaker configuration exists without a draft: the
 					// failure must be typed, not a crash.
-					want := resilience.ErrRetryExhausted
+					want := resilience.ErrComponentFailed
 					if mode == resilience.ModePanic {
-						// Panics are retried; exhaustion still wraps the
-						// recovered panic, so both sentinels must match.
-						if !errors.Is(err, resilience.ErrComponentPanic) {
-							t.Fatalf("generator panic: err = %v, want ErrComponentPanic", err)
-						}
+						want = resilience.ErrComponentPanic
 					}
 					if !errors.Is(err, want) {
 						t.Fatalf("generator %s: err = %v, want %v", mode, err, want)
@@ -121,35 +116,6 @@ func TestFaultInjectionMatrix(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestFaultInjectionRetryRecovers: a fault on only the first call is healed
-// by the retry policy — full-strength result, no degradation.
-func TestFaultInjectionRetryRecovers(t *testing.T) {
-	db := liteDB(t)
-	task := faultTask(t)
-	p := NewChatLS(llm.New(llm.GPT4o, 2), db)
-	p.Retry.BaseDelay = 0
-	inj := resilience.NewInjector(resilience.Fault{
-		Component: resilience.CompMentor,
-		Mode:      resilience.ModeFail,
-		Calls:     []int{1},
-	})
-	p.Inject = inj
-
-	cres, err := p.CustomizeResult(context.Background(), task, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cres.Script == "" {
-		t.Fatal("empty script")
-	}
-	if got := inj.Calls(resilience.CompMentor); got != 2 {
-		t.Errorf("mentor boundary crossed %d times, want 2 (fail then retry)", got)
-	}
-	if cres.Degradation.Degraded() {
-		t.Errorf("retry should recover without degrading: %v", cres.Degradation)
 	}
 }
 
@@ -226,7 +192,6 @@ func TestConfigSeedDefaults(t *testing.T) {
 func TestRunPassKRecordsDegradation(t *testing.T) {
 	db := liteDB(t)
 	p := NewChatLS(llm.New(llm.GPT4o, 2), db)
-	p.Retry.BaseDelay = 0
 	p.Inject = resilience.NewInjector(resilience.Fault{
 		Component: resilience.CompMentor,
 		Mode:      resilience.ModeFail,

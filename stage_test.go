@@ -13,9 +13,9 @@ import (
 )
 
 // TestStageRunner pins the contract of ChatLSPipeline.stage at each of the
-// five places the flow calls it: what an open breaker, a deadline the
+// five places the flow calls it: what a failure or panic, a deadline the
 // expected cost cannot fit, a success, and a caller cancellation do to the
-// call, the breaker, the cost model and the degradation report.
+// call, the cost model and the degradation report.
 func TestStageRunner(t *testing.T) {
 	db := liteDB(t)
 	task := faultTask(t)
@@ -34,8 +34,8 @@ func TestStageRunner(t *testing.T) {
 	}
 	cases := []struct {
 		comp string
-		// fallback is the action recorded when the stage fails or its
-		// breaker is open; "" marks the generator, which aborts instead.
+		// fallback is the action recorded when the stage fails; "" marks
+		// the generator, which aborts instead.
 		fallback string
 		// budgetUnder is the component a budget rejection caused by this
 		// stage's cost is recorded under.
@@ -50,7 +50,6 @@ func TestStageRunner(t *testing.T) {
 	}
 	newPipeline := func() (*ChatLSPipeline, *resilience.Injector) {
 		p := NewChatLS(llm.New(llm.GPT4o, 2), db)
-		p.Retry.BaseDelay = 0
 		p.Costs = overload.NewCostModel(0)
 		p.Inject = resilience.NewInjector() // no faults: counts boundary crossings
 		return p, p.Inject
@@ -71,34 +70,39 @@ func TestStageRunner(t *testing.T) {
 		}
 	})
 	for _, tc := range cases {
-		t.Run(tc.comp+"/open breaker", func(t *testing.T) {
-			p, inj := newPipeline()
-			br := resilience.NewBreaker(resilience.BreakerConfig{Failures: 1, OpenFor: time.Hour})
-			br.Failure()
-			p.Breakers = map[string]*resilience.Breaker{tc.comp: br}
-
-			res, err := p.CustomizeResult(context.Background(), task, 0)
-			if got := inj.Calls(tc.comp); got != 0 {
-				t.Errorf("injector boundary crossed %d times behind an open breaker, want 0", got)
-			}
-			if tc.fallback == "" {
-				if !errors.Is(err, resilience.ErrBreakerOpen) {
-					t.Fatalf("err = %v, want wrapping ErrBreakerOpen", err)
+		t.Run(tc.comp+"/a failing stage runs once", func(t *testing.T) {
+			for _, mode := range []resilience.Mode{resilience.ModeFail, resilience.ModePanic} {
+				p, _ := newPipeline()
+				inj := resilience.NewInjector(resilience.Fault{Component: tc.comp, Mode: mode})
+				p.Inject = inj
+				want := resilience.ErrComponentFailed
+				if mode == resilience.ModePanic {
+					want = resilience.ErrComponentPanic
 				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("optional stage should degrade, got %v", err)
-			}
-			ev := res.Degradation.Of(tc.comp)
-			if ev == nil {
-				t.Fatalf("degraded %v, want an entry under %s", res.Degradation.Components(), tc.comp)
-			}
-			if ev.Fallback != tc.fallback || !errors.Is(ev.Err, resilience.ErrBreakerOpen) {
-				t.Errorf("entry = %q (%v), want %q wrapping ErrBreakerOpen", ev.Fallback, ev.Err, tc.fallback)
-			}
-			if res.Script == "" {
-				t.Error("degraded call returned no script")
+
+				res, err := p.CustomizeResult(context.Background(), task, 0)
+				if got := inj.Calls(tc.comp); got != 1 {
+					t.Errorf("%s: stage boundary crossed %d times, want 1 (no retry)", mode, got)
+				}
+				if tc.fallback == "" {
+					if !errors.Is(err, want) {
+						t.Fatalf("%s: err = %v, want wrapping %v", mode, err, want)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: optional stage should degrade, got %v", mode, err)
+				}
+				ev := res.Degradation.Of(tc.comp)
+				if ev == nil {
+					t.Fatalf("%s: degraded %v, want an entry under %s", mode, res.Degradation.Components(), tc.comp)
+				}
+				if ev.Fallback != tc.fallback || !errors.Is(ev.Err, want) {
+					t.Errorf("%s: entry = %q (%v), want %q wrapping %v", mode, ev.Fallback, ev.Err, tc.fallback, want)
+				}
+				if res.Script == "" {
+					t.Errorf("%s: degraded call returned no script", mode)
+				}
 			}
 		})
 
@@ -137,10 +141,6 @@ func TestStageRunner(t *testing.T) {
 			p, _ := newPipeline()
 			inj := resilience.NewInjector(resilience.Fault{Component: tc.comp, Mode: resilience.ModeHang})
 			p.Inject = inj
-			// One failure would open it, so staying closed means the
-			// cancellation was dropped rather than counted.
-			br := resilience.NewBreaker(resilience.BreakerConfig{Failures: 1, OpenFor: time.Hour})
-			p.Breakers = map[string]*resilience.Breaker{tc.comp: br}
 
 			// Cancel once the flow hangs inside this stage, not before.
 			ctx, cancel := context.WithCancel(context.Background())
@@ -163,9 +163,6 @@ func TestStageRunner(t *testing.T) {
 			}
 			if got := inj.Calls(tc.comp); got != 1 {
 				t.Fatalf("stage boundary crossed %d times, want 1 (cancelled inside it)", got)
-			}
-			if br.State() != resilience.BreakerClosed {
-				t.Errorf("breaker %v after a caller cancellation, want closed", br.State())
 			}
 		})
 	}
