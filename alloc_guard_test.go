@@ -114,13 +114,15 @@ func TestRecycledRestoreAllocGuard(t *testing.T) {
 
 // TestWarmRawRequestAllocGuard pins what a warm raw-prompting Pass@5 request
 // (the repo benchmark's warm_raw_k5; BenchmarkWarmRequestRawK5 is its twin)
-// feeds the collector, in bytes per request: the prompt, read in place; five
-// generations, each one copy of the prompt's last section; five restored
-// syntheses that size in their workspace's scratch and format reports with
-// strconv. The first pass over all fourteen requests captures every derived
-// checkpoint; the budget is about 1.5 times the measured steady state that
-// follows (≈ 296 kB, against ≈ 1.07 MB when every prompt line was copied and
-// every sizing round grew its change list from nil).
+// feeds the collector, in bytes per request, served the way the daemon
+// serves it (EvalOptions.ShareRepeats): the prompt, read in place; five
+// generations, each one copy of the prompt's last section; a restored
+// synthesis per distinct script, sizing in its workspace's scratch and
+// formatting reports with strconv. The first pass over all fourteen requests
+// captures every derived checkpoint; the budget is about 1.5 times the
+// steady state that follows when every sample synthesizes (≈ 296 kB,
+// against ≈ 1.07 MB when every prompt line was copied and every sizing round
+// grew its change list from nil); sharing repeats reads ≈ 274 kB.
 func TestWarmRawRequestAllocGuard(t *testing.T) {
 	lib := liberty.Nangate45()
 	ctx := context.Background()
@@ -142,7 +144,8 @@ func TestWarmRawRequestAllocGuard(t *testing.T) {
 	}
 	serve := func() {
 		for _, r := range reqs {
-			if _, err := EvalTaskOpts(ctx, r.p, r.task, r.qor, 5, lib, opts); err != nil {
+			o, _ := opts.ShareRepeats(5)
+			if _, err := EvalTaskOpts(ctx, r.p, r.task, r.qor, 5, lib, o); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -412,9 +412,10 @@ func BenchmarkWarmRequestParallel(b *testing.B) {
 // BenchmarkWarmRequestRawK5 is the in-repo twin of the repo benchmark's
 // warm_raw_k5 workload: one op is one raw-prompting Pass@5 request the way
 // the daemon serves it (cached task, shared checkpoint store, no QoR log, so
-// all five samples synthesize), round-robin over the seven designs under
-// both raw models. Synthesis and STA do nearly all of the work here; the
-// ChatLS layers BenchmarkWarmRequest exercises do none.
+// the five samples share a store of their own and each distinct script
+// synthesizes once: EvalOptions.ShareRepeats), round-robin over the seven
+// designs under both raw models. Synthesis and STA do nearly all of the
+// work here; the ChatLS layers BenchmarkWarmRequest exercises do none.
 func BenchmarkWarmRequestRawK5(b *testing.B) {
 	lib := liberty.Nangate45()
 	ctx := context.Background()
@@ -438,7 +439,8 @@ func BenchmarkWarmRequestRawK5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := reqs[i%len(reqs)]
-		if _, err := EvalTaskOpts(ctx, r.p, r.task, r.qor, 5, lib, opts); err != nil {
+		o, _ := opts.ShareRepeats(5)
+		if _, err := EvalTaskOpts(ctx, r.p, r.task, r.qor, 5, lib, o); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -140,6 +140,7 @@ func EvalTaskOpts(ctx context.Context, p Pipeline, task *Task, baseQoR synth.QoR
 	// fold sees every slot up to the first fatal one whatever the schedule.
 	var mu sync.Mutex
 	fatalAt := k
+	libFP := opts.libFingerprint(task.Lib)
 	workpool.Run(opts.Workers, k, func(s int) {
 		mu.Lock()
 		skip := s > fatalAt
@@ -147,7 +148,7 @@ func EvalTaskOpts(ctx context.Context, p Pipeline, task *Task, baseQoR synth.QoR
 		if skip {
 			return
 		}
-		out, fatal := evalSample(ctx, p, task, lib, s, opts)
+		out, fatal := evalSample(ctx, p, task, lib, libFP, s, opts)
 		slots[s] = slot{out, fatal}
 		if fatal != nil {
 			mu.Lock()
@@ -188,7 +189,8 @@ func accumulate(res *EvalResult, out SampleOutcome, s int) {
 // error). When opts.Results holds the outcome for this exact (library,
 // sources, script), the synthesis run is skipped and the logged QoR is
 // served instead — bit-identical because the simulator is deterministic.
-func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Library, s int, opts EvalOptions) (*SampleOutcome, error) {
+// libFP is task.Lib's fingerprint when opts.Results is set.
+func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Library, libFP string, s int, opts EvalOptions) (*SampleOutcome, error) {
 	// Budget admission: reject before customization when the remaining
 	// deadline cannot cover a whole sample. Returning (nil, err) makes the
 	// evaluation abort with no recorded partial sample.
@@ -204,7 +206,7 @@ func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Librar
 		return &SampleOutcome{Err: fmt.Sprintf("customize: %v", err)}, nil
 	}
 	out := SampleOutcome{Script: cres.Script, Degraded: cres.Degradation.Components()}
-	key, logged := opts.lookup(task.Lib, task.Design, cres.Script)
+	key, logged := opts.lookup(libFP, task.Design, cres.Script)
 	if logged != nil {
 		out.QoR = logged
 		return &out, nil
@@ -224,15 +226,24 @@ func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Librar
 	return &out, nil
 }
 
-// lookup addresses script's outcome on d in the result store: the key to
-// publish it under, and the logged QoR when the store already holds it. Both
-// are nil without a store (hashing the sources is not free; skip when
-// unused).
-func (o EvalOptions) lookup(lib *liberty.Library, d *designs.Design, script string) (*qorlog.Key, *synth.QoR) {
+// libFingerprint is lib's fingerprint when there is a result store to key,
+// "" without one (hashing the library is not free; skip when unused).
+func (o EvalOptions) libFingerprint(lib *liberty.Library) string {
+	if o.Results == nil {
+		return ""
+	}
+	return lib.Fingerprint()
+}
+
+// lookup addresses script's outcome on d in the result store, libFP being
+// the library's fingerprint (libFingerprint): the key to publish it under,
+// and the logged QoR when the store already holds it. Both are nil without a
+// store (hashing the sources is not free; skip when unused).
+func (o EvalOptions) lookup(libFP string, d *designs.Design, script string) (*qorlog.Key, *synth.QoR) {
 	if o.Results == nil {
 		return nil, nil
 	}
-	key := ResultKey(lib, d, script)
+	key := resultKey(libFP, d, script)
 	if rec, ok := o.Results.Get(key); ok {
 		q := synth.QoR(rec)
 		return &key, &q

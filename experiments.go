@@ -139,6 +139,14 @@ func (c ExperimentConfig) evalOptions() EvalOptions {
 	return EvalOptions{Workers: c.Workers, Checkpoints: c.Checkpoints, Results: c.Results, Costs: c.Costs}
 }
 
+// passKOptions is evalOptions for one RunPassKOpts call: without a result
+// store, a fresh one of its own synthesizes each distinct script of the k
+// samples once (EvalOptions.ShareRepeats).
+func (c ExperimentConfig) passKOptions() EvalOptions {
+	o, _ := c.evalOptions().ShareRepeats(c.K)
+	return o
+}
+
 // BuildDatabase constructs the SynthRAG database for the experiments
 // (Table II's corpus synthesized under the strategy palette).
 func BuildDatabase(cfg ExperimentConfig) (*synthrag.Database, error) {
@@ -181,9 +189,10 @@ func Table4(ctx context.Context, cfg ExperimentConfig) ([]Table4Row, error) {
 	}
 	results := make([]outcome, len(cfg.Designs))
 	o := cfg.evalOptions()
+	libFP := o.libFingerprint(cfg.Lib)
 	workpool.Run(workers, len(cfg.Designs), func(i int) {
 		d := cfg.Designs[i]
-		key, logged := o.lookup(cfg.Lib, d, d.BaselineScript())
+		key, logged := o.lookup(libFP, d, d.BaselineScript())
 		if logged != nil {
 			results[i] = outcome{q: *logged}
 			return
@@ -261,7 +270,7 @@ func Table3(ctx context.Context, cfg ExperimentConfig, db *synthrag.Database) ([
 		row := Table3Row{Design: d.Name}
 		failed := false
 		for _, p := range pipelines {
-			res, err := RunPassKOpts(ctx, p, d, cfg.K, cfg.Lib, cfg.evalOptions())
+			res, err := RunPassKOpts(ctx, p, d, cfg.K, cfg.Lib, cfg.passKOptions())
 			if err != nil {
 				if isSweepFatal(err) {
 					return rows, err
@@ -603,7 +612,7 @@ func Ablations(ctx context.Context, cfg ExperimentConfig, db *synthrag.Database)
 	for _, variant := range AblationVariants {
 		p := mk(variant)
 		for _, d := range cfg.Designs {
-			res, err := RunPassKOpts(ctx, p, d, cfg.K, cfg.Lib, cfg.evalOptions())
+			res, err := RunPassKOpts(ctx, p, d, cfg.K, cfg.Lib, cfg.passKOptions())
 			if err != nil {
 				if isSweepFatal(err) {
 					return rows, err
@@ -665,6 +674,7 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 		return cand.WNS >= 0 && cand.Area < cur.Area
 	}
 	o := cfg.evalOptions()
+	libFP := o.libFingerprint(cfg.Lib)
 	var rows []IterationRow
 	var errs SweepErrors
 	for _, d := range cfg.Designs {
@@ -702,7 +712,7 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 			// but its QoR, so a hit skips synthesis; an adopting round still
 			// runs, because adoption feeds the fresh report into the prompt.
 			var reports []string
-			key, candidate := o.lookup(cfg.Lib, d, next)
+			key, candidate := o.lookup(libFP, d, next)
 			if candidate == nil || adopts(q, *candidate) {
 				res, _, err := o.synthesize(ctx, cfg.Lib, d, next, overload.StageSynth, key, false)
 				if err != nil {

@@ -50,11 +50,17 @@ type Key [sha256.Size]byte
 // fingerprint, each (file name, file content) pair, and the script text.
 func KeyOf(parts ...string) Key {
 	h := sha256.New()
-	var n [8]byte
+	// Parts go in through chunk rather than as []byte(p), which would copy
+	// each one whole (a design's source, on every key).
+	var chunk [256]byte
 	for _, p := range parts {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
+		binary.LittleEndian.PutUint64(chunk[:8], uint64(len(p)))
+		h.Write(chunk[:8])
+		for len(p) > 0 {
+			n := copy(chunk[:], p)
+			h.Write(chunk[:n])
+			p = p[n:]
+		}
 	}
 	var k Key
 	h.Sum(k[:0])

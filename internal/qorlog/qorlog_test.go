@@ -1,11 +1,15 @@
 package qorlog
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/designs"
 	"repro/internal/resilience"
 )
 
@@ -56,6 +60,52 @@ func TestKeyOfFraming(t *testing.T) {
 	}
 	if KeyOf("x", "y") != KeyOf("x", "y") {
 		t.Fatal("KeyOf must be deterministic")
+	}
+}
+
+// keyOfCopying is KeyOf as first written, each part copied whole into the
+// digest: the reference the chunked KeyOf must match byte for byte, since
+// logs on disk are addressed by its keys.
+func keyOfCopying(parts ...string) Key {
+	h := sha256.New()
+	var n [8]byte
+	for _, p := range parts {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write([]byte(p))
+	}
+	var k Key
+	h.Sum(k[:0])
+	return k
+}
+
+func TestKeyOfMatchesCopyingFormulation(t *testing.T) {
+	edges := []string{"", "x", strings.Repeat("a", 255), strings.Repeat("b", 256),
+		strings.Repeat("c", 257), strings.Repeat("d", 512), "caf\u00e9 \x00\xff"}
+	cases := [][]string{nil, {""}, edges}
+	for _, e := range edges {
+		cases = append(cases, []string{e}, []string{e, e}, []string{"fp", e, "compile"})
+	}
+	for _, d := range designs.Benchmarks() {
+		cases = append(cases, []string{"lib-fp", d.FileName, d.Source, d.BaselineScript()})
+	}
+	for i, parts := range cases {
+		if got, want := KeyOf(parts...), keyOfCopying(parts...); got != want {
+			t.Errorf("case %d (%d parts): KeyOf = %x, want %x", i, len(parts), got[:8], want[:8])
+		}
+	}
+}
+
+func TestKeyOfDoesNotCopyParts(t *testing.T) {
+	d := designs.AES()
+	script := d.BaselineScript()
+	allocs := testing.AllocsPerRun(20, func() {
+		KeyOf("lib-fp", d.FileName, d.Source, script)
+	})
+	// The digest and the chunk stay on the stack; copying the parts cost
+	// one allocation per part longer than the compiler's 32-byte buffer.
+	if allocs != 0 {
+		t.Errorf("KeyOf over %d source bytes: %v allocs, want 0", len(d.Source), allocs)
 	}
 }
 

@@ -156,6 +156,7 @@ type Server struct {
 	errs         *metrics.Counter
 	timeouts     *metrics.Counter
 	sfShared     *metrics.Counter
+	passKShared  *metrics.Counter
 	bodyTooLarge *metrics.Counter
 	badJSON      *metrics.Counter
 	invalidReq   *metrics.Counter
@@ -251,6 +252,7 @@ func New(cfg Config) (*Server, error) {
 	s.errs = s.reg.NewCounter("chatlsd_errors_total", "customize requests that failed")
 	s.timeouts = s.reg.NewCounter("chatlsd_timeouts_total", "customize requests that hit the per-request deadline")
 	s.sfShared = s.reg.NewCounter("chatlsd_singleflight_shared_total", "requests coalesced onto an identical in-flight request")
+	s.passKShared = s.reg.NewCounter("chatlsd_pass_k_samples_shared_total", "Pass@k samples served the QoR an earlier sample of the same request synthesized (requests without a QoR log or a remote tier)")
 	s.bodyTooLarge = s.reg.NewCounter("chatlsd_input_rejected_body_too_large_total", "requests rejected with 413 for exceeding the body-size cap")
 	s.badJSON = s.reg.NewCounter("chatlsd_input_rejected_bad_json_total", "requests rejected with 400 for malformed or unknown-field JSON")
 	s.invalidReq = s.reg.NewCounter("chatlsd_input_rejected_invalid_total", "requests rejected with 422 for semantically invalid fields")
@@ -729,8 +731,11 @@ func (s *Server) runCustomize(d *designs.Design, req customizeRequest) (resp *cu
 	t := *task
 	t.Requirement = req.Requirement
 
-	res, err := chatls.EvalTaskOpts(ctx, s.newPipeline(req.Pipeline), &t, baseQoR, req.K, s.cfg.Lib,
-		chatls.EvalOptions{Workers: 1, Checkpoints: s.ckpt, Results: s.resultStore(), Costs: s.costs})
+	// Without a QoR log or a tier, the request's samples share a store of
+	// their own, so each distinct script is synthesized once.
+	opts, shared := chatls.EvalOptions{Workers: 1, Checkpoints: s.ckpt, Results: s.resultStore(), Costs: s.costs}.ShareRepeats(req.K)
+	res, err := chatls.EvalTaskOpts(ctx, s.newPipeline(req.Pipeline), &t, baseQoR, req.K, s.cfg.Lib, opts)
+	s.passKShared.Add(shared.Stats().Hits)
 	if err != nil {
 		s.countErr(err)
 		return nil, err

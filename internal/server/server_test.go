@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	chatls "repro"
 	"repro/internal/liberty"
 	"repro/internal/llm"
 	"repro/internal/synthrag"
@@ -688,5 +689,68 @@ func TestRuntimeAllocMetricsExposed(t *testing.T) {
 	}
 	if n := metricValue(t, ts.URL, "go_gc_cycles_total"); n < 0 {
 		t.Errorf("go_gc_cycles_total = %v, want >= 0", n)
+	}
+}
+
+// TestPassKSharedSamplesCounter: a raw Pass@5 request whose samples repeat a
+// script moves chatlsd_pass_k_samples_shared_total by exactly its repeated
+// valid samples — counted here from the storeless evaluation's scripts — and
+// a k = 1 request, which cannot repeat, leaves it alone.
+func TestPassKSharedSamplesCounter(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const k = 5
+	ctx := context.Background()
+	repeats := func(name string) int {
+		task, base, err := s.baselineTask(ctx, s.byName[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tt := *task
+		tt.Requirement = chatls.DefaultRequirement
+		res, err := chatls.EvalTaskOpts(ctx, s.newPipeline("gpt4o"), &tt, base, k, s.cfg.Lib, chatls.EvalOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scripts := map[string]bool{}
+		for _, smp := range res.Samples {
+			if smp.QoR != nil {
+				scripts[smp.Script] = true
+			}
+		}
+		return res.Valid - len(scripts)
+	}
+	var design string
+	var want int
+	for _, d := range s.cfg.Designs {
+		if n := repeats(d.Name); n > 0 {
+			design, want = d.Name, n
+			break
+		}
+	}
+	if design == "" {
+		t.Fatal("no design's raw Pass@5 samples repeat a script")
+	}
+
+	post := func(k int) {
+		t.Helper()
+		body := fmt.Sprintf(`{"design":%q,"pipeline":"gpt4o","k":%d}`, design, k)
+		if hr, b := postCustomize(t, ts.URL, body); hr.StatusCode != http.StatusOK {
+			t.Fatalf("customize status %d: %s", hr.StatusCode, b)
+		}
+	}
+	const name = "chatlsd_pass_k_samples_shared_total"
+	if n := metricValue(t, ts.URL, name); n != 0 {
+		t.Fatalf("%s = %v before any request, want 0", name, n)
+	}
+	post(k)
+	if n := metricValue(t, ts.URL, name); n != float64(want) {
+		t.Errorf("%s = %v after a %s k=%d request, want its %d repeated valid samples", name, n, design, k, want)
+	}
+	post(1)
+	if n := metricValue(t, ts.URL, name); n != float64(want) {
+		t.Errorf("%s = %v after a k=1 request, want it unchanged at %d", name, n, want)
 	}
 }

@@ -50,10 +50,31 @@ type LeasedResultStore interface {
 // unmodified — a logged record round-trips bit-identically — and stop
 // compiling if the two structs ever drift.
 func ResultKey(lib *liberty.Library, d *designs.Design, script string) qorlog.Key {
-	return qorlog.KeyOf(
-		lib.Fingerprint(),
-		d.FileName,
-		d.Source,
-		script,
-	)
+	return resultKey(lib.Fingerprint(), d, script)
+}
+
+// resultKey is ResultKey over libFP, the library's Fingerprint, which an
+// evaluation computes once for all its samples: hashing the library costs
+// about as much as hashing the largest design's sources.
+func resultKey(libFP string, d *designs.Design, script string) qorlog.Key {
+	return qorlog.KeyOf(libFP, d.FileName, d.Source, script)
+}
+
+// ShareRepeats returns o for one Pass@k evaluation of k samples in which a
+// repeated script is synthesized once. When o has no result store and k > 1,
+// the evaluation gets a fresh in-memory one of its own, returned too so the
+// caller can read how many samples it served (Stats().Hits); a repeat's QoR
+// is then the earlier sample's, bit for bit, because a run depends only on
+// (library, sources, script). A failed run is never shared: the store holds
+// only QoR, so a repeat of a failing script runs and fails again. With a
+// store already set (a QoR log or the remote tier serves the repeat itself)
+// or k = 1 (nothing can repeat, and a key costs more than it could save) o
+// is returned as it is, with a nil store.
+func (o EvalOptions) ShareRepeats(k int) (EvalOptions, *qorlog.Store) {
+	if o.Results != nil || k <= 1 {
+		return o, nil
+	}
+	store := qorlog.NewMemoryStore(k)
+	o.Results = store
+	return o, store
 }
