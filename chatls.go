@@ -26,10 +26,8 @@ package chatls
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/circuitmentor"
 	"repro/internal/designs"
@@ -80,13 +78,13 @@ func NewTask(ctx context.Context, d *designs.Design, lib *liberty.Library) (*Tas
 // for later runs otherwise. Results are bit-identical with or without the
 // store (nil disables checkpointing).
 func NewTaskWith(ctx context.Context, d *designs.Design, lib *liberty.Library, ckpt *synth.CheckpointStore) (*Task, synth.QoR, error) {
-	return EvalOptions{Checkpoints: ckpt}.newTask(ctx, d, lib, "", nil)
+	return EvalOptions{Checkpoints: ckpt}.newTask(ctx, d, lib, nil)
 }
 
 // newTask runs d's baseline script through synthesize and packages the
 // customization problem around its report.
-func (o EvalOptions) newTask(ctx context.Context, d *designs.Design, lib *liberty.Library, stage string, key *qorlog.Key) (*Task, synth.QoR, error) {
-	res, _, err := o.synthesize(ctx, lib, d, d.BaselineScript(), stage, key, false)
+func (o EvalOptions) newTask(ctx context.Context, d *designs.Design, lib *liberty.Library, key *qorlog.Key) (*Task, synth.QoR, error) {
+	res, err := o.synthesize(ctx, lib, d, d.BaselineScript(), key, false)
 	if err != nil {
 		return nil, synth.QoR{}, fmt.Errorf("baseline %s: %w", d.Name, err)
 	}
@@ -184,11 +182,9 @@ type ChatLSPipeline struct {
 	// with no circuit breaker. The field is kept only so the frozen bench/
 	// module, which still assigns it, compiles.
 	Breakers map[string]*resilience.Breaker
-	// Costs, when set, is the shared per-stage EWMA cost model: successful
-	// stage durations feed it, and optional stages are skipped up front
-	// when the remaining context deadline cannot cover their expected cost
-	// plus the mandatory generation that follows (recorded as a
-	// degradation). Nil disables budget awareness.
+	// Costs is read by nothing: the only budget a stage has is the context
+	// deadline. The field is kept only so the frozen bench/ module, which
+	// still assigns it, compiles.
 	Costs *overload.CostModel
 }
 
@@ -218,24 +214,14 @@ func (p *ChatLSPipeline) Name() string {
 	return name
 }
 
-// stage is the one runner every component call of the flow goes through. In
-// order: deadline budget (the remaining deadline must cover need; need == 0
-// only rejects a deadline already past, need < 0 skips the check), then fn
-// once behind the panic-recovery boundary and (in tests) the fault injector.
-// A success feeds the cost model. Stages are not retried: each is a seeded,
-// in-process function of its inputs, so a retry would repeat the failure.
-func (p *ChatLSPipeline) stage(ctx context.Context, component string, need time.Duration, fn func(context.Context) error) error {
-	if need >= 0 {
-		if err := overload.CheckBudget(ctx, component, need); err != nil {
-			return err
-		}
-	}
-	start := time.Now()
-	err := resilience.Execute(ctx, resilience.Op{Component: component, Injector: p.Inject}, fn)
-	if err == nil {
-		p.Costs.Observe(component, time.Since(start))
-	}
-	return err
+// stage is the one runner every component call of the flow goes through:
+// fn once behind the panic-recovery boundary and (in tests) the fault
+// injector. An expired or cancelled context is refused before fn starts, as
+// the fatal ErrTimeout or ErrCancelled. Stages are not retried: each is a
+// seeded, in-process function of its inputs, so a retry would repeat the
+// failure.
+func (p *ChatLSPipeline) stage(ctx context.Context, component string, fn func(context.Context) error) error {
+	return resilience.Execute(ctx, resilience.Op{Component: component, Injector: p.Inject}, fn)
 }
 
 func hasErrors(issues []synth.Issue) bool {
@@ -253,8 +239,7 @@ func hasErrors(issues []synth.Issue) bool {
 //
 // The flow is fault-tolerant: each auxiliary component (CircuitMentor,
 // SynthRAG embedding and retrieval, SynthExpert) is one stage call; if it
-// fails, panics, or cannot fit the remaining deadline beside the mandatory
-// generation, the pipeline degrades to the next-weaker configuration —
+// fails or panics, the pipeline degrades to the next-weaker configuration —
 // proceeding without that component's contribution — and records the event
 // in the returned Customization.Degradation. Only a generator failure or a
 // context cancellation/timeout aborts with an error, so a degraded call
@@ -273,13 +258,9 @@ func (p *ChatLSPipeline) CustomizeResult(ctx context.Context, t *Task, sample in
 		if resilience.IsFatal(err) {
 			return err
 		}
-		if errors.Is(err, overload.ErrBudget) {
-			fallback = "skipped: insufficient deadline budget"
-		}
 		report.Record(component, fallback, err)
 		return nil
 	}
-	cost := p.Costs.Expect
 
 	var b strings.Builder
 	b.WriteString("## Requirement\n")
@@ -289,7 +270,7 @@ func (p *ChatLSPipeline) CustomizeResult(ctx context.Context, t *Task, sample in
 	var traits []string
 	if !p.DisableMentor {
 		var analysis *circuitmentor.Analysis
-		err := p.stage(ctx, resilience.CompMentor, cost(resilience.CompMentor)+cost(resilience.CompGenerate), func(ctx context.Context) error {
+		err := p.stage(ctx, resilience.CompMentor, func(ctx context.Context) error {
 			var err error
 			analysis, err = circuitmentor.AnalyzeSnapshotContext(ctx, t.Snapshot, t.Design.Source, t.Design.Top, t.Design.Period, t.Lib)
 			return err
@@ -304,20 +285,17 @@ func (p *ChatLSPipeline) CustomizeResult(ctx context.Context, t *Task, sample in
 	}
 
 	if !p.DisableRAG {
-		// Embedding budgets the whole retrieval group, so retrieval has no
-		// check of its own.
 		var emb []float64
 		var hits []synthrag.StrategyHit
 		failed := resilience.CompRAGEmbed
-		need := cost(resilience.CompRAGEmbed) + cost(resilience.CompRAGRetrieve) + cost(resilience.CompGenerate)
-		err := p.stage(ctx, resilience.CompRAGEmbed, need, func(ctx context.Context) error {
+		err := p.stage(ctx, resilience.CompRAGEmbed, func(ctx context.Context) error {
 			var err error
 			emb, _, err = p.DB.EmbedSnapshotContext(ctx, t.Snapshot, t.Design.Source, t.Design.Top)
 			return err
 		})
 		if err == nil {
 			failed = resilience.CompRAGRetrieve
-			err = p.stage(ctx, resilience.CompRAGRetrieve, -1, func(ctx context.Context) error {
+			err = p.stage(ctx, resilience.CompRAGRetrieve, func(ctx context.Context) error {
 				var err error
 				hits, err = p.DB.RetrieveStrategiesForContext(ctx, emb, traits, 2, p.Alpha, p.Beta, 0.25)
 				return err
@@ -337,10 +315,10 @@ func (p *ChatLSPipeline) CustomizeResult(ctx context.Context, t *Task, sample in
 	b.WriteString(t.BaselineReport)
 
 	// The generator is the one component with no weaker fallback: without a
-	// draft there is nothing to refine or emit, so any failure — a budget
-	// that cannot cover it included — aborts the sample.
+	// draft there is nothing to refine or emit, so any failure aborts the
+	// sample.
 	var draft string
-	err := p.stage(ctx, resilience.CompGenerate, cost(resilience.CompGenerate), func(ctx context.Context) error {
+	err := p.stage(ctx, resilience.CompGenerate, func(ctx context.Context) error {
 		var err error
 		draft, err = p.Model.GenerateContext(ctx, llm.GenRequest{Prompt: b.String(), Sample: sample})
 		return err
@@ -355,7 +333,7 @@ func (p *ChatLSPipeline) CustomizeResult(ctx context.Context, t *Task, sample in
 
 	var refined string
 	var steps []synthexpert.Step
-	err = p.stage(ctx, resilience.CompExpert, cost(resilience.CompExpert), func(ctx context.Context) error {
+	err = p.stage(ctx, resilience.CompExpert, func(ctx context.Context) error {
 		var err error
 		refined, steps, err = p.Expert.RefineContext(ctx, draft, t.Baseline)
 		return err

@@ -15,11 +15,14 @@
 //  2. every response is in {200, 429, 503, 504}, and every retryable
 //     status carries Retry-After plus a {"error","retryable":true} body,
 //  3. non-degraded 200 bodies are byte-identical to a fault-free reference,
+//     and no 200 is degraded unless a stage fault is active: nothing but a
+//     stage fault degrades a reply,
 //  4. the remote-cache client re-attaches after the tier restarts,
 //  5. while a stage is faulted, every 200 names that stage, and only it, as
 //     degraded in each sample; once the fault is cleared, the next reply is
 //     non-degraded and byte-identical to its reference,
-//  6. brownout clears and no fleet-wide lease is left active at the end.
+//  6. no fleet-wide lease is left active at the end, and the server's
+//     shed_total equals the 429s the harness received.
 //
 // Every random choice derives from -seed, which is echoed on failure so a
 // red run reproduces exactly.
@@ -81,6 +84,10 @@ type harness struct {
 	names  []string // servable design names behind the body pool
 	uniq   int64    // monotonic counter for cache-missing probe requests
 
+	// stageFault is set while phase 3 holds a sticky stage fault, the only
+	// time a degraded 200 is allowed.
+	stageFault atomic.Bool
+
 	mu         sync.Mutex
 	refs       map[string][]byte // fault-free reference bodies
 	statuses   map[int]int
@@ -92,8 +99,7 @@ type harness struct {
 
 // response mirrors the parts of the customize reply the invariants read.
 type response struct {
-	Degraded []string `json:"degraded"`
-	Samples  []struct {
+	Samples []struct {
 		Error    string   `json:"error"`
 		Degraded []string `json:"degraded"`
 	} `json:"samples"`
@@ -105,15 +111,12 @@ type errorBody struct {
 }
 
 // isDegraded reports whether any part of a 200 reply ran at reduced
-// strength (brownout, skipped stage, failed sample) — such replies are
+// strength (a degraded stage, a failed sample) — such replies are
 // legitimately different from the fault-free reference.
 func isDegraded(body []byte) bool {
 	var r response
 	if err := json.Unmarshal(body, &r); err != nil {
 		return true // unparseable counts as degraded, never as reference
-	}
-	if len(r.Degraded) > 0 {
-		return true
 	}
 	for _, s := range r.Samples {
 		if s.Error != "" || len(s.Degraded) > 0 {
@@ -124,9 +127,9 @@ func isDegraded(body []byte) bool {
 }
 
 // do issues one request and checks the per-response invariants: allowed
-// status set, retryable protocol on 429/503/504, and byte-identity of
-// non-degraded 200s against the fault-free reference. It returns the status
-// and the body.
+// status set, retryable protocol on 429/503/504, no degraded 200 without a
+// stage fault, and byte-identity of non-degraded 200s against the fault-free
+// reference. It returns the status and the body.
 func (h *harness) do(body string) (int, []byte) {
 	resp, err := h.client.Post(h.ts.URL+"/v1/customize", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -145,6 +148,9 @@ func (h *harness) do(body string) (int, []byte) {
 	switch resp.StatusCode {
 	case http.StatusOK:
 		if isDegraded(b) {
+			if !h.stageFault.Load() {
+				fail("degraded 200 for %s with no stage fault active: %s", body, b)
+			}
 			atomic.AddInt64(&h.degraded, 1)
 			break
 		}
@@ -176,7 +182,6 @@ func (h *harness) do(body string) (int, []byte) {
 type overloadState struct {
 	Limit    int               `json:"limit"`
 	Shed     int64             `json:"shed_total"`
-	Brownout bool              `json:"brownout"`
 	Breakers map[string]string `json:"breakers"`
 }
 
@@ -226,10 +231,10 @@ func (h *harness) uniqueBody() string {
 }
 
 // waitUnderLoad drives light traffic until cond holds or the deadline
-// passes — recovery conditions (the tier breaker's probe, brownout
-// dilution) only make progress while requests flow. Traffic alternates warm
-// bodies with unique cache-missing ones so both the admission path and the
-// remote tier see probes.
+// passes — recovery conditions (the tier breaker's probe) only make
+// progress while requests flow. Traffic alternates warm bodies with unique
+// cache-missing ones so both the admission path and the remote tier see
+// probes.
 func (h *harness) waitUnderLoad(d time.Duration, what string, cond func() bool) {
 	deadline := time.Now().Add(d)
 	for i := 0; time.Now().Before(deadline); i++ {
@@ -363,8 +368,7 @@ func main() {
 			fmt.Sprintf(`{"design":%q,"k":2}`, n))
 	}
 
-	// --- phase 0: fault-free warmup builds the byte-identity reference
-	// and primes the cost model.
+	// --- phase 0: fault-free warmup builds the byte-identity reference.
 	log.Printf("chaos: seed=%d phase=warmup", *seed)
 	for _, body := range h.bodies {
 		resp, err := h.client.Post(h.ts.URL+"/v1/customize", "application/json", strings.NewReader(body))
@@ -421,6 +425,7 @@ func main() {
 	stageModes := []resilience.Mode{resilience.ModeFail, resilience.ModePanic}
 	for i, comp := range []string{resilience.CompMentor, resilience.CompExpert} {
 		mode := stageModes[(i+h.rng.Intn(2))%2]
+		h.stageFault.Store(true)
 		h.inj.Set(comp, mode)
 		ran := 0
 		for j := 0; j < 6; j++ {
@@ -447,8 +452,8 @@ func main() {
 			fail("no request ran the pipeline while %s was faulted", comp)
 		}
 		h.inj.Set(comp, 0)
-		// A k=1 body: brownout clamps only k>1, so this reply must be whole.
-		body := h.bodies[2*h.rng.Intn(len(h.names))]
+		h.stageFault.Store(false)
+		body := h.bodies[h.rng.Intn(len(h.bodies))]
 		if code, b := h.do(body); code != http.StatusOK || isDegraded(b) || !bytes.Equal(b, h.refs[body]) {
 			fail("first reply after clearing the %s fault on %s: status %d, want a non-degraded 200 identical to its reference: %s",
 				mode, comp, code, b)
@@ -457,9 +462,6 @@ func main() {
 
 	// --- final invariants ----------------------------------------------
 	log.Printf("chaos: seed=%d phase=drain", *seed)
-	h.waitUnderLoad(10*time.Second, "brownout cleared", func() bool {
-		return !h.overload().Brownout
-	})
 	// No lost leases: abandoned leases must have lapsed (2s TTL) and none
 	// may still be active once traffic stops.
 	leaseDeadline := time.Now().Add(10 * time.Second)
@@ -490,7 +492,11 @@ func main() {
 		parts = append(parts, fmt.Sprintf("%d:%d", k, h.statuses[k]))
 		total += h.statuses[k]
 	}
+	tooMany := h.statuses[http.StatusTooManyRequests]
 	h.mu.Unlock()
+	if final.Shed != int64(tooMany) {
+		fail("server shed_total %d, want the %d 429s the harness received", final.Shed, tooMany)
+	}
 	log.Printf("chaos: %d requests (%s), %d byte-identity checks, %d degraded replies, %d retryable-protocol checks, %d sheds, admission bound %d",
 		total, strings.Join(parts, " "), h.compared, h.degraded, h.protocol, final.Shed, final.Limit)
 	log.Printf("chaos: PASS (seed=%d) in %v", *seed, time.Since(start).Round(time.Millisecond))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/designs"
 	"repro/internal/liberty"
@@ -82,13 +81,9 @@ type EvalOptions struct {
 	// same (library, sources, script) run the tool exactly once between
 	// them and the rest serve the published record.
 	Results ResultStore
-	// Costs, when non-nil, is the per-stage EWMA cost model used for
-	// deadline-budget admission: a sample whose expected cost exceeds the
-	// remaining context deadline is rejected up front — before any
-	// generation, lease claim, or synthesis — with an error wrapping
-	// overload.ErrBudget, and observed baseline/sample/synthesis durations
-	// feed the model. Nil disables budget checks (beyond an already-expired
-	// deadline) and cost learning.
+	// Costs is read by nothing: the only budget an evaluation has is its
+	// context deadline. The field is kept only so the frozen bench/ module,
+	// which still assigns it, compiles.
 	Costs *overload.CostModel
 }
 
@@ -106,11 +101,10 @@ func RunPassK(ctx context.Context, p Pipeline, d *designs.Design, k int, lib *li
 }
 
 // RunPassKOpts is RunPassK with explicit options (worker count, shared
-// checkpoint store, result store, cost model). A nearly-expired context is
-// rejected before the baseline synthesis starts, so the evaluation does no
-// partial work.
+// checkpoint store, result store). An expired context is refused before the
+// baseline synthesis starts, so the evaluation does no partial work.
 func RunPassKOpts(ctx context.Context, p Pipeline, d *designs.Design, k int, lib *liberty.Library, opts EvalOptions) (EvalResult, error) {
-	task, baseQoR, err := opts.newTask(ctx, d, lib, overload.StageBaseline, nil)
+	task, baseQoR, err := opts.newTask(ctx, d, lib, nil)
 	if err != nil {
 		return EvalResult{}, err
 	}
@@ -191,13 +185,12 @@ func accumulate(res *EvalResult, out SampleOutcome, s int) {
 // served instead — bit-identical because the simulator is deterministic.
 // libFP is task.Lib's fingerprint when opts.Results is set.
 func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Library, libFP string, s int, opts EvalOptions) (*SampleOutcome, error) {
-	// Budget admission: reject before customization when the remaining
-	// deadline cannot cover a whole sample. Returning (nil, err) makes the
-	// evaluation abort with no recorded partial sample.
-	if err := overload.CheckBudget(ctx, overload.StageSample, opts.Costs.Expect(overload.StageSample)); err != nil {
-		return nil, err
+	// An expired or cancelled context is refused before customization.
+	// Returning (nil, err) makes the evaluation abort with no recorded
+	// partial sample.
+	if err := ctx.Err(); err != nil {
+		return nil, resilience.ContextError(resilience.CompGenerate, err)
 	}
-	sampleStart := time.Now()
 	cres, err := p.CustomizeResult(ctx, task, s)
 	if err != nil {
 		if resilience.IsFatal(err) {
@@ -211,16 +204,13 @@ func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Librar
 		out.QoR = logged
 		return &out, nil
 	}
-	run, ran, err := opts.synthesize(ctx, lib, task.Design, cres.Script, overload.StageSynth, key, true)
+	run, err := opts.synthesize(ctx, lib, task.Design, cres.Script, key, true)
 	if err != nil {
-		if isSweepFatal(err) {
+		if resilience.IsFatal(err) {
 			return &out, err
 		}
 		out.Err = err.Error()
 		return &out, nil
-	}
-	if ran { // a sibling replica's record says nothing about cost
-		opts.Costs.Observe(overload.StageSample, time.Since(sampleStart))
 	}
 	out.QoR = run.QoR
 	return &out, nil
@@ -255,52 +245,40 @@ func (o EvalOptions) lookup(libFP string, d *designs.Design, script string) (*qo
 // runs on a fresh session over d's sources, restoring post-link state from
 // o.Checkpoints. Around the run, in this order:
 //
-//   - a named stage is admitted against the deadline budget first, so a
-//     doomed deadline does no partial tool work, claims no lease and
-//     publishes nothing ("" — the bare NewTask — skips this and the cost
-//     observation);
+//   - an expired or cancelled context is refused first, so a doomed deadline
+//     does no tool work, claims no lease and publishes nothing;
 //   - with lease set, a store that coordinates fleet-wide work is asked for
 //     key: a record a sibling replica already published comes back as a
 //     Result carrying only its QoR; otherwise this caller computes, and the
 //     lease is released after the success-path Put publishes the record — on
 //     failure it lapses with nothing published and siblings recompute,
 //     slower, never wrong;
-//   - a successful run feeds its duration to o.Costs and, given a key, its
-//     QoR to o.Results;
+//   - a successful run, given a key, puts its QoR in o.Results;
 //   - the result is then released: callers get the QoR and the reports,
 //     never the design, whose storage goes back to o.Checkpoints for the
 //     next restore.
-//
-// ran reports whether the tool ran here, as opposed to a sibling's record
-// being served.
-func (o EvalOptions) synthesize(ctx context.Context, lib *liberty.Library, d *designs.Design, script, stage string, key *qorlog.Key, lease bool) (res *synth.Result, ran bool, err error) {
-	if stage != "" {
-		if err := overload.CheckBudget(ctx, stage, o.Costs.Expect(stage)); err != nil {
-			return nil, false, err
-		}
+func (o EvalOptions) synthesize(ctx context.Context, lib *liberty.Library, d *designs.Design, script string, key *qorlog.Key, lease bool) (*synth.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, resilience.ContextError(resilience.CompSynth, err)
 	}
 	if ls, ok := o.Results.(LeasedResultStore); ok && lease && key != nil {
 		rec, done, release := ls.Acquire(ctx, *key)
 		defer release()
 		if done {
 			q := synth.QoR(rec)
-			return &synth.Result{QoR: &q}, false, nil
+			return &synth.Result{QoR: &q}, nil
 		}
 	}
-	start := time.Now()
 	sess := synth.NewSession(lib)
 	sess.Checkpoints = o.Checkpoints
 	sess.AddSource(d.FileName, d.Source)
-	res, err = sess.RunContext(ctx, script)
+	res, err := sess.RunContext(ctx, script)
 	if err != nil {
-		return nil, false, err
-	}
-	if stage != "" {
-		o.Costs.Observe(stage, time.Since(start))
+		return nil, err
 	}
 	if key != nil && o.Results != nil && res.QoR != nil {
 		o.Results.Put(*key, qorlog.Record(*res.QoR))
 	}
 	res.Release()
-	return res, true, nil
+	return res, nil
 }

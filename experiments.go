@@ -2,7 +2,6 @@ package chatls
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/designs"
 	"repro/internal/liberty"
 	"repro/internal/llm"
-	"repro/internal/overload"
 	"repro/internal/resilience"
 	"repro/internal/synth"
 	"repro/internal/synthrag"
@@ -90,21 +88,6 @@ type ExperimentConfig struct {
 	// (remotecache.Tier) additionally dedups the synthesis work across
 	// concurrent replicas sharing one remote cache.
 	Results ResultStore
-	// Costs, when non-nil, is the per-stage EWMA cost model threaded into
-	// every evaluation: sweeps reject designs up front when the remaining
-	// context deadline cannot cover the expected work (the whole sweep
-	// aborts with an error wrapping overload.ErrBudget — a doomed deadline
-	// dooms every remaining design the same way). Nil disables budget
-	// admission beyond an already-expired deadline.
-	Costs *overload.CostModel
-}
-
-// isSweepFatal classifies errors that abort a whole sweep rather than
-// skipping one design: context cancellation/timeout, and deadline-budget
-// rejections (a budget too small for this design is too small for the
-// rest of the sweep under the same deadline).
-func isSweepFatal(err error) bool {
-	return resilience.IsFatal(err) || errors.Is(err, overload.ErrBudget)
 }
 
 // DefaultConfig matches the paper's protocol.
@@ -134,9 +117,9 @@ func (c *ExperimentConfig) fill() {
 }
 
 // evalOptions is the slice of the config every synthesis run of a sweep
-// shares: worker bound, checkpoint store, result store, and cost model.
+// shares: worker bound, checkpoint store, and result store.
 func (c ExperimentConfig) evalOptions() EvalOptions {
-	return EvalOptions{Workers: c.Workers, Checkpoints: c.Checkpoints, Results: c.Results, Costs: c.Costs}
+	return EvalOptions{Workers: c.Workers, Checkpoints: c.Checkpoints, Results: c.Results}
 }
 
 // passKOptions is evalOptions for one RunPassKOpts call: without a result
@@ -197,14 +180,14 @@ func Table4(ctx context.Context, cfg ExperimentConfig) ([]Table4Row, error) {
 			results[i] = outcome{q: *logged}
 			return
 		}
-		_, q, err := o.newTask(ctx, d, cfg.Lib, overload.StageBaseline, key)
+		_, q, err := o.newTask(ctx, d, cfg.Lib, key)
 		results[i] = outcome{q: q, err: err}
 	})
 	var rows []Table4Row
 	var errs SweepErrors
 	for i, d := range cfg.Designs {
 		if err := results[i].err; err != nil {
-			if isSweepFatal(err) {
+			if resilience.IsFatal(err) {
 				return rows, err
 			}
 			errs = append(errs, DesignError{Design: d.Name, Err: err})
@@ -272,7 +255,7 @@ func Table3(ctx context.Context, cfg ExperimentConfig, db *synthrag.Database) ([
 		for _, p := range pipelines {
 			res, err := RunPassKOpts(ctx, p, d, cfg.K, cfg.Lib, cfg.passKOptions())
 			if err != nil {
-				if isSweepFatal(err) {
+				if resilience.IsFatal(err) {
 					return rows, err
 				}
 				errs = append(errs, DesignError{Design: d.Name, Err: fmt.Errorf("%s: %w", p.Name(), err)})
@@ -614,7 +597,7 @@ func Ablations(ctx context.Context, cfg ExperimentConfig, db *synthrag.Database)
 		for _, d := range cfg.Designs {
 			res, err := RunPassKOpts(ctx, p, d, cfg.K, cfg.Lib, cfg.passKOptions())
 			if err != nil {
-				if isSweepFatal(err) {
+				if resilience.IsFatal(err) {
 					return rows, err
 				}
 				errs = append(errs, DesignError{Design: variant + "/" + d.Name, Err: err})
@@ -679,10 +662,9 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 	var errs SweepErrors
 	for _, d := range cfg.Designs {
 		p := NewChatLS(llm.New(llm.GPT4o, cfg.Seed), db)
-		p.Costs = cfg.Costs
-		task, q, err := o.newTask(ctx, d, cfg.Lib, overload.StageBaseline, nil)
+		task, q, err := o.newTask(ctx, d, cfg.Lib, nil)
 		if err != nil {
-			if isSweepFatal(err) {
+			if resilience.IsFatal(err) {
 				return rows, err
 			}
 			errs = append(errs, DesignError{Design: d.Name, Err: err})
@@ -700,7 +682,7 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 			cres, err := p.CustomizeResult(ctx, task, 0)
 			next := cres.Script
 			if err != nil {
-				if isSweepFatal(err) {
+				if resilience.IsFatal(err) {
 					return rows, err
 				}
 				// A wasted iteration: the previous script stands.
@@ -714,9 +696,9 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 			var reports []string
 			key, candidate := o.lookup(libFP, d, next)
 			if candidate == nil || adopts(q, *candidate) {
-				res, _, err := o.synthesize(ctx, cfg.Lib, d, next, overload.StageSynth, key, false)
+				res, err := o.synthesize(ctx, cfg.Lib, d, next, key, false)
 				if err != nil {
-					if isSweepFatal(err) {
+					if resilience.IsFatal(err) {
 						return rows, err
 					}
 					// A failed iteration keeps the previous script (the user

@@ -2,17 +2,14 @@
 // API that customizes synthesis scripts on demand. It layers, on top of the
 // one-shot experiment harness, the machinery a long-lived daemon needs:
 //
-//   - one admission function (admit): cost-based load shedding when the
-//     learned end-to-end request cost cannot fit the deadline (503 +
-//     Retry-After), then a fixed Workers+QueueDepth bound on
-//     admitted-but-unfinished requests (full → 429), then a Workers-sized
-//     semaphore bounding the ones that run at once,
-//   - a brownout mode that clamps Pass@k to one sample under sustained
-//     shedding,
+//   - one admission function (admit): a fixed Workers+QueueDepth bound on
+//     admitted-but-unfinished requests (full → 429 + Retry-After: 1), then
+//     a Workers-sized semaphore bounding the ones that run at once,
 //   - no stage retries or circuit breakers: pipeline stages are
 //     deterministic, so a failing one runs once and degrades only the
 //     sample that ran it, named in that sample's "degraded" list,
-//   - a per-request deadline (resilience timeout → 504),
+//   - a per-request deadline, the only budget a request has (resilience
+//     timeout → 504); a 503 means only that the server is draining,
 //   - singleflight deduplication of identical in-flight requests,
 //   - LRU caches for the expensive idempotent stages (baseline task
 //     construction, design-graph embeddings, strategy retrieval),
@@ -34,9 +31,7 @@ import (
 	"log"
 	"net/http"
 	rtmetrics "runtime/metrics"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	chatls "repro"
@@ -48,7 +43,6 @@ import (
 	"repro/internal/lru"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
-	"repro/internal/overload"
 	"repro/internal/qorlog"
 	"repro/internal/remotecache"
 	"repro/internal/resilience"
@@ -71,10 +65,6 @@ type Config struct {
 	QueueDepth     int           // admitted requests that may wait for a worker (default 8)
 	RequestTimeout time.Duration // per-request deadline (default 60s)
 
-	// Costs, when non-nil, is a shared (possibly pre-seeded) per-stage
-	// cost model; nil gets a fresh one. The chaos harness injects a
-	// primed model to exercise cost-based shedding deterministically.
-	Costs *overload.CostModel
 	// BeforeWork, when set, runs at the start of every customization, on
 	// its worker slot — the chaos harness injects latency spikes here, and
 	// tests hold a worker in place with it.
@@ -145,12 +135,6 @@ type Server struct {
 	closed bool
 	active sync.WaitGroup // customize handlers in flight
 
-	brownout *overload.Brownout
-	costs    *overload.CostModel
-
-	sheds     atomic.Int64 // requests admit refused: no place left, or expected cost exceeds the deadline
-	shedProbe atomic.Int64 // deterministic 1-in-N probe-through counter for cost sheds
-
 	requests     *metrics.Counter
 	rejected     *metrics.Counter
 	errs         *metrics.Counter
@@ -163,13 +147,7 @@ type Server struct {
 	latency      *metrics.Histogram
 }
 
-var (
-	errOverloaded = errors.New("every place to run or wait is taken")
-	// errShed marks a cost-based shed: the learned end-to-end request cost
-	// no longer fits the per-request deadline, so running the work could
-	// only produce a 504 after burning a worker.
-	errShed = errors.New("expected request cost exceeds the deadline")
-)
+var errOverloaded = errors.New("every place to run or wait is taken")
 
 // New validates the config, applies defaults, enables the database caches,
 // and wires the metrics registry.
@@ -208,23 +186,17 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxRequirementLen = 8 << 10
 	}
 
-	if cfg.Costs == nil {
-		cfg.Costs = overload.NewCostModel(0)
-	}
-
 	cfg.DB.EnableCache(embedCacheSize, retrieveCacheSize)
 
 	s := &Server{
-		cfg:      cfg,
-		byName:   make(map[string]*designs.Design, len(cfg.Designs)),
-		places:   make(chan struct{}, cfg.Workers+cfg.QueueDepth),
-		slots:    make(chan struct{}, cfg.Workers),
-		flight:   newFlightGroup(),
-		tasks:    lru.New[string, taskEntry](taskCacheSize),
-		ckpt:     synth.NewCheckpointStore(synth.DefaultCheckpointCap),
-		reg:      metrics.NewRegistry(),
-		costs:    cfg.Costs,
-		brownout: overload.NewBrownout(overload.BrownoutConfig{}),
+		cfg:    cfg,
+		byName: make(map[string]*designs.Design, len(cfg.Designs)),
+		places: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
+		slots:  make(chan struct{}, cfg.Workers),
+		flight: newFlightGroup(),
+		tasks:  lru.New[string, taskEntry](taskCacheSize),
+		ckpt:   synth.NewCheckpointStore(synth.DefaultCheckpointCap),
+		reg:    metrics.NewRegistry(),
 	}
 	if cfg.QoRLogPath != "" {
 		store, err := qorlog.OpenStore(cfg.QoRLogPath, qorlog.DefaultCacheCap, cfg.QoRLogOpts)
@@ -248,7 +220,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.requests = s.reg.NewCounter("chatlsd_requests_total", "customize requests received")
-	s.rejected = s.reg.NewCounter("chatlsd_rejected_total", "requests rejected by admission control")
+	s.rejected = s.reg.NewCounter("chatlsd_rejected_total", "replies refused with 429 by admission control (coalesced followers of a refused request included)")
 	s.errs = s.reg.NewCounter("chatlsd_errors_total", "customize requests that failed")
 	s.timeouts = s.reg.NewCounter("chatlsd_timeouts_total", "customize requests that hit the per-request deadline")
 	s.sfShared = s.reg.NewCounter("chatlsd_singleflight_shared_total", "requests coalesced onto an identical in-flight request")
@@ -322,17 +294,8 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return int64(cap(s.places)) })
 	s.reg.NewGaugeFunc("overload_inflight", "requests admitted and not yet finished",
 		func() int64 { return int64(len(s.places)) })
-	s.reg.NewCounterFunc("overload_shed_total", "requests shed by overload protection (no place left plus cost-based sheds)",
-		s.sheds.Load)
-	s.reg.NewGaugeFunc("overload_brownout_active", "1 while brownout mode is degrading service (Pass@k clamped to 1)",
-		func() int64 {
-			if s.brownout.Active() {
-				return 1
-			}
-			return 0
-		})
-	s.reg.NewCounterFunc("overload_brownout_entries_total", "times brownout mode has been entered",
-		s.brownout.Entries)
+	s.reg.NewCounterFunc("overload_shed_total", "replies refused with 429 at the admission bound (the same count as chatlsd_rejected_total)",
+		s.rejected.Value)
 	if rc := cfg.RemoteCache; rc != nil {
 		s.reg.NewCounterFunc("remotecache_client_qor_hits_total", "QoR records served by the remote result tier",
 			func() int64 { return rc.Stats().QoRHits })
@@ -505,16 +468,12 @@ type customizeResponse struct {
 	Improved   bool         `json:"improved"`
 	Script     string       `json:"script,omitempty"`
 	Samples    []sampleJSON `json:"samples"`
-	// Degraded lists request-level degradations ("brownout" when the
-	// server clamped k under sustained overload); per-sample pipeline
-	// degradations live on the samples.
-	Degraded []string `json:"degraded,omitempty"`
 }
 
 // errorResponse is the JSON error body on every non-2xx reply. Retryable is
-// true exactly for the transient overload/timeout statuses (429, 503, 504):
-// the same request may succeed later, and the reply carries a Retry-After
-// header hinting when. 4xx input errors are not retryable — resending the
+// true exactly for the transient statuses (429 overloaded, 503 draining, 504
+// deadline): the same request may succeed later, and the reply carries a
+// Retry-After header hinting when. 4xx input errors are not retryable — resending the
 // same bytes fails the same way.
 type errorResponse struct {
 	Error     string `json:"error"`
@@ -529,29 +488,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// writeError writes the uniform JSON error body, attaching a Retry-After
-// hint (derived from the learned end-to-end request cost, minimum 1s) to
-// the retryable statuses so well-behaved clients back off instead of
-// hammering an overloaded server.
+// writeError writes the uniform JSON error body, attaching a constant
+// one-second Retry-After hint to the retryable statuses so well-behaved
+// clients back off instead of hammering an overloaded server.
 func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
 	retryable := code == http.StatusTooManyRequests ||
 		code == http.StatusServiceUnavailable ||
 		code == http.StatusGatewayTimeout
 	if retryable {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, code, errorResponse{Error: msg, Retryable: retryable})
-}
-
-// retryAfterSeconds rounds the expected request cost up to whole seconds:
-// retrying sooner than one service time cannot help.
-func (s *Server) retryAfterSeconds() int {
-	d := s.costs.Expect(overload.StageRequest)
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // decodeCustomize decodes and validates a customize request body. It is the
@@ -622,36 +569,17 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Brownout: under sustained shedding the server serves a weaker answer
-	// rather than more errors — Pass@k clamps to one sample. Clamping
-	// before the singleflight key is computed lets browned-out requests
-	// coalesce with each other.
-	brownedOut := false
-	if req.K > 1 && s.brownout.Active() {
-		req.K = 1
-		brownedOut = true
-	}
-
 	// Identical concurrent requests share one execution (and one worker
 	// slot); the key is every input that shapes the result.
 	key := fmt.Sprintf("%s\x00%s\x00%s\x00%d", req.Design, req.Requirement, req.Pipeline, req.K)
 	v, _, err := s.flight.Do(key, func() (any, error) { return s.admit(d, req) })
-	shed := err != nil && (errors.Is(err, errOverloaded) || errors.Is(err, errShed))
-	s.brownout.Note(shed)
 	if err != nil {
 		switch {
 		case errors.Is(err, errOverloaded):
+			// Counted per reply: followers coalesced onto a refused leader
+			// are refused too.
 			s.rejected.Inc()
 			s.writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
-		case errors.Is(err, errShed):
-			s.rejected.Inc()
-			s.writeError(w, http.StatusServiceUnavailable,
-				"server overloaded: expected request cost exceeds the deadline, retry later")
-		case errors.Is(err, overload.ErrBudget):
-			// The request was rejected inside the pipeline before any
-			// synthesis started; no partial work was done.
-			s.rejected.Inc()
-			s.writeError(w, http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, resilience.ErrTimeout):
 			s.writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
 		default:
@@ -659,15 +587,7 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp := v.(*customizeResponse)
-	if brownedOut {
-		// Copy before annotating: the singleflight value is shared with
-		// coalesced followers and must stay immutable.
-		cp := *resp
-		cp.Degraded = append(append([]string(nil), resp.Degraded...), "brownout")
-		resp = &cp
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, v.(*customizeResponse))
 }
 
 // admit is the whole admission path of one deduplicated customization, run
@@ -675,21 +595,11 @@ func (s *Server) handleCustomize(w http.ResponseWriter, r *http.Request) {
 // undone by a defer, so a panic below it (net/http recovers those per
 // connection) leaves no place or worker held.
 func (s *Server) admit(d *designs.Design, req customizeRequest) (*customizeResponse, error) {
-	// Cost-based shed: when the learned end-to-end cost cannot fit the
-	// per-request deadline, admitting the work could only produce a 504
-	// after burning a worker — reject now. Every 8th would-be shed is
-	// deterministically admitted anyway so the cost model keeps
-	// re-learning and a recovered backend un-sheds itself.
-	if s.costs.Expect(overload.StageRequest) > s.cfg.RequestTimeout && s.shedProbe.Add(1)%8 != 0 {
-		s.sheds.Add(1)
-		return nil, errShed
-	}
 	// A place to run or wait, taken without blocking: a request that finds
 	// all Workers+QueueDepth of them held is refused rather than queued.
 	select {
 	case s.places <- struct{}{}:
 	default:
-		s.sheds.Add(1)
 		return nil, errOverloaded
 	}
 	defer func() { <-s.places }()
@@ -703,21 +613,12 @@ func (s *Server) admit(d *designs.Design, req customizeRequest) (*customizeRespo
 // context, so a client disconnect does not abort work a coalesced follower
 // may still be waiting on — and so graceful shutdown drains rather than
 // cancels.
-func (s *Server) runCustomize(d *designs.Design, req customizeRequest) (resp *customizeResponse, err error) {
+func (s *Server) runCustomize(d *designs.Design, req customizeRequest) (*customizeResponse, error) {
 	if h := s.cfg.BeforeWork; h != nil {
 		h()
 	}
 	start := time.Now()
-	defer func() {
-		elapsed := time.Since(start)
-		s.latency.ObserveDuration(elapsed)
-		// Successes and deadline overruns both teach the end-to-end cost
-		// model (a timeout is exactly the cost signal shedding needs);
-		// other failures say nothing about cost.
-		if err == nil || errors.Is(err, resilience.ErrTimeout) {
-			s.costs.Observe(overload.StageRequest, elapsed)
-		}
-	}()
+	defer func() { s.latency.ObserveDuration(time.Since(start)) }()
 
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 	defer cancel()
@@ -733,7 +634,7 @@ func (s *Server) runCustomize(d *designs.Design, req customizeRequest) (resp *cu
 
 	// Without a QoR log or a tier, the request's samples share a store of
 	// their own, so each distinct script is synthesized once.
-	opts, shared := chatls.EvalOptions{Workers: 1, Checkpoints: s.ckpt, Results: s.resultStore(), Costs: s.costs}.ShareRepeats(req.K)
+	opts, shared := chatls.EvalOptions{Workers: 1, Checkpoints: s.ckpt, Results: s.resultStore()}.ShareRepeats(req.K)
 	res, err := chatls.EvalTaskOpts(ctx, s.newPipeline(req.Pipeline), &t, baseQoR, req.K, s.cfg.Lib, opts)
 	s.passKShared.Add(shared.Stats().Hits)
 	if err != nil {
@@ -795,11 +696,7 @@ func (s *Server) newPipeline(name string) chatls.Pipeline {
 		return &chatls.RawPipeline{Model: llm.New(llm.Claude35, s.cfg.Seed)}
 	default:
 		p := chatls.NewChatLS(s.cfg.Model, s.cfg.DB)
-		// The cost model is shared across every request, so learned costs
-		// persist beyond one pipeline instance; the injector is the
-		// chaos/test fault layer.
-		p.Costs = s.costs
-		p.Inject = s.cfg.PipelineInject
+		p.Inject = s.cfg.PipelineInject // the chaos/test fault layer
 		return p
 	}
 }
@@ -841,17 +738,15 @@ func toBudgetJSON(b inputlimits.Budget) budgetJSON {
 }
 
 // overloadJSON is the overload-protection state in the health report: the
-// admission bound and the places held, shed counts, brownout, and the remote
-// tier's circuit-breaker position (present only when a tier is configured) —
-// what an operator (or the chaos harness) checks to see whether the server
-// has recovered after an incident.
+// admission bound and the places held, the 429s replied so far, and the
+// remote tier's circuit-breaker position (present only when a tier is
+// configured) — what an operator (or the chaos harness) checks to see
+// whether the server has recovered after an incident.
 type overloadJSON struct {
-	Limit         int               `json:"limit"`
-	Inflight      int               `json:"inflight"`
-	ShedTotal     int64             `json:"shed_total"`
-	Brownout      bool              `json:"brownout"`
-	Breakers      map[string]string `json:"breakers"`
-	RequestCostNS int64             `json:"expected_request_cost_ns,omitempty"`
+	Limit     int               `json:"limit"`
+	Inflight  int               `json:"inflight"`
+	ShedTotal int64             `json:"shed_total"`
+	Breakers  map[string]string `json:"breakers"`
 }
 
 // healthzResponse echoes the effective request and parser limits so an
@@ -896,12 +791,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			inputlimits.SurfaceCypher:  toBudgetJSON(limits.Cypher),
 		},
 		Overload: overloadJSON{
-			Limit:         cap(s.places),
-			Inflight:      len(s.places),
-			ShedTotal:     s.sheds.Load(),
-			Brownout:      s.brownout.Active(),
-			Breakers:      breakers,
-			RequestCostNS: s.costs.Expect(overload.StageRequest).Nanoseconds(),
+			Limit:     cap(s.places),
+			Inflight:  len(s.places),
+			ShedTotal: s.rejected.Value(),
+			Breakers:  breakers,
 		},
 		ExpertDraftsSwept: swept,
 	})

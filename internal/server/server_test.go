@@ -320,9 +320,8 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl covers the admit path (cost shed aside, see
-// TestCostShedRejectsBeforeAnyWork): the fixed bound on admitted requests,
-// the worker slot, and the defers that undo both.
+// TestAdmissionControl covers the admit path: the fixed bound on admitted
+// requests, the worker slot, and the defers that undo both.
 func TestAdmissionControl(t *testing.T) {
 	idle := func(t *testing.T, url string) {
 		t.Helper()
@@ -360,6 +359,12 @@ func TestAdmissionControl(t *testing.T) {
 		checkRetryable(t, hr, body)
 		if n := metricValue(t, ts.URL, "chatlsd_rejected_total"); n != 1 {
 			t.Errorf("rejected_total = %v, want 1", n)
+		}
+		if n := metricValue(t, ts.URL, "overload_shed_total"); n != 1 {
+			t.Errorf("overload_shed_total = %v, want 1", n)
+		}
+		if n := getHealthz(t, ts.URL).Overload.ShedTotal; n != 1 {
+			t.Errorf("healthz shed_total = %d, want 1", n)
 		}
 
 		close(release)
@@ -547,10 +552,11 @@ func TestShutdownDrains(t *testing.T) {
 		}
 		// New work is refused while draining — even a request identical to
 		// the running one, which would otherwise join its flight.
-		hr, _ := postCustomize(t, ts.URL, `{"design":"riscv32i","k":1}`)
+		hr, body := postCustomize(t, ts.URL, `{"design":"riscv32i","k":1}`)
 		if hr.StatusCode != http.StatusServiceUnavailable {
 			t.Errorf("draining server returned %d, want 503", hr.StatusCode)
 		}
+		checkRetryable(t, hr, body)
 		select {
 		case <-closed:
 			t.Fatal("Close returned while requests were in flight")

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/designs"
 	"repro/internal/llm"
-	"repro/internal/overload"
 	"repro/internal/qorlog"
 	"repro/internal/resilience"
 	"repro/internal/synth"
@@ -226,7 +225,7 @@ func TestStorelessPathSynthesizesEverySample(t *testing.T) {
 }
 
 // TestShareRepeatsStoresNoCancelledOrRejectedSample: a sample whose
-// synthesis is cancelled, or rejected by the deadline budget, ends the
+// synthesis is cancelled, or refused because the deadline expired, ends the
 // evaluation and puts nothing in the request's store; only completed runs
 // are shared.
 func TestShareRepeatsStoresNoCancelledOrRejectedSample(t *testing.T) {
@@ -267,16 +266,21 @@ func TestShareRepeatsStoresNoCancelledOrRejectedSample(t *testing.T) {
 		}
 	})
 
-	for _, stage := range []string{overload.StageSample, overload.StageSynth} {
-		t.Run("budget/"+stage, func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	// The deadline, a request's only budget, expires before sample 0
+	// starts, or while it is being generated, before its synthesis.
+	for _, at := range []string{"sample", "synth"} {
+		t.Run("budget/"+at, func(t *testing.T) {
+			budget := -time.Millisecond
+			if at == "synth" {
+				budget = 20 * time.Millisecond
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), budget)
 			defer cancel()
-			costs := overload.NewCostModel(0)
-			costs.Observe(stage, time.Hour)
-			opts, store := EvalOptions{Workers: 1, Costs: costs}.ShareRepeats(k)
-			res, err := EvalTaskOpts(ctx, &scriptedPipeline{scripts: []string{task.Baseline}}, task, base, k, testLib, opts)
-			if !errors.Is(err, overload.ErrBudget) {
-				t.Fatalf("err = %v, want a budget rejection", err)
+			p := &scriptedPipeline{scripts: []string{task.Baseline}, onSample: func(int) { <-ctx.Done() }}
+			opts, store := EvalOptions{Workers: 1}.ShareRepeats(k)
+			res, err := EvalTaskOpts(ctx, p, task, base, k, testLib, opts)
+			if !errors.Is(err, resilience.ErrTimeout) {
+				t.Fatalf("err = %v, want the deadline", err)
 			}
 			if res.Valid != 0 || store.Len() != 0 {
 				t.Errorf("%d valid samples, %d stored records; want none", res.Valid, store.Len())

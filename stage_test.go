@@ -7,19 +7,17 @@ import (
 	"time"
 
 	"repro/internal/llm"
-	"repro/internal/overload"
 	"repro/internal/resilience"
 	"repro/internal/synth"
 )
 
 // TestStageRunner pins the contract of ChatLSPipeline.stage at each of the
-// five places the flow calls it: what a failure or panic, a deadline the
-// expected cost cannot fit, a success, and a caller cancellation do to the
-// call, the cost model and the degradation report.
+// five places the flow calls it: what a success, a failure or panic, an
+// expired deadline and a caller cancellation do to the call and the
+// degradation report.
 func TestStageRunner(t *testing.T) {
 	db := liteDB(t)
 	task := faultTask(t)
-	const skipped = "skipped: insufficient deadline budget"
 	// What the flow emits without refinement depends on whether this task's
 	// draft is valid on its own.
 	noExpert := NewChatLS(llm.New(llm.GPT4o, 2), db)
@@ -37,25 +35,20 @@ func TestStageRunner(t *testing.T) {
 		// fallback is the action recorded when the stage fails; "" marks
 		// the generator, which aborts instead.
 		fallback string
-		// budgetUnder is the component a budget rejection caused by this
-		// stage's cost is recorded under.
-		budgetUnder string
 	}{
-		{resilience.CompMentor, "proceed without design characteristics", resilience.CompMentor},
-		{resilience.CompRAGEmbed, "proceed without retrieved strategies", resilience.CompRAGEmbed},
-		// Retrieval has no check of its own: embedding budgets the group.
-		{resilience.CompRAGRetrieve, "proceed without retrieved strategies", resilience.CompRAGEmbed},
-		{resilience.CompExpert, unrefined, resilience.CompExpert},
-		{resilience.CompGenerate, "", ""},
+		{resilience.CompMentor, "proceed without design characteristics"},
+		{resilience.CompRAGEmbed, "proceed without retrieved strategies"},
+		{resilience.CompRAGRetrieve, "proceed without retrieved strategies"},
+		{resilience.CompExpert, unrefined},
+		{resilience.CompGenerate, ""},
 	}
 	newPipeline := func() (*ChatLSPipeline, *resilience.Injector) {
 		p := NewChatLS(llm.New(llm.GPT4o, 2), db)
-		p.Costs = overload.NewCostModel(0)
 		p.Inject = resilience.NewInjector() // no faults: counts boundary crossings
 		return p, p.Inject
 	}
-	t.Run("success feeds the cost model", func(t *testing.T) {
-		p, _ := newPipeline()
+	t.Run("a clean run degrades nothing", func(t *testing.T) {
+		p, inj := newPipeline()
 		res, err := p.CustomizeResult(context.Background(), task, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -64,8 +57,8 @@ func TestStageRunner(t *testing.T) {
 			t.Fatalf("clean run degraded: %v", res.Degradation)
 		}
 		for _, tc := range cases {
-			if p.Costs.Expect(tc.comp) <= 0 {
-				t.Errorf("Costs.Expect(%s) = %v after a success, want > 0", tc.comp, p.Costs.Expect(tc.comp))
+			if got := inj.Calls(tc.comp); got != 1 {
+				t.Errorf("stage %s crossed the boundary %d times, want 1", tc.comp, got)
 			}
 		}
 	})
@@ -106,34 +99,27 @@ func TestStageRunner(t *testing.T) {
 			}
 		})
 
-		t.Run(tc.comp+"/over budget", func(t *testing.T) {
-			p, inj := newPipeline()
-			p.Costs.Observe(tc.comp, time.Hour)
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		t.Run(tc.comp+"/deadline expiry aborts", func(t *testing.T) {
+			// The deadline is the only budget: once it expires inside any
+			// stage, optional ones included, the call aborts with the fatal
+			// ErrTimeout rather than degrading, and no later stage starts.
+			p, _ := newPipeline()
+			inj := resilience.NewInjector(resilience.Fault{Component: tc.comp, Mode: resilience.ModeHang})
+			p.Inject = inj
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			defer cancel()
 
-			res, err := p.CustomizeResult(ctx, task, 0)
-			if tc.fallback == "" {
-				if !errors.Is(err, overload.ErrBudget) {
-					t.Fatalf("err = %v, want wrapping overload.ErrBudget", err)
+			_, err := p.CustomizeResult(ctx, task, 0)
+			if !errors.Is(err, resilience.ErrTimeout) {
+				t.Fatalf("err = %v, want ErrTimeout", err)
+			}
+			if got := inj.Calls(tc.comp); got != 1 {
+				t.Errorf("stage boundary crossed %d times, want 1", got)
+			}
+			if tc.comp != resilience.CompExpert {
+				if got := inj.Calls(resilience.CompExpert); got != 0 {
+					t.Errorf("the last stage started %d times after the deadline, want 0", got)
 				}
-				if got := inj.Calls(tc.comp); got != 0 {
-					t.Errorf("generator attempted %d times on a budget it cannot fit, want 0", got)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("optional stage should be skipped, got %v", err)
-			}
-			ev := res.Degradation.Of(tc.budgetUnder)
-			if ev == nil {
-				t.Fatalf("degraded %v, want an entry under %s", res.Degradation.Components(), tc.budgetUnder)
-			}
-			if ev.Fallback != skipped || !errors.Is(ev.Err, overload.ErrBudget) {
-				t.Errorf("entry = %q (%v), want %q wrapping overload.ErrBudget", ev.Fallback, ev.Err, skipped)
-			}
-			if got := inj.Calls(tc.comp); got != 0 {
-				t.Errorf("skipped stage crossed the injector boundary %d times, want 0", got)
 			}
 		})
 
