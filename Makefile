@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test short race vet fmt-check ci serve drafts bench bench-build bench-compare bench-gate bench-gate-baseline memprofile fuzz-smoke crash-recovery remote-cache-e2e chaos-soak check
+.PHONY: build test short race derived-race vet fmt-check ci serve drafts bench bench-build bench-compare bench-gate bench-gate-baseline memprofile fuzz-smoke crash-recovery remote-cache-e2e chaos-soak check
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,14 @@ short:
 
 race:
 	$(GO) test -race ./...
+
+# The checkpoint store's derived level under contention: sixteen goroutines
+# over one store, mixing compile keys (options, fanout limit, period,
+# wireload) past what a snapshot keeps, while the stats walk every entry —
+# ten times under the race detector, so more interleavings of notes,
+# captures, hits and push-outs are tried than one run sees.
+derived-race:
+	$(GO) test -race -count=10 -run TestDerivedHammer ./internal/synth
 
 vet:
 	$(GO) vet ./...
@@ -174,6 +182,6 @@ bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Everything CI runs plus the benchmark-module build, the fuzz smoke pass,
-# the crash-recovery gate, the distributed-result-tier gate, and the chaos
-# soak.
-check: build vet fmt-check race bench-build fuzz-smoke crash-recovery remote-cache-e2e chaos-soak
+# the derived-level race gate, the crash-recovery gate, the
+# distributed-result-tier gate, and the chaos soak.
+check: build vet fmt-check race derived-race bench-build fuzz-smoke crash-recovery remote-cache-e2e chaos-soak

@@ -119,10 +119,12 @@ func TestRecycledRestoreAllocGuard(t *testing.T) {
 // generations, each one copy of the prompt's last section; a restored
 // synthesis per distinct script, sizing in its workspace's scratch and
 // formatting reports with strconv. The first pass over all fourteen requests
-// captures every derived checkpoint; the budget is about 1.5 times the
-// steady state that follows when every sample synthesizes (≈ 296 kB,
-// against ≈ 1.07 MB when every prompt line was copied and every sizing round
-// grew its change list from nil); sharing repeats reads ≈ 274 kB.
+// notes every compile key and captures most of them (15 of 20; the rest are
+// captured in the first measured pass, since the derived level keys a whole
+// compile); the budget is about 1.5 times the steady state that follows when
+// every sample synthesizes (≈ 296 kB, against ≈ 1.07 MB when every prompt
+// line was copied and every sizing round grew its change list from nil);
+// sharing repeats reads ≈ 328 kB, those five captures included.
 func TestWarmRawRequestAllocGuard(t *testing.T) {
 	lib := liberty.Nangate45()
 	ctx := context.Background()

@@ -89,6 +89,18 @@ func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	return zero, false
 }
 
+// Range calls fn on every entry, most recently used first, without updating
+// recency or the counters. fn runs under the cache's lock: it must not call
+// back into the cache.
+func (c *Cache[K, V]) Range(fn func(key K, val V)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry[K, V])
+		fn(e.key, e.val)
+	}
+}
+
 // Purge drops every entry. The hit/miss/eviction counters keep counting:
 // they are lifetime totals (exported as monotonic metrics), not a property
 // of the current contents.

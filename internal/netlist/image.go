@@ -418,6 +418,17 @@ func (im *Image) columns() []column {
 	}
 }
 
+// Bytes is the size of im's columns — the int32 ones and the per-net and
+// per-cell flags — which is nearly all an image keeps: the tables and the
+// name exceptions beside them are not counted.
+func (im *Image) Bytes() int {
+	n := len(im.netFlags) + len(im.cellFixed)
+	for _, c := range im.columns() {
+		n += 4 * len(*c.c)
+	}
+	return n
+}
+
 // AppendBinary appends im's wire form to b and returns the extended slice.
 // The bytes are a function of the image alone: the group counts, the one
 // map-ordered part of an image, are written sorted by name.

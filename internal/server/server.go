@@ -257,12 +257,14 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return s.ckpt.Stats().Allocated })
 	s.reg.NewCounterFunc("synth_checkpoint_restore_thaws_skipped_total", "restores whose post-link image was never thawed: the compile's result was served instead, or the run ended before any command read the netlist",
 		func() int64 { return s.ckpt.Stats().ThawsSkipped })
-	s.reg.NewCounterFunc("synth_checkpoint_derived_hits_total", "first compiles of a restored design served the netlist they size (after the structural passes and, with -retime, the register moves) from the store",
+	s.reg.NewCounterFunc("synth_checkpoint_derived_hits_total", "first compiles of a restored design served from the store: the compiled netlist thawed, no pass run",
 		func() int64 { return s.ckpt.Stats().DerivedHits })
-	s.reg.NewCounterFunc("synth_checkpoint_derived_misses_total", "first compiles of a restored design that computed the netlist they size",
+	s.reg.NewCounterFunc("synth_checkpoint_derived_misses_total", "first compiles of a restored design that ran the compile",
 		func() int64 { return s.ckpt.Stats().DerivedMisses })
-	s.reg.NewCounterFunc("synth_checkpoint_derived_captures_total", "pre-sizing netlists (post-retime under -retime) frozen into the store, on a key's second computation",
+	s.reg.NewCounterFunc("synth_checkpoint_derived_captures_total", "compiled netlists frozen into the store, on a key's second computation",
 		func() int64 { return s.ckpt.Stats().DerivedCaptures })
+	s.reg.NewGaugeFunc("synth_checkpoint_derived_bytes", "column bytes of the compiled netlists the store's derived level holds",
+		func() int64 { return s.ckpt.DerivedBytes() })
 	s.reg.NewCounterFunc("qorlog_hits_total", "sample syntheses served from the durable QoR store",
 		func() int64 { return s.results.Stats().Hits })
 	s.reg.NewCounterFunc("qorlog_misses_total", "QoR store lookups that ran the synthesis tool",

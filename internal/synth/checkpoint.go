@@ -38,10 +38,9 @@ import (
 // Eviction is LRU with a bounded entry count.
 //
 // Beside each snapshot the store keeps a second, derived level: the netlists
-// a compile makes of it before sizing — the structural passes and, with
-// -retime, the register moves (see checkpoint.derived, preSizing and
-// execState.runPreSizing). The store also owns the storage restores thaw
-// into: see workspace.
+// a first compile leaves of it, sized and recovered (see checkpoint.derived,
+// compileKey and execState.compile). The store also owns the storage
+// restores thaw into: see workspace.
 //
 // A snapshot is the design's one front-end artefact: besides the sessions that
 // restore it, whoever needs the parsed sources or the linked netlist of a
@@ -170,11 +169,10 @@ func NewCheckpointStore(capacity int) *CheckpointStore {
 // counts the restores whose post-link image was never thawed into theirs: the
 // compile's result was served instead, or the run ended before any command
 // read the netlist. Every first compile of a restored, unedited design is
-// counted once as a DerivedHit (the netlist it sizes — after the structural
-// passes and, with -retime, the register moves — was served) or a DerivedMiss
-// (computed); DerivedCaptures counts those netlists frozen into the store.
-// Hits, Misses and Evictions count the post-link snapshot lookups of synthesis
-// runs only; reads through a Snapshot handle move none of them.
+// counted once as a DerivedHit (the compiled netlist was served) or a
+// DerivedMiss (compiled); DerivedCaptures counts those netlists frozen into
+// the store. Hits, Misses and Evictions count the post-link snapshot lookups
+// of synthesis runs only; reads through a Snapshot handle move none of them.
 type CheckpointStats struct {
 	Hits, Misses, Evictions                     int64
 	Reused, Allocated, ThawsSkipped             int64
@@ -201,6 +199,19 @@ func (s *CheckpointStore) Stats() CheckpointStats {
 	}
 }
 
+// DerivedBytes is the column bytes (netlist.Image.Bytes) of the images the
+// derived levels of the snapshots s holds keep now, exposed by the serving
+// daemon as the synth_checkpoint_derived_bytes gauge. Unlike Stats it walks
+// every snapshot, under the LRU's lock. Nil-safe: a nil store holds none.
+func (s *CheckpointStore) DerivedBytes() int64 {
+	if s == nil {
+		return 0
+	}
+	var n int64
+	s.cache.Range(func(_ string, cp *checkpoint) { n += cp.derivedBytes() })
+	return n
+}
+
 // Len returns the number of snapshots currently held.
 func (s *CheckpointStore) Len() int {
 	if s == nil {
@@ -218,9 +229,9 @@ type checkpoint struct {
 	log  []string            // transcript lines the prefix produced
 	srcs []srcText           // (file, text) in read order, for serialization
 
-	// The derived level: what compiles make of img before they size it,
-	// oldest entry first, at most maxDerived of them. They live and die with
-	// this snapshot's LRU entry and never leave the process.
+	// The derived level: what first compiles make of img, oldest entry
+	// first, at most maxDerived of them. They live and die with this
+	// snapshot's LRU entry and never leave the process.
 	mu      sync.Mutex
 	derived []derivedResult
 }
@@ -290,61 +301,74 @@ func (h Snapshot) Netlist(src, top string, fn func(nl *netlist.Netlist, tm *sta.
 	return true, err
 }
 
-// maxDerived bounds the pre-sizing results one snapshot keeps. A key is four
-// booleans and a fanout limit, plus — with -retime — the wireload and the
-// constraints, which a design keeps over a whole benchmark run; the scripts
-// aimed at one design use two or three keys, and past the bound the oldest
+// maxDerived bounds the compile results one snapshot keeps. A key is the
+// compile's options, its fanout limit, its wireload and its constraints; the
+// paper's loop holds the last two fixed for a design (§V), the scripts aimed
+// at one design use three or four option sets, and past the bound the oldest
 // entry goes.
 const maxDerived = 4
 
-// derivedResult is the outcome of one preSizing on one snapshot. An entry
+// derivedResult is the outcome of one compile on one snapshot. An entry
 // starts unresolved, as a note that it was computed once; the run that
 // computes it a second time resolves it. Scripts compiled once per process
 // life (a cold start compiles each design under each option set once) thus
 // never pay for a freeze or hold an image.
 type derivedResult struct {
-	pre      preSizing
+	key      compileKey
 	resolved bool
-	img      *netlist.Image // the resulting netlist; nil when resolved means the passes edit nothing
+	img      *netlist.Image // the compiled netlist; nil when resolved means the compile edits nothing
 }
 
-// lookup finds pre's entry. hit reports a resolved one, whose img is then
-// the result (nil: the passes leave the netlist as it is). Otherwise the
+// lookup finds key's entry. hit reports a resolved one, whose img is then
+// the result (nil: the compile leaves the netlist as it is). Otherwise the
 // caller computes, and capture says whether to resolve the entry with what it
 // got: true on the second computation, false on the first, which lookup has
-// just noted — unless pre holds a NaN constraint (create_clock -period NaN
+// just noted — unless key holds a NaN constraint (create_clock -period NaN
 // parses) and so equals nothing, itself included: noted, it could never be
 // found again and would only push a useful entry out.
-func (cp *checkpoint) lookup(pre preSizing) (img *netlist.Image, hit, capture bool) {
-	if pre != pre {
+func (cp *checkpoint) lookup(key compileKey) (img *netlist.Image, hit, capture bool) {
+	if key != key {
 		return nil, false, false
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	for i := range cp.derived {
-		if e := &cp.derived[i]; e.pre == pre {
+		if e := &cp.derived[i]; e.key == key {
 			return e.img, e.resolved, !e.resolved
 		}
 	}
 	if len(cp.derived) == maxDerived {
 		cp.derived = append(cp.derived[:0], cp.derived[1:]...)
 	}
-	cp.derived = append(cp.derived, derivedResult{pre: pre})
+	cp.derived = append(cp.derived, derivedResult{key: key})
 	return nil, false, false
 }
 
-// resolve records img as pre's result and reports whether it did: not when
+// resolve records img as key's result and reports whether it did: not when
 // a concurrent run got there first or the entry has been pushed out since.
-func (cp *checkpoint) resolve(pre preSizing, img *netlist.Image) bool {
+func (cp *checkpoint) resolve(key compileKey, img *netlist.Image) bool {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	for i := range cp.derived {
-		if e := &cp.derived[i]; e.pre == pre && !e.resolved {
+		if e := &cp.derived[i]; e.key == key && !e.resolved {
 			e.resolved, e.img = true, img
 			return true
 		}
 	}
 	return false
+}
+
+// derivedBytes is the column bytes of the images cp's derived level holds.
+func (cp *checkpoint) derivedBytes() int64 {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	var n int64
+	for _, e := range cp.derived {
+		if e.img != nil {
+			n += int64(e.img.Bytes())
+		}
+	}
+	return n
 }
 
 // srcText is one source file as the prefix read it. Carried so a checkpoint

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/designs"
 	"repro/internal/liberty"
@@ -15,13 +16,14 @@ import (
 	"repro/internal/sta"
 )
 
-// Derived checkpoints: the store keeps, beside each post-link snapshot, what a
-// compile makes of it before sizing — the structural passes and, with -retime,
-// the register moves — and a restore thaws the snapshot only for a command
-// that reads it. The storeless session is the oracle throughout — whatever a
-// run takes from the store, and whenever, its QoR, reports, written netlist,
-// transcript and final netlist (netlist.Encode: IDs and bounds, every slice
-// order, both edit generations) equal what a session without a store computes.
+// Derived checkpoints: the store keeps, beside each post-link snapshot, the
+// netlist a first compile leaves of it — structural passes, retiming, sizing
+// and area recovery all run — and a restore thaws the snapshot only for a
+// command that reads it. The storeless session is the oracle throughout —
+// whatever a run takes from the store, and whenever, its QoR, reports,
+// written netlist, transcript and final netlist (netlist.Encode: IDs and
+// bounds, every slice order, both edit generations) equal what a session
+// without a store computes.
 
 var derivedLib = liberty.Nangate45()
 
@@ -77,53 +79,124 @@ func derivedCorpus() []*designs.Design {
 	return all
 }
 
-// TestDerivedMatchesStoreless runs every compile flavour, with and without a
-// fanout limit, three times over one store per design — far enough for each
-// key to be computed, captured and served — and compares every run with a
-// storeless one. The seven commands share five keys (-map_effort low and
-// -incremental run the same passes, as do -map_effort high and
-// -no_autoungroup), so some first runs are already served from what another
-// command captured, and the ten keys a design sees push each other out of its
-// four slots.
-func TestDerivedMatchesStoreless(t *testing.T) {
-	compiles := []string{
-		"compile -map_effort low", "compile -map_effort medium", "compile -map_effort high",
-		"compile -incremental", "compile_ultra", "compile_ultra -no_autoungroup", "compile_ultra -retime",
-	}
+// derivedVariant is a link prefix a matrix compile runs under.
+type derivedVariant struct {
+	name   string
+	prefix func(d *designs.Design) string
+}
+
+var plainVariant = derivedVariant{"", linked}
+
+// derivedMatrix runs each compile under each variant three times over one
+// store per design and compares every run with a storeless run. The compile
+// key carries the options, the fanout limit, the wireload and the
+// constraints, so every case is a key of its own: its first two runs
+// compile, the second captures, and the third is served — one full analysis
+// (the transcript's QoR) and no incremental update. Variants run in order
+// after the first, so a variant's first-run miss, taken while the entry of
+// the case before it is still in the snapshot's FIFO, shows that it splits
+// the key. The designs run in parallel, each over its own store; the
+// analyses are counted process-wide, so a served run holds excl alone.
+func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
+	var excl sync.RWMutex
 	for _, d := range derivedCorpus() {
-		store := NewCheckpointStore(0)
-		mustRun(t, designSession(d, store), linked(d)) // captures the post-link snapshot
-		for _, fanout := range []string{"", "set_max_fanout 16\n"} {
-			for _, compile := range compiles {
-				name := fmt.Sprintf("%s/%s%s", d.Name, fanout, compile)
-				script := linked(d) + fanout + compile + "\n" + reportTail
-				want := fingerprint(t, mustRun(t, designSession(d, nil), script))
-				for pass := 1; pass <= 3; pass++ {
-					before := store.Stats()
-					res := mustRun(t, designSession(d, store), script)
-					if fingerprint(t, res) != want {
-						t.Errorf("%s: run %d over the store differs from a storeless run", name, pass)
+		t.Run(d.Name, func(t *testing.T) {
+			t.Parallel()
+			store := NewCheckpointStore(0)
+			excl.RLock()
+			_, err := designSession(d, store).Run(linkOnly(d)) // captures the post-link snapshot
+			excl.RUnlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range compiles {
+				for _, v := range variants {
+					name := fmt.Sprintf("%s/%s", v.name, c)
+					script := v.prefix(d) + c + "\n" + reportTail
+					excl.RLock()
+					storeless, err := designSession(d, nil).Run(script)
+					excl.RUnlock()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-					res.Release()
-					hits, misses, _ := derivedDelta(before, store.Stats())
-					if hits+misses != 1 {
-						t.Errorf("%s: run %d made %d derived lookups, want 1", name, pass, hits+misses)
-					}
-					if pass == 3 && hits != 1 {
-						t.Errorf("%s: the third run of a key was not served from the store", name)
+					want := fingerprint(t, storeless)
+					for pass := 1; pass <= 3; pass++ {
+						lock, unlock := excl.RLock, excl.RUnlock
+						if pass == 3 {
+							lock, unlock = excl.Lock, excl.Unlock
+						}
+						lock()
+						before, full, incr := store.Stats(), sta.FullAnalyses(), sta.IncrementalUpdates()
+						res, err := designSession(d, store).Run(script)
+						full, incr = sta.FullAnalyses()-full, sta.IncrementalUpdates()-incr
+						unlock()
+						if err != nil {
+							t.Fatalf("%s: run %d: %v", name, pass, err)
+						}
+						if fingerprint(t, res) != want {
+							t.Errorf("%s: run %d over the store differs from a storeless run", name, pass)
+						}
+						res.Release()
+						hits, misses, _ := derivedDelta(before, store.Stats())
+						if hits+misses != 1 || (hits == 1) != (pass == 3) {
+							t.Errorf("%s: run %d made %d derived hits and %d misses, want the third run served", name, pass, hits, misses)
+						}
+						if pass == 3 && (full != 1 || incr != 0) {
+							t.Errorf("%s: a served run made %d full analyses and %d incremental updates, want 1 and 0", name, full, incr)
+						}
 					}
 				}
 			}
-		}
-		if st := store.Stats(); st.DerivedCaptures == 0 {
-			t.Errorf("%s: nothing was ever captured", d.Name)
+			if st := store.Stats(); st.DerivedCaptures == 0 || store.DerivedBytes() == 0 {
+				t.Errorf("nothing was ever captured: %+v", st)
+			}
+		})
+	}
+}
+
+// TestDerivedMatchesStoreless: every compile flavour, under its design's own
+// constraints and then with a fanout limit, is a key of its own — the effort
+// scripts miss against their plain twin — and every served run equals a
+// storeless one.
+func TestDerivedMatchesStoreless(t *testing.T) {
+	fanout := derivedVariant{"fanout 16", func(d *designs.Design) string { return linked(d) + "set_max_fanout 16\n" }}
+	derivedMatrix(t, []string{
+		"compile -map_effort low", "compile -map_effort medium", "compile -map_effort high",
+		"compile -incremental", "compile_ultra", "compile_ultra -timing_high_effort_script",
+		"compile_ultra -area_high_effort_script", "compile_ultra -no_autoungroup", "compile_ultra -retime",
+	}, []derivedVariant{plainVariant, fanout})
+}
+
+// TestRetimeKeyMatchesStoreless: the constraints key every compile, not only
+// -retime. A plain compile and the three -retime flavours each run under
+// every set of constraints two periods, two wireloads and the presence of
+// I/O delays make — the design's own first — and each set is a key of its
+// own for every one of them; every served run equals a storeless one. The
+// -retime cases are where retiming and sizing to a slack target taken from
+// the period meet, which a served run skips together.
+func TestRetimeKeyMatchesStoreless(t *testing.T) {
+	var variants []derivedVariant
+	for _, scale := range []float64{1, 0.8} {
+		for _, wl := range []string{"", "set_wire_load_model -name 5K_light_1k\n"} {
+			for _, delays := range []string{"", "set_input_delay 0.05 -clock clk\nset_output_delay 0.08 -clock clk\n"} {
+				scale, wl, delays := scale, wl, delays
+				variants = append(variants, derivedVariant{
+					fmt.Sprintf("period %.1fx, wireload %t, delays %t", scale, wl != "", delays != ""),
+					func(d *designs.Design) string { return linkedAt(d, scale*d.Period) + wl + delays },
+				})
+			}
 		}
 	}
+	derivedMatrix(t, []string{
+		"compile -map_effort low", "compile_ultra -retime",
+		"compile_ultra -retime -timing_high_effort_script", "compile_ultra -retime -no_autoungroup",
+	}, variants)
 }
 
 // TestDerivedBypass: a script whose first compile does not start from the
 // untouched snapshot computes as it always did and never consults the derived
-// level — and a second compile in one run never does.
+// level — and a second compile in one run never does, nor does a command
+// that must follow a compile.
 func TestDerivedBypass(t *testing.T) {
 	d := designs.JPEG() // deep wrapper hierarchy: ungroup has something to flatten
 	store := NewCheckpointStore(0)
@@ -151,18 +224,25 @@ func TestDerivedBypass(t *testing.T) {
 		}
 	}
 
-	// Two compiles in one run: the first is looked up, the second never.
-	script := linked(d) + "compile -map_effort high\ncompile -incremental\n" + reportTail
-	want := fingerprint(t, mustRun(t, designSession(d, nil), script))
-	for pass := 1; pass <= 3; pass++ {
-		before := store.Stats()
-		res := mustRun(t, designSession(d, store), script)
-		if fingerprint(t, res) != want {
-			t.Errorf("two compiles: run %d over the store differs from a storeless run", pass)
-		}
-		res.Release()
-		if hits, misses, _ := derivedDelta(before, store.Stats()); hits+misses != 1 {
-			t.Errorf("two compiles: run %d made %d derived lookups, want 1", pass, hits+misses)
+	// Two compiles in one run, or a compile and the commands that must
+	// follow one: the first compile is looked up, what comes after it never,
+	// and it works on the served netlist from the third run on.
+	for name, tail := range map[string]string{
+		"two compiles":   "compile -map_effort high\ncompile -incremental\n",
+		"after compiles": "compile_ultra -retime\noptimize_registers\nbalance_buffers\n",
+	} {
+		script := linked(d) + tail + reportTail
+		want := fingerprint(t, mustRun(t, designSession(d, nil), script))
+		for pass := 1; pass <= 3; pass++ {
+			before := store.Stats()
+			res := mustRun(t, designSession(d, store), script)
+			if fingerprint(t, res) != want {
+				t.Errorf("%s: run %d over the store differs from a storeless run", name, pass)
+			}
+			res.Release()
+			if hits, misses, _ := derivedDelta(before, store.Stats()); hits+misses != 1 || (hits == 1) != (pass == 3) {
+				t.Errorf("%s: run %d made %d derived hits and %d misses, want the third run served", name, pass, hits, misses)
+			}
 		}
 	}
 }
@@ -231,14 +311,15 @@ func snapshotOf(t *testing.T, store *CheckpointStore, d *designs.Design) *checkp
 	return cp
 }
 
-// TestDerivedIdentity: jpeg as linked holds nothing for Sweep to remove, so
-// compile -map_effort low's passes edit nothing. That is recorded as
-// such: served as a hit, with no image frozen or held.
+// TestDerivedIdentity: jpeg as linked holds nothing for Sweep to remove and,
+// at half again its period, meets timing, so compile -map_effort low — no
+// restructuring, no area recovery — edits nothing. That is recorded as such:
+// served as a hit, with no image frozen or held.
 func TestDerivedIdentity(t *testing.T) {
 	d := designs.JPEG()
 	store := NewCheckpointStore(0)
-	mustRun(t, designSession(d, store), linked(d))
-	script := linked(d) + "compile -map_effort low\n" + reportTail
+	mustRun(t, designSession(d, store), linkOnly(d))
+	script := linkedAt(d, 1.5*d.Period) + "compile -map_effort low\n" + reportTail
 	want := fingerprint(t, mustRun(t, designSession(d, nil), script))
 	for pass := 1; pass <= 3; pass++ {
 		res := mustRun(t, designSession(d, store), script)
@@ -253,6 +334,9 @@ func TestDerivedIdentity(t *testing.T) {
 	cp := snapshotOf(t, store, d)
 	if len(cp.derived) != 1 || !cp.derived[0].resolved || cp.derived[0].img != nil {
 		t.Errorf("derived entries = %+v, want one resolved entry without an image", cp.derived)
+	}
+	if n := store.DerivedBytes(); n != 0 {
+		t.Errorf("derived bytes = %d, want 0: an identity holds no image", n)
 	}
 }
 
@@ -276,8 +360,8 @@ func TestDerivedBoundAndEviction(t *testing.T) {
 		t.Fatalf("snapshot holds %d derived entries, want %d", len(cp.derived), maxDerived)
 	}
 	for i, e := range cp.derived {
-		if want := 4 + 2 + i; e.pre.maxFanout != want || !e.resolved {
-			t.Errorf("entry %d: fanout %d resolved %v, want the %d newest in order (fanout %d, resolved)", i, e.pre.maxFanout, e.resolved, maxDerived, want)
+		if want := 4 + 2 + i; e.key.maxFanout != want || !e.resolved {
+			t.Errorf("entry %d: fanout %d resolved %v, want the %d newest in order (fanout %d, resolved)", i, e.key.maxFanout, e.resolved, maxDerived, want)
 		}
 	}
 	// Pushed out: computed again. Still held: served.
@@ -310,12 +394,13 @@ func TestDerivedBoundAndEviction(t *testing.T) {
 	}
 }
 
-// TestDerivedHammer: 16 goroutines run a mix of scripts — keys shared between
-// commands, -retime at two periods, more keys per design than a snapshot
-// keeps, bypassing scripts, failing ones that never read the netlist — over
-// one store, releasing every result. Whatever
-// interleaving of first touches, captures, hits and evictions results, every
-// run equals the storeless one. Run with -race.
+// TestDerivedHammer: 16 goroutines run a mix of scripts — compile keys that
+// differ in options, fanout limit, period and wireload, more keys per design
+// than a snapshot keeps, bypassing scripts, failing ones that never read the
+// netlist — over one store, releasing every result, while a scraper reads
+// the store's stats. Whatever interleaving of first touches, captures, hits
+// and evictions results, every run equals the storeless one. make
+// derived-race runs it ten times under -race.
 func TestDerivedHammer(t *testing.T) {
 	type job struct {
 		d            *designs.Design
@@ -326,7 +411,8 @@ func TestDerivedHammer(t *testing.T) {
 		for _, tail := range []string{
 			"compile\n", "compile -map_effort high\n", "compile_ultra -retime\n", "compile_ultra -no_autoungroup\n",
 			"set_max_fanout 16\ncompile\n", "set_max_fanout 16\ncompile_ultra\n", "set_max_fanout 8\ncompile -map_effort low\n",
-			"report_timing\ncompile_ultra\n",
+			"report_timing\ncompile_ultra\n", "compile_ultra -timing_high_effort_script\n",
+			"set_wire_load_model -name 5K_light_1k\ncompile_ultra\n",
 			"set_dont_touch *\ncompile\n", "ungroup -all\ncompile\n",
 			"compile\ncompile -incremental\n",
 		} {
@@ -342,6 +428,20 @@ func TestDerivedHammer(t *testing.T) {
 	store := NewCheckpointStore(0)
 	const workers, rounds = 16, 12
 	var wg sync.WaitGroup
+	// A scraper reads DerivedBytes, which walks every entry, while the
+	// workers note, capture and push entries out.
+	done, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(100 * time.Microsecond):
+				store.DerivedBytes()
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -368,83 +468,46 @@ func TestDerivedHammer(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if st := store.Stats(); st.DerivedHits == 0 || st.DerivedCaptures == 0 {
+	close(done)
+	<-scraped
+	if st := store.Stats(); st.DerivedHits == 0 || st.DerivedCaptures == 0 || store.DerivedBytes() == 0 {
 		t.Errorf("the hammer never reached the derived level's hit path: %+v", st)
 	}
 }
 
-// TestRetimeKeyMatchesStoreless: with -retime the key carries the wireload
-// and the constraints, and a resolved entry is the netlist after the register
-// moves. Every shipped design runs the three -retime flavours at two periods,
-// under two wireloads, with and without I/O delays, three times each over one
-// store, and every run equals the storeless one. Within one set of constraints
-// -timing_high_effort_script changes sizing only and so is served from its
-// first run on by what plain -retime captured; everything else — another
-// period, wireload or delay, or -no_autoungroup — is a key of its own, misses
-// at first and is served by its third run.
-func TestRetimeKeyMatchesStoreless(t *testing.T) {
-	flavours := []string{"compile_ultra -retime", "compile_ultra -retime -timing_high_effort_script", "compile_ultra -retime -no_autoungroup"}
-	for _, d := range derivedCorpus() {
-		store := NewCheckpointStore(0)
-		mustRun(t, designSession(d, store), linkOnly(d))
-		for _, period := range []float64{d.Period, 0.8 * d.Period} {
-			for _, wl := range []string{"", "set_wire_load_model -name 5K_light_1k\n"} {
-				for _, delays := range []string{"", "set_input_delay 0.05 -clock clk\nset_output_delay 0.08 -clock clk\n"} {
-					for i, flavour := range flavours {
-						name := fmt.Sprintf("%s/%.2f/%s%s%s", d.Name, period, wl, delays, flavour)
-						script := linkedAt(d, period) + wl + delays + flavour + "\n" + reportTail
-						want := fingerprint(t, mustRun(t, designSession(d, nil), script))
-						for pass := 1; pass <= 3; pass++ {
-							before := store.Stats()
-							res := mustRun(t, designSession(d, store), script)
-							if fingerprint(t, res) != want {
-								t.Errorf("%s: run %d over the store differs from a storeless run", name, pass)
-							}
-							res.Release()
-							hits, misses, _ := derivedDelta(before, store.Stats())
-							if hits+misses != 1 {
-								t.Errorf("%s: run %d made %d derived lookups, want 1", name, pass, hits+misses)
-							}
-							if served := pass == 3 || i == 1; (hits == 1) != served {
-								t.Errorf("%s: run %d: %d derived hits, want served = %v", name, pass, hits, served)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// analysesOf is the number of full timing analyses one run of script costs.
-func analysesOf(t *testing.T, s *Session, script string) uint64 {
+// analysesOf is the number of full timing analyses and incremental updates
+// one run of script costs.
+func analysesOf(t *testing.T, s *Session, script string) (full, incr uint64) {
 	t.Helper()
-	before := sta.FullAnalyses()
+	full, incr = sta.FullAnalyses(), sta.IncrementalUpdates()
 	mustRun(t, s, script).Release()
-	return sta.FullAnalyses() - before
+	return sta.FullAnalyses() - full, sta.IncrementalUpdates() - incr
 }
 
 // TestRetimeHitRunsOneAnalysis pins what a resolved -retime entry removes.
 // At its own period tinyRocket's registers move for 21 sweeps, each a full
-// analysis, and the compile analyses where they ended up: 22 computed, 1
-// served. On ethmac
+// analysis, and the compile analyses where they ended up: 22 computed, and
+// sizing and area recovery then update that analysis incrementally. On ethmac
 // -retime finds nothing to move, so computing it costs the one analysis the
-// compile needs anyway, and so does serving it. (The closing QoR reads the
-// compile's analysis.)
+// compile needs anyway. A served compile runs none of that: the one full
+// analysis is the transcript line's QoR (the closing QoR reads it), and no
+// incremental update runs at all.
 func TestRetimeHitRunsOneAnalysis(t *testing.T) {
 	for _, tc := range []struct {
 		d        *designs.Design
 		computed uint64
 	}{{designs.TinyRocket(), 22}, {designs.EthMAC(), 1}} {
 		d, script := tc.d, linked(tc.d)+"compile_ultra -retime\n"
-		if got := analysesOf(t, designSession(d, nil), script); got != tc.computed {
-			t.Errorf("%s: a storeless run made %d full analyses, want %d", d.Name, got, tc.computed)
+		full, incr := analysesOf(t, designSession(d, nil), script)
+		if full != tc.computed || incr == 0 {
+			t.Errorf("%s: a storeless run made %d full analyses and %d incremental updates, want %d and some", d.Name, full, incr, tc.computed)
 		}
 		store := NewCheckpointStore(0)
 		mustRun(t, designSession(d, store), linkOnly(d))
 		for pass, want := range []uint64{tc.computed, tc.computed, 1, 1} {
-			if got := analysesOf(t, designSession(d, store), script); got != want {
-				t.Errorf("%s: run %d over the store made %d full analyses, want %d", d.Name, pass+1, got, want)
+			full, incr := analysesOf(t, designSession(d, store), script)
+			if served := want == 1 && pass >= 2; full != want || (incr == 0) != served {
+				t.Errorf("%s: run %d over the store made %d full analyses and %d incremental updates, want %d and none = %v", d.Name, pass+1, full, incr, want, served)
 			}
 		}
 		if st := store.Stats(); st.DerivedHits != 2 || st.ThawsSkipped != 2 {

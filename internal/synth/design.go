@@ -158,101 +158,75 @@ func (o CompileOptions) effort() Effort {
 // retimeMoves bounds the register moves one retiming pass may make.
 const retimeMoves = 4000
 
-// preSizing is everything besides the netlist and its library that Compile
-// reads before it sizes — the structural passes, then retiming — and so the
-// key under which the checkpoint store keeps the netlist they produce and
-// hands it to every later run that asks for the same one (see
-// CheckpointStore). Every input those passes read is a field here:
+// compileKey is everything besides the netlist and its library that Compile
+// reads, and so the key under which the checkpoint store keeps the netlist a
+// compile leaves and hands it to every later run that asks for the same one
+// (see CheckpointStore). Every input a compile pass reads is a field here:
 //
-//   - the structural passes read the netlist, the library, the three booleans
-//     the options decide and the fanout limit;
-//   - RetimeWith reads the netlist (Fixed and Group included), the library,
-//     the wireload, all five Constraints fields (through the Timing it is
-//     handed) and the retimeMoves budget, a constant.
+//   - the structural passes read the netlist, the library, the options and
+//     the fanout limit;
+//   - RetimeWith, sizing and area recovery read the netlist (Fixed and Group
+//     included), the library, the options, the wireload and all five
+//     Constraints fields — the last two through the Timing they are handed —
+//     and retiming its retimeMoves budget, a constant.
 //
 // The netlist and the library are the snapshot's own key. The wireload goes
-// in by name — the library fingerprint binds every wireload table — and, like
-// the constraints, only with retime set: without it no pass here reads
-// either, and the key stays what every period and wireload share. A pass
-// added to run, or a new input to one already there, must show up here.
-type preSizing struct {
-	ungroup     bool // flatten, then sweep the boundary inverter pairs freed
-	restructure bool // merge gate/inverter pairs
-	balance     bool // rebalance associative chains, then restructure again
-	maxFanout   int  // split nets above this fanout; 0 = no limit set
-
-	retime   bool            // move registers across gates on violating paths
-	wireload string          // zero unless retime
-	cons     sta.Constraints // zero unless retime
+// in by name: the library fingerprint binds every wireload table. A pass
+// added to Compile, or a new input to one already there, must become a field.
+type compileKey struct {
+	opts      CompileOptions
+	maxFanout int
+	wireload  string
+	cons      sta.Constraints
 }
 
-func (o CompileOptions) preSizing(d *Design) preSizing {
-	p := preSizing{
-		ungroup:     o.Ultra && !o.NoAutoUngroup,
-		restructure: o.effort() >= EffortMedium && !o.Incremental,
-		balance:     o.effort() >= EffortHigh && !o.Incremental,
-		maxFanout:   d.MaxFanout,
+func (o CompileOptions) key(d *Design) compileKey {
+	k := compileKey{opts: o, maxFanout: d.MaxFanout, cons: d.Cons}
+	if d.WL != nil {
+		k.wireload = d.WL.Name
 	}
-	if o.Retime {
-		p.retime, p.cons = true, d.Cons
-		if d.WL != nil {
-			p.wireload = d.WL.Name
-		}
-	}
-	return p
-}
-
-// run applies the passes to d.
-func (p preSizing) run(d *Design) {
-	nl, sc := d.NL, d.scratch()
-	sweep(nl, sc)
-	if p.ungroup {
-		nl.Ungroup("")
-		sweep(nl, sc) // boundary inverter pairs become removable
-	}
-	if p.restructure {
-		restructure(nl, sc)
-	}
-	if p.balance {
-		balanceTrees(nl, sc)
-		restructure(nl, sc)
-	}
-	// Fanout buffering happens only under an explicit constraint: choosing
-	// set_max_fanout/balance_buffers is exactly the kind of design-specific
-	// decision the customization experiment measures.
-	if p.maxFanout > 0 {
-		BufferHighFanout(nl, p.maxFanout)
-	}
-	// A combinational loop leaves nothing to time: no moves.
-	if p.retime {
-		if tm, err := d.Timing(); err == nil {
-			RetimeWith(tm, retimeMoves)
-		}
-	}
+	return k
 }
 
 // Compile runs the synthesis optimization flow. Which passes run — and
 // therefore what QoR comes out — depends mechanically on the options, so a
 // well-customized script visibly beats a generic one.
 func Compile(d *Design, opts CompileOptions) error {
-	return compileFrom(d, opts, func(p preSizing) { p.run(d) })
-}
-
-// compileFrom is Compile with everything before sizing left to pre, which
-// must leave d.NL exactly as preSizing.run would: the session passes one that
-// can take the result from the checkpoint store instead of computing it.
-func compileFrom(d *Design, opts CompileOptions, pre func(preSizing)) error {
 	if d.Cons.Period <= 0 {
 		return fmt.Errorf("compile: no clock constraint defined (create_clock)")
 	}
-	pre(opts.preSizing(d))
+	nl, sc := d.NL, d.scratch()
+	sweep(nl, sc)
+	if opts.Ultra && !opts.NoAutoUngroup {
+		nl.Ungroup("")
+		sweep(nl, sc) // boundary inverter pairs become removable
+	}
 	effort := opts.effort()
+	if effort >= EffortMedium && !opts.Incremental {
+		restructure(nl, sc)
+	}
+	if effort >= EffortHigh && !opts.Incremental {
+		balanceTrees(nl, sc)
+		restructure(nl, sc)
+	}
+	// Fanout buffering happens only under an explicit constraint: choosing
+	// set_max_fanout/balance_buffers is exactly the kind of design-specific
+	// decision the customization experiment measures.
+	if d.MaxFanout > 0 {
+		BufferHighFanout(nl, d.MaxFanout)
+	}
+	// A combinational loop leaves nothing to time: no moves.
+	if opts.Retime {
+		if tm, err := d.Timing(); err == nil {
+			RetimeWith(tm, retimeMoves)
+		}
+	}
 
 	// One shared timing analysis drives the remaining passes, each refreshing
-	// it incrementally (after a computed retime this call picks up the last
-	// sweep's moves; after a served one it is the only full analysis). A nil
-	// tm means the netlist has a combinational loop — the timing passes would
-	// each have bailed out individually, so skip them as a group.
+	// it incrementally (after a retime this call picks up the last sweep's
+	// moves). A nil tm means the netlist has a combinational loop — the
+	// timing passes would each have bailed out individually, so skip them as
+	// a group.
 	tm, tmErr := d.Timing()
 	if tmErr != nil {
 		tm = nil
@@ -276,7 +250,7 @@ func compileFrom(d *Design, opts CompileOptions, pre func(preSizing)) error {
 		so.TargetSlack = 0.10 * d.Cons.Period
 	}
 	if tm != nil {
-		sizeForTiming(tm, so, d.scratch())
+		sizeForTiming(tm, so, sc)
 	}
 
 	areaMargin := -1.0 // skip
@@ -291,13 +265,13 @@ func compileFrom(d *Design, opts CompileOptions, pre func(preSizing)) error {
 		areaMargin = 0.30
 	}
 	if areaMargin >= 0 && tm != nil {
-		areaRecovery(tm, areaMargin, d.scratch())
+		areaRecovery(tm, areaMargin, sc)
 		if opts.AreaHighEffort {
-			areaRecovery(tm, areaMargin, d.scratch())
+			areaRecovery(tm, areaMargin, sc)
 		}
 	}
 
-	sweep(d.NL, d.scratch())
+	sweep(nl, sc)
 	d.Compiled = true
 	return nil
 }

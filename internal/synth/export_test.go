@@ -1,0 +1,43 @@
+package synth
+
+import "fmt"
+
+// MaxDerived is maxDerived, for the census in census_test.go.
+const MaxDerived = maxDerived
+
+// FirstCompileKey runs script in s, whose store must already hold the
+// script's post-link snapshot, and returns the compile key its first compile
+// consulted the derived level under, printed: "" when the run never reached
+// the level — no canonical link prefix, an edit before the compile, no
+// compile, a failure before one. The snapshot's level is emptied before the
+// run, so nothing is served and the run computes as a storeless one would.
+func FirstCompileKey(s *Session, script string) string {
+	cmds, err := ParseScript(script)
+	if err != nil {
+		return ""
+	}
+	_, files, top, ok := linkPrefix(cmds)
+	if !ok {
+		return ""
+	}
+	key, ok := s.checkpointKey(files, top)
+	if !ok {
+		return ""
+	}
+	cp, ok := s.Checkpoints.cache.Peek(key)
+	if !ok {
+		return ""
+	}
+	cp.mu.Lock()
+	cp.derived = nil
+	cp.mu.Unlock()
+	if res, err := s.Run(script); err == nil {
+		res.Release()
+	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	if len(cp.derived) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%+v", cp.derived[0].key)
+}

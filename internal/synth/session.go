@@ -251,58 +251,56 @@ func (st *execState) netlist() (*Design, error) {
 	return d, err
 }
 
-// runPreSizing does what a compile does before sizing on the session's
-// design: through the checkpoint store's derived level when this is the first
-// compile of a restored design nothing has edited, computed in place
-// otherwise — a freshly elaborated design, a later compile, a script that
-// edits first.
+// compile runs Compile on the session's design: through the checkpoint
+// store's derived level when this is the first compile of a restored design
+// nothing has edited, in place otherwise — a freshly elaborated design, a
+// later compile, a script that edits first.
 //
-// On the derived level everything pre.run reads is cp's image and pre itself,
-// so its result is a function of the two and can be kept: a resolved entry is
-// thawed into the workspace — over the post-link netlist if a report has
-// already asked for it, instead of it otherwise (IDs, bounds, slice orders and
-// generations come back as the passes would have left them) — and an
-// unresolved one is computed and, the second time, frozen for the runs after
-// this one. Passes that edit nothing are recorded as just that, with no image.
-// The compile analyses the result once in either case; what a hit removes is
-// the passes and, with -retime, the analysis each of its sweeps ran.
-func (st *execState) runPreSizing(pre preSizing) {
+// On the derived level everything Compile reads is cp's image and the
+// compileKey, so its result is a function of the two and can be kept: a
+// resolved entry is thawed into the workspace — over the post-link netlist if
+// a report has already asked for it, instead of it otherwise (IDs, bounds,
+// slice orders and generations come back as the compile would have left
+// them) — and no pass runs; an unresolved one is compiled and, the second
+// time, frozen for the runs after this one. A compile that edits nothing is
+// recorded as just that, with no image.
+func (st *execState) compile(opts CompileOptions) error {
 	cp, d, store := st.pristine, st.design, st.sess.Checkpoints
 	st.pristine = nil
-	if cp == nil {
-		pre.run(d)
-		return
+	if cp == nil || d.Cons.Period <= 0 {
+		return Compile(d, opts)
 	}
-	img, hit, capture := cp.lookup(pre)
+	key := opts.key(d)
+	img, hit, capture := cp.lookup(key)
 	if hit {
 		store.derivedHits.Add(1)
+		if img != nil && d.NL == nil {
+			store.thawsSkipped.Add(1)
+		}
 	} else {
 		store.derivedMisses.Add(1)
 	}
-	if img != nil {
-		if d.NL == nil {
-			store.thawsSkipped.Add(1)
-		}
+	switch {
+	case img != nil:
 		st.thaw(img)
-		return
-	}
-	if d.NL == nil {
+	case d.NL == nil:
 		st.thaw(cp.img)
 	}
 	if hit {
-		return
+		d.Compiled = true
+		return nil
 	}
 	before := d.NL.Gen()
-	pre.run(d)
-	if !capture {
-		return
+	if err := Compile(d, opts); err != nil || !capture {
+		return err
 	}
 	if d.NL.Gen() != before {
 		img = netlist.Freeze(d.NL)
 	}
-	if cp.resolve(pre, img) && img != nil {
+	if cp.resolve(key, img) && img != nil {
 		store.derivedCaptures.Add(1)
 	}
+	return nil
 }
 
 func (st *execState) needDesign() (*Design, error) {
@@ -500,7 +498,7 @@ func (st *execState) exec(c Cmd) error {
 			}
 			_, opts.Incremental = c.Opts["-incremental"]
 		}
-		if err := compileFrom(d, opts, st.runPreSizing); err != nil {
+		if err := st.compile(opts); err != nil {
 			return err
 		}
 		st.didComp = true
