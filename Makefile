@@ -137,8 +137,6 @@ fuzz-smoke:
 	$(GO) test ./internal/graphdb -run='^$$' -fuzz=FuzzParseCypher -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzCustomizeRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qorlog -run='^$$' -fuzz=FuzzQoRLogRecover -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/netlist -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/synth -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/llm -run='^$$' -fuzz=FuzzSections -fuzztime=$(FUZZTIME)
 
 # Crash-recovery gate for the durable QoR log: fault-injected kills
@@ -152,8 +150,9 @@ crash-recovery:
 	$(GO) test . -race -run 'TestWarmRestartEquivalenceCorpus'
 
 # Distributed-result-tier gate: an in-process chatlscached shared by two
-# replica clients must dedup Pass@k synthesis fleet-wide (one tool run per
-# unique key, byte-identical to a storeless single replica), and killing
+# replica clients must dedup Pass@k synthesis fleet-wide through its QoR
+# records and leases (one tool run per unique key, byte-identical to a
+# storeless single replica; each replica elaborates for itself), and killing
 # the cache server mid-run must degrade the client to local-only with one
 # warning and equivalent results — all under -race.
 remote-cache-e2e:
@@ -183,5 +182,5 @@ bench-build:
 
 # Everything CI runs plus the benchmark-module build, the fuzz smoke pass,
 # the derived-level race gate, the crash-recovery gate, the
-# distributed-result-tier gate, and the chaos soak.
+# distributed-result-tier gate (QoR records and leases), and the chaos soak.
 check: build vet fmt-check race derived-race bench-build fuzz-smoke crash-recovery remote-cache-e2e chaos-soak

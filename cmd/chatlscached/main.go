@@ -1,10 +1,9 @@
 // Command chatlscached serves the shared result tier for a fleet of chatlsd
-// replicas (and cmd/experiments runs): content-addressed QoR records,
-// content-addressed elaboration checkpoints, and the lease scheduler that
-// dedups Pass@k sample synthesis fleet-wide.
+// replicas (and cmd/experiments runs): content-addressed QoR records and the
+// lease scheduler that dedups Pass@k sample synthesis fleet-wide. Each
+// replica keeps its own elaboration checkpoints.
 //
-//	chatlscached -addr :8090 -qor-log /var/lib/chatls/qor.log \
-//	    -blob-dir /var/lib/chatls/blobs
+//	chatlscached -addr :8090 -qor-log /var/lib/chatls/qor.log
 //	chatlsd -addr :8080 -remote-cache http://localhost:8090
 //
 // The tier is an accelerator, never a correctness dependency: replicas that
@@ -13,7 +12,7 @@
 // local -qor-log, so the tier survives its own restarts the same way.
 //
 // SIGINT/SIGTERM drains in-flight requests, then flushes and closes the QoR
-// log and blob store.
+// log.
 package main
 
 import (
@@ -35,10 +34,7 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	qorLog := flag.String("qor-log", "", "durable QoR log path: records survive a tier restart (empty = memory-only)")
 	qorCache := flag.Int("qor-cache", 0, "in-memory QoR record cache entries in front of the log (0 = default)")
-	blobDir := flag.String("blob-dir", "", "checkpoint blob directory (empty disables checkpoint sharing)")
-	blobCap := flag.Int64("blob-cap-bytes", remotecache.DefaultBlobCapBytes, "checkpoint store byte cap; least-recently-used blobs evict beyond it")
 	leaseTTL := flag.Duration("lease-ttl", remotecache.DefaultLeaseTTL, "work-lease TTL: how long a silent holder blocks siblings before they take over")
-	maxBlob := flag.Int64("max-blob-bytes", 0, "largest accepted checkpoint blob (0 = default 64 MiB)")
 	flag.Parse()
 
 	var store *qorlog.Store
@@ -60,23 +56,9 @@ func main() {
 		store = qorlog.NewMemoryStore(*qorCache)
 	}
 
-	var blobs *remotecache.BlobStore
-	if *blobDir != "" {
-		var err error
-		blobs, err = remotecache.OpenBlobStore(*blobDir, *blobCap)
-		if err != nil {
-			log.Printf("chatlscached: cannot open blob dir %s, checkpoint sharing disabled: %v", *blobDir, err)
-		} else {
-			st := blobs.Stats()
-			log.Printf("blob store %s: %d blob(s), %d byte(s)", *blobDir, st.Blobs, st.Bytes)
-		}
-	}
-
 	srv := remotecache.NewServer(remotecache.ServerConfig{
-		QoR:          store,
-		Blobs:        blobs,
-		LeaseTTL:     *leaseTTL,
-		MaxBlobBytes: *maxBlob,
+		QoR:      store,
+		LeaseTTL: *leaseTTL,
 	})
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}

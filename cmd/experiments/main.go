@@ -93,14 +93,11 @@ func main() {
 		// The tier layers the remote cache over the local log (which may be
 		// absent — a remote-only tier still dedups work fleet-wide).
 		cfg.Results = remotecache.NewTier(store, rc)
-		if cfg.Checkpoints != nil {
-			cfg.Checkpoints.SetRemote(rc)
-		}
 		defer func() {
 			st := rc.Stats()
 			fmt.Fprintf(os.Stderr,
-				"remote cache: %d QoR hit(s), %d published, %d checkpoint hit(s), %d lease(s) granted, %d sibling wait(s)\n",
-				st.QoRHits, st.QoRPuts, st.BlobHits, st.LeasesGranted, st.LeaseWaits)
+				"remote cache: %d QoR hit(s), %d published, %d lease(s) granted, %d sibling wait(s)\n",
+				st.QoRHits, st.QoRPuts, st.LeasesGranted, st.LeaseWaits)
 			if st.Degraded {
 				fmt.Fprintln(os.Stderr, "remote cache: tier was lost mid-run; finished local-only")
 			}

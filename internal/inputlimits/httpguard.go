@@ -9,12 +9,12 @@ import (
 )
 
 // HTTP ingress hardening, shared by every daemon in the repo (chatlsd's
-// /v1/customize and the remote cache's /v1/qor, /v1/checkpoint, and
-// /v1/leases endpoints). The contract mirrors the parser budgets: arbitrary
-// bytes in, either a decoded value out or an HTTP status in {413, 400} with
-// a safe message — never a panic, never a 500 for any input shape. Semantic
-// validation (well-formed JSON with invalid field values → 422) stays with
-// the endpoint, since it depends on the endpoint's meaning rather than the
+// /v1/customize and the remote cache's /v1/qor and /v1/leases endpoints).
+// The contract mirrors the parser budgets: arbitrary bytes in, either a
+// decoded value out or an HTTP status in {413, 400} with a safe message —
+// never a panic, never a 500 for any input shape. Semantic validation
+// (well-formed JSON with invalid field values → 422) stays with the
+// endpoint, since it depends on the endpoint's meaning rather than the
 // bytes themselves.
 
 // DecodeJSONRequest reads and decodes r's body into dst under a byte cap:
@@ -42,7 +42,7 @@ func DecodeJSONRequest(w http.ResponseWriter, r *http.Request, maxBytes int64, d
 }
 
 // ReadRawBody reads r's entire body as opaque bytes under a byte cap — the
-// ingress guard for binary payloads (QoR records, checkpoint blobs). It
+// ingress guard for binary payloads (QoR records). It
 // returns the bytes with http.StatusOK, or nil with
 // http.StatusRequestEntityTooLarge (body over the cap) /
 // http.StatusBadRequest (transport-level read failure).

@@ -1,6 +1,9 @@
 package netlist
 
-import "sort"
+import (
+	"encoding/binary"
+	"sort"
+)
 
 // The object-walking netlist encoding: a test oracle for "the same netlist",
 // and nothing decodes it. Encode walks the pointer graph — independently of
@@ -16,8 +19,7 @@ import "sort"
 //     observe.
 //   - Names, flags, library cells by name, modules, groups and group counts.
 //
-// A netlist at rest — in a checkpoint store or on the wire — is an Image; see
-// Image.AppendBinary and DecodeImage.
+// A netlist at rest in a checkpoint store is an Image; see Freeze.
 
 const (
 	codecMagic   = "NLBIN"
@@ -112,4 +114,16 @@ func cellID(c *Cell) int {
 		return -1
 	}
 	return c.ID
+}
+
+// encoder accumulates Encode's output.
+type encoder struct {
+	buf []byte
+}
+
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+
+func (e *encoder) str(s string) {
+	e.uvarint(uint64(len(s)))
+	e.buf = append(e.buf, s...)
 }

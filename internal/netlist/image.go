@@ -1,11 +1,7 @@
 package netlist
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/arena"
 	"repro/internal/liberty"
@@ -32,8 +28,8 @@ import (
 // their names. That is two string headers a cell — about a third of the
 // image — that no image holds.
 //
-// An Image is read-only after Freeze or DecodeImage; any number of goroutines
-// may Thaw the same one concurrently.
+// An Image is read-only after Freeze; any number of goroutines may Thaw the
+// same one concurrently.
 type Image struct {
 	name              string
 	lib               *liberty.Library
@@ -339,7 +335,7 @@ func reuse[T any](s []T, n, dirty int) []T {
 }
 
 // netFlagBits packs a net's six booleans into one byte, the form they take in
-// an Image and on the wire; setNetFlagBits is its inverse.
+// an Image and in Encode; setNetFlagBits is its inverse.
 func netFlagBits(n *Net) byte {
 	var flags byte
 	if n.PI {
@@ -372,49 +368,13 @@ func setNetFlagBits(n *Net, flags byte) {
 	n.IsRst = flags&32 != 0
 }
 
-// The image wire format — how a netlist leaves the process, into the remote
-// result tier replicas share. It is the image's own layout: a header (name,
-// ID bounds, edit generations), the group counts sorted by name, the
-// refs / modules / groups tables (library cells by name), the two byte
-// columns, every int32 column as a length and little-endian values, and the
-// name exceptions. Counts are uvarints, strings are length-prefixed.
-const (
-	imageMagic   = "NLIMG"
-	imageVersion = 1
-)
-
-// column is one int32 column of an image as the wire format sees it: the
-// length it must have (-1: any) and the range [lo, hi) its entries lie in.
-type column struct {
-	c      *[]int32
-	n      int
-	lo, hi int
-}
-
-// columns lists im's int32 columns in wire order. Lengths and ranges follow
-// from the columns that set them — netID, cellID, sinkCell, inNet — and from
-// the tables.
-func (im *Image) columns() []column {
-	nNets, nCells := len(im.netID), len(im.cellID)
-	return []column{
-		{&im.netID, -1, 0, im.nextNet},
-		{&im.netDriver, nNets, -1, nCells},
-		{&im.sinkOff, nNets + 1, 0, len(im.sinkCell) + 1},
-		{&im.sinkCell, -1, 0, nCells},
-		{&im.sinkIdx, len(im.sinkCell), 0, math.MaxInt32},
-		{&im.cellID, -1, 0, im.nextCell},
-		{&im.cellRef, nCells, 0, len(im.refs)},
-		{&im.cellModule, nCells, 0, len(im.modules)},
-		{&im.cellGroup, nCells, 0, len(im.groups)},
-		{&im.inOff, nCells + 1, 0, len(im.inNet) + 1},
-		{&im.inNet, -1, 0, nNets},
-		{&im.cellOut, nCells, -1, nNets},
-		{&im.cellClk, nCells, -1, nNets},
-		{&im.cellRst, nCells, -1, nNets},
-		{&im.inputs, -1, 0, nNets},
-		{&im.outputs, -1, 0, nNets},
-		{&im.namedNets, -1, 0, nNets},
-		{&im.namedCells, -1, 0, nCells},
+// columns lists im's int32 columns.
+func (im *Image) columns() [][]int32 {
+	return [][]int32{
+		im.netID, im.netDriver, im.sinkOff, im.sinkCell, im.sinkIdx,
+		im.cellID, im.cellRef, im.cellModule, im.cellGroup,
+		im.inOff, im.inNet, im.cellOut, im.cellClk, im.cellRst,
+		im.inputs, im.outputs, im.namedNets, im.namedCells,
 	}
 }
 
@@ -424,258 +384,7 @@ func (im *Image) columns() []column {
 func (im *Image) Bytes() int {
 	n := len(im.netFlags) + len(im.cellFixed)
 	for _, c := range im.columns() {
-		n += 4 * len(*c.c)
+		n += 4 * len(c)
 	}
 	return n
-}
-
-// AppendBinary appends im's wire form to b and returns the extended slice.
-// The bytes are a function of the image alone: the group counts, the one
-// map-ordered part of an image, are written sorted by name.
-func (im *Image) AppendBinary(b []byte) []byte {
-	e := encoder{buf: append(append(b, imageMagic...), imageVersion)}
-	e.str(im.name)
-	for _, v := range []uint64{uint64(im.nextNet), uint64(im.nextCell), im.gen, im.topoGen} {
-		e.uvarint(v)
-	}
-	order := make([]int, len(im.groupNames))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return im.groupNames[order[a]] < im.groupNames[order[b]] })
-	e.uvarint(uint64(len(order)))
-	for _, i := range order {
-		e.str(im.groupNames[i])
-		e.uvarint(uint64(im.groupCounts[i]))
-	}
-	e.uvarint(uint64(len(im.refs)))
-	for _, r := range im.refs {
-		e.str(r.Name)
-	}
-	e.strs(im.modules)
-	e.strs(im.groups)
-	fixed := make([]byte, len(im.cellFixed))
-	for i, f := range im.cellFixed {
-		if f {
-			fixed[i] = 1
-		}
-	}
-	e.bytes(im.netFlags)
-	e.bytes(fixed)
-	for _, c := range im.columns() {
-		e.col(*c.c)
-	}
-	e.col([]int32{im.clk, im.rst})
-	e.strs(im.namedNetName)
-	e.strs(im.namedCellName)
-	return e.buf
-}
-
-// DecodeImage reads an image from its wire form, resolving library cells by
-// name against lib. The caller pairs a blob with a library of the same
-// content (a checkpoint key binds the library fingerprint).
-//
-// The input is treated as network bytes: anything truncated, corrupt or
-// inconsistent is an error, never a panic or an allocation the input's
-// length does not pay for. Every count is bounded by the input's length,
-// every position is in range, every offset column runs monotonically from 0
-// to its list's length, every ID is unique and below its bound, and the
-// image, thawed once, must pass Check.
-func DecodeImage(data []byte, lib *liberty.Library) (*Image, error) {
-	d := decoder{data: data}
-	if string(d.raw(len(imageMagic))) != imageMagic {
-		return nil, fmt.Errorf("netlist: not an image blob")
-	}
-	if v := d.raw(1); v == nil || v[0] != imageVersion {
-		return nil, fmt.Errorf("netlist: unsupported image version %v", v)
-	}
-	im := &Image{lib: lib, name: d.str(), nextNet: d.count(), nextCell: d.count(), gen: d.uvarint(), topoGen: d.uvarint()}
-	for n := d.count(); n > 0 && d.err == nil; n-- {
-		im.groupNames = append(im.groupNames, d.str())
-		im.groupCounts = append(im.groupCounts, int32(d.count()))
-	}
-	for _, name := range d.strs() {
-		r := lib.Cell(name)
-		if r == nil && d.err == nil {
-			return nil, fmt.Errorf("netlist: library %s has no cell %q", lib.Name, name)
-		}
-		im.refs = append(im.refs, r)
-	}
-	im.modules, im.groups = d.strs(), d.strs()
-	im.netFlags = d.bytes()
-	for _, f := range d.bytes() {
-		im.cellFixed = append(im.cellFixed, f != 0)
-	}
-	for _, c := range im.columns() {
-		*c.c = d.col()
-	}
-	ends := d.col()
-	im.namedNetName, im.namedCellName = d.strs(), d.strs()
-	if d.err != nil {
-		return nil, fmt.Errorf("netlist: corrupt image blob: %w", d.err)
-	}
-	if d.pos != len(data) {
-		return nil, fmt.Errorf("netlist: %d trailing bytes after image blob", len(data)-d.pos)
-	}
-	if err := im.validate(ends); err != nil {
-		return nil, fmt.Errorf("netlist: inconsistent image blob: %w", err)
-	}
-	// In-range positions make the image safe to thaw; the netlist must also
-	// satisfy the package invariants (drivers present, sink back-references
-	// consistent), or downstream passes would corrupt silently.
-	if err := im.Thaw(nil).Check(); err != nil {
-		return nil, fmt.Errorf("netlist: image blob thaws to an inconsistent netlist: %w", err)
-	}
-	return im, nil
-}
-
-// validate checks a decoded image against everything Thaw indexes with, and
-// sets its clock and reset nets from ends.
-func (im *Image) validate(ends []int32) error {
-	nNets, nCells := len(im.netID), len(im.cellID)
-	if len(im.netFlags) != nNets || len(im.cellFixed) != nCells ||
-		len(im.namedNetName) != len(im.namedNets) || len(im.namedCellName) != len(im.namedCells) {
-		return fmt.Errorf("column lengths disagree")
-	}
-	for k, c := range append(im.columns(), column{&ends, 2, -1, nNets}) {
-		if c.n >= 0 && len(*c.c) != c.n {
-			return fmt.Errorf("column %d: %d entries, want %d", k, len(*c.c), c.n)
-		}
-		for _, p := range *c.c {
-			if int(p) < c.lo || int(p) >= c.hi {
-				return fmt.Errorf("column %d: entry %d outside [%d, %d)", k, p, c.lo, c.hi)
-			}
-		}
-	}
-	im.clk, im.rst = ends[0], ends[1]
-	for _, off := range []struct {
-		off   []int32
-		total int
-	}{{im.sinkOff, len(im.sinkCell)}, {im.inOff, len(im.inNet)}} {
-		if off.off[0] != 0 || int(off.off[len(off.off)-1]) != off.total {
-			return fmt.Errorf("offsets do not run from 0 to %d", off.total)
-		}
-		for i := 1; i < len(off.off); i++ {
-			if off.off[i] < off.off[i-1] {
-				return fmt.Errorf("offset %d decreases", i)
-			}
-		}
-	}
-	for k, idx := range im.sinkIdx {
-		if c := im.sinkCell[k]; idx >= im.inOff[c+1]-im.inOff[c] {
-			return fmt.Errorf("sink %d: pin %d of a cell with %d inputs", k, idx, im.inOff[c+1]-im.inOff[c])
-		}
-	}
-	for _, ids := range []struct {
-		ids   []int32
-		bound int
-	}{{im.netID, im.nextNet}, {im.cellID, im.nextCell}} {
-		seen := make([]bool, ids.bound)
-		for _, id := range ids.ids {
-			if seen[id] {
-				return fmt.Errorf("ID %d duplicated", id)
-			}
-			seen[id] = true
-		}
-	}
-	return nil
-}
-
-// encoder accumulates a wire form.
-type encoder struct {
-	buf []byte
-}
-
-func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *encoder) strs(ss []string) {
-	e.uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		e.str(s)
-	}
-}
-
-func (e *encoder) bytes(b []byte) {
-	e.uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-func (e *encoder) col(c []int32) {
-	e.uvarint(uint64(len(c)))
-	for _, v := range c {
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v))
-	}
-}
-
-// decoder walks a wire form, latching the first error; every accessor is
-// safe to call after a failure and returns a zero value.
-type decoder struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (d *decoder) raw(n int) []byte {
-	if d.err == nil && n > len(d.data)-d.pos {
-		d.err = fmt.Errorf("truncated at byte %d", d.pos)
-	}
-	if d.err != nil {
-		return nil
-	}
-	d.pos += n
-	return d.data[d.pos-n : d.pos]
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.err = fmt.Errorf("bad varint at byte %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-// count reads a uvarint that sizes an allocation or bounds an ID, and fails
-// past the input's length: every counted item costs at least one byte, so a
-// corrupt count cannot force an allocation the input does not pay for.
-func (d *decoder) count() int {
-	if v := d.uvarint(); v <= uint64(len(d.data)) {
-		return int(v)
-	}
-	d.err = fmt.Errorf("count exceeds the blob's %d bytes", len(d.data))
-	return 0
-}
-
-func (d *decoder) str() string { return string(d.raw(d.count())) }
-
-func (d *decoder) strs() []string {
-	ss := make([]string, d.count())
-	for i := range ss {
-		ss[i] = d.str()
-	}
-	return ss
-}
-
-func (d *decoder) bytes() []byte { return slices.Clone(d.raw(d.count())) }
-
-func (d *decoder) col() []int32 {
-	n := d.count()
-	b := d.raw(4 * n)
-	if b == nil {
-		return nil
-	}
-	c := make([]int32, n)
-	for i := range c {
-		c[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return c
 }

@@ -105,25 +105,6 @@ func TestImageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestImageWireRoundTrip: an image decoded from its wire form thaws to the
-// netlist the original froze, and re-encodes to the same bytes.
-func TestImageWireRoundTrip(t *testing.T) {
-	for _, c := range imageCases(t) {
-		blob := netlist.Freeze(c.nl).AppendBinary(nil)
-		im, err := netlist.DecodeImage(blob, c.nl.Lib)
-		if err != nil {
-			t.Errorf("%s: %v", c.name, err)
-			continue
-		}
-		if !bytes.Equal(netlist.Encode(im.Thaw(nil)), netlist.Encode(c.nl)) {
-			t.Errorf("%s: decoded image thaws to a different netlist", c.name)
-		}
-		if !bytes.Equal(im.AppendBinary(nil), blob) {
-			t.Errorf("%s: re-encode after decode is not byte-identical", c.name)
-		}
-	}
-}
-
 // TestThawIntoDirtyWorkspace: one workspace is used for the largest design,
 // then the smallest, then mutated by a compile, and then takes every image in
 // turn with another compile in between. Each thaw must equal a thaw into new

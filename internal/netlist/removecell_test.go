@@ -80,11 +80,7 @@ func TestRemoveCellKeepsScanAndSwapOrder(t *testing.T) {
 
 	// A copy of a netlist that already had removals carries the order and
 	// the positions over, and keeps both under further edits.
-	im, err := DecodeImage(Freeze(nl).AppendBinary(nil), lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for what, cp := range map[string]*Netlist{"clone": nl.Clone(), "wire round-trip": im.Thaw(nil)} {
+	for what, cp := range map[string]*Netlist{"clone": nl.Clone(), "freeze/thaw round-trip": Freeze(nl).Thaw(nil)} {
 		checkCellOrder(t, what, cp, want)
 		w := randomAddRemove(t, cp, append([]int(nil), want...), rand.New(rand.NewSource(2)), 500)
 		checkCellOrder(t, what+" after edits", cp, w)

@@ -3,7 +3,6 @@ package remotecache
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -45,9 +44,8 @@ type Client struct {
 	breaker  *resilience.Breaker
 	warnOnce sync.Once
 
-	qorHits, qorMisses, qorPuts    atomic.Int64
-	blobHits, blobMisses, blobPuts atomic.Int64
-	granted, waited, dropped       atomic.Int64
+	qorHits, qorMisses, qorPuts atomic.Int64
+	granted, waited, dropped    atomic.Int64
 }
 
 // ClientConfig wires a Client.
@@ -241,59 +239,6 @@ func (c *Client) PutQoR(key qorlog.Key, rec qorlog.Record) {
 	c.qorPuts.Add(1)
 }
 
-// GetBlob fetches a checkpoint blob. The key is the raw content hash
-// (synth's checkpointKey bytes); it travels hex-encoded. Implements
-// synth.BlobCache.
-func (c *Client) GetBlob(key string) ([]byte, bool) {
-	if c == nil || !c.allow() {
-		return nil, false
-	}
-	url := c.base + "/v1/checkpoint/" + hex.EncodeToString([]byte(key))
-	resp, err := c.do(context.Background(), func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, url, nil)
-	})
-	if err != nil {
-		c.fail(err)
-		return nil, false
-	}
-	c.ok()
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		c.blobMisses.Add(1)
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
-		c.blobMisses.Add(1)
-		return nil, false
-	}
-	c.blobHits.Add(1)
-	return body, true
-}
-
-// PutBlob publishes a checkpoint blob. Implements synth.BlobCache.
-func (c *Client) PutBlob(key string, blob []byte) {
-	if c == nil || !c.allow() {
-		return
-	}
-	url := c.base + "/v1/checkpoint/" + hex.EncodeToString([]byte(key))
-	resp, err := c.do(context.Background(), func() (*http.Request, error) {
-		return http.NewRequest(http.MethodPut, url, bytes.NewReader(blob))
-	})
-	if err != nil {
-		c.fail(err)
-		c.dropped.Add(1)
-		return
-	}
-	c.ok()
-	drain(resp)
-	if resp.StatusCode != http.StatusNoContent {
-		c.dropped.Add(1)
-		return
-	}
-	c.blobPuts.Add(1)
-}
-
 // Acquire coordinates one unit of content-addressed work fleet-wide:
 //
 //   - the result already exists somewhere -> (record, true, noop): use it;
@@ -417,11 +362,10 @@ func (c *Client) complete(ctx context.Context, id string) {
 // ClientStats are the client's lifetime counters, exposed by replicas as
 // remotecache_client_* metrics.
 type ClientStats struct {
-	QoRHits, QoRMisses, QoRPuts    int64
-	BlobHits, BlobMisses, BlobPuts int64
-	LeasesGranted, LeaseWaits      int64
-	Dropped                        int64
-	Degraded                       bool
+	QoRHits, QoRMisses, QoRPuts int64
+	LeasesGranted, LeaseWaits   int64
+	Dropped                     int64
+	Degraded                    bool
 }
 
 // Stats returns the current counters. Nil-safe.
@@ -431,7 +375,6 @@ func (c *Client) Stats() ClientStats {
 	}
 	return ClientStats{
 		QoRHits: c.qorHits.Load(), QoRMisses: c.qorMisses.Load(), QoRPuts: c.qorPuts.Load(),
-		BlobHits: c.blobHits.Load(), BlobMisses: c.blobMisses.Load(), BlobPuts: c.blobPuts.Load(),
 		LeasesGranted: c.granted.Load(), LeaseWaits: c.waited.Load(),
 		Dropped:  c.dropped.Load(),
 		Degraded: c.Degraded(),

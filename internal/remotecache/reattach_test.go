@@ -17,11 +17,7 @@ import (
 // server comes back on the same address, with the single degradation
 // warning plus one re-attach notice.
 func TestClientReattachesAfterTierRestart(t *testing.T) {
-	blobs, err := OpenBlobStore(t.TempDir(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(ServerConfig{QoR: qorlog.NewMemoryStore(0), Blobs: blobs, LeaseTTL: time.Minute})
+	srv := NewServer(ServerConfig{QoR: qorlog.NewMemoryStore(0), LeaseTTL: time.Minute})
 	defer srv.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -83,82 +81,12 @@ func TestLeaseRenewExpired(t *testing.T) {
 	}
 }
 
-// --- blob store ---
-
-func TestBlobStoreRoundTripAndEviction(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenBlobStore(dir, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	put := func(key string, n int) {
-		t.Helper()
-		s.Put(key, bytes.Repeat([]byte{0xAB}, n))
-	}
-	put("aa", 40)
-	put("bb", 40)
-	if b, ok := s.Get("aa"); !ok || len(b) != 40 || b[0] != 0xAB {
-		t.Fatalf("get aa = %v %v", b, ok)
-	}
-	// aa was just used; storing cc must evict bb (LRU).
-	put("cc", 40)
-	if _, ok := s.Get("bb"); ok {
-		t.Fatal("bb survived eviction")
-	}
-	if _, ok := s.Get("aa"); !ok {
-		t.Fatal("aa was evicted despite being recently used")
-	}
-	if st := s.Stats(); st.Evictions != 1 || st.Blobs != 2 || st.Bytes != 80 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	// Oversized and invalid keys are dropped, not stored.
-	put("dd", 200)
-	if _, ok := s.Get("dd"); ok {
-		t.Fatal("oversized blob stored")
-	}
-	s.Put("../evil", []byte("x"))
-	if _, err := os.Stat(filepath.Join(dir, "..", "evil")); err == nil {
-		t.Fatal("path traversal escaped the blob dir")
-	}
-
-	// Reopen rebuilds the index from disk; a stray file is ignored.
-	os.WriteFile(filepath.Join(dir, "notakey.txt"), []byte("x"), 0o644)
-	s2, err := OpenBlobStore(dir, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 2 {
-		t.Fatalf("reopened store has %d blobs, want 2", s2.Len())
-	}
-	if b, ok := s2.Get("cc"); !ok || len(b) != 40 {
-		t.Fatal("cc lost across reopen")
-	}
-}
-
-func TestBlobStoreNilSafe(t *testing.T) {
-	var s *BlobStore
-	s.Put("aa", []byte("x"))
-	if _, ok := s.Get("aa"); ok {
-		t.Fatal("nil store returned a blob")
-	}
-	if s.Len() != 0 || s.Bytes() != 0 {
-		t.Fatal("nil store has contents")
-	}
-	_ = s.Stats()
-}
-
 // --- server + client ---
 
 func newTestTier(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	blobs, err := OpenBlobStore(t.TempDir(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := NewServer(ServerConfig{
 		QoR:      qorlog.NewMemoryStore(0),
-		Blobs:    blobs,
 		LeaseTTL: time.Minute,
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -200,22 +128,6 @@ func TestQoRRoundTripOverHTTP(t *testing.T) {
 	}
 }
 
-func TestCheckpointBlobRoundTripOverHTTP(t *testing.T) {
-	_, ts := newTestTier(t)
-	c := newTestClient(ts, "r1")
-
-	rawKey := strings.Repeat("\x7f\x00", 16) // raw bytes, hex-encoded on the wire
-	blob := bytes.Repeat([]byte{1, 2, 3}, 100)
-	if _, ok := c.GetBlob(rawKey); ok {
-		t.Fatal("empty tier served a blob")
-	}
-	c.PutBlob(rawKey, blob)
-	got, ok := c.GetBlob(rawKey)
-	if !ok || !bytes.Equal(got, blob) {
-		t.Fatalf("blob round-trip failed: ok=%v len=%d", ok, len(got))
-	}
-}
-
 func TestServerRejections(t *testing.T) {
 	_, ts := newTestTier(t)
 	hc := ts.Client()
@@ -240,8 +152,8 @@ func TestServerRejections(t *testing.T) {
 		want         int
 	}{
 		{"bad key chars", "GET", "/v1/qor/ZZZZ", "", http.StatusUnprocessableEntity},
-		{"overlong key", "GET", "/v1/checkpoint/" + strings.Repeat("a", 200), "", http.StatusUnprocessableEntity},
-		{"traversal key", "GET", "/v1/checkpoint/%2e%2e%2fetc", "", http.StatusUnprocessableEntity},
+		{"overlong key", "GET", "/v1/qor/" + strings.Repeat("a", 200), "", http.StatusUnprocessableEntity},
+		{"traversal key", "GET", "/v1/qor/%2e%2e%2fetc", "", http.StatusUnprocessableEntity},
 		{"qor miss", "GET", "/v1/qor/" + key, "", http.StatusNotFound},
 		{"qor put not a frame", "PUT", "/v1/qor/" + key, "garbage", http.StatusBadRequest},
 		{"qor put oversized", "PUT", "/v1/qor/" + key, strings.Repeat("x", 5000), http.StatusRequestEntityTooLarge},
@@ -279,7 +191,6 @@ func TestServerRejections(t *testing.T) {
 		"remotecache_qor_puts_total 1",
 		"remotecache_input_rejected_total",
 		"remotecache_leases_active",
-		"remotecache_checkpoint_puts_total",
 	} {
 		if !strings.Contains(buf.String(), m) {
 			t.Errorf("metrics missing %q", m)
@@ -339,10 +250,8 @@ func TestAcquireLifecycle(t *testing.T) {
 }
 
 func TestAcquireTakesOverExpiredLease(t *testing.T) {
-	blobs, _ := OpenBlobStore(t.TempDir(), 1<<20)
 	srv := NewServer(ServerConfig{
 		QoR:      qorlog.NewMemoryStore(0),
-		Blobs:    blobs,
 		LeaseTTL: 40 * time.Millisecond, // crashed holders expire fast
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -403,10 +312,6 @@ func TestClientDegradesOnDeadServer(t *testing.T) {
 			rel()
 			t.Fatalf("dead tier granted a result: %+v", rec)
 		}
-		if _, ok := c.GetBlob("ab"); ok {
-			t.Fatal("dead tier served a blob")
-		}
-		c.PutBlob("ab", []byte("x"))
 	}
 	if !c.Degraded() {
 		t.Fatal("client never degraded")
@@ -536,10 +441,8 @@ func TestServerSweepsExpiredLeases(t *testing.T) {
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
 	clock := func() time.Time { <-mu; defer func() { mu <- struct{}{} }(); return now }
-	blobs, _ := OpenBlobStore(t.TempDir(), 1<<20)
 	srv := NewServer(ServerConfig{
 		QoR:      qorlog.NewMemoryStore(0),
-		Blobs:    blobs,
 		LeaseTTL: 20 * time.Millisecond,
 		Now:      clock,
 	})

@@ -13,18 +13,16 @@ import (
 )
 
 // Server is the shared result tier chatlsd replicas talk to: a pure-stdlib
-// HTTP service exposing content-addressed QoR records, content-addressed
-// checkpoint blobs, and the lease scheduler. State lives in the same stores
-// the single-process path already trusts — a qorlog.Store for records (so
-// the tier inherits its durable log, warm restarts, and degradation rules)
-// and a BlobStore for checkpoints.
+// HTTP service exposing content-addressed QoR records and the lease
+// scheduler. Records live in the store the single-process path already
+// trusts — a qorlog.Store, so the tier inherits its durable log, warm
+// restarts, and degradation rules. Elaboration checkpoints are not shared:
+// each replica elaborates a design once per process.
 //
 // Routes (keys are lowercase-hex content hashes):
 //
 //	GET  /v1/qor/{key}                200 binary record | 404
 //	PUT  /v1/qor/{key}                204 | 400 | 413 | 422 (key mismatch)
-//	GET  /v1/checkpoint/{key}         200 blob | 404
-//	PUT  /v1/checkpoint/{key}         204 | 413 | 422 (bad key)
 //	POST /v1/leases                   200 {status,lease,ttl_ms}
 //	POST /v1/leases/{id}/renew        200 | 410 (lost)
 //	POST /v1/leases/{id}/complete     200 (idempotent)
@@ -49,16 +47,11 @@ type Server struct {
 type ServerConfig struct {
 	// QoR holds the records. Required (a memory-only store is fine).
 	QoR *qorlog.Store
-	// Blobs holds checkpoint blobs. Nil disables the checkpoint routes
-	// (404 on GET, dropped PUTs) without disabling the tier.
-	Blobs *BlobStore
 	// LeaseTTL bounds every granted or renewed lease (default
 	// DefaultLeaseTTL). Clients may ask for less, never more.
 	LeaseTTL time.Duration
 	// MaxRecordBytes caps PUT /v1/qor bodies (default 4096).
 	MaxRecordBytes int64
-	// MaxBlobBytes caps PUT /v1/checkpoint bodies (default 64 MiB).
-	MaxBlobBytes int64
 	// Now is the clock (default time.Now; expiry tests inject).
 	Now func() time.Time
 }
@@ -79,9 +72,6 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	if cfg.MaxRecordBytes <= 0 {
 		cfg.MaxRecordBytes = 4096
-	}
-	if cfg.MaxBlobBytes <= 0 {
-		cfg.MaxBlobBytes = 64 << 20
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -113,20 +103,6 @@ func NewServer(cfg ServerConfig) *Server {
 	s.reg.NewGaugeFunc("remotecache_qor_records", "live QoR records", func() int64 {
 		return int64(s.cfg.QoR.Len())
 	})
-	if cfg.Blobs != nil {
-		s.reg.NewCounterFunc("remotecache_checkpoint_hits_total", "checkpoint GETs served", func() int64 {
-			return cfg.Blobs.Stats().Hits
-		})
-		s.reg.NewCounterFunc("remotecache_checkpoint_misses_total", "checkpoint GETs missed", func() int64 {
-			return cfg.Blobs.Stats().Misses
-		})
-		s.reg.NewCounterFunc("remotecache_checkpoint_puts_total", "checkpoint blobs stored", func() int64 {
-			return cfg.Blobs.Stats().Puts
-		})
-		s.reg.NewGaugeFunc("remotecache_checkpoint_bytes", "checkpoint bytes stored", func() int64 {
-			return cfg.Blobs.Bytes()
-		})
-	}
 
 	s.sweepDone.Add(1)
 	go s.sweepLoop()
@@ -161,8 +137,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/qor/{key}", s.handleQoRGet)
 	mux.HandleFunc("PUT /v1/qor/{key}", s.handleQoRPut)
-	mux.HandleFunc("GET /v1/checkpoint/{key}", s.handleCheckpointGet)
-	mux.HandleFunc("PUT /v1/checkpoint/{key}", s.handleCheckpointPut)
 	mux.HandleFunc("POST /v1/leases", s.handleLeaseClaim)
 	mux.HandleFunc("POST /v1/leases/{id}/renew", s.handleLeaseRenew)
 	mux.HandleFunc("POST /v1/leases/{id}/complete", s.handleLeaseComplete)
@@ -191,6 +165,21 @@ func (s *Server) pathKey(w http.ResponseWriter, r *http.Request) (string, bool) 
 		return "", false
 	}
 	return key, true
+}
+
+// validKey accepts lowercase-hex strings of sane length — the only shape
+// content hashes take — which keeps anything path-like out of the routes.
+func validKey(k string) bool {
+	if len(k) == 0 || len(k) > 128 {
+		return false
+	}
+	for i := 0; i < len(k); i++ {
+		c := k[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Server) handleQoRGet(w http.ResponseWriter, r *http.Request) {
@@ -242,40 +231,6 @@ func (s *Server) handleQoRPut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cfg.QoR.Put(k, rec)
 	s.qorPuts.Inc()
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	if s.cfg.Blobs == nil {
-		s.jsonError(w, http.StatusNotFound, "checkpoint store disabled")
-		return
-	}
-	blob, ok := s.cfg.Blobs.Get(key)
-	if !ok {
-		s.jsonError(w, http.StatusNotFound, "no checkpoint for %s", key)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(blob)
-}
-
-func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	body, code, err := inputlimits.ReadRawBody(w, r, s.cfg.MaxBlobBytes)
-	if err != nil {
-		s.jsonError(w, code, "%v", err)
-		return
-	}
-	if s.cfg.Blobs != nil {
-		s.cfg.Blobs.Put(key, body)
-	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -363,7 +318,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{
 		"status":        "ok",
 		"qor_records":   s.cfg.QoR.Len(),
-		"checkpoints":   s.cfg.Blobs.Len(),
 		"active_leases": st.Active,
 		"lease_ttl_ms":  s.cfg.LeaseTTL.Milliseconds(),
 	})

@@ -85,10 +85,10 @@ type Config struct {
 
 	// RemoteCache, when non-nil, connects this replica to a shared
 	// chatlscached result tier: QoR lookups read through to it, fresh
-	// results are written through to it, elaboration checkpoints are
-	// shared by content key, and Pass@k samples claim fleet-wide leases so
-	// concurrent replicas synthesize each unique (library, sources, script)
-	// exactly once between them. A dead or unreachable tier degrades the
+	// results are written through to it, and Pass@k samples claim
+	// fleet-wide leases so concurrent replicas synthesize each unique
+	// (library, sources, script) exactly once between them. Elaboration
+	// checkpoints stay in the replica. A dead or unreachable tier degrades the
 	// replica to local-only operation with a single warning; results are
 	// bit-identical with or without it.
 	RemoteCache *remotecache.Client
@@ -213,7 +213,6 @@ func New(cfg Config) (*Server, error) {
 		// The tier layers the remote cache over the local store (which may
 		// be nil — *qorlog.Store is nil-safe — leaving a remote-only tier).
 		s.tier = remotecache.NewTier(s.results, cfg.RemoteCache)
-		s.ckpt.SetRemote(cfg.RemoteCache)
 	}
 	for _, d := range cfg.Designs {
 		s.byName[d.Name] = d
@@ -305,12 +304,6 @@ func New(cfg Config) (*Server, error) {
 			func() int64 { return rc.Stats().QoRMisses })
 		s.reg.NewCounterFunc("remotecache_client_qor_puts_total", "QoR records published to the remote result tier",
 			func() int64 { return rc.Stats().QoRPuts })
-		s.reg.NewCounterFunc("remotecache_client_checkpoint_hits_total", "elaboration checkpoints restored from the remote tier",
-			func() int64 { return rc.Stats().BlobHits })
-		s.reg.NewCounterFunc("remotecache_client_checkpoint_misses_total", "remote checkpoint lookups that missed",
-			func() int64 { return rc.Stats().BlobMisses })
-		s.reg.NewCounterFunc("remotecache_client_checkpoint_puts_total", "elaboration checkpoints published to the remote tier",
-			func() int64 { return rc.Stats().BlobPuts })
 		s.reg.NewCounterFunc("remotecache_client_leases_granted_total", "fleet-wide work leases this replica was granted",
 			func() int64 { return rc.Stats().LeasesGranted })
 		s.reg.NewCounterFunc("remotecache_client_lease_waits_total", "times this replica waited on a sibling's lease",

@@ -48,8 +48,7 @@ import (
 // Snapshot handle the run's Result carries, instead of parsing and elaborating
 // the text again.
 type CheckpointStore struct {
-	cache  *lru.Cache[string, *checkpoint]
-	remote BlobCache
+	cache *lru.Cache[string, *checkpoint]
 
 	mu   sync.Mutex
 	idle []*workspace // parked workspaces, most recently parked last
@@ -120,29 +119,6 @@ func (s *CheckpointStore) park(ws *workspace) {
 	if len(s.idle) < runtime.GOMAXPROCS(0) {
 		s.idle = append(s.idle, ws)
 	}
-}
-
-// BlobCache is a second, remote tier of checkpoint storage shared by
-// replicas (implemented by the remote-cache client). Keys are the raw
-// checkpointKey bytes; values are encodeCheckpoint blobs. Implementations
-// must be concurrency-safe and non-blocking under failure: a GetBlob against
-// an unreachable tier reports a miss, a PutBlob is dropped — degradation,
-// never an error surfaced into the synthesis path.
-type BlobCache interface {
-	GetBlob(key string) ([]byte, bool)
-	PutBlob(key string, blob []byte)
-}
-
-// SetRemote attaches a remote blob tier. Local snapshots are pushed to it on
-// capture; local misses consult it before falling back to fresh elaboration.
-// Must be called before the store is shared across goroutines (wiring time),
-// like every other store option. Nil-safe; attaching to a nil store is a
-// no-op, and r may be nil to detach.
-func (s *CheckpointStore) SetRemote(r BlobCache) {
-	if s == nil {
-		return
-	}
-	s.remote = r
 }
 
 // DefaultCheckpointCap is the store capacity used when NewCheckpointStore is
@@ -227,11 +203,11 @@ type checkpoint struct {
 	file *verilog.SourceFile // parsed sources (modules shared read-only)
 	top  string              // resolved top module
 	log  []string            // transcript lines the prefix produced
-	srcs []srcText           // (file, text) in read order, for serialization
+	srcs []srcText           // (file, text) in read order
 
 	// The derived level: what first compiles make of img, oldest entry
 	// first, at most maxDerived of them. They live and die with this
-	// snapshot's LRU entry and never leave the process.
+	// snapshot's LRU entry.
 	mu      sync.Mutex
 	derived []derivedResult
 }
@@ -371,10 +347,8 @@ func (cp *checkpoint) derivedBytes() int64 {
 	return n
 }
 
-// srcText is one source file as the prefix read it. Carried so a checkpoint
-// can be serialized: the decoder re-parses the sources in read order, which
-// rebuilds file.Modules identically (modules are immutable values of the
-// text, and read order decides precedence and the default top).
+// srcText is one source file as the prefix read it. Snapshot's accessors
+// match a caller's source text against it.
 type srcText struct {
 	Name, Text string
 }
@@ -459,66 +433,20 @@ func (s *Session) checkpointKey(files []string, top string) (string, bool) {
 	return string(h.Sum(nil)), true
 }
 
-// get returns the snapshot for key, nil on a miss. On a local miss with a
-// remote tier attached, the tier is consulted, and a blob is served — and
-// cached locally — only when it decodes cleanly against sess.Lib (the key
-// binds its fingerprint, so a remote hit always pairs with an equivalent
-// library) and is the elaboration the key was derived from: see readFrom.
-// Anything else is a miss, because remote bytes are untrusted input and a
-// fresh elaboration is always available. Nil-safe.
-func (s *CheckpointStore) get(key string, sess *Session, files []string, top string) *checkpoint {
+// get returns the snapshot for key, nil on a miss. Nil-safe.
+func (s *CheckpointStore) get(key string) *checkpoint {
 	if s == nil {
 		return nil
 	}
-	if cp, ok := s.cache.Get(key); ok {
-		return cp
-	}
-	if s.remote == nil {
-		return nil
-	}
-	blob, ok := s.remote.GetBlob(key)
-	if !ok {
-		return nil
-	}
-	cp, err := decodeCheckpoint(blob, sess.Lib)
-	if err != nil || !cp.readFrom(sess.Sources, files, top) {
-		return nil
-	}
-	s.cache.Add(key, cp)
+	cp, _ := s.cache.Get(key)
 	return cp
 }
 
-// readFrom reports whether cp is what a link prefix reading files from
-// sources, in that order, under top makes: the same file names and texts in
-// the same order, and the same resolved top — top itself, or with none given
-// the last module read, as link picks it. A tier that serves one key's bytes
-// under another fails here instead of restoring the wrong netlist. (The
-// parameter overrides are not in a blob; only the key tells those apart.)
-func (cp *checkpoint) readFrom(sources map[string]string, files []string, top string) bool {
-	if len(cp.srcs) != len(files) {
-		return false
-	}
-	for i, f := range files {
-		if text, ok := sources[f]; !ok || cp.srcs[i].Name != f || cp.srcs[i].Text != text {
-			return false
-		}
-	}
-	if top == "" && len(cp.file.Modules) > 0 {
-		top = cp.file.Modules[len(cp.file.Modules)-1].Name
-	}
-	return cp.top == top
-}
-
-// put stores a snapshot locally and, when a remote tier is attached, pushes
-// its serialized form so sibling replicas skip the same elaboration. The
-// caller must hand over a snapshot it will never mutate (RunContext freezes
-// the live netlist at capture time). Nil-safe.
+// put stores a snapshot. The caller must hand over a snapshot it will never
+// mutate (RunContext freezes the live netlist at capture time). Nil-safe.
 func (s *CheckpointStore) put(key string, cp *checkpoint) {
 	if s == nil {
 		return
 	}
 	s.cache.Add(key, cp)
-	if s.remote != nil {
-		s.remote.PutBlob(key, encodeCheckpoint(cp))
-	}
 }

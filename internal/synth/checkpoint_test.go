@@ -183,11 +183,11 @@ func TestCheckpointSnapshotImmutable(t *testing.T) {
 	if !ok {
 		t.Fatal("key underivable")
 	}
-	cp := store.get(key, newTestSession(), []string{"tiny.v"}, "tiny")
+	cp := store.get(key)
 	if cp == nil {
 		t.Fatal("prefix-only run did not store a snapshot")
 	}
-	// The blob covers structure, IDs, orders and edit generations alike.
+	// The encoding covers structure, IDs, orders and edit generations alike.
 	before := netlist.Encode(cp.img.Thaw(nil))
 
 	// A heavyweight mutating run restored from the snapshot.

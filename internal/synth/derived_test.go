@@ -429,8 +429,12 @@ func TestDerivedHammer(t *testing.T) {
 	const workers, rounds = 16, 12
 	var wg sync.WaitGroup
 	// A scraper reads DerivedBytes, which walks every entry, while the
-	// workers note, capture and push entries out.
+	// workers note, capture and push entries out. It keeps the largest
+	// reading: at the end the four-slot level may hold only first-touch
+	// notes, which carry no image, so only a reading taken while the
+	// workers ran shows that it walked real images.
 	done, scraped := make(chan struct{}), make(chan struct{})
+	var maxBytes int64
 	go func() {
 		defer close(scraped)
 		for {
@@ -438,7 +442,7 @@ func TestDerivedHammer(t *testing.T) {
 			case <-done:
 				return
 			case <-time.After(100 * time.Microsecond):
-				store.DerivedBytes()
+				maxBytes = max(maxBytes, store.DerivedBytes())
 			}
 		}
 	}()
@@ -470,8 +474,8 @@ func TestDerivedHammer(t *testing.T) {
 	wg.Wait()
 	close(done)
 	<-scraped
-	if st := store.Stats(); st.DerivedHits == 0 || st.DerivedCaptures == 0 || store.DerivedBytes() == 0 {
-		t.Errorf("the hammer never reached the derived level's hit path: %+v", st)
+	if st := store.Stats(); st.DerivedHits == 0 || st.DerivedCaptures == 0 || maxBytes == 0 {
+		t.Errorf("the hammer never reached the derived level's hit path: %+v, largest DerivedBytes %d", st, maxBytes)
 	}
 }
 

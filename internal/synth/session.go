@@ -132,7 +132,7 @@ func (s *Session) RunContext(ctx context.Context, script string) (_ *Result, err
 		if end, files, top, ok := linkPrefix(cmds); ok && (budget <= 0 || end < budget) {
 			if key, ok := s.checkpointKey(files, top); ok {
 				res.Snapshot = Snapshot{store: s.Checkpoints, key: key}
-				if cp := s.Checkpoints.get(key, s, files, top); cp != nil {
+				if cp := s.Checkpoints.get(key); cp != nil {
 					st.restore(cp)
 					start = end + 1
 				} else {
@@ -196,8 +196,8 @@ func (st *execState) logf(format string, args ...any) {
 // snapshot captures the session state right after the link command executed:
 // the linked netlist frozen into an image, the parsed sources, the resolved
 // top, the transcript lines the prefix wrote, and the source texts in read
-// order (so the snapshot can be serialized for the remote tier). Freezing
-// decouples the snapshot from every later mutation of the live design.
+// order. Freezing decouples the snapshot from every later mutation of the
+// live design.
 func (st *execState) snapshot(files []string) *checkpoint {
 	srcs := make([]srcText, 0, len(files))
 	for _, f := range files {

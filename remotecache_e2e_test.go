@@ -20,7 +20,7 @@ import (
 
 // newReplica assembles one simulated chatlsd replica: a remote-cache client
 // pointed at the tier, a two-level result store over a fresh local memory
-// store, and a checkpoint store sharing elaboration state through the tier.
+// store, and the replica's own checkpoint store.
 func newReplica(t *testing.T, baseURL, owner string, warnf func(string, ...any)) (*remotecache.Client, *remotecache.Tier, *synth.CheckpointStore) {
 	t.Helper()
 	client := remotecache.NewClient(remotecache.ClientConfig{
@@ -29,9 +29,7 @@ func newReplica(t *testing.T, baseURL, owner string, warnf func(string, ...any))
 		Warnf:   warnf,
 	})
 	tier := remotecache.NewTier(qorlog.NewMemoryStore(0), client)
-	ckpt := synth.NewCheckpointStore(0)
-	ckpt.SetRemote(client)
-	return client, tier, ckpt
+	return client, tier, synth.NewCheckpointStore(0)
 }
 
 // scrapeCounter reads one counter/gauge value off the tier's /metrics page.
@@ -78,14 +76,7 @@ func TestTwoReplicasDedupAndMatchSingleReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	blobs, err := remotecache.OpenBlobStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := remotecache.NewServer(remotecache.ServerConfig{
-		QoR:   qorlog.NewMemoryStore(0),
-		Blobs: blobs,
-	})
+	srv := remotecache.NewServer(remotecache.ServerConfig{QoR: qorlog.NewMemoryStore(0)})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -146,9 +137,6 @@ func TestTwoReplicasDedupAndMatchSingleReplica(t *testing.T) {
 	}
 	if stA.LeasesGranted+stB.LeasesGranted == 0 {
 		t.Error("at least one lease should have been granted fleet-wide")
-	}
-	if stA.BlobPuts+stB.BlobPuts == 0 {
-		t.Error("at least one elaboration checkpoint should have been published")
 	}
 }
 
