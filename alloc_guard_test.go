@@ -122,9 +122,11 @@ func TestRecycledRestoreAllocGuard(t *testing.T) {
 // notes every compile key and captures most of them (15 of 20; the rest are
 // captured in the first measured pass, since the derived level keys a whole
 // compile); the budget is about 1.5 times the steady state that follows when
-// every sample synthesizes (≈ 296 kB, against ≈ 1.07 MB when every prompt
+// every sample synthesizes (≈ 321 kB, against ≈ 1.07 MB when every prompt
 // line was copied and every sizing round grew its change list from nil);
-// sharing repeats reads ≈ 328 kB, those five captures included.
+// sharing repeats reads ≈ 306 kB, those five captures included. A sample
+// served by the derived level and then only reading appends the kept report
+// texts, which it shares with the store, instead of formatting its own.
 func TestWarmRawRequestAllocGuard(t *testing.T) {
 	lib := liberty.Nangate45()
 	ctx := context.Background()

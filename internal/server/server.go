@@ -256,13 +256,15 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return s.ckpt.Stats().Allocated })
 	s.reg.NewCounterFunc("synth_checkpoint_restore_thaws_skipped_total", "restores whose post-link image was never thawed: the compile's result was served instead, or the run ended before any command read the netlist",
 		func() int64 { return s.ckpt.Stats().ThawsSkipped })
-	s.reg.NewCounterFunc("synth_checkpoint_derived_hits_total", "first compiles of a restored design served from the store: the compiled netlist thawed, no pass run",
+	s.reg.NewCounterFunc("synth_checkpoint_derived_hits_total", "first compiles of a restored design served from the store: no pass run, the compiled netlist thawed only when a command reads it",
 		func() int64 { return s.ckpt.Stats().DerivedHits })
 	s.reg.NewCounterFunc("synth_checkpoint_derived_misses_total", "first compiles of a restored design that ran the compile",
 		func() int64 { return s.ckpt.Stats().DerivedMisses })
 	s.reg.NewCounterFunc("synth_checkpoint_derived_captures_total", "compiled netlists frozen into the store, on a key's second computation",
 		func() int64 { return s.ckpt.Stats().DerivedCaptures })
-	s.reg.NewGaugeFunc("synth_checkpoint_derived_bytes", "column bytes of the compiled netlists the store's derived level holds",
+	s.reg.NewCounterFunc("synth_checkpoint_derived_reports_served_total", "report texts served from a derived result instead of computed: no thaw, no analysis",
+		func() int64 { return s.ckpt.Stats().DerivedReportsServed })
+	s.reg.NewGaugeFunc("synth_checkpoint_derived_bytes", "bytes the store's derived level holds: column bytes of the compiled netlists and the text of the kept reports",
 		func() int64 { return s.ckpt.DerivedBytes() })
 	s.reg.NewCounterFunc("qorlog_hits_total", "sample syntheses served from the durable QoR store",
 		func() int64 { return s.results.Stats().Hits })

@@ -19,7 +19,9 @@ import (
 // scripts aimed at one design use few compile keys — the paper's loop holds
 // the clock period and the wireload fixed (§V) and the samples choose among a
 // handful of compile* option sets. TestDerivedCensus counts those keys over
-// the repo benchmark's closed-loop request mix.
+// the repo benchmark's closed-loop request mix, and how many of the scripts
+// a request synthesizes only read after their first compile — the runs a
+// served compile answers without an analysis.
 
 // censusSeed is chatlsd's default -seed, which seeds the database build and
 // every model the daemon serves with.
@@ -58,6 +60,13 @@ func censusRequirements(seed int64, workload string) []string {
 // maxDerived distinct compile keys, so a warm pass never cycles the derived
 // level. (The open-loop mix, 64 requirements over all three pipelines at
 // k = 1 and 5, sends more; see DESIGN.md, "The derived level".)
+//
+// It also classifies each script a request synthesizes — its distinct
+// samples, as the daemon's Pass@k evaluation runs each once — by what
+// follows its first compile: most of the warm_raw_k5 scripts that reach the
+// derived level then only read, so keeping what they read beside the
+// compiled netlist pays (see derivedTail). warm_chatls_k1's plans mostly
+// edit after the compile; its share is logged, not gated.
 func TestDerivedCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the database and compiles every distinct script of the mix")
@@ -79,6 +88,7 @@ func TestDerivedCensus(t *testing.T) {
 			&chatls.RawPipeline{Model: llm.New(llm.Claude35, censusSeed)},
 		}, 5},
 	}
+	tails := make([]struct{ scripts, derived, readOnly int }, len(mixes))
 	for _, d := range designs.Benchmarks() {
 		store := synth.NewCheckpointStore(0)
 		task, _, err := chatls.NewTaskWith(ctx, d, lib, store) // captures the post-link snapshot
@@ -89,13 +99,14 @@ func TestDerivedCensus(t *testing.T) {
 		sess.Checkpoints = store
 		sess.AddSource(d.FileName, d.Source)
 		keyOf := map[string]string{} // script -> key, shared by the mixes
-		for _, m := range mixes {
+		for mi, m := range mixes {
 			for _, seed := range []int64{1, 7, 3201} {
 				keys := map[string]bool{}
 				for _, req := range censusRequirements(seed, m.workload) {
 					tk := *task
 					tk.Requirement = req
 					for _, p := range m.pipelines {
+						synthesized := map[string]bool{}
 						for s := 0; s < m.k; s++ {
 							c, err := p.CustomizeResult(ctx, &tk, s)
 							if err != nil {
@@ -109,6 +120,17 @@ func TestDerivedCensus(t *testing.T) {
 							if key != "" {
 								keys[key] = true
 							}
+							if synthesized[c.Script] {
+								continue
+							}
+							synthesized[c.Script] = true
+							tails[mi].scripts++
+							if key != "" {
+								tails[mi].derived++
+								if synth.ReadOnlyAfterCompile(c.Script) {
+									tails[mi].readOnly++
+								}
+							}
 						}
 					}
 				}
@@ -118,6 +140,15 @@ func TestDerivedCensus(t *testing.T) {
 						d.Name, m.workload, seed, len(keys), synth.MaxDerived)
 				}
 			}
+		}
+	}
+	for mi, m := range mixes {
+		n := tails[mi]
+		share := float64(n.readOnly) / float64(max(n.derived, 1))
+		t.Logf("%s: of %d synthesized scripts %d reach the derived level, and %d of those (%.0f %%) only read after it",
+			m.workload, n.scripts, n.derived, n.readOnly, 100*share)
+		if m.workload == "warm_raw_k5" && share <= 0.5 {
+			t.Errorf("%s: %.0f %% of the scripts that reach the derived level only read after it, want most", m.workload, 100*share)
 		}
 	}
 }

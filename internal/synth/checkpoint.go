@@ -55,6 +55,7 @@ type CheckpointStore struct {
 
 	reused, allocated, thawsSkipped             atomic.Int64
 	derivedHits, derivedMisses, derivedCaptures atomic.Int64
+	reportsServed                               atomic.Int64
 }
 
 // workspace is the storage one restored run works in: the netlist an image
@@ -138,8 +139,9 @@ func NewCheckpointStore(capacity int) *CheckpointStore {
 // CheckpointStats are the store's lifetime counters, exposed by the serving
 // daemon as synth_checkpoint_{hits,misses,evictions}_total,
 // synth_checkpoint_workspace_{reuses,allocs}_total,
-// synth_checkpoint_restore_thaws_skipped_total and
-// synth_checkpoint_derived_{hits,misses,captures}_total. Every workspace
+// synth_checkpoint_restore_thaws_skipped_total,
+// synth_checkpoint_derived_{hits,misses,captures}_total and
+// synth_checkpoint_derived_reports_served_total. Every workspace
 // acquisition — a restore, or a Snapshot.Netlist read — is counted once as
 // Reused (a parked workspace) or Allocated (a new, empty one); ThawsSkipped
 // counts the restores whose post-link image was never thawed into theirs: the
@@ -147,12 +149,15 @@ func NewCheckpointStore(capacity int) *CheckpointStore {
 // read the netlist. Every first compile of a restored, unedited design is
 // counted once as a DerivedHit (the compiled netlist was served) or a
 // DerivedMiss (compiled); DerivedCaptures counts those netlists frozen into
-// the store. Hits, Misses and Evictions count the post-link snapshot lookups
-// of synthesis runs only; reads through a Snapshot handle move none of them.
+// the store, and DerivedReportsServed the report texts served from a derived
+// result instead of computed (see derivedTail). Hits, Misses and Evictions
+// count the post-link snapshot lookups of synthesis runs only; reads through
+// a Snapshot handle move none of them.
 type CheckpointStats struct {
 	Hits, Misses, Evictions                     int64
 	Reused, Allocated, ThawsSkipped             int64
 	DerivedHits, DerivedMisses, DerivedCaptures int64
+	DerivedReportsServed                        int64
 }
 
 // Stats returns the current counters. Nil-safe: a nil store reports zeros.
@@ -172,12 +177,15 @@ func (s *CheckpointStore) Stats() CheckpointStats {
 		DerivedHits:     s.derivedHits.Load(),
 		DerivedMisses:   s.derivedMisses.Load(),
 		DerivedCaptures: s.derivedCaptures.Load(),
+
+		DerivedReportsServed: s.reportsServed.Load(),
 	}
 }
 
-// DerivedBytes is the column bytes (netlist.Image.Bytes) of the images the
-// derived levels of the snapshots s holds keep now, exposed by the serving
-// daemon as the synth_checkpoint_derived_bytes gauge. Unlike Stats it walks
+// DerivedBytes is the bytes the derived levels of the snapshots s holds keep
+// now — the column bytes (netlist.Image.Bytes) of their images and the text
+// of their kept reports — exposed by the serving daemon as the
+// synth_checkpoint_derived_bytes gauge. Unlike Stats it walks
 // every snapshot, under the LRU's lock. Nil-safe: a nil store holds none.
 func (s *CheckpointStore) DerivedBytes() int64 {
 	if s == nil {
@@ -290,51 +298,134 @@ const maxDerived = 4
 // life (a cold start compiles each design under each option set once) thus
 // never pay for a freeze or hold an image.
 type derivedResult struct {
-	key      compileKey
-	resolved bool
-	img      *netlist.Image // the compiled netlist; nil when resolved means the compile edits nothing
+	key  compileKey
+	img  *netlist.Image // the compiled netlist; nil when resolved means the compile edits nothing
+	tail *derivedTail   // nil until resolved
 }
 
-// lookup finds key's entry. hit reports a resolved one, whose img is then
-// the result (nil: the compile leaves the netlist as it is). Otherwise the
-// caller computes, and capture says whether to resolve the entry with what it
-// got: true on the second computation, false on the first, which lookup has
-// just noted — unless key holds a NaN constraint (create_clock -period NaN
-// parses) and so equals nothing, itself included: noted, it could never be
-// found again and would only push a useful entry out.
-func (cp *checkpoint) lookup(key compileKey) (img *netlist.Image, hit, capture bool) {
+// derivedTail is what the runs served by one resolved entry read off its
+// result before anything changed it: the compile line's QoR and the text of
+// each read-only report, under its readKey. Every one is a function of the
+// snapshot, the compile key and the readKey, so a later run reads them here
+// instead of thawing the image and analysing it. The QoR is fixed when the
+// entry resolves; a report is recorded by the first run that computes it,
+// at most maxTailReports of them, the oldest going first.
+type derivedTail struct {
+	qor QoR
+
+	mu      sync.Mutex
+	reports []tailReport
+}
+
+type tailReport struct {
+	key  readKey
+	text string
+}
+
+// readKey is one read-only report on a derived result: the command and every
+// input it reads that the compile key does not hold — report_timing's path
+// count (parsed: the command line itself may name a variable), and the area
+// limit report_constraint checks, which compile does not read.
+type readKey struct {
+	cmd      string
+	maxPaths int
+	maxArea  float64
+}
+
+// maxTailReports bounds the report texts one derived result keeps. The
+// scripts the paper's loop generates end with the same three reports
+// (llm.SpliceScript), so a handful covers them; a script that walks an
+// option's values pushes out only its own.
+const maxTailReports = 8
+
+// report returns key's text, if t holds it. Nil-safe.
+func (t *derivedTail) report(key readKey) (string, bool) {
+	if t == nil {
+		return "", false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, r := range t.reports {
+		if r.key == key {
+			return r.text, true
+		}
+	}
+	return "", false
+}
+
+// record keeps text as key's report, unless t holds one already or key holds
+// a NaN area limit (set_max_area NaN parses) and so could never be found.
+// Nil-safe.
+func (t *derivedTail) record(key readKey, text string) {
+	if t == nil || key != key {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, r := range t.reports {
+		if r.key == key {
+			return
+		}
+	}
+	if len(t.reports) == maxTailReports {
+		t.reports = append(t.reports[:0], t.reports[1:]...)
+	}
+	t.reports = append(t.reports, tailReport{key, text})
+}
+
+// bytes is the text t keeps.
+func (t *derivedTail) bytes() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var n int64
+	for _, r := range t.reports {
+		n += int64(len(r.text))
+	}
+	return n
+}
+
+// lookup finds key's entry. A resolved one is the result: hit is true and e
+// holds it (e.img nil: the compile leaves the netlist as it is). Otherwise
+// the caller computes, and capture says whether to resolve the entry with
+// what it got: true on the second computation, false on the first, which
+// lookup has just noted — unless key holds a NaN constraint (create_clock
+// -period NaN parses) and so equals nothing, itself included: noted, it could
+// never be found again and would only push a useful entry out.
+func (cp *checkpoint) lookup(key compileKey) (e derivedResult, hit, capture bool) {
 	if key != key {
-		return nil, false, false
+		return derivedResult{}, false, false
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	for i := range cp.derived {
-		if e := &cp.derived[i]; e.key == key {
-			return e.img, e.resolved, !e.resolved
+	for _, e := range cp.derived {
+		if e.key == key {
+			return e, e.tail != nil, e.tail == nil
 		}
 	}
 	if len(cp.derived) == maxDerived {
 		cp.derived = append(cp.derived[:0], cp.derived[1:]...)
 	}
 	cp.derived = append(cp.derived, derivedResult{key: key})
-	return nil, false, false
+	return derivedResult{}, false, false
 }
 
-// resolve records img as key's result and reports whether it did: not when
+// resolve records img and the compile line's QoR as key's result and returns
+// the entry's tail, for the resolving run to record its reports in: nil when
 // a concurrent run got there first or the entry has been pushed out since.
-func (cp *checkpoint) resolve(key compileKey, img *netlist.Image) bool {
+func (cp *checkpoint) resolve(key compileKey, img *netlist.Image, q QoR) *derivedTail {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	for i := range cp.derived {
-		if e := &cp.derived[i]; e.key == key && !e.resolved {
-			e.resolved, e.img = true, img
-			return true
+		if e := &cp.derived[i]; e.key == key && e.tail == nil {
+			e.img, e.tail = img, &derivedTail{qor: q}
+			return e.tail
 		}
 	}
-	return false
+	return nil
 }
 
-// derivedBytes is the column bytes of the images cp's derived level holds.
+// derivedBytes is the column bytes of the images cp's derived level holds
+// and the text of their kept reports.
 func (cp *checkpoint) derivedBytes() int64 {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -342,6 +433,9 @@ func (cp *checkpoint) derivedBytes() int64 {
 	for _, e := range cp.derived {
 		if e.img != nil {
 			n += int64(e.img.Bytes())
+		}
+		if e.tail != nil {
+			n += e.tail.bytes()
 		}
 	}
 	return n

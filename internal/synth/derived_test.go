@@ -87,17 +87,30 @@ type derivedVariant struct {
 
 var plainVariant = derivedVariant{"", linked}
 
+// otherTail is a second read-only tail: report_qor the entry holds from a
+// reportTail run, the rest not.
+const otherTail = "report_area\nreport_timing -max_paths 2\nreport_qor\nwrite\n"
+
 // derivedMatrix runs each compile under each variant three times over one
 // store per design and compares every run with a storeless run. The compile
 // key carries the options, the fanout limit, the wireload and the
 // constraints, so every case is a key of its own: its first two runs
-// compile, the second captures, and the third is served — one full analysis
-// (the transcript's QoR) and no incremental update. Variants run in order
-// after the first, so a variant's first-run miss, taken while the entry of
-// the case before it is still in the snapshot's FIFO, shows that it splits
-// the key. The designs run in parallel, each over its own store; the
-// analyses are counted process-wide, so a served run holds excl alone.
+// compile, the second captures — and records the QoR and reports it reads
+// off the result — and the third is served from what it recorded, with no
+// full analysis and no incremental update. Under the first variant two more
+// runs end the compile with otherTail: the first of them computes the
+// reports the entry lacks, on one full analysis of the thawed image, and
+// records them; the second is served entirely. Variants run in order after
+// the first, so a variant's first-run miss, taken while the entry of the
+// case before it is still in the snapshot's FIFO, shows that it splits the
+// key. The designs run in parallel, each over its own store; the analyses
+// are counted process-wide, so a served run holds excl alone.
 func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
+	type run struct {
+		tail   string
+		served bool
+		full   uint64 // the full analyses a served run makes
+	}
 	var excl sync.RWMutex
 	for _, d := range derivedCorpus() {
 		t.Run(d.Name, func(t *testing.T) {
@@ -110,19 +123,26 @@ func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
 				t.Fatal(err)
 			}
 			for _, c := range compiles {
-				for _, v := range variants {
-					name := fmt.Sprintf("%s/%s", v.name, c)
-					script := v.prefix(d) + c + "\n" + reportTail
-					excl.RLock()
-					storeless, err := designSession(d, nil).Run(script)
-					excl.RUnlock()
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+				for i, v := range variants {
+					runs := []run{{reportTail, false, 0}, {reportTail, false, 0}, {reportTail, true, 0}}
+					if i == 0 {
+						runs = append(runs, run{otherTail, true, 1}, run{otherTail, true, 0})
 					}
-					want := fingerprint(t, storeless)
-					for pass := 1; pass <= 3; pass++ {
+					want := map[string]string{}
+					for pass, r := range runs {
+						name := fmt.Sprintf("%s/%s", v.name, c)
+						script := v.prefix(d) + c + "\n" + r.tail
+						if _, ok := want[r.tail]; !ok {
+							excl.RLock()
+							storeless, err := designSession(d, nil).Run(script)
+							excl.RUnlock()
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							want[r.tail] = fingerprint(t, storeless)
+						}
 						lock, unlock := excl.RLock, excl.RUnlock
-						if pass == 3 {
+						if r.served {
 							lock, unlock = excl.Lock, excl.Unlock
 						}
 						lock()
@@ -131,24 +151,24 @@ func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
 						full, incr = sta.FullAnalyses()-full, sta.IncrementalUpdates()-incr
 						unlock()
 						if err != nil {
-							t.Fatalf("%s: run %d: %v", name, pass, err)
+							t.Fatalf("%s: run %d: %v", name, pass+1, err)
 						}
-						if fingerprint(t, res) != want {
-							t.Errorf("%s: run %d over the store differs from a storeless run", name, pass)
+						if fingerprint(t, res) != want[r.tail] {
+							t.Errorf("%s: run %d over the store differs from a storeless run", name, pass+1)
 						}
 						res.Release()
 						hits, misses, _ := derivedDelta(before, store.Stats())
-						if hits+misses != 1 || (hits == 1) != (pass == 3) {
-							t.Errorf("%s: run %d made %d derived hits and %d misses, want the third run served", name, pass, hits, misses)
+						if hits+misses != 1 || (hits == 1) != r.served {
+							t.Errorf("%s: run %d made %d derived hits and %d misses, want served = %v", name, pass+1, hits, misses, r.served)
 						}
-						if pass == 3 && (full != 1 || incr != 0) {
-							t.Errorf("%s: a served run made %d full analyses and %d incremental updates, want 1 and 0", name, full, incr)
+						if r.served && (full != r.full || incr != 0) {
+							t.Errorf("%s: served run %d made %d full analyses and %d incremental updates, want %d and 0", name, pass+1, full, incr, r.full)
 						}
 					}
 				}
 			}
-			if st := store.Stats(); st.DerivedCaptures == 0 || store.DerivedBytes() == 0 {
-				t.Errorf("nothing was ever captured: %+v", st)
+			if st := store.Stats(); st.DerivedCaptures == 0 || st.DerivedReportsServed == 0 || store.DerivedBytes() == 0 {
+				t.Errorf("nothing was ever captured or served: %+v", st)
 			}
 		})
 	}
@@ -224,12 +244,16 @@ func TestDerivedBypass(t *testing.T) {
 		}
 	}
 
-	// Two compiles in one run, or a compile and the commands that must
-	// follow one: the first compile is looked up, what comes after it never,
-	// and it works on the served netlist from the third run on.
+	// Two compiles in one run, a compile and the commands that must follow
+	// one, or a compile and constraints that change what its QoR and reports
+	// read: the first compile is looked up, what comes after it never, and it
+	// works on the served netlist, with the served QoR and reports dropped,
+	// from the third run on.
 	for name, tail := range map[string]string{
-		"two compiles":   "compile -map_effort high\ncompile -incremental\n",
-		"after compiles": "compile_ultra -retime\noptimize_registers\nbalance_buffers\n",
+		"two compiles":      "compile -map_effort high\ncompile -incremental\n",
+		"after compiles":    "compile_ultra -retime\noptimize_registers\nbalance_buffers\n",
+		"constraints after": "compile_ultra\nreport_constraint\nset_max_fanout 4\nset_max_area 1\nreport_constraint\n",
+		"clock after":       fmt.Sprintf("compile\nreport_qor\ncreate_clock -period %.2f clk\n", 0.7*d.Period),
 	} {
 		script := linked(d) + tail + reportTail
 		want := fingerprint(t, mustRun(t, designSession(d, nil), script))
@@ -314,7 +338,8 @@ func snapshotOf(t *testing.T, store *CheckpointStore, d *designs.Design) *checkp
 // TestDerivedIdentity: jpeg as linked holds nothing for Sweep to remove and,
 // at half again its period, meets timing, so compile -map_effort low — no
 // restructuring, no area recovery — edits nothing. That is recorded as such:
-// served as a hit, with no image frozen or held.
+// served as a hit, with no image frozen or held — only the report text the
+// runs read off it.
 func TestDerivedIdentity(t *testing.T) {
 	d := designs.JPEG()
 	store := NewCheckpointStore(0)
@@ -332,11 +357,83 @@ func TestDerivedIdentity(t *testing.T) {
 		t.Errorf("derived hits/misses/captures = %d/%d/%d, want 1/2/0", st.DerivedHits, st.DerivedMisses, st.DerivedCaptures)
 	}
 	cp := snapshotOf(t, store, d)
-	if len(cp.derived) != 1 || !cp.derived[0].resolved || cp.derived[0].img != nil {
-		t.Errorf("derived entries = %+v, want one resolved entry without an image", cp.derived)
+	if len(cp.derived) != 1 || cp.derived[0].tail == nil || cp.derived[0].img != nil {
+		t.Fatalf("derived entries = %+v, want one resolved entry without an image", cp.derived)
 	}
-	if n := store.DerivedBytes(); n != 0 {
-		t.Errorf("derived bytes = %d, want 0: an identity holds no image", n)
+	if n, text := store.DerivedBytes(), cp.derived[0].tail.bytes(); n != text || text == 0 {
+		t.Errorf("derived bytes = %d, want the %d bytes of report text: an identity holds no image", n, text)
+	}
+}
+
+// TestDerivedTailKeysWhatReportsRead: a report's text is kept under
+// everything it reads besides the compile's result. report_timing's path
+// count is parsed — the command line names a variable, so two scripts with
+// the same line ask for different reports — and report_constraint's area
+// limit is set before the compile, which does not read it, so two scripts
+// that share a compile key ask for different reports. Every run serves the
+// compile from one entry and equals a storeless run.
+func TestDerivedTailKeysWhatReportsRead(t *testing.T) {
+	d := designs.TinyRocket()
+	store := NewCheckpointStore(0)
+	mustRun(t, designSession(d, store), linkOnly(d))
+	variable := func(n int) string {
+		return linked(d) + fmt.Sprintf("set n %d\ncompile_ultra\nreport_timing -max_paths $n\n", n)
+	}
+	area := func(limit string) string {
+		return linked(d) + limit + "compile_ultra\nreport_constraint\n"
+	}
+	scripts := []string{
+		variable(1), variable(1), variable(1), variable(3), variable(3), variable(1),
+		area(""), area("set_max_area 1\n"), area("set_max_area 1e9\n"), area("set_max_area 1\n"), area(""),
+	}
+	want := map[string]string{}
+	reports := map[string]bool{}
+	for i, script := range scripts {
+		if _, ok := want[script]; !ok {
+			res := mustRun(t, designSession(d, nil), script)
+			want[script] = fingerprint(t, res)
+			reports[res.Reports[0]] = true
+		}
+		res := mustRun(t, designSession(d, store), script)
+		if fingerprint(t, res) != want[script] {
+			t.Errorf("run %d over the store differs from a storeless run:\n%s", i+1, script)
+		}
+		res.Release()
+	}
+	if len(reports) != 5 {
+		t.Errorf("the scripts asked for %d distinct reports, want 5", len(reports))
+	}
+	if st := store.Stats(); st.DerivedHits != 9 || st.DerivedReportsServed != 5 {
+		t.Errorf("derived hits %d, reports served %d, want 9 and 5", st.DerivedHits, st.DerivedReportsServed)
+	}
+}
+
+// TestDerivedTailIsBounded: a script that walks report_timing's path count
+// past the bound keeps the entry at maxTailReports reports, the newest, and
+// every run of it equals a storeless run.
+func TestDerivedTailIsBounded(t *testing.T) {
+	d := designs.EthMAC()
+	store := NewCheckpointStore(0)
+	mustRun(t, designSession(d, store), linkOnly(d))
+	var walk strings.Builder
+	walk.WriteString(linked(d) + "compile\n")
+	for n := 1; n <= maxTailReports+4; n++ {
+		fmt.Fprintf(&walk, "report_timing -max_paths %d\n", n)
+	}
+	runsMatchStoreless(t, d, store, walk.String())
+	runsMatchStoreless(t, d, store, walk.String())
+	cp := snapshotOf(t, store, d)
+	if len(cp.derived) != 1 || cp.derived[0].tail == nil {
+		t.Fatalf("derived entries = %+v, want one resolved entry", cp.derived)
+	}
+	tail := cp.derived[0].tail
+	if len(tail.reports) != maxTailReports {
+		t.Fatalf("the entry keeps %d reports, want %d", len(tail.reports), maxTailReports)
+	}
+	for i, r := range tail.reports {
+		if want := 4 + 1 + i; r.key.maxPaths != want {
+			t.Errorf("report %d is -max_paths %d, want %d", i, r.key.maxPaths, want)
+		}
 	}
 }
 
@@ -360,8 +457,8 @@ func TestDerivedBoundAndEviction(t *testing.T) {
 		t.Fatalf("snapshot holds %d derived entries, want %d", len(cp.derived), maxDerived)
 	}
 	for i, e := range cp.derived {
-		if want := 4 + 2 + i; e.key.maxFanout != want || !e.resolved {
-			t.Errorf("entry %d: fanout %d resolved %v, want the %d newest in order (fanout %d, resolved)", i, e.key.maxFanout, e.resolved, maxDerived, want)
+		if want := 4 + 2 + i; e.key.maxFanout != want || e.tail == nil {
+			t.Errorf("entry %d: fanout %d resolved %v, want the %d newest in order (fanout %d, resolved)", i, e.key.maxFanout, e.tail != nil, maxDerived, want)
 		}
 	}
 	// Pushed out: computed again. Still held: served.
@@ -396,10 +493,12 @@ func TestDerivedBoundAndEviction(t *testing.T) {
 
 // TestDerivedHammer: 16 goroutines run a mix of scripts — compile keys that
 // differ in options, fanout limit, period and wireload, more keys per design
-// than a snapshot keeps, bypassing scripts, failing ones that never read the
-// netlist — over one store, releasing every result, while a scraper reads
-// the store's stats. Whatever interleaving of first touches, captures, hits
-// and evictions results, every run equals the storeless one. make
+// than a snapshot keeps, read-only tails after one compile that ask for
+// different reports (report_timing path counts) around a write, bypassing
+// scripts, failing ones that never read the netlist — over one store,
+// releasing every result, while a scraper reads the store's stats. Whatever
+// interleaving of first touches, captures, hits, evictions and report
+// recordings and servings results, every run equals the storeless one. make
 // derived-race runs it ten times under -race.
 func TestDerivedHammer(t *testing.T) {
 	type job struct {
@@ -421,6 +520,14 @@ func TestDerivedHammer(t *testing.T) {
 		}
 		for _, tail := range []string{"compile_ultra -retime\n", "report_timing\ncompile_ultra -retime -timing_high_effort_script\n"} {
 			script := linkedAt(d, 0.8*d.Period) + tail + reportTail
+			jobs = append(jobs, job{d, script, fingerprint(t, mustRun(t, designSession(d, nil), script))})
+		}
+		for _, tail := range []string{
+			"report_qor\nreport_timing -max_paths 3\nreport_area\n",
+			"report_timing -max_paths 1\nwrite\nreport_timing -max_paths 2\n",
+			"write\nreport_qor\nreport_timing -max_paths 5\nreport_constraint\n",
+		} {
+			script := linked(d) + "compile\n" + tail
 			jobs = append(jobs, job{d, script, fingerprint(t, mustRun(t, designSession(d, nil), script))})
 		}
 		jobs = append(jobs, job{d, linked(d) + "compile\n" + invalidTail, ""}, job{d, linked(d) + invalidTail, ""})
@@ -474,7 +581,7 @@ func TestDerivedHammer(t *testing.T) {
 	wg.Wait()
 	close(done)
 	<-scraped
-	if st := store.Stats(); st.DerivedHits == 0 || st.DerivedCaptures == 0 || maxBytes == 0 {
+	if st := store.Stats(); st.DerivedHits == 0 || st.DerivedCaptures == 0 || st.DerivedReportsServed == 0 || maxBytes == 0 {
 		t.Errorf("the hammer never reached the derived level's hit path: %+v, largest DerivedBytes %d", st, maxBytes)
 	}
 }
@@ -488,15 +595,15 @@ func analysesOf(t *testing.T, s *Session, script string) (full, incr uint64) {
 	return sta.FullAnalyses() - full, sta.IncrementalUpdates() - incr
 }
 
-// TestRetimeHitRunsOneAnalysis pins what a resolved -retime entry removes.
+// TestRetimeHitRunsNoAnalysis pins what a resolved -retime entry removes.
 // At its own period tinyRocket's registers move for 21 sweeps, each a full
 // analysis, and the compile analyses where they ended up: 22 computed, and
 // sizing and area recovery then update that analysis incrementally. On ethmac
 // -retime finds nothing to move, so computing it costs the one analysis the
-// compile needs anyway. A served compile runs none of that: the one full
-// analysis is the transcript line's QoR (the closing QoR reads it), and no
+// compile needs anyway. A served compile runs none of that: the transcript
+// line's QoR and the closing one are the entry's, so no full analysis and no
 // incremental update runs at all.
-func TestRetimeHitRunsOneAnalysis(t *testing.T) {
+func TestRetimeHitRunsNoAnalysis(t *testing.T) {
 	for _, tc := range []struct {
 		d        *designs.Design
 		computed uint64
@@ -508,9 +615,9 @@ func TestRetimeHitRunsOneAnalysis(t *testing.T) {
 		}
 		store := NewCheckpointStore(0)
 		mustRun(t, designSession(d, store), linkOnly(d))
-		for pass, want := range []uint64{tc.computed, tc.computed, 1, 1} {
+		for pass, want := range []uint64{tc.computed, tc.computed, 0, 0} {
 			full, incr := analysesOf(t, designSession(d, store), script)
-			if served := want == 1 && pass >= 2; full != want || (incr == 0) != served {
+			if served := pass >= 2; full != want || (incr == 0) != served {
 				t.Errorf("%s: run %d over the store made %d full analyses and %d incremental updates, want %d and none = %v", d.Name, pass+1, full, incr, want, served)
 			}
 		}
@@ -560,7 +667,7 @@ func TestNaNKeyStaysOutOfTheFIFO(t *testing.T) {
 		}
 	}
 	cp := snapshotOf(t, store, d)
-	if len(cp.derived) != 1 || !cp.derived[0].resolved {
+	if len(cp.derived) != 1 || cp.derived[0].tail == nil {
 		t.Errorf("derived entries = %+v, want the one resolved entry", cp.derived)
 	}
 	if st := store.Stats(); st.DerivedHits != 9 || st.DerivedCaptures != 1 {

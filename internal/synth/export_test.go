@@ -41,3 +41,24 @@ func FirstCompileKey(s *Session, script string) string {
 	}
 	return fmt.Sprintf("%+v", cp.derived[0].key)
 }
+
+// ReadOnlyAfterCompile reports whether script has a compile and runs nothing
+// after its first one but what readOnly admits: what a run the derived level
+// serves then reads off the entry, with no analysis.
+func ReadOnlyAfterCompile(script string) bool {
+	cmds, err := ParseScript(script)
+	if err != nil {
+		return false
+	}
+	for i, c := range cmds {
+		if c.Name == "compile" || c.Name == "compile_ultra" {
+			for _, c := range cmds[i+1:] {
+				if !readOnly(c.Name) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	return false
+}

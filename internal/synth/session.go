@@ -106,12 +106,13 @@ func (s *Session) RunContext(ctx context.Context, script string) (_ *Result, err
 	// A run that dies after a restore — an invalid option value, a command
 	// out of order, a budget overrun, a cancelled context — returns no Result
 	// to release, so its workspace goes back here. A restored run that ends,
-	// either way, with no netlist in its design never read one.
+	// either way, with no netlist in its design and no compile never read
+	// one (a served compile counts its own).
 	defer func() {
 		if st.ws == nil {
 			return
 		}
-		if st.design.NL == nil {
+		if st.design.NL == nil && st.pristine != nil {
 			s.Checkpoints.thawsSkipped.Add(1)
 		}
 		if err != nil {
@@ -160,8 +161,10 @@ func (s *Session) RunContext(ctx context.Context, script string) (_ *Result, err
 	}
 	if st.design != nil && st.design.Cons.Period > 0 {
 		d, _ := st.netlist() // the design is there: no error to have
-		q, err := d.QoR()
-		if err != nil {
+		var q QoR
+		if st.tail != nil {
+			q = st.tail.qor
+		} else if q, err = d.QoR(); err != nil {
 			return nil, err
 		}
 		res.QoR = &q
@@ -181,12 +184,35 @@ type execState struct {
 	wlName  string
 	didComp bool
 
+	// frozen is the image a restored design's netlist is while design.NL is
+	// nil: the snapshot's, then the one a served compile left.
+	frozen *netlist.Image
+
 	// pristine is the checkpoint design was restored from for as long as its
 	// netlist is that checkpoint's image untouched, thawed or not yet: nil on
 	// a fresh elaboration, after set_dont_touch (which marks cells without
 	// moving an edit generation), after an ungroup that moved one, and from
 	// the first compile on.
 	pristine *checkpoint
+
+	// tail is the derived result the first compile was served from or
+	// resolved, for as long as nothing has changed what it read: the command
+	// after that compile that is not in readOnly drops it. While it is set,
+	// the compile line's QoR, the closing QoR and every report it holds are
+	// read here, and a report it lacks is computed and recorded.
+	tail *derivedTail
+}
+
+// readOnly is what may follow a compile served from, or resolving, a derived
+// result without changing anything the result's QoR and reports read: the
+// reports, write, and the commands that touch no design state.
+func readOnly(name string) bool {
+	switch name {
+	case "report_timing", "report_area", "report_qor", "report_constraint",
+		"report_power", "report_hierarchy", "write", "uniquify", "echo", "set":
+		return true
+	}
+	return false
 }
 
 func (st *execState) logf(format string, args ...any) {
@@ -229,7 +255,7 @@ func (st *execState) restore(cp *checkpoint) {
 	st.ws = st.sess.Checkpoints.acquire()
 	st.design = &Design{WL: st.sess.Lib.WireLoad(st.wlName), tm: st.ws.tm, sc: st.ws.sc}
 	st.res.Log = append(st.res.Log, cp.log...)
-	st.pristine = cp
+	st.pristine, st.frozen = cp, cp.img
 }
 
 // thaw makes img the restored design's netlist, over whatever the workspace
@@ -240,67 +266,96 @@ func (st *execState) thaw(img *netlist.Image) {
 }
 
 // netlist is needDesign for a command that reads or edits the netlist, which
-// is every command but the constraint setters and compile's entry: a restored
-// design whose image is still frozen gets it thawed. exec reaches Design.NL
-// through here and nowhere else before the first compile.
+// is every command but the constraint setters, compile's entry and a report a
+// derived result holds: a restored design whose image is still frozen gets it
+// thawed. exec reaches Design.NL through here and nowhere else.
 func (st *execState) netlist() (*Design, error) {
 	d, err := st.needDesign()
 	if err == nil && d.NL == nil {
-		st.thaw(st.pristine.img)
+		st.thaw(st.frozen)
 	}
 	return d, err
 }
 
-// compile runs Compile on the session's design: through the checkpoint
-// store's derived level when this is the first compile of a restored design
-// nothing has edited, in place otherwise — a freshly elaborated design, a
-// later compile, a script that edits first.
+// report appends the text of the read-only report key names: the derived
+// result's when the run carries one that holds it — no thaw, no analysis —
+// and otherwise what fn computes on the netlist, recorded in the result the
+// run carries, if any. The caller has checked for a design.
+func (st *execState) report(key readKey, fn func(d *Design) (string, error)) error {
+	text, ok := st.tail.report(key)
+	if ok {
+		st.sess.Checkpoints.reportsServed.Add(1)
+	} else {
+		d, _ := st.netlist()
+		var err error
+		if text, err = fn(d); err != nil {
+			return err
+		}
+		st.tail.record(key, text)
+	}
+	st.res.Reports = append(st.res.Reports, text)
+	return nil
+}
+
+// compile runs Compile on the session's design and returns the QoR the
+// transcript line reports: through the checkpoint store's derived level when
+// this is the first compile of a restored design nothing has edited, in place
+// otherwise — a freshly elaborated design, a later compile, a script that
+// edits first.
 //
 // On the derived level everything Compile reads is cp's image and the
 // compileKey, so its result is a function of the two and can be kept: a
-// resolved entry is thawed into the workspace — over the post-link netlist if
-// a report has already asked for it, instead of it otherwise (IDs, bounds,
-// slice orders and generations come back as the compile would have left
-// them) — and no pass runs; an unresolved one is compiled and, the second
-// time, frozen for the runs after this one. A compile that edits nothing is
-// recorded as just that, with no image.
-func (st *execState) compile(opts CompileOptions) error {
+// resolved entry is served — its image becomes what the netlist is, thawed
+// only when a command reads it (over the post-link netlist if a report has
+// already asked for that), its QoR is the line's, and no pass or analysis
+// runs; an unresolved one is compiled and, the second time, frozen for the
+// runs after this one. A compile that edits nothing is recorded as just
+// that, with no image. Either way the run then carries the entry's tail.
+func (st *execState) compile(opts CompileOptions) (QoR, error) {
 	cp, d, store := st.pristine, st.design, st.sess.Checkpoints
+	if d.Cons.Period <= 0 {
+		return QoR{}, Compile(d, opts) // no clock: fails before it reads the netlist
+	}
 	st.pristine = nil
-	if cp == nil || d.Cons.Period <= 0 {
-		return Compile(d, opts)
+	if cp == nil {
+		st.netlist()
+		if err := Compile(d, opts); err != nil {
+			return QoR{}, err
+		}
+		return d.QoR()
 	}
 	key := opts.key(d)
-	img, hit, capture := cp.lookup(key)
+	e, hit, capture := cp.lookup(key)
 	if hit {
 		store.derivedHits.Add(1)
-		if img != nil && d.NL == nil {
-			store.thawsSkipped.Add(1)
+		if e.img != nil {
+			if d.NL == nil {
+				store.thawsSkipped.Add(1)
+			}
+			st.frozen, d.NL, d.tmOK = e.img, nil, false
 		}
-	} else {
-		store.derivedMisses.Add(1)
-	}
-	switch {
-	case img != nil:
-		st.thaw(img)
-	case d.NL == nil:
-		st.thaw(cp.img)
-	}
-	if hit {
 		d.Compiled = true
-		return nil
+		st.tail = e.tail
+		return e.tail.qor, nil
 	}
+	store.derivedMisses.Add(1)
+	st.netlist()
 	before := d.NL.Gen()
-	if err := Compile(d, opts); err != nil || !capture {
-		return err
+	if err := Compile(d, opts); err != nil {
+		return QoR{}, err
 	}
+	q, err := d.QoR()
+	if err != nil || !capture {
+		return q, err
+	}
+	var img *netlist.Image
 	if d.NL.Gen() != before {
 		img = netlist.Freeze(d.NL)
 	}
-	if cp.resolve(key, img) && img != nil {
+	if st.tail = cp.resolve(key, img, q); st.tail != nil && img != nil {
 		store.derivedCaptures.Add(1)
 	}
-	return nil
+	return q, nil
 }
 
 func (st *execState) needDesign() (*Design, error) {
@@ -327,6 +382,9 @@ func (st *execState) needDesign() (*Design, error) {
 }
 
 func (st *execState) exec(c Cmd) error {
+	if !readOnly(c.Name) {
+		st.tail = nil
+	}
 	switch c.Name {
 	case "read_verilog":
 		merged := &verilog.SourceFile{}
@@ -470,8 +528,7 @@ func (st *execState) exec(c Cmd) error {
 		return err
 
 	case "compile", "compile_ultra":
-		d, err := st.needDesign()
-		if err != nil {
+		if _, err := st.needDesign(); err != nil {
 			return err
 		}
 		opts := CompileOptions{MapEffort: EffortMedium}
@@ -498,21 +555,18 @@ func (st *execState) exec(c Cmd) error {
 			}
 			_, opts.Incremental = c.Opts["-incremental"]
 		}
-		if err := st.compile(opts); err != nil {
-			return err
-		}
-		st.didComp = true
-		q, err := d.QoR()
+		q, err := st.compile(opts)
 		if err != nil {
 			return err
 		}
+		st.didComp = true
 		st.logf("%s done: WNS %.3f CPS %.3f TNS %.3f area %.2f", c.Name, q.WNS, q.CPS, q.TNS, q.Area)
 
 	case "optimize_registers":
 		if !st.didComp {
 			return fmt.Errorf("optimize_registers must follow compile or compile_ultra")
 		}
-		d := st.design
+		d, _ := st.netlist()
 		moves := 0
 		// A combinational loop leaves nothing to time: no moves, as in Compile.
 		if tm, err := d.Timing(); err == nil {
@@ -525,7 +579,7 @@ func (st *execState) exec(c Cmd) error {
 		if !st.didComp {
 			return fmt.Errorf("balance_buffers must follow compile or compile_ultra")
 		}
-		d := st.design
+		d, _ := st.netlist()
 		limit := d.MaxFanout
 		if limit == 0 {
 			limit = 12
@@ -537,39 +591,31 @@ func (st *execState) exec(c Cmd) error {
 		st.logf("balance_buffers: %d buffers inserted", n)
 
 	case "report_timing":
-		d, err := st.netlist()
-		if err != nil {
+		if _, err := st.needDesign(); err != nil {
 			return err
 		}
 		maxPaths := 1
 		if v, ok := c.Opts["-max_paths"]; ok {
+			var err error
 			if maxPaths, err = strconv.Atoi(v); err != nil || maxPaths < 1 {
 				return fmt.Errorf("invalid -max_paths %q", v)
 			}
 		}
-		rep, err := ReportTiming(d, maxPaths)
-		if err != nil {
-			return err
-		}
-		st.res.Reports = append(st.res.Reports, rep)
+		return st.report(readKey{cmd: c.Name, maxPaths: maxPaths}, func(d *Design) (string, error) {
+			return ReportTiming(d, maxPaths)
+		})
 
 	case "report_area":
-		d, err := st.netlist()
-		if err != nil {
+		if _, err := st.needDesign(); err != nil {
 			return err
 		}
-		st.res.Reports = append(st.res.Reports, ReportArea(d))
+		return st.report(readKey{cmd: c.Name}, func(d *Design) (string, error) { return ReportArea(d), nil })
 
 	case "report_qor":
-		d, err := st.netlist()
-		if err != nil {
+		if _, err := st.needDesign(); err != nil {
 			return err
 		}
-		rep, err := ReportQoR(d)
-		if err != nil {
-			return err
-		}
-		st.res.Reports = append(st.res.Reports, rep)
+		return st.report(readKey{cmd: c.Name}, ReportQoR)
 
 	case "report_power":
 		d, err := st.netlist()
@@ -599,15 +645,11 @@ func (st *execState) exec(c Cmd) error {
 		st.res.Reports = append(st.res.Reports, ReportHierarchy(d))
 
 	case "report_constraint":
-		d, err := st.netlist()
+		d, err := st.needDesign()
 		if err != nil {
 			return err
 		}
-		rep, err := ReportConstraint(d)
-		if err != nil {
-			return err
-		}
-		st.res.Reports = append(st.res.Reports, rep)
+		return st.report(readKey{cmd: c.Name, maxArea: d.MaxArea}, ReportConstraint)
 
 	case "write":
 		d, err := st.netlist()
