@@ -123,7 +123,8 @@ memprofile:
 	$(GO) run ./cmd/benchjson -drive '$(PROFILE_BENCH)' -pkg $(PROFILE_PKG) -memprofile mem.out > /dev/null
 	@echo "wrote mem.out; try: go tool pprof -top -alloc_objects mem.out"
 
-ci: build vet race
+# What .github/workflows/ci.yml runs: check, then the allocation gate.
+ci: check bench-gate
 
 # Short fuzzing pass over every untrusted-input parser and decoder. Each target gets
 # FUZZTIME of coverage-guided input generation on top of its checked-in

@@ -4,6 +4,7 @@ package chatls
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -112,6 +113,82 @@ func TestRecycledRestoreAllocGuard(t *testing.T) {
 	}
 }
 
+// TestEvaluateParksItsWorkspace: an Evaluate hands its workspace back to the
+// store itself, on success — a compile served from the derived level with a
+// tail that only reads, a run that thaws the snapshot — and on every error
+// return after a restore: a bad option value, a budget overrun, a cancelled
+// context. No result is released, yet after the warm-up every run takes the
+// one workspace the first restore allocated. No result carries a design, and
+// Release on one changes nothing. Counted in bytes, under
+// TestRecycledRestoreAllocGuard's budget.
+func TestEvaluateParksItsWorkspace(t *testing.T) {
+	d := designs.AES()
+	lib := liberty.Nangate45()
+	store := synth.NewCheckpointStore(0)
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	link := "read_verilog " + d.FileName + "\ncurrent_design " + d.Top + "\nlink\n"
+	clocked := link + fmt.Sprintf("create_clock -period %.2f clk\n", d.Period)
+	served := clocked + "compile_ultra\nreport_qor\nreport_timing -max_paths 3\nreport_area\n"
+	evaluate := func(i int) *synth.Result {
+		sess := synth.NewSession(lib)
+		sess.Checkpoints = store
+		sess.AddSource(d.FileName, d.Source)
+		rctx, script, fails := ctx, served, true
+		switch i % 5 {
+		case 0:
+			fails = false
+		case 1:
+			script, fails = clocked+"uniquify\nreport_qor\n", false
+		case 2:
+			script = link + "create_clock -period -1 clk\n"
+		case 3:
+			sess.MaxCommands = 4 // past link and create_clock, short of the compile
+		case 4:
+			rctx = cancelled
+		}
+		res, err := sess.Evaluate(rctx, script)
+		if fails != (err != nil) {
+			t.Fatalf("run %d: error %v, want one = %v", i, err, fails)
+		}
+		if res != nil && res.Design != nil {
+			t.Fatalf("run %d: an Evaluate returned a design", i)
+		}
+		return res
+	}
+	evaluate(0) // captures the snapshot
+	evaluate(0) // notes the compile, allocating the workspace
+	evaluate(0) // captures it
+	const runs = 10
+	before := store.Stats()
+	var mBefore, mAfter runtime.MemStats
+	runtime.ReadMemStats(&mBefore)
+	for i := 0; i < runs; i++ {
+		evaluate(i)
+	}
+	runtime.ReadMemStats(&mAfter)
+	st := store.Stats()
+	res := evaluate(0)
+	q := *res.QoR
+	res.Release()
+	if res.Design != nil || *res.QoR != q {
+		t.Fatal("Release changed an Evaluate's result")
+	}
+	if st.Allocated != 1 || st.Reused-before.Reused != runs {
+		t.Fatalf("workspaces allocated/reused = %d/%d over %d runs, want 1/%d: an Evaluate dropped its storage", st.Allocated, st.Reused-before.Reused, runs, runs)
+	}
+	if st.DerivedHits-before.DerivedHits != runs/5 {
+		t.Fatalf("derived hits = %d, want %d: the served runs were not served", st.DerivedHits-before.DerivedHits, runs/5)
+	}
+	perRun := (mAfter.TotalAlloc - mBefore.TotalAlloc) / runs
+	t.Logf("recycled Evaluate: %d B/run", perRun)
+	const budget = 64 << 10
+	if perRun > budget {
+		t.Errorf("an Evaluate allocates %d B/run, budget %d", perRun, budget)
+	}
+}
+
 // TestWarmRawRequestAllocGuard pins what a warm raw-prompting Pass@5 request
 // (the repo benchmark's warm_raw_k5; BenchmarkWarmRequestRawK5 is its twin)
 // feeds the collector, in bytes per request, served the way the daemon
@@ -122,11 +199,12 @@ func TestRecycledRestoreAllocGuard(t *testing.T) {
 // notes every compile key and captures most of them (15 of 20; the rest are
 // captured in the first measured pass, since the derived level keys a whole
 // compile); the budget is about 1.5 times the steady state that follows when
-// every sample synthesizes (≈ 321 kB, against ≈ 1.07 MB when every prompt
+// every sample synthesizes (≈ 304 kB, against ≈ 1.07 MB when every prompt
 // line was copied and every sizing round grew its change list from nil);
-// sharing repeats reads ≈ 306 kB, those five captures included. A sample
+// sharing repeats reads ≈ 290 kB, those five captures included. A sample
 // served by the derived level and then only reading appends the kept report
-// texts, which it shares with the store, instead of formatting its own.
+// texts, which it shares with the store, instead of formatting its own, and
+// thaws nothing: the synthesis is an Evaluate.
 func TestWarmRawRequestAllocGuard(t *testing.T) {
 	lib := liberty.Nangate45()
 	ctx := context.Background()

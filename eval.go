@@ -253,10 +253,12 @@ func (o EvalOptions) lookup(libFP string, d *designs.Design, script string) (*qo
 //     lease is released after the success-path Put publishes the record — on
 //     failure it lapses with nothing published and siblings recompute,
 //     slower, never wrong;
-//   - a successful run, given a key, puts its QoR in o.Results;
-//   - the result is then released: callers get the QoR and the reports,
-//     never the design, whose storage goes back to o.Checkpoints for the
-//     next restore.
+//   - a successful run, given a key, puts its QoR in o.Results.
+//
+// The run is an Evaluate: callers get the QoR and the reports, never the
+// design, whose storage goes back to o.Checkpoints for the next restore
+// before the run returns — and a run served from a derived result whose tail
+// only reads never thaws it.
 func (o EvalOptions) synthesize(ctx context.Context, lib *liberty.Library, d *designs.Design, script string, key *qorlog.Key, lease bool) (*synth.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, resilience.ContextError(resilience.CompSynth, err)
@@ -272,13 +274,12 @@ func (o EvalOptions) synthesize(ctx context.Context, lib *liberty.Library, d *de
 	sess := synth.NewSession(lib)
 	sess.Checkpoints = o.Checkpoints
 	sess.AddSource(d.FileName, d.Source)
-	res, err := sess.RunContext(ctx, script)
+	res, err := sess.Evaluate(ctx, script)
 	if err != nil {
 		return nil, err
 	}
 	if key != nil && o.Results != nil && res.QoR != nil {
 		o.Results.Put(*key, qorlog.Record(*res.QoR))
 	}
-	res.Release()
 	return res, nil
 }

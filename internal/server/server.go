@@ -254,6 +254,8 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return s.ckpt.Stats().Reused })
 	s.reg.NewCounterFunc("synth_checkpoint_workspace_allocs_total", "workspace acquisitions (restores and snapshot reads) that made a new, empty one",
 		func() int64 { return s.ckpt.Stats().Allocated })
+	s.reg.NewCounterFunc("synth_checkpoint_thaws_total", "netlist images thawed into a workspace: a restored run's first netlist read, post-link or compiled, and snapshot reads",
+		func() int64 { return s.ckpt.Stats().Thaws })
 	s.reg.NewCounterFunc("synth_checkpoint_restore_thaws_skipped_total", "restores whose post-link image was never thawed: the compile's result was served instead, or the run ended before any command read the netlist",
 		func() int64 { return s.ckpt.Stats().ThawsSkipped })
 	s.reg.NewCounterFunc("synth_checkpoint_derived_hits_total", "first compiles of a restored design served from the store: no pass run, the compiled netlist thawed only when a command reads it",

@@ -264,11 +264,18 @@ func TestTaskCacheHit(t *testing.T) {
 	if got := skipped(); got != 0 {
 		t.Errorf("after repeat request: restore thaws skipped = %v, want 0", got)
 	}
+	thaws := metricValue(t, ts.URL, "synth_checkpoint_thaws_total")
 	if hr, body := postCustomize(t, ts.URL, req); hr.StatusCode != http.StatusOK {
 		t.Fatalf("third POST: %d %s", hr.StatusCode, body)
 	}
 	if got, want := derived(), [3]float64{1, 2, 1}; got != want {
 		t.Errorf("after third request: derived hits/misses/captures = %v, want %v", got, want)
+	}
+	// The sample's script runs optimize_registers after its served compile,
+	// which thaws the compiled netlist once; the run then ends with no thaw
+	// of its own.
+	if got := metricValue(t, ts.URL, "synth_checkpoint_thaws_total") - thaws; got != 1 {
+		t.Errorf("third request thawed %v images, want 1", got)
 	}
 	if got := skipped(); got != 1 {
 		t.Errorf("after third request: restore thaws skipped = %v, want 1", got)

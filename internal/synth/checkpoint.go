@@ -53,7 +53,7 @@ type CheckpointStore struct {
 	mu   sync.Mutex
 	idle []*workspace // parked workspaces, most recently parked last
 
-	reused, allocated, thawsSkipped             atomic.Int64
+	reused, allocated, thaws, thawsSkipped      atomic.Int64
 	derivedHits, derivedMisses, derivedCaptures atomic.Int64
 	reportsServed                               atomic.Int64
 }
@@ -63,8 +63,9 @@ type CheckpointStore struct {
 // worked in. A run that restores takes an idle one — the next thaw overwrites
 // the netlist in place and Timing.Reset reuses the analysis buffers, so a warm
 // restore allocates next to nothing —
-// and whoever ends the run hands it back: Result.Release when the run
-// succeeded, RunContext itself when it failed and no Result escapes. A
+// and whoever ends the run hands it back: Result.Release when a RunContext
+// succeeded, the run itself when it was an Evaluate or failed and no Result
+// escapes. A
 // Snapshot.Netlist read borrows one the same way for the length of its
 // callback.
 //
@@ -106,6 +107,7 @@ func (s *CheckpointStore) acquire() *workspace {
 // last held, whose scratch then no longer pins the netlist it last worked on.
 // It has two callers, Snapshot.Netlist and execState.thaw.
 func (ws *workspace) thaw(img *netlist.Image) *netlist.Netlist {
+	ws.home.thaws.Add(1)
 	ws.nl = img.Thaw(ws.nl)
 	ws.sc.forget()
 	return ws.nl
@@ -139,11 +141,14 @@ func NewCheckpointStore(capacity int) *CheckpointStore {
 // CheckpointStats are the store's lifetime counters, exposed by the serving
 // daemon as synth_checkpoint_{hits,misses,evictions}_total,
 // synth_checkpoint_workspace_{reuses,allocs}_total,
+// synth_checkpoint_thaws_total,
 // synth_checkpoint_restore_thaws_skipped_total,
 // synth_checkpoint_derived_{hits,misses,captures}_total and
 // synth_checkpoint_derived_reports_served_total. Every workspace
 // acquisition — a restore, or a Snapshot.Netlist read — is counted once as
-// Reused (a parked workspace) or Allocated (a new, empty one); ThawsSkipped
+// Reused (a parked workspace) or Allocated (a new, empty one); Thaws counts
+// every image thawed into a workspace, the post-link one or a served
+// compile's, by a run or a Snapshot.Netlist read; ThawsSkipped
 // counts the restores whose post-link image was never thawed into theirs: the
 // compile's result was served instead, or the run ended before any command
 // read the netlist. Every first compile of a restored, unedited design is
@@ -155,7 +160,7 @@ func NewCheckpointStore(capacity int) *CheckpointStore {
 // a Snapshot handle move none of them.
 type CheckpointStats struct {
 	Hits, Misses, Evictions                     int64
-	Reused, Allocated, ThawsSkipped             int64
+	Reused, Allocated, Thaws, ThawsSkipped      int64
 	DerivedHits, DerivedMisses, DerivedCaptures int64
 	DerivedReportsServed                        int64
 }
@@ -172,6 +177,7 @@ func (s *CheckpointStore) Stats() CheckpointStats {
 
 		Reused:       s.reused.Load(),
 		Allocated:    s.allocated.Load(),
+		Thaws:        s.thaws.Load(),
 		ThawsSkipped: s.thawsSkipped.Load(),
 
 		DerivedHits:     s.derivedHits.Load(),

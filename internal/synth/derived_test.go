@@ -52,6 +52,9 @@ const reportTail = "report_qor\nreport_timing -max_paths 3\nreport_constraint\nw
 // fingerprint is everything a run produced, the final netlist included.
 func fingerprint(t *testing.T, res *Result) string {
 	t.Helper()
+	if res.Design == nil || res.Design.NL == nil {
+		t.Fatal("a RunContext returned no netlist")
+	}
 	return runJSON(t, res) + string(netlist.Encode(res.Design.NL))
 }
 
@@ -62,6 +65,17 @@ func mustRun(t *testing.T, s *Session, script string) *Result {
 		t.Fatalf("%v\n%s", err, script)
 	}
 	return res
+}
+
+// evaluate runs script through Evaluate and checks what that promises beyond
+// the values: no design, and no workspace left for Release to hand back.
+func evaluate(t *testing.T, s *Session, script string) (*Result, error) {
+	t.Helper()
+	res, err := s.Evaluate(context.Background(), script)
+	if err == nil && (res.Design != nil || res.ws != nil) {
+		t.Fatalf("an Evaluate returned a design or kept its workspace\n%s", script)
+	}
+	return res, err
 }
 
 // derivedDelta is what one run added to the derived counters.
@@ -91,20 +105,38 @@ var plainVariant = derivedVariant{"", linked}
 // reportTail run, the rest not.
 const otherTail = "report_area\nreport_timing -max_paths 2\nreport_qor\nwrite\n"
 
-// derivedMatrix runs each compile under each variant three times over one
+// readTail is the tail llm.SpliceScript ends every generated script with:
+// reports only, no write, each held by the entry once reportTail and
+// otherTail runs have recorded them.
+const readTail = "report_qor\nreport_timing -max_paths 3\nreport_area\n"
+
+// derivedMatrix runs each compile under each variant four times over one
 // store per design and compares every run with a storeless run. The compile
 // key carries the options, the fanout limit, the wireload and the
 // constraints, so every case is a key of its own: its first two runs
 // compile, the second captures — and records the QoR and reports it reads
-// off the result — and the third is served from what it recorded, with no
-// full analysis and no incremental update. Under the first variant two more
-// runs end the compile with otherTail: the first of them computes the
-// reports the entry lacks, on one full analysis of the thawed image, and
-// records them; the second is served entirely. Variants run in order after
-// the first, so a variant's first-run miss, taken while the entry of the
-// case before it is still in the snapshot's FIFO, shows that it splits the
-// key. The designs run in parallel, each over its own store; the analyses
-// are counted process-wide, so a served run holds excl alone.
+// off the result — and the third and fourth are served from what it
+// recorded, with no full analysis and no incremental update. Under the first
+// variant four more runs follow: two end the compile with otherTail, the first of them
+// computing the reports the entry lacks, on one full analysis of the thawed
+// image, and recording them, the second served entirely; two end it with
+// readTail, which needs no netlist at all. Variants run in order after the
+// first, so a variant's first-run miss, taken while the entry of the case
+// before it is still in the snapshot's FIFO, shows that it splits the key.
+//
+// The runs of a case alternate between the two entry points, starting with
+// RunContext or Evaluate as the sum of the compile's and the variant's index
+// is even or odd, so each takes every role — noting, capturing, served,
+// computing the missing reports — across the matrix, and every case serves
+// each tail through both: its served RunContext runs keep the check of the
+// final netlist for every served role. A RunContext run equals
+// the storeless run in its values and its final netlist; an Evaluate run in
+// its values; both carry the snapshot's handle. Every run thaws one image —
+// the post-link one, or for a served run the one whose netlist a report,
+// write or RunContext's design reads — except a served Evaluate whose tail
+// reads nothing off the netlist, which thaws none. The designs run in
+// parallel, each over its own store; the analyses are counted process-wide,
+// so a served run holds excl alone.
 func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
 	type run struct {
 		tail   string
@@ -117,19 +149,21 @@ func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
 			t.Parallel()
 			store := NewCheckpointStore(0)
 			excl.RLock()
-			_, err := designSession(d, store).Run(linkOnly(d)) // captures the post-link snapshot
+			link, err := designSession(d, store).Run(linkOnly(d)) // captures the post-link snapshot
 			excl.RUnlock()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range compiles {
+			snap := link.Snapshot
+			for ic, c := range compiles {
 				for i, v := range variants {
-					runs := []run{{reportTail, false, 0}, {reportTail, false, 0}, {reportTail, true, 0}}
+					runs := []run{{reportTail, false, 0}, {reportTail, false, 0}, {reportTail, true, 0}, {reportTail, true, 0}}
 					if i == 0 {
-						runs = append(runs, run{otherTail, true, 1}, run{otherTail, true, 0})
+						runs = append(runs, run{otherTail, true, 1}, run{otherTail, true, 0}, run{readTail, true, 0}, run{readTail, true, 0})
 					}
-					want := map[string]string{}
+					want, values := map[string]string{}, map[string]string{}
 					for pass, r := range runs {
+						evaluated := (pass+ic+i)%2 == 1
 						name := fmt.Sprintf("%s/%s", v.name, c)
 						script := v.prefix(d) + c + "\n" + r.tail
 						if _, ok := want[r.tail]; !ok {
@@ -139,7 +173,7 @@ func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
-							want[r.tail] = fingerprint(t, storeless)
+							want[r.tail], values[r.tail] = fingerprint(t, storeless), runJSON(t, storeless)
 						}
 						lock, unlock := excl.RLock, excl.RUnlock
 						if r.served {
@@ -147,22 +181,41 @@ func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
 						}
 						lock()
 						before, full, incr := store.Stats(), sta.FullAnalyses(), sta.IncrementalUpdates()
-						res, err := designSession(d, store).Run(script)
+						var res *Result
+						if evaluated {
+							res, err = evaluate(t, designSession(d, store), script)
+						} else {
+							res, err = designSession(d, store).Run(script)
+						}
 						full, incr = sta.FullAnalyses()-full, sta.IncrementalUpdates()-incr
 						unlock()
 						if err != nil {
 							t.Fatalf("%s: run %d: %v", name, pass+1, err)
 						}
-						if fingerprint(t, res) != want[r.tail] {
+						if evaluated && runJSON(t, res) != values[r.tail] {
+							t.Errorf("%s: run %d, an Evaluate over the store, differs from a storeless run", name, pass+1)
+						}
+						if !evaluated && fingerprint(t, res) != want[r.tail] {
 							t.Errorf("%s: run %d over the store differs from a storeless run", name, pass+1)
 						}
+						if res.Snapshot != snap {
+							t.Errorf("%s: run %d (Evaluate %v) carries no handle to the design's snapshot", name, pass+1, evaluated)
+						}
 						res.Release()
-						hits, misses, _ := derivedDelta(before, store.Stats())
+						after := store.Stats()
+						hits, misses, _ := derivedDelta(before, after)
 						if hits+misses != 1 || (hits == 1) != r.served {
 							t.Errorf("%s: run %d made %d derived hits and %d misses, want served = %v", name, pass+1, hits, misses, r.served)
 						}
 						if r.served && (full != r.full || incr != 0) {
 							t.Errorf("%s: served run %d made %d full analyses and %d incremental updates, want %d and 0", name, pass+1, full, incr, r.full)
+						}
+						wantThaws := int64(1)
+						if evaluated && r.served && r.full == 0 && !strings.Contains(r.tail, "write") {
+							wantThaws = 0
+						}
+						if thaws := after.Thaws - before.Thaws; thaws != wantThaws {
+							t.Errorf("%s: run %d (Evaluate %v, served %v) thawed %d images, want %d", name, pass+1, evaluated, r.served, thaws, wantThaws)
 						}
 					}
 				}
@@ -688,17 +741,30 @@ func betweenLinkAndCompile(period float64, protect string) []string {
 	}
 }
 
-// runsMatchStoreless runs script three times over store — noted, captured,
-// served, where it reaches the derived level at all — against a storeless run.
+// runsMatchStoreless runs script three times over store through RunContext —
+// noted, captured, served, where it reaches the derived level at all — and
+// then once through Evaluate, against a storeless run: the RunContext runs
+// equal it in their values and final netlist, the Evaluate in its values and
+// the RunContext runs' snapshot handle.
 func runsMatchStoreless(t *testing.T, d *designs.Design, store *CheckpointStore, script string) {
 	t.Helper()
-	want := fingerprint(t, mustRun(t, designSession(d, nil), script))
+	storeless := mustRun(t, designSession(d, nil), script)
+	want, values := fingerprint(t, storeless), runJSON(t, storeless)
+	var snap Snapshot
 	for pass := 1; pass <= 3; pass++ {
 		res := mustRun(t, designSession(d, store), script)
 		if fingerprint(t, res) != want {
 			t.Errorf("run %d over the store differs from a storeless run:\n%s", pass, script)
 		}
+		snap = res.Snapshot
 		res.Release()
+	}
+	res, err := evaluate(t, designSession(d, store), script)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, script)
+	}
+	if runJSON(t, res) != values || res.Snapshot != snap {
+		t.Errorf("an Evaluate over the store differs from a storeless run, or from RunContext's snapshot handle:\n%s", script)
 	}
 }
 

@@ -36,7 +36,8 @@ type Session struct {
 	// mutable state) instead of re-parsing and re-elaborating. Results are
 	// bit-identical either way; only wall-clock changes. Sessions may share
 	// one store concurrently. A caller done with a restored Result.Design can
-	// hand its storage back to the store with Result.Release.
+	// hand its storage back to the store with Result.Release; Evaluate, for a
+	// caller that wants no design, hands it back itself.
 	Checkpoints *CheckpointStore
 }
 
@@ -92,7 +93,22 @@ func (s *Session) Run(script string) (*Result, error) {
 // RunContext is Run with cooperative cancellation and a command budget: the
 // context is checked before every command, and execution aborts with
 // resilience.ErrBudgetExceeded once MaxCommands commands have run.
-func (s *Session) RunContext(ctx context.Context, script string) (_ *Result, err error) {
+func (s *Session) RunContext(ctx context.Context, script string) (*Result, error) {
+	return s.run(ctx, script, true)
+}
+
+// Evaluate is RunContext for a caller that wants the run's values and not its
+// design: QoR, Reports, Netlists, Log and Snapshot are exactly what
+// RunContext returns, Result.Design is nil, and the run hands its workspace
+// back to the store before it returns, so there is nothing to Release. A run
+// served from a derived result whose tail only reads takes the closing QoR
+// from that result and never thaws the compiled netlist.
+func (s *Session) Evaluate(ctx context.Context, script string) (*Result, error) {
+	return s.run(ctx, script, false)
+}
+
+// run is RunContext, and with keepDesign false Evaluate.
+func (s *Session) run(ctx context.Context, script string, keepDesign bool) (_ *Result, err error) {
 	cmds, err := ParseScript(script)
 	if err != nil {
 		return nil, err
@@ -105,9 +121,10 @@ func (s *Session) RunContext(ctx context.Context, script string) (_ *Result, err
 	st := &execState{sess: s, res: res}
 	// A run that dies after a restore — an invalid option value, a command
 	// out of order, a budget overrun, a cancelled context — returns no Result
-	// to release, so its workspace goes back here. A restored run that ends,
-	// either way, with no netlist in its design and no compile never read
-	// one (a served compile counts its own).
+	// to release, and an Evaluate returns one without a design, so its
+	// workspace goes back here. A restored run that ends, either way, with no
+	// netlist in its design and no compile never read one (a served compile
+	// counts its own).
 	defer func() {
 		if st.ws == nil {
 			return
@@ -115,7 +132,7 @@ func (s *Session) RunContext(ctx context.Context, script string) (_ *Result, err
 		if st.design.NL == nil && st.pristine != nil {
 			s.Checkpoints.thawsSkipped.Add(1)
 		}
-		if err != nil {
+		if err != nil || !keepDesign {
 			s.Checkpoints.park(st.ws)
 		}
 	}()
@@ -160,17 +177,25 @@ func (s *Session) RunContext(ctx context.Context, script string) (_ *Result, err
 		}
 	}
 	if st.design != nil && st.design.Cons.Period > 0 {
-		d, _ := st.netlist() // the design is there: no error to have
+		if keepDesign {
+			res.Design, _ = st.netlist() // the design is there: no error to have
+		}
+		// The derived result's QoR while the run carries one: an Evaluate
+		// gets it with no thaw.
 		var q QoR
 		if st.tail != nil {
 			q = st.tail.qor
-		} else if q, err = d.QoR(); err != nil {
-			return nil, err
+		} else {
+			d, _ := st.netlist()
+			if q, err = d.QoR(); err != nil {
+				return nil, err
+			}
 		}
 		res.QoR = &q
-		res.Design = d
 	}
-	res.ws = st.ws
+	if keepDesign {
+		res.ws = st.ws
+	}
 	return res, nil
 }
 

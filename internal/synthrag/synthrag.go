@@ -374,10 +374,11 @@ type paletteResult struct {
 // The plans share one checkpoint store that lives for this sweep only: the
 // design is parsed and elaborated once, the other plans restore the snapshot
 // into the store's one workspace, and its derived level serves the front
-// halves the palette repeats. Every result is released and the store is
-// garbage when the sweep returns, so a build keeps at most Workers designs'
-// images and workspaces alive at once, and none after it (a store that
-// outlived its sweep is what raised peak RSS; see DESIGN.md).
+// halves the palette repeats. Every run is an Evaluate, which hands its
+// workspace back itself, and the store is garbage when the sweep returns, so
+// a build keeps at most Workers designs' images and workspaces alive at once,
+// and none after it (a store that outlived its sweep is what raised peak RSS;
+// see DESIGN.md).
 func bestStrategy(d *designs.Design, lib *liberty.Library, names []string) (paletteResult, error) {
 	var best paletteResult
 	var firstErr error
@@ -387,17 +388,15 @@ func bestStrategy(d *designs.Design, lib *liberty.Library, names []string) (pale
 		sess := synth.NewSession(lib)
 		sess.Checkpoints = store
 		sess.AddSource(d.FileName, d.Source)
-		res, err := sess.Run(sweepScript(d, StrategyPalette[name]))
+		res, err := sess.Evaluate(context.Background(), sweepScript(d, StrategyPalette[name]))
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", name, err)
 			}
 			continue // a palette entry can be inapplicable; skip it
 		}
-		q := *res.QoR
-		res.Release()
-		if first || betterQoR(q, best.qor) {
-			best = paletteResult{name, q}
+		if first || betterQoR(*res.QoR, best.qor) {
+			best = paletteResult{name, *res.QoR}
 			first = false
 		}
 	}
