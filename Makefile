@@ -126,7 +126,9 @@ memprofile:
 # What .github/workflows/ci.yml runs: check, then the allocation gate.
 ci: check bench-gate
 
-# Short fuzzing pass over every untrusted-input parser and decoder. Each target gets
+# Short fuzzing pass over every untrusted-input parser and decoder, and over
+# the simulated LLM's shared prompt reading (FuzzReadingReuse: samples drawn
+# from one llm.Reading equal fresh generations). Each target gets
 # FUZZTIME of coverage-guided input generation on top of its checked-in
 # seed corpus (testdata/fuzz/); any crash is a failure. Raise FUZZTIME for
 # a deeper soak, e.g. make fuzz-smoke FUZZTIME=5m.
@@ -139,6 +141,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzCustomizeRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qorlog -run='^$$' -fuzz=FuzzQoRLogRecover -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/llm -run='^$$' -fuzz=FuzzSections -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/llm -run='^$$' -fuzz=FuzzReadingReuse -fuzztime=$(FUZZTIME)
 
 # Crash-recovery gate for the durable QoR log: fault-injected kills
 # mid-append and mid-recompaction, torn/corrupt-tail truncation, the

@@ -192,42 +192,47 @@ func TestEvaluateParksItsWorkspace(t *testing.T) {
 // TestWarmRawRequestAllocGuard pins what a warm raw-prompting Pass@5 request
 // (the repo benchmark's warm_raw_k5; BenchmarkWarmRequestRawK5 is its twin)
 // feeds the collector, in bytes per request, served the way the daemon
-// serves it (EvalOptions.ShareRepeats): the prompt, read in place; five
-// generations, each one copy of the prompt's last section; a restored
-// synthesis per distinct script, sizing in its workspace's scratch and
-// formatting reports with strconv. The first pass over all fourteen requests
-// notes every compile key and captures most of them (15 of 20; the rest are
-// captured in the first measured pass, since the derived level keys a whole
-// compile); the budget is about 1.5 times the steady state that follows when
-// every sample synthesizes (≈ 304 kB, against ≈ 1.07 MB when every prompt
-// line was copied and every sizing round grew its change list from nil);
-// sharing repeats reads ≈ 290 kB, those five captures included. A sample
-// served by the derived level and then only reading appends the kept report
-// texts, which it shares with the store, instead of formatting its own, and
-// thaws nothing: the synthesis is an Evaluate.
+// serves it: a new RawPipeline per request (as server.newPipeline builds
+// one), so its memoized reading lives one request, and
+// EvalOptions.ShareRepeats. The request builds and reads its prompt once —
+// sections read in place, one copy of the prompt's last section — and its
+// five generations share that reading; then a restored synthesis per
+// distinct script, sizing in its workspace's scratch and formatting reports
+// with strconv. The first pass over all fourteen requests notes every
+// compile key and captures most of them (15 of 20; the rest are captured in
+// the first measured pass, since the derived level keys a whole compile).
+// Sharing repeats reads ≈ 158 kB a request, those five captures included
+// (≈ 290 kB while every sample built and read the prompt itself, ≈ 304 kB
+// when every sample also synthesized, ≈ 1.07 MB when every prompt line was
+// copied and every sizing round grew its change list from nil); the budget
+// dates from the ≈ 290 kB state and is kept. A sample served by the derived
+// level and then only reading appends the kept report texts, which it
+// shares with the store, instead of formatting its own, and thaws nothing:
+// the synthesis is an Evaluate.
 func TestWarmRawRequestAllocGuard(t *testing.T) {
 	lib := liberty.Nangate45()
 	ctx := context.Background()
 	opts := EvalOptions{Workers: 1, Checkpoints: synth.NewCheckpointStore(0)}
 	type request struct {
-		p    Pipeline
-		task *Task
-		qor  synth.QoR
+		model *llm.Model
+		task  *Task
+		qor   synth.QoR
 	}
 	var reqs []request
 	for _, prof := range []llm.Profile{llm.GPT4o, llm.Claude35} {
+		model := llm.New(prof, 1)
 		for _, d := range designs.Benchmarks() {
 			task, qor, err := NewTaskWith(ctx, d, lib, opts.Checkpoints)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reqs = append(reqs, request{&RawPipeline{Model: llm.New(prof, 1)}, task, qor})
+			reqs = append(reqs, request{model, task, qor})
 		}
 	}
 	serve := func() {
 		for _, r := range reqs {
 			o, _ := opts.ShareRepeats(5)
-			if _, err := EvalTaskOpts(ctx, r.p, r.task, r.qor, 5, lib, o); err != nil {
+			if _, err := EvalTaskOpts(ctx, &RawPipeline{Model: r.model}, r.task, r.qor, 5, lib, o); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -411,28 +411,31 @@ func BenchmarkWarmRequestParallel(b *testing.B) {
 
 // BenchmarkWarmRequestRawK5 is the in-repo twin of the repo benchmark's
 // warm_raw_k5 workload: one op is one raw-prompting Pass@5 request the way
-// the daemon serves it (cached task, shared checkpoint store, no QoR log, so
-// the five samples share a store of their own and each distinct script
-// synthesizes once: EvalOptions.ShareRepeats), round-robin over the seven
-// designs under both raw models. Synthesis and STA do nearly all of the
+// the daemon serves it (cached task, shared checkpoint store, a new
+// RawPipeline per request so the five samples share one reading of the
+// prompt and the next request reads its own, no QoR log, so the five
+// samples share a store of their own and each distinct script synthesizes
+// once: EvalOptions.ShareRepeats), round-robin over the seven designs under
+// both raw models. Synthesis and STA do nearly all of the
 // work here; the ChatLS layers BenchmarkWarmRequest exercises do none.
 func BenchmarkWarmRequestRawK5(b *testing.B) {
 	lib := liberty.Nangate45()
 	ctx := context.Background()
 	opts := EvalOptions{Workers: 1, Checkpoints: synth.NewCheckpointStore(0)}
 	type request struct {
-		p    Pipeline
-		task *Task
-		qor  synth.QoR
+		model *llm.Model
+		task  *Task
+		qor   synth.QoR
 	}
 	var reqs []request
 	for _, prof := range []llm.Profile{llm.GPT4o, llm.Claude35} {
+		model := llm.New(prof, 1)
 		for _, d := range designs.Benchmarks() {
 			task, qor, err := NewTaskWith(ctx, d, lib, opts.Checkpoints)
 			if err != nil {
 				b.Fatal(err)
 			}
-			reqs = append(reqs, request{&RawPipeline{Model: llm.New(prof, 1)}, task, qor})
+			reqs = append(reqs, request{model, task, qor})
 		}
 	}
 	b.ReportAllocs()
@@ -440,7 +443,7 @@ func BenchmarkWarmRequestRawK5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := reqs[i%len(reqs)]
 		o, _ := opts.ShareRepeats(5)
-		if _, err := EvalTaskOpts(ctx, r.p, r.task, r.qor, 5, lib, o); err != nil {
+		if _, err := EvalTaskOpts(ctx, &RawPipeline{Model: r.model}, r.task, r.qor, 5, lib, o); err != nil {
 			b.Fatal(err)
 		}
 	}

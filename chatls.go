@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/circuitmentor"
 	"repro/internal/designs"
@@ -128,16 +129,49 @@ type Customization struct {
 // RawPipeline is the baseline comparison: the generator sees the
 // requirement, the baseline script, the tool report, and the raw RTL —
 // exactly the single-shot prompting the paper compares against.
+//
+// The pipeline holds a one-entry memo: the model's Reading of the last prompt
+// it built, keyed on the model and the four task fields the prompt is built
+// from, so the k samples of a Pass@k request read their shared prompt once.
+// Concurrent calls are safe; calls that alternate between prompts each read
+// their own.
 type RawPipeline struct {
 	Model *llm.Model
+
+	last atomic.Pointer[rawReading]
+}
+
+// rawReading is a RawPipeline's memo entry: a reading and the inputs of the
+// prompt it read.
+type rawReading struct {
+	model                                 llm.Model
+	requirement, baseline, report, source string
+	reading                               llm.Reading
 }
 
 // Name identifies the pipeline by its model profile.
 func (p *RawPipeline) Name() string { return p.Model.Profile.Name }
 
 // CustomizeResult performs one-shot prompting with the raw design text.
-// RawPipeline is stateless, so concurrent calls are safe.
 func (p *RawPipeline) CustomizeResult(ctx context.Context, t *Task, sample int) (Customization, error) {
+	if err := ctx.Err(); err != nil {
+		return Customization{}, resilience.ContextError(resilience.CompGenerate, err)
+	}
+	script, err := p.read(t).Generate(ctx, sample)
+	if err != nil {
+		return Customization{}, resilience.ContextError(resilience.CompGenerate, err)
+	}
+	return Customization{Script: script}, nil
+}
+
+// read returns the model's reading of t's prompt: the memo's when it was read
+// from the same inputs (samples of one task share the strings, so each
+// compare returns at once), else a new reading, which replaces the memo's.
+func (p *RawPipeline) read(t *Task) *llm.Reading {
+	if e := p.last.Load(); e != nil && e.model == *p.Model && e.requirement == t.Requirement &&
+		e.baseline == t.Baseline && e.report == t.BaselineReport && e.source == t.Design.Source {
+		return &e.reading
+	}
 	const (
 		reqHead    = "## Requirement\n"
 		scriptHead = "\n\n## Baseline script\n"
@@ -155,11 +189,10 @@ func (p *RawPipeline) CustomizeResult(ctx context.Context, t *Task, sample int) 
 	b.WriteString(t.BaselineReport)
 	b.WriteString(rtlHead)
 	b.WriteString(t.Design.Source)
-	script, err := p.Model.GenerateContext(ctx, llm.GenRequest{Prompt: b.String(), Sample: sample})
-	if err != nil {
-		return Customization{}, resilience.ContextError(resilience.CompGenerate, err)
-	}
-	return Customization{Script: script}, nil
+	e := &rawReading{model: *p.Model, requirement: t.Requirement, baseline: t.Baseline,
+		report: t.BaselineReport, source: t.Design.Source, reading: p.Model.Read(b.String())}
+	p.last.Store(e)
+	return &e.reading
 }
 
 // ChatLSPipeline is the full framework: CircuitMentor analysis, SynthRAG

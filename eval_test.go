@@ -123,29 +123,46 @@ func TestEvalTruncatesAtFirstFatalSample(t *testing.T) {
 
 // TestCustomizeResultConcurrent: one pipeline instance must tolerate
 // concurrent CustomizeResult calls (the serving path shares nothing but the
-// immutable model/database). Meaningful under -race.
+// immutable model/database). The goroutines interleave two tasks' samples, so
+// the raw pipeline's one-entry reading is read, replaced and shared under
+// contention. Meaningful under -race.
 func TestCustomizeResultConcurrent(t *testing.T) {
-	task, _, err := NewTask(context.Background(), designs.RiscV32i(), testLib)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	var tasks [2]*Task
+	for i, d := range []*designs.Design{designs.RiscV32i(), designs.AES()} {
+		task, _, err := NewTask(ctx, d, testLib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks[i] = task
 	}
+	const k = 3
 	p := &RawPipeline{Model: llm.New(llm.GPT4o, 7)}
-	want, err := p.CustomizeResult(context.Background(), task, 0)
-	if err != nil {
-		t.Fatal(err)
+	var want [2][k]string
+	for i, task := range tasks {
+		for s := 0; s < k; s++ {
+			c, err := (&RawPipeline{Model: p.Model}).CustomizeResult(ctx, task, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i][s] = c.Script
+		}
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := p.CustomizeResult(context.Background(), task, 0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if got.Script != want.Script {
-				t.Error("concurrent CustomizeResult diverged for identical inputs")
+			for n := 0; n < 4*k; n++ {
+				i, s := (g+n)%2, n%k
+				got, err := p.CustomizeResult(ctx, tasks[i], s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Script != want[i][s] {
+					t.Errorf("concurrent CustomizeResult diverged for task %d sample %d", i, s)
+				}
 			}
 		}()
 	}

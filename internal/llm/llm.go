@@ -20,7 +20,10 @@
 //     choices.
 //
 // Generation is seeded and deterministic given (profile, seed, prompt,
-// sample index), so every experiment is reproducible.
+// sample index), so every experiment is reproducible. It runs in two parts:
+// Model.Read takes from the prompt everything that depends on it alone, and
+// Reading.Generate draws one sample, so the k samples of a Pass@k request
+// can share one reading of their prompt.
 package llm
 
 import (
@@ -92,10 +95,23 @@ func (m *Model) attend(section string) string {
 // seeding one in place yields exactly the stream a new one would.
 var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
+const fnvPrime64 = 1099511628211
+
+// hashPrompt returns the FNV-64a state after the prompt's bytes: the part of
+// every sample's seed that depends on the prompt alone.
+func hashPrompt(prompt string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(prompt); i++ {
+		h = (h ^ uint64(prompt[i])) * fnvPrime64
+	}
+	return h
+}
+
 // rng derives the deterministic sampling stream for one generation: a source
 // seeded with the FNV-64a hash of the prompt followed by
-// "|profile|seed|sample". The caller may hand it back to rngs when done.
-func (m *Model) rng(prompt string, sample int) *rand.Rand {
+// "|profile|seed|sample", continued here from h, the prompt's state
+// (hashPrompt). The caller may hand it back to rngs when done.
+func (m *Model) rng(h uint64, sample int) *rand.Rand {
 	var buf [64]byte
 	suffix := append(buf[:0], '|')
 	suffix = append(suffix, m.Profile.Name...)
@@ -103,13 +119,8 @@ func (m *Model) rng(prompt string, sample int) *rand.Rand {
 	suffix = strconv.AppendInt(suffix, m.Seed, 10)
 	suffix = append(suffix, '|')
 	suffix = strconv.AppendInt(suffix, int64(sample), 10)
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(prompt); i++ {
-		h = (h ^ uint64(prompt[i])) * prime64
-	}
 	for _, b := range suffix {
-		h = (h ^ uint64(b)) * prime64
+		h = (h ^ uint64(b)) * fnvPrime64
 	}
 	r := rngs.Get().(*rand.Rand)
 	r.Seed(int64(h))
@@ -472,34 +483,62 @@ func (m *Model) Generate(req GenRequest) string {
 }
 
 // GenerateContext is Generate with cooperative cancellation: the context is
-// checked between the CPU-bound generation phases (prompt reading, evidence
-// extraction, strategy choice) so a cancelled or timed-out request stops
-// early instead of completing the sample. The only possible error is the
-// context's.
+// checked before the prompt is read and again before a sample is drawn, so a
+// cancelled or timed-out request stops early instead of completing the
+// sample. It is m.Read(req.Prompt).Generate(ctx, req.Sample). The only
+// possible error is the context's.
 func (m *Model) GenerateContext(ctx context.Context, req GenRequest) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	secs := Sections(truncateTokens(req.Prompt, m.Profile.ContextWindow))
-	rng := m.rng(req.Prompt, req.Sample)
-	defer rngs.Put(rng)
-	ev := m.readEvidence(secs)
+	r := m.Read(req.Prompt)
+	return r.Generate(ctx, req.Sample)
+}
+
+// Reading is what a model takes from one prompt before it draws any sample:
+// the prompt's sections, the design evidence in them and the prompt's part
+// of the sampling seed. Pass@k samples of one prompt differ only in their
+// sample index, so they can share one Reading. Obtain it from Model.Read; a
+// Reading is never modified after, so concurrent Generate calls are safe.
+type Reading struct {
+	m    Model
+	secs map[string]string
+	ev   evidence
+	h    uint64 // FNV-64a state after the prompt's bytes
+}
+
+// Read does all of a generation's work that depends on the prompt alone:
+// it splits the prompt the model's context window admits into sections,
+// reads the design evidence from them and hashes the whole prompt.
+func (m *Model) Read(prompt string) Reading {
+	secs := Sections(truncateTokens(prompt, m.Profile.ContextWindow))
+	return Reading{m: *m, secs: secs, ev: m.readEvidence(secs), h: hashPrompt(prompt)}
+}
+
+// Generate draws sample's script from the reading: the sample's seed, the
+// strategy choice, hallucination and option noise, spliced into the
+// prompt's baseline script. The result is the script Model.GenerateContext
+// returns for the read prompt and sample. The only possible error is the
+// context's, checked before the sample is drawn.
+func (r *Reading) Generate(ctx context.Context, sample int) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	plan := append([]string(nil), m.pickStrategy(secs, ev, rng)...)
+	rng := r.m.rng(r.h, sample)
+	defer rngs.Put(rng)
+	plan := append([]string(nil), r.m.pickStrategy(r.secs, r.ev, rng)...)
 
 	// Hallucination: insert an invalid command or corrupt an option.
-	if rng.Float64() < m.Profile.HallucRate {
+	if rng.Float64() < r.m.Profile.HallucRate {
 		pos := rng.Intn(len(plan) + 1)
 		plan = append(plan[:pos], append([]string{hallucinations[rng.Intn(len(hallucinations))]}, plan[pos:]...)...)
 	}
-	if rng.Float64() < m.Profile.OptionNoise {
+	if rng.Float64() < r.m.Profile.OptionNoise {
 		idx := rng.Intn(len(plan))
 		plan[idx] = corruptOption(plan[idx], rng)
 	}
 
-	return SpliceScript(secs["Baseline script"], plan), nil
+	return SpliceScript(r.secs["Baseline script"], plan), nil
 }
 
 // SpliceScript rebuilds a script around a new optimization plan: setup and

@@ -216,7 +216,7 @@ func TestStrategyNames(t *testing.T) {
 
 func TestAugmentWithEvidence(t *testing.T) {
 	m := New(Profile{Name: "p", ContextWindow: 128000, AttnTokens: 6000, Coverage: 1}, 1)
-	rng := m.rng("x", 0)
+	rng := m.rng(hashPrompt("x"), 0)
 	// Explicit imbalance adds retiming to a plan that lacks it.
 	ev := evidence{explicit: true, imbalance: true}
 	out := m.augmentWithEvidence([]string{"compile_ultra"}, ev, rng)

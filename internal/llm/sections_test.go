@@ -103,19 +103,21 @@ func TestEmptyHeaderTextBelongsToNoSection(t *testing.T) {
 }
 
 // TestRNGMatchesFNVStream: the sampling stream is seeded with the FNV-64a
-// hash of the prompt and "|profile|seed|sample", computed inline and into a
+// hash of the prompt and "|profile|seed|sample", computed in two parts — the
+// prompt's state once (hashPrompt), the suffix per sample (rng) — and into a
 // recycled source; it must be the stream a fresh source seeded with the
-// hash/fnv digest yields, including after the source was used for another
-// sample.
+// hash/fnv digest of prompt and suffix yields, including after the source was
+// used for another sample and when samples reuse one prompt state.
 func TestRNGMatchesFNVStream(t *testing.T) {
 	m := New(Claude35, -42)
 	for _, prompt := range []string{"", "x", basePrompt, "## A\nmódulo\n"} {
+		h := hashPrompt(prompt)
 		for _, sample := range []int{0, 1, 4, 1 << 40} {
-			h := fnv.New64a()
-			h.Write([]byte(prompt))
-			fmt.Fprintf(h, "|%s|%d|%d", m.Profile.Name, m.Seed, sample)
-			want := rand.New(rand.NewSource(int64(h.Sum64())))
-			got := m.rng(prompt, sample)
+			d := fnv.New64a()
+			d.Write([]byte(prompt))
+			fmt.Fprintf(d, "|%s|%d|%d", m.Profile.Name, m.Seed, sample)
+			want := rand.New(rand.NewSource(int64(d.Sum64())))
+			got := m.rng(h, sample)
 			for i := 0; i < 8; i++ {
 				if g, w := got.Int63(), want.Int63(); g != w {
 					t.Fatalf("prompt %q sample %d: draw %d = %d, want %d", prompt, sample, i, g, w)
