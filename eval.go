@@ -134,7 +134,7 @@ func EvalTaskOpts(ctx context.Context, p Pipeline, task *Task, baseQoR synth.QoR
 	// fold sees every slot up to the first fatal one whatever the schedule.
 	var mu sync.Mutex
 	fatalAt := k
-	libFP := opts.libFingerprint(task.Lib)
+	prefix := opts.resultPrefix(task.Lib, task.Design)
 	workpool.Run(opts.Workers, k, func(s int) {
 		mu.Lock()
 		skip := s > fatalAt
@@ -142,7 +142,7 @@ func EvalTaskOpts(ctx context.Context, p Pipeline, task *Task, baseQoR synth.QoR
 		if skip {
 			return
 		}
-		out, fatal := evalSample(ctx, p, task, lib, libFP, s, opts)
+		out, fatal := evalSample(ctx, p, task, lib, prefix, s, opts)
 		slots[s] = slot{out, fatal}
 		if fatal != nil {
 			mu.Lock()
@@ -183,8 +183,9 @@ func accumulate(res *EvalResult, out SampleOutcome, s int) {
 // error). When opts.Results holds the outcome for this exact (library,
 // sources, script), the synthesis run is skipped and the logged QoR is
 // served instead — bit-identical because the simulator is deterministic.
-// libFP is task.Lib's fingerprint when opts.Results is set.
-func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Library, libFP string, s int, opts EvalOptions) (*SampleOutcome, error) {
+// prefix is opts.resultPrefix over task's library and design, which the
+// request's samples share.
+func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Library, prefix qorlog.Prefix, s int, opts EvalOptions) (*SampleOutcome, error) {
 	// An expired or cancelled context is refused before customization.
 	// Returning (nil, err) makes the evaluation abort with no recorded
 	// partial sample.
@@ -199,7 +200,7 @@ func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Librar
 		return &SampleOutcome{Err: fmt.Sprintf("customize: %v", err)}, nil
 	}
 	out := SampleOutcome{Script: cres.Script, Degraded: cres.Degradation.Components()}
-	key, logged := opts.lookup(libFP, task.Design, cres.Script)
+	key, logged := opts.lookup(prefix, cres.Script)
 	if logged != nil {
 		out.QoR = logged
 		return &out, nil
@@ -216,24 +217,25 @@ func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Librar
 	return &out, nil
 }
 
-// libFingerprint is lib's fingerprint when there is a result store to key,
-// "" without one (hashing the library is not free; skip when unused).
-func (o EvalOptions) libFingerprint(lib *liberty.Library) string {
+// resultPrefix is ResultKey's digest state before the script — lib's
+// fingerprint and d's sources — hashed once for all the scripts a caller
+// keys on d; the zero Prefix, hashing nothing, when there is no store.
+func (o EvalOptions) resultPrefix(lib *liberty.Library, d *designs.Design) qorlog.Prefix {
 	if o.Results == nil {
-		return ""
+		return qorlog.Prefix{}
 	}
-	return lib.Fingerprint()
+	return qorlog.PrefixOf(lib.Fingerprint(), d.FileName, d.Source)
 }
 
-// lookup addresses script's outcome on d in the result store, libFP being
-// the library's fingerprint (libFingerprint): the key to publish it under,
-// and the logged QoR when the store already holds it. Both are nil without a
-// store (hashing the sources is not free; skip when unused).
-func (o EvalOptions) lookup(libFP string, d *designs.Design, script string) (*qorlog.Key, *synth.QoR) {
+// lookup addresses script's outcome in the result store, prefix being
+// resultPrefix over the library and the design it runs on: the key to
+// publish it under, and the logged QoR when the store already holds it.
+// Both are nil without a store.
+func (o EvalOptions) lookup(prefix qorlog.Prefix, script string) (*qorlog.Key, *synth.QoR) {
 	if o.Results == nil {
 		return nil, nil
 	}
-	key := resultKey(libFP, d, script)
+	key := prefix.Key(script)
 	if rec, ok := o.Results.Get(key); ok {
 		q := synth.QoR(rec)
 		return &key, &q

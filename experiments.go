@@ -172,10 +172,9 @@ func Table4(ctx context.Context, cfg ExperimentConfig) ([]Table4Row, error) {
 	}
 	results := make([]outcome, len(cfg.Designs))
 	o := cfg.evalOptions()
-	libFP := o.libFingerprint(cfg.Lib)
 	workpool.Run(workers, len(cfg.Designs), func(i int) {
 		d := cfg.Designs[i]
-		key, logged := o.lookup(libFP, d, d.BaselineScript())
+		key, logged := o.lookup(o.resultPrefix(cfg.Lib, d), d.BaselineScript())
 		if logged != nil {
 			results[i] = outcome{q: *logged}
 			return
@@ -657,7 +656,6 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 		return cand.WNS >= 0 && cand.Area < cur.Area
 	}
 	o := cfg.evalOptions()
-	libFP := o.libFingerprint(cfg.Lib)
 	var rows []IterationRow
 	var errs SweepErrors
 	for _, d := range cfg.Designs {
@@ -671,6 +669,7 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 			continue
 		}
 		rows = append(rows, IterationRow{Design: d.Name, Iter: 0, QoR: q, Script: task.Baseline})
+		prefix := o.resultPrefix(cfg.Lib, d)
 		script := task.Baseline
 		for it := 1; it <= iters; it++ {
 			if q.WNS < 0 {
@@ -694,7 +693,7 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 			// but its QoR, so a hit skips synthesis; an adopting round still
 			// runs, because adoption feeds the fresh report into the prompt.
 			var reports []string
-			key, candidate := o.lookup(libFP, d, next)
+			key, candidate := o.lookup(prefix, next)
 			if candidate == nil || adopts(q, *candidate) {
 				res, err := o.synthesize(ctx, cfg.Lib, d, next, key, false)
 				if err != nil {

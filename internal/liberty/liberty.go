@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Kind identifies a cell's logic function.
@@ -84,13 +85,20 @@ func (c *Cell) Delay(loadCap float64) float64 {
 	return c.Intrinsic + c.DriveRes*loadCap
 }
 
-// Library is a set of cells plus wireload models.
+// Library is a set of cells plus wireload models. A library is built
+// (NewLibrary and AddCell, or Nangate45 and ParseLib, which finish before
+// they return) and then only read: its Fingerprint is computed on first use
+// and stored, so an edit made after that would go unseen by every cache
+// keyed on it. Edit a library, if at all, before its first Fingerprint.
 type Library struct {
 	Name      string
 	cells     map[string]*Cell
 	byKind    map[Kind][]*Cell // sorted by ascending drive
 	WireLoads map[string]*WireLoad
 	DefaultWL string
+
+	fpOnce sync.Once
+	fp     string
 }
 
 // NewLibrary creates an empty library.
@@ -135,8 +143,17 @@ func (l *Library) Cells() []*Cell {
 // calls) fingerprint identically; a library differing in any delay model
 // does not. Everything keyed on "the same library" uses it — elaboration
 // checkpoints, the durable QoR log, CircuitMentor's analysis memo — so a
-// library change invalidates them all.
+// library change invalidates them all. The digest is computed once per
+// library, on the first call, and later calls return it; it is safe for
+// concurrent use.
 func (l *Library) Fingerprint() string {
+	l.fpOnce.Do(func() { l.fp = l.fingerprint() })
+	return l.fp
+}
+
+// fingerprint hashes the library's content: a sort of the cells and a few
+// hundred small digest writes, which is why Fingerprint stores the result.
+func (l *Library) fingerprint() string {
 	h := sha256.New()
 	hs := func(v string) {
 		var n [8]byte

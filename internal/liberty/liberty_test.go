@@ -3,6 +3,7 @@ package liberty
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -262,5 +263,35 @@ func TestFingerprintIsContentIdentity(t *testing.T) {
 		if l.Fingerprint() == base {
 			t.Errorf("fingerprint ignores a changed %s", name)
 		}
+	}
+}
+
+// Fingerprint is computed once per library: goroutines racing on the first
+// call all get one value, the content identity a fresh Nangate45 has, and a
+// later call hashes nothing.
+func TestFingerprintOnce(t *testing.T) {
+	want := Nangate45().Fingerprint()
+	l := Nangate45()
+	const n = 8
+	got := make([]string, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = l.Fingerprint()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, fp := range got {
+		if fp != want {
+			t.Errorf("goroutine %d: fingerprint %x, want %x", i, fp, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.Fingerprint() }); allocs != 0 {
+		t.Errorf("a later Fingerprint call makes %v allocs, want 0", allocs)
 	}
 }

@@ -86,3 +86,24 @@ func FuzzQoRLogRecover(f *testing.F) {
 		}
 	})
 }
+
+// FuzzKeyPrefix splits a four-part key anywhere: the prefix form must key
+// exactly as KeyOf does, since the logs on disk are addressed by its keys.
+func FuzzKeyPrefix(f *testing.F) {
+	for _, parts := range keySplitCases() {
+		if len(parts) == 4 {
+			f.Add(parts[0], parts[1], parts[2], parts[3], uint8(2))
+		}
+	}
+	f.Fuzz(func(t *testing.T, fp, file, src, script string, at uint8) {
+		parts := []string{fp, file, src, script}
+		n := int(at) % (len(parts) + 1)
+		want := KeyOf(parts...)
+		if got := PrefixOf(parts[:n]...).Key(parts[n:]...); got != want {
+			t.Fatalf("split at %d: PrefixOf.Key = %x, want %x", n, got[:8], want[:8])
+		}
+		if ref := keyOfCopying(parts...); ref != want {
+			t.Fatalf("KeyOf = %x, copying reference %x", want[:8], ref[:8])
+		}
+	})
+}

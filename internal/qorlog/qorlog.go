@@ -29,6 +29,7 @@ package qorlog
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -50,21 +51,84 @@ type Key [sha256.Size]byte
 // fingerprint, each (file name, file content) pair, and the script text.
 func KeyOf(parts ...string) Key {
 	h := sha256.New()
-	// Parts go in through chunk rather than as []byte(p), which would copy
-	// each one whole (a design's source, on every key).
-	var chunk [256]byte
-	for _, p := range parts {
-		binary.LittleEndian.PutUint64(chunk[:8], uint64(len(p)))
-		h.Write(chunk[:8])
-		for len(p) > 0 {
-			n := copy(chunk[:], p)
-			h.Write(chunk[:n])
-			p = p[n:]
-		}
+	f := framer{parts: parts}
+	for b := f.next(); b != nil; b = f.next() {
+		h.Write(b)
 	}
 	var k Key
 	h.Sum(k[:0])
 	return k
+}
+
+// Prefix is a key's digest state after its leading parts: PrefixOf(head...)
+// .Key(tail...) equals KeyOf(head..., tail...) byte for byte. A caller that
+// keys many scripts over one library and one design hashes the fingerprint
+// and the sources once, into a Prefix, and then only each script. A Prefix
+// never changes once made, so any number of goroutines may key from one.
+// The zero Prefix has no leading parts.
+type Prefix struct {
+	state []byte // the digest's marshaled state; nil for no leading parts
+}
+
+// PrefixOf hashes the leading parts of a key, framed as KeyOf frames them.
+func PrefixOf(parts ...string) Prefix {
+	h := sha256.New()
+	f := framer{parts: parts}
+	for b := f.next(); b != nil; b = f.next() {
+		h.Write(b)
+	}
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("qorlog: SHA-256 state does not marshal: " + err.Error())
+	}
+	return Prefix{state: state}
+}
+
+// Key finishes the key with the remaining parts. Resuming the saved state
+// moves the digest to the heap, its one allocation; the parts are not
+// copied.
+func (p Prefix) Key(rest ...string) Key {
+	h := sha256.New()
+	if p.state != nil {
+		if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(p.state); err != nil {
+			panic("qorlog: SHA-256 state does not unmarshal: " + err.Error())
+		}
+	}
+	f := framer{parts: rest}
+	for b := f.next(); b != nil; b = f.next() {
+		h.Write(b)
+	}
+	var k Key
+	h.Sum(k[:0])
+	return k
+}
+
+// framer cuts parts into a key's byte stream: each part's length as eight
+// little-endian bytes, then the part. Pieces come out through chunk rather
+// than as []byte(p), which would copy each part whole (a design's source,
+// on every key), and the digest is written at the call site, where its type
+// is known, so that neither chunk nor a digest that is not resumed leaves
+// the stack.
+type framer struct {
+	parts []string
+	rest  string // what is left of the current part
+	chunk [256]byte
+}
+
+// next returns the next piece of the stream, nil once it is all out.
+func (f *framer) next() []byte {
+	n := 0
+	if f.rest == "" {
+		if len(f.parts) == 0 {
+			return nil
+		}
+		f.rest, f.parts = f.parts[0], f.parts[1:]
+		binary.LittleEndian.PutUint64(f.chunk[:8], uint64(len(f.rest)))
+		n = 8
+	}
+	m := copy(f.chunk[n:], f.rest)
+	f.rest = f.rest[m:]
+	return f.chunk[:n+m]
 }
 
 // Record is one logged quality-of-results summary — the same fields as

@@ -109,6 +109,55 @@ func TestKeyOfDoesNotCopyParts(t *testing.T) {
 	}
 }
 
+// keySplitCases are the part lists the prefix form must key as KeyOf does:
+// each benchmark design's (fingerprint, file, source, script), and edge
+// parts around the 256-byte chunk KeyOf copies through.
+func keySplitCases() [][]string {
+	edges := []string{"", strings.Repeat("b", 256), strings.Repeat("c", 257)}
+	cases := [][]string{nil, edges}
+	for _, e := range edges {
+		cases = append(cases, []string{e, "top.v", e, "compile"}, []string{"fp", e, e, e})
+	}
+	for _, d := range designs.Benchmarks() {
+		cases = append(cases, []string{"lib-fp", d.FileName, d.Source, d.BaselineScript()})
+	}
+	return cases
+}
+
+// TestPrefixKeyMatchesKeyOf: split anywhere, PrefixOf(head...).Key(tail...)
+// is the key KeyOf and the copying reference give the whole list, also
+// when another key was finished from the same prefix first.
+func TestPrefixKeyMatchesKeyOf(t *testing.T) {
+	for i, parts := range keySplitCases() {
+		want := keyOfCopying(parts...)
+		if got := KeyOf(parts...); got != want {
+			t.Errorf("case %d: KeyOf = %x, want %x", i, got[:8], want[:8])
+		}
+		for at := 0; at <= len(parts); at++ {
+			p := PrefixOf(parts[:at]...)
+			p.Key("another script")
+			if got := p.Key(parts[at:]...); got != want {
+				t.Errorf("case %d split at %d: PrefixOf.Key = %x, want %x", i, at, got[:8], want[:8])
+			}
+		}
+	}
+	if got, want := (Prefix{}).Key("a", "b"), KeyOf("a", "b"); got != want {
+		t.Errorf("zero Prefix keys %x, want KeyOf's %x", got[:8], want[:8])
+	}
+}
+
+// TestPrefixKeyAllocs pins what keying one script from a prefix costs: the
+// resumed digest, and nothing per part or per byte of the script.
+func TestPrefixKeyAllocs(t *testing.T) {
+	d := designs.AES()
+	p := PrefixOf("lib-fp", d.FileName, d.Source)
+	script := d.BaselineScript()
+	allocs := testing.AllocsPerRun(20, func() { p.Key(script) })
+	if allocs != 1 {
+		t.Errorf("Prefix.Key over a %d-byte script: %v allocs, want 1", len(script), allocs)
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "qor.log")
 	l := mustOpen(t, path, Options{})

@@ -486,7 +486,9 @@ func linkPrefix(cmds []Cmd) (end int, files []string, top string, ok bool) {
 // the script-order file sequence (read order decides module precedence and
 // the default top), the explicit top module, and the sorted parameter
 // overrides. Unknown source files make the key underivable (ok false); the
-// run then proceeds — and fails — exactly like an uncheckpointed one.
+// run then proceeds — and fails — exactly like an uncheckpointed one. The
+// library goes in as its stored fingerprint, 32 bytes; what a run hashes is
+// mostly its sources, every run.
 func (s *Session) checkpointKey(files []string, top string) (string, bool) {
 	h := sha256.New()
 	// Strings go in through chunk rather than as []byte(b), which would copy

@@ -49,15 +49,12 @@ type LeasedResultStore interface {
 // the struct conversions qorlog.Record(q) / synth.QoR(rec) cross floats
 // unmodified — a logged record round-trips bit-identically — and stop
 // compiling if the two structs ever drift.
+//
+// An evaluation keys its samples from EvalOptions.resultPrefix: the library
+// and the sources hashed once for all of them, then each script. The keys
+// are these, byte for byte.
 func ResultKey(lib *liberty.Library, d *designs.Design, script string) qorlog.Key {
-	return resultKey(lib.Fingerprint(), d, script)
-}
-
-// resultKey is ResultKey over libFP, the library's Fingerprint, which an
-// evaluation computes once for all its samples: hashing the library costs
-// about as much as hashing the largest design's sources.
-func resultKey(libFP string, d *designs.Design, script string) qorlog.Key {
-	return qorlog.KeyOf(libFP, d.FileName, d.Source, script)
+	return qorlog.KeyOf(lib.Fingerprint(), d.FileName, d.Source, script)
 }
 
 // ShareRepeats returns o for one Pass@k evaluation of k samples in which a

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -289,10 +292,39 @@ func TestShareRepeatsStoresNoCancelledOrRejectedSample(t *testing.T) {
 	}
 }
 
-// TestResultKeyUnchanged: ResultKey, now over a fingerprint computed once per
-// evaluation, still frames (library fingerprint, file name, source, script)
-// in that order, the keys the QoR logs on disk are addressed by.
+// recordingStore is a ResultStore that remembers every key it is asked for
+// and every key a record is published under.
+type recordingStore struct {
+	*qorlog.Store
+	mu        sync.Mutex
+	gets, put []qorlog.Key
+}
+
+func (s *recordingStore) Get(key qorlog.Key) (qorlog.Record, bool) {
+	s.mu.Lock()
+	s.gets = append(s.gets, key)
+	s.mu.Unlock()
+	return s.Store.Get(key)
+}
+
+func (s *recordingStore) Put(key qorlog.Key, rec qorlog.Record) {
+	s.mu.Lock()
+	s.put = append(s.put, key)
+	s.mu.Unlock()
+	s.Store.Put(key, rec)
+}
+
+// TestResultKeyUnchanged: the keys the QoR logs on disk are addressed by
+// still frame (library fingerprint, file name, source, script) in that
+// order, whether ResultKey derives one or an evaluation keys its samples
+// from a prefix over the library and the sources. Every key a raw Pass@5
+// evaluation looks up and publishes, on every design, is qorlog.KeyOf over
+// the sample's script; and testdata/raw_pass5.qorlog, a log the same
+// evaluations wrote before samples were keyed from a prefix, serves every
+// valid sample of them warm. The file is a fixture: a change that must
+// regenerate it changes the keys of every log on disk.
 func TestResultKeyUnchanged(t *testing.T) {
+	ctx := context.Background()
 	fp := testLib.Fingerprint()
 	for _, d := range designs.Benchmarks() {
 		script := d.BaselineScript()
@@ -300,8 +332,80 @@ func TestResultKeyUnchanged(t *testing.T) {
 		if got := ResultKey(testLib, d, script); got != want {
 			t.Errorf("%s: ResultKey = %x, want %x", d.Name, got[:8], want[:8])
 		}
-		if got := resultKey(fp, d, script); got != want {
-			t.Errorf("%s: resultKey = %x, want %x", d.Name, got[:8], want[:8])
+	}
+
+	path := filepath.Join(t.TempDir(), "raw_pass5.qorlog")
+	logged, err := os.ReadFile(filepath.Join("testdata", "raw_pass5.qorlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, logged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := qorlog.OpenStore(path, 0, qorlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+
+	const k = 5
+	var valid int
+	for _, d := range designs.Benchmarks() {
+		task, base, err := NewTask(ctx, d, testLib)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, m := range []llm.Profile{llm.GPT4o, llm.Claude35} {
+			p := &RawPipeline{Model: llm.New(m, ProtocolSeed)}
+			name := d.Name + "/" + p.Name()
+			rec := &recordingStore{Store: qorlog.NewMemoryStore(k)}
+			res, err := EvalTaskOpts(ctx, p, task, base, k, testLib, EvalOptions{Workers: 1, Results: rec})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var wants []qorlog.Key
+			published := map[qorlog.Key]bool{}
+			for _, s := range res.Samples {
+				if strings.HasPrefix(s.Err, "customize: ") {
+					continue
+				}
+				key := qorlog.KeyOf(fp, d.FileName, d.Source, s.Script)
+				wants = append(wants, key)
+				if s.QoR != nil {
+					published[key] = true
+				}
+			}
+			if !reflect.DeepEqual(rec.gets, wants) {
+				t.Errorf("%s: looked up %d keys, want KeyOf over each of the %d samples' scripts, in order", name, len(rec.gets), len(wants))
+			}
+			for _, key := range rec.put {
+				if !published[key] {
+					t.Errorf("%s: published under %x, which is no valid sample's KeyOf", name, key[:8])
+				}
+			}
+			if len(rec.put) != len(published) {
+				t.Errorf("%s: %d records published, want one per distinct valid script (%d)", name, len(rec.put), len(published))
+			}
+
+			before := warm.Stats()
+			served, err := EvalTaskOpts(ctx, p, task, base, k, testLib, EvalOptions{Workers: 1, Results: warm})
+			if err != nil {
+				t.Fatalf("%s warm: %v", name, err)
+			}
+			if !reflect.DeepEqual(served, res) {
+				t.Errorf("%s: the logged evaluation differs from the computed one", name)
+			}
+			after := warm.Stats()
+			if hits := after.Hits - before.Hits; hits != int64(res.Valid) {
+				t.Errorf("%s: the log served %d samples, want every valid one (%d)", name, hits, res.Valid)
+			}
+			valid += res.Valid
+		}
+	}
+	if st := warm.Stats(); st.Appends != 0 || st.Warmed == 0 {
+		t.Errorf("log: %d records replayed, %d appended; want some replayed and none appended", st.Warmed, st.Appends)
+	}
+	if valid == 0 {
+		t.Error("no sample was valid: the test checked no key")
 	}
 }
