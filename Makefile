@@ -63,10 +63,11 @@ bench:
 # build's cost whenever the table misses). CompileUltraSwerv matches both the
 # fresh and the checkpointed variant (their ratio is the checkpoint
 # speedup); CheckpointRestore is capture / restore / restore-recycled (a
-# miss, a hit whose first netlist read thaws into new storage, one whose first read thaws over a released
-# workspace); EmbedGlobalSerial is one GNN embedding of each design;
-# WarmRequest and WarmRequestRawK5 are the work behind one warm chatls k=1
-# and one raw Pass@5 request, 14 requests an iteration so each record
+# miss, a hit whose first netlist read thaws into new storage, one whose
+# first read thaws over the workspace the previous Evaluate parked);
+# EmbedGlobalSerial is one GNN embedding of each design; WarmRequest and
+# WarmRequestRawK5 are the work behind one warm chatls k=1 and one raw
+# Pass@5 request, 14 requests an iteration so each record
 # covers every design under both raw models; WarmRequestParallel is
 # WarmRequest from two goroutines over one store (-cpu 2: its ns/op is wall
 # time per request with both cores busy, about half the CPU time).

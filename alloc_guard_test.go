@@ -73,9 +73,9 @@ func TestAnalysisMemoHitAllocGuard(t *testing.T) {
 
 // TestRecycledRestoreAllocGuard pins what a checkpoint restore and the first
 // read of its netlist (uniquify, which reads and does nothing else) cost once
-// a released workspace is parked in the store: script parsing, the session and
-// its Result, the module-slice header — not a copy of the netlist, which is
-// thawed over the previous run's. Counted in bytes, since that is what the
+// an Evaluate has parked its workspace in the store: script parsing, the
+// session and its Result, the module-slice header — not a copy of the
+// netlist, which is thawed over the previous run's. Counted in bytes, since that is what the
 // copy cost (1.8 MB on aes when every restore cloned); the budget is about
 // three times the measured steady state.
 func TestRecycledRestoreAllocGuard(t *testing.T) {
@@ -87,11 +87,9 @@ func TestRecycledRestoreAllocGuard(t *testing.T) {
 		sess := synth.NewSession(lib)
 		sess.Checkpoints = store
 		sess.AddSource(d.FileName, d.Source)
-		res, err := sess.Run(link)
-		if err != nil {
+		if _, err := sess.Evaluate(context.Background(), link); err != nil {
 			t.Fatal(err)
 		}
-		res.Release()
 	}
 	restore() // captures
 	restore() // allocates the workspace
@@ -117,9 +115,8 @@ func TestRecycledRestoreAllocGuard(t *testing.T) {
 // store itself, on success — a compile served from the derived level with a
 // tail that only reads, a run that thaws the snapshot — and on every error
 // return after a restore: a bad option value, a budget overrun, a cancelled
-// context. No result is released, yet after the warm-up every run takes the
-// one workspace the first restore allocated. No result carries a design, and
-// Release on one changes nothing. Counted in bytes, under
+// context. After the warm-up every run takes the one workspace the first
+// restore allocated, and no result carries a design. Counted in bytes, under
 // TestRecycledRestoreAllocGuard's budget.
 func TestEvaluateParksItsWorkspace(t *testing.T) {
 	d := designs.AES()
@@ -131,7 +128,7 @@ func TestEvaluateParksItsWorkspace(t *testing.T) {
 	link := "read_verilog " + d.FileName + "\ncurrent_design " + d.Top + "\nlink\n"
 	clocked := link + fmt.Sprintf("create_clock -period %.2f clk\n", d.Period)
 	served := clocked + "compile_ultra\nreport_qor\nreport_timing -max_paths 3\nreport_area\n"
-	evaluate := func(i int) *synth.Result {
+	evaluate := func(i int) {
 		sess := synth.NewSession(lib)
 		sess.Checkpoints = store
 		sess.AddSource(d.FileName, d.Source)
@@ -155,7 +152,6 @@ func TestEvaluateParksItsWorkspace(t *testing.T) {
 		if res != nil && res.Design != nil {
 			t.Fatalf("run %d: an Evaluate returned a design", i)
 		}
-		return res
 	}
 	evaluate(0) // captures the snapshot
 	evaluate(0) // notes the compile, allocating the workspace
@@ -169,12 +165,6 @@ func TestEvaluateParksItsWorkspace(t *testing.T) {
 	}
 	runtime.ReadMemStats(&mAfter)
 	st := store.Stats()
-	res := evaluate(0)
-	q := *res.QoR
-	res.Release()
-	if res.Design != nil || *res.QoR != q {
-		t.Fatal("Release changed an Evaluate's result")
-	}
 	if st.Allocated != 1 || st.Reused-before.Reused != runs {
 		t.Fatalf("workspaces allocated/reused = %d/%d over %d runs, want 1/%d: an Evaluate dropped its storage", st.Allocated, st.Reused-before.Reused, runs, runs)
 	}

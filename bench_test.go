@@ -233,53 +233,53 @@ func BenchmarkCompileUltraSwervCheckpointed(b *testing.B) {
 // SweRV's link prefix and the first read of its netlist (uniquify: a restore
 // thaws nothing until a command asks for the netlist, and this one asks and
 // does nothing else; no compile): capture is a miss — parse, elaborate,
-// freeze the linked netlist into the store; restore is a hit whose result is
-// never released, so every iteration thaws into new storage (what callers
-// that keep Result.Design pay); restore-recycled releases each result, so
-// the next iteration thaws over it (what the serving path pays when a
-// compile's result is not in the store).
+// freeze the linked netlist into the store; restore is a RunContext hit,
+// whose workspace goes with its result, so every iteration thaws into new
+// storage (what callers that keep Result.Design pay); restore-recycled is an
+// Evaluate hit, which parks its workspace, so the next iteration thaws over
+// it (what the serving path pays when a compile's result is not in the
+// store).
 func BenchmarkCheckpointRestore(b *testing.B) {
 	d := designs.SweRV()
 	lib := liberty.Nangate45()
 	prefix := "read_verilog " + d.FileName + "\ncurrent_design " + d.Top + "\nlink\nuniquify\n"
-	run := func(b *testing.B, store *synth.CheckpointStore) *synth.Result {
+	run := func(b *testing.B, store *synth.CheckpointStore, recycle bool) {
 		sess := synth.NewSession(lib)
 		sess.Checkpoints = store
 		sess.AddSource(d.FileName, d.Source)
-		res, err := sess.Run(prefix)
-		if err != nil {
+		restore := sess.RunContext
+		if recycle {
+			restore = sess.Evaluate
+		}
+		if _, err := restore(context.Background(), prefix); err != nil {
 			b.Fatal(err)
 		}
-		return res
 	}
 	b.Run("capture", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			store := synth.NewCheckpointStore(0)
-			run(b, store)
+			run(b, store, false)
 			if store.Len() != 1 {
 				b.Fatal("the link prefix captured no checkpoint")
 			}
 		}
 	})
-	for _, release := range []bool{false, true} {
+	for _, recycle := range []bool{false, true} {
 		name := "restore"
-		if release {
+		if recycle {
 			name = "restore-recycled"
 		}
 		b.Run(name, func(b *testing.B) {
 			store := synth.NewCheckpointStore(0)
-			run(b, store)
-			if release {
-				run(b, store).Release() // allocates the workspace
+			run(b, store, false)
+			if recycle {
+				run(b, store, true) // allocates the workspace
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := run(b, store)
-				if release {
-					res.Release()
-				}
+				run(b, store, recycle)
 			}
 			b.StopTimer()
 			st := store.Stats()
@@ -289,8 +289,8 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 			if st.ThawsSkipped != 0 {
 				b.Fatalf("%d restores thawed nothing: the benchmark times no thaw", st.ThawsSkipped)
 			}
-			if release && st.Allocated != 1 {
-				b.Fatalf("released restores allocated %d workspaces, want 1", st.Allocated)
+			if recycle && st.Allocated != 1 {
+				b.Fatalf("recycled restores allocated %d workspaces, want 1", st.Allocated)
 			}
 		})
 	}
@@ -379,22 +379,31 @@ func BenchmarkWarmRequestParallel(b *testing.B) {
 	request, store, lib := warmRequests(b)
 	// The sequential warm-up worked in one workspace. Bring one per goroutine
 	// to full size before the clock starts — each has held every design,
-	// compiled — so B/op does not depend on when two requests first overlap.
+	// compiled — so B/op does not depend on when two requests first overlap:
+	// for each design, GOMAXPROCS Evaluates of its baseline and a write, which
+	// reads the compiled netlist, meet before their first command after the
+	// restore, so each works in a workspace of its own.
+	procs := runtime.GOMAXPROCS(0)
 	for _, d := range designs.Benchmarks() {
-		held := make([]*synth.Result, runtime.GOMAXPROCS(0))
-		for g := range held {
-			sess := synth.NewSession(lib)
-			sess.Checkpoints = store
-			sess.AddSource(d.FileName, d.Source)
-			res, err := sess.Run(d.BaselineScript())
-			if err != nil {
-				b.Fatal(err)
-			}
-			held[g] = res
+		var restored, done sync.WaitGroup
+		restored.Add(procs)
+		done.Add(procs)
+		for g := 0; g < procs; g++ {
+			go func() {
+				defer done.Done()
+				sess := synth.NewSession(lib)
+				sess.Checkpoints = store
+				sess.AddSource(d.FileName, d.Source)
+				ctx := &rendezvous{Context: context.Background(), wg: &restored}
+				if _, err := sess.Evaluate(ctx, d.BaselineScript()+"write\n"); err != nil {
+					b.Error(err)
+				}
+			}()
 		}
-		for _, res := range held {
-			res.Release()
-		}
+		done.Wait()
+	}
+	if st := store.Stats(); st.Allocated != int64(procs) {
+		b.Fatalf("the warm-up left %d workspaces, want GOMAXPROCS = %d", st.Allocated, procs)
 	}
 	var next atomic.Int64
 	b.ReportAllocs()
@@ -407,6 +416,20 @@ func BenchmarkWarmRequestParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// rendezvous is a context whose first Err call, a run's check before the
+// first command it executes, waits until every run sharing wg has made its
+// own.
+type rendezvous struct {
+	context.Context
+	once sync.Once
+	wg   *sync.WaitGroup
+}
+
+func (r *rendezvous) Err() error {
+	r.once.Do(func() { r.wg.Done(); r.wg.Wait() })
+	return r.Context.Err()
 }
 
 // BenchmarkWarmRequestRawK5 is the in-repo twin of the repo benchmark's

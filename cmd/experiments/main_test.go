@@ -12,7 +12,7 @@ import (
 	"repro/internal/synth"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/all.golden from this run instead of comparing against it")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from this run instead of comparing against them")
 
 // TestAllGolden pins `experiments -all` — every table, figure and study of
 // EXPERIMENTS.md, at the default seed, over a shared checkpoint store as the

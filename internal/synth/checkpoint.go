@@ -62,10 +62,9 @@ type CheckpointStore struct {
 // was thawed into, the Timing that analysed it and the scratch its passes
 // worked in. A run that restores takes an idle one — the next thaw overwrites
 // the netlist in place and Timing.Reset reuses the analysis buffers, so a warm
-// restore allocates next to nothing —
-// and whoever ends the run hands it back: Result.Release when a RunContext
-// succeeded, the run itself when it was an Evaluate or failed and no Result
-// escapes. A
+// restore allocates next to nothing — and the run hands it back when it ends
+// with no design to return: every Evaluate and every failed run. A successful
+// RunContext leaves it to the garbage collector with its Result.Design. A
 // Snapshot.Netlist read borrows one the same way for the length of its
 // callback.
 //

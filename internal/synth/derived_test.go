@@ -67,13 +67,22 @@ func mustRun(t *testing.T, s *Session, script string) *Result {
 	return res
 }
 
+// mustEvaluate is mustRun through Evaluate, for a run whose design nothing
+// reads: it hands its workspace back to the store.
+func mustEvaluate(t *testing.T, s *Session, script string) {
+	t.Helper()
+	if _, err := evaluate(t, s, script); err != nil {
+		t.Fatalf("%v\n%s", err, script)
+	}
+}
+
 // evaluate runs script through Evaluate and checks what that promises beyond
-// the values: no design, and no workspace left for Release to hand back.
+// the values: no design.
 func evaluate(t *testing.T, s *Session, script string) (*Result, error) {
 	t.Helper()
 	res, err := s.Evaluate(context.Background(), script)
-	if err == nil && (res.Design != nil || res.ws != nil) {
-		t.Fatalf("an Evaluate returned a design or kept its workspace\n%s", script)
+	if err == nil && res.Design != nil {
+		t.Fatalf("an Evaluate returned a design\n%s", script)
 	}
 	return res, err
 }
@@ -201,7 +210,6 @@ func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
 						if res.Snapshot != snap {
 							t.Errorf("%s: run %d (Evaluate %v) carries no handle to the design's snapshot", name, pass+1, evaluated)
 						}
-						res.Release()
 						after := store.Stats()
 						hits, misses, _ := derivedDelta(before, after)
 						if hits+misses != 1 || (hits == 1) != r.served {
@@ -290,7 +298,6 @@ func TestDerivedBypass(t *testing.T) {
 			if fingerprint(t, res) != want {
 				t.Errorf("%s: run %d over the store differs from a storeless run", name, pass)
 			}
-			res.Release()
 			if hits, misses, captures := derivedDelta(before, store.Stats()); hits+misses+captures != 0 {
 				t.Errorf("%s: run %d touched the derived level (%d hits, %d misses, %d captures)", name, pass, hits, misses, captures)
 			}
@@ -316,7 +323,6 @@ func TestDerivedBypass(t *testing.T) {
 			if fingerprint(t, res) != want {
 				t.Errorf("%s: run %d over the store differs from a storeless run", name, pass)
 			}
-			res.Release()
 			if hits, misses, _ := derivedDelta(before, store.Stats()); hits+misses != 1 || (hits == 1) != (pass == 3) {
 				t.Errorf("%s: run %d made %d derived hits and %d misses, want the third run served", name, pass, hits, misses)
 			}
@@ -340,7 +346,6 @@ func TestDerivedHitDropsCachedTiming(t *testing.T) {
 			if fingerprint(t, res) != want {
 				t.Errorf("%s: run %d (report_timing before compile) differs from a storeless run", d.Name, pass)
 			}
-			res.Release()
 			if hits, _, _ := derivedDelta(before, store.Stats()); (hits == 1) != (pass >= 3) {
 				t.Errorf("%s: run %d: %d derived hits", d.Name, pass, hits)
 			}
@@ -358,14 +363,14 @@ func TestDerivedSecondTouch(t *testing.T) {
 	want := [][3]int64{{0, 1, 0}, {0, 1, 1}, {1, 0, 0}, {1, 0, 0}}
 	for pass, w := range want {
 		before := store.Stats()
-		mustRun(t, designSession(d, store), script).Release()
+		mustEvaluate(t, designSession(d, store), script)
 		hits, misses, captures := derivedDelta(before, store.Stats())
 		if got := [3]int64{hits, misses, captures}; got != w {
 			t.Errorf("run %d: derived hits/misses/captures = %v, want %v", pass+1, got, w)
 		}
 	}
 	// A key seen once holds no image, however many other runs pass.
-	mustRun(t, designSession(d, store), linked(d)+"set_max_fanout 8\ncompile\n").Release()
+	mustEvaluate(t, designSession(d, store), linked(d)+"set_max_fanout 8\ncompile\n")
 	if st := store.Stats(); st.DerivedCaptures != 1 {
 		t.Errorf("captures = %d after a second key ran once, want 1", st.DerivedCaptures)
 	}
@@ -404,7 +409,6 @@ func TestDerivedIdentity(t *testing.T) {
 		if fingerprint(t, res) != want {
 			t.Errorf("run %d differs from a storeless run", pass)
 		}
-		res.Release()
 	}
 	if st := store.Stats(); st.DerivedHits != 1 || st.DerivedMisses != 2 || st.DerivedCaptures != 0 {
 		t.Errorf("derived hits/misses/captures = %d/%d/%d, want 1/2/0", st.DerivedHits, st.DerivedMisses, st.DerivedCaptures)
@@ -451,7 +455,6 @@ func TestDerivedTailKeysWhatReportsRead(t *testing.T) {
 		if fingerprint(t, res) != want[script] {
 			t.Errorf("run %d over the store differs from a storeless run:\n%s", i+1, script)
 		}
-		res.Release()
 	}
 	if len(reports) != 5 {
 		t.Errorf("the scripts asked for %d distinct reports, want 5", len(reports))
@@ -502,7 +505,7 @@ func TestDerivedBoundAndEviction(t *testing.T) {
 	}
 	for fanout := 4; fanout < 4+maxDerived+2; fanout++ {
 		for pass := 0; pass < 2; pass++ {
-			mustRun(t, designSession(d, store), script(fanout)).Release()
+			mustEvaluate(t, designSession(d, store), script(fanout))
 		}
 	}
 	cp := snapshotOf(t, store, d)
@@ -516,8 +519,8 @@ func TestDerivedBoundAndEviction(t *testing.T) {
 	}
 	// Pushed out: computed again. Still held: served.
 	before := store.Stats()
-	mustRun(t, designSession(d, store), script(4+maxDerived+1)).Release()
-	mustRun(t, designSession(d, store), script(4)).Release()
+	mustEvaluate(t, designSession(d, store), script(4+maxDerived+1))
+	mustEvaluate(t, designSession(d, store), script(4))
 	if hits, misses, _ := derivedDelta(before, store.Stats()); hits != 1 || misses != 1 {
 		t.Errorf("newest + evicted key: %d hits, %d misses, want 1 and 1", hits, misses)
 	}
@@ -536,7 +539,6 @@ func TestDerivedBoundAndEviction(t *testing.T) {
 		if fingerprint(t, res) != want {
 			t.Errorf("after eviction, run %d differs from a storeless run", pass+1)
 		}
-		res.Release()
 		hits, misses, captures := derivedDelta(before, store.Stats())
 		if got := [3]int64{hits, misses, captures}; got != w {
 			t.Errorf("after eviction, run %d: derived hits/misses/captures = %v, want %v", pass+1, got, w)
@@ -548,17 +550,23 @@ func TestDerivedBoundAndEviction(t *testing.T) {
 // differ in options, fanout limit, period and wireload, more keys per design
 // than a snapshot keeps, read-only tails after one compile that ask for
 // different reports (report_timing path counts) around a write, bypassing
-// scripts, failing ones that never read the netlist — over one store,
-// releasing every result, while a scraper reads the store's stats. Whatever
-// interleaving of first touches, captures, hits, evictions and report
-// recordings and servings results, every run equals the storeless one. make
-// derived-race runs it ten times under -race.
+// scripts, failing ones that never read the netlist — over one store, half
+// the runs through Evaluate, which hands its workspace back, so the
+// RunContext runs restore into storage other designs and runs left dirty,
+// while a scraper reads the store's stats. Whatever interleaving of first
+// touches, captures, hits, evictions and report recordings and servings
+// results, every run equals the storeless one. make derived-race runs it ten
+// times under -race.
 func TestDerivedHammer(t *testing.T) {
 	type job struct {
-		d            *designs.Design
-		script, want string // want "" = must fail
+		d                    *designs.Design
+		script, want, values string // want "" = must fail
 	}
 	var jobs []job
+	add := func(d *designs.Design, script string) {
+		res := mustRun(t, designSession(d, nil), script)
+		jobs = append(jobs, job{d, script, fingerprint(t, res), runJSON(t, res)})
+	}
 	for _, d := range []*designs.Design{designs.TinyRocket(), designs.RiscV32i(), designs.EthMAC()} {
 		for _, tail := range []string{
 			"compile\n", "compile -map_effort high\n", "compile_ultra -retime\n", "compile_ultra -no_autoungroup\n",
@@ -568,22 +576,19 @@ func TestDerivedHammer(t *testing.T) {
 			"set_dont_touch *\ncompile\n", "ungroup -all\ncompile\n",
 			"compile\ncompile -incremental\n",
 		} {
-			script := linked(d) + tail + reportTail
-			jobs = append(jobs, job{d, script, fingerprint(t, mustRun(t, designSession(d, nil), script))})
+			add(d, linked(d)+tail+reportTail)
 		}
 		for _, tail := range []string{"compile_ultra -retime\n", "report_timing\ncompile_ultra -retime -timing_high_effort_script\n"} {
-			script := linkedAt(d, 0.8*d.Period) + tail + reportTail
-			jobs = append(jobs, job{d, script, fingerprint(t, mustRun(t, designSession(d, nil), script))})
+			add(d, linkedAt(d, 0.8*d.Period)+tail+reportTail)
 		}
 		for _, tail := range []string{
 			"report_qor\nreport_timing -max_paths 3\nreport_area\n",
 			"report_timing -max_paths 1\nwrite\nreport_timing -max_paths 2\n",
 			"write\nreport_qor\nreport_timing -max_paths 5\nreport_constraint\n",
 		} {
-			script := linked(d) + "compile\n" + tail
-			jobs = append(jobs, job{d, script, fingerprint(t, mustRun(t, designSession(d, nil), script))})
+			add(d, linked(d)+"compile\n"+tail)
 		}
-		jobs = append(jobs, job{d, linked(d) + "compile\n" + invalidTail, ""}, job{d, linked(d) + invalidTail, ""})
+		jobs = append(jobs, job{d: d, script: linked(d) + "compile\n" + invalidTail}, job{d: d, script: linked(d) + invalidTail})
 	}
 	store := NewCheckpointStore(0)
 	const workers, rounds = 16, 12
@@ -612,7 +617,11 @@ func TestDerivedHammer(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				j := jobs[(w*7+r*5)%len(jobs)]
-				res, err := designSession(j.d, store).Run(j.script)
+				run := designSession(j.d, store).RunContext
+				if (w+r)%2 == 1 {
+					run = designSession(j.d, store).Evaluate
+				}
+				res, err := run(context.Background(), j.script)
 				if j.want == "" {
 					if err == nil {
 						t.Errorf("%s: invalid script ran to completion", j.d.Name)
@@ -623,9 +632,11 @@ func TestDerivedHammer(t *testing.T) {
 					t.Errorf("%s: %v", j.d.Name, err)
 					continue
 				}
-				got := fingerprint(t, res)
-				res.Release()
-				if got != j.want {
+				got, want := runJSON(t, res), j.values // an Evaluate's
+				if res.Design != nil {
+					got, want = fingerprint(t, res), j.want
+				}
+				if got != want {
 					t.Errorf("%s: run over the shared store differs from a storeless run:\n%s", j.d.Name, j.script)
 				}
 			}
@@ -644,7 +655,7 @@ func TestDerivedHammer(t *testing.T) {
 func analysesOf(t *testing.T, s *Session, script string) (full, incr uint64) {
 	t.Helper()
 	full, incr = sta.FullAnalyses(), sta.IncrementalUpdates()
-	mustRun(t, s, script).Release()
+	mustEvaluate(t, s, script)
 	return sta.FullAnalyses() - full, sta.IncrementalUpdates() - incr
 }
 
@@ -690,7 +701,7 @@ func TestNaNKeyStaysOutOfTheFIFO(t *testing.T) {
 	mustRun(t, designSession(d, store), linkOnly(d))
 	useful := linked(d) + "compile_ultra -retime\n"
 	for pass := 0; pass < 3; pass++ {
-		mustRun(t, designSession(d, store), useful).Release()
+		mustEvaluate(t, designSession(d, store), useful)
 	}
 	// NaN results do not marshal, and a NaN period leaves the run no QoR and
 	// no Design: print what there is.
@@ -712,11 +723,10 @@ func TestNaNKeyStaysOutOfTheFIFO(t *testing.T) {
 			if printed(res) != want {
 				t.Errorf("NaN script %d, run %d over the store differs from a storeless run", i, pass)
 			}
-			res.Release()
 			if hits, misses, captures := derivedDelta(before, store.Stats()); hits != 0 || misses != 1 || captures != 0 {
 				t.Errorf("NaN script %d, run %d: derived hits/misses/captures = %d/%d/%d, want 0/1/0", i, pass, hits, misses, captures)
 			}
-			mustRun(t, designSession(d, store), useful).Release()
+			mustEvaluate(t, designSession(d, store), useful)
 		}
 	}
 	cp := snapshotOf(t, store, d)
@@ -757,7 +767,6 @@ func runsMatchStoreless(t *testing.T, d *designs.Design, store *CheckpointStore,
 			t.Errorf("run %d over the store differs from a storeless run:\n%s", pass, script)
 		}
 		snap = res.Snapshot
-		res.Release()
 	}
 	res, err := evaluate(t, designSession(d, store), script)
 	if err != nil {
@@ -798,8 +807,9 @@ func TestDeferredThawMatchesStoreless(t *testing.T) {
 
 // TestUnreadRestoreParksItsWorkspace: a run that dies before any command has
 // read the netlist — a bad -period, the command budget, a cancelled context —
-// hands back a workspace nothing was thawed into, the first of them one with
-// no netlist at all. The restores after it work in that workspace and match.
+// hands back a workspace nothing was thawed into: here one with no netlist at
+// all, since the good run before it kept its own with its design. The restore
+// after each works in that workspace and matches.
 func TestUnreadRestoreParksItsWorkspace(t *testing.T) {
 	d := designs.TinyRocket()
 	store := NewCheckpointStore(0)
@@ -830,11 +840,10 @@ func TestUnreadRestoreParksItsWorkspace(t *testing.T) {
 		if fingerprint(t, res) != want {
 			t.Errorf("the run after failed run %d differs from a storeless run", i)
 		}
-		res.Release()
 	}
 	st := store.Stats()
-	if st.Allocated != 1 || st.Reused != 23 {
-		t.Errorf("workspaces allocated/reused = %d/%d, want 1/23: an unread restore dropped its storage", st.Allocated, st.Reused)
+	if st.Allocated != 12 || st.Reused != 12 {
+		t.Errorf("workspaces allocated/reused = %d/%d, want 12/12: an unread restore dropped its storage", st.Allocated, st.Reused)
 	}
 	// The 12 doomed runs, and the good ones from the third on, which were served.
 	if st.ThawsSkipped != 12+10 {

@@ -1,6 +1,9 @@
 package synth
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // MaxDerived is maxDerived, for the census in census_test.go.
 const MaxDerived = maxDerived
@@ -31,9 +34,7 @@ func FirstCompileKey(s *Session, script string) string {
 	cp.mu.Lock()
 	cp.derived = nil
 	cp.mu.Unlock()
-	if res, err := s.Run(script); err == nil {
-		res.Release()
-	}
+	s.Evaluate(context.Background(), script)
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	if len(cp.derived) == 0 {

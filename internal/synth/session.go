@@ -35,9 +35,10 @@ type Session struct {
 	// restore from a prior identical elaboration (a thawed copy, never shared
 	// mutable state) instead of re-parsing and re-elaborating. Results are
 	// bit-identical either way; only wall-clock changes. Sessions may share
-	// one store concurrently. A caller done with a restored Result.Design can
-	// hand its storage back to the store with Result.Release; Evaluate, for a
-	// caller that wants no design, hands it back itself.
+	// one store concurrently. A restored run hands its storage back to the
+	// store exactly when no design escapes it: every Evaluate and every failed
+	// run. A successful RunContext's Result.Design is the caller's, and the
+	// garbage collector's after that.
 	Checkpoints *CheckpointStore
 }
 
@@ -61,26 +62,6 @@ type Result struct {
 	// Session.Checkpoints, restored or captured; zero when the run had no
 	// store or its script no canonical link prefix.
 	Snapshot Snapshot
-
-	ws *workspace // the storage Design was restored into; nil when it was elaborated afresh
-}
-
-// Release hands the storage behind a restored design back to the checkpoint
-// store, where the next restore overwrites it, and sets r.Design to nil: the
-// design — its netlist, its timing, every cell and net reached through them —
-// must not be touched again by anyone. QoR, Reports, Netlists and Log are
-// values and stay valid. Releasing is optional; a design that is never
-// released is garbage-collected like any other.
-//
-// A second call does nothing, and neither does a call on a result whose
-// design was elaborated afresh rather than restored, which keeps its Design.
-// Not safe for concurrent calls on one Result.
-func (r *Result) Release() {
-	if r.ws == nil {
-		return
-	}
-	r.ws.home.park(r.ws)
-	r.ws, r.Design = nil, nil
 }
 
 // Run parses and executes a script. Any command error aborts the run, the
@@ -100,9 +81,9 @@ func (s *Session) RunContext(ctx context.Context, script string) (*Result, error
 // Evaluate is RunContext for a caller that wants the run's values and not its
 // design: QoR, Reports, Netlists, Log and Snapshot are exactly what
 // RunContext returns, Result.Design is nil, and the run hands its workspace
-// back to the store before it returns, so there is nothing to Release. A run
-// served from a derived result whose tail only reads takes the closing QoR
-// from that result and never thaws the compiled netlist.
+// back to the store before it returns. A run served from a derived result
+// whose tail only reads takes the closing QoR from that result and never
+// thaws the compiled netlist.
 func (s *Session) Evaluate(ctx context.Context, script string) (*Result, error) {
 	return s.run(ctx, script, false)
 }
@@ -119,12 +100,13 @@ func (s *Session) run(ctx context.Context, script string, keepDesign bool) (_ *R
 	}
 	res := &Result{}
 	st := &execState{sess: s, res: res}
-	// A run that dies after a restore — an invalid option value, a command
-	// out of order, a budget overrun, a cancelled context — returns no Result
-	// to release, and an Evaluate returns one without a design, so its
-	// workspace goes back here. A restored run that ends, either way, with no
-	// netlist in its design and no compile never read one (a served compile
-	// counts its own).
+	// A restored run hands its workspace back here exactly when no design can
+	// escape it: an Evaluate, and a run that dies after the restore — an
+	// invalid option value, a command out of order, a budget overrun, a
+	// cancelled context. A successful RunContext's workspace goes to the
+	// garbage collector with the design it may return. A restored run that
+	// ends, either way, with no netlist in its design and no compile never
+	// read one (a served compile counts its own).
 	defer func() {
 		if st.ws == nil {
 			return
@@ -192,9 +174,6 @@ func (s *Session) run(ctx context.Context, script string, keepDesign bool) (_ *R
 			}
 		}
 		res.QoR = &q
-	}
-	if keepDesign {
-		res.ws = st.ws
 	}
 	return res, nil
 }

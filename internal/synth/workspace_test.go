@@ -13,9 +13,9 @@ import (
 )
 
 // Workspace recycling: restores thaw into storage the store parks between
-// runs. These tests pin who hands it back (Release on success, RunContext on
-// failure), that handing back is safe to repeat and loud to misuse, and that
-// results never depend on what a workspace held before.
+// runs. These tests pin who hands it back — the run itself, whenever it
+// returns no design: every Evaluate and every failed run — and that results
+// never depend on what a workspace held before.
 
 // invalidTail makes a script die in exec, after its link prefix has been
 // restored: the option-level hallucination the simulated raw models emit. (A
@@ -27,7 +27,8 @@ const invalidTail = "compile -map_effort turbo\n"
 // prefix — invalid option value, command budget, cancelled context — returns no
 // Result, so RunContext itself must hand the restored storage back. Fifty
 // such runs against one store all work in the one workspace the first of
-// them allocated.
+// them allocated. A successful restored RunContext then takes that workspace
+// and, returning a design that lives in it, parks nothing.
 func TestFailedRunsReturnTheirWorkspace(t *testing.T) {
 	store := NewCheckpointStore(4)
 	if _, err := newCheckpointedSession(store).Run(goodScript); err != nil {
@@ -61,63 +62,23 @@ func TestFailedRunsReturnTheirWorkspace(t *testing.T) {
 	if st.Allocated != 1 || st.Reused != 49 {
 		t.Errorf("workspaces allocated/reused = %d/%d, want 1/49: failed runs dropped their storage", st.Allocated, st.Reused)
 	}
-}
-
-func TestReleaseContract(t *testing.T) {
-	store := NewCheckpointStore(4)
-
-	// The capturing run elaborated afresh: nothing to park, Design stays.
-	fresh, err := newCheckpointedSession(store).Run(goodScript)
+	res, err := newCheckpointedSession(store).Run(goodScript)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh.Release()
-	if fresh.Design == nil {
-		t.Fatal("Release dropped a design that was never thawed")
+	if st := store.Stats(); st.Hits != 51 || st.Reused != 50 {
+		t.Fatalf("hits/reused = %d/%d, want 51/50: the successful run did not restore into the parked workspace", st.Hits, st.Reused)
 	}
-	if len(store.idle) != 0 {
-		t.Fatal("Release parked an elaborated (arena-backed) design")
-	}
-
-	restored, err := newCheckpointedSession(store).Run(goodScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runJSON(t, restored)
-	nl := restored.Design.NL
-	restored.Release()
-	if restored.Design != nil {
-		t.Fatal("use after release must be loud: Design still set")
-	}
-	restored.Release() // a second call parks nothing twice
-	if len(store.idle) != 1 || store.idle[0].nl != nl {
-		t.Fatalf("after Release twice the store holds %d workspaces, want the released one once", len(store.idle))
-	}
-	if got := runJSON(t, restored); got != want {
-		t.Fatal("Release changed the result's values")
-	}
-
-	// The next restore works in the released storage and matches.
-	again, err := newCheckpointedSession(store).Run(goodScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Design.NL != nl {
-		t.Error("restore after Release did not reuse the parked netlist")
-	}
-	if got := runJSON(t, again); got != want {
-		t.Error("run in a recycled workspace differs from the run that released it")
-	}
-	if st := store.Stats(); st.Allocated != 1 || st.Reused != 1 {
-		t.Errorf("workspaces allocated/reused = %d/%d, want 1/1", st.Allocated, st.Reused)
+	if res.Design == nil || len(store.idle) != 0 {
+		t.Errorf("a successful RunContext returned design %v and left %d workspaces parked, want a design and none", res.Design != nil, len(store.idle))
 	}
 }
 
 // TestRecycledWorkspacesMatchStoreless hammers one store from 16 goroutines
-// with valid and invalid scripts over designs of different sizes, releasing
-// every result, so workspaces move between goroutines, designs and aborted
-// runs. Every valid run must equal a storeless session's, byte for byte. Run
-// with -race.
+// with valid scripts through Evaluate and invalid ones through RunContext
+// over designs of different sizes, each of which hands its workspace back, so
+// workspaces move between goroutines, designs and aborted runs. Every valid
+// run must equal a storeless session's, byte for byte. Run with -race.
 func TestRecycledWorkspacesMatchStoreless(t *testing.T) {
 	lib := liberty.Nangate45()
 	type job struct {
@@ -158,20 +119,18 @@ func TestRecycledWorkspacesMatchStoreless(t *testing.T) {
 				sess := NewSession(lib)
 				sess.Checkpoints = store
 				sess.AddSource(j.file, j.src)
-				res, err := sess.Run(j.script)
 				if j.want == "" {
-					if err == nil {
+					if _, err := sess.Run(j.script); err == nil {
 						t.Errorf("%s: invalid script ran to completion", j.name)
 					}
 					continue
 				}
+				res, err := sess.Evaluate(context.Background(), j.script)
 				if err != nil {
 					t.Errorf("%s: %v", j.name, err)
 					continue
 				}
-				got := runJSON(t, res)
-				res.Release()
-				if got != j.want {
+				if runJSON(t, res) != j.want {
 					t.Errorf("%s: run over the shared store differs from a storeless run", j.name)
 				}
 			}
