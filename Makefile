@@ -130,10 +130,12 @@ ci: check bench-gate
 # Short fuzzing pass over every untrusted-input parser and decoder, and over
 # the simulated LLM's shared prompt reading (FuzzReadingReuse: samples drawn
 # from one llm.Reading equal fresh generations) and the QoR log's prefix keys
-# (FuzzKeyPrefix: a key finished from a saved prefix equals KeyOf). Each
-# target gets FUZZTIME of coverage-guided input generation on top of its
-# checked-in seed corpus (testdata/fuzz/); any crash is a failure. Raise
-# FUZZTIME for a deeper soak, e.g. make fuzz-smoke FUZZTIME=5m.
+# (FuzzKeyPrefix: a key finished from a saved prefix equals KeyOf), and the
+# timer's worst-path selection (FuzzWorstPaths: the paths WorstPaths selects
+# equal those of a full endpoint sort). Each target gets FUZZTIME of
+# coverage-guided input generation on top of its checked-in seed corpus
+# (testdata/fuzz/); any crash is a failure. Raise FUZZTIME for a deeper soak,
+# e.g. make fuzz-smoke FUZZTIME=5m.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/verilog -run='^$$' -fuzz=FuzzParseVerilog -fuzztime=$(FUZZTIME)
@@ -145,6 +147,7 @@ fuzz-smoke:
 	$(GO) test ./internal/llm -run='^$$' -fuzz=FuzzSections -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/llm -run='^$$' -fuzz=FuzzReadingReuse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qorlog -run='^$$' -fuzz=FuzzKeyPrefix -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sta -run='^$$' -fuzz=FuzzWorstPaths -fuzztime=$(FUZZTIME)
 
 # Crash-recovery gate for the durable QoR log: fault-injected kills
 # mid-append and mid-recompaction, torn/corrupt-tail truncation, the

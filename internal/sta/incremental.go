@@ -42,7 +42,7 @@ func (t *Timing) Update(changed []*netlist.Cell) error {
 	// stage delays the edit moved, and queueing their cells refreshes them —
 	// every one of them before the sweep below reads the first.
 	for _, c := range changed {
-		if c.IsSeq() {
+		if t.pos[c.ID] < 0 {
 			// New Delay and Setup: output arrival and D-endpoint slack.
 			t.seedSource(c.Output)
 			t.refreshEndsOnNet(c.Inputs[0])
@@ -51,7 +51,7 @@ func (t *Timing) Update(changed []*netlist.Cell) error {
 			t.pushFwd(c)
 		}
 		for _, in := range c.Inputs {
-			if d := in.Driver; d != nil && !d.IsSeq() {
+			if d := in.Driver; d != nil && t.pos[d.ID] >= 0 {
 				t.stage[d.ID] = t.stageDelay(d)
 				t.pushFwd(d)
 			} else {
@@ -72,7 +72,7 @@ func (t *Timing) Update(changed []*netlist.Cell) error {
 			t.arr[c.Output.ID] = a
 			t.refreshEndsOnNet(c.Output)
 			for _, p := range c.Output.Sinks {
-				if !p.Cell.IsSeq() {
+				if t.pos[p.Cell.ID] >= 0 {
 					t.pushFwd(p.Cell)
 				}
 			}
@@ -89,7 +89,7 @@ func (t *Timing) Update(changed []*netlist.Cell) error {
 		// stage delay, which changed with c's InputCap.
 		for _, in := range c.Inputs {
 			t.pushBwd(in)
-			if d := in.Driver; d != nil && !d.IsSeq() {
+			if d := in.Driver; d != nil && t.pos[d.ID] >= 0 {
 				for _, in2 := range d.Inputs {
 					t.pushBwd(in2)
 				}
@@ -135,7 +135,7 @@ func (t *Timing) seedSource(n *netlist.Net) {
 		t.arr[n.ID] = a
 		t.refreshEndsOnNet(n)
 		for _, p := range n.Sinks {
-			if !p.Cell.IsSeq() {
+			if t.pos[p.Cell.ID] >= 0 {
 				t.pushFwd(p.Cell)
 			}
 		}
@@ -168,7 +168,7 @@ func (t *Timing) pushBwd(n *netlist.Net) {
 		return
 	}
 	t.inBQ[n.ID] = true
-	if d := n.Driver; d != nil && !d.IsSeq() {
+	if d := n.Driver; d != nil && t.pos[d.ID] >= 0 {
 		t.bPending++
 		if p := t.pos[d.ID]; p > t.bMax {
 			t.bMax = p

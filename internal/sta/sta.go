@@ -50,7 +50,7 @@ type Timing struct {
 
 	arr   []float64       // by Net.ID; NaN = no arrival recorded
 	req   []float64       // by Net.ID; +Inf = unconstrained
-	pos   []int32         // by Cell.ID; topological position, -1 = sequential
+	pos   []int32         // by Cell.ID; topological position, -1 = sequential (see levelize)
 	order []*netlist.Cell // combinational cells in topological order
 	// stage caches stageDelay by Cell.ID for the combinational cells: forward
 	// fills it, the backward pass and both incremental directions read it —
@@ -219,26 +219,37 @@ func (t *Timing) stageDelay(c *netlist.Cell) float64 {
 
 // levelize topologically orders combinational cells; sequential cells are
 // timing sources and sinks, not ordered. It also records each cell's
-// topological position for the incremental worklists.
+// topological position for the incremental worklists, -1 for a sequential
+// cell: it tests each cell's kind once, and every later kind test of the
+// analysis and of Update reads t.pos[c.ID] < 0 instead of Cell.IsSeq. pos
+// stays valid between full analyses, since Update re-analyses on any
+// topology edit.
 func (t *Timing) levelize() error {
 	// indeg needs no clearing: every slot read below is assigned in the
 	// first loop first.
 	indeg := grow(t.indeg, t.NL.CellIDBound())
-	for i := range t.pos {
-		t.pos[i] = -1
-	}
+	// Mark each cell sequential (-1) or combinational (0 until placed): the
+	// one kind test a cell gets in an analysis. The slot of a removed cell's
+	// ID is left as it was; nothing reads it.
 	comb := 0
+	for _, c := range t.NL.Cells {
+		if c.IsSeq() {
+			t.pos[c.ID] = -1
+		} else {
+			t.pos[c.ID] = 0
+			comb++
+		}
+	}
 	// Both end up holding every combinational cell; sized up front (by the
 	// cell count, with grow's headroom) they never regrow mid-levelize.
 	ready := grow(t.ready, len(t.NL.Cells))[:0]
 	for _, c := range t.NL.Cells {
-		if c.IsSeq() {
+		if t.pos[c.ID] < 0 {
 			continue
 		}
-		comb++
 		deps := int32(0)
 		for _, in := range c.Inputs {
-			if in.Driver != nil && !in.Driver.IsSeq() {
+			if in.Driver != nil && t.pos[in.Driver.ID] >= 0 {
 				deps++
 			}
 		}
@@ -255,7 +266,7 @@ func (t *Timing) levelize() error {
 		order = append(order, c)
 		for _, p := range c.Output.Sinks {
 			s := p.Cell
-			if s.IsSeq() {
+			if t.pos[s.ID] < 0 {
 				continue
 			}
 			indeg[s.ID]--
@@ -266,7 +277,7 @@ func (t *Timing) levelize() error {
 	}
 	if len(order) != comb {
 		for _, c := range t.NL.Cells {
-			if !c.IsSeq() && indeg[c.ID] > 0 {
+			if t.pos[c.ID] >= 0 && indeg[c.ID] > 0 {
 				return fmt.Errorf("combinational loop detected through cell %s (%s)", c.Name, c.Ref.Name)
 			}
 		}
@@ -281,7 +292,7 @@ func (t *Timing) levelize() error {
 // sequential cell; ok is false for nets with no arrival (constants, clocks).
 func (t *Timing) sourceArrival(n *netlist.Net) (float64, bool) {
 	if d := n.Driver; d != nil {
-		if d.IsSeq() {
+		if t.pos[d.ID] < 0 {
 			return d.Ref.Delay(t.LoadCap(n)) + t.wireDelay(n), true
 		}
 		return 0, false // combinational output: computed in topological order
@@ -317,7 +328,7 @@ func (t *Timing) forward() {
 		}
 	}
 	for _, c := range t.NL.Cells {
-		if c.IsSeq() {
+		if t.pos[c.ID] < 0 {
 			t.arr[c.Output.ID] = c.Ref.Delay(t.LoadCap(c.Output)) + t.wireDelay(c.Output)
 		}
 	}
@@ -342,7 +353,7 @@ func (t *Timing) recomputeReq(n *netlist.Net) float64 {
 	r := math.Inf(1)
 	for _, p := range n.Sinks {
 		s := p.Cell
-		if s.IsSeq() {
+		if t.pos[s.ID] < 0 {
 			// Sink pins always index into Inputs, so this is the D pin.
 			if v := t.Cons.Period - s.Ref.Setup; v < r {
 				r = v
@@ -368,7 +379,7 @@ func (t *Timing) backward() {
 	}
 	// Endpoint required times.
 	for _, c := range t.NL.Cells {
-		if !c.IsSeq() {
+		if t.pos[c.ID] >= 0 {
 			continue
 		}
 		d := c.Inputs[0]
@@ -398,7 +409,7 @@ func (t *Timing) backward() {
 func (t *Timing) collectEndpoints() {
 	t.ends = t.ends[:0]
 	for _, c := range t.NL.Cells {
-		if !c.IsSeq() {
+		if t.pos[c.ID] >= 0 {
 			continue
 		}
 		d := c.Inputs[0]
@@ -457,13 +468,15 @@ func (t *Timing) refreshEndsOnNet(n *netlist.Net) {
 	t.endsOrder = unsorted
 }
 
-// compareEndpoints is the worst-first order: total on (Slack, name). TNS sums
-// t.ends in slice order, so the sorted permutation must not depend on the one
-// the sort started from. Equal slacks are common — every flop behind one
-// shared cone — so the names are compared where they lie, not built.
+// compareEndpoints is the worst-first order: total on (Slack, name), a NaN
+// slack before every number and NaN slacks ordered by name like equal ones.
+// TNS sums t.ends in slice order, so the sorted permutation must not depend
+// on the one the sort started from. Equal slacks are common — every flop
+// behind one shared cone — so the names are compared where they lie, not
+// built.
 func compareEndpoints(a, b Endpoint) int {
-	if a.Slack != b.Slack {
-		return cmp.Compare(a.Slack, b.Slack)
+	if c := cmp.Compare(a.Slack, b.Slack); c != 0 {
+		return c
 	}
 	an, as := a.nameParts()
 	bn, bs := b.nameParts()
@@ -693,18 +706,70 @@ func (t *Timing) LaunchCell(end Endpoint) *netlist.Cell {
 	return nil
 }
 
-// WorstPaths returns up to n paths, one per worst endpoint.
+// WorstPaths returns up to n paths, one per worst endpoint: the paths of
+// Endpoints()[:n], without ordering every endpoint to print the few a report
+// asks for. It sorts the violators only (sortEnds(false)); when n reaches
+// past them, it selects the best n − nViol of the rest in place of sorting
+// them, keeping their indices in a bounded insertion list and leaving t.ends
+// as it is. The order is total on (Slack, name), so the selection picks and
+// orders the same endpoints a full sort puts behind the violators. A large n,
+// or a slice already sorted, takes the full sort.
+//
+// No number moves with the order it leaves. t.ends stays violatorsSorted,
+// not allSorted: the violators lead it exactly as they lead a sorted slice,
+// so TNS, which sums the negative slacks in slice order, reads the same as
+// after a full sort, and QoR, ReportConstraint and ReportQoR sort the
+// violators (Violators, through countViolations) before they read TNS. The
+// one TNS read on a slice an Update left unsorted, whose order behind the
+// violators depends on the reads before it, is the sizing loop's improvement
+// test, which compares with a 1e-9 margin.
 func (t *Timing) WorstPaths(n int) []Path {
-	t.sortEnds(true)
-	if n > len(t.ends) {
-		n = len(t.ends)
-	}
+	n = min(n, len(t.ends))
 	paths := make([]Path, 0, n)
-	for i := 0; i < n; i++ {
+	t.sortEnds(false)
+	rest := n - t.nViol // wanted from behind the violators
+	if rest > maxSelected {
+		t.sortEnds(true)
+	}
+	if rest <= 0 || t.endsOrder == allSorted {
+		for _, e := range t.ends[:n] {
+			paths = append(paths, t.TracePath(e))
+		}
+		return paths
+	}
+	for _, e := range t.ends[:t.nViol] {
+		paths = append(paths, t.TracePath(e))
+	}
+	// best[:k] holds the indices of the best endpoints of the tail seen so
+	// far, in order; an endpoint no better than the last of a full list is
+	// skipped after one comparison.
+	var best [maxSelected]int32
+	k := 0
+	for i := t.nViol; i < len(t.ends); i++ {
+		e := t.ends[i]
+		if k == rest && compareEndpoints(e, t.ends[best[k-1]]) >= 0 {
+			continue
+		}
+		j := k
+		if k < rest {
+			k++
+		} else {
+			j--
+		}
+		for ; j > 0 && compareEndpoints(e, t.ends[best[j-1]]) < 0; j-- {
+			best[j] = best[j-1]
+		}
+		best[j] = int32(i)
+	}
+	for _, i := range best[:k] {
 		paths = append(paths, t.TracePath(t.ends[i]))
 	}
 	return paths
 }
+
+// maxSelected bounds the tail WorstPaths selects rather than sorts: an
+// insertion list costs up to its length in comparisons per endpoint.
+const maxSelected = 8
 
 // CriticalCells returns the cells lying on paths with slack below the
 // threshold, for the optimizer to focus on. The topological order contains

@@ -2,9 +2,12 @@ package synth
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"repro/internal/netlist"
 )
 
 // ReportTiming formats the worst timing paths the way report_timing does:
@@ -72,9 +75,23 @@ func ReportTiming(d *Design, maxPaths int) (string, error) {
 	return r.String(), nil
 }
 
-// ReportArea formats area statistics.
+// ReportArea formats area statistics: the fields of netlist.Summary it
+// prints, summed over the cells in the same order, without the per-kind
+// counts it does not.
 func ReportArea(d *Design) string {
-	s := d.NL.Summary()
+	var s netlist.Stats
+	s.Cells = len(d.NL.Cells)
+	for _, c := range d.NL.Cells {
+		if c.IsSeq() {
+			s.Seq++
+		}
+		s.Area += c.Ref.Area
+		s.Leakage += c.Ref.Leakage
+	}
+	s.Comb = s.Cells - s.Seq
+	for _, n := range d.NL.Nets {
+		s.MaxFanout = max(s.MaxFanout, n.Fanout())
+	}
 	var r report
 	r.Grow(256 + len(d.NL.Name))
 	r.WriteString("**** report_area ****\nDesign: ")
@@ -140,11 +157,84 @@ func (r *report) int(v int) { r.Write(strconv.AppendInt(r.num[:0], int64(v), 10)
 // float writes v as %.<prec>f, right-aligned in width bytes as
 // %<width>.<prec>f is (a number's text is ASCII, so bytes are runes).
 func (r *report) float(v float64, prec, width int) {
-	num := strconv.AppendFloat(r.num[:0], v, 'f', prec, 64)
+	num := appendFixed(r.num[:0], v, prec)
 	for n := len(num); n < width; n++ {
 		r.WriteByte(' ')
 	}
 	r.Write(num)
+}
+
+// appendFixed appends strconv.AppendFloat(dst, v, 'f', prec, 64) without the
+// multiprecision conversion strconv takes for every 'f' with a precision. A
+// %.<prec>f of v holds prec+e+1 significant digits, e = ⌊log10|v|⌋, and
+// strconv rounds up to 18 significant digits in the 'e' format exactly — to
+// the nearest, ties to even — through its fixed-precision Ryū path. So v is
+// formatted as 'e' with that many digits and laid out as 'f'. The guess of e
+// need not be exact: output whose exponent is the guessed one is the 'f'
+// text, whether v rounded at the quantum 10^-prec or, one decade lower,
+// carried up to 10^e; any other exponent, a digit count outside 1…15, NaN
+// and ±Inf take strconv's 'f'. Zero is written directly.
+func appendFixed(dst []byte, v float64, prec int) []byte {
+	if v == 0 {
+		if math.Signbit(v) {
+			dst = append(dst, '-')
+		}
+		dst = append(dst, '0')
+		if prec > 0 {
+			dst = append(dst, '.')
+			for range prec {
+				dst = append(dst, '0')
+			}
+		}
+		return dst
+	}
+	a := math.Abs(v)
+	if math.IsInf(a, 0) || math.IsNaN(a) {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	e := int(math.Floor(math.Log10(a)))
+	nd := prec + e + 1
+	if nd < 1 || nd > 15 {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	// sci is "[-]d.ddde±dd" (no '.' when nd is 1). Moving the fraction left
+	// over the '.' leaves the nd digits at sci[i:i+nd]; sci[x] is the 'e'.
+	var buf [32]byte
+	sci := strconv.AppendFloat(buf[:0], v, 'e', nd-1, 64)
+	i := 0
+	if sci[0] == '-' {
+		i = 1
+	}
+	x := i + 1
+	if nd > 1 {
+		x = i + nd + 1
+		copy(sci[i+1:], sci[i+2:x])
+	}
+	digits := sci[i : i+nd]
+	got := 0
+	for _, c := range sci[x+2:] {
+		got = got*10 + int(c-'0')
+	}
+	if sci[x+1] == '-' {
+		got = -got
+	}
+	if got != e {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	dst = append(dst, sci[:i]...)
+	if e >= 0 {
+		dst = append(dst, digits[:e+1]...)
+		if prec > 0 {
+			dst = append(dst, '.')
+			dst = append(dst, digits[e+1:]...)
+		}
+		return dst
+	}
+	dst = append(dst, '0', '.')
+	for range -e - 1 {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 // left writes s as %-<width>s: padded with spaces to width runes.

@@ -103,13 +103,27 @@ func TestStageRunner(t *testing.T) {
 			// The deadline is the only budget: once it expires inside any
 			// stage, optional ones included, the call aborts with the fatal
 			// ErrTimeout rather than degrading, and no later stage starts.
+			// The deadline passes once the flow hangs inside this stage, not
+			// before: a wall-clock one set before the call could expire in
+			// an earlier stage on a loaded machine.
 			p, _ := newPipeline()
 			inj := resilience.NewInjector(resilience.Fault{Component: tc.comp, Mode: resilience.ModeHang})
 			p.Inject = inj
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-			defer cancel()
+			ctx := &expiringContext{done: make(chan struct{})}
+			returned := make(chan struct{})
+			go func() {
+				for inj.Calls(tc.comp) == 0 {
+					select {
+					case <-returned:
+						return
+					case <-time.After(time.Millisecond):
+					}
+				}
+				close(ctx.done)
+			}()
 
 			_, err := p.CustomizeResult(ctx, task, 0)
+			close(returned)
 			if !errors.Is(err, resilience.ErrTimeout) {
 				t.Fatalf("err = %v, want ErrTimeout", err)
 			}
@@ -151,5 +165,23 @@ func TestStageRunner(t *testing.T) {
 				t.Fatalf("stage boundary crossed %d times, want 1 (cancelled inside it)", got)
 			}
 		})
+	}
+}
+
+// expiringContext is a context whose deadline passes when done is closed:
+// from then on Done is closed and Err is context.DeadlineExceeded, as a
+// context.WithDeadline's are once its time has come. It carries no values and
+// no deadline time.
+type expiringContext struct{ done chan struct{} }
+
+func (c *expiringContext) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *expiringContext) Done() <-chan struct{}       { return c.done }
+func (c *expiringContext) Value(any) any               { return nil }
+func (c *expiringContext) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
 	}
 }
