@@ -160,14 +160,15 @@ crash-recovery:
 	$(GO) test . -race -run 'TestWarmRestartEquivalenceCorpus'
 
 # Distributed-result-tier gate: an in-process chatlscached shared by two
-# replica clients must dedup Pass@k synthesis fleet-wide through its QoR
-# records and leases (one tool run per unique key, byte-identical to a
-# storeless single replica; each replica elaborates for itself), and killing
-# the cache server mid-run must degrade the client to local-only with one
-# warning and equivalent results — all under -race.
+# replica clients must share Pass@k results through its QoR records —
+# concurrent replicas byte-identical to a storeless single replica, and a
+# replica that runs after its sibling served every valid sample from the tier
+# (each replica elaborates for itself) — and killing the cache server mid-run
+# must degrade the client to local-only with one warning and equivalent
+# results — all under -race.
 remote-cache-e2e:
 	$(GO) test ./internal/remotecache -race
-	$(GO) test . -race -run 'TestTwoReplicasDedupAndMatchSingleReplica|TestReplicaDegradesWhenTierDiesMidRun'
+	$(GO) test . -race -run 'TestTwoReplicasShareResultsAndMatchSingleReplica|TestSiblingReplicaIsServedFromTier|TestReplicaDegradesWhenTierDiesMidRun'
 
 # Chaos soak (20 consecutive seeds from CHAOS_SEED, about a second each): a
 # real server + remote tier under burst load, tier kills/restarts, sticky
@@ -175,7 +176,7 @@ remote-cache-e2e:
 # (no deadlocks, allowed statuses only, byte-identical non-degraded replies,
 # no degraded reply without a stage fault, a faulted stage degrades itself
 # and nothing else and is whole again once cleared, the tier breaker
-# re-closes, no lost leases, shed_total equals the 429s received). The
+# re-closes, shed_total equals the 429s received). The
 # harness is built once. A failure message echoes its seed; rerun with
 # CHAOS_SEED=<seed> to reproduce.
 CHAOS_SEED ?= 20250808
@@ -192,5 +193,5 @@ bench-build:
 
 # Everything CI runs plus the benchmark-module build, the fuzz smoke pass,
 # the derived-level race gate, the crash-recovery gate, the
-# distributed-result-tier gate (QoR records and leases), and the chaos soak.
+# distributed-result-tier gate (shared QoR records), and the chaos soak.
 check: build vet fmt-check race derived-race bench-build fuzz-smoke crash-recovery remote-cache-e2e chaos-soak

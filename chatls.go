@@ -85,7 +85,7 @@ func NewTaskWith(ctx context.Context, d *designs.Design, lib *liberty.Library, c
 // newTask runs d's baseline script through synthesize and packages the
 // customization problem around its report.
 func (o EvalOptions) newTask(ctx context.Context, d *designs.Design, lib *liberty.Library, key *qorlog.Key) (*Task, synth.QoR, error) {
-	res, err := o.synthesize(ctx, lib, d, d.BaselineScript(), key, false)
+	res, err := o.synthesize(ctx, lib, d, d.BaselineScript(), key)
 	if err != nil {
 		return nil, synth.QoR{}, fmt.Errorf("baseline %s: %w", d.Name, err)
 	}

@@ -21,8 +21,7 @@
 //  5. while a stage is faulted, every 200 names that stage, and only it, as
 //     degraded in each sample; once the fault is cleared, the next reply is
 //     non-degraded and byte-identical to its reference,
-//  6. no fleet-wide lease is left active at the end, and the server's
-//     shed_total equals the 429s the harness received.
+//  6. the server's shed_total equals the 429s the harness received.
 //
 // Every random choice derives from -seed, which is echoed on failure so a
 // red run reproduces exactly.
@@ -41,7 +40,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -200,27 +198,6 @@ func (h *harness) overload() overloadState {
 	return hz.Overload
 }
 
-// tierMetric scrapes one value off the remote tier's /metrics.
-func (h *harness) tierMetric(name string) float64 {
-	resp, err := h.client.Get("http://" + h.tierAddr + "/metrics")
-	if err != nil {
-		fail("GET tier /metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	for _, line := range strings.Split(string(b), "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			if err != nil {
-				fail("parse tier metric %s=%q: %v", name, rest, err)
-			}
-			return v
-		}
-	}
-	fail("tier metric %s not found", name)
-	return 0
-}
-
 // uniqueBody returns a request no prior request matches: it misses every
 // cache, so the full pipeline runs and the remote tier is actually
 // consulted (a warm body is served locally and never probes the tier).
@@ -303,15 +280,10 @@ func main() {
 		fail("build database: %v", err)
 	}
 
-	h.tier = remotecache.NewServer(remotecache.ServerConfig{
-		QoR:      qorlog.NewMemoryStore(0),
-		LeaseTTL: 2 * time.Second, // abandoned leases must lapse within the soak
-	})
-	defer h.tier.Close()
+	h.tier = remotecache.NewServer(remotecache.ServerConfig{QoR: qorlog.NewMemoryStore(0)})
 	h.startTier()
 	rc := remotecache.NewClient(remotecache.ClientConfig{
 		BaseURL: "http://" + h.tierAddr,
-		Owner:   "chaos-replica",
 		Timeout: 500 * time.Millisecond,
 		Breaker: resilience.BreakerConfig{OpenFor: 200 * time.Millisecond},
 	})
@@ -462,17 +434,6 @@ func main() {
 
 	// --- final invariants ----------------------------------------------
 	log.Printf("chaos: seed=%d phase=drain", *seed)
-	// No lost leases: abandoned leases must have lapsed (2s TTL) and none
-	// may still be active once traffic stops.
-	leaseDeadline := time.Now().Add(10 * time.Second)
-	for h.tierMetric("remotecache_leases_active") != 0 {
-		if time.Now().After(leaseDeadline) {
-			fail("remote tier still holds %v active lease(s) after the soak",
-				h.tierMetric("remotecache_leases_active"))
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-
 	final := h.overload() // snapshot before shutdown flips healthz to 503
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)

@@ -1,7 +1,8 @@
 // Command chatlscached serves the shared result tier for a fleet of chatlsd
-// replicas (and cmd/experiments runs): content-addressed QoR records and the
-// lease scheduler that dedups Pass@k sample synthesis fleet-wide. Each
-// replica keeps its own elaboration checkpoints.
+// replicas (and cmd/experiments runs): content-addressed QoR records. A
+// replica looks a sample's record up before it synthesizes and publishes it
+// after, so a sample any replica has computed is served to all the others.
+// Each replica keeps its own elaboration checkpoints.
 //
 //	chatlscached -addr :8090 -qor-log /var/lib/chatls/qor.log
 //	chatlsd -addr :8080 -remote-cache http://localhost:8090
@@ -34,7 +35,6 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	qorLog := flag.String("qor-log", "", "durable QoR log path: records survive a tier restart (empty = memory-only)")
 	qorCache := flag.Int("qor-cache", 0, "in-memory QoR record cache entries in front of the log (0 = default)")
-	leaseTTL := flag.Duration("lease-ttl", remotecache.DefaultLeaseTTL, "work-lease TTL: how long a silent holder blocks siblings before they take over")
 	flag.Parse()
 
 	var store *qorlog.Store
@@ -56,10 +56,7 @@ func main() {
 		store = qorlog.NewMemoryStore(*qorCache)
 	}
 
-	srv := remotecache.NewServer(remotecache.ServerConfig{
-		QoR:      store,
-		LeaseTTL: *leaseTTL,
-	})
+	srv := remotecache.NewServer(remotecache.ServerConfig{QoR: store})
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	done := make(chan struct{})
@@ -72,13 +69,12 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		httpSrv.Shutdown(ctx)
-		srv.Close()
 		if err := store.Close(); err != nil {
 			log.Printf("shutdown: closing QoR log: %v", err)
 		}
 	}()
 
-	log.Printf("chatlscached listening on %s (lease TTL %s)", *addr, *leaseTTL)
+	log.Printf("chatlscached listening on %s", *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)

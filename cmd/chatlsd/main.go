@@ -43,7 +43,6 @@ func main() {
 	reqTimeout := flag.Duration("req-timeout", 60*time.Second, "per-request deadline")
 	qorLog := flag.String("qor-log", "", "durable QoR log path: synthesis outcomes persist across restarts (empty disables)")
 	remoteCache := flag.String("remote-cache", "", "base URL of a shared chatlscached result tier, e.g. http://cache:8090 (empty disables)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "fleet-wide work-lease TTL requested from the remote cache (0 = server default)")
 	defaultK := flag.Int("k", 1, "default Pass@k samples per request")
 	maxK := flag.Int("max-k", 10, "largest k a request may ask for")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
@@ -95,12 +94,7 @@ func main() {
 
 	var rc *remotecache.Client
 	if *remoteCache != "" {
-		host, _ := os.Hostname()
-		rc = remotecache.NewClient(remotecache.ClientConfig{
-			BaseURL:  *remoteCache,
-			Owner:    fmt.Sprintf("chatlsd-%s-%d", host, os.Getpid()),
-			LeaseTTL: *leaseTTL,
-		})
+		rc = remotecache.NewClient(remotecache.ClientConfig{BaseURL: *remoteCache})
 		log.Printf("remote result tier: %s (replica falls back to local-only if it dies)", *remoteCache)
 	}
 

@@ -40,8 +40,7 @@ func main() {
 	workers := flag.Int("workers", 1, "concurrent Pass@k sample workers (1 = paper's serial protocol)")
 	checkpoints := flag.Bool("checkpoints", true, "share elaboration checkpoints across synthesis runs (results are bit-identical either way)")
 	qorLog := flag.String("qor-log", "", "durable QoR log path: sweeps over unchanged inputs are served from it and skip synthesis (empty disables)")
-	remoteCache := flag.String("remote-cache", "", "base URL of a shared chatlscached result tier; concurrent replicas dedup synthesis work through it (empty disables)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "work-lease TTL requested from the remote cache (0 = server default)")
+	remoteCache := flag.String("remote-cache", "", "base URL of a shared chatlscached result tier; replicas share synthesis results through it (empty disables)")
 	flag.Parse()
 
 	ctx := context.Background()
@@ -84,20 +83,14 @@ func main() {
 		}
 	}
 	if *remoteCache != "" {
-		host, _ := os.Hostname()
-		rc := remotecache.NewClient(remotecache.ClientConfig{
-			BaseURL:  *remoteCache,
-			Owner:    fmt.Sprintf("experiments-%s-%d", host, os.Getpid()),
-			LeaseTTL: *leaseTTL,
-		})
+		rc := remotecache.NewClient(remotecache.ClientConfig{BaseURL: *remoteCache})
 		// The tier layers the remote cache over the local log (which may be
-		// absent — a remote-only tier still dedups work fleet-wide).
+		// absent — a remote-only tier still shares results fleet-wide).
 		cfg.Results = remotecache.NewTier(store, rc)
 		defer func() {
 			st := rc.Stats()
 			fmt.Fprintf(os.Stderr,
-				"remote cache: %d QoR hit(s), %d published, %d lease(s) granted, %d sibling wait(s)\n",
-				st.QoRHits, st.QoRPuts, st.LeasesGranted, st.LeaseWaits)
+				"remote cache: %d QoR hit(s), %d published\n", st.QoRHits, st.QoRPuts)
 			if st.Degraded {
 				fmt.Fprintln(os.Stderr, "remote cache: tier was lost mid-run; finished local-only")
 			}

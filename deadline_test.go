@@ -13,41 +13,33 @@ import (
 	"repro/internal/resilience"
 )
 
-// countingLeaseStore is a LeasedResultStore that records every interaction
-// and never holds a result: it proves an expired deadline is refused before
-// any lease is claimed or record published.
-type countingLeaseStore struct {
-	mu       sync.Mutex
-	gets     int
-	puts     int
-	acquires int
+// countingStore is a ResultStore that counts every lookup and publish and
+// never holds a result: it proves an expired deadline is refused before any
+// record is published.
+type countingStore struct {
+	mu   sync.Mutex
+	gets int
+	puts int
 }
 
-func (c *countingLeaseStore) Get(qorlog.Key) (qorlog.Record, bool) {
+func (c *countingStore) Get(qorlog.Key) (qorlog.Record, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gets++
 	return qorlog.Record{}, false
 }
 
-func (c *countingLeaseStore) Put(qorlog.Key, qorlog.Record) {
+func (c *countingStore) Put(qorlog.Key, qorlog.Record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.puts++
 }
 
-func (c *countingLeaseStore) Acquire(context.Context, qorlog.Key) (qorlog.Record, bool, func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.acquires++
-	return qorlog.Record{}, false, func() {}
-}
-
 // TestDeadlineRejectedBeforeSynthesis: the context deadline is the only
 // budget an evaluation has. Once it has expired, the evaluation stops at the
-// next check — before the baseline, before a sample, before the lease claim —
-// with resilience.ErrTimeout, no partial samples beyond the one that hit the
-// check, and crucially no fleet-wide lease claimed and no record published.
+// next check — before the baseline, before a sample, before the synthesis
+// run — with resilience.ErrTimeout, no partial samples beyond the one that hit
+// the check, and crucially no record published.
 // Covers the Pass@k evaluation and the Table IV sweep.
 func TestDeadlineRejectedBeforeSynthesis(t *testing.T) {
 	d := designs.RiscV32i()
@@ -60,7 +52,7 @@ func TestDeadlineRejectedBeforeSynthesis(t *testing.T) {
 		name string
 		// budget is the context deadline, relative to the start of run.
 		budget time.Duration
-		run    func(ctx context.Context, store *countingLeaseStore) (samples int, err error)
+		run    func(ctx context.Context, store *countingStore) (samples int, err error)
 		// wantSamples is how many sample outcomes may have been recorded
 		// before the deadline aborted the evaluation; wantGets how many
 		// result-store lookups ran before it.
@@ -71,7 +63,7 @@ func TestDeadlineRejectedBeforeSynthesis(t *testing.T) {
 			// synthesis, zero samples, store never touched.
 			name:   "passk expired deadline",
 			budget: -time.Millisecond,
-			run: func(ctx context.Context, store *countingLeaseStore) (int, error) {
+			run: func(ctx context.Context, store *countingStore) (int, error) {
 				res, err := RunPassKOpts(ctx, raw, d, 3, testLib, EvalOptions{Results: store})
 				return len(res.Samples), err
 			},
@@ -81,7 +73,7 @@ func TestDeadlineRejectedBeforeSynthesis(t *testing.T) {
 			// refused before customization — no outcome recorded at all.
 			name:   "passk deadline expired before the sample",
 			budget: -time.Millisecond,
-			run: func(ctx context.Context, store *countingLeaseStore) (int, error) {
+			run: func(ctx context.Context, store *countingStore) (int, error) {
 				res, err := EvalTaskOpts(ctx, raw, task, base, 3, testLib, EvalOptions{Results: store})
 				return len(res.Samples), err
 			},
@@ -89,12 +81,11 @@ func TestDeadlineRejectedBeforeSynthesis(t *testing.T) {
 		{
 			// The deadline expires while the sample is being generated: the
 			// sample is refused after the result-store miss and before the
-			// lease claim — the one aborted sample is recorded QoR-less, and
-			// no sibling replica was blocked on a lease this caller could
-			// never honor.
-			name:   "passk deadline expired before lease",
+			// synthesis run — the one aborted sample is recorded QoR-less,
+			// and nothing is published for it.
+			name:   "passk deadline expired before synthesis",
 			budget: 20 * time.Millisecond,
-			run: func(ctx context.Context, store *countingLeaseStore) (int, error) {
+			run: func(ctx context.Context, store *countingStore) (int, error) {
 				p := &scriptedPipeline{
 					scripts:  []string{task.Baseline},
 					onSample: func(int) { <-ctx.Done() },
@@ -110,7 +101,7 @@ func TestDeadlineRejectedBeforeSynthesis(t *testing.T) {
 			// Table IV before any baseline synthesis or publish.
 			name:   "table4 expired deadline",
 			budget: -time.Millisecond,
-			run: func(ctx context.Context, store *countingLeaseStore) (int, error) {
+			run: func(ctx context.Context, store *countingStore) (int, error) {
 				rows, err := Table4(ctx, ExperimentConfig{
 					Lib: testLib, Designs: []*designs.Design{d}, Results: store,
 				})
@@ -121,7 +112,7 @@ func TestDeadlineRejectedBeforeSynthesis(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			store := &countingLeaseStore{}
+			store := &countingStore{}
 			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(tc.budget))
 			defer cancel()
 
@@ -133,13 +124,10 @@ func TestDeadlineRejectedBeforeSynthesis(t *testing.T) {
 				t.Errorf("recorded samples/rows = %d, want %d", samples, tc.wantSamples)
 			}
 			store.mu.Lock()
-			gets, acquires, puts := store.gets, store.acquires, store.puts
+			gets, puts := store.gets, store.puts
 			store.mu.Unlock()
 			if gets != tc.wantGets {
 				t.Errorf("result lookups = %d, want %d", gets, tc.wantGets)
-			}
-			if acquires != 0 {
-				t.Errorf("lease acquires = %d, want 0 (refused before the claim)", acquires)
 			}
 			if puts != 0 {
 				t.Errorf("result puts = %d, want 0 (no partial work published)", puts)

@@ -74,12 +74,6 @@ type EvalOptions struct {
 	// skips the run entirely; because the simulator is deterministic and the
 	// log round-trips float bits exactly, a served result is bit-identical
 	// to a recomputed one. Nil disables result caching.
-	//
-	// A store that also implements LeasedResultStore (remotecache.Tier)
-	// additionally coordinates work fleet-wide: on a miss, the sample claims
-	// a lease before synthesizing, so concurrent replicas evaluating the
-	// same (library, sources, script) run the tool exactly once between
-	// them and the rest serve the published record.
 	Results ResultStore
 	// Costs is read by nothing: the only budget an evaluation has is its
 	// context deadline. The field is kept only so the frozen bench/ module,
@@ -205,7 +199,7 @@ func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Librar
 		out.QoR = logged
 		return &out, nil
 	}
-	run, err := opts.synthesize(ctx, lib, task.Design, cres.Script, key, true)
+	run, err := opts.synthesize(ctx, lib, task.Design, cres.Script, key)
 	if err != nil {
 		if resilience.IsFatal(err) {
 			return &out, err
@@ -245,33 +239,17 @@ func (o EvalOptions) lookup(prefix qorlog.Prefix, script string) (*qorlog.Key, *
 
 // synthesize is the one place this package starts the synthesis tool: script
 // runs on a fresh session over d's sources, restoring post-link state from
-// o.Checkpoints. Around the run, in this order:
-//
-//   - an expired or cancelled context is refused first, so a doomed deadline
-//     does no tool work, claims no lease and publishes nothing;
-//   - with lease set, a store that coordinates fleet-wide work is asked for
-//     key: a record a sibling replica already published comes back as a
-//     Result carrying only its QoR; otherwise this caller computes, and the
-//     lease is released after the success-path Put publishes the record — on
-//     failure it lapses with nothing published and siblings recompute,
-//     slower, never wrong;
-//   - a successful run, given a key, puts its QoR in o.Results.
+// o.Checkpoints. An expired or cancelled context is refused first, so a
+// doomed deadline does no tool work and publishes nothing; a successful run,
+// given a key, puts its QoR in o.Results.
 //
 // The run is an Evaluate: callers get the QoR and the reports, never the
 // design, whose storage goes back to o.Checkpoints for the next restore
 // before the run returns — and a run served from a derived result whose tail
 // only reads never thaws it.
-func (o EvalOptions) synthesize(ctx context.Context, lib *liberty.Library, d *designs.Design, script string, key *qorlog.Key, lease bool) (*synth.Result, error) {
+func (o EvalOptions) synthesize(ctx context.Context, lib *liberty.Library, d *designs.Design, script string, key *qorlog.Key) (*synth.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, resilience.ContextError(resilience.CompSynth, err)
-	}
-	if ls, ok := o.Results.(LeasedResultStore); ok && lease && key != nil {
-		rec, done, release := ls.Acquire(ctx, *key)
-		defer release()
-		if done {
-			q := synth.QoR(rec)
-			return &synth.Result{QoR: &q}, nil
-		}
 	}
 	sess := synth.NewSession(lib)
 	sess.Checkpoints = o.Checkpoints

@@ -84,9 +84,8 @@ type ExperimentConfig struct {
 	// served from the log instead of re-synthesized — the skip-if-unchanged
 	// protocol — and every fresh outcome is appended so the next process can
 	// skip it too. Determinism makes served and recomputed results
-	// bit-identical; nil disables result caching. A LeasedResultStore
-	// (remotecache.Tier) additionally dedups the synthesis work across
-	// concurrent replicas sharing one remote cache.
+	// bit-identical; nil disables result caching. A remotecache.Tier also
+	// shares the records with every replica on the same remote cache.
 	Results ResultStore
 }
 
@@ -695,7 +694,7 @@ func IterativeClosure(ctx context.Context, cfg ExperimentConfig, db *synthrag.Da
 			var reports []string
 			key, candidate := o.lookup(prefix, next)
 			if candidate == nil || adopts(q, *candidate) {
-				res, err := o.synthesize(ctx, cfg.Lib, d, next, key, false)
+				res, err := o.synthesize(ctx, cfg.Lib, d, next, key)
 				if err != nil {
 					if resilience.IsFatal(err) {
 						return rows, err

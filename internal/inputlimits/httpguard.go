@@ -9,7 +9,7 @@ import (
 )
 
 // HTTP ingress hardening, shared by every daemon in the repo (chatlsd's
-// /v1/customize and the remote cache's /v1/qor and /v1/leases endpoints).
+// /v1/customize and the remote cache's /v1/qor endpoints).
 // The contract mirrors the parser budgets: arbitrary bytes in, either a
 // decoded value out or an HTTP status in {413, 400} with a safe message —
 // never a panic, never a 500 for any input shape. Semantic validation

@@ -3,8 +3,6 @@ package remotecache
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -35,31 +33,19 @@ import (
 type Client struct {
 	base   string
 	hc     *http.Client
-	owner  string
-	ttl    time.Duration
-	poll   time.Duration
 	inject *resilience.Injector
 	warnf  func(format string, args ...any)
 
 	breaker  *resilience.Breaker
 	warnOnce sync.Once
 
-	qorHits, qorMisses, qorPuts atomic.Int64
-	granted, waited, dropped    atomic.Int64
+	qorHits, qorMisses, qorPuts, dropped atomic.Int64
 }
 
 // ClientConfig wires a Client.
 type ClientConfig struct {
 	// BaseURL locates the tier, e.g. "http://cache-host:9090". Required.
 	BaseURL string
-	// Owner identifies this replica in lease claims (default "chatls").
-	Owner string
-	// LeaseTTL is requested on every claim (default DefaultLeaseTTL; the
-	// server clamps to its own bound).
-	LeaseTTL time.Duration
-	// PollInterval paces result polling while a sibling holds the lease
-	// (default 50ms).
-	PollInterval time.Duration
 	// Timeout bounds each HTTP request (default 5s).
 	Timeout time.Duration
 	// Inject, when non-nil, injects faults at the client boundary under the
@@ -84,15 +70,6 @@ const requestAttempts = 3
 
 // NewClient builds a client for the tier at cfg.BaseURL.
 func NewClient(cfg ClientConfig) *Client {
-	if cfg.Owner == "" {
-		cfg.Owner = "chatls"
-	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = DefaultLeaseTTL
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 50 * time.Millisecond
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
 	}
@@ -105,15 +82,12 @@ func NewClient(cfg ClientConfig) *Client {
 	c := &Client{
 		base:   cfg.BaseURL,
 		hc:     &http.Client{Timeout: cfg.Timeout},
-		owner:  cfg.Owner,
-		ttl:    cfg.LeaseTTL,
-		poll:   cfg.PollInterval,
 		inject: cfg.Inject,
 		warnf:  cfg.Warnf,
 	}
 	cfg.Breaker.OnClose = func() {
 		c.warnf("remotecache: tier reachable again, re-attaching " +
-			"(fleet-wide dedup and sharing restored)")
+			"(fleet-wide result sharing restored)")
 	}
 	c.breaker = resilience.NewBreaker(cfg.Breaker)
 	return c
@@ -149,7 +123,7 @@ func (c *Client) fail(err error) {
 	if c.breaker.State() == resilience.BreakerOpen {
 		c.warnOnce.Do(func() {
 			c.warnf("remotecache: tier unreachable, degrading to local-only mode "+
-				"(results stay correct; fleet-wide dedup and sharing are off): %v", err)
+				"(results stay correct; fleet-wide result sharing is off): %v", err)
 		})
 	}
 }
@@ -157,8 +131,8 @@ func (c *Client) fail(err error) {
 // do runs one request with bounded retry on transient network failures.
 // mkReq rebuilds the request each attempt (bodies are not rewindable).
 // A non-nil error means the tier is unusable and the caller must degrade.
-func (c *Client) do(ctx context.Context, mkReq func() (*http.Request, error)) (*http.Response, error) {
-	if err := c.inject.Fire(ctx, resilience.CompRemoteCache); err != nil {
+func (c *Client) do(mkReq func() (*http.Request, error)) (*http.Response, error) {
+	if err := c.inject.Fire(context.Background(), resilience.CompRemoteCache); err != nil {
 		return nil, err
 	}
 	var resp *http.Response
@@ -167,7 +141,7 @@ func (c *Client) do(ctx context.Context, mkReq func() (*http.Request, error)) (*
 		if err != nil {
 			return err
 		}
-		resp, err = c.hc.Do(req.WithContext(ctx)) //nolint:bodyclose — callers close
+		resp, err = c.hc.Do(req) //nolint:bodyclose — callers close
 		return err
 	})
 	return resp, err
@@ -185,7 +159,7 @@ func (c *Client) GetQoR(key qorlog.Key) (qorlog.Record, bool) {
 		return qorlog.Record{}, false
 	}
 	url := c.base + "/v1/qor/" + key.Hex()
-	resp, err := c.do(context.Background(), func() (*http.Request, error) {
+	resp, err := c.do(func() (*http.Request, error) {
 		return http.NewRequest(http.MethodGet, url, nil)
 	})
 	if err != nil {
@@ -222,7 +196,7 @@ func (c *Client) PutQoR(key qorlog.Key, rec qorlog.Record) {
 	}
 	frame := qorlog.EncodeRecord(key, rec)
 	url := c.base + "/v1/qor/" + key.Hex()
-	resp, err := c.do(context.Background(), func() (*http.Request, error) {
+	resp, err := c.do(func() (*http.Request, error) {
 		return http.NewRequest(http.MethodPut, url, bytes.NewReader(frame))
 	})
 	if err != nil {
@@ -239,131 +213,10 @@ func (c *Client) PutQoR(key qorlog.Key, rec qorlog.Record) {
 	c.qorPuts.Add(1)
 }
 
-// Acquire coordinates one unit of content-addressed work fleet-wide:
-//
-//   - the result already exists somewhere -> (record, true, noop): use it;
-//   - this replica wins the lease -> (zero, false, release): compute,
-//     publish with PutQoR, then call release;
-//   - a sibling holds the lease -> poll for its result until the lease
-//     expires, then re-claim.
-//
-// Any failure — tier down, context cancelled, protocol confusion — returns
-// (zero, false, noop): the caller computes locally, which is always
-// correct. release is never nil and is safe to call exactly once after the
-// result is published (deferred by the eval path).
-func (c *Client) Acquire(ctx context.Context, key qorlog.Key) (qorlog.Record, bool, func()) {
-	noop := func() {}
-	if c == nil || !c.allow() {
-		return qorlog.Record{}, false, noop
-	}
-	waited := false
-	for {
-		resp, err := c.claim(ctx, key)
-		if err != nil {
-			if ctx.Err() == nil {
-				c.fail(err)
-			} else {
-				// Our own cancellation, not the tier's fault — return the
-				// admission slot without a verdict so a half-open probe is
-				// not burned on it.
-				c.breaker.Drop()
-			}
-			return qorlog.Record{}, false, noop
-		}
-		c.ok()
-		switch resp.Status {
-		case StatusDone:
-			if rec, ok := c.GetQoR(key); ok {
-				return rec, true, noop
-			}
-			// The server said done but the record did not materialize
-			// (evicted between answers, or the tier degraded mid-exchange).
-			// Computing locally is always safe.
-			return qorlog.Record{}, false, noop
-
-		case StatusGranted:
-			c.granted.Add(1)
-			id := resp.Lease
-			return qorlog.Record{}, false, func() { c.complete(ctx, id) }
-
-		case StatusHeld:
-			// Poll by re-claiming: the claim answer distinguishes every
-			// outcome we care about — the holder published (done), is still
-			// working (held), or vanished or finished without a result
-			// (granted: the lease expired or was completed empty, and now
-			// it's ours). Polling GetQoR instead would stall a full TTL
-			// when the holder's script fails and nothing is ever published.
-			if !waited {
-				c.waited.Add(1)
-				waited = true
-			}
-			select {
-			case <-ctx.Done():
-				return qorlog.Record{}, false, noop
-			case <-time.After(c.poll):
-			}
-
-		default:
-			return qorlog.Record{}, false, noop
-		}
-	}
-}
-
-// claim POSTs one lease claim.
-func (c *Client) claim(ctx context.Context, key qorlog.Key) (*leaseClaimResponse, error) {
-	body, _ := json.Marshal(leaseClaimRequest{
-		Key:   key.Hex(),
-		Owner: c.owner,
-		TTLms: c.ttl.Milliseconds(),
-	})
-	resp, err := c.do(ctx, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, c.base+"/v1/leases", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("claim: unexpected status %d", resp.StatusCode)
-	}
-	var out leaseClaimResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&out); err != nil {
-		return nil, fmt.Errorf("claim: bad response: %v", err)
-	}
-	return &out, nil
-}
-
-// complete releases a lease, best-effort: the result is already published,
-// and an unreleased lease merely expires.
-func (c *Client) complete(ctx context.Context, id string) {
-	if !c.allow() {
-		return
-	}
-	resp, err := c.do(ctx, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodPost, c.base+"/v1/leases/"+id+"/complete", nil)
-	})
-	if err != nil {
-		if ctx.Err() == nil {
-			c.fail(err)
-		} else {
-			c.breaker.Drop()
-		}
-		return
-	}
-	c.ok()
-	drain(resp)
-}
-
 // ClientStats are the client's lifetime counters, exposed by replicas as
 // remotecache_client_* metrics.
 type ClientStats struct {
 	QoRHits, QoRMisses, QoRPuts int64
-	LeasesGranted, LeaseWaits   int64
 	Dropped                     int64
 	Degraded                    bool
 }
@@ -375,7 +228,6 @@ func (c *Client) Stats() ClientStats {
 	}
 	return ClientStats{
 		QoRHits: c.qorHits.Load(), QoRMisses: c.qorMisses.Load(), QoRPuts: c.qorPuts.Load(),
-		LeasesGranted: c.granted.Load(), LeaseWaits: c.waited.Load(),
 		Dropped:  c.dropped.Load(),
 		Degraded: c.Degraded(),
 	}

@@ -17,8 +17,7 @@ import (
 // server comes back on the same address, with the single degradation
 // warning plus one re-attach notice.
 func TestClientReattachesAfterTierRestart(t *testing.T) {
-	srv := NewServer(ServerConfig{QoR: qorlog.NewMemoryStore(0), LeaseTTL: time.Minute})
-	defer srv.Close()
+	srv := NewServer(ServerConfig{QoR: qorlog.NewMemoryStore(0)})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

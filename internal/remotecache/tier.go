@@ -1,10 +1,6 @@
 package remotecache
 
-import (
-	"context"
-
-	"repro/internal/qorlog"
-)
+import "repro/internal/qorlog"
 
 // Tier composes the local QoR store and the remote tier into the two-level
 // result store replicas actually use: read-through (local first, then
@@ -12,10 +8,6 @@ import (
 // first — it is the correctness tier — then the remote tier, on the caller's
 // goroutine). The remote write is Client.PutQoR, which is total: a dying tier
 // costs one bounded-retry request before the breaker opens, and nothing after.
-//
-// Lease coordination (Acquire) passes through to the client; records a
-// sibling computed land in the local store on the way out, so the rest of
-// the request is served at local speed.
 //
 // With the remote side degraded or nil, a Tier behaves exactly like its
 // local store.
@@ -45,18 +37,8 @@ func (t *Tier) Get(key qorlog.Key) (qorlog.Record, bool) {
 
 // Put stores locally, then publishes to the remote tier. The record is on
 // the server (or dropped, with the tier degraded) when Put returns, so a
-// lease released after it never completes ahead of its result.
+// sibling that asks after it is served.
 func (t *Tier) Put(key qorlog.Key, rec qorlog.Record) {
 	t.local.Put(key, rec)
 	t.remote.PutQoR(key, rec)
-}
-
-// Acquire claims fleet-wide ownership of key's work (see Client.Acquire).
-// A record a sibling computed is written back to the local store.
-func (t *Tier) Acquire(ctx context.Context, key qorlog.Key) (qorlog.Record, bool, func()) {
-	rec, ok, release := t.remote.Acquire(ctx, key)
-	if ok {
-		t.local.Put(key, rec)
-	}
-	return rec, ok, release
 }

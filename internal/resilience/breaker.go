@@ -47,7 +47,7 @@ type BreakerConfig struct {
 // hard failures mean it is gone: one failure opens it, after OpenFor it
 // admits one probe, and that probe's success closes it again (its failure
 // reopens it). Callers pair every admitted call (Allow() == true) with
-// exactly one Success, Failure or Drop so the probe slot is returned.
+// exactly one Success or Failure so the probe slot is returned.
 // A nil *Breaker is inert: Allow always admits, outcomes are dropped.
 type Breaker struct {
 	mu       sync.Mutex
@@ -124,21 +124,6 @@ func (b *Breaker) Failure() {
 	if b.state != BreakerOpen {
 		b.state = BreakerOpen
 		b.openedAt = b.cfg.Now()
-		b.probing = false
-	}
-}
-
-// Drop returns an admitted call's slot without a success/failure verdict
-// — used when the caller's own context was cancelled before the component
-// was actually exercised, which proves nothing about its health. Closed:
-// no-op. Half-open: frees the probe slot for the next caller.
-func (b *Breaker) Drop() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == BreakerHalfOpen {
 		b.probing = false
 	}
 }

@@ -15,8 +15,8 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // TestBreakerTripsAfterConsecutiveFailures: the run of consecutive
 // failures that trips the breaker is one long — a single hard failure
-// opens it. After the dwell it admits exactly one probe, a dropped probe
-// returns the slot, and a successful probe closes it.
+// opens it. After the dwell it admits exactly one probe, and a successful
+// probe closes it.
 func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	var closed int
@@ -46,11 +46,6 @@ func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 	}
 	if b.Allow() {
 		t.Fatal("a second concurrent probe must be rejected")
-	}
-	// A dropped probe proves nothing but returns the slot.
-	b.Drop()
-	if b.State() != BreakerHalfOpen || !b.Allow() {
-		t.Fatal("a dropped probe must leave the breaker half-open with its slot free")
 	}
 	b.Success()
 	if b.State() != BreakerClosed || closed != 1 {
@@ -93,7 +88,6 @@ func TestBreakerNilSafe(t *testing.T) {
 	}
 	b.Success()
 	b.Failure()
-	b.Drop()
 	if b.State() != BreakerClosed {
 		t.Fatal("nil breaker must read as closed")
 	}

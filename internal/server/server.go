@@ -84,11 +84,10 @@ type Config struct {
 	QoRLogOpts qorlog.Options
 
 	// RemoteCache, when non-nil, connects this replica to a shared
-	// chatlscached result tier: QoR lookups read through to it, fresh
-	// results are written through to it, and Pass@k samples claim
-	// fleet-wide leases so concurrent replicas synthesize each unique
-	// (library, sources, script) exactly once between them. Elaboration
-	// checkpoints stay in the replica. A dead or unreachable tier degrades the
+	// chatlscached result tier: QoR lookups read through to it and fresh
+	// results are written through to it, so a sample any replica has
+	// synthesized is served to the others. Elaboration checkpoints stay in
+	// the replica. A dead or unreachable tier degrades the
 	// replica to local-only operation with a single warning; results are
 	// bit-identical with or without it.
 	RemoteCache *remotecache.Client
@@ -308,10 +307,6 @@ func New(cfg Config) (*Server, error) {
 			func() int64 { return rc.Stats().QoRMisses })
 		s.reg.NewCounterFunc("remotecache_client_qor_puts_total", "QoR records published to the remote result tier",
 			func() int64 { return rc.Stats().QoRPuts })
-		s.reg.NewCounterFunc("remotecache_client_leases_granted_total", "fleet-wide work leases this replica was granted",
-			func() int64 { return rc.Stats().LeasesGranted })
-		s.reg.NewCounterFunc("remotecache_client_lease_waits_total", "times this replica waited on a sibling's lease",
-			func() int64 { return rc.Stats().LeaseWaits })
 		s.reg.NewCounterFunc("remotecache_client_dropped_total", "remote-tier operations dropped by degradation or errors",
 			func() int64 { return rc.Stats().Dropped })
 		s.reg.NewGaugeFunc("remotecache_client_degraded", "1 while the remote tier is unreachable (local-only mode)",

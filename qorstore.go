@@ -1,8 +1,6 @@
 package chatls
 
 import (
-	"context"
-
 	"repro/internal/designs"
 	"repro/internal/liberty"
 	"repro/internal/qorlog"
@@ -17,23 +15,6 @@ import (
 type ResultStore interface {
 	Get(key qorlog.Key) (qorlog.Record, bool)
 	Put(key qorlog.Key, rec qorlog.Record)
-}
-
-// LeasedResultStore extends ResultStore with fleet-wide work coordination:
-// before computing key's result, a caller Acquires it. The three outcomes:
-//
-//   - (rec, true, release): someone already computed it — use rec, release
-//     is a no-op;
-//   - (zero, false, release): this caller holds the lease — compute,
-//     Put the result, then call release;
-//   - on any coordination failure the implementation returns (zero, false,
-//     no-op): computing locally is always correct, leases only save work.
-//
-// release is never nil and must be called exactly once, after the result
-// (if any) is published.
-type LeasedResultStore interface {
-	ResultStore
-	Acquire(ctx context.Context, key qorlog.Key) (qorlog.Record, bool, func())
 }
 
 // ResultKey derives the durable QoR-log key of one synthesis outcome. A
