@@ -20,9 +20,11 @@ race:
 # over one store, mixing compile keys (options, fanout limit, period,
 # wireload) past what a snapshot keeps, while the stats walk every entry —
 # ten times under the race detector, so more interleavings of notes,
-# captures, hits and push-outs are tried than one run sees.
+# captures, hits and push-outs are tried than one run sees. The values kept
+# on a snapshot (Snapshot.Keep) get the same treatment: sixteen goroutines on
+# one snapshot mixing hits, misses, errors and eviction.
 derived-race:
-	$(GO) test -race -count=10 -run TestDerivedHammer ./internal/synth
+	$(GO) test -race -count=10 -run 'TestDerivedHammer|TestKeepHammer' ./internal/synth
 
 vet:
 	$(GO) vet ./...

@@ -50,24 +50,28 @@ func TestInternedReparseAllocGuard(t *testing.T) {
 	}
 }
 
-// TestAnalysisMemoHitAllocGuard pins what a memoized CircuitMentor analysis
-// costs once the design has been seen: the caller's private copy of the
+// TestAnalysisMemoHitAllocGuard pins what a CircuitMentor analysis costs once
+// it is kept on the design's snapshot: the caller's private copy of the
 // result and of its Traits — no parse, no elaboration, no timing pass, and no
-// hashing of the library, whose fingerprint is computed once and stored.
-// Exact: a hit that allocates more has started doing per-call work again.
+// boxing of the key the analysis is kept under. Exact: a hit that allocates
+// more has started doing per-call work again.
 func TestAnalysisMemoHitAllocGuard(t *testing.T) {
 	d := designs.SweRV()
 	lib := liberty.Nangate45()
+	task, _, err := NewTaskWith(context.Background(), d, lib, synth.NewCheckpointStore(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	analyze := func() {
-		if _, err := circuitmentor.AnalyzeContext(context.Background(), d.Source, d.Top, d.Period, lib); err != nil {
+		if _, err := circuitmentor.AnalyzeSnapshotContext(context.Background(), task.Snapshot, d.Source, d.Top, d.Period, lib); err != nil {
 			t.Fatal(err)
 		}
 	}
-	analyze() // fill the entry
+	analyze() // keep the analysis
 	allocs := testing.AllocsPerRun(20, analyze)
 	const want = 2
 	if allocs != want {
-		t.Errorf("memoized analysis allocs/op = %v, want %d", allocs, want)
+		t.Errorf("kept analysis allocs/op = %v, want %d", allocs, want)
 	}
 }
 

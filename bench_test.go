@@ -474,9 +474,9 @@ func BenchmarkWarmRequestRawK5(b *testing.B) {
 
 // coldPass is what a freshly started daemon does for its first request on each
 // of the seven designs, one after the other: over a private copy of built with
-// empty embed/retrieve caches and an empty analysis memo (EnableCache) and an
-// empty checkpoint store, the baseline task and then one chatls sample (k=1,
-// Workers: 1) per design. It returns the store the pass ran against.
+// an empty retrieve cache (EnableCache) and an empty checkpoint store, which
+// keeps no analysis or embedding yet, the baseline task and then one chatls
+// sample (k=1, Workers: 1) per design. It returns the store the pass ran against.
 func coldPass(ctx context.Context, built *synthrag.Database, lib *liberty.Library) (*synth.CheckpointStore, error) {
 	db := *built // private copy: the caches must not leak into other benchmarks and tests
 	db.EnableCache(64, 256)

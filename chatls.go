@@ -323,7 +323,7 @@ func (p *ChatLSPipeline) CustomizeResult(ctx context.Context, t *Task, sample in
 		failed := resilience.CompRAGEmbed
 		err := p.stage(ctx, resilience.CompRAGEmbed, func(ctx context.Context) error {
 			var err error
-			emb, _, err = p.DB.EmbedSnapshotContext(ctx, t.Snapshot, t.Design.Source, t.Design.Top)
+			emb, err = p.DB.EmbedSnapshotContext(ctx, t.Snapshot, t.Design.Source, t.Design.Top)
 			return err
 		})
 		if err == nil {

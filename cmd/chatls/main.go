@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	chatls "repro"
 	"repro/internal/designs"
@@ -67,8 +68,10 @@ func main() {
 		defer cancel()
 	}
 
-	// Override the requirement if given.
-	task, baseQoR, err := chatls.NewTask(ctx, d, lib)
+	// The samples restore what the baseline left in the store, its analysis
+	// and embedding included; a repeated script is synthesized once.
+	ckpt := synth.NewCheckpointStore(1)
+	task, baseQoR, err := chatls.NewTaskWith(ctx, d, lib, ckpt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
@@ -78,45 +81,43 @@ func main() {
 	fmt.Printf("design %s @ %.2f ns  (baseline: WNS %.3f CPS %.3f TNS %.2f area %.1f)\n",
 		d.Name, d.Period, baseQoR.WNS, baseQoR.CPS, baseQoR.TNS, baseQoR.Area)
 
-	best := baseQoR
-	bestScript := ""
-	valid := 0
-	for s := 0; s < *k; s++ {
-		cres, err := p.CustomizeResult(ctx, task, s)
-		if err != nil {
-			fmt.Printf("  sample %d: customize failed: %v\n", s, err)
+	opts, _ := chatls.EvalOptions{Workers: 1, Checkpoints: ckpt}.ShareRepeats(*k)
+	res, evalErr := chatls.EvalTaskOpts(ctx, p, task, baseQoR, *k, lib, opts)
+	best, bestScript := baseQoR, ""
+	for s, smp := range res.Samples {
+		if smp.QoR == nil {
+			// A fatal error's sample has no message: evalErr is printed below.
+			if smp.Script == "" {
+				fmt.Printf("  sample %d: customize failed: %s\n", s, strings.TrimPrefix(smp.Err, "customize: "))
+			} else if smp.Err != "" {
+				fmt.Printf("  sample %d: script failed in tool: %s\n", s, smp.Err)
+			}
 			continue
 		}
-		script, steps := cres.Script, cres.Steps
-		sess := synth.NewSession(lib)
-		sess.AddSource(d.FileName, d.Source)
-		res, err := sess.Run(script)
-		if err != nil {
-			fmt.Printf("  sample %d: script failed in tool: %v\n", s, err)
-			continue
-		}
-		valid++
-		q := *res.QoR
-		marker := ""
+		q, marker := *smp.QoR, ""
 		if bestScript == "" || chatls.BetterTiming(q, best) {
-			best = q
-			bestScript = script
-			marker = "  <- best so far"
+			best, bestScript, marker = q, smp.Script, "  <- best so far"
 		}
 		fmt.Printf("  sample %d: WNS %.3f CPS %.3f TNS %.2f area %.1f%s\n",
 			s, q.WNS, q.CPS, q.TNS, q.Area, marker)
-		if *showSteps && len(steps) > 0 && s == 0 {
-			fmt.Println("  chain-of-thought steps:")
-			for i, st := range steps {
-				fmt.Printf("    T%d: %s\n", i+1, st.Thought)
-				if st.Before != "" {
-					fmt.Printf("        %q -> %q  (via %s)\n", st.Before, st.After, st.Retrieved)
+		if *showSteps && s == 0 {
+			if cres, err := p.CustomizeResult(ctx, task, 0); err == nil && len(cres.Steps) > 0 {
+				fmt.Println("  chain-of-thought steps:")
+				for i, st := range cres.Steps {
+					fmt.Printf("    T%d: %s\n", i+1, st.Thought)
+					if st.Before != "" {
+						fmt.Printf("        %q -> %q  (via %s)\n", st.Before, st.After, st.Retrieved)
+					}
 				}
 			}
 		}
 	}
+	if evalErr != nil {
+		fmt.Fprintln(os.Stderr, "error:", evalErr)
+		os.Exit(1)
+	}
 	fmt.Printf("\nPass@%d: %d valid samples; best WNS %.3f CPS %.3f TNS %.2f area %.1f\n",
-		*k, valid, best.WNS, best.CPS, best.TNS, best.Area)
+		*k, res.Valid, best.WNS, best.CPS, best.TNS, best.Area)
 	fmt.Printf("baseline -> customized: WNS %.3f -> %.3f, area %.1f -> %.1f\n",
 		baseQoR.WNS, best.WNS, baseQoR.Area, best.Area)
 	if *showScript && bestScript != "" {

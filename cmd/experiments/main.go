@@ -38,7 +38,6 @@ func main() {
 	k := flag.Int("k", 0, "override Pass@k sample count")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget (0 = unlimited)")
 	workers := flag.Int("workers", 1, "concurrent Pass@k sample workers (1 = paper's serial protocol)")
-	checkpoints := flag.Bool("checkpoints", true, "share elaboration checkpoints across synthesis runs (results are bit-identical either way)")
 	qorLog := flag.String("qor-log", "", "durable QoR log path: sweeps over unchanged inputs are served from it and skip synthesis (empty disables)")
 	remoteCache := flag.String("remote-cache", "", "base URL of a shared chatlscached result tier; replicas share synthesis results through it (empty disables)")
 	flag.Parse()
@@ -58,9 +57,7 @@ func main() {
 		cfg.K = *k
 	}
 	cfg.Workers = *workers
-	if *checkpoints {
-		cfg.Checkpoints = synth.NewCheckpointStore(0)
-	}
+	cfg.Checkpoints = synth.NewCheckpointStore(0)
 	var store *qorlog.Store
 	if *qorLog != "" {
 		s, err := qorlog.OpenStore(*qorLog, 0, qorlog.Options{})

@@ -32,8 +32,9 @@ type seedRun struct {
 // per cell, how often ChatLS is ahead of, behind or tied with its reference —
 // the better raw model in Table III, each ablated variant in the ablations —
 // comparing WNS, then CPS as the tables print them (validity is not
-// compared), and the worst and median count of valid samples.
-// testdata/seeds.golden holds the tallies; regenerate it with
+// compared), and the worst and median count of valid samples. checkShape
+// asserts the paper's shape over them; testdata/seeds.golden holds the
+// tallies, regenerate it with
 //
 //	go test ./cmd/experiments -run TestSeedTallies -update
 //
@@ -49,7 +50,9 @@ func TestSeedTallies(t *testing.T) {
 	for seed := int64(firstSeed); seed <= lastSeed; seed++ {
 		runs = append(runs, runSeed(t, seed))
 	}
-	got := []byte(formatTallies(runs))
+	tl := tallyRuns(runs)
+	checkShape(t, tl, len(runs))
+	got := []byte(formatTallies(tl))
 	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -133,33 +136,64 @@ func validity(counts []int) string {
 	return fmt.Sprintf("%d/%g", v[0], median)
 }
 
-// formatTallies renders the tallies: Table III's ChatLS cell against the
-// better raw model, with every model's validity, and each ablated variant
-// against the full pipeline, with the variant's validity.
-func formatTallies(runs []seedRun) string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "Paper shape over seeds %d-%d: ahead/behind/tie by WNS, then CPS; valid samples worst/median of 5\n\n", firstSeed, lastSeed)
+// tallies are the comparisons over the seed set: Table III's ChatLS cell
+// against the better raw model, with every model's valid counts, and each
+// ablated variant against the full pipeline, with the variant's valid counts.
+type tallies struct {
+	designs      []string
+	vsRaw        map[string]*tally
+	valid        map[string]map[string][]int // design -> model -> counts
+	cells        []ablationCell
+	vsFull       map[ablationCell]*tally
+	variantValid map[ablationCell][]int
+}
 
-	var designs []string
-	vsRaw := map[string]*tally{}
-	valid := map[string]map[string][]int{} // design -> model -> counts
+type ablationCell struct{ variant, design string }
+
+func tallyRuns(runs []seedRun) tallies {
+	tl := tallies{
+		vsRaw: map[string]*tally{}, valid: map[string]map[string][]int{},
+		vsFull: map[ablationCell]*tally{}, variantValid: map[ablationCell][]int{},
+	}
 	for _, r := range runs {
 		for _, row := range r.table3 {
-			if vsRaw[row.Design] == nil {
-				designs = append(designs, row.Design)
-				vsRaw[row.Design], valid[row.Design] = &tally{}, map[string][]int{}
+			if tl.vsRaw[row.Design] == nil {
+				tl.designs = append(tl.designs, row.Design)
+				tl.vsRaw[row.Design], tl.valid[row.Design] = &tally{}, map[string][]int{}
 			}
 			gpt, claude, full := row.Cells[0], row.Cells[1], row.Cells[2]
 			raw := gpt
 			if compareTiming(claude.QoR, gpt.QoR) > 0 {
 				raw = claude
 			}
-			vsRaw[row.Design].add(compareTiming(full.QoR, raw.QoR))
+			tl.vsRaw[row.Design].add(compareTiming(full.QoR, raw.QoR))
 			for _, c := range row.Cells {
-				valid[row.Design][c.Model] = append(valid[row.Design][c.Model], c.Valid)
+				tl.valid[row.Design][c.Model] = append(tl.valid[row.Design][c.Model], c.Valid)
 			}
 		}
+		full := map[string]synth.QoR{}
+		for _, row := range r.ablations {
+			if row.Variant == "chatls" {
+				full[row.Design] = row.QoR
+			}
+		}
+		for _, row := range r.ablations {
+			c := ablationCell{row.Variant, row.Design}
+			if tl.vsFull[c] == nil {
+				tl.cells = append(tl.cells, c)
+				tl.vsFull[c] = &tally{}
+			}
+			tl.vsFull[c].add(compareTiming(full[row.Design], row.QoR))
+			tl.variantValid[c] = append(tl.variantValid[c], row.Valid)
+		}
 	}
+	return tl
+}
+
+// formatTallies renders the tallies.
+func formatTallies(tl tallies) string {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "Paper shape over seeds %d-%d: ahead/behind/tie by WNS, then CPS; valid samples worst/median of 5\n\n", firstSeed, lastSeed)
 	b.WriteString("TABLE III  chatls against the better raw model; valid samples of each model\n")
 	line := func(cols ...string) {
 		l := fmt.Sprintf("%-14s %-10s", cols[0], cols[1])
@@ -169,42 +203,60 @@ func formatTallies(runs []seedRun) string {
 		b.WriteString(strings.TrimRight(l, " ") + "\n")
 	}
 	line(append([]string{"Design", "a/b/t"}, chatls.Table3Models...)...)
-	for _, d := range designs {
-		cols := []string{d, vsRaw[d].String()}
+	for _, d := range tl.designs {
+		cols := []string{d, tl.vsRaw[d].String()}
 		for _, m := range chatls.Table3Models {
-			cols = append(cols, validity(valid[d][m]))
+			cols = append(cols, validity(tl.valid[d][m]))
 		}
 		line(cols...)
 	}
 
-	type cell struct{ variant, design string }
-	var cells []cell
-	vsFull, variantValid := map[cell]*tally{}, map[cell][]int{}
-	for _, r := range runs {
-		full := map[string]synth.QoR{}
-		for _, row := range r.ablations {
-			if row.Variant == "chatls" {
-				full[row.Design] = row.QoR
-			}
-		}
-		for _, row := range r.ablations {
-			c := cell{row.Variant, row.Design}
-			if vsFull[c] == nil {
-				cells = append(cells, c)
-				vsFull[c] = &tally{}
-			}
-			vsFull[c].add(compareTiming(full[row.Design], row.QoR))
-			variantValid[c] = append(variantValid[c], row.Valid)
-		}
-	}
 	b.WriteString("\nABLATIONS  the full pipeline against each variant; valid samples of the variant\n")
 	fmt.Fprintf(&b, "%-10s %-14s %-10s %s\n", "Variant", "Design", "a/b/t", "valid")
-	for _, c := range cells {
-		abt := vsFull[c].String()
+	for _, c := range tl.cells {
+		abt := tl.vsFull[c].String()
 		if c.variant == "chatls" {
 			abt = "-"
 		}
-		fmt.Fprintf(&b, "%-10s %-14s %-10s %s\n", c.variant, c.design, abt, validity(variantValid[c]))
+		fmt.Fprintf(&b, "%-10s %-14s %-10s %s\n", c.variant, c.design, abt, validity(tl.variantValid[c]))
 	}
 	return b.String()
+}
+
+// checkShape asserts the shapes EXPERIMENTS.md states in prose, as tallies
+// over the seed set. −SynthRAG's tally is recorded in the golden and not
+// asserted: over these seeds it is ahead as often as behind.
+func checkShape(t *testing.T, tl tallies, seeds int) {
+	t.Helper()
+	for _, d := range []string{"aes", "riscv32i", "swerv"} {
+		if got := tl.vsRaw[d]; got == nil || got.ahead != seeds {
+			t.Errorf("Table III %s: ChatLS against the better raw model %v (ahead/behind/tie) over %d seeds, want ahead at every seed", d, got, seeds)
+		}
+	}
+	for _, d := range tl.designs {
+		if behind := tl.vsRaw[d].behind; 2*behind >= seeds {
+			t.Errorf("Table III %s: ChatLS behind at %d of %d seeds, want fewer than half", d, behind, seeds)
+		}
+		if worst := slices.Min(tl.valid[d]["chatls"]); worst != 5 {
+			t.Errorf("Table III %s: ChatLS's worst validity %d/5, want 5/5", d, worst)
+		}
+	}
+	noExpert := 0
+	for _, c := range tl.cells {
+		if c.variant != "no-expert" {
+			continue
+		}
+		noExpert++
+		if worst := slices.Min(tl.variantValid[c]); worst >= 5 {
+			t.Errorf("-SynthExpert on %s: worst validity %d/5, want below 5/5", c.design, worst)
+		}
+	}
+	if noExpert == 0 {
+		t.Error("no -SynthExpert ablation rows")
+	}
+	for _, c := range []ablationCell{{"no-mentor", "tinyRocket"}, {"raw", "aes"}} {
+		if got := tl.vsFull[c]; got == nil || got.ahead != seeds {
+			t.Errorf("ablation %s on %s: the full pipeline against it %v (ahead/behind/tie) over %d seeds, want ahead at every seed", c.variant, c.design, got, seeds)
+		}
+	}
 }

@@ -55,7 +55,6 @@ func TestFrontEndFromSnapshotMatchesSource(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			circuitmentor.ResetMemo()
 			reads, elabs := circuitmentor.Stats().SnapshotReads, netlist.Elaborations()
 			got, err := circuitmentor.AnalyzeSnapshotContext(ctx, task.Snapshot, d.Source, d.Top, d.Period, testLib)
 			if err != nil {
@@ -97,7 +96,6 @@ func TestFrontEndFromSnapshotMatchesSource(t *testing.T) {
 			if _, ok := task.Snapshot.File(d.Source, d.Top); ok {
 				t.Fatal("snapshot still readable after its eviction")
 			}
-			circuitmentor.ResetMemo()
 			reads, elabs = circuitmentor.Stats().SnapshotReads, netlist.Elaborations()
 			evicted, err := circuitmentor.AnalyzeSnapshotContext(ctx, task.Snapshot, d.Source, d.Top, d.Period, testLib)
 			if err != nil {

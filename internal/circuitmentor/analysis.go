@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/liberty"
-	"repro/internal/lru"
 	"repro/internal/netlist"
 	"repro/internal/sta"
 	"repro/internal/synth"
@@ -56,83 +55,56 @@ func Analyze(src, top string, period float64, lib *liberty.Library) (*Analysis, 
 	return AnalyzeContext(context.Background(), src, top, period, lib)
 }
 
-// memoCap bounds the analysis memo: comfortably above the benchmark-corpus
-// design count, and an entry is a few hundred bytes plus a reference to the
-// source text its caller already holds.
-const memoCap = 64
+var hits, misses, snapshotReads atomic.Int64
 
-// memoKey is the full identity of one analysis: the library by content
-// fingerprint, then the source, top and period themselves — never a digest
-// of them, so two designs cannot share an entry.
-type memoKey struct {
-	lib, src, top string
-	period        uint64 // math.Float64bits
-}
-
-// memo holds the successful analyses of this process. The characterization
-// is a per-design artefact (built once and then queried, paper §IV-A), but
-// the pipeline asks for it once per Pass@k sample; the memo is what makes
-// the second and later samples of a design cost a lookup.
-var memo = lru.New[memoKey, Analysis](memoCap)
-
-// snapshotReads counts the memo misses characterized from a checkpoint
-// store's snapshot.
-var snapshotReads atomic.Int64
-
-// MemoStats are the analysis memo's lifetime lookup counters, exposed by the
-// serving daemon as chatlsd_mentor_cache_{hits,misses}_total and
-// chatlsd_mentor_snapshot_reads_total. SnapshotReads is the part of Misses
-// that read the design's post-link snapshot; the rest parsed and elaborated.
+// MemoStats are the lifetime analysis counters, exposed by the serving daemon
+// as chatlsd_mentor_cache_{hits,misses}_total and
+// chatlsd_mentor_snapshot_reads_total: Hits read off a snapshot, Misses
+// computed, SnapshotReads the part of Misses that read the design's post-link
+// snapshot (the rest parsed and elaborated).
 type MemoStats struct {
 	Hits, Misses  int64
 	SnapshotReads int64
 }
 
-// Stats returns the analysis memo's counters.
+// Stats returns the analysis counters.
 func Stats() MemoStats {
-	return MemoStats{Hits: memo.Hits(), Misses: memo.Misses(), SnapshotReads: snapshotReads.Load()}
+	return MemoStats{Hits: hits.Load(), Misses: misses.Load(), SnapshotReads: snapshotReads.Load()}
 }
 
-// ResetMemo empties the analysis memo, which is what a process restart does
-// to it; the counters keep counting. synthrag.Database.EnableCache calls it,
-// so that everything the serving path remembers about a design starts empty
-// together.
-func ResetMemo() { memo.Purge() }
-
 // AnalyzeContext is Analyze with cooperative cancellation: the context is
-// checked before the memo lookup and between the parse, elaborate, and
-// timing phases. The result is a pure function of the arguments, so
-// successful analyses are memoized (errors never are); every caller gets its
-// own copy, Traits included.
+// checked before the analysis and between the parse, elaborate, and timing
+// phases. It keeps nothing (see AnalyzeSnapshotContext).
 func AnalyzeContext(ctx context.Context, src, top string, period float64, lib *liberty.Library) (*Analysis, error) {
 	return AnalyzeSnapshotContext(ctx, synth.Snapshot{}, src, top, period, lib)
 }
 
 // AnalyzeSnapshotContext is AnalyzeContext for a caller that holds the handle
-// of a synthesis run of the same design on the same library: a memo miss
-// characterizes the post-link netlist the checkpoint store already holds
-// instead of parsing and elaborating src again. The result does not depend on
-// snap — the zero handle, or one whose snapshot the store has evicted, takes
-// the parse-and-elaborate path to the same analysis.
+// of a synthesis run of the same design on the same library. The analysis is
+// a per-design artefact (paper §IV-A): it is kept on the snapshot under lib
+// and period, and a miss characterizes the post-link netlist the store holds.
+// The zero handle, or one whose snapshot the store has evicted, parses and
+// elaborates src to the same analysis. Every caller gets its own copy.
 func AnalyzeSnapshotContext(ctx context.Context, snap synth.Snapshot, src, top string, period float64, lib *liberty.Library) (*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := memoKey{lib: lib.Fingerprint(), src: src, top: top, period: math.Float64bits(period)}
-	a, ok := memo.Get(key)
-	if !ok {
-		fresh, err := analyze(ctx, snap, src, top, period, lib)
-		if err != nil {
-			return nil, err
-		}
-		a = *fresh
-		memo.Add(key, a)
+	v, hit, err := snap.Keep(src, top, synth.KeepKey{Owner: lib, N: math.Float64bits(period)}, func() (any, error) {
+		misses.Add(1)
+		return analyze(ctx, snap, src, top, period, lib)
+	})
+	if err != nil {
+		return nil, err
 	}
+	if hit {
+		hits.Add(1)
+	}
+	a := *v.(*Analysis)
 	a.Traits = append([]string(nil), a.Traits...)
 	return &a, nil
 }
 
-// analyze is the unmemoized analysis: characterize the netlist snap lends,
+// analyze computes the analysis: characterize the netlist snap lends,
 // thawed into the store's own workspace and timed in that workspace's Timing —
 // storage the design's next synthesis run overwrites anyway — or, when snap
 // finds nothing, parse, elaborate, characterize.

@@ -3,44 +3,66 @@ package circuitmentor
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/designs"
 	"repro/internal/liberty"
-	"repro/internal/lru"
 	"repro/internal/netlist"
 	"repro/internal/sta"
+	"repro/internal/synth"
 	"repro/internal/verilog"
 )
 
-// resetMemo gives the test an empty memo with zeroed counters; the memo is
-// process-wide, so tests that count lookups must not see each other's.
-func resetMemo(t *testing.T) {
-	t.Helper()
-	memo = lru.New[memoKey, Analysis](memoCap)
-}
-
-// twoTops has two modules either of which can be the top, for keys that
+// twoTops has two modules either of which can be the top, for snapshots that
 // differ in top alone.
 const twoTops = `
 module a (input x, input y, output z); assign z = x & y; endmodule
 module b (input x, input y, output z); assign z = x ^ y; endmodule
 `
 
-func mustAnalyze(t *testing.T, src, top string, period float64, lib *liberty.Library) *Analysis {
+// snapshotOf links src under top through store, as a task's baseline run
+// does, and returns the handle the run's Result carries.
+func snapshotOf(t *testing.T, store *synth.CheckpointStore, src, top string, lib *liberty.Library) synth.Snapshot {
 	t.Helper()
-	a, err := AnalyzeContext(context.Background(), src, top, period, lib)
+	sess := synth.NewSession(lib)
+	sess.Checkpoints = store
+	sess.AddSource("d.v", src)
+	res, err := sess.Evaluate(context.Background(), "read_verilog d.v\ncurrent_design "+top+"\nlink\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Snapshot
+}
+
+func mustAnalyze(t *testing.T, snap synth.Snapshot, src, top string, period float64, lib *liberty.Library) *Analysis {
+	t.Helper()
+	a, err := AnalyzeSnapshotContext(context.Background(), snap, src, top, period, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return a
 }
 
+// kept reports whether one call read the analysis off the snapshot (a hit)
+// rather than computing it (a miss); it fails the test on anything else.
+func kept(t *testing.T, what string, call func()) bool {
+	t.Helper()
+	before := Stats()
+	call()
+	after := Stats()
+	switch {
+	case after.Hits == before.Hits+1 && after.Misses == before.Misses:
+		return true
+	case after.Hits == before.Hits && after.Misses == before.Misses+1:
+		return false
+	}
+	t.Fatalf("%s: counters %+v -> %+v, want one hit or one miss", what, before, after)
+	return false
+}
+
 func TestMemoizedAnalysisEqualsDirect(t *testing.T) {
-	resetMemo(t)
 	lib := liberty.Nangate45()
 	for _, d := range designs.Benchmarks() {
 		t.Run(d.Name, func(t *testing.T) {
@@ -57,16 +79,21 @@ func TestMemoizedAnalysisEqualsDirect(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cold := mustAnalyze(t, d.Source, d.Top, d.Period, lib)
-			before, stats := sta.FullAnalyses(), Stats()
-			hot := mustAnalyze(t, d.Source, d.Top, d.Period, lib)
+			source, err := AnalyzeContext(context.Background(), d.Source, d.Top, d.Period, lib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := snapshotOf(t, synth.NewCheckpointStore(1), d.Source, d.Top, lib)
+			cold := mustAnalyze(t, snap, d.Source, d.Top, d.Period, lib)
+			before := sta.FullAnalyses()
+			var hot *Analysis
+			if !kept(t, "second call", func() { hot = mustAnalyze(t, snap, d.Source, d.Top, d.Period, lib) }) {
+				t.Error("second call on the snapshot computed the analysis again")
+			}
 			if n := sta.FullAnalyses() - before; n != 0 {
 				t.Errorf("second call ran %d full timing analyses, want 0", n)
 			}
-			if s := Stats(); s.Hits != stats.Hits+1 || s.Misses != stats.Misses {
-				t.Errorf("second call moved the counters %+v -> %+v, want one hit", stats, s)
-			}
-			for what, got := range map[string]*Analysis{"cold": cold, "hot": hot} {
+			for what, got := range map[string]*Analysis{"source": source, "cold": cold, "hot": hot} {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s analysis = %+v, want %+v", what, got, want)
 				}
@@ -78,47 +105,54 @@ func TestMemoizedAnalysisEqualsDirect(t *testing.T) {
 	}
 }
 
+// TestMemoKeyIsTheFullArguments: an analysis is kept on the snapshot of its
+// source under its top, under its library and its period; any other argument
+// computes.
 func TestMemoKeyIsTheFullArguments(t *testing.T) {
-	resetMemo(t)
+	lib := liberty.Nangate45()
 	slower := liberty.Nangate45()
 	slower.Cell("AND2_X1").Intrinsic += 0.001 // same Name, one delay parameter off
+	store := synth.NewCheckpointStore(4)
+	snap := snapshotOf(t, store, twoTops, "a", lib)
+	slowSnap := snapshotOf(t, store, twoTops, "a", slower)
 
 	calls := []struct {
 		what   string
+		snap   synth.Snapshot
 		src    string
 		top    string
 		period float64
 		lib    *liberty.Library
 		hit    bool
 	}{
-		{"first call", twoTops, "a", 1.0, liberty.Nangate45(), false},
-		{"equal arguments, another Nangate45 instance", twoTops, "a", 1.0, liberty.Nangate45(), true},
-		{"different period", twoTops, "a", 1.5, liberty.Nangate45(), false},
-		{"different top", twoTops, "b", 1.0, liberty.Nangate45(), false},
-		{"one more source byte", twoTops + "\n", "a", 1.0, liberty.Nangate45(), false},
-		{"library differing in one delay parameter", twoTops, "a", 1.0, slower, false},
-		{"the first arguments again", twoTops, "a", 1.0, liberty.Nangate45(), true},
+		{"first call", snap, twoTops, "a", 1.0, lib, false},
+		{"equal arguments", snap, twoTops, "a", 1.0, lib, true},
+		{"different period", snap, twoTops, "a", 1.5, lib, false},
+		{"different period again", snap, twoTops, "a", 1.5, lib, true},
+		{"different top: the handle finds nothing", snap, twoTops, "b", 1.0, lib, false},
+		{"different top again: nothing was kept", snap, twoTops, "b", 1.0, lib, false},
+		{"one more source byte", snap, twoTops + "\n", "a", 1.0, lib, false},
+		{"no handle", synth.Snapshot{}, twoTops, "a", 1.0, lib, false},
+		{"library differing in one delay parameter", slowSnap, twoTops, "a", 1.0, slower, false},
+		{"that library again", slowSnap, twoTops, "a", 1.0, slower, true},
+		{"equal library, another instance", snap, twoTops, "a", 1.0, liberty.Nangate45(), false},
+		{"the first arguments again", snap, twoTops, "a", 1.0, lib, true},
 	}
 	for _, c := range calls {
-		before := Stats()
-		mustAnalyze(t, c.src, c.top, c.period, c.lib)
-		after := Stats()
-		hit := after.Hits == before.Hits+1 && after.Misses == before.Misses
-		miss := after.Hits == before.Hits && after.Misses == before.Misses+1
-		if c.hit && !hit || !c.hit && !miss {
-			t.Errorf("%s: counters %+v -> %+v, want hit=%v", c.what, before, after, c.hit)
+		if hit := kept(t, c.what, func() { mustAnalyze(t, c.snap, c.src, c.top, c.period, c.lib) }); hit != c.hit {
+			t.Errorf("%s: hit = %v, want %v", c.what, hit, c.hit)
 		}
 	}
 }
 
 func TestMemoHonoursCancelledContextWhenHot(t *testing.T) {
-	resetMemo(t)
 	lib := liberty.Nangate45()
-	mustAnalyze(t, twoTops, "a", 1.0, lib)
+	snap := snapshotOf(t, synth.NewCheckpointStore(1), twoTops, "a", lib)
+	mustAnalyze(t, snap, twoTops, "a", 1.0, lib)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if a, err := AnalyzeContext(ctx, twoTops, "a", 1.0, lib); !errors.Is(err, context.Canceled) || a != nil {
-		t.Errorf("cancelled context on a hot entry: (%v, %v), want context.Canceled", a, err)
+	if a, err := AnalyzeSnapshotContext(ctx, snap, twoTops, "a", 1.0, lib); !errors.Is(err, context.Canceled) || a != nil {
+		t.Errorf("cancelled context on a kept analysis: (%v, %v), want context.Canceled", a, err)
 	}
 }
 
@@ -137,44 +171,53 @@ func (c *expiringCtx) Err() error {
 	return context.Canceled
 }
 
+// TestMemoStoresSuccessesOnly: a failed analysis is returned and never kept
+// — a timing pass refusing the snapshot's netlist, a parse error, a
+// cancellation between phases — and the next call computes again.
 func TestMemoStoresSuccessesOnly(t *testing.T) {
-	resetMemo(t)
 	lib := liberty.Nangate45()
+	store := synth.NewCheckpointStore(2)
 
-	const broken = "module a (input x, output z) assign z = ; endmodule"
+	// A combinational loop links, but the timing pass refuses it.
+	const loop = "module a (input x, output z); wire w; assign w = ~(w & x); assign z = w; endmodule"
+	loopSnap := snapshotOf(t, store, loop, "a", lib)
 	for i := 0; i < 2; i++ {
-		if _, err := AnalyzeContext(context.Background(), broken, "a", 1.0, lib); err == nil {
-			t.Fatal("broken source analysed")
+		if kept(t, "analysis of a loop", func() {
+			if _, err := AnalyzeSnapshotContext(context.Background(), loopSnap, loop, "a", 1.0, lib); err == nil {
+				t.Fatal("a combinational loop was analysed")
+			}
+		}) {
+			t.Error("a failed analysis was kept")
 		}
 	}
-	if s := Stats(); s.Hits != 0 || s.Misses != 2 || memo.Len() != 0 {
-		t.Errorf("parse error was stored: %+v, %d entries", s, memo.Len())
-	}
 
-	// Cancelled after the parse: nothing stored, and the next good call
-	// computes the analysis.
+	const broken = "module a (input x, output z) assign z = ; endmodule"
+	if _, err := AnalyzeContext(context.Background(), broken, "a", 1.0, lib); err == nil {
+		t.Fatal("broken source analysed")
+	}
 	if _, err := AnalyzeContext(&expiringCtx{Context: context.Background(), ok: 1}, twoTops, "a", 1.0, lib); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancellation between phases: %v", err)
 	}
-	if memo.Len() != 0 {
-		t.Errorf("context error was stored: %d entries", memo.Len())
-	}
+
+	snap := snapshotOf(t, store, twoTops, "a", lib)
 	before := sta.FullAnalyses()
-	mustAnalyze(t, twoTops, "a", 1.0, lib)
-	if n := sta.FullAnalyses() - before; n != 1 {
-		t.Errorf("call after the failures ran %d full timing analyses, want 1", n)
+	if kept(t, "first analysis on the snapshot", func() { mustAnalyze(t, snap, twoTops, "a", 1.0, lib) }) {
+		t.Error("the first analysis on a fresh snapshot was a hit")
 	}
-	if memo.Len() != 1 {
-		t.Errorf("success not stored: %d entries", memo.Len())
+	if n := sta.FullAnalyses() - before; n != 1 {
+		t.Errorf("the first analysis ran %d full timing analyses, want 1", n)
+	}
+	if !kept(t, "second analysis", func() { mustAnalyze(t, snap, twoTops, "a", 1.0, lib) }) {
+		t.Error("a successful analysis was not kept")
 	}
 }
 
 func TestMemoReturnsCopies(t *testing.T) {
-	resetMemo(t)
 	lib := liberty.Nangate45()
-	want := mustAnalyze(t, twoTops, "a", 1.0, lib).Traits[0]
-	for i := 0; i < 3; i++ { // the computing caller, then two served from the memo
-		a := mustAnalyze(t, twoTops, "a", 1.0, lib)
+	snap := snapshotOf(t, synth.NewCheckpointStore(1), twoTops, "a", lib)
+	want := mustAnalyze(t, synth.Snapshot{}, twoTops, "a", 1.0, lib).Traits[0]
+	for i := 0; i < 3; i++ { // the computing caller, then two served from the snapshot
+		a := mustAnalyze(t, snap, twoTops, "a", 1.0, lib)
 		if a.Traits[0] != want || len(a.Traits) != 1 {
 			t.Fatalf("call %d sees an earlier caller's edit: %q", i, a.Traits)
 		}
@@ -184,15 +227,19 @@ func TestMemoReturnsCopies(t *testing.T) {
 	}
 }
 
+// TestMemoConcurrentCallers: sixteen goroutines race on two fresh snapshots,
+// on their misses and then their hits, and each sees the analysis a lone
+// caller computes.
 func TestMemoConcurrentCallers(t *testing.T) {
-	resetMemo(t)
 	lib := liberty.Nangate45()
 	tops := []string{"a", "b"}
 	want := make([]*Analysis, len(tops))
+	snaps := make([]synth.Snapshot, len(tops))
+	store := synth.NewCheckpointStore(len(tops))
 	for i, top := range tops {
-		want[i] = mustAnalyze(t, twoTops, top, 1.0, lib)
+		want[i] = mustAnalyze(t, synth.Snapshot{}, twoTops, top, 1.0, lib)
+		snaps[i] = snapshotOf(t, store, twoTops, top, lib)
 	}
-	resetMemo(t) // callers race on the misses too
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -200,7 +247,7 @@ func TestMemoConcurrentCallers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := (g + i) % len(tops)
-				a, err := AnalyzeContext(context.Background(), twoTops, tops[k], 1.0, liberty.Nangate45())
+				a, err := AnalyzeSnapshotContext(context.Background(), snaps[k], twoTops, tops[k], 1.0, lib)
 				if err != nil {
 					t.Error(err)
 					return
@@ -215,20 +262,25 @@ func TestMemoConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
+// TestMemoIsBounded: the analysis lives exactly as long as the store holds
+// its snapshot — once evicted, the handle finds nothing, and every call
+// computes the same analysis again and keeps nothing.
 func TestMemoIsBounded(t *testing.T) {
-	resetMemo(t)
 	lib := liberty.Nangate45()
-	src := func(i int) string { return fmt.Sprintf("%s// %d\n", twoTops, i) }
-	for i := 0; i <= memoCap; i++ {
-		mustAnalyze(t, src(i), "a", 1.0, lib)
+	store := synth.NewCheckpointStore(1)
+	snap := snapshotOf(t, store, twoTops, "a", lib)
+	want := mustAnalyze(t, snap, twoTops, "a", 1.0, lib)
+	if !kept(t, "repeat on the held snapshot", func() { mustAnalyze(t, snap, twoTops, "a", 1.0, lib) }) {
+		t.Error("the analysis was not kept on the held snapshot")
 	}
-	if memo.Len() != memoCap {
-		t.Errorf("%d entries after %d distinct sources, cap %d", memo.Len(), memoCap+1, memoCap)
-	}
-	before := Stats()
-	mustAnalyze(t, src(memoCap), "a", 1.0, lib) // newest: still held
-	mustAnalyze(t, src(0), "a", 1.0, lib)       // oldest: evicted
-	if s := Stats(); s.Hits != before.Hits+1 || s.Misses != before.Misses+1 {
-		t.Errorf("counters %+v -> %+v, want the newest to hit and the oldest to miss", before, s)
+	snapshotOf(t, store, twoTops, "b", lib) // the one-entry store evicts a's snapshot
+	for i := 0; i < 2; i++ {
+		var got *Analysis
+		if kept(t, "after eviction", func() { got = mustAnalyze(t, snap, twoTops, "a", 1.0, lib) }) {
+			t.Error("an evicted snapshot served its analysis")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("analysis after eviction = %+v, want %+v", got, want)
+		}
 	}
 }

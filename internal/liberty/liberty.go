@@ -142,8 +142,8 @@ func (l *Library) Cells() []*Cell {
 // wireload tables. Two libraries built the same way (e.g. two Nangate45()
 // calls) fingerprint identically; a library differing in any delay model
 // does not. Everything keyed on "the same library" uses it — elaboration
-// checkpoints, the durable QoR log, CircuitMentor's analysis memo — so a
-// library change invalidates them all. The digest is computed once per
+// checkpoints (and so what is kept on their snapshots) and the durable QoR
+// log — so a library change invalidates them all. The digest is computed once per
 // library, on the first call, and later calls return it; it is safe for
 // concurrent use.
 func (l *Library) Fingerprint() string {

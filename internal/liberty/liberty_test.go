@@ -238,7 +238,7 @@ func TestWireLoadMonotoneProperty(t *testing.T) {
 }
 
 // The fingerprint is the library's identity in every content-keyed cache
-// (checkpoints, QoR log, analysis memo): equal for equal content whatever the
+// (checkpoints, QoR log): equal for equal content whatever the
 // pointer, different as soon as one timing parameter is.
 func TestFingerprintIsContentIdentity(t *testing.T) {
 	base := Nangate45().Fingerprint()

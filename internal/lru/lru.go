@@ -101,16 +101,6 @@ func (c *Cache[K, V]) Range(fn func(key K, val V)) {
 	}
 }
 
-// Purge drops every entry. The hit/miss/eviction counters keep counting:
-// they are lifetime totals (exported as monotonic metrics), not a property
-// of the current contents.
-func (c *Cache[K, V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.items)
-}
-
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()

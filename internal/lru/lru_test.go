@@ -74,27 +74,3 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("len %d exceeds capacity", c.Len())
 	}
 }
-
-func TestPurgeDropsEntriesKeepsCounters(t *testing.T) {
-	c := New[string, int](2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Get("a")
-	c.Get("zz")
-	c.Purge()
-	if c.Len() != 0 {
-		t.Errorf("len after Purge = %d", c.Len())
-	}
-	if _, ok := c.Peek("a"); ok {
-		t.Error("a survived Purge")
-	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Errorf("Purge moved the counters: hits %d misses %d", c.Hits(), c.Misses())
-	}
-	c.Add("c", 3)
-	c.Add("d", 4)
-	c.Add("e", 5)
-	if c.Len() != 2 || c.Evictions() != 1 {
-		t.Errorf("after refill: len %d evictions %d, want 2 and 1", c.Len(), c.Evictions())
-	}
-}

@@ -23,10 +23,10 @@ import (
 // without touching the network; unlike the original sticky latch, the
 // breaker goes half-open after a dwell and probes the tier, so a restarted
 // server re-attaches automatically (logged once per recovery). Requests
-// that classify as transient (resilience.IsRetryableNet) are retried a
-// bounded number of times first; connection-refused — the signature of a
-// dead tier — is not, so the breaker opens immediately when the server is
-// gone.
+// whose connection dropped mid-flight (resilience.IsRetryableNet) are
+// retried a bounded number of times first; a refused connection — the
+// signature of a dead tier — or a timeout is not, so the breaker opens on
+// the first one and a hung tier costs one Timeout, not one per attempt.
 //
 // Safe for concurrent use; every method is nil-safe (a nil client is a
 // permanently-missing tier).
@@ -64,8 +64,8 @@ type ClientConfig struct {
 // tier fails before probing it again.
 const DefaultBreakerOpenFor = 2 * time.Second
 
-// requestAttempts bounds retries of one request while the failure stays
-// transient (resilience.IsRetryableNet).
+// requestAttempts bounds retries of one request while its connection keeps
+// dropping mid-flight (resilience.IsRetryableNet).
 const requestAttempts = 3
 
 // NewClient builds a client for the tier at cfg.BaseURL.

@@ -198,8 +198,8 @@ func TestTierReadThroughWriteThrough(t *testing.T) {
 }
 
 // TestTierPutAgainstDeadTierIsBounded: the remote write sits on the caller's
-// goroutine, so what a dying tier can cost it is bounded — one request's
-// retries the first time, nothing once the breaker is open.
+// goroutine, so what a dying tier can cost it is bounded — one request the
+// first time, nothing once the breaker is open.
 func TestTierPutAgainstDeadTierIsBounded(t *testing.T) {
 	// A tier that accepts connections and never answers: the slowest way to
 	// be dead, every attempt runs into the client timeout.
@@ -222,8 +222,8 @@ func TestTierPutAgainstDeadTierIsBounded(t *testing.T) {
 	if first < timeout {
 		t.Fatalf("first Put returned in %v, before one client timeout (%v): the hung tier was never tried", first, timeout)
 	}
-	if bound := requestAttempts*timeout + time.Second; first > bound {
-		t.Fatalf("first Put took %v, want under %v (%d attempts of %v)", first, bound, requestAttempts, timeout)
+	if bound := timeout + time.Second; first > bound {
+		t.Fatalf("first Put took %v, want under %v (one attempt of %v)", first, bound, timeout)
 	}
 	start = time.Now()
 	for i := 1; i < 5; i++ {
@@ -239,5 +239,34 @@ func TestTierPutAgainstDeadTierIsBounded(t *testing.T) {
 	}
 	if warnings != 1 {
 		t.Errorf("degradation warned %d times, want exactly 1", warnings)
+	}
+}
+
+// TestTierGetAgainstHungTierWaitsOneTimeout: a lookup the tier never answers
+// times out once and is not retried — the breaker opens on it — so the first
+// Get costs one client Timeout and the next none.
+func TestTierGetAgainstHungTierWaitsOneTimeout(t *testing.T) {
+	hang := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-hang }))
+	defer ts.Close()
+	defer close(hang) // first, or Close waits on the parked handlers
+	const timeout = 200 * time.Millisecond
+	tier := NewTier(qorlog.NewMemoryStore(0), NewClient(ClientConfig{
+		BaseURL: ts.URL,
+		Timeout: timeout,
+		Warnf:   func(string, ...any) {},
+	}))
+
+	start := time.Now()
+	if _, ok := tier.Get(testKey("k0")); ok {
+		t.Fatal("a hung tier served a record")
+	}
+	if first := time.Since(start); first < timeout || first > timeout*3/2 {
+		t.Errorf("first Get took %v, want one client timeout (%v, at most %v)", first, timeout, timeout*3/2)
+	}
+	start = time.Now()
+	tier.Get(testKey("k1"))
+	if next := time.Since(start); next > timeout/4 {
+		t.Errorf("Get behind the open breaker took %v, want no network wait", next)
 	}
 }

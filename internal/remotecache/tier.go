@@ -7,7 +7,7 @@ import "repro/internal/qorlog"
 // remote, with remote hits written back locally) and write-through (local
 // first — it is the correctness tier — then the remote tier, on the caller's
 // goroutine). The remote write is Client.PutQoR, which is total: a dying tier
-// costs one bounded-retry request before the breaker opens, and nothing after.
+// costs one request before the breaker opens, and nothing after.
 //
 // With the remote side degraded or nil, a Tier behaves exactly like its
 // local store.

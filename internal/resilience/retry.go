@@ -3,7 +3,6 @@ package resilience
 import (
 	"errors"
 	"io"
-	"net"
 	"syscall"
 )
 
@@ -38,26 +37,13 @@ func RetryBounded(attempts int, retryable func(error) bool, op func() error) (fa
 }
 
 // IsRetryableNet classifies a network-I/O error as transient (worth retrying
-// the request against the same endpoint) or terminal (the endpoint is gone;
-// the caller should degrade instead of hammering it). Timeouts and
-// mid-flight connection drops are transient — the peer was there and may
-// answer a retry; a refused or unreachable connection means nothing is
-// listening, which retries will not fix on the timescale of one request.
+// the request against the same endpoint) or terminal (the caller should
+// degrade instead of hammering it). A mid-flight connection drop is
+// transient — the peer was there and may answer a retry. A refused or
+// unreachable connection means nothing is listening, and a timeout that the
+// peer let pass would cost the next attempt the same wait: retries fix
+// neither on the timescale of one request.
 func IsRetryableNet(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.EHOSTUNREACH) ||
-		errors.Is(err, syscall.ENETUNREACH) {
-		return false
-	}
-	if errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) ||
-		errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-		return true
-	}
-	var nerr net.Error
-	if errors.As(err, &nerr) && nerr.Timeout() {
-		return true
-	}
-	return false
+	return errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) ||
+		errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)
 }

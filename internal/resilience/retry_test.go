@@ -73,8 +73,8 @@ func TestIsRetryableNet(t *testing.T) {
 		{syscall.ECONNRESET, true},
 		{fmt.Errorf("write: %w", syscall.EPIPE), true},
 		{io.ErrUnexpectedEOF, true},
-		{timeoutErr{}, true},
-		{&net.OpError{Op: "read", Err: timeoutErr{}}, true},
+		{timeoutErr{}, false},
+		{&net.OpError{Op: "read", Err: timeoutErr{}}, false},
 		{errors.New("some application error"), false},
 	}
 	for _, c := range cases {

@@ -9,8 +9,9 @@ import (
 )
 
 // TestConcurrentColdRequestsMatchSequential: cold /v1/customize requests
-// that reach the task and embedding caches, CircuitMentor's analysis memo
-// and the checkpoint store at the same moment must get, byte for byte, the
+// that reach the baseline slots, the retrieve cache and the checkpoint
+// store, with the analyses and embeddings kept on its snapshots, at the same
+// moment must get, byte for byte, the
 // replies a server fed the same requests one at a time gives. Run under
 // -race (make race does) it also checks those shared structures for data
 // races.
@@ -32,8 +33,9 @@ func TestConcurrentColdRequestsMatchSequential(t *testing.T) {
 		return string(b)
 	}
 
-	// The oracle runs first: New empties the process-wide analysis memo, so
-	// the concurrent server below starts as cold as this one did.
+	// The oracle runs first; each server has its own baselines and
+	// checkpoint store, so the concurrent one below starts as cold as this
+	// one did.
 	seq := httptest.NewServer(newTestServer(t, Config{Workers: 1}).Handler())
 	defer seq.Close()
 	want := make([]string, len(reqs))

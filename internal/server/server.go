@@ -11,15 +11,17 @@
 //   - a per-request deadline, the only budget a request has (resilience
 //     timeout → 504); a 503 means only that the server is draining,
 //   - singleflight deduplication of identical in-flight requests,
-//   - LRU caches for the expensive idempotent stages (baseline task
-//     construction, design-graph embeddings, strategy retrieval),
+//   - each served design's baseline task, run by its first request and
+//     kept for the server's life; the design's analysis and embedding are
+//     kept on its snapshot in the process-wide checkpoint store, and
+//     strategy retrieval in the database's LRU,
 //   - a metrics registry exposed in Prometheus text format,
 //   - graceful shutdown that drains in-flight work.
 //
 // Concurrency model: the llm.Model, synthrag.Database, and liberty.Library
 // shared across requests are immutable at serving time; each request gets
 // its own pipeline instance (cheap — a pair of struct allocations) and its
-// own shallow copy of the cached baseline task, so no per-call state is
+// own shallow copy of the kept baseline task, so no per-call state is
 // ever shared between goroutines.
 package server
 
@@ -40,7 +42,6 @@ import (
 	"repro/internal/inputlimits"
 	"repro/internal/liberty"
 	"repro/internal/llm"
-	"repro/internal/lru"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/qorlog"
@@ -99,17 +100,16 @@ type Config struct {
 	MaxRequirementLen int   // requirement string length cap (default 8 KiB)
 }
 
-// LRU sizes of the serving caches. The QoR record cache and the
-// elaboration-checkpoint store take their packages' defaults.
-const (
-	taskCacheSize     = 16  // baseline-task LRU entries
-	embedCacheSize    = 64  // design-embedding LRU entries
-	retrieveCacheSize = 256 // strategy-retrieval LRU entries
-)
+// retrieveCacheSize bounds the database's strategy-retrieval LRU. The QoR
+// record cache and the elaboration-checkpoint store take their packages'
+// defaults.
+const retrieveCacheSize = 256
 
-// taskEntry is one cached baseline synthesis: the pristine task (requirement
-// left at the default — requests get a copy) and its QoR.
-type taskEntry struct {
+// baseline is one served design's baseline synthesis, run by its first
+// request and kept for the server's life: the pristine task (requirement left
+// at the default — requests get a copy) and its QoR.
+type baseline struct {
+	mu   sync.Mutex
 	task *chatls.Task
 	qor  synth.QoR
 }
@@ -122,7 +122,7 @@ type Server struct {
 	places  chan struct{} // Workers+QueueDepth semaphore: one token per admitted-but-unfinished customization
 	slots   chan struct{} // Workers-sized semaphore: one token per running customization
 	flight  *flightGroup
-	tasks   *lru.Cache[string, taskEntry]
+	bases   map[*designs.Design]*baseline
 	ckpt    *synth.CheckpointStore // process-wide: baselines and Pass@k samples alike restore post-link state from it
 	results *qorlog.Store          // nil when QoRLogPath == ""
 	tier    *remotecache.Tier      // nil when RemoteCache is nil
@@ -143,6 +143,8 @@ type Server struct {
 	bodyTooLarge *metrics.Counter
 	badJSON      *metrics.Counter
 	invalidReq   *metrics.Counter
+	taskHits     *metrics.Counter
+	taskMisses   *metrics.Counter
 	latency      *metrics.Histogram
 }
 
@@ -185,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxRequirementLen = 8 << 10
 	}
 
-	cfg.DB.EnableCache(embedCacheSize, retrieveCacheSize)
+	cfg.DB.EnableCache(0, retrieveCacheSize)
 
 	s := &Server{
 		cfg:    cfg,
@@ -193,7 +195,7 @@ func New(cfg Config) (*Server, error) {
 		places: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		slots:  make(chan struct{}, cfg.Workers),
 		flight: newFlightGroup(),
-		tasks:  lru.New[string, taskEntry](taskCacheSize),
+		bases:  make(map[*designs.Design]*baseline, len(cfg.Designs)),
 		ckpt:   synth.NewCheckpointStore(synth.DefaultCheckpointCap),
 		reg:    metrics.NewRegistry(),
 	}
@@ -215,6 +217,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	for _, d := range cfg.Designs {
 		s.byName[d.Name] = d
+		s.bases[d] = new(baseline)
 	}
 
 	s.requests = s.reg.NewCounter("chatlsd_requests_total", "customize requests received")
@@ -227,17 +230,17 @@ func New(cfg Config) (*Server, error) {
 	s.badJSON = s.reg.NewCounter("chatlsd_input_rejected_bad_json_total", "requests rejected with 400 for malformed or unknown-field JSON")
 	s.invalidReq = s.reg.NewCounter("chatlsd_input_rejected_invalid_total", "requests rejected with 422 for semantically invalid fields")
 	s.flight.onJoin = s.sfShared.Inc
-	s.reg.NewCounterFunc("chatlsd_task_cache_hits_total", "baseline-task cache hits", s.tasks.Hits)
-	s.reg.NewCounterFunc("chatlsd_task_cache_misses_total", "baseline-task cache misses", s.tasks.Misses)
-	s.reg.NewCounterFunc("chatlsd_embed_cache_hits_total", "design-embedding cache hits",
+	s.taskHits = s.reg.NewCounter("chatlsd_task_cache_hits_total", "requests served their design's kept baseline task")
+	s.taskMisses = s.reg.NewCounter("chatlsd_task_cache_misses_total", "baseline syntheses run for a design's task")
+	s.reg.NewCounterFunc("chatlsd_embed_cache_hits_total", "design embeddings read off the design's snapshot",
 		func() int64 { return cfg.DB.CacheStats().EmbedHits })
-	s.reg.NewCounterFunc("chatlsd_embed_cache_misses_total", "design-embedding cache misses",
+	s.reg.NewCounterFunc("chatlsd_embed_cache_misses_total", "design embeddings computed (a graph build and a GNN forward pass)",
 		func() int64 { return cfg.DB.CacheStats().EmbedMisses })
 	s.reg.NewCounterFunc("chatlsd_retrieve_cache_hits_total", "strategy-retrieval cache hits",
 		func() int64 { return cfg.DB.CacheStats().RetrieveHits })
 	s.reg.NewCounterFunc("chatlsd_retrieve_cache_misses_total", "strategy-retrieval cache misses",
 		func() int64 { return cfg.DB.CacheStats().RetrieveMisses })
-	s.reg.NewCounterFunc("chatlsd_mentor_cache_hits_total", "CircuitMentor analyses served from the per-design memo (process-wide)",
+	s.reg.NewCounterFunc("chatlsd_mentor_cache_hits_total", "CircuitMentor analyses read off the design's snapshot (process-wide)",
 		func() int64 { return circuitmentor.Stats().Hits })
 	s.reg.NewCounterFunc("chatlsd_mentor_cache_misses_total", "CircuitMentor analyses computed (a timing pass over the design's netlist, read from its checkpoint or elaborated)",
 		func() int64 { return circuitmentor.Stats().Misses })
@@ -622,7 +625,7 @@ func (s *Server) runCustomize(d *designs.Design, req customizeRequest) (*customi
 		s.countErr(err)
 		return nil, err
 	}
-	// Shallow copy: the cached task must keep its pristine requirement.
+	// Shallow copy: the kept task must keep its pristine requirement.
 	t := *task
 	t.Requirement = req.Requirement
 
@@ -664,19 +667,23 @@ func (s *Server) countErr(err error) {
 	}
 }
 
-// baselineTask returns the cached baseline synthesis for a design, running
-// it on a miss. The cache key includes the clock period because the
-// baseline QoR is period-dependent.
+// baselineTask returns the kept baseline synthesis of a served design,
+// running it when none is kept yet; an error is not kept. Requests for a
+// design whose baseline is running wait for it.
 func (s *Server) baselineTask(ctx context.Context, d *designs.Design) (*chatls.Task, synth.QoR, error) {
-	key := fmt.Sprintf("%s@%.6g", d.Name, d.Period)
-	if e, ok := s.tasks.Get(key); ok {
-		return e.task, e.qor, nil
+	b := s.bases[d]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.task != nil {
+		s.taskHits.Inc()
+		return b.task, b.qor, nil
 	}
+	s.taskMisses.Inc()
 	task, qor, err := chatls.NewTaskWith(ctx, d, s.cfg.Lib, s.ckpt)
 	if err != nil {
 		return nil, synth.QoR{}, err
 	}
-	s.tasks.Add(key, taskEntry{task: task, qor: qor})
+	b.task, b.qor = task, qor
 	return task, qor, nil
 }
 

@@ -188,7 +188,7 @@ func TestTaskCacheHit(t *testing.T) {
 		t.Errorf("after first request: task cache hits = %v, want 0", h)
 	}
 
-	// The analysis memo is process-wide, so its counters are read as deltas.
+	// The analysis counters are process-wide, so they are read as deltas.
 	mentorHits := metricValue(t, ts.URL, "chatlsd_mentor_cache_hits_total")
 	mentorMisses := metricValue(t, ts.URL, "chatlsd_mentor_cache_misses_total")
 	if mentorHits+mentorMisses < 1 {
@@ -196,8 +196,8 @@ func TestTaskCacheHit(t *testing.T) {
 	}
 	// The first request's analysis read the checkpoint its baseline captured,
 	// thawed into fresh storage; its sample restored into that same workspace
-	// and released it. (New re-enables the database cache, which empties the
-	// memo, so the analysis was a miss.)
+	// and released it. (The store is the server's own, so the analysis was a
+	// miss.)
 	wsReuses := metricValue(t, ts.URL, "synth_checkpoint_workspace_reuses_total")
 	wsAllocs := metricValue(t, ts.URL, "synth_checkpoint_workspace_allocs_total")
 	if wsAllocs != 1 || wsReuses != 1 {
@@ -233,7 +233,7 @@ func TestTaskCacheHit(t *testing.T) {
 		t.Errorf("after repeat request: task cache hits = %v, want 1", h)
 	}
 	// The design was analysed by the first request: the repeat's one sample
-	// is served from the memo.
+	// reads it off the design's snapshot.
 	if h := metricValue(t, ts.URL, "chatlsd_mentor_cache_hits_total"); h != mentorHits+1 {
 		t.Errorf("after repeat request: mentor cache hits = %v, want %v", h, mentorHits+1)
 	}
@@ -247,7 +247,7 @@ func TestTaskCacheHit(t *testing.T) {
 	if a := metricValue(t, ts.URL, "synth_checkpoint_workspace_allocs_total"); a != wsAllocs {
 		t.Errorf("after repeat request: workspace allocs = %v, want %v", a, wsAllocs)
 	}
-	// The design embedding is cached too: the repeat request must not
+	// The design embedding is kept there too: the repeat request must not
 	// re-run the GNN forward pass.
 	if h := metricValue(t, ts.URL, "chatlsd_embed_cache_hits_total"); h < 1 {
 		t.Errorf("embed cache hits = %v, want >= 1", h)

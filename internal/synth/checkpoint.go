@@ -46,7 +46,10 @@ import (
 // restore it, whoever needs the parsed sources or the linked netlist of a
 // design a run has been through reads them from the store, through the
 // Snapshot handle the run's Result carries, instead of parsing and elaborating
-// the text again.
+// the text again — and whatever is computed from them once per design (the
+// structural analysis, the graph embedding) is kept on the snapshot too (see
+// Snapshot.Keep), so the store alone decides how long a design's artefacts
+// live.
 type CheckpointStore struct {
 	cache *lru.Cache[string, *checkpoint]
 
@@ -219,10 +222,11 @@ type checkpoint struct {
 	srcs []srcText           // (file, text) in read order
 
 	// The derived level: what first compiles make of img, oldest entry
-	// first, at most maxDerived of them. They live and die with this
-	// snapshot's LRU entry.
+	// first, at most maxDerived of them, and the values Snapshot.Keep
+	// keeps. They live and die with this snapshot's LRU entry.
 	mu      sync.Mutex
 	derived []derivedResult
+	kept    map[KeepKey]any
 }
 
 // sourceFile returns the parsed sources under a slice header of the caller's
@@ -239,8 +243,8 @@ func (cp *checkpoint) sourceFile() *verilog.SourceFile {
 // carries one, whether the run restored the snapshot or captured it. The zero
 // Snapshot names nothing.
 //
-// Both accessors take the single source text and the top module the caller
-// wants the front end of, and find nothing unless the snapshot is the
+// Every accessor takes the single source text and the top module the caller
+// wants the front end of, and finds nothing unless the snapshot is the
 // elaboration of exactly that text under that top (the library and the absence
 // of parameter overrides are the caller's to match: the handle comes from a run
 // of the same design on the same library). A reader that finds nothing parses
@@ -288,6 +292,39 @@ func (h Snapshot) Netlist(src, top string, fn func(nl *netlist.Netlist, tm *sta.
 	err = fn(ws.thaw(cp.img), ws.tm)
 	h.store.park(ws)
 	return true, err
+}
+
+// KeepKey names a value kept on a snapshot: Owner is a pointer to what the
+// value was computed under, and N tells apart the values one owner keeps.
+type KeepKey struct {
+	Owner any
+	N     uint64
+}
+
+// Keep returns the value kept on the snapshot under key (hit true), or
+// computes it and, unless compute fails or the handle finds nothing (see
+// File), keeps it for as long as the store holds the snapshot. A kept value
+// is shared: the caller must not mutate it.
+func (h Snapshot) Keep(src, top string, key KeepKey, compute func() (any, error)) (v any, hit bool, err error) {
+	cp := h.resolve(src, top)
+	if cp != nil {
+		cp.mu.Lock()
+		v, hit = cp.kept[key]
+		cp.mu.Unlock()
+		if hit {
+			return v, true, nil
+		}
+	}
+	if v, err = compute(); cp == nil || err != nil {
+		return v, false, err
+	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	if cp.kept == nil {
+		cp.kept = make(map[KeepKey]any)
+	}
+	cp.kept[key] = v
+	return v, false, nil
 }
 
 // maxDerived bounds the compile results one snapshot keeps. A key is the

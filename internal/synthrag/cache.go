@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/circuitmentor"
 	"repro/internal/lru"
 )
 
@@ -17,58 +16,45 @@ import (
 // graph database executes MATCH queries over built indexes, the GNN forward
 // pass allocates fresh state per call, and the vector indexes are scan-only
 // — so one Database is safe for any number of concurrent readers. The
-// optional cache enabled below is internally locked.
+// optional cache enabled below is internally locked, and so is the snapshot a
+// design's embedding is kept on.
 
-type embedEntry struct {
-	emb []float64
-	dg  *circuitmentor.DesignGraph
-}
-
-// dbCache memoizes the two expensive idempotent retrieval stages: design
-// graph embedding (parse + GNN forward) and reranked strategy retrieval.
+// dbCache memoizes reranked strategy retrieval, the one serving-path stage
+// whose result is not a per-design artefact: its key is the query embedding
+// plus the traits and rerank weights, so it does not live on a snapshot.
 type dbCache struct {
-	embed    *lru.Cache[designKey, embedEntry]
 	retrieve *lru.Cache[string, []StrategyHit]
 }
 
-// EnableCache equips the database with bounded LRU caches for design
-// embeddings and strategy-retrieval results. Intended for long-lived
-// serving processes where the same designs recur across requests; the
-// one-shot experiment harness leaves it off. Call before sharing the
-// database across goroutines (the caches themselves are concurrency-safe,
-// but enabling mid-flight races with readers).
+// EnableCache equips the database with a bounded LRU cache for
+// strategy-retrieval results. Intended for long-lived serving processes where
+// the same designs recur across requests; the one-shot experiment harness
+// leaves it off. Call before sharing the database across goroutines (the
+// cache itself is concurrency-safe, but enabling mid-flight races with
+// readers). Calling it again replaces the cache by an empty one.
 //
-// Calling it again starts a new serving lifetime: both caches are replaced
-// by empty ones and CircuitMentor's process-wide analysis memo is emptied
-// with them, so a caller that re-enables to model a daemon restart (the
-// repo benchmark's cold-lifecycle replay) gets the cold analysis a restarted
-// daemon pays.
+// embedCap is unused: a design's embedding is kept on its checkpoint
+// snapshot (EmbedSnapshotContext). The parameter stays for the benchmark
+// module (bench/), which passes it.
 func (db *Database) EnableCache(embedCap, retrieveCap int) {
-	circuitmentor.ResetMemo()
-	db.cache = &dbCache{
-		embed:    lru.New[designKey, embedEntry](embedCap),
-		retrieve: lru.New[string, []StrategyHit](retrieveCap),
-	}
+	db.cache = &dbCache{retrieve: lru.New[string, []StrategyHit](retrieveCap)}
 }
 
-// CacheStats reports the cache hit/miss counters (zero when the cache is
-// not enabled).
+// CacheStats reports the serving-path counters: embeddings read off a
+// snapshot (EmbedHits) and computed (EmbedMisses), and the retrieval cache's
+// hits and misses (zero when the cache is not enabled).
 type CacheStats struct {
 	EmbedHits, EmbedMisses       int64
 	RetrieveHits, RetrieveMisses int64
 }
 
-// CacheStats returns the current cache counters.
+// CacheStats returns the current counters.
 func (db *Database) CacheStats() CacheStats {
-	if db.cache == nil {
-		return CacheStats{}
+	st := CacheStats{EmbedHits: db.counts.embedHits.Load(), EmbedMisses: db.counts.embedMisses.Load()}
+	if db.cache != nil {
+		st.RetrieveHits, st.RetrieveMisses = db.cache.retrieve.Hits(), db.cache.retrieve.Misses()
 	}
-	return CacheStats{
-		EmbedHits:      db.cache.embed.Hits(),
-		EmbedMisses:    db.cache.embed.Misses(),
-		RetrieveHits:   db.cache.retrieve.Hits(),
-		RetrieveMisses: db.cache.retrieve.Misses(),
-	}
+	return st
 }
 
 // EnableBatching does nothing. It is kept for the benchmark module (bench/),
@@ -80,17 +66,8 @@ func (db *Database) EnableBatching(time.Duration, int) {}
 // SearchManual* queries), which the replay differences around a refinement
 // to count manual searches.
 func (db *Database) BatchStats() batch.Stats {
-	return batch.Stats{Items: db.embeds.Load()}
+	return batch.Stats{Items: db.counts.embedMisses.Load() + db.counts.manualSearches.Load()}
 }
-
-// designKey identifies a design for the embedding cache by the source and
-// top themselves: a wrong embedding served from the cache would silently
-// corrupt retrieval, so the key is the content, never a digest of it.
-type designKey struct {
-	src, top string
-}
-
-func embedKey(src, top string) designKey { return designKey{src: src, top: top} }
 
 // retrieveKey identifies one retrieval request by its framed bytes: the
 // query embedding bits, the trait set, and the rerank parameters. Element
@@ -125,28 +102,6 @@ func retrieveKey(query []float64, traits []string, k int, alpha, beta, gamma flo
 	put(beta)
 	put(gamma)
 	return key.String()
-}
-
-// cachedEmbed consults the embedding cache; ok is false when caching is off
-// or the key misses.
-func (db *Database) cachedEmbed(key designKey) ([]float64, *circuitmentor.DesignGraph, bool) {
-	if db.cache == nil {
-		return nil, nil, false
-	}
-	e, ok := db.cache.embed.Get(key)
-	if !ok {
-		return nil, nil, false
-	}
-	// The embedding is copied so a caller mutating its slice cannot corrupt
-	// the cache; the graph is shared read-only.
-	return append([]float64(nil), e.emb...), e.dg, true
-}
-
-func (db *Database) storeEmbed(key designKey, emb []float64, dg *circuitmentor.DesignGraph) {
-	if db.cache == nil {
-		return
-	}
-	db.cache.embed.Add(key, embedEntry{emb: append([]float64(nil), emb...), dg: dg})
 }
 
 func (db *Database) cachedRetrieve(key string) ([]StrategyHit, bool) {

@@ -1,32 +1,15 @@
 package synthrag
 
 import (
+	"context"
+	"math"
+	"reflect"
 	"testing"
 
-	"repro/internal/circuitmentor"
+	"repro/internal/designs"
 	"repro/internal/liberty"
+	"repro/internal/synth"
 )
-
-// TestEmbedKeyDistinguishesSources: keys separate sources that share a
-// prefix or differ only in the top module. The key is the (source, top) pair
-// itself, so none of these may alias.
-func TestEmbedKeyDistinguishesSources(t *testing.T) {
-	pairs := [][2][2]string{
-		{{"module a; endmodule", "a"}, {"module a; endmodule ", "a"}},
-		{{"module a; endmodule", "a"}, {"module a; endmodule", "b"}},
-		{{"abc", "t"}, {"abcabc", "t"}},
-		{{"", "t"}, {"\x00", "t"}},
-		{{"a\x00b", "c"}, {"a", "b\x00c"}},
-	}
-	for _, p := range pairs {
-		if embedKey(p[0][0], p[0][1]) == embedKey(p[1][0], p[1][1]) {
-			t.Errorf("embedKey(%q,%q) == embedKey(%q,%q)", p[0][0], p[0][1], p[1][0], p[1][1])
-		}
-	}
-	if embedKey("module a; endmodule", "a") != embedKey("module a; endmodule", "a") {
-		t.Error("identical inputs must produce identical keys")
-	}
-}
 
 // TestRetrieveKeyFramesBoundaries: distinct requests sharing a byte prefix
 // must produce distinct keys. The historical hazards: a trait containing NUL
@@ -63,29 +46,54 @@ func TestRetrieveKeyFramesBoundaries(t *testing.T) {
 	}
 }
 
-// TestEnableCacheStartsEveryDesignMemoEmpty: re-enabling models a daemon
-// restart, so the process-wide analysis memo must go cold with the database
-// caches — the next analysis of a seen design is computed, not served.
-func TestEnableCacheStartsEveryDesignMemoEmpty(t *testing.T) {
-	const src = "module m (input a, input b, output y); assign y = a & b; endmodule"
+// TestEmbeddingKeptOnSnapshot: the embedding a database computes for a
+// design is kept on the design's snapshot under that database — a second
+// database, a copy included, computes its own — and equals the one computed
+// from the source text; callers get copies, and an evicted snapshot
+// recomputes the same vector and keeps nothing.
+func TestEmbeddingKeptOnSnapshot(t *testing.T) {
+	db := buildQuick(t, 0)
+	other := *db
+	d := designs.RiscV32i()
 	lib := liberty.Nangate45()
-	analyze := func() (hit bool) {
-		before := circuitmentor.Stats()
-		if _, err := circuitmentor.Analyze(src, "m", 1.0, lib); err != nil {
+	store := synth.NewCheckpointStore(1)
+	task := func(d *designs.Design) synth.Snapshot {
+		sess := synth.NewSession(lib)
+		sess.Checkpoints = store
+		sess.AddSource(d.FileName, d.Source)
+		res, err := sess.Evaluate(context.Background(), "read_verilog "+d.FileName+"\ncurrent_design "+d.Top+"\nlink\n")
+		if err != nil {
 			t.Fatal(err)
 		}
-		return circuitmentor.Stats().Hits == before.Hits+1
+		return res.Snapshot
 	}
-	db := &Database{}
-	db.EnableCache(1, 1)
-	if analyze() {
-		t.Error("first analysis after EnableCache was served from the memo")
+	snap := task(d)
+	want, _, err := db.EmbedDesign(d.Source, d.Top)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !analyze() {
-		t.Error("repeat analysis was not served from the memo")
+	embed := func(db *Database, snap synth.Snapshot, wantHit bool) {
+		t.Helper()
+		before := db.CacheStats()
+		got, err := db.EmbedSnapshotContext(context.Background(), snap, d.Source, d.Top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Error("the embedding differs from the source text's")
+		}
+		after := db.CacheStats()
+		if hit := after.EmbedHits == before.EmbedHits+1 && after.EmbedMisses == before.EmbedMisses; hit != wantHit {
+			t.Errorf("counters %+v -> %+v, want hit=%v", before, after, wantHit)
+		}
+		got[0] = math.NaN() // the caller's own copy
 	}
-	db.EnableCache(1, 1)
-	if analyze() {
-		t.Error("analysis after re-enabling was served from the memo")
-	}
+	embed(db, snap, false)
+	embed(db, snap, true)
+	embed(&other, snap, false)
+	embed(&other, snap, true)
+	embed(db, synth.Snapshot{}, false)
+	task(designs.DynamicNode()) // the one-entry store evicts the snapshot
+	embed(db, snap, false)
+	embed(db, snap, false)
 }

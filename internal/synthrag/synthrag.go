@@ -91,8 +91,8 @@ type Database struct {
 	manualIndex *vecindex.Flat             // manual section embeddings
 	manualByID  map[string]int             // vec id -> doc index
 	lib         *liberty.Library
-	cache       *dbCache      // optional serving-path memoization (EnableCache)
-	embeds      *atomic.Int64 // serving-path embeddings computed (BatchStats); shallow copies share it
+	cache       *dbCache       // optional retrieval memoization (EnableCache)
+	counts      *servingCounts // shallow copies share it
 
 	draftsFromTable, draftsSwept int // how the expert entries were found
 }
@@ -160,7 +160,7 @@ func build(cfg BuildConfig, drafts map[string]paletteResult) (*Database, error) 
 		modules:    make(map[string]ModuleRecord),
 		manualByID: make(map[string]int),
 		lib:        cfg.Lib,
-		embeds:     new(atomic.Int64),
+		counts:     new(servingCounts),
 	}
 
 	workers := cfg.Workers
@@ -602,7 +602,7 @@ func (db *Database) SearchManualContext(ctx context.Context, query string, k int
 		return nil, err
 	}
 	qvec := db.Embedder.Embed(query)
-	db.embeds.Add(1)
+	db.counts.manualSearches.Add(1)
 	raw := db.manualIndex.Search(qvec, max(k*3, k))
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -640,6 +640,11 @@ func RenderStrategies(hits []StrategyHit) string {
 	return b.String()
 }
 
+// servingCounts back CacheStats' embedding counters and BatchStats.
+type servingCounts struct {
+	embedHits, embedMisses, manualSearches atomic.Int64
+}
+
 // EmbedDesign analyzes query RTL into its global embedding, for callers
 // that have only source text.
 func (db *Database) EmbedDesign(src, top string) ([]float64, *circuitmentor.DesignGraph, error) {
@@ -647,26 +652,39 @@ func (db *Database) EmbedDesign(src, top string) ([]float64, *circuitmentor.Desi
 }
 
 // EmbedDesignContext is EmbedDesign with cooperative cancellation: the
-// context is checked between the graph-build and GNN-embed phases.
+// context is checked between the graph-build and GNN-embed phases. It keeps
+// nothing (see EmbedSnapshotContext).
 func (db *Database) EmbedDesignContext(ctx context.Context, src, top string) ([]float64, *circuitmentor.DesignGraph, error) {
-	return db.EmbedSnapshotContext(ctx, synth.Snapshot{}, src, top)
+	return db.embed(ctx, synth.Snapshot{}, src, top)
 }
 
-// EmbedSnapshotContext is EmbedDesignContext for a caller that holds the
-// handle of a synthesis run of the same design: on an embedding-cache miss the
-// graph is built over the sources the checkpoint store already holds parsed.
-// The zero handle, or one whose snapshot has been evicted, parses src — the
-// graph and the embedding are the same either way.
-func (db *Database) EmbedSnapshotContext(ctx context.Context, snap synth.Snapshot, src, top string) ([]float64, *circuitmentor.DesignGraph, error) {
+// EmbedSnapshotContext is EmbedDesignContext's embedding for a caller that
+// holds the handle of a synthesis run of the same design: it is kept on the
+// snapshot under db, and a miss builds the graph over the sources the store
+// holds parsed. The zero handle, or one whose snapshot has been evicted,
+// parses src to the same embedding. The caller gets its own copy.
+func (db *Database) EmbedSnapshotContext(ctx context.Context, snap synth.Snapshot, src, top string) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	v, hit, err := snap.Keep(src, top, synth.KeepKey{Owner: db}, func() (any, error) {
+		emb, _, err := db.embed(ctx, snap, src, top)
+		return emb, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		db.counts.embedHits.Add(1)
+	}
+	return append([]float64(nil), v.([]float64)...), nil
+}
+
+// embed builds the design's graph — over snap's parsed sources when it has
+// them, else by parsing src — and runs the GNN forward pass on it.
+func (db *Database) embed(ctx context.Context, snap synth.Snapshot, src, top string) ([]float64, *circuitmentor.DesignGraph, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
-	}
-	var key designKey
-	if db.cache != nil {
-		key = embedKey(src, top)
-		if emb, dg, ok := db.cachedEmbed(key); ok {
-			return emb, dg, nil
-		}
 	}
 	var dg *circuitmentor.DesignGraph
 	var err error
@@ -681,12 +699,8 @@ func (db *Database) EmbedSnapshotContext(ctx context.Context, snap synth.Snapsho
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	emb := db.Mentor.EmbedGlobal(dg)
-	db.embeds.Add(1)
-	if db.cache != nil {
-		db.storeEmbed(key, emb, dg)
-	}
-	return emb, dg, nil
+	db.counts.embedMisses.Add(1)
+	return db.Mentor.EmbedGlobal(dg), dg, nil
 }
 
 // EmbedModulesOf returns per-module embeddings of query RTL.
