@@ -134,14 +134,16 @@ ci: check bench-gate
 # from one llm.Reading equal fresh generations) and the QoR log's prefix keys
 # (FuzzKeyPrefix: a key finished from a saved prefix equals KeyOf), and the
 # timer's worst-path selection (FuzzWorstPaths: the paths WorstPaths selects
-# equal those of a full endpoint sort). Each target gets FUZZTIME of
+# equal those of a full endpoint sort) and endpoint ordering
+# (FuzzCompareSuffixed). It runs every Fuzz target in the repository, one
+# line each; TestFuzzSmokeRunsEveryTarget fails when a target is added
+# without its line here. Each target gets FUZZTIME of
 # coverage-guided input generation on top of its checked-in seed corpus
 # (testdata/fuzz/); any crash is a failure. Raise FUZZTIME for a deeper soak,
 # e.g. make fuzz-smoke FUZZTIME=5m.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/verilog -run='^$$' -fuzz=FuzzParseVerilog -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/liberty -run='^$$' -fuzz=FuzzParseLiberty -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/synth -run='^$$' -fuzz=FuzzParseScript -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/graphdb -run='^$$' -fuzz=FuzzParseCypher -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzCustomizeRequest -fuzztime=$(FUZZTIME)
@@ -150,6 +152,7 @@ fuzz-smoke:
 	$(GO) test ./internal/llm -run='^$$' -fuzz=FuzzReadingReuse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qorlog -run='^$$' -fuzz=FuzzKeyPrefix -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sta -run='^$$' -fuzz=FuzzWorstPaths -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sta -run='^$$' -fuzz=FuzzCompareSuffixed -fuzztime=$(FUZZTIME)
 
 # Crash-recovery gate for the durable QoR log: fault-injected kills
 # mid-append and mid-recompaction, torn/corrupt-tail truncation, the

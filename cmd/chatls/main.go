@@ -86,10 +86,9 @@ func main() {
 	best, bestScript := baseQoR, ""
 	for s, smp := range res.Samples {
 		if smp.QoR == nil {
-			// A fatal error's sample has no message: evalErr is printed below.
 			if smp.Script == "" {
 				fmt.Printf("  sample %d: customize failed: %s\n", s, strings.TrimPrefix(smp.Err, "customize: "))
-			} else if smp.Err != "" {
+			} else {
 				fmt.Printf("  sample %d: script failed in tool: %s\n", s, smp.Err)
 			}
 			continue

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	chatls "repro"
-	"repro/internal/inputlimits"
 	"repro/internal/liberty"
 	"repro/internal/llm"
 	"repro/internal/remotecache"
@@ -48,39 +47,7 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
 	maxBody := flag.Int64("max-body-bytes", 1<<20, "largest accepted /v1/customize request body (413 beyond)")
 	maxReqLen := flag.Int("max-requirement-len", 8<<10, "largest accepted requirement string (422 beyond)")
-	budgetScale := flag.Float64("parse-budget-scale", 1.0, "multiply every parser input budget by this factor (0 disables all parser limits)")
-	verilogBytes := flag.Int("parse-verilog-max-bytes", 0, "override the Verilog parser byte budget (0 = keep default)")
-	libertyBytes := flag.Int("parse-liberty-max-bytes", 0, "override the Liberty parser byte budget (0 = keep default)")
-	scriptBytes := flag.Int("parse-script-max-bytes", 0, "override the script parser byte budget (0 = keep default)")
-	cypherBytes := flag.Int("parse-cypher-max-bytes", 0, "override the Cypher parser byte budget (0 = keep default)")
 	flag.Parse()
-
-	// Parser budgets are process-global; install overrides before any
-	// request (or the database build below) parses a byte. The effective
-	// values are echoed on /healthz.
-	limits := inputlimits.Defaults()
-	if *budgetScale != 1.0 {
-		for _, b := range []*inputlimits.Budget{&limits.Verilog, &limits.Liberty, &limits.Script, &limits.Cypher} {
-			b.MaxBytes = int(float64(b.MaxBytes) * *budgetScale)
-			b.MaxTokens = int(float64(b.MaxTokens) * *budgetScale)
-			b.MaxDepth = int(float64(b.MaxDepth) * *budgetScale)
-			b.MaxStatements = int(float64(b.MaxStatements) * *budgetScale)
-			b.MaxSteps = int(float64(b.MaxSteps) * *budgetScale)
-		}
-	}
-	if *verilogBytes > 0 {
-		limits.Verilog.MaxBytes = *verilogBytes
-	}
-	if *libertyBytes > 0 {
-		limits.Liberty.MaxBytes = *libertyBytes
-	}
-	if *scriptBytes > 0 {
-		limits.Script.MaxBytes = *scriptBytes
-	}
-	if *cypherBytes > 0 {
-		limits.Cypher.MaxBytes = *cypherBytes
-	}
-	inputlimits.SetDefaults(limits)
 
 	lib := liberty.Nangate45()
 	log.Println("building SynthRAG database...")

@@ -83,7 +83,7 @@ func main() {
 		rc := remotecache.NewClient(remotecache.ClientConfig{BaseURL: *remoteCache})
 		// The tier layers the remote cache over the local log (which may be
 		// absent — a remote-only tier still shares results fleet-wide).
-		cfg.Results = remotecache.NewTier(store, rc)
+		cfg.Results = remotecache.NewTier(ctx, store, rc)
 		defer func() {
 			st := rc.Stats()
 			fmt.Fprintf(os.Stderr,

@@ -135,3 +135,32 @@ func TestDeadlineRejectedBeforeSynthesis(t *testing.T) {
 		})
 	}
 }
+
+// TestDeadlineExpiredSampleRecordsErr: a sample whose deadline expires
+// between customization and synthesis is recorded with its script, no QoR
+// and the timeout in Err, so a reader of EvalResult.Samples sees why it has
+// no result.
+func TestDeadlineExpiredSampleRecordsErr(t *testing.T) {
+	task, base, err := NewTask(context.Background(), designs.RiscV32i(), testLib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	p := &scriptedPipeline{
+		scripts:  []string{task.Baseline},
+		onSample: func(int) { <-ctx.Done() },
+	}
+	res, err := EvalTaskOpts(ctx, p, task, base, 3, testLib, EvalOptions{})
+	if !errors.Is(err, resilience.ErrTimeout) {
+		t.Fatalf("err = %v, want wrapping resilience.ErrTimeout", err)
+	}
+	if len(res.Samples) != 1 {
+		t.Fatalf("recorded %d samples, want the one that hit the deadline", len(res.Samples))
+	}
+	smp := res.Samples[0]
+	if smp.Script != task.Baseline || smp.QoR != nil || smp.Err == "" {
+		t.Fatalf("sample = {Script set: %v, QoR: %v, Err: %q}, want the script, no QoR and the timeout in Err",
+			smp.Script == task.Baseline, smp.QoR, smp.Err)
+	}
+}

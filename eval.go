@@ -173,12 +173,12 @@ func accumulate(res *EvalResult, out SampleOutcome, s int) {
 // evalSample customizes and synthesizes one Pass@k sample. A nil outcome
 // with a non-nil error means the failure preceded any recordable sample
 // (fatal Customize error); a non-nil outcome with a non-nil error means the
-// sample is recorded and the evaluation must then abort (fatal synthesis
-// error). When opts.Results holds the outcome for this exact (library,
-// sources, script), the synthesis run is skipped and the logged QoR is
-// served instead — bit-identical because the simulator is deterministic.
-// prefix is opts.resultPrefix over task's library and design, which the
-// request's samples share.
+// sample is recorded, its Err set, and the evaluation must then abort
+// (fatal synthesis error). When opts.Results holds the outcome for this
+// exact (library, sources, script), the synthesis run is skipped and the
+// logged QoR is served instead — bit-identical because the simulator is
+// deterministic. prefix is opts.resultPrefix over task's library and
+// design, which the request's samples share.
 func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Library, prefix qorlog.Prefix, s int, opts EvalOptions) (*SampleOutcome, error) {
 	// An expired or cancelled context is refused before customization.
 	// Returning (nil, err) makes the evaluation abort with no recorded
@@ -201,10 +201,10 @@ func evalSample(ctx context.Context, p Pipeline, task *Task, lib *liberty.Librar
 	}
 	run, err := opts.synthesize(ctx, lib, task.Design, cres.Script, key)
 	if err != nil {
+		out.Err = err.Error()
 		if resilience.IsFatal(err) {
 			return &out, err
 		}
-		out.Err = err.Error()
 		return &out, nil
 	}
 	out.QoR = run.QoR

@@ -1,25 +1,24 @@
 // Package inputlimits defines the resource budgets every untrusted-input
 // surface of the pipeline parses under. The serving north star is a daemon
-// taking arbitrary bytes from the network — Verilog netlists, Liberty
-// libraries, dc_shell scripts, Cypher queries, JSON request bodies — and
-// every one of those parsers must provably terminate, in bounded memory,
-// on any input. A Budget caps what one parse may cost; a Meter enforces it
-// incrementally; a LimitError reports which cap tripped and integrates with
-// the resilience error taxonomy (errors.Is(err, resilience.ErrBudgetExceeded)
-// holds for every limit violation), so serving-path callers classify budget
-// exhaustion exactly like a script command budget running out.
+// taking arbitrary bytes from the network — Verilog netlists, dc_shell
+// scripts, Cypher queries, JSON request bodies — and every one of those
+// parsers must provably terminate, in bounded memory, on any input. A Budget
+// caps what one parse may cost; a Meter enforces it incrementally; a
+// LimitError reports which cap tripped and integrates with the resilience
+// error taxonomy (errors.Is(err, resilience.ErrBudgetExceeded) holds for
+// every limit violation), so serving-path callers classify budget exhaustion
+// exactly like a script command budget running out.
 //
-// The package-level defaults are generous enough that every legitimate
-// input in the repository — generated benchmark RTL, the built-in Nangate45
-// library, pipeline-emitted synthesis scripts, SynthRAG's internal graph
-// queries — parses untouched; they exist to bound adversarial inputs, not
-// to ration normal ones. A daemon can tighten or loosen them at startup
-// with SetDefaults (see cmd/chatlsd's -parse-* flags).
+// The shipped budgets are fixed constants, one per parser surface (For),
+// and the serving daemon echoes them on /healthz. They are generous enough
+// that every legitimate input in the repository — generated benchmark RTL,
+// pipeline-emitted synthesis scripts, SynthRAG's internal graph queries —
+// parses untouched; they exist to bound adversarial inputs, not to ration
+// normal ones.
 package inputlimits
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/resilience"
 )
@@ -28,7 +27,6 @@ import (
 // messages and metrics, and select a Budget via For.
 const (
 	SurfaceVerilog = "verilog"
-	SurfaceLiberty = "liberty"
 	SurfaceScript  = "script"
 	SurfaceCypher  = "cypher"
 	SurfaceHTTP    = "http"
@@ -36,13 +34,13 @@ const (
 
 // Budget caps what parsing (or executing) one untrusted input may cost.
 // A zero or negative field means that dimension is unlimited, so the zero
-// Budget imposes no limits at all.
+// Budget imposes no limits at all. The JSON form is the /healthz echo.
 type Budget struct {
-	MaxBytes      int // input size in bytes
-	MaxTokens     int // lexical tokens produced
-	MaxDepth      int // nesting/recursion depth (expressions, blocks)
-	MaxStatements int // statements / clauses / declarations accepted
-	MaxSteps      int // total parser/executor work units (loop iterations)
+	MaxBytes      int `json:"max_bytes,omitempty"`      // input size in bytes
+	MaxTokens     int `json:"max_tokens,omitempty"`     // lexical tokens produced
+	MaxDepth      int `json:"max_depth,omitempty"`      // nesting/recursion depth (expressions, blocks)
+	MaxStatements int `json:"max_statements,omitempty"` // statements / clauses / declarations accepted
+	MaxSteps      int `json:"max_steps,omitempty"`      // total parser/executor work units (loop iterations)
 }
 
 // Limit names which Budget dimension a LimitError tripped.
@@ -73,58 +71,20 @@ func (e *LimitError) Error() string {
 // Unwrap ties the limit into the resilience taxonomy.
 func (e *LimitError) Unwrap() error { return resilience.ErrBudgetExceeded }
 
-// Config holds the process-wide default budget per parser surface.
-type Config struct {
-	Verilog Budget
-	Liberty Budget
-	Script  Budget
-	Cypher  Budget
+// budgets is the shipped budget per parser surface: sized an order of
+// magnitude above the largest legitimate inputs in the repository
+// (multi-thousand-gate mapped netlists re-parsed through the frontend are the
+// biggest), while still bounding adversarial blowups to well under a second
+// of parse work. It is never written, so concurrent parses read it freely.
+var budgets = map[string]Budget{
+	SurfaceVerilog: {MaxBytes: 8 << 20, MaxTokens: 4 << 20, MaxDepth: 256, MaxStatements: 1 << 20, MaxSteps: 16 << 20},
+	SurfaceScript:  {MaxBytes: 1 << 20, MaxTokens: 1 << 19, MaxDepth: 64, MaxStatements: 1 << 16, MaxSteps: 4 << 20},
+	SurfaceCypher:  {MaxBytes: 1 << 16, MaxTokens: 1 << 13, MaxDepth: 64, MaxStatements: 1 << 10, MaxSteps: 1 << 20},
 }
 
-// builtin is the shipped default: sized an order of magnitude above the
-// largest legitimate inputs in the repository (multi-thousand-gate mapped
-// netlists re-parsed through the frontend are the biggest), while still
-// bounding adversarial blowups to well under a second of parse work.
-var builtin = Config{
-	Verilog: Budget{MaxBytes: 8 << 20, MaxTokens: 4 << 20, MaxDepth: 256, MaxStatements: 1 << 20, MaxSteps: 16 << 20},
-	Liberty: Budget{MaxBytes: 4 << 20, MaxTokens: 2 << 20, MaxDepth: 64, MaxStatements: 1 << 19, MaxSteps: 8 << 20},
-	Script:  Budget{MaxBytes: 1 << 20, MaxTokens: 1 << 19, MaxDepth: 64, MaxStatements: 1 << 16, MaxSteps: 4 << 20},
-	Cypher:  Budget{MaxBytes: 1 << 16, MaxTokens: 1 << 13, MaxDepth: 64, MaxStatements: 1 << 10, MaxSteps: 1 << 20},
-}
-
-// defaults holds the active Config; nil means builtin.
-var defaults atomic.Pointer[Config]
-
-// Defaults returns the active process-wide budget configuration.
-func Defaults() Config {
-	if c := defaults.Load(); c != nil {
-		return *c
-	}
-	return builtin
-}
-
-// SetDefaults replaces the process-wide budgets. Call once at startup
-// (cmd/chatlsd does, from its -parse-* flags) before serving traffic.
-func SetDefaults(c Config) {
-	defaults.Store(&c)
-}
-
-// For returns the active default budget for a surface. Unknown surfaces get
+// For returns the shipped budget for a parser surface. Other surfaces get
 // the zero (unlimited) budget.
-func For(surface string) Budget {
-	c := Defaults()
-	switch surface {
-	case SurfaceVerilog:
-		return c.Verilog
-	case SurfaceLiberty:
-		return c.Liberty
-	case SurfaceScript:
-		return c.Script
-	case SurfaceCypher:
-		return c.Cypher
-	}
-	return Budget{}
-}
+func For(surface string) Budget { return budgets[surface] }
 
 // Meter enforces a Budget incrementally during one parse. The zero Meter
 // (and a nil *Meter) enforces nothing, so parsers can thread it

@@ -93,20 +93,20 @@ func TestMeterTrips(t *testing.T) {
 	}
 }
 
-func TestSetDefaults(t *testing.T) {
-	orig := Defaults()
-	defer SetDefaults(orig)
-
-	c := orig
-	c.Verilog.MaxBytes = 123
-	SetDefaults(c)
-	if got := For(SurfaceVerilog).MaxBytes; got != 123 {
-		t.Fatalf("For(verilog).MaxBytes = %d, want 123", got)
-	}
-	if got := For(SurfaceScript); got != orig.Script {
-		t.Fatalf("script budget changed unexpectedly: %+v", got)
-	}
-	if got := For("unknown"); got != (Budget{}) {
-		t.Fatalf("unknown surface must get zero budget, got %+v", got)
+// TestForShippedBudgets: each parser surface reads its shipped budget, and
+// a surface with none (the HTTP ingress, which carries its own caps, or an
+// unknown name) is unlimited.
+func TestForShippedBudgets(t *testing.T) {
+	for surface, want := range map[string]Budget{
+		SurfaceVerilog: {MaxBytes: 8 << 20, MaxTokens: 4 << 20, MaxDepth: 256, MaxStatements: 1 << 20, MaxSteps: 16 << 20},
+		SurfaceScript:  {MaxBytes: 1 << 20, MaxTokens: 1 << 19, MaxDepth: 64, MaxStatements: 1 << 16, MaxSteps: 4 << 20},
+		SurfaceCypher:  {MaxBytes: 1 << 16, MaxTokens: 1 << 13, MaxDepth: 64, MaxStatements: 1 << 10, MaxSteps: 1 << 20},
+		SurfaceHTTP:    {},
+		"liberty":      {},
+		"unknown":      {},
+	} {
+		if got := For(surface); got != want {
+			t.Errorf("For(%q) = %+v, want %+v", surface, got, want)
+		}
 	}
 }

@@ -1,10 +1,9 @@
 // Package liberty models the standard-cell target library used by the
 // synthesis simulator: cells with area, pin capacitance, a linear delay model
 // (intrinsic + drive-resistance x load), leakage, sequential timing
-// parameters, and wireload models. A built-in Nangate45-like library is
-// provided, along with a parser and writer for a Liberty-format subset so the
-// library can round-trip through .lib text the way the paper's flow consumes
-// the Nangate 45nm library.
+// parameters, and wireload models. The one library the flow uses is the
+// built-in Nangate45-like one, assembled in code by BuildNangate45: no input
+// reaches the simulator as .lib text, so the package has no Liberty reader.
 package liberty
 
 import (
@@ -86,10 +85,10 @@ func (c *Cell) Delay(loadCap float64) float64 {
 }
 
 // Library is a set of cells plus wireload models. A library is built
-// (NewLibrary and AddCell, or Nangate45 and ParseLib, which finish before
-// they return) and then only read: its Fingerprint is computed on first use
-// and stored, so an edit made after that would go unseen by every cache
-// keyed on it. Edit a library, if at all, before its first Fingerprint.
+// (NewLibrary and AddCell, or Nangate45, which finishes before it returns)
+// and then only read: its Fingerprint is computed on first use and stored,
+// so an edit made after that would go unseen by every cache keyed on it.
+// Edit a library, if at all, before its first Fingerprint.
 type Library struct {
 	Name      string
 	cells     map[string]*Cell
@@ -299,9 +298,7 @@ func Nangate45() *Library {
 }
 
 // BuildNangate45 is the error-returning builder behind Nangate45. Any
-// AddCell failure propagates instead of panicking, matching the no-panic
-// contract of the parse API (ParseLib) that assembles libraries the same
-// way from untrusted text.
+// AddCell failure propagates instead of panicking.
 func BuildNangate45() (*Library, error) {
 	l := NewLibrary("nangate45_sim")
 	type proto struct {

@@ -26,7 +26,9 @@ import (
 // whose connection dropped mid-flight (resilience.IsRetryableNet) are
 // retried a bounded number of times first; a refused connection — the
 // signature of a dead tier — or a timeout is not, so the breaker opens on
-// the first one and a hung tier costs one Timeout, not one per attempt.
+// the first one and a hung tier costs one wait, not one per attempt. That
+// wait is the caller's context deadline or Timeout, whichever comes first: a
+// request never waits on the tier past its own deadline.
 //
 // Safe for concurrent use; every method is nil-safe (a nil client is a
 // permanently-missing tier).
@@ -128,11 +130,12 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// do runs one request with bounded retry on transient network failures.
-// mkReq rebuilds the request each attempt (bodies are not rewindable).
-// A non-nil error means the tier is unusable and the caller must degrade.
-func (c *Client) do(mkReq func() (*http.Request, error)) (*http.Response, error) {
-	if err := c.inject.Fire(context.Background(), resilience.CompRemoteCache); err != nil {
+// do runs one request under ctx with bounded retry on transient network
+// failures. mkReq rebuilds the request each attempt (bodies are not
+// rewindable). A non-nil error means the tier is unusable and the caller
+// must degrade.
+func (c *Client) do(ctx context.Context, mkReq func() (*http.Request, error)) (*http.Response, error) {
+	if err := c.inject.Fire(ctx, resilience.CompRemoteCache); err != nil {
 		return nil, err
 	}
 	var resp *http.Response
@@ -153,14 +156,16 @@ func drain(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// GetQoR fetches the record for key. Misses and failures are both "no".
-func (c *Client) GetQoR(key qorlog.Key) (qorlog.Record, bool) {
-	if c == nil || !c.allow() {
+// GetQoR fetches the record for key, waiting no longer than ctx allows.
+// Misses and failures are both "no"; a ctx already done is a miss that
+// leaves the tier and its breaker alone.
+func (c *Client) GetQoR(ctx context.Context, key qorlog.Key) (qorlog.Record, bool) {
+	if c == nil || ctx.Err() != nil || !c.allow() {
 		return qorlog.Record{}, false
 	}
 	url := c.base + "/v1/qor/" + key.Hex()
-	resp, err := c.do(func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, url, nil)
+	resp, err := c.do(ctx, func() (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	})
 	if err != nil {
 		c.fail(err)
@@ -188,16 +193,16 @@ func (c *Client) GetQoR(key qorlog.Key) (qorlog.Record, bool) {
 	return rec, true
 }
 
-// PutQoR publishes a record. Failures drop the record (the local tier still
-// has it).
-func (c *Client) PutQoR(key qorlog.Key, rec qorlog.Record) {
-	if c == nil || !c.allow() {
+// PutQoR publishes a record, waiting no longer than ctx allows. Failures
+// drop the record (the local tier still has it).
+func (c *Client) PutQoR(ctx context.Context, key qorlog.Key, rec qorlog.Record) {
+	if c == nil || ctx.Err() != nil || !c.allow() {
 		return
 	}
 	frame := qorlog.EncodeRecord(key, rec)
 	url := c.base + "/v1/qor/" + key.Hex()
-	resp, err := c.do(func() (*http.Request, error) {
-		return http.NewRequest(http.MethodPut, url, bytes.NewReader(frame))
+	resp, err := c.do(ctx, func() (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodPut, url, bytes.NewReader(frame))
 	})
 	if err != nil {
 		c.fail(err)

@@ -42,14 +42,14 @@ func TestClientReattachesAfterTierRestart(t *testing.T) {
 
 	key := testKey("reattach")
 	rec := testRecord("d", 3)
-	c.PutQoR(key, rec)
-	if _, ok := c.GetQoR(key); !ok {
+	c.PutQoR(bg, key, rec)
+	if _, ok := c.GetQoR(bg, key); !ok {
 		t.Fatal("warm-up exchange failed")
 	}
 
 	// Tier dies: the client degrades to local-only with one warning.
 	hs.Close()
-	if _, ok := c.GetQoR(key); ok {
+	if _, ok := c.GetQoR(bg, key); ok {
 		t.Fatal("dead tier served a record")
 	}
 	if !c.Degraded() {
@@ -73,7 +73,7 @@ func TestClientReattachesAfterTierRestart(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	reattached := false
 	for time.Now().Before(deadline) {
-		if got, ok := c.GetQoR(key); ok {
+		if got, ok := c.GetQoR(bg, key); ok {
 			if got != rec {
 				t.Fatalf("reattached record = %+v, want %+v", got, rec)
 			}
@@ -91,8 +91,8 @@ func TestClientReattachesAfterTierRestart(t *testing.T) {
 	}
 	// New work flows to the tier again.
 	key2 := testKey("post-recovery")
-	c.PutQoR(key2, testRecord("d", 4))
-	if _, ok := c.GetQoR(key2); !ok {
+	c.PutQoR(bg, key2, testRecord("d", 4))
+	if _, ok := c.GetQoR(bg, key2); !ok {
 		t.Fatal("post-recovery put/get failed")
 	}
 

@@ -2,6 +2,7 @@ package remotecache
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +21,9 @@ func testRecord(design string, area float64) qorlog.Record {
 }
 
 func testKey(s string) qorlog.Key { return qorlog.KeyOf(s) }
+
+// bg is the context of calls whose caller has no deadline.
+var bg = context.Background()
 
 // --- server + client ---
 
@@ -45,11 +49,11 @@ func TestQoRRoundTripOverHTTP(t *testing.T) {
 
 	key := testKey("sample-1")
 	rec := testRecord("riscv32i", 1234.5678)
-	if _, ok := c.GetQoR(key); ok {
+	if _, ok := c.GetQoR(bg, key); ok {
 		t.Fatal("empty tier served a record")
 	}
-	c.PutQoR(key, rec)
-	got, ok := c.GetQoR(key)
+	c.PutQoR(bg, key, rec)
+	got, ok := c.GetQoR(bg, key)
 	if !ok {
 		t.Fatal("put record not served")
 	}
@@ -135,18 +139,18 @@ func TestClientDegradesOnDeadServer(t *testing.T) {
 		Warnf:   func(string, ...any) { warnings++ },
 	})
 	key := testKey("k")
-	c.PutQoR(key, testRecord("d", 1))
-	if _, ok := c.GetQoR(key); !ok {
+	c.PutQoR(bg, key, testRecord("d", 1))
+	if _, ok := c.GetQoR(bg, key); !ok {
 		t.Fatal("warm-up exchange failed")
 	}
 
 	ts.Close() // the tier dies mid-run
 
 	for i := 0; i < 5; i++ {
-		if _, ok := c.GetQoR(key); ok {
+		if _, ok := c.GetQoR(bg, key); ok {
 			t.Fatal("dead tier served a record")
 		}
-		c.PutQoR(key, testRecord("d", float64(i)))
+		c.PutQoR(bg, key, testRecord("d", float64(i)))
 	}
 	if !c.Degraded() {
 		t.Fatal("client never degraded")
@@ -164,7 +168,7 @@ func TestTierReadThroughWriteThrough(t *testing.T) {
 	// Replica A publishes through its tier: the record is on the server by
 	// the time Put returns.
 	aLocal := qorlog.NewMemoryStore(0)
-	a := NewTier(aLocal, newTestClient(ts))
+	a := NewTier(bg, aLocal, newTestClient(ts))
 	a.Put(key, rec)
 	if srv.cfg.QoR.Len() != 1 {
 		t.Fatalf("server holds %d records after Put, want 1", srv.cfg.QoR.Len())
@@ -176,7 +180,7 @@ func TestTierReadThroughWriteThrough(t *testing.T) {
 	// Replica B's local store is cold; the tier reads through and backfills.
 	bLocal := qorlog.NewMemoryStore(0)
 	bClient := newTestClient(ts)
-	b := NewTier(bLocal, bClient)
+	b := NewTier(bg, bLocal, bClient)
 	got, ok := b.Get(key)
 	if !ok || got != rec {
 		t.Fatalf("read-through = %+v %v", got, ok)
@@ -210,7 +214,7 @@ func TestTierPutAgainstDeadTierIsBounded(t *testing.T) {
 	const timeout = 50 * time.Millisecond
 	warnings := 0
 	local := qorlog.NewMemoryStore(0)
-	tier := NewTier(local, NewClient(ClientConfig{
+	tier := NewTier(bg, local, NewClient(ClientConfig{
 		BaseURL: ts.URL,
 		Timeout: timeout,
 		Warnf:   func(string, ...any) { warnings++ },
@@ -251,7 +255,7 @@ func TestTierGetAgainstHungTierWaitsOneTimeout(t *testing.T) {
 	defer ts.Close()
 	defer close(hang) // first, or Close waits on the parked handlers
 	const timeout = 200 * time.Millisecond
-	tier := NewTier(qorlog.NewMemoryStore(0), NewClient(ClientConfig{
+	tier := NewTier(bg, qorlog.NewMemoryStore(0), NewClient(ClientConfig{
 		BaseURL: ts.URL,
 		Timeout: timeout,
 		Warnf:   func(string, ...any) {},
@@ -268,5 +272,37 @@ func TestTierGetAgainstHungTierWaitsOneTimeout(t *testing.T) {
 	tier.Get(testKey("k1"))
 	if next := time.Since(start); next > timeout/4 {
 		t.Errorf("Get behind the open breaker took %v, want no network wait", next)
+	}
+}
+
+// TestTierGetAgainstHungTierEndsWithItsContext: a lookup the tier never
+// answers returns a miss when the Tier's context expires, well before the
+// client Timeout; a Tier whose context is already done does not touch the
+// tier at all.
+func TestTierGetAgainstHungTierEndsWithItsContext(t *testing.T) {
+	hang := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-hang }))
+	defer ts.Close()
+	defer close(hang) // first, or Close waits on the parked handlers
+	c := NewClient(ClientConfig{BaseURL: ts.URL, Timeout: 5 * time.Second, Warnf: func(string, ...any) {}})
+
+	done, cancel := context.WithCancel(bg)
+	cancel()
+	if _, ok := NewTier(done, qorlog.NewMemoryStore(0), c).Get(testKey("k0")); ok {
+		t.Fatal("a hung tier served a record")
+	}
+	if c.Degraded() {
+		t.Fatal("a lookup under a done context tripped the breaker")
+	}
+
+	const deadline = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(bg, deadline)
+	defer cancel()
+	start := time.Now()
+	if _, ok := NewTier(ctx, qorlog.NewMemoryStore(0), c).Get(testKey("k1")); ok {
+		t.Fatal("a hung tier served a record")
+	}
+	if took := time.Since(start); took < deadline || took > time.Second {
+		t.Errorf("Get took %v, want about its context deadline (%v), far under the client Timeout", took, deadline)
 	}
 }

@@ -72,8 +72,8 @@ func TestIngressRejections(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestHealthzEchoesLimits: /healthz reports the effective ingress and
-// parser limits as JSON.
+// TestHealthzEchoesLimits: /healthz reports the configured ingress limits
+// and the shipped parser budgets as JSON.
 func TestHealthzEchoesLimits(t *testing.T) {
 	s := newTestServer(t, Config{MaxBodyBytes: 2048, MaxRequirementLen: 128, MaxK: 3})
 	ts := httptest.NewServer(s.Handler())
@@ -92,16 +92,14 @@ func TestHealthzEchoesLimits(t *testing.T) {
 	if hz.Status != "ok" || hz.MaxBodyBytes != 2048 || hz.MaxRequirementLen != 128 || hz.MaxK != 3 {
 		t.Fatalf("healthz echo = %+v", hz)
 	}
-	want := inputlimits.Defaults()
-	if got := hz.ParserBudgets[inputlimits.SurfaceVerilog].MaxBytes; got != want.Verilog.MaxBytes {
-		t.Fatalf("verilog budget echo %d, want %d", got, want.Verilog.MaxBytes)
+	// The three parser surfaces, each with its shipped budget; no other.
+	surfaces := []string{inputlimits.SurfaceVerilog, inputlimits.SurfaceScript, inputlimits.SurfaceCypher}
+	if len(hz.ParserBudgets) != len(surfaces) {
+		t.Fatalf("healthz parser budgets = %+v, want exactly %v", hz.ParserBudgets, surfaces)
 	}
-	for _, surface := range []string{
-		inputlimits.SurfaceVerilog, inputlimits.SurfaceLiberty,
-		inputlimits.SurfaceScript, inputlimits.SurfaceCypher,
-	} {
-		if _, ok := hz.ParserBudgets[surface]; !ok {
-			t.Fatalf("healthz missing budget for %s", surface)
+	for _, surface := range surfaces {
+		if got, want := hz.ParserBudgets[surface], inputlimits.For(surface); got != want {
+			t.Fatalf("healthz %s budget = %+v, want %+v", surface, got, want)
 		}
 	}
 }

@@ -125,7 +125,6 @@ type Server struct {
 	bases   map[*designs.Design]*baseline
 	ckpt    *synth.CheckpointStore // process-wide: baselines and Pass@k samples alike restore post-link state from it
 	results *qorlog.Store          // nil when QoRLogPath == ""
-	tier    *remotecache.Tier      // nil when RemoteCache is nil
 	reg     *metrics.Registry
 
 	// mu orders closed against active.Add, so Shutdown's Wait never races
@@ -209,11 +208,6 @@ func New(cfg Config) (*Server, error) {
 			store = qorlog.NewMemoryStore(qorlog.DefaultCacheCap)
 		}
 		s.results = store
-	}
-	if cfg.RemoteCache != nil {
-		// The tier layers the remote cache over the local store (which may
-		// be nil — *qorlog.Store is nil-safe — leaving a remote-only tier).
-		s.tier = remotecache.NewTier(s.results, cfg.RemoteCache)
 	}
 	for _, d := range cfg.Designs {
 		s.byName[d.Name] = d
@@ -414,13 +408,15 @@ func (s *Server) enter() bool {
 // configured) — the daemon logs recovery results at startup from these.
 func (s *Server) QoRStats() qorlog.StoreStats { return s.results.Stats() }
 
-// resultStore picks the result store samples evaluate against: the two-level
-// tier when a remote cache is wired, the local store alone otherwise. The
-// explicit nil return keeps the interface nil (a typed-nil *qorlog.Store
-// would read as "caching enabled" to the evaluator).
-func (s *Server) resultStore() chatls.ResultStore {
-	if s.tier != nil {
-		return s.tier
+// resultStore picks the result store a request's samples evaluate against:
+// when a remote cache is wired, a two-level tier over the local store (which
+// may be nil — *qorlog.Store is nil-safe — leaving a remote-only tier) whose
+// remote calls end with ctx, the request's deadline; the local store alone
+// otherwise. The explicit nil return keeps the interface nil (a typed-nil
+// *qorlog.Store would read as "caching enabled" to the evaluator).
+func (s *Server) resultStore(ctx context.Context) chatls.ResultStore {
+	if s.cfg.RemoteCache != nil {
+		return remotecache.NewTier(ctx, s.results, s.cfg.RemoteCache)
 	}
 	if s.results != nil {
 		return s.results
@@ -631,7 +627,7 @@ func (s *Server) runCustomize(d *designs.Design, req customizeRequest) (*customi
 
 	// Without a QoR log or a tier, the request's samples share a store of
 	// their own, so each distinct script is synthesized once.
-	opts, shared := chatls.EvalOptions{Workers: 1, Checkpoints: s.ckpt, Results: s.resultStore()}.ShareRepeats(req.K)
+	opts, shared := chatls.EvalOptions{Workers: 1, Checkpoints: s.ckpt, Results: s.resultStore(ctx)}.ShareRepeats(req.K)
 	res, err := chatls.EvalTaskOpts(ctx, s.newPipeline(req.Pipeline), &t, baseQoR, req.K, s.cfg.Lib, opts)
 	s.passKShared.Add(shared.Stats().Hits)
 	if err != nil {
@@ -719,25 +715,6 @@ func (s *Server) handleDesigns(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// budgetJSON mirrors inputlimits.Budget in the health report.
-type budgetJSON struct {
-	MaxBytes      int `json:"max_bytes,omitempty"`
-	MaxTokens     int `json:"max_tokens,omitempty"`
-	MaxDepth      int `json:"max_depth,omitempty"`
-	MaxStatements int `json:"max_statements,omitempty"`
-	MaxSteps      int `json:"max_steps,omitempty"`
-}
-
-func toBudgetJSON(b inputlimits.Budget) budgetJSON {
-	return budgetJSON{
-		MaxBytes:      b.MaxBytes,
-		MaxTokens:     b.MaxTokens,
-		MaxDepth:      b.MaxDepth,
-		MaxStatements: b.MaxStatements,
-		MaxSteps:      b.MaxSteps,
-	}
-}
-
 // overloadJSON is the overload-protection state in the health report: the
 // admission bound and the places held, the 429s replied so far, and the
 // remote tier's circuit-breaker position (present only when a tier is
@@ -750,16 +727,16 @@ type overloadJSON struct {
 	Breakers  map[string]string `json:"breakers"`
 }
 
-// healthzResponse echoes the effective request and parser limits so an
-// operator can confirm what the running daemon actually enforces — the
-// values reflect any cmd/chatlsd flag overrides, not just the defaults.
+// healthzResponse echoes the request limits and the parser budgets so an
+// operator can confirm what the running daemon actually enforces: the
+// request limits as configured, the parser budgets as shipped.
 type healthzResponse struct {
-	Status            string                `json:"status"`
-	MaxBodyBytes      int64                 `json:"max_body_bytes"`
-	MaxRequirementLen int                   `json:"max_requirement_len"`
-	MaxK              int                   `json:"max_k"`
-	ParserBudgets     map[string]budgetJSON `json:"parser_budgets"`
-	Overload          overloadJSON          `json:"overload"`
+	Status            string                        `json:"status"`
+	MaxBodyBytes      int64                         `json:"max_body_bytes"`
+	MaxRequirementLen int                           `json:"max_requirement_len"`
+	MaxK              int                           `json:"max_k"`
+	ParserBudgets     map[string]inputlimits.Budget `json:"parser_budgets"`
+	Overload          overloadJSON                  `json:"overload"`
 	// ExpertDraftsSwept counts the expert-entry designs the database build
 	// synthesized under the palette because the checked-in table had no row
 	// for them: 0 for the shipped corpus and library.
@@ -778,19 +755,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if rc := s.cfg.RemoteCache; rc != nil {
 		breakers[resilience.CompRemoteCache] = rc.BreakerState().String()
 	}
-	limits := inputlimits.Defaults()
+	budgets := map[string]inputlimits.Budget{}
+	for _, surface := range []string{inputlimits.SurfaceVerilog, inputlimits.SurfaceScript, inputlimits.SurfaceCypher} {
+		budgets[surface] = inputlimits.For(surface)
+	}
 	_, swept := s.cfg.DB.ExpertDrafts()
 	writeJSON(w, http.StatusOK, healthzResponse{
 		Status:            "ok",
 		MaxBodyBytes:      s.cfg.MaxBodyBytes,
 		MaxRequirementLen: s.cfg.MaxRequirementLen,
 		MaxK:              s.cfg.MaxK,
-		ParserBudgets: map[string]budgetJSON{
-			inputlimits.SurfaceVerilog: toBudgetJSON(limits.Verilog),
-			inputlimits.SurfaceLiberty: toBudgetJSON(limits.Liberty),
-			inputlimits.SurfaceScript:  toBudgetJSON(limits.Script),
-			inputlimits.SurfaceCypher:  toBudgetJSON(limits.Cypher),
-		},
+		ParserBudgets:     budgets,
 		Overload: overloadJSON{
 			Limit:     cap(s.places),
 			Inflight:  len(s.places),

@@ -20,6 +20,7 @@ import (
 	chatls "repro"
 	"repro/internal/liberty"
 	"repro/internal/llm"
+	"repro/internal/remotecache"
 	"repro/internal/synthrag"
 )
 
@@ -765,5 +766,39 @@ func TestPassKSharedSamplesCounter(t *testing.T) {
 	post(1)
 	if n := metricValue(t, ts.URL, name); n != float64(want) {
 		t.Errorf("%s = %v after a k=1 request, want it unchanged at %d", name, n, want)
+	}
+}
+
+// TestHungTierCostsTheRequestDeadline: a remote tier that never answers
+// holds a sample's result lookup only until the request's deadline, not for
+// the client's own Timeout, so the reply (a 504) comes at about the
+// deadline; the lookup gave up on the tier, which opens its breaker.
+func TestHungTierCostsTheRequestDeadline(t *testing.T) {
+	hang := make(chan struct{})
+	tier := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-hang }))
+	defer tier.Close()
+	defer close(hang) // first, or Close waits on the parked handlers
+	const clientTimeout, deadline = 5 * time.Second, 100 * time.Millisecond
+	rc := remotecache.NewClient(remotecache.ClientConfig{BaseURL: tier.URL, Timeout: clientTimeout, Warnf: func(string, ...any) {}})
+	s := newTestServer(t, Config{RemoteCache: rc, RequestTimeout: deadline})
+	// The baseline is kept before the request, so the deadline is spent on
+	// the sample and not on the design's first synthesis.
+	if _, _, err := s.baselineTask(context.Background(), s.byName["riscv32i"]); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	start := time.Now()
+	resp, body := postCustomize(t, ts.URL, `{"design":"riscv32i","pipeline":"gpt4o","k":1}`)
+	took := time.Since(start)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d (%s), want 504", resp.StatusCode, body)
+	}
+	if took > clientTimeout/5 {
+		t.Errorf("reply took %v, want about the request deadline (%v), not the client Timeout (%v)", took, deadline, clientTimeout)
+	}
+	if !rc.Degraded() {
+		t.Error("the hung tier was never asked, or the lookup did not give up on it")
 	}
 }

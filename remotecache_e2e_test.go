@@ -27,7 +27,7 @@ func newReplica(t *testing.T, baseURL string, warnf func(string, ...any)) (*remo
 		BaseURL: baseURL,
 		Warnf:   warnf,
 	})
-	tier := remotecache.NewTier(qorlog.NewMemoryStore(0), client)
+	tier := remotecache.NewTier(context.Background(), qorlog.NewMemoryStore(0), client)
 	return client, tier, synth.NewCheckpointStore(0)
 }
 
