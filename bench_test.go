@@ -152,7 +152,7 @@ func BenchmarkRerankSweep(b *testing.B) {
 	db := sharedBenchDB(b)
 	cfg := DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		points, err := RerankSweep(cfg, db)
+		points, err := RerankSweep(context.Background(), cfg, db)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func BenchmarkElaborateJPEG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sess := synth.NewSession(lib)
 		sess.AddSource(d.FileName, d.Source)
-		if _, err := sess.Run("read_verilog " + d.FileName + "\ncurrent_design " + d.Top + "\nlink\n"); err != nil {
+		if _, err := sess.RunContext(context.Background(), "read_verilog "+d.FileName+"\ncurrent_design "+d.Top+"\nlink\n"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -193,7 +193,7 @@ func BenchmarkCompileUltraSwerv(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sess := synth.NewSession(lib)
 		sess.AddSource(d.FileName, d.Source)
-		if _, err := sess.Run(script); err != nil {
+		if _, err := sess.RunContext(context.Background(), script); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func BenchmarkCompileUltraSwervCheckpointed(b *testing.B) {
 	warm := synth.NewSession(lib)
 	warm.Checkpoints = store
 	warm.AddSource(d.FileName, d.Source)
-	if _, err := warm.Run(script); err != nil {
+	if _, err := warm.RunContext(context.Background(), script); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -220,7 +220,7 @@ func BenchmarkCompileUltraSwervCheckpointed(b *testing.B) {
 		sess := synth.NewSession(lib)
 		sess.Checkpoints = store
 		sess.AddSource(d.FileName, d.Source)
-		if _, err := sess.Run(script); err != nil {
+		if _, err := sess.RunContext(context.Background(), script); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -521,7 +521,7 @@ func BenchmarkEmbedDesignUncached(b *testing.B) {
 	d := designs.RiscV32i()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := db.EmbedDesign(d.Source, d.Top); err != nil {
+		if _, _, err := db.EmbedDesignContext(context.Background(), d.Source, d.Top); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -536,7 +536,7 @@ func BenchmarkEmbedDesignCached(b *testing.B) {
 	d := designs.RiscV32i()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := db.EmbedDesign(d.Source, d.Top); err != nil {
+		if _, _, err := db.EmbedDesignContext(context.Background(), d.Source, d.Top); err != nil {
 			b.Fatal(err)
 		}
 	}

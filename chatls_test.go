@@ -47,7 +47,7 @@ func TestNewTaskRunsBaseline(t *testing.T) {
 
 func TestRawPipelineProducesRunnableScriptsSometimes(t *testing.T) {
 	p := &RawPipeline{Model: llm.New(llm.GPT4o, 1)}
-	res, err := RunPassK(context.Background(), p, designs.RiscV32i(), 5, testLib)
+	res, err := RunPassKOpts(context.Background(), p, designs.RiscV32i(), 5, testLib, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestChatLSAllSamplesValid(t *testing.T) {
 		t.Skip("database build is slow")
 	}
 	p := NewChatLS(llm.New(llm.GPT4o, 20250706), fullDB(t))
-	res, err := RunPassK(context.Background(), p, designs.DynamicNode(), 5, testLib)
+	res, err := RunPassKOpts(context.Background(), p, designs.DynamicNode(), 5, testLib, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestChatLSBeatsRawOnTraitDesign(t *testing.T) {
 	}
 	db := fullDB(t)
 	d := designs.AES()
-	raw, err := RunPassK(context.Background(), &RawPipeline{Model: llm.New(llm.GPT4o, 20250706)}, d, 5, testLib)
+	raw, err := RunPassKOpts(context.Background(), &RawPipeline{Model: llm.New(llm.GPT4o, 20250706)}, d, 5, testLib, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls, err := RunPassK(context.Background(), NewChatLS(llm.New(llm.GPT4o, 20250706), db), d, 5, testLib)
+	cls, err := RunPassKOpts(context.Background(), NewChatLS(llm.New(llm.GPT4o, 20250706), db), d, 5, testLib, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -19,6 +20,7 @@ import (
 func main() {
 	only := flag.String("design", "", "limit to one design")
 	flag.Parse()
+	ctx := context.Background()
 
 	variants := []struct {
 		name string
@@ -44,7 +46,7 @@ func main() {
 			sess := synth.NewSession(liberty.Nangate45())
 			sess.AddSource(d.FileName, d.Source)
 			script := v.cust(d)
-			res, err := sess.Run(script)
+			res, err := sess.RunContext(ctx, script)
 			if err != nil {
 				fmt.Printf("  %-20s ERROR: %v\n", v.name, err)
 				continue

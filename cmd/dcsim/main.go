@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -31,6 +32,7 @@ func main() {
 	validate := flag.Bool("validate", false, "only validate the script, do not run it")
 	writeOut := flag.String("write", "", "write the final mapped netlist (structural Verilog) to this file")
 	flag.Parse()
+	ctx := context.Background()
 
 	var script string
 	sess := synth.NewSession(liberty.Nangate45())
@@ -78,7 +80,7 @@ func main() {
 		return
 	}
 
-	res, err := sess.Run(script)
+	res, err := sess.RunContext(ctx, script)
 	if err != nil {
 		fail("script failed: %v", err)
 	}

@@ -167,7 +167,7 @@ func run(ctx context.Context, w io.Writer, cfg chatls.ExperimentConfig, sel sele
 	}
 	if sel.rerank || sel.all {
 		fmt.Fprintln(os.Stderr, "running rerank-weight sweep...")
-		points, err := chatls.RerankSweep(cfg, db)
+		points, err := chatls.RerankSweep(ctx, cfg, db)
 		if err != nil {
 			return err
 		}

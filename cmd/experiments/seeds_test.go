@@ -20,21 +20,25 @@ import (
 // at.
 const firstSeed, lastSeed = 1, 20
 
-// seedRun is what one seed's Table III and ablation sweeps returned.
+// seedRun is what one seed's Table III, ablation, Fig. 5 and Eq. 5 sweeps
+// returned.
 type seedRun struct {
 	table3    []chatls.Table3Row
 	ablations []chatls.AblationRow
+	fig5      []chatls.Fig5Point
+	rerank    []chatls.RerankPoint
 }
 
 // TestSeedTallies pins the paper's shape over seeds 1–20 instead of one draw:
-// for every seed it builds the database and runs Table III and the ablations
-// as `experiments -table 3 -seed s` and `-ablation -seed s` do, then tallies,
-// per cell, how often ChatLS is ahead of, behind or tied with its reference —
-// the better raw model in Table III, each ablated variant in the ablations —
-// comparing WNS, then CPS as the tables print them (validity is not
-// compared), and the worst and median count of valid samples. checkShape
-// asserts the paper's shape over them; testdata/seeds.golden holds the
-// tallies, regenerate it with
+// for every seed it builds the database and runs Table III, the ablations,
+// Fig. 5 and the Eq. 5 sweep as `experiments -table 3 -seed s`, `-ablation`,
+// `-fig 5` and `-rerank` do, then tallies, per cell, how often ChatLS is
+// ahead of, behind or tied with its reference — the better raw model in
+// Table III, each ablated variant in the ablations — comparing WNS, then CPS
+// as the tables print them (validity is not compared), and the worst and
+// median count of valid samples. checkShape asserts the paper's shape over
+// them; testdata/seeds.golden holds the Table III and ablation tallies
+// (Fig. 5's and the sweep's are asserted and logged), regenerate it with
 //
 //	go test ./cmd/experiments -run TestSeedTallies -update
 //
@@ -51,6 +55,8 @@ func TestSeedTallies(t *testing.T) {
 		runs = append(runs, runSeed(t, seed))
 	}
 	tl := tallyRuns(runs)
+	t.Logf("Fig. 5 macro F1 over seeds %d-%d: text-only lowest at %d; SynthRAG against -metric learning %v (ahead/behind/tie); the shipped Eq. 5 weights top the sweep's trait match at %d",
+		firstSeed, lastSeed, tl.textOnlyLowest, &tl.vsNoMetric, tl.shippedTop)
 	checkShape(t, tl, len(runs))
 	got := []byte(formatTallies(tl))
 	if *update {
@@ -89,6 +95,12 @@ func runSeed(t *testing.T, seed int64) seedRun {
 	if r.ablations, err = chatls.Ablations(ctx, cfg, db); err != nil {
 		t.Fatal(err)
 	}
+	if r.fig5, err = chatls.Fig5(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if r.rerank, err = chatls.RerankSweep(ctx, cfg, db); err != nil {
+		t.Fatal(err)
+	}
 	return r
 }
 
@@ -96,15 +108,15 @@ func runSeed(t *testing.T, seed int64) seedRun {
 // decimals the tables print, so a difference no table shows is a tie: +1
 // when a is ahead, -1 when it is behind, 0 on a tie.
 func compareTiming(a, b synth.QoR) int {
-	if c := cmp.Compare(printed(a.WNS), printed(b.WNS)); c != 0 {
+	if c := cmp.Compare(printed(a.WNS, 2), printed(b.WNS, 2)); c != 0 {
 		return c
 	}
-	return cmp.Compare(printed(a.CPS), printed(b.CPS))
+	return cmp.Compare(printed(a.CPS, 2), printed(b.CPS, 2))
 }
 
-// printed is x as a table prints it, in nanoseconds to two decimals.
-func printed(x float64) float64 {
-	v, _ := strconv.ParseFloat(strconv.FormatFloat(x, 'f', 2, 64), 64)
+// printed is x as a table prints it, to prec decimals.
+func printed(x float64, prec int) float64 {
+	v, _ := strconv.ParseFloat(strconv.FormatFloat(x, 'f', prec, 64), 64)
 	return v
 }
 
@@ -146,6 +158,16 @@ type tallies struct {
 	cells        []ablationCell
 	vsFull       map[ablationCell]*tally
 	variantValid map[ablationCell][]int
+
+	// textOnlyLowest counts the seeds at which Fig. 5's text-only variant
+	// has the lowest macro F1; vsNoMetric is full SynthRAG's macro F1
+	// against the GNN without metric learning, both read at the three
+	// decimals Fig. 5 prints. shippedTop counts the seeds at which the Eq. 5
+	// weights the pipeline retrieves with attain the sweep's highest trait
+	// match.
+	textOnlyLowest int
+	vsNoMetric     tally
+	shippedTop     int
 }
 
 type ablationCell struct{ variant, design string }
@@ -185,6 +207,28 @@ func tallyRuns(runs []seedRun) tallies {
 			}
 			tl.vsFull[c].add(compareTiming(full[row.Design], row.QoR))
 			tl.variantValid[c] = append(tl.variantValid[c], row.Valid)
+		}
+
+		macroF1 := map[string]float64{}
+		for _, p := range r.fig5 {
+			if p.Category == "overall" {
+				macroF1[p.Variant] = printed(p.F1, 3)
+			}
+		}
+		if text := macroF1["text-only"]; text < macroF1["synthrag"] && text < macroF1["no-metric-learning"] {
+			tl.textOnlyLowest++
+		}
+		tl.vsNoMetric.add(cmp.Compare(macroF1["synthrag"], macroF1["no-metric-learning"]))
+
+		var shipped, top float64
+		for _, p := range r.rerank {
+			top = max(top, p.TraitMatch)
+			if p.Alpha == 0.7 && p.Beta == 0.3 && p.Gamma == 0.25 {
+				shipped = p.TraitMatch
+			}
+		}
+		if shipped == top {
+			tl.shippedTop++
 		}
 	}
 	return tl
@@ -258,5 +302,14 @@ func checkShape(t *testing.T, tl tallies, seeds int) {
 		if got := tl.vsFull[c]; got == nil || got.ahead != seeds {
 			t.Errorf("ablation %s on %s: the full pipeline against it %v (ahead/behind/tie) over %d seeds, want ahead at every seed", c.variant, c.design, got, seeds)
 		}
+	}
+	if tl.textOnlyLowest != seeds {
+		t.Errorf("Fig. 5: text-only has the lowest macro F1 at %d of %d seeds, want every seed", tl.textOnlyLowest, seeds)
+	}
+	if 2*tl.vsNoMetric.ahead <= seeds {
+		t.Errorf("Fig. 5: SynthRAG against -metric learning %v (ahead/behind/tie) over %d seeds, want ahead at a majority", &tl.vsNoMetric, seeds)
+	}
+	if tl.shippedTop != seeds {
+		t.Errorf("Eq. 5 sweep: the shipped weights (0.70, 0.30, 0.25) attain the highest trait match at %d of %d seeds, want every seed", tl.shippedTop, seeds)
 	}
 }

@@ -164,3 +164,15 @@ func TestDeadlineExpiredSampleRecordsErr(t *testing.T) {
 			smp.Script == task.Baseline, smp.QoR, smp.Err)
 	}
 }
+
+// TestRerankSweepCancelled: the Eq. 5 sweep runs under its caller's context,
+// so `experiments -rerank -timeout` is bounded: a cancelled context returns
+// no points and the context's error.
+func TestRerankSweepCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	points, err := RerankSweep(ctx, DefaultConfig(), liteDB(t))
+	if points != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RerankSweep on a cancelled context: %d points, err %v; want none and context.Canceled", len(points), err)
+	}
+}

@@ -81,22 +81,18 @@ type EvalOptions struct {
 	Costs *overload.CostModel
 }
 
-// RunPassK evaluates a pipeline on a design with k samples (the paper's
-// Pass@5 protocol): each sample's script runs through the synthesis tool;
-// scripts that fail (hallucinated commands, bad options) count as invalid;
-// the best valid QoR is reported. When every sample fails, the baseline QoR
-// stands (the customization attempt is wasted, not destructive).
+// RunPassKOpts evaluates a pipeline on a design with k samples (the paper's
+// Pass@5 protocol) under opts: each sample's script runs through the
+// synthesis tool; scripts that fail (hallucinated commands, bad options)
+// count as invalid; the best valid QoR is reported. When every sample fails,
+// the baseline QoR stands (the customization attempt is wasted, not
+// destructive).
 //
 // Per-sample failures are contained — a failed Customize or synthesis run
 // records the error in the sample and the remaining samples still run.
-// Only context cancellation/timeout aborts the whole evaluation.
-func RunPassK(ctx context.Context, p Pipeline, d *designs.Design, k int, lib *liberty.Library) (EvalResult, error) {
-	return RunPassKOpts(ctx, p, d, k, lib, EvalOptions{})
-}
-
-// RunPassKOpts is RunPassK with explicit options (worker count, shared
-// checkpoint store, result store). An expired context is refused before the
-// baseline synthesis starts, so the evaluation does no partial work.
+// Only context cancellation/timeout aborts the whole evaluation. An expired
+// context is refused before the baseline synthesis starts, so the
+// evaluation does no partial work.
 func RunPassKOpts(ctx context.Context, p Pipeline, d *designs.Design, k int, lib *liberty.Library, opts EvalOptions) (EvalResult, error) {
 	task, baseQoR, err := opts.newTask(ctx, d, lib, nil)
 	if err != nil {

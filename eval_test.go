@@ -24,7 +24,7 @@ func (brokenPipeline) CustomizeResult(ctx context.Context, t *Task, sample int) 
 // reports the baseline QoR (a wasted customization attempt, not a
 // destroyed design).
 func TestRunPassKFallsBackToBaseline(t *testing.T) {
-	res, err := RunPassK(context.Background(), brokenPipeline{}, designs.RiscV32i(), 3, testLib)
+	res, err := RunPassKOpts(context.Background(), brokenPipeline{}, designs.RiscV32i(), 3, testLib, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRunPassKFallsBackToBaseline(t *testing.T) {
 func TestRunPassKParallelMatchesSerial(t *testing.T) {
 	d := designs.RiscV32i()
 	p := &RawPipeline{Model: llm.New(llm.GPT4o, 20250706)}
-	serial, err := RunPassK(context.Background(), p, d, 5, testLib)
+	serial, err := RunPassKOpts(context.Background(), p, d, 5, testLib, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

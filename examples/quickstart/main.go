@@ -57,7 +57,7 @@ func main() {
 	// 4. Run the customized script through the synthesis simulator.
 	sess := synth.NewSession(lib)
 	sess.AddSource(design.FileName, design.Source)
-	res, err := sess.Run(script)
+	res, err := sess.RunContext(ctx, script)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -21,6 +22,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("building SynthRAG database (with expert-draft synthesis)...")
 	db, err := synthrag.Build(synthrag.BuildConfig{Seed: 9, TrainEpochs: 40})
 	if err != nil {
@@ -32,12 +34,16 @@ func main() {
 	fmt.Printf("\nquery design: %s (components: %d)\n", soc.Name, strings.Count(soc.Source, "endmodule"))
 
 	// Modality 1: graph-embedding retrieval with rerank (Eq. 4 + Eq. 5).
-	emb, dg, err := db.EmbedDesign(soc.Source, soc.Top)
+	emb, dg, err := db.EmbedDesignContext(ctx, soc.Source, soc.Top)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n[1] strategy retrieval (graph embedding, alpha=0.7 beta=0.3):")
-	for _, h := range db.RetrieveStrategies(emb, 3, 0.7, 0.3) {
+	hits, err := db.RetrieveStrategiesForContext(ctx, emb, nil, 3, 0.7, 0.3, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, h := range hits {
 		fmt.Printf("  %-14s sim %.3f  quality %.2f  strategy %-8s plan: %s\n",
 			h.Record.Design, h.Sim, h.Record.Quality, h.Record.Strategy,
 			strings.Join(h.Record.Plan, "; "))
@@ -80,7 +86,10 @@ func main() {
 		"my critical path has a register placed after three rounds of logic",
 		"one net drives sixty loads and dominates the path delay",
 	} {
-		hits := db.SearchManual(query, 2, model)
+		hits, err := db.SearchManualContext(ctx, query, 2, model)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  q: %s\n", query)
 		for _, h := range hits {
 			fmt.Printf("     -> %-24s (%.3f) %s\n", h.Doc.ID, h.Score, h.Doc.Title)

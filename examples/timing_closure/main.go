@@ -58,7 +58,7 @@ func main() {
 		next := cres.Script
 		sess := synth.NewSession(lib)
 		sess.AddSource(design.FileName, design.Source)
-		res, err := sess.Run(next)
+		res, err := sess.RunContext(ctx, next)
 		if err != nil {
 			log.Fatalf("iteration %d script failed: %v", iter, err)
 		}

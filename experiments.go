@@ -751,11 +751,12 @@ type RerankPoint struct {
 	MetQuality float64
 }
 
-// RerankSweep measures how the Eq. 5 weights steer retrieval: similarity
-// only (beta=gamma=0) ignores whether the exemplar's script even closed
-// timing; adding quality (beta) and trait compatibility (gamma) lifts the
-// match rate — the design decision behind the domain-specific reranker.
-func RerankSweep(cfg ExperimentConfig, db *synthrag.Database) ([]RerankPoint, error) {
+// RerankSweep measures, under ctx, how the Eq. 5 weights steer retrieval:
+// similarity only (beta=gamma=0) ignores whether the exemplar's script even
+// closed timing. Over seeds 1–20 the trait term (gamma) lifts the match rate
+// and the shipped (0.70, 0.30, 0.25) row attains the best match at every
+// seed; the quality term (beta) alone can lower it (EXPERIMENTS.md).
+func RerankSweep(ctx context.Context, cfg ExperimentConfig, db *synthrag.Database) ([]RerankPoint, error) {
 	cfg.fill()
 	if db == nil {
 		var err error
@@ -770,11 +771,11 @@ func RerankSweep(cfg ExperimentConfig, db *synthrag.Database) ([]RerankPoint, er
 	}
 	var queries []query
 	for _, d := range cfg.Designs {
-		emb, _, err := db.EmbedDesign(d.Source, d.Top)
+		emb, _, err := db.EmbedDesignContext(ctx, d.Source, d.Top)
 		if err != nil {
 			return nil, err
 		}
-		a, err := circuitmentor.Analyze(d.Source, d.Top, d.Period, cfg.Lib)
+		a, err := circuitmentor.AnalyzeContext(ctx, d.Source, d.Top, d.Period, cfg.Lib)
 		if err != nil {
 			return nil, err
 		}
@@ -792,7 +793,10 @@ func RerankSweep(cfg ExperimentConfig, db *synthrag.Database) ([]RerankPoint, er
 		p := &combos[i]
 		match, qual := 0.0, 0.0
 		for _, q := range queries {
-			hits := db.RetrieveStrategiesFor(q.emb, q.traits, 1, p.Alpha, p.Beta, p.Gamma)
+			hits, err := db.RetrieveStrategiesForContext(ctx, q.emb, q.traits, 1, p.Alpha, p.Beta, p.Gamma)
+			if err != nil {
+				return nil, err
+			}
 			if len(hits) == 0 {
 				continue
 			}

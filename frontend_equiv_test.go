@@ -116,7 +116,7 @@ func TestFrontEndFromSnapshotMatchesSource(t *testing.T) {
 	}
 }
 
-// elaborated parses and elaborates d the way circuitmentor.Analyze does.
+// elaborated parses and elaborates d the way circuitmentor.AnalyzeContext does.
 func elaborated(t *testing.T, d *designs.Design) *netlist.Netlist {
 	t.Helper()
 	file, err := verilog.Parse(d.Source)

@@ -48,13 +48,6 @@ const (
 	serialStepsTh      = 30
 )
 
-// Analyze elaborates the design and computes its structural
-// characterization using a quick timing pass — the graph-based analysis the
-// paper performs with Neo4j path queries and GNN features.
-func Analyze(src, top string, period float64, lib *liberty.Library) (*Analysis, error) {
-	return AnalyzeContext(context.Background(), src, top, period, lib)
-}
-
 var hits, misses, snapshotReads atomic.Int64
 
 // MemoStats are the lifetime analysis counters, exposed by the serving daemon
@@ -72,7 +65,9 @@ func Stats() MemoStats {
 	return MemoStats{Hits: hits.Load(), Misses: misses.Load(), SnapshotReads: snapshotReads.Load()}
 }
 
-// AnalyzeContext is Analyze with cooperative cancellation: the context is
+// AnalyzeContext elaborates the design and computes its structural
+// characterization using a quick timing pass — the graph-based analysis the
+// paper performs with Neo4j path queries and GNN features. The context is
 // checked before the analysis and between the parse, elaborate, and timing
 // phases. It keeps nothing (see AnalyzeSnapshotContext).
 func AnalyzeContext(ctx context.Context, src, top string, period float64, lib *liberty.Library) (*Analysis, error) {

@@ -1,6 +1,7 @@
 package circuitmentor
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -172,7 +173,7 @@ func TestAnalysisMatchesGroundTruth(t *testing.T) {
 		"aes":          "wide-arithmetic",
 	}
 	for _, d := range designs.Benchmarks() {
-		a, err := Analyze(d.Source, d.Top, d.Period, lib)
+		a, err := AnalyzeContext(context.Background(), d.Source, d.Top, d.Period, lib)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
@@ -186,11 +187,11 @@ func TestAnalysisMatchesGroundTruth(t *testing.T) {
 	}
 	// tinyRocket must NOT look fanout-bound, and dynamic_node's fanout must
 	// dominate whatever else it shows.
-	trA, _ := Analyze(designs.TinyRocket().Source, "tinyRocket", 2.85, lib)
+	trA, _ := AnalyzeContext(context.Background(), designs.TinyRocket().Source, "tinyRocket", 2.85, lib)
 	if trA.HasTrait("high-fanout") {
 		t.Errorf("tinyRocket wrongly detected as high-fanout: %+v", trA)
 	}
-	dnA, _ := Analyze(designs.DynamicNode().Source, "dynamic_node", 3.20, lib)
+	dnA, _ := AnalyzeContext(context.Background(), designs.DynamicNode().Source, "dynamic_node", 3.20, lib)
 	if !dnA.HasTrait("high-fanout") {
 		t.Errorf("dynamic_node missing high-fanout: %+v", dnA)
 	}

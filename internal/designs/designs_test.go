@@ -1,6 +1,7 @@
 package designs
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -62,7 +63,7 @@ func TestBaselineScriptsRun(t *testing.T) {
 	for _, d := range Benchmarks() {
 		sess := synth.NewSession(liberty.Nangate45())
 		sess.AddSource(d.FileName, d.Source)
-		res, err := sess.Run(d.BaselineScript())
+		res, err := sess.RunContext(context.Background(), d.BaselineScript())
 		if err != nil {
 			t.Fatalf("%s: baseline script failed: %v", d.Name, err)
 		}

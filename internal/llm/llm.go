@@ -473,16 +473,10 @@ type GenRequest struct {
 	Sample int // Pass@k sample index
 }
 
-// Generate produces a customized synthesis script for the prompt. The
-// prompt must contain a "Baseline script" section; its constraint lines are
-// preserved (the evaluation forbids changing the clock), and its compile
-// and post-compile lines are replaced by the chosen strategy.
-func (m *Model) Generate(req GenRequest) string {
-	out, _ := m.GenerateContext(context.Background(), req)
-	return out
-}
-
-// GenerateContext is Generate with cooperative cancellation: the context is
+// GenerateContext produces a customized synthesis script for the prompt.
+// The prompt must contain a "Baseline script" section; its constraint lines
+// are preserved (the evaluation forbids changing the clock), and its compile
+// and post-compile lines are replaced by the chosen strategy. The context is
 // checked before the prompt is read and again before a sample is drawn, so a
 // cancelled or timed-out request stops early instead of completing the
 // sample. It is m.Read(req.Prompt).Generate(ctx, req.Sample). The only

@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"context"
 	"regexp"
 	"slices"
 	"strings"
@@ -30,12 +31,12 @@ Path 1 slack: -0.170 (VIOLATED)
 
 func TestGenerateDeterministic(t *testing.T) {
 	m := New(GPT4o, 7)
-	a := m.Generate(GenRequest{Prompt: basePrompt, Sample: 0})
-	b := m.Generate(GenRequest{Prompt: basePrompt, Sample: 0})
+	a, _ := m.GenerateContext(context.Background(), GenRequest{Prompt: basePrompt, Sample: 0})
+	b, _ := m.GenerateContext(context.Background(), GenRequest{Prompt: basePrompt, Sample: 0})
 	if a != b {
 		t.Fatal("same (prompt, sample) must generate identical output")
 	}
-	c := m.Generate(GenRequest{Prompt: basePrompt, Sample: 1})
+	c, _ := m.GenerateContext(context.Background(), GenRequest{Prompt: basePrompt, Sample: 1})
 	if a == c {
 		t.Log("note: sample 1 happened to equal sample 0 (allowed but unusual)")
 	}
@@ -44,7 +45,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGeneratePreservesConstraints(t *testing.T) {
 	m := New(GPT4o, 3)
 	for s := 0; s < 5; s++ {
-		out := m.Generate(GenRequest{Prompt: basePrompt, Sample: s})
+		out, _ := m.GenerateContext(context.Background(), GenRequest{Prompt: basePrompt, Sample: s})
 		if !strings.Contains(out, "create_clock -period 2.50") {
 			t.Errorf("sample %d dropped or changed the clock constraint:\n%s", s, out)
 		}
@@ -69,7 +70,7 @@ balance_buffers
 	m := New(GPT4o, 11)
 	adopted := 0
 	for s := 0; s < 10; s++ {
-		out := m.Generate(GenRequest{Prompt: prompt, Sample: s})
+		out, _ := m.GenerateContext(context.Background(), GenRequest{Prompt: prompt, Sample: s})
 		if strings.Contains(out, "set_max_fanout 16") && strings.Contains(out, "balance_buffers") {
 			adopted++
 		}
@@ -86,7 +87,7 @@ trait: register-imbalance; stage depth ratio 4.8
 category: Processor Core
 `
 	m := New(Profile{Name: "perfect", ContextWindow: 128000, AttnTokens: 6000, Coverage: 1.0}, 5)
-	out := m.Generate(GenRequest{Prompt: prompt, Sample: 0})
+	out, _ := m.GenerateContext(context.Background(), GenRequest{Prompt: prompt, Sample: 0})
 	if !strings.Contains(out, "-retime") && !strings.Contains(out, "optimize_registers") {
 		t.Errorf("imbalance trait should trigger retiming plan:\n%s", out)
 	}
@@ -95,7 +96,7 @@ category: Processor Core
 ## Design characteristics
 trait: high-fanout; worst net fanout 69
 `
-	out2 := m.Generate(GenRequest{Prompt: prompt2, Sample: 0})
+	out2, _ := m.GenerateContext(context.Background(), GenRequest{Prompt: prompt2, Sample: 0})
 	if !strings.Contains(out2, "balance_buffers") && !strings.Contains(out2, "set_max_fanout") {
 		t.Errorf("fanout trait should trigger buffering plan:\n%s", out2)
 	}
@@ -106,7 +107,7 @@ func TestHallucinationRateCalibrated(t *testing.T) {
 	bad := 0
 	const n = 200
 	for s := 0; s < n; s++ {
-		out := m.Generate(GenRequest{Prompt: basePrompt, Sample: s})
+		out, _ := m.GenerateContext(context.Background(), GenRequest{Prompt: basePrompt, Sample: s})
 		for _, h := range hallucinations {
 			if strings.Contains(out, h) {
 				bad++

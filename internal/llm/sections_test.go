@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"maps"
@@ -92,7 +93,7 @@ func TestEmptyHeaderTextBelongsToNoSection(t *testing.T) {
 	}
 	m := New(GPT4o, 1)
 	for s := 0; s < 5; s++ {
-		out := m.Generate(GenRequest{Prompt: prompt, Sample: s})
+		out, _ := m.GenerateContext(context.Background(), GenRequest{Prompt: prompt, Sample: s})
 		if strings.Contains(out, "-period 99") {
 			t.Fatalf("sample %d took the clock from the requirement:\n%s", s, out)
 		}

@@ -2,6 +2,7 @@ package netlist_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -29,7 +30,7 @@ func run(t testing.TB, d *designs.Design, script string) *netlist.Netlist {
 	t.Helper()
 	sess := synth.NewSession(liberty.Nangate45())
 	sess.AddSource(d.FileName, d.Source)
-	res, err := sess.Run(script)
+	res, err := sess.RunContext(context.Background(), script)
 	if err != nil {
 		t.Fatalf("%s: %v", d.Name, err)
 	}

@@ -28,7 +28,10 @@ import (
 // signature of a dead tier — or a timeout is not, so the breaker opens on
 // the first one and a hung tier costs one wait, not one per attempt. That
 // wait is the caller's context deadline or Timeout, whichever comes first: a
-// request never waits on the tier past its own deadline.
+// request never waits on the tier past its own deadline. A call the caller's
+// deadline cut short opens the breaker too: were only Timeout to trip it, a
+// hung tier facing requests whose deadlines are shorter than Timeout would
+// never trip, and each of them would spend its whole deadline there.
 //
 // Safe for concurrent use; every method is nil-safe (a nil client is a
 // permanently-missing tier).

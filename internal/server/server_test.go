@@ -772,10 +772,15 @@ func TestPassKSharedSamplesCounter(t *testing.T) {
 // TestHungTierCostsTheRequestDeadline: a remote tier that never answers
 // holds a sample's result lookup only until the request's deadline, not for
 // the client's own Timeout, so the reply (a 504) comes at about the
-// deadline; the lookup gave up on the tier, which opens its breaker.
+// deadline; the lookup gave up on the tier, which opens its breaker, so a
+// second request right after it does not reach the tier at all.
 func TestHungTierCostsTheRequestDeadline(t *testing.T) {
 	hang := make(chan struct{})
-	tier := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-hang }))
+	var calls atomic.Int64
+	tier := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		calls.Add(1)
+		<-hang
+	}))
 	defer tier.Close()
 	defer close(hang) // first, or Close waits on the parked handlers
 	const clientTimeout, deadline = 5 * time.Second, 100 * time.Millisecond
@@ -800,5 +805,10 @@ func TestHungTierCostsTheRequestDeadline(t *testing.T) {
 	}
 	if !rc.Degraded() {
 		t.Error("the hung tier was never asked, or the lookup did not give up on it")
+	}
+	asked := calls.Load()
+	postCustomize(t, ts.URL, `{"design":"riscv32i","pipeline":"gpt4o","k":1}`)
+	if n := calls.Load(); n != asked {
+		t.Errorf("a second request asked the hung tier %d more times, want none while its breaker is open", n-asked)
 	}
 }

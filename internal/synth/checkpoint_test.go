@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -37,20 +38,20 @@ func runJSON(t *testing.T, res *Result) string {
 // output byte for byte — reports, written netlists, transcript, and QoR.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	script := goodScript + "write\n"
-	fresh, err := newTestSession().Run(script)
+	fresh, err := newTestSession().RunContext(context.Background(), script)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	store := NewCheckpointStore(4)
-	first, err := newCheckpointedSession(store).Run(script)
+	first, err := newCheckpointedSession(store).RunContext(context.Background(), script)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := store.Stats(); st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("first run: hits=%d misses=%d, want 0/1", st.Hits, st.Misses)
 	}
-	second, err := newCheckpointedSession(store).Run(script)
+	second, err := newCheckpointedSession(store).RunContext(context.Background(), script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +131,14 @@ func TestCheckpointPrefixRecognition(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			store := NewCheckpointStore(4)
-			fresh, err := newTestSession().Run(tc.script)
+			fresh, err := newTestSession().RunContext(context.Background(), tc.script)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := newCheckpointedSession(store).Run(tc.script); err != nil {
+			if _, err := newCheckpointedSession(store).RunContext(context.Background(), tc.script); err != nil {
 				t.Fatal(err)
 			}
-			got, err := newCheckpointedSession(store).Run(tc.script)
+			got, err := newCheckpointedSession(store).RunContext(context.Background(), tc.script)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,12 +157,12 @@ func TestCheckpointPrefixRecognition(t *testing.T) {
 // at the same command whether or not a snapshot exists.
 func TestCheckpointBudgetInteraction(t *testing.T) {
 	store := NewCheckpointStore(4)
-	if _, err := newCheckpointedSession(store).Run(goodScript); err != nil {
+	if _, err := newCheckpointedSession(store).RunContext(context.Background(), goodScript); err != nil {
 		t.Fatal(err)
 	}
 	s := newCheckpointedSession(store)
 	s.MaxCommands = 2 // read_verilog, current_design — link is over budget
-	_, err := s.Run(goodScript)
+	_, err := s.RunContext(context.Background(), goodScript)
 	if err == nil || !strings.Contains(err.Error(), "link") {
 		t.Errorf("budget overrun should surface at link, got: %v", err)
 	}
@@ -176,7 +177,7 @@ func TestCheckpointBudgetInteraction(t *testing.T) {
 func TestCheckpointSnapshotImmutable(t *testing.T) {
 	store := NewCheckpointStore(4)
 	prefix := "read_verilog tiny.v\ncurrent_design tiny\nlink\n"
-	if _, err := newCheckpointedSession(store).Run(prefix); err != nil {
+	if _, err := newCheckpointedSession(store).RunContext(context.Background(), prefix); err != nil {
 		t.Fatal(err)
 	}
 	key, ok := newTestSession().checkpointKey([]string{"tiny.v"}, "tiny")
@@ -192,7 +193,7 @@ func TestCheckpointSnapshotImmutable(t *testing.T) {
 
 	// A heavyweight mutating run restored from the snapshot.
 	heavy := prefix + "create_clock -period 1.2 clk\ncompile_ultra -retime\noptimize_registers\nbalance_buffers\nreport_qor\n"
-	if _, err := newCheckpointedSession(store).Run(heavy); err != nil {
+	if _, err := newCheckpointedSession(store).RunContext(context.Background(), heavy); err != nil {
 		t.Fatal(err)
 	}
 	if store.Stats().Hits == 0 {
@@ -211,7 +212,7 @@ func TestCheckpointSnapshotImmutable(t *testing.T) {
 // and mutating concurrently; all produce the fresh-run result. Run with
 // -race.
 func TestCheckpointConcurrentRestore(t *testing.T) {
-	fresh, err := newTestSession().Run(goodScript)
+	fresh, err := newTestSession().RunContext(context.Background(), goodScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestCheckpointConcurrentRestore(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := newCheckpointedSession(store).Run(goodScript)
+			res, err := newCheckpointedSession(store).RunContext(context.Background(), goodScript)
 			if err != nil {
 				errs[w] = err
 				return
@@ -255,13 +256,13 @@ func TestCheckpointConcurrentRestore(t *testing.T) {
 func TestCheckpointEviction(t *testing.T) {
 	store := NewCheckpointStore(1)
 	s1 := newCheckpointedSession(store)
-	if _, err := s1.Run(goodScript); err != nil {
+	if _, err := s1.RunContext(context.Background(), goodScript); err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewSession(liberty.Nangate45())
 	s2.AddSource("other.v", strings.Replace(testDesignSrc, "tiny", "tiny2", -1))
 	s2.Checkpoints = store
-	if _, err := s2.Run("read_verilog other.v\ncurrent_design tiny2\nlink\ncreate_clock -period 2.5 clk\ncompile\n"); err != nil {
+	if _, err := s2.RunContext(context.Background(), "read_verilog other.v\ncurrent_design tiny2\nlink\ncreate_clock -period 2.5 clk\ncompile\n"); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() != 1 {
@@ -281,7 +282,7 @@ func TestCheckpointNilStoreSafe(t *testing.T) {
 	}
 	s := newTestSession()
 	s.Checkpoints = store // explicit nil
-	if _, err := s.Run(goodScript); err != nil {
+	if _, err := s.RunContext(context.Background(), goodScript); err != nil {
 		t.Fatal(err)
 	}
 }

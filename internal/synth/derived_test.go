@@ -60,7 +60,7 @@ func fingerprint(t *testing.T, res *Result) string {
 
 func mustRun(t *testing.T, s *Session, script string) *Result {
 	t.Helper()
-	res, err := s.Run(script)
+	res, err := s.RunContext(context.Background(), script)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, script)
 	}
@@ -158,7 +158,7 @@ func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
 			t.Parallel()
 			store := NewCheckpointStore(0)
 			excl.RLock()
-			link, err := designSession(d, store).Run(linkOnly(d)) // captures the post-link snapshot
+			link, err := designSession(d, store).RunContext(context.Background(), linkOnly(d)) // captures the post-link snapshot
 			excl.RUnlock()
 			if err != nil {
 				t.Fatal(err)
@@ -177,7 +177,7 @@ func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
 						script := v.prefix(d) + c + "\n" + r.tail
 						if _, ok := want[r.tail]; !ok {
 							excl.RLock()
-							storeless, err := designSession(d, nil).Run(script)
+							storeless, err := designSession(d, nil).RunContext(context.Background(), script)
 							excl.RUnlock()
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
@@ -194,7 +194,7 @@ func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
 						if evaluated {
 							res, err = evaluate(t, designSession(d, store), script)
 						} else {
-							res, err = designSession(d, store).Run(script)
+							res, err = designSession(d, store).RunContext(context.Background(), script)
 						}
 						full, incr = sta.FullAnalyses()-full, sta.IncrementalUpdates()-incr
 						unlock()

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -36,9 +37,9 @@ func newTestSession() *Session {
 }
 
 func TestSessionRunsBaselineScript(t *testing.T) {
-	res, err := newTestSession().Run(goodScript)
+	res, err := newTestSession().RunContext(context.Background(), goodScript)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunContext: %v", err)
 	}
 	if res.QoR == nil {
 		t.Fatal("no QoR computed")
@@ -71,9 +72,9 @@ current_design tiny
 create_clock -period $period clk
 compile
 `
-	res, err := newTestSession().Run(script)
+	res, err := newTestSession().RunContext(context.Background(), script)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunContext: %v", err)
 	}
 	if res.QoR.Period != 3.0 {
 		t.Errorf("period = %g, want 3.0 via $period", res.QoR.Period)
@@ -95,7 +96,7 @@ func TestSessionErrors(t *testing.T) {
 		{"bad wireload", "read_verilog tiny.v\nset_wire_load_model -name 7K_nope\n", "not in library"},
 	}
 	for _, c := range cases {
-		_, err := newTestSession().Run(c.script)
+		_, err := newTestSession().RunContext(context.Background(), c.script)
 		if err == nil {
 			t.Errorf("%s: expected error", c.name)
 			continue
@@ -117,9 +118,9 @@ optimize_registers
 balance_buffers
 report_qor
 `
-	res, err := newTestSession().Run(script)
+	res, err := newTestSession().RunContext(context.Background(), script)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunContext: %v", err)
 	}
 	if res.QoR == nil {
 		t.Fatal("no QoR")
@@ -248,9 +249,9 @@ create_clock -period 2.5 clk
 compile
 write -format verilog -output mapped
 `
-	res, err := newTestSession().Run(script)
+	res, err := newTestSession().RunContext(context.Background(), script)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunContext: %v", err)
 	}
 	if len(res.Netlists) != 1 {
 		t.Fatalf("netlists = %d, want 1", len(res.Netlists))
@@ -261,7 +262,7 @@ write -format verilog -output mapped
 	}
 	// Unsupported format rejected.
 	bad := strings.Replace(script, "-format verilog", "-format edif", 1)
-	if _, err := newTestSession().Run(bad); err == nil {
+	if _, err := newTestSession().RunContext(context.Background(), bad); err == nil {
 		t.Error("edif format should be rejected")
 	}
 }
@@ -274,20 +275,20 @@ create_clock -period 2.5 clk
 compile
 report_power -vectors 16
 `
-	res, err := newTestSession().Run(script)
+	res, err := newTestSession().RunContext(context.Background(), script)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunContext: %v", err)
 	}
 	if len(res.Reports) != 1 || !strings.Contains(res.Reports[0], "Total power") {
 		t.Errorf("power report missing: %v", res.Reports)
 	}
 	// Power needs a clock.
 	noClk := "read_verilog tiny.v\ncurrent_design tiny\nlink\nreport_power\n"
-	if _, err := newTestSession().Run(noClk); err == nil {
+	if _, err := newTestSession().RunContext(context.Background(), noClk); err == nil {
 		t.Error("report_power without clock should fail")
 	}
 	badVec := strings.Replace(script, "-vectors 16", "-vectors x", 1)
-	if _, err := newTestSession().Run(badVec); err == nil {
+	if _, err := newTestSession().RunContext(context.Background(), badVec); err == nil {
 		t.Error("bad -vectors should fail")
 	}
 }

@@ -26,7 +26,7 @@ type Session struct {
 	Sources map[string]string
 	// ParamOverrides apply at elaboration (top-level parameters).
 	ParamOverrides map[string]int64
-	// MaxCommands caps the commands one Run may execute (0 = the
+	// MaxCommands caps the commands one run may execute (0 = the
 	// DefaultMaxCommands budget, negative = unlimited). Exceeding it aborts
 	// the run with resilience.ErrBudgetExceeded.
 	MaxCommands int
@@ -64,15 +64,10 @@ type Result struct {
 	Snapshot Snapshot
 }
 
-// Run parses and executes a script. Any command error aborts the run, the
-// way a dc_shell batch run aborts on an invalid command — this is what makes
-// hallucinated commands costly for the baseline pipelines.
-func (s *Session) Run(script string) (*Result, error) {
-	return s.RunContext(context.Background(), script)
-}
-
-// RunContext is Run with cooperative cancellation and a command budget: the
-// context is checked before every command, and execution aborts with
+// RunContext parses and executes a script. Any command error aborts the run,
+// the way a dc_shell batch run aborts on an invalid command — this is what
+// makes hallucinated commands costly for the baseline pipelines. The context
+// is checked before every command, and execution aborts with
 // resilience.ErrBudgetExceeded once MaxCommands commands have run.
 func (s *Session) RunContext(ctx context.Context, script string) (*Result, error) {
 	return s.run(ctx, script, true)

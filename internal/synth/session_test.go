@@ -13,7 +13,7 @@ import (
 // and the error names the offending line, the way dc_shell batch runs do.
 func TestRunInvalidCommandLineNumber(t *testing.T) {
 	script := "read_verilog tiny.v\ncurrent_design tiny\noptimize_timing -aggressive\n"
-	_, err := newTestSession().Run(script)
+	_, err := newTestSession().RunContext(context.Background(), script)
 	if err == nil {
 		t.Fatal("invalid command must abort the run")
 	}
@@ -35,7 +35,7 @@ link
 compile
 report_qor
 `
-	_, err := newTestSession().Run(noClk)
+	_, err := newTestSession().RunContext(context.Background(), noClk)
 	if err == nil {
 		t.Fatal("compile without a clock constraint must fail")
 	}

@@ -31,7 +31,7 @@ const invalidTail = "compile -map_effort turbo\n"
 // and, returning a design that lives in it, parks nothing.
 func TestFailedRunsReturnTheirWorkspace(t *testing.T) {
 	store := NewCheckpointStore(4)
-	if _, err := newCheckpointedSession(store).Run(goodScript); err != nil {
+	if _, err := newCheckpointedSession(store).RunContext(context.Background(), goodScript); err != nil {
 		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -62,7 +62,7 @@ func TestFailedRunsReturnTheirWorkspace(t *testing.T) {
 	if st.Allocated != 1 || st.Reused != 49 {
 		t.Errorf("workspaces allocated/reused = %d/%d, want 1/49: failed runs dropped their storage", st.Allocated, st.Reused)
 	}
-	res, err := newCheckpointedSession(store).Run(goodScript)
+	res, err := newCheckpointedSession(store).RunContext(context.Background(), goodScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRecycledWorkspacesMatchStoreless(t *testing.T) {
 		if valid {
 			sess := NewSession(lib)
 			sess.AddSource(file, src)
-			res, err := sess.Run(script)
+			res, err := sess.RunContext(context.Background(), script)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -120,7 +120,7 @@ func TestRecycledWorkspacesMatchStoreless(t *testing.T) {
 				sess.Checkpoints = store
 				sess.AddSource(j.file, j.src)
 				if j.want == "" {
-					if _, err := sess.Run(j.script); err == nil {
+					if _, err := sess.RunContext(context.Background(), j.script); err == nil {
 						t.Errorf("%s: invalid script ran to completion", j.name)
 					}
 					continue

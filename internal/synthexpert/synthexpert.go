@@ -39,19 +39,13 @@ func New(model *llm.Model, db *synthrag.Database) *Expert {
 	return &Expert{Model: model, DB: db}
 }
 
-// Refine runs the CoT revision loop over a drafted script. baseline is the
-// original script whose constraints must survive (the evaluation forbids
-// changing the clock). It returns the revised script and the reasoning
-// steps taken.
-func (e *Expert) Refine(draft, baseline string) (string, []Step) {
-	out, steps, _ := e.RefineContext(context.Background(), draft, baseline)
-	return out, steps
-}
-
-// RefineContext is Refine with cooperative cancellation: every reasoning
-// step issues a retrieval query, so the context is checked once per revised
-// line and between the revision phases. On cancellation it returns the
-// steps taken so far along with the context's error.
+// RefineContext runs the CoT revision loop over a drafted script. baseline
+// is the original script whose constraints must survive (the evaluation
+// forbids changing the clock). It returns the revised script and the
+// reasoning steps taken. Every reasoning step issues a retrieval query under
+// ctx, and the context is checked once per revised line and between the
+// revision phases. On cancellation it returns the steps taken so far along
+// with the context's error.
 func (e *Expert) RefineContext(ctx context.Context, draft, baseline string) (string, []Step, error) {
 	var steps []Step
 	lines := scriptLines(draft)
@@ -111,7 +105,10 @@ func (e *Expert) RefineContext(ctx context.Context, draft, baseline string) (str
 		if err := ctx.Err(); err != nil {
 			return "", steps, err
 		}
-		newLine, step := e.reviseLine(line)
+		newLine, step, err := e.reviseLine(ctx, line)
+		if err != nil {
+			return "", steps, err
+		}
 		if step != nil {
 			steps = append(steps, *step)
 		}
@@ -216,9 +213,10 @@ func containsCmd(lines []string, cmd string) bool {
 }
 
 // reviseLine checks one command line against the tool manual and revises it
-// using retrieved documentation when it is invalid. Returns the revised
-// line ("" to drop) and the reasoning step (nil when the line was fine).
-func (e *Expert) reviseLine(line string) (string, *Step) {
+// using documentation retrieved under ctx when it is invalid. Returns the
+// revised line ("" to drop) and the reasoning step (nil when the line was
+// fine); the only possible error is the context's.
+func (e *Expert) reviseLine(ctx context.Context, line string) (string, *Step, error) {
 	name := cmdOf(line)
 	spec := synth.Commands[name]
 	if spec != nil {
@@ -233,11 +231,11 @@ func (e *Expert) reviseLine(line string) (string, *Step) {
 				Retrieved: "cmd/" + sibling.Name,
 				Before:    line,
 				After:     rebuilt,
-			}
+			}, nil
 		}
 		fixed, changed := fixOptions(line, spec)
 		if !changed {
-			return line, nil
+			return line, nil, nil
 		}
 		return fixed, &Step{
 			Thought:   fmt.Sprintf("option check for %s against its manual entry", name),
@@ -245,13 +243,16 @@ func (e *Expert) reviseLine(line string) (string, *Step) {
 			Retrieved: "cmd/" + name,
 			Before:    line,
 			After:     fixed,
-		}
+		}, nil
 	}
 	// Unknown command: retrieve the closest manual section and rebuild the
 	// line around the documented command. Among candidates, a command
 	// sharing the first word of the hallucinated name (set_*, balance_*)
 	// is preferred.
-	hits := e.DB.SearchManual(line, 5, e.Model)
+	hits, err := e.DB.SearchManualContext(ctx, line, 5, e.Model)
+	if err != nil {
+		return "", nil, err
+	}
 	var target string
 	var retrieved string
 	prefix := strings.SplitN(name, "_", 2)[0]
@@ -275,12 +276,12 @@ func (e *Expert) reviseLine(line string) (string, *Step) {
 		Before:    line,
 	}
 	if target == "" {
-		return "", step // nothing close: drop the line
+		return "", step, nil // nothing close: drop the line
 	}
 	tspec := synth.Commands[target]
 	rebuilt := rebuildLine(line, target, tspec)
 	step.After = rebuilt
-	return rebuilt, step
+	return rebuilt, step, nil
 }
 
 // siblingByOption returns another command's spec when the line carries an

@@ -1,6 +1,7 @@
 package synthexpert
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -50,7 +51,7 @@ set_fanout_limit 16
 compile_ultra
 report_qor
 `
-	refined, steps := e.Refine(draft, baseline)
+	refined, steps, _ := e.RefineContext(context.Background(), draft, baseline)
 	validate(t, refined)
 	if !strings.Contains(refined, "set_max_fanout 16") {
 		t.Errorf("hallucinated set_fanout_limit not revised to set_max_fanout:\n%s", refined)
@@ -76,13 +77,13 @@ func TestRefineFixesWrongOption(t *testing.T) {
 	}
 	for _, c := range cases {
 		draft := strings.Replace(baseline, "compile\n", c.bad+"\n", 1)
-		refined, _ := e.Refine(draft, baseline)
+		refined, _, _ := e.RefineContext(context.Background(), draft, baseline)
 		if !strings.Contains(refined, c.want) {
-			t.Errorf("Refine(%q): want %q in:\n%s", c.bad, c.want, refined)
+			t.Errorf("RefineContext(%q): want %q in:\n%s", c.bad, c.want, refined)
 		}
 		// -retiming and -exact_map must be gone.
 		if strings.Contains(refined, "-retiming") || strings.Contains(refined, "-exact_map") {
-			t.Errorf("Refine(%q) left an invalid option:\n%s", c.bad, refined)
+			t.Errorf("RefineContext(%q) left an invalid option:\n%s", c.bad, refined)
 		}
 	}
 }
@@ -96,7 +97,7 @@ optimize_registers
 compile_ultra
 report_qor
 `
-	refined, _ := e.Refine(draft, baseline)
+	refined, _, _ := e.RefineContext(context.Background(), draft, baseline)
 	validate(t, refined)
 	lines := strings.Split(refined, "\n")
 	compileAt, retimeAt := -1, -1
@@ -120,7 +121,7 @@ current_design d
 create_clock -period 2.00 [get_ports clk]
 report_qor
 `
-	refined, steps := e.Refine(draft, baseline)
+	refined, steps, _ := e.RefineContext(context.Background(), draft, baseline)
 	validate(t, refined)
 	if !strings.Contains(refined, "compile") {
 		t.Errorf("no compile inserted:\n%s", refined)
@@ -138,7 +139,7 @@ current_design d
 compile_ultra
 report_qor
 `
-	refined, _ := e.Refine(draft, baseline)
+	refined, _, _ := e.RefineContext(context.Background(), draft, baseline)
 	validate(t, refined)
 	if !strings.Contains(refined, "create_clock -period 2.00") {
 		t.Errorf("clock constraint not restored:\n%s", refined)
@@ -151,7 +152,7 @@ report_qor
 func TestRefineFixesBadNumericArg(t *testing.T) {
 	e := testExpert(t)
 	draft := strings.Replace(baseline, "compile\n", "set_max_fanout max [current_design]\ncompile_ultra\n", 1)
-	refined, _ := e.Refine(draft, baseline)
+	refined, _, _ := e.RefineContext(context.Background(), draft, baseline)
 	validate(t, refined)
 	if strings.Contains(refined, "set_max_fanout max") {
 		t.Errorf("non-numeric fanout not fixed:\n%s", refined)
@@ -168,7 +169,7 @@ current_design d
 create_clock -period 2.00 [get_ports clk]
 compile_ultra
 `
-	refined, _ := e.Refine(draft, baseline)
+	refined, _, _ := e.RefineContext(context.Background(), draft, baseline)
 	if !strings.Contains(refined, "report_qor") {
 		t.Errorf("report_qor not appended:\n%s", refined)
 	}
@@ -191,7 +192,7 @@ func TestRefineAllHallucinations(t *testing.T) {
 		"set_optimize_registers true",
 	} {
 		draft := strings.Replace(baseline, "compile\n", h+"\ncompile_ultra\n", 1)
-		refined, _ := e.Refine(draft, baseline)
+		refined, _, _ := e.RefineContext(context.Background(), draft, baseline)
 		errs := 0
 		for _, is := range synth.ValidateScript(refined) {
 			if is.Severity == "error" {

@@ -11,8 +11,9 @@ import (
 )
 
 // Concurrency: a Database is mutable only during Build. Once Build returns,
-// every serving-path method (EmbedDesign*, RetrieveStrategies*,
-// SearchManual*, ModuleCode, CellInfo, RetrieveModules) only reads — the
+// every serving-path method (EmbedDesignContext, EmbedSnapshotContext,
+// RetrieveStrategiesForContext, SearchManualContext, ModuleCode, CellInfo,
+// RetrieveModules) only reads — the
 // graph database executes MATCH queries over built indexes, the GNN forward
 // pass allocates fresh state per call, and the vector indexes are scan-only
 // — so one Database is safe for any number of concurrent readers. The
@@ -62,9 +63,9 @@ func (db *Database) CacheStats() CacheStats {
 func (db *Database) EnableBatching(time.Duration, int) {}
 
 // BatchStats is kept for the benchmark module (bench/): Items counts the
-// serving-path embeddings computed so far (EmbedDesign* misses and
-// SearchManual* queries), which the replay differences around a refinement
-// to count manual searches.
+// serving-path embeddings computed so far (embedding misses and
+// SearchManualContext queries), which the replay differences around a
+// refinement to count manual searches.
 func (db *Database) BatchStats() batch.Stats {
 	return batch.Stats{Items: db.counts.embedMisses.Load() + db.counts.manualSearches.Load()}
 }

@@ -68,7 +68,7 @@ func TestEmbeddingKeptOnSnapshot(t *testing.T) {
 		return res.Snapshot
 	}
 	snap := task(d)
-	want, _, err := db.EmbedDesign(d.Source, d.Top)
+	want, _, err := db.EmbedDesignContext(context.Background(), d.Source, d.Top)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package synthrag
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -254,7 +255,7 @@ func TestBestStrategyKeepsTheCause(t *testing.T) {
 	}
 	sess := synth.NewSession(lib)
 	sess.AddSource(d.FileName, d.Source)
-	_, cause := sess.Run(sweepScript(&d, StrategyPalette[names[0]]))
+	_, cause := sess.RunContext(context.Background(), sweepScript(&d, StrategyPalette[names[0]]))
 	if cause == nil {
 		t.Fatal("the first plan ran")
 	}

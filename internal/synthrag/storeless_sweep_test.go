@@ -1,6 +1,7 @@
 package synthrag
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/designs"
@@ -20,7 +21,7 @@ func storelessBestStrategy(d *designs.Design, lib *liberty.Library, names []stri
 	for _, name := range names {
 		sess := synth.NewSession(lib)
 		sess.AddSource(d.FileName, d.Source)
-		res, err := sess.Run(llm.SpliceScript(d.BaselineScript(), StrategyPalette[name]))
+		res, err := sess.RunContext(context.Background(), llm.SpliceScript(d.BaselineScript(), StrategyPalette[name]))
 		if err != nil {
 			continue
 		}

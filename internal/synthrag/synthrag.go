@@ -452,15 +452,15 @@ type StrategyHit struct {
 	Score  float64 // reranked score (Eq. 5)
 }
 
-// RetrieveStrategies performs graph-embedding retrieval with the
-// domain-specific rerank: Score = alpha*sim + beta*quality.
-func (db *Database) RetrieveStrategies(query []float64, k int, alpha, beta float64) []StrategyHit {
-	return db.RetrieveStrategiesFor(query, nil, k, alpha, beta, 0)
-}
-
-// RetrieveStrategiesForContext is RetrieveStrategiesFor with cooperative
-// cancellation: the context is checked before the nearest-neighbour search
-// and before the rerank, so a cancelled retrieval returns promptly.
+// RetrieveStrategiesForContext performs graph-embedding retrieval with the
+// Eq. 5 domain-specific rerank: Score = alpha*sim + beta*quality +
+// gamma*traitOverlap, over the query design's structural traits. Trait
+// compatibility is the "additional characteristics" the paper's
+// domain-specific reranking function uses to reorder embeddings whose raw
+// similarities barely differ (an ALU and a systolic array are both
+// arithmetic, but need different strategies). The context is checked
+// before the nearest-neighbour search and before the rerank, so a cancelled
+// retrieval returns promptly.
 func (db *Database) RetrieveStrategiesForContext(ctx context.Context, query []float64, queryTraits []string, k int, alpha, beta, gamma float64) ([]StrategyHit, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -496,17 +496,6 @@ func (db *Database) RetrieveStrategiesForContext(ctx context.Context, query []fl
 		db.storeRetrieve(key, hits)
 	}
 	return hits, nil
-}
-
-// RetrieveStrategiesFor adds the query design's structural traits to the
-// Eq. 5 rerank: Score = alpha*sim + beta*quality + gamma*traitOverlap.
-// Trait compatibility is the "additional characteristics" the paper's
-// domain-specific reranking function uses to reorder embeddings whose raw
-// similarities barely differ (an ALU and a systolic array are both
-// arithmetic, but need different strategies).
-func (db *Database) RetrieveStrategiesFor(query []float64, queryTraits []string, k int, alpha, beta, gamma float64) []StrategyHit {
-	hits, _ := db.RetrieveStrategiesForContext(context.Background(), query, queryTraits, k, alpha, beta, gamma)
-	return hits
 }
 
 // traitOverlap is the Jaccard overlap of two trait sets.
@@ -587,16 +576,10 @@ type ManualDoc struct {
 	Score float64
 }
 
-// SearchManual retrieves manual sections by text embedding and reranks the
-// candidates with the LLM (the GPT-4o-as-reranker step). A nil model skips
-// reranking.
-func (db *Database) SearchManual(query string, k int, reranker *llm.Model) []ManualDoc {
-	docs, _ := db.SearchManualContext(context.Background(), query, k, reranker)
-	return docs
-}
-
-// SearchManualContext is SearchManual with cooperative cancellation: the
-// context is checked before the embedding search and before the rerank.
+// SearchManualContext retrieves manual sections by text embedding and
+// reranks the candidates with the LLM (the GPT-4o-as-reranker step). A nil
+// model skips reranking. The context is checked before the embedding search
+// and before the rerank.
 func (db *Database) SearchManualContext(ctx context.Context, query string, k int, reranker *llm.Model) ([]ManualDoc, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -645,15 +628,10 @@ type servingCounts struct {
 	embedHits, embedMisses, manualSearches atomic.Int64
 }
 
-// EmbedDesign analyzes query RTL into its global embedding, for callers
-// that have only source text.
-func (db *Database) EmbedDesign(src, top string) ([]float64, *circuitmentor.DesignGraph, error) {
-	return db.EmbedDesignContext(context.Background(), src, top)
-}
-
-// EmbedDesignContext is EmbedDesign with cooperative cancellation: the
-// context is checked between the graph-build and GNN-embed phases. It keeps
-// nothing (see EmbedSnapshotContext).
+// EmbedDesignContext analyzes query RTL into its global embedding, for
+// callers that have only source text. The context is checked between the
+// graph-build and GNN-embed phases. It keeps nothing (see
+// EmbedSnapshotContext).
 func (db *Database) EmbedDesignContext(ctx context.Context, src, top string) ([]float64, *circuitmentor.DesignGraph, error) {
 	return db.embed(ctx, synth.Snapshot{}, src, top)
 }

@@ -1,6 +1,7 @@
 package synthrag
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,7 +75,7 @@ func TestModuleCodeRetrieval(t *testing.T) {
 func TestManualSearch(t *testing.T) {
 	db := buildQuick(t, 0)
 	model := llm.New(llm.GPT4o, 1)
-	hits := db.SearchManual("how to retime registers to balance pipeline stages", 3, model)
+	hits, _ := db.SearchManualContext(context.Background(), "how to retime registers to balance pipeline stages", 3, model)
 	if len(hits) == 0 {
 		t.Fatal("no manual hits")
 	}
@@ -83,7 +84,7 @@ func TestManualSearch(t *testing.T) {
 		t.Errorf("top hit = %s, want retiming-related", top)
 	}
 	// Hallucinated command query must route to a real command.
-	hits = db.SearchManual("set_fanout_limit 16", 2, model)
+	hits, _ = db.SearchManualContext(context.Background(), "set_fanout_limit 16", 2, model)
 	found := false
 	for _, h := range hits {
 		if h.Doc.ID == "cmd/set_max_fanout" || h.Doc.ID == "guide/buffering" {
@@ -107,7 +108,7 @@ func TestModuleRetrievalByCategory(t *testing.T) {
 	db := buildQuick(t, 40)
 	// Query with a fresh processor-core design not in the corpus.
 	d := designs.RiscV32i()
-	_, dg, err := db.EmbedDesign(d.Source, d.Top)
+	_, dg, err := db.EmbedDesignContext(context.Background(), d.Source, d.Top)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +176,11 @@ func TestRetrieveStrategiesRerank(t *testing.T) {
 	db := buildFull(t)
 	// Query with the dynamic_node benchmark: a high-fanout design.
 	d := designs.DynamicNode()
-	emb, _, err := db.EmbedDesign(d.Source, d.Top)
+	emb, _, err := db.EmbedDesignContext(context.Background(), d.Source, d.Top)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := db.RetrieveStrategies(emb, 3, 0.7, 0.3)
+	hits, _ := db.RetrieveStrategiesForContext(context.Background(), emb, nil, 3, 0.7, 0.3, 0)
 	if len(hits) != 3 {
 		t.Fatalf("hits = %d", len(hits))
 	}
@@ -193,7 +194,7 @@ func TestRetrieveStrategiesRerank(t *testing.T) {
 		t.Errorf("rendering malformed:\n%s", text)
 	}
 	// With beta=1, quality dominates: top hit must have met timing.
-	qHits := db.RetrieveStrategies(emb, 3, 0.0, 1.0)
+	qHits, _ := db.RetrieveStrategiesForContext(context.Background(), emb, nil, 3, 0.0, 1.0, 0)
 	if qHits[0].Record.Quality < qHits[len(qHits)-1].Record.Quality {
 		t.Error("quality-dominant rerank did not order by quality")
 	}

@@ -111,7 +111,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 				}
 				sess := synth.NewSession(testLib)
 				sess.AddSource(task.Design.FileName, task.Design.Source)
-				if _, err := sess.Run(script); err != nil {
+				if _, err := sess.RunContext(context.Background(), script); err != nil {
 					t.Fatalf("%s %s: degraded script failed in tool: %v\n%s", comp, mode, err, script)
 				}
 			})
@@ -196,7 +196,7 @@ func TestRunPassKRecordsDegradation(t *testing.T) {
 		Component: resilience.CompMentor,
 		Mode:      resilience.ModeFail,
 	})
-	res, err := RunPassK(context.Background(), p, designs.RiscV32i(), 2, testLib)
+	res, err := RunPassKOpts(context.Background(), p, designs.RiscV32i(), 2, testLib, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
