@@ -22,9 +22,13 @@ race:
 # ten times under the race detector, so more interleavings of notes,
 # captures, hits and push-outs are tried than one run sees. The values kept
 # on a snapshot (Snapshot.Keep) get the same treatment: sixteen goroutines on
-# one snapshot mixing hits, misses, errors and eviction.
+# one snapshot mixing hits, misses, errors and eviction. So do the
+# workspaces of a design's first request (TestColdWorkspaceHammer): sixteen
+# goroutines over a two-snapshot store mixing captures that borrow a
+# workspace's Timing, snapshot reads whose thaw a restore reuses, restores
+# and failing runs.
 derived-race:
-	$(GO) test -race -count=10 -run 'TestDerivedHammer|TestKeepHammer' ./internal/synth
+	$(GO) test -race -count=10 -run 'TestDerivedHammer|TestKeepHammer|TestColdWorkspaceHammer' ./internal/synth
 
 vet:
 	$(GO) vet ./...

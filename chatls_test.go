@@ -185,7 +185,7 @@ func TestFig5SmallRun(t *testing.T) {
 		t.Skip("retrieval experiment is slow")
 	}
 	cfg := ExperimentConfig{Seed: 7, TrainEpochs: 30, SoCCount: 6, Lib: testLib}
-	points, err := Fig5(cfg)
+	points, err := Fig5(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

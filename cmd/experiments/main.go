@@ -151,7 +151,7 @@ func run(ctx context.Context, w io.Writer, cfg chatls.ExperimentConfig, sel sele
 	}
 	if sel.wantFig(5) {
 		fmt.Fprintln(os.Stderr, "running Fig. 5 retrieval evaluation...")
-		points, err := chatls.Fig5(cfg)
+		points, err := chatls.Fig5(ctx, cfg)
 		if err != nil {
 			return err
 		}

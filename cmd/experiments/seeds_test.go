@@ -95,7 +95,7 @@ func runSeed(t *testing.T, seed int64) seedRun {
 	if r.ablations, err = chatls.Ablations(ctx, cfg, db); err != nil {
 		t.Fatal(err)
 	}
-	if r.fig5, err = chatls.Fig5(cfg); err != nil {
+	if r.fig5, err = chatls.Fig5(ctx, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if r.rerank, err = chatls.RerankSweep(ctx, cfg, db); err != nil {

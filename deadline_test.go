@@ -176,3 +176,15 @@ func TestRerankSweepCancelled(t *testing.T) {
 		t.Fatalf("RerankSweep on a cancelled context: %d points, err %v; want none and context.Canceled", len(points), err)
 	}
 }
+
+// TestFig5Cancelled: Fig. 5 runs under its caller's context, so `experiments
+// -fig 5 -timeout` is bounded: a cancelled context returns no points and the
+// context's error.
+func TestFig5Cancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	points, err := Fig5(ctx, DefaultConfig())
+	if points != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig5 on a cancelled context: %d points, err %v; want none and context.Canceled", len(points), err)
+	}
+}

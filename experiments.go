@@ -352,11 +352,19 @@ var Fig5Variants = []string{"synthrag", "no-metric-learning", "text-only"}
 // module queries the database for its top-5 most similar corpus modules;
 // the majority category of the hits is the prediction, scored against the
 // module's ground-truth category as precision/recall/F1 per category plus a
-// macro average ("overall").
-func Fig5(cfg ExperimentConfig) ([]Fig5Point, error) {
+// macro average ("overall"). The context is checked between the two
+// database builds (a build itself takes none), between the SoCs the queries
+// come from, between the variants and between query modules.
+func Fig5(ctx context.Context, cfg ExperimentConfig) ([]Fig5Point, error) {
 	cfg.fill()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	trained, err := synthrag.Build(synthrag.BuildConfig{Seed: cfg.Seed, TrainEpochs: cfg.TrainEpochs, SkipSynth: true, Lib: cfg.Lib})
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	untrained, err := synthrag.Build(synthrag.BuildConfig{Seed: cfg.Seed, TrainEpochs: 0, SkipSynth: true, Lib: cfg.Lib})
@@ -377,6 +385,9 @@ func Fig5(cfg ExperimentConfig) ([]Fig5Point, error) {
 	}
 	var queries []query
 	for i := 0; i < cfg.SoCCount; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		soc := designs.SoC(designs.RandomSoCConfig(fmt.Sprintf("q%d", i), rng))
 		dg, err := circuitmentor.BuildGraph(soc.Source, soc.Top)
 		if err != nil {
@@ -395,6 +406,9 @@ func Fig5(cfg ExperimentConfig) ([]Fig5Point, error) {
 		// Predict each query module's category.
 		preds := make([]string, len(queries))
 		for qi, q := range queries {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			switch variant {
 			case "synthrag":
 				embs := trained.EmbedModulesOf(q.dg)

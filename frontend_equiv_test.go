@@ -137,7 +137,10 @@ func elaborated(t *testing.T, d *designs.Design) *netlist.Netlist {
 // in internal/synthrag); a first chatls request then elaborates and parses its
 // design once (not once each for the baseline, the analysis and the graph).
 // The cold pass is sequential, so the serving store never needs a second
-// workspace: the analysis borrows the one the samples restore into.
+// workspace: each design's baseline captures its snapshot borrowing the one
+// workspace's Timing and scratch, the analysis thaws the snapshot into it, and
+// the sample restores into it and uses that unedited thaw as it is — three
+// acquisitions and one thaw a design.
 func TestFrontEndRunsOncePerDesign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the full database")
@@ -171,7 +174,14 @@ func TestFrontEndRunsOncePerDesign(t *testing.T) {
 	if got, want := verilog.Parses()-parses, uint64(len(requested)); got != want {
 		t.Errorf("cold pass: %d parses, want %d (one per requested design)", got, want)
 	}
-	if got := store.Stats().Allocated; got != 1 {
-		t.Errorf("cold pass: the serving store allocated %d workspaces, want 1", got)
+	st := store.Stats()
+	if st.Allocated != 1 {
+		t.Errorf("cold pass: the serving store allocated %d workspaces, want 1", st.Allocated)
+	}
+	if got, want := st.Allocated+st.Reused, int64(3*len(requested)); got != want {
+		t.Errorf("cold pass: %d workspace acquisitions, want %d (a capture, a snapshot read and a restore a design)", got, want)
+	}
+	if got, want := st.Thaws, int64(len(requested)); got != want {
+		t.Errorf("cold pass: %d thaws, want %d (the analysis read's; the sample reuses it)", got, want)
 	}
 }

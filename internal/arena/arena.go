@@ -13,13 +13,19 @@
 // lifetime the per-object allocations had in practice: a netlist retains
 // its dead nets' memory through Sinks slices and ID maps anyway.
 //
+// Chunks double from 64 objects and stop growing at 1 024. An arena's last
+// chunk is partly empty, and the larger the chunks the larger that tail: the
+// seven benchmarks' elaborations hold 28 101 cells in 42 560 slots with
+// chunks doubling to 8 192, and in 32 320 slots capped at 1 024 (nets: 44 027
+// in 67 136 and 47 680), for a few more chunks an arena.
+//
 // The zero value is ready to use. An Arena is not safe for concurrent use;
 // give each goroutine (each Netlist, each parser) its own.
 package arena
 
 const (
 	minChunkShift = 6  // first chunk: 64 objects
-	maxChunkShift = 13 // chunks cap at 8192 objects
+	maxChunkShift = 10 // chunks cap at 1024 objects
 )
 
 // Arena allocates zeroed values of T from chunked backing arrays.

@@ -9,8 +9,8 @@ type node struct {
 }
 
 // TestPointersStayValidAcrossChunks links every object to its predecessor
-// while the arena grows through all its chunk sizes (64, 128, ... 8192,
-// 8192): a chunk that moved or was reused would break the chain or the ids.
+// while the arena grows through all its chunk sizes (64, 128, ... 1024,
+// 1024): a chunk that moved or was reused would break the chain or the ids.
 func TestPointersStayValidAcrossChunks(t *testing.T) {
 	const n = 3 * (1 << maxChunkShift)
 	var a Arena[node]

@@ -11,6 +11,7 @@ package circuitmentor
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/gnn"
 	"repro/internal/graphdb"
@@ -124,21 +125,19 @@ func BuildGraphFromFile(file *verilog.SourceFile, top string) (*DesignGraph, err
 
 	dg := &DesignGraph{Top: top, File: file}
 	var feats [][]float64
-	var adj [][]int
+	var edges [][2]int // graph-wide node numbers
 	var moduleOf []int
+	df := new(dataflow)
 
 	for mi, mod := range used {
-		nodes, edges := moduleComponents(mod)
+		nodes, modEdges := moduleComponents(mod, df)
 		base := len(feats)
-		for _, n := range nodes {
-			feats = append(feats, n)
-			adj = append(adj, nil)
+		feats = append(feats, nodes...)
+		for range nodes {
 			moduleOf = append(moduleOf, mi)
 		}
-		for _, e := range edges {
-			a, b := base+e[0], base+e[1]
-			adj[a] = append(adj[a], b)
-			adj[b] = append(adj[b], a)
+		for _, e := range modEdges {
+			edges = append(edges, [2]int{base + e[0], base + e[1]})
 		}
 		dg.Modules = append(dg.Modules, ModuleInfo{
 			Name:      mod.Name,
@@ -151,53 +150,189 @@ func BuildGraphFromFile(file *verilog.SourceFile, top string) (*DesignGraph, err
 	for i, f := range feats {
 		copy(fm.Row(i), f)
 	}
-	dg.G = &gnn.Graph{Feats: fm, Adj: adj, ModuleOf: moduleOf, NumModule: len(used)}
+	dg.G = &gnn.Graph{Feats: fm, Adj: adjacency(len(feats), edges), ModuleOf: moduleOf, NumModule: len(used)}
 	return dg, dg.G.Validate()
 }
 
-// moduleComponents converts a module body into component nodes and
-// dataflow edges. Node i produces the signals in defs[i] and reads uses[i];
-// an edge connects i -> j when i defines something j uses.
-func moduleComponents(mod *verilog.Module) (feats [][]float64, edges [][2]int) {
-	type comp struct {
-		defs map[string]bool
-		uses map[string]bool
+// adjacency returns the neighbour lists of an n-node graph with the given
+// undirected edges: each edge (a, b) appends b to a's list and a to b's, in
+// edge order. The lists are carved out of one slab, each capped at its
+// length; a node with no edge has a nil list.
+func adjacency(n int, edges [][2]int) [][]int {
+	deg := make([]int, n)
+	for _, e := range edges {
+		deg[e[0]]++
+		deg[e[1]]++
 	}
-	var comps []comp
-	addNode := func(f []float64, defs, uses map[string]bool) {
+	adj := make([][]int, n)
+	slab := make([]int, 2*len(edges))
+	off := 0
+	for i, d := range deg {
+		if d > 0 {
+			adj[i] = slab[off : off : off+d]
+			off += d
+		}
+	}
+	for _, e := range edges {
+		a, b := e[0], e[1]
+		adj[a] = append(adj[a], b)
+		adj[b] = append(adj[b], a)
+	}
+	return adj
+}
+
+// dataflow is the working storage of moduleComponents: the module's signals,
+// numbered in first-seen order, and the signals each component defines and
+// reads, component by component. One is reused across a graph's modules.
+type dataflow struct {
+	ids        map[string]int32
+	defs, uses []int32 // signal numbers; component i's end at defEnd[i], useEnd[i]
+	defEnd     []int32
+	useEnd     []int32
+}
+
+// reset empties df for the next module.
+func (df *dataflow) reset() {
+	if df.ids == nil {
+		df.ids = make(map[string]int32)
+	}
+	clear(df.ids)
+	df.defs, df.uses = df.defs[:0], df.uses[:0]
+	df.defEnd, df.useEnd = df.defEnd[:0], df.useEnd[:0]
+}
+
+// collect appends the number of every identifier in e to *into.
+func (df *dataflow) collect(e verilog.Expr, into *[]int32) {
+	switch v := e.(type) {
+	case *verilog.Ident:
+		id, ok := df.ids[v.Name]
+		if !ok {
+			id = int32(len(df.ids))
+			df.ids[v.Name] = id
+		}
+		*into = append(*into, id)
+	case *verilog.Unary:
+		df.collect(v.X, into)
+	case *verilog.Binary:
+		df.collect(v.L, into)
+		df.collect(v.R, into)
+	case *verilog.Ternary:
+		df.collect(v.Cond, into)
+		df.collect(v.T, into)
+		df.collect(v.F, into)
+	case *verilog.Index:
+		df.collect(v.X, into)
+	case *verilog.Slice:
+		df.collect(v.X, into)
+	case *verilog.Concat:
+		for _, p := range v.Parts {
+			df.collect(p, into)
+		}
+	case *verilog.Repl:
+		df.collect(v.X, into)
+	}
+}
+
+// endComponent closes the current component's defs and uses.
+func (df *dataflow) endComponent() {
+	df.defEnd = append(df.defEnd, int32(len(df.defs)))
+	df.useEnd = append(df.useEnd, int32(len(df.uses)))
+}
+
+// edges returns an edge i -> j for every pair of distinct components where i
+// defines a signal j reads, i ascending and, for each i, j ascending — the
+// order a pairwise comparison of the components produces. The pairs come
+// from an index of each signal's readers, so the work is the reads the
+// module's definitions reach, not the square of its component count.
+func (df *dataflow) edges() [][2]int {
+	n, nsig := len(df.defEnd), len(df.ids)
+	// readers[first[s]:first[s+1]] are the components that read signal s,
+	// ascending (one that reads s twice is listed twice).
+	first := make([]int32, nsig+1)
+	for _, s := range df.uses {
+		first[s+1]++
+	}
+	for s := 0; s < nsig; s++ {
+		first[s+1] += first[s]
+	}
+	next := append([]int32(nil), first[:nsig]...)
+	readers := make([]int32, len(df.uses))
+	lo := int32(0)
+	for i, hi := range df.useEnd {
+		for _, s := range df.uses[lo:hi] {
+			readers[next[s]] = int32(i)
+			next[s]++
+		}
+		lo = hi
+	}
+
+	var edges [][2]int
+	mark := make([]int32, n) // mark[j] == i+1: j is already one of i's targets
+	var targets []int32
+	lo = 0
+	for i, hi := range df.defEnd {
+		targets = targets[:0]
+		for _, s := range df.defs[lo:hi] {
+			for _, j := range readers[first[s]:first[s+1]] {
+				if j != int32(i) && mark[j] != int32(i)+1 {
+					mark[j] = int32(i) + 1
+					targets = append(targets, j)
+				}
+			}
+		}
+		lo = hi
+		slices.Sort(targets)
+		for _, j := range targets {
+			edges = append(edges, [2]int{i, int(j)})
+		}
+	}
+	return edges
+}
+
+// moduleComponents converts a module body into component nodes and
+// dataflow edges. Node i produces the signals it defines and reads the ones
+// it uses; an edge connects i -> j when i defines something j uses. df is
+// working storage, overwritten.
+func moduleComponents(mod *verilog.Module, df *dataflow) (feats [][]float64, edges [][2]int) {
+	df.reset()
+	// One feature slab for the module: at most one node an item, or the
+	// placeholder.
+	slab := make([]float64, FeatureDim*max(len(mod.Items), 1))
+	newFeats := func() []float64 {
+		f := slab[:FeatureDim:FeatureDim]
+		slab = slab[FeatureDim:]
+		return f
+	}
+	addNode := func(f []float64) {
 		feats = append(feats, f)
-		comps = append(comps, comp{defs: defs, uses: uses})
+		df.endComponent()
 	}
 
 	for _, item := range mod.Items {
 		switch it := item.(type) {
 		case *verilog.Assign:
-			f := make([]float64, FeatureDim)
+			f := newFeats()
 			f[fAssign] = 1
 			st := exprStats(it.RHS)
 			st.fill(f)
-			defs := map[string]bool{}
-			collectIdents(it.LHS, defs)
-			uses := map[string]bool{}
-			collectIdents(it.RHS, uses)
-			addNode(f, defs, uses)
+			df.collect(it.LHS, &df.defs)
+			df.collect(it.RHS, &df.uses)
+			addNode(f)
 
 		case *verilog.AlwaysFF:
-			f := make([]float64, FeatureDim)
+			f := newFeats()
 			f[fReg] = 1
-			defs := map[string]bool{}
-			uses := map[string]bool{}
 			var st stats
 			var walk func(stmts []verilog.Stmt)
 			walk = func(stmts []verilog.Stmt) {
 				for _, s := range stmts {
 					switch v := s.(type) {
 					case *verilog.NonBlocking:
-						collectIdents(v.LHS, defs)
-						collectIdents(v.RHS, uses)
+						df.collect(v.LHS, &df.defs)
+						df.collect(v.RHS, &df.uses)
 						st.add(exprStats(v.RHS))
 					case *verilog.IfStmt:
-						collectIdents(v.Cond, uses)
+						df.collect(v.Cond, &df.uses)
 						st.add(exprStats(v.Cond))
 						st.mux++
 						walk(v.Then)
@@ -207,61 +342,42 @@ func moduleComponents(mod *verilog.Module) (feats [][]float64, edges [][2]int) {
 			}
 			walk(it.Body)
 			st.fill(f)
-			addNode(f, defs, uses)
+			addNode(f)
 
 		case *verilog.Instance:
-			f := make([]float64, FeatureDim)
+			f := newFeats()
 			f[fInstance] = 1
-			defs := map[string]bool{}
-			uses := map[string]bool{}
 			// Without the callee's port directions we treat all
 			// connections as both used and defined, which still yields the
 			// right connectivity.
 			for _, c := range it.Conns {
 				if c.Expr != nil {
-					collectIdents(c.Expr, defs)
-					collectIdents(c.Expr, uses)
+					df.collect(c.Expr, &df.defs)
+					df.collect(c.Expr, &df.uses)
 				}
 			}
 			f[fFanin] = math.Log1p(float64(len(it.Conns)))
-			addNode(f, defs, uses)
+			addNode(f)
 
 		case *verilog.GatePrim:
-			f := make([]float64, FeatureDim)
+			f := newFeats()
 			f[fAssign] = 1
 			f[fAndOr] = 1
-			defs := map[string]bool{}
-			uses := map[string]bool{}
 			if len(it.Args) > 0 {
-				collectIdents(it.Args[0], defs)
+				df.collect(it.Args[0], &df.defs)
 				for _, a := range it.Args[1:] {
-					collectIdents(a, uses)
+					df.collect(a, &df.uses)
 				}
 			}
-			addNode(f, defs, uses)
+			addNode(f)
 		}
 	}
 
 	// Modules with no items still get one placeholder node so pooling works.
 	if len(feats) == 0 {
-		addNode(make([]float64, FeatureDim), map[string]bool{}, map[string]bool{})
+		addNode(newFeats())
 	}
-
-	// Dataflow edges.
-	for i := range comps {
-		for j := range comps {
-			if i == j {
-				continue
-			}
-			for d := range comps[i].defs {
-				if comps[j].uses[d] {
-					edges = append(edges, [2]int{i, j})
-					break
-				}
-			}
-		}
-	}
-	return feats, edges
+	return feats, df.edges()
 }
 
 // stats accumulates expression operator counts.
@@ -351,32 +467,6 @@ func exprStats(e verilog.Expr) stats {
 	}
 	walk(e)
 	return s
-}
-
-func collectIdents(e verilog.Expr, into map[string]bool) {
-	switch v := e.(type) {
-	case *verilog.Ident:
-		into[v.Name] = true
-	case *verilog.Unary:
-		collectIdents(v.X, into)
-	case *verilog.Binary:
-		collectIdents(v.L, into)
-		collectIdents(v.R, into)
-	case *verilog.Ternary:
-		collectIdents(v.Cond, into)
-		collectIdents(v.T, into)
-		collectIdents(v.F, into)
-	case *verilog.Index:
-		collectIdents(v.X, into)
-	case *verilog.Slice:
-		collectIdents(v.X, into)
-	case *verilog.Concat:
-		for _, p := range v.Parts {
-			collectIdents(p, into)
-		}
-	case *verilog.Repl:
-		collectIdents(v.X, into)
-	}
 }
 
 // EmbedModules returns one embedding per module of the design graph.

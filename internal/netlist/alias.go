@@ -4,7 +4,7 @@ import "fmt"
 
 // aliaser is a union-find over nets. Continuous assignments, port bindings,
 // and register outputs unify nets; materialize resolves every cell
-// connection to its class root and rebuilds sink lists, catching multiple
+// connection to its class root and builds the sink lists, catching multiple
 // drivers and driven constants/inputs along the way.
 type aliaser struct {
 	parent []*Net // indexed by Net.ID; nil means the net is its class root
@@ -123,14 +123,13 @@ func (a *aliaser) union(x, y *Net) error {
 }
 
 // materialize resolves aliases into the final netlist: every cell port is
-// rewritten to its class root, sink lists are rebuilt, the primary
+// rewritten to its class root, the sink lists are built — elaboration creates
+// its cells through addCell, which builds none, so this is the only place
+// they are — the primary
 // input/output lists are canonicalized, and the clock/reset nets are
 // identified. The nets list keeps only live roots.
 func (el *elab) materialize() error {
 	nl := el.nl
-	for _, n := range nl.Nets {
-		n.Sinks = nil
-	}
 	// Pass 1: resolve every cell port to its class root, check driver
 	// legality, and count sinks per root so pass 2 can carve all sink lists
 	// out of one slab instead of growing each with per-pin allocations.
@@ -165,7 +164,7 @@ func (el *elab) materialize() error {
 		}
 	}
 
-	// Pass 2: rebuild sink lists in the original append order (cells in
+	// Pass 2: build the sink lists in AddCell's append order (cells in
 	// list order, inputs in pin order), filling preallocated slabs.
 	pinSlab := make([]Pin, totalSinks)
 	sinkSlab := make([]*Pin, totalSinks)

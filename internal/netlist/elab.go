@@ -217,14 +217,14 @@ func (el *elab) drive(sc *modScope, dst, src *Net) error {
 				kind = liberty.KindTie1
 			}
 			if ref := el.nl.Lib.Weakest(kind); ref != nil {
-				c, err := el.nl.AddCell(ref, sc.group, sc.m.Name)
+				c, err := el.nl.addCell(ref, sc.group, sc.m.Name, nil)
 				if err != nil {
 					return err
 				}
 				return el.al.union(c.Output, d)
 			}
 		} else if ref := el.nl.Lib.Weakest(liberty.KindBuf); ref != nil {
-			c, err := el.nl.AddCell(ref, sc.group, sc.m.Name, s)
+			c, err := el.nl.addCell(ref, sc.group, sc.m.Name, []*Net{s})
 			if err != nil {
 				return err
 			}

@@ -93,7 +93,7 @@ func (el *elab) elabAlways(sc *modScope, ff *verilog.AlwaysFF) error {
 		if ref == nil {
 			return fmt.Errorf("library has no %s cell", kind)
 		}
-		cell, err := el.nl.AddCell(ref, sc.group, sc.m.Name, next)
+		cell, err := el.nl.addCell(ref, sc.group, sc.m.Name, []*Net{next})
 		if err != nil {
 			return err
 		}

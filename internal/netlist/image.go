@@ -226,9 +226,10 @@ func tableIndex[T comparable](table *[]T, idx map[T]int32, v T) int32 {
 // place, reallocated (to the exact size) only when too small. Whatever into
 // held before is gone afterwards, whatever state an aborted run left it in:
 // every slot of the new netlist is assigned, every slot past it that an
-// earlier use could have written is zeroed, and the arenas behind the cells
-// and nets that edits added are dropped, so nothing stale stays reachable.
-// The caller must hold the only reference into the old contents.
+// earlier use could have written is zeroed, and the arenas and the input
+// chunk behind the cells and nets that edits added are dropped, so nothing
+// stale stays reachable. The caller must hold the only reference into the old
+// contents.
 func (im *Image) Thaw(into *Netlist) *Netlist {
 	nl := into
 	if nl == nil {
@@ -248,6 +249,7 @@ func (im *Image) Thaw(into *Netlist) *Netlist {
 	nl.netArena = arena.Arena[Net]{}
 	nl.cellArena = arena.Arena[Cell]{}
 	nl.pinArena = arena.Arena[Pin]{}
+	nl.inChunk, nl.inGrown = nil, 0
 
 	// Only Thaw writes the slabs, so their stale extent is their length;
 	// edits append to and truncate the four lists, so theirs is the capacity.

@@ -47,7 +47,7 @@ func (b *builder) cell(kind liberty.Kind, ins ...*Net) (*Net, error) {
 	if ref == nil {
 		return nil, fmt.Errorf("library has no %s cell", kind)
 	}
-	c, err := b.nl.AddCell(ref, b.group, b.module, ins...)
+	c, err := b.nl.addCell(ref, b.group, b.module, ins)
 	if err != nil {
 		return nil, err
 	}

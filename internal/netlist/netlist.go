@@ -61,8 +61,8 @@ type Cell struct {
 
 	// pos is the cell's index in its netlist's Cells slice, so RemoveCell
 	// needs no scan. Invariant: nl.Cells[c.pos] == c for every live cell,
-	// kept by the only writers of nl.Cells — AddCell, RemoveCell, Thaw and
-	// Decode.
+	// kept by the only writers of nl.Cells — addCell (AddCell's body),
+	// RemoveCell, Thaw and Decode.
 	pos int
 }
 
@@ -100,6 +100,12 @@ type Netlist struct {
 	netArena  arena.Arena[Net]
 	cellArena arena.Arena[Cell]
 	pinArena  arena.Arena[Pin]
+	// inChunk is where addCell carves the Inputs of the cells it creates:
+	// a chunk that, like the arenas', starts small and doubles (inGrown
+	// times so far) up to a cap, so a cell's inputs are not an allocation
+	// of their own.
+	inChunk []*Net
+	inGrown uint
 
 	// Slabs behind the objects of a thawed netlist (see Image.Thaw), one per
 	// object kind, kept so the next Thaw into this netlist can overwrite them
@@ -187,6 +193,21 @@ func (nl *Netlist) NewConst(val bool) *Net {
 // AddCell creates a cell instance driving a fresh output net.
 // inputs must match the kind's input count.
 func (nl *Netlist) AddCell(ref *liberty.Cell, group, module string, inputs ...*Net) (*Cell, error) {
+	c, err := nl.addCell(ref, group, module, inputs)
+	if err != nil {
+		return nil, err
+	}
+	for i, in := range c.Inputs {
+		in.Sinks = append(in.Sinks, nl.newPin(c, i))
+	}
+	return c, nil
+}
+
+// addCell is AddCell without the sink lists: the cell, its output net and
+// its inputs, but no pin records on the nets it reads. Elaboration creates
+// its cells here, because materialize builds every sink list from the
+// finished cell list in one pass anyway.
+func (nl *Netlist) addCell(ref *liberty.Cell, group, module string, inputs []*Net) (*Cell, error) {
 	want := liberty.KindInputs[ref.Kind]
 	if len(inputs) != want {
 		return nil, fmt.Errorf("cell %s: %d inputs, want %d", ref.Name, len(inputs), want)
@@ -196,20 +217,45 @@ func (nl *Netlist) AddCell(ref *liberty.Cell, group, module string, inputs ...*N
 	c.ID = nl.nextCell
 	c.Name = cellNames.Name(nl.nextCell)
 	c.Ref = ref
-	c.Inputs = inputs
+	c.Inputs = nl.newInputs(inputs)
 	c.Output = out
 	c.Module = module
 	c.Group = group
 	c.pos = len(nl.Cells)
 	nl.nextCell++
 	out.Driver = c
-	for i, in := range inputs {
-		in.Sinks = append(in.Sinks, nl.newPin(c, i))
-	}
 	nl.Cells = append(nl.Cells, c)
 	nl.Groups[group]++
 	nl.noteTopo()
 	return c, nil
+}
+
+// The input chunk's first and largest sizes: 8 inputs, so a run that adds
+// a handful of cells to a thawed netlist pays for about what it uses, then
+// doubling to the 1 024 the arenas' chunks stop at.
+const (
+	minInChunkShift = 3
+	maxInChunkShift = 10
+)
+
+// newInputs copies ins into the input chunk and returns the copy, capped at
+// its length so that nothing appended to it runs into a neighbour's.
+func (nl *Netlist) newInputs(ins []*Net) []*Net {
+	if len(ins) == 0 {
+		return nil
+	}
+	if cap(nl.inChunk)-len(nl.inChunk) < len(ins) {
+		shift := minInChunkShift + nl.inGrown
+		if shift < maxInChunkShift {
+			nl.inGrown++
+		} else {
+			shift = maxInChunkShift
+		}
+		nl.inChunk = make([]*Net, 0, 1<<shift)
+	}
+	lo := len(nl.inChunk)
+	nl.inChunk = append(nl.inChunk, ins...)
+	return nl.inChunk[lo:len(nl.inChunk):len(nl.inChunk)]
 }
 
 // SetInput replaces input pin idx of cell c with net n, updating sink lists.

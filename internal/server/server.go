@@ -246,11 +246,11 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return s.ckpt.Stats().Misses })
 	s.reg.NewCounterFunc("synth_checkpoint_evictions_total", "elaboration checkpoints displaced by capacity pressure",
 		func() int64 { return s.ckpt.Stats().Evictions })
-	s.reg.NewCounterFunc("synth_checkpoint_workspace_reuses_total", "workspace acquisitions (restores and snapshot reads) that took a parked workspace",
+	s.reg.NewCounterFunc("synth_checkpoint_workspace_reuses_total", "workspace acquisitions (runs through the link prefix, restoring or capturing, and snapshot reads) that took a parked workspace",
 		func() int64 { return s.ckpt.Stats().Reused })
-	s.reg.NewCounterFunc("synth_checkpoint_workspace_allocs_total", "workspace acquisitions (restores and snapshot reads) that made a new, empty one",
+	s.reg.NewCounterFunc("synth_checkpoint_workspace_allocs_total", "workspace acquisitions (runs through the link prefix, restoring or capturing, and snapshot reads) that made a new, empty one",
 		func() int64 { return s.ckpt.Stats().Allocated })
-	s.reg.NewCounterFunc("synth_checkpoint_thaws_total", "netlist images thawed into a workspace: a restored run's first netlist read, post-link or compiled, and snapshot reads",
+	s.reg.NewCounterFunc("synth_checkpoint_thaws_total", "netlist images thawed into a workspace: a restored run's first netlist read, post-link or compiled, and snapshot reads; a restore that finds the unedited thaw a snapshot read left in its workspace uses it and thaws nothing",
 		func() int64 { return s.ckpt.Stats().Thaws })
 	s.reg.NewCounterFunc("synth_checkpoint_restore_thaws_skipped_total", "restores whose post-link image was never thawed: the compile's result was served instead, or the run ended before any command read the netlist",
 		func() int64 { return s.ckpt.Stats().ThawsSkipped })

@@ -195,14 +195,20 @@ func TestTaskCacheHit(t *testing.T) {
 	if mentorHits+mentorMisses < 1 {
 		t.Errorf("after first request: mentor cache saw %v lookups, want >= 1", mentorHits+mentorMisses)
 	}
-	// The first request's analysis read the checkpoint its baseline captured,
-	// thawed into fresh storage; its sample restored into that same workspace
-	// and released it. (The store is the server's own, so the analysis was a
-	// miss.)
+	// Every run through the link prefix and every snapshot read takes one
+	// workspace. The first request's baseline captured the checkpoint in a
+	// new one, borrowing only its Timing and scratch, and released it; the
+	// analysis read the checkpoint thawed into that workspace; its sample
+	// restored into the same workspace and used the read's unedited thaw as
+	// it was, so the image was thawed once. (The store is the server's own,
+	// so the analysis was a miss.)
 	wsReuses := metricValue(t, ts.URL, "synth_checkpoint_workspace_reuses_total")
 	wsAllocs := metricValue(t, ts.URL, "synth_checkpoint_workspace_allocs_total")
-	if wsAllocs != 1 || wsReuses != 1 {
-		t.Errorf("after first request: workspace allocs/reuses = %v/%v, want 1/1", wsAllocs, wsReuses)
+	if wsAllocs != 1 || wsReuses != 2 {
+		t.Errorf("after first request: workspace allocs/reuses = %v/%v, want 1/2", wsAllocs, wsReuses)
+	}
+	if got := metricValue(t, ts.URL, "synth_checkpoint_thaws_total"); got != 1 {
+		t.Errorf("after first request: thaws = %v, want 1 (the analysis read's, which the sample reused)", got)
 	}
 	snapshotReads := metricValue(t, ts.URL, "chatlsd_mentor_snapshot_reads_total")
 	if snapshotReads < 1 {

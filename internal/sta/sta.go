@@ -131,6 +131,11 @@ func Analyze(nl *netlist.Netlist, wl *liberty.WireLoad, cons Constraints) (*Timi
 // stays reachable through t, and nothing of the earlier analysis is read —
 // t may come from a run that was aborted at any point. After an error
 // (a combinational loop) t holds no analysis and may only be Reset again.
+//
+// With a nil nl, Reset analyses nothing: it only drops t's pointers into
+// the netlist it last analysed, keeping its buffers for the next Reset, so
+// that a Timing kept idle pins nothing of a netlist that is otherwise
+// garbage. t then holds no analysis either.
 func (t *Timing) Reset(nl *netlist.Netlist, wl *liberty.WireLoad, cons Constraints) error {
 	if cons.OutputLoad == 0 {
 		cons.OutputLoad = DefaultOutputLoad
@@ -147,6 +152,9 @@ func (t *Timing) Reset(nl *netlist.Netlist, wl *liberty.WireLoad, cons Constrain
 	t.bSrc = zeroed(t.bSrc)
 	t.ends = zeroed(t.ends)
 	t.fPending, t.bPending, t.dirty = 0, 0, 0
+	if nl == nil {
+		return nil
+	}
 	return t.reanalyze()
 }
 

@@ -306,3 +306,44 @@ func TestInputDriveResistanceLoadsInputs(t *testing.T) {
 		t.Errorf("heavily loaded input should be slower: CPS %g vs %g", hi.CPS(), lo.CPS())
 	}
 }
+
+// TestResetNilDropsTheNetlist: Reset with a nil netlist analyses nothing and
+// leaves no pointer into the netlist t last analysed — in the header or in
+// any slice up to its capacity — while keeping the buffers; a later Reset
+// analyses as a new Timing would.
+func TestResetNilDropsTheNetlist(t *testing.T) {
+	nl := elab(t, pipelineSrc, "pipe")
+	tm := analyze(t, nl, 2.0)
+	want := tm.TNS()
+	full := FullAnalyses()
+	if err := tm.Reset(nil, nil, Constraints{}); err != nil {
+		t.Fatal(err)
+	}
+	if FullAnalyses() != full {
+		t.Error("Reset(nil) ran an analysis")
+	}
+	if tm.NL != nil || tm.WL != nil {
+		t.Error("Reset(nil) kept the netlist or the wireload")
+	}
+	for _, c := range append(tm.order[:cap(tm.order)], tm.ready[:cap(tm.ready)]...) {
+		if c != nil {
+			t.Fatal("a cell pointer survived Reset(nil)")
+		}
+	}
+	for _, n := range tm.bSrc[:cap(tm.bSrc)] {
+		if n != nil {
+			t.Fatal("a net pointer survived Reset(nil)")
+		}
+	}
+	for _, e := range tm.ends[:cap(tm.ends)] {
+		if e.Net != nil || e.Cell != nil {
+			t.Fatal("an endpoint survived Reset(nil)")
+		}
+	}
+	if cap(tm.arr) == 0 || cap(tm.order) == 0 {
+		t.Error("Reset(nil) dropped the buffers")
+	}
+	if err := tm.Reset(nl, nl.Lib.WireLoad("5K_heavy_1k"), Constraints{Period: 2.0}); err != nil || tm.TNS() != want {
+		t.Errorf("Reset after Reset(nil): TNS %v (%v), want %v", tm.TNS(), err, want)
+	}
+}

@@ -61,32 +61,44 @@ type CheckpointStore struct {
 	reportsServed                               atomic.Int64
 }
 
-// workspace is the storage one restored run works in: the netlist an image
-// was thawed into, the Timing that analysed it and the scratch its passes
-// worked in. A run that restores takes an idle one — the next thaw overwrites
-// the netlist in place and Timing.Reset reuses the analysis buffers, so a warm
-// restore allocates next to nothing — and the run hands it back when it ends
-// with no design to return: every Evaluate and every failed run. A successful
-// RunContext leaves it to the garbage collector with its Result.Design. A
-// Snapshot.Netlist read borrows one the same way for the length of its
-// callback.
+// workspace is the storage a run works in: the netlist an image was thawed
+// into, the Timing that analysed it and the scratch its passes worked in.
+// Every run through the store's link prefix takes an idle one, and so does
+// every Snapshot.Netlist read, for the length of its callback. A run that
+// restores thaws over the netlist in place and Timing.Reset reuses the
+// analysis buffers, so a warm restore allocates next to nothing. A run that
+// captures (a checkpoint miss) elaborates a netlist of its own and borrows
+// only the Timing and the scratch, whose buffers then need not grow from
+// nothing for the design's first analysis. A run hands its workspace back
+// when it ends with no design to return — every Evaluate and every failed
+// run; a successful RunContext leaves it to the garbage collector with its
+// Result.Design.
 //
-// Only storage the store handed out is ever parked — thawed into or, when the
-// run ended before any command read the netlist, exactly as it was acquired.
-// A freshly elaborated design is arena-backed and cannot be overwritten in
-// place; parking it would only pin a dead netlist.
+// Parked, a workspace pins only storage the store handed out: its netlist
+// (thawed into or, when the run never read it, exactly as it was acquired)
+// and pointers into it. A freshly elaborated netlist is arena-backed and
+// cannot be thawed over; a capturing run's workspace drops its Timing's and
+// scratch's pointers into that netlist before it is parked (see release),
+// or one parked workspace a design would pin a dead netlist.
+//
+// thawed is the image nl is an unedited thaw of, if a Snapshot.Netlist read
+// left it so: the next thaw of that image into this workspace is no thaw at
+// all. It says nothing about tm, which the read may have analysed nl in.
 //
 // The idle list is LIFO, so the storage most recently in a CPU cache is the
-// next one used, and holds at most GOMAXPROCS workspaces: no more runs than
-// that make progress at once, so a deeper list would only keep more
-// largest-design-sized netlists alive. (The standard library's per-P object
-// pool keeps a primary and a victim copy per P, each grown to the largest
-// design — measured, that raised peak RSS by a third; see DESIGN.md.)
+// next one used — and a restore that follows its design's snapshot read
+// takes the workspace the read just left — and holds at most GOMAXPROCS
+// workspaces: no more runs than that make progress at once, so a deeper list
+// would only keep more largest-design-sized netlists alive. (The standard
+// library's per-P object pool keeps a primary and a victim copy per P, each
+// grown to the largest design — measured, that raised peak RSS by a third;
+// see DESIGN.md.)
 type workspace struct {
-	home *CheckpointStore
-	nl   *netlist.Netlist
-	tm   *sta.Timing
-	sc   *passScratch
+	home   *CheckpointStore
+	nl     *netlist.Netlist
+	tm     *sta.Timing
+	sc     *passScratch
+	thawed *netlist.Image
 }
 
 // acquire hands out the most recently parked workspace, or one with nothing
@@ -106,13 +118,26 @@ func (s *CheckpointStore) acquire() *workspace {
 }
 
 // thaw is every reader's way to a frozen netlist: img thawed over whatever ws
-// last held, whose scratch then no longer pins the netlist it last worked on.
-// It has two callers, Snapshot.Netlist and execState.thaw.
+// last held, whose scratch then no longer pins the netlist it last worked on —
+// or, when ws holds an unedited thaw of img already, that netlist as it is.
+// Either way the caller may edit what it gets: ws holds no unedited thaw
+// afterwards until a Snapshot.Netlist read says so. It has two callers,
+// Snapshot.Netlist and execState.thaw.
 func (ws *workspace) thaw(img *netlist.Image) *netlist.Netlist {
-	ws.home.thaws.Add(1)
-	ws.nl = img.Thaw(ws.nl)
+	if ws.thawed != img {
+		ws.home.thaws.Add(1)
+		ws.nl = img.Thaw(ws.nl)
+	}
+	ws.thawed = nil
 	ws.sc.forget()
 	return ws.nl
+}
+
+// release drops the pointers ws's Timing and scratch hold into the netlist a
+// capturing run elaborated, keeping their buffers.
+func (ws *workspace) release() {
+	ws.tm.Reset(nil, nil, sta.Constraints{})
+	ws.sc.forget()
 }
 
 // park takes a workspace back. The caller must hold the only reference to
@@ -147,10 +172,12 @@ func NewCheckpointStore(capacity int) *CheckpointStore {
 // synth_checkpoint_restore_thaws_skipped_total,
 // synth_checkpoint_derived_{hits,misses,captures}_total and
 // synth_checkpoint_derived_reports_served_total. Every workspace
-// acquisition — a restore, or a Snapshot.Netlist read — is counted once as
-// Reused (a parked workspace) or Allocated (a new, empty one); Thaws counts
-// every image thawed into a workspace, the post-link one or a served
-// compile's, by a run or a Snapshot.Netlist read; ThawsSkipped
+// acquisition — by a run through the link prefix, restoring or capturing,
+// or by a Snapshot.Netlist read — is counted once as Reused (a parked
+// workspace) or Allocated (a new, empty one); Thaws counts every image
+// thawed into a workspace, the post-link one or a served compile's, by a run
+// or a Snapshot.Netlist read, and not the restores that found the unedited
+// thaw a read left in their workspace and used it as it was; ThawsSkipped
 // counts the restores whose post-link image was never thawed into theirs: the
 // compile's result was served instead, or the run ended before any command
 // read the netlist. Every first compile of a restored, unedited design is
@@ -279,17 +306,26 @@ func (h Snapshot) File(src, top string) (*verilog.SourceFile, bool) {
 // Netlist lends fn the snapshot's linked netlist, thawed into one of the
 // store's own workspaces exactly as a restoring session would get it, and that
 // workspace's Timing, which holds no analysis of it yet (Reset it). The
-// workspace goes back to the store when fn returns, and the next restore
-// overwrites it: fn must keep no reference to the netlist, the timing or
-// anything reached through them. found is false, and fn not called, when the
-// store no longer holds the snapshot; err is fn's.
+// workspace goes back to the store when fn returns: fn must keep no reference
+// to the netlist, the timing or anything reached through them, and must not
+// edit the netlist. If it leaves the netlist's edit generations as the thaw
+// made them, the store takes the netlist for an unedited thaw and the next
+// restore that gets the workspace uses it without thawing the image again;
+// an edit that moves no generation (set_dont_touch's Fixed flag) would reach
+// that restore. found is false, and fn not called, when the store no longer
+// holds the snapshot; err is fn's.
 func (h Snapshot) Netlist(src, top string, fn func(nl *netlist.Netlist, tm *sta.Timing) error) (found bool, err error) {
 	cp := h.resolve(src, top)
 	if cp == nil {
 		return false, nil
 	}
 	ws := h.store.acquire()
-	err = fn(ws.thaw(cp.img), ws.tm)
+	nl := ws.thaw(cp.img)
+	gen, topoGen := nl.Gen(), nl.TopoGen()
+	err = fn(nl, ws.tm)
+	if nl.Gen() == gen && nl.TopoGen() == topoGen {
+		ws.thawed = cp.img
+	}
 	h.store.park(ws)
 	return true, err
 }

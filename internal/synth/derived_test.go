@@ -809,7 +809,9 @@ func TestDeferredThawMatchesStoreless(t *testing.T) {
 // read the netlist — a bad -period, the command budget, a cancelled context —
 // hands back a workspace nothing was thawed into: here one with no netlist at
 // all, since the good run before it kept its own with its design. The restore
-// after each works in that workspace and matches.
+// after each works in that workspace and matches. Every run through the link
+// prefix takes one workspace: the capturing run that opens the test too,
+// whose workspace leaves with its design.
 func TestUnreadRestoreParksItsWorkspace(t *testing.T) {
 	d := designs.TinyRocket()
 	store := NewCheckpointStore(0)
@@ -842,8 +844,8 @@ func TestUnreadRestoreParksItsWorkspace(t *testing.T) {
 		}
 	}
 	st := store.Stats()
-	if st.Allocated != 12 || st.Reused != 12 {
-		t.Errorf("workspaces allocated/reused = %d/%d, want 12/12: an unread restore dropped its storage", st.Allocated, st.Reused)
+	if st.Allocated != 1+12 || st.Reused != 12 {
+		t.Errorf("workspaces allocated/reused = %d/%d, want 13/12: an unread restore dropped its storage", st.Allocated, st.Reused)
 	}
 	// The 12 doomed runs, and the good ones from the third on, which were served.
 	if st.ThawsSkipped != 12+10 {

@@ -87,19 +87,26 @@ func (d *Design) QoR() (QoR, error) {
 	if err != nil {
 		return QoR{}, err
 	}
-	viol := countViolations(tm)
-	return QoR{
+	viol := countViolations(tm) // before TNS, which sums in the order it leaves
+	q := QoR{
 		Design:     d.NL.Name,
 		Period:     d.Cons.Period,
 		WNS:        tm.WNS(),
 		CPS:        tm.CPS(),
 		TNS:        tm.TNS(),
-		Area:       d.NL.Area(),
-		Leakage:    d.NL.Leakage(),
 		Cells:      len(d.NL.Cells),
-		Seq:        d.NL.SeqCount(),
 		Violations: viol,
-	}, nil
+	}
+	// Area, leakage and the register count in one walk of the cells: each sum
+	// in cell order, as Netlist.Area and Netlist.Leakage add them.
+	for _, c := range d.NL.Cells {
+		q.Area += c.Ref.Area
+		q.Leakage += c.Ref.Leakage
+		if c.IsSeq() {
+			q.Seq++
+		}
+	}
+	return q, nil
 }
 
 // countViolations counts the endpoints with negative slack.

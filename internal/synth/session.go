@@ -95,21 +95,27 @@ func (s *Session) run(ctx context.Context, script string, keepDesign bool) (_ *R
 	}
 	res := &Result{}
 	st := &execState{sess: s, res: res}
-	// A restored run hands its workspace back here exactly when no design can
-	// escape it: an Evaluate, and a run that dies after the restore — an
-	// invalid option value, a command out of order, a budget overrun, a
-	// cancelled context. A successful RunContext's workspace goes to the
-	// garbage collector with the design it may return. A restored run that
-	// ends, either way, with no netlist in its design and no compile never
-	// read one (a served compile counts its own).
+	// A run through the store hands its workspace back here exactly when no
+	// design can escape it: an Evaluate, and a run that dies after the
+	// restore or the capture's acquire — an invalid option value, a command
+	// out of order, a budget overrun, a cancelled context. A successful
+	// RunContext's workspace goes to the garbage collector with the design it
+	// may return. A capturing run's workspace first lets go of the netlist it
+	// elaborated. A restored run that ends, either way, with no netlist in
+	// its design and no compile never read one (a served compile counts its
+	// own); pristine is tested first, as a capturing run may end with no
+	// design at all.
 	defer func() {
 		if st.ws == nil {
 			return
 		}
-		if st.design.NL == nil && st.pristine != nil {
+		if st.pristine != nil && st.design.NL == nil {
 			s.Checkpoints.thawsSkipped.Add(1)
 		}
 		if err != nil || !keepDesign {
+			if st.lent {
+				st.ws.release()
+			}
 			s.Checkpoints.park(st.ws)
 		}
 	}()
@@ -132,6 +138,7 @@ func (s *Session) run(ctx context.Context, script string, keepDesign bool) (_ *R
 					start = end + 1
 				} else {
 					captureAt, captureKey, captureFiles = end, key, files
+					st.ws, st.lent = s.Checkpoints.acquire(), true
 				}
 			}
 		}
@@ -174,12 +181,17 @@ func (s *Session) run(ctx context.Context, script string, keepDesign bool) (_ *R
 }
 
 type execState struct {
-	sess    *Session
-	res     *Result
-	file    *verilog.SourceFile
-	top     string
-	design  *Design
-	ws      *workspace // what design was restored into; nil when elaborated afresh
+	sess   *Session
+	res    *Result
+	file   *verilog.SourceFile
+	top    string
+	design *Design
+	// ws is the store workspace the run took: the one design was restored
+	// into or, with lent set, the one whose Timing and scratch the design a
+	// capturing run elaborates borrows; nil on a run with no store or no link
+	// prefix.
+	ws      *workspace
+	lent    bool
 	wlName  string
 	didComp bool
 
@@ -258,7 +270,9 @@ func (st *execState) restore(cp *checkpoint) {
 }
 
 // thaw makes img the restored design's netlist, over whatever the workspace
-// holds — which a cached analysis of the design may point into.
+// holds — which a cached analysis of the design may point into — or, when a
+// snapshot read left an unedited thaw of img there, that netlist as it is;
+// either way the design's analysis starts over.
 func (st *execState) thaw(img *netlist.Image) {
 	st.design.NL = st.ws.thaw(img)
 	st.design.tmOK = false
@@ -376,6 +390,9 @@ func (st *execState) needDesign() (*Design, error) {
 	}
 	wl := st.sess.Lib.WireLoad(st.wlName)
 	st.design = &Design{NL: nl, WL: wl}
+	if st.ws != nil {
+		st.design.tm, st.design.sc = st.ws.tm, st.ws.sc
+	}
 	st.logf("linked design %s: %d cells, %d registers", st.top, len(nl.Cells), nl.SeqCount())
 	return st.design, nil
 }
