@@ -159,12 +159,12 @@ fuzz-smoke:
 	$(GO) test ./internal/sta -run='^$$' -fuzz=FuzzCompareSuffixed -fuzztime=$(FUZZTIME)
 
 # Crash-recovery gate for the durable QoR log: fault-injected kills
-# mid-append and mid-recompaction, torn/corrupt-tail truncation, the
+# mid-append, torn/corrupt-tail truncation, the write-once key, the
 # degrade-to-memory path, and warm-restart byte-equivalence across the
 # serving stack.
 crash-recovery:
 	$(GO) test ./internal/qorlog -race -run \
-		'TestKillDuringAppend|TestTornTailRecovery|TestCorruptRecordTruncates|TestBadHeaderResets|TestRecompactionCrashLeavesOldLogIntact|TestShortWriteRewindsAndRetries|TestStoreDegradesToMemoryOnFatalDiskError'
+		'TestKillDuringAppend|TestTornTailRecovery|TestCorruptRecordTruncates|TestBadHeaderResets|TestStorePutDedupSkipsUnchanged|TestStoreKeepsFirstRecordInMemory|TestShortWriteRewindsAndRetries|TestStoreDegradesToMemoryOnFatalDiskError'
 	$(GO) test ./internal/server -race -run 'TestWarmRestart|TestShutdownFlushesQoRLog|TestUnopenableQoRLog'
 	$(GO) test . -race -run 'TestWarmRestartEquivalenceCorpus'
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	chatls "repro"
+	"repro/internal/designs"
 	"repro/internal/synth"
 )
 
@@ -20,25 +21,27 @@ import (
 // at.
 const firstSeed, lastSeed = 1, 20
 
-// seedRun is what one seed's Table III, ablation, Fig. 5 and Eq. 5 sweeps
-// returned.
+// seedRun is what one seed's Table III, ablation, Fig. 5, Eq. 5 and
+// iterative-resynthesis sweeps returned.
 type seedRun struct {
-	table3    []chatls.Table3Row
-	ablations []chatls.AblationRow
-	fig5      []chatls.Fig5Point
-	rerank    []chatls.RerankPoint
+	table3     []chatls.Table3Row
+	ablations  []chatls.AblationRow
+	fig5       []chatls.Fig5Point
+	rerank     []chatls.RerankPoint
+	iterations []chatls.IterationRow
 }
 
 // TestSeedTallies pins the paper's shape over seeds 1–20 instead of one draw:
 // for every seed it builds the database and runs Table III, the ablations,
-// Fig. 5 and the Eq. 5 sweep as `experiments -table 3 -seed s`, `-ablation`,
-// `-fig 5` and `-rerank` do, then tallies, per cell, how often ChatLS is
+// Fig. 5, the Eq. 5 sweep and iterative resynthesis as `experiments -table 3
+// -seed s`, `-ablation`, `-fig 5`, `-rerank` and `-iterate` do, then tallies, per cell, how often ChatLS is
 // ahead of, behind or tied with its reference — the better raw model in
 // Table III, each ablated variant in the ablations — comparing WNS, then CPS
 // as the tables print them (validity is not compared), and the worst and
 // median count of valid samples. checkShape asserts the paper's shape over
 // them; testdata/seeds.golden holds the Table III and ablation tallies
-// (Fig. 5's and the sweep's are asserted and logged), regenerate it with
+// (Fig. 5's, the sweep's and iterative resynthesis's are asserted and
+// logged), regenerate it with
 //
 //	go test ./cmd/experiments -run TestSeedTallies -update
 //
@@ -57,6 +60,8 @@ func TestSeedTallies(t *testing.T) {
 	tl := tallyRuns(runs)
 	t.Logf("Fig. 5 macro F1 over seeds %d-%d: text-only lowest at %d; SynthRAG against -metric learning %v (ahead/behind/tie); the shipped Eq. 5 weights top the sweep's trait match at %d",
 		firstSeed, lastSeed, tl.textOnlyLowest, &tl.vsNoMetric, tl.shippedTop)
+	t.Logf("Iterative resynthesis over seeds %d-%d: %d adopted rounds, %d worsened their objective; closed in round 1: tinyRocket %d, jpeg %d; ethmac closed at %d",
+		firstSeed, lastSeed, tl.adopted, len(tl.worsened), tl.closedRound1["tinyRocket"], tl.closedRound1["jpeg"], tl.everClosed["ethmac"])
 	checkShape(t, tl, len(runs))
 	got := []byte(formatTallies(tl))
 	if *update {
@@ -99,6 +104,11 @@ func runSeed(t *testing.T, seed int64) seedRun {
 		t.Fatal(err)
 	}
 	if r.rerank, err = chatls.RerankSweep(ctx, cfg, db); err != nil {
+		t.Fatal(err)
+	}
+	itCfg := cfg
+	itCfg.Designs = []*designs.Design{designs.EthMAC(), designs.TinyRocket(), designs.JPEG()}
+	if r.iterations, err = chatls.IterativeClosure(ctx, itCfg, db, 3); err != nil {
 		t.Fatal(err)
 	}
 	return r
@@ -168,6 +178,17 @@ type tallies struct {
 	textOnlyLowest int
 	vsNoMetric     tally
 	shippedTop     int
+
+	// adopted counts the iterative-resynthesis rounds that adopted a new
+	// script; worsened names each round that broke the iteration's rule: an
+	// adopted script worse on the active objective, or a round that adopted
+	// nothing and still moved the QoR. closedRound1 counts, per design, the
+	// seeds at which round 1 closes timing, everClosed the seeds at which
+	// any round does, both by WNS as the table prints it.
+	adopted      int
+	worsened     []string
+	closedRound1 map[string]int
+	everClosed   map[string]int
 }
 
 type ablationCell struct{ variant, design string }
@@ -176,8 +197,9 @@ func tallyRuns(runs []seedRun) tallies {
 	tl := tallies{
 		vsRaw: map[string]*tally{}, valid: map[string]map[string][]int{},
 		vsFull: map[ablationCell]*tally{}, variantValid: map[ablationCell][]int{},
+		closedRound1: map[string]int{}, everClosed: map[string]int{},
 	}
-	for _, r := range runs {
+	for i, r := range runs {
 		for _, row := range r.table3 {
 			if tl.vsRaw[row.Design] == nil {
 				tl.designs = append(tl.designs, row.Design)
@@ -229,6 +251,34 @@ func tallyRuns(runs []seedRun) tallies {
 		}
 		if shipped == top {
 			tl.shippedTop++
+		}
+
+		closed := map[string]bool{}
+		for j, row := range r.iterations {
+			if printed(row.QoR.WNS, 2) == 0 {
+				closed[row.Design] = true
+				if row.Iter == 1 {
+					tl.closedRound1[row.Design]++
+				}
+			}
+			if row.Iter == 0 {
+				continue
+			}
+			prev := r.iterations[j-1]
+			if row.Script == prev.Script {
+				if row.QoR != prev.QoR {
+					tl.worsened = append(tl.worsened, fmt.Sprintf("seed %d %s round %d kept its script and moved its QoR", firstSeed+i, row.Design, row.Iter))
+				}
+				continue
+			}
+			tl.adopted++
+			if worse := prev.QoR.WNS < 0 && chatls.BetterTiming(prev.QoR, row.QoR) ||
+				prev.QoR.WNS >= 0 && (row.QoR.WNS < 0 || row.QoR.Area > prev.QoR.Area); worse {
+				tl.worsened = append(tl.worsened, fmt.Sprintf("seed %d %s round %d adopted a worse script", firstSeed+i, row.Design, row.Iter))
+			}
+		}
+		for d := range closed {
+			tl.everClosed[d]++
 		}
 	}
 	return tl
@@ -311,5 +361,20 @@ func checkShape(t *testing.T, tl tallies, seeds int) {
 	}
 	if tl.shippedTop != seeds {
 		t.Errorf("Eq. 5 sweep: the shipped weights (0.70, 0.30, 0.25) attain the highest trait match at %d of %d seeds, want every seed", tl.shippedTop, seeds)
+	}
+	for _, w := range tl.worsened {
+		t.Errorf("iterative resynthesis: %s", w)
+	}
+	if tl.closedRound1["jpeg"] != seeds {
+		t.Errorf("iterative resynthesis: jpeg closes timing in round 1 at %d of %d seeds, want every seed", tl.closedRound1["jpeg"], seeds)
+	}
+	// tinyRocket misses round 1 at seed 19 and closes in round 2 ("Known
+	// deviations" 8).
+	if 2*tl.closedRound1["tinyRocket"] <= seeds || tl.everClosed["tinyRocket"] != seeds {
+		t.Errorf("iterative resynthesis: tinyRocket closes timing in round 1 at %d and at all at %d of %d seeds, want a majority and every seed",
+			tl.closedRound1["tinyRocket"], tl.everClosed["tinyRocket"], seeds)
+	}
+	if tl.everClosed["ethmac"] != 0 {
+		t.Errorf("iterative resynthesis: ethmac closes timing at %d of %d seeds, want none", tl.everClosed["ethmac"], seeds)
 	}
 }

@@ -17,10 +17,9 @@
 //     record and truncates the file at the first torn or corrupt one
 //     instead of failing — the recovered-record and dropped-byte counts are
 //     surfaced in RecoveryStats for the daemon's metrics;
-//   - recompaction (dropping entries superseded by later appends for the
-//     same key) writes a fresh file beside the log and swaps it in with an
-//     atomic rename, so a crash at any step leaves either the old or the
-//     new log fully intact.
+//   - a key is written once: Store.Put appends only for a key it does not
+//     hold, because a synthesis run is a pure function of its key's inputs,
+//     so the log never carries a superseded record.
 //
 // All writes go through an optional resilience.DiskInjector so short
 // writes, fsync failures, and mid-write kills are exercised by seeded
@@ -36,7 +35,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
 	"repro/internal/resilience"
 )
@@ -166,8 +164,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // RecoveryStats reports what Open's recovery scan found.
 type RecoveryStats struct {
-	// Recovered counts fully-written records replayed from the log
-	// (including entries later superseded by appends for the same key).
+	// Recovered counts fully-written records replayed from the log (a key
+	// the file holds twice counts twice).
 	Recovered int
 	// DroppedBytes is how many trailing bytes were truncated because they
 	// formed a torn or corrupt record (0 on a clean log). A file whose
@@ -178,27 +176,10 @@ type RecoveryStats struct {
 	Reset bool
 }
 
-// Options tunes a Log. The zero value selects the defaults.
+// Options configures a Log. The zero value is a plain log.
 type Options struct {
 	// Inject, when set, faults the log's file operations (tests only).
 	Inject *resilience.DiskInjector
-	// RecompactRatio is the dead-entry fraction (superseded records over
-	// total records) beyond which an append triggers recompaction.
-	// 0 selects 0.5; negative disables automatic recompaction.
-	RecompactRatio float64
-	// RecompactMin is the minimum total record count before automatic
-	// recompaction is considered (0 selects 64).
-	RecompactMin int
-}
-
-func (o Options) withDefaults() Options {
-	if o.RecompactRatio == 0 {
-		o.RecompactRatio = 0.5
-	}
-	if o.RecompactMin <= 0 {
-		o.RecompactMin = 64
-	}
-	return o
 }
 
 // Log is the on-disk append log plus its in-memory replay index. Not safe
@@ -210,19 +191,14 @@ type Log struct {
 	// offset is the end of the last fully-written record — the append
 	// position, and the truncation point used to rewind a failed append.
 	offset int64
-	// index holds the live (latest) record per key; order remembers each
-	// key's first appearance so recompaction output is deterministic.
+	// index holds each key's record: the last one written for it.
 	index map[Key]Record
-	order []Key
-	// total counts records in the file, including superseded ones.
-	total int
 	// broken marks a log whose file position could not be restored after a
 	// failed append; every later append fails fast.
 	broken bool
 
-	stats         RecoveryStats
-	appends       int64
-	recompactions int64
+	stats   RecoveryStats
+	appends int64
 }
 
 // Open opens (creating if absent) the log at path and replays it. Recovery
@@ -236,7 +212,7 @@ func Open(path string, opts Options) (*Log, error) {
 	}
 	l := &Log{
 		path:  path,
-		opts:  opts.withDefaults(),
+		opts:  opts,
 		f:     f,
 		index: make(map[Key]Record),
 	}
@@ -244,9 +220,6 @@ func Open(path string, opts Options) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	// A stale temp file from a recompaction interrupted before its rename
-	// is dead weight; the rename never happened, so the log itself is whole.
-	os.Remove(path + ".tmp")
 	return l, nil
 }
 
@@ -306,7 +279,9 @@ func (l *Log) replay() error {
 		if !ok {
 			break
 		}
-		l.remember(key, rec)
+		// A log written before keys were write-once may hold two records
+		// for a key; the last one read wins, as it always has.
+		l.index[key] = rec
 		l.offset += int64(frameLen) + int64(n)
 		l.stats.Recovered++
 	}
@@ -323,26 +298,17 @@ func (l *Log) replay() error {
 	return nil
 }
 
-// remember folds one replayed or appended record into the index.
-func (l *Log) remember(key Key, rec Record) {
-	if _, seen := l.index[key]; !seen {
-		l.order = append(l.order, key)
-	}
-	l.index[key] = rec
-	l.total++
-}
-
 func (l *Log) writeHeader() error {
 	hdr := append([]byte(magic), logVersion)
-	if err := l.write(l.f, hdr); err != nil {
+	if err := l.write(hdr); err != nil {
 		return fmt.Errorf("qorlog: write header of %s: %w", l.path, err)
 	}
 	l.offset = int64(headerLen)
 	return nil
 }
 
-// write performs one fault-injectable write to f.
-func (l *Log) write(f *os.File, p []byte) error {
+// write performs one fault-injectable write to the log's file.
+func (l *Log) write(p []byte) error {
 	allow, ferr := l.opts.Inject.Write(len(p))
 	if allow > len(p) {
 		allow = len(p)
@@ -350,7 +316,7 @@ func (l *Log) write(f *os.File, p []byte) error {
 	var werr error
 	if allow > 0 {
 		var n int
-		n, werr = f.Write(p[:allow])
+		n, werr = l.f.Write(p[:allow])
 		if werr == nil && n < allow {
 			werr = io.ErrShortWrite
 		}
@@ -367,34 +333,28 @@ func (l *Log) write(f *os.File, p []byte) error {
 	return nil
 }
 
-// sync performs one fault-injectable fsync of f.
-func (l *Log) sync(f *os.File) error {
+// sync performs one fault-injectable fsync of the log's file.
+func (l *Log) sync() error {
 	if err := l.opts.Inject.Sync(); err != nil {
 		return err
 	}
-	return f.Sync()
+	return l.f.Sync()
 }
 
-// Get returns the live record for key.
+// Get returns the record for key.
 func (l *Log) Get(key Key) (Record, bool) {
 	rec, ok := l.index[key]
 	return rec, ok
 }
 
-// Len returns the number of live (distinct-key) records.
+// Len returns the number of distinct keys the log holds.
 func (l *Log) Len() int { return len(l.index) }
-
-// Dead returns the number of superseded records still occupying file space.
-func (l *Log) Dead() int { return l.total - len(l.index) }
 
 // Stats returns the recovery scan's findings.
 func (l *Log) Stats() RecoveryStats { return l.stats }
 
 // Appends returns the number of records appended in this session.
 func (l *Log) Appends() int64 { return l.appends }
-
-// Recompactions returns how many recompaction rewrites completed.
-func (l *Log) Recompactions() int64 { return l.recompactions }
 
 // Append writes one record. On a write failure the log rewinds (truncates)
 // to the last fully-written record so a retry starts from a clean tail; if
@@ -411,7 +371,7 @@ func (l *Log) Append(key Key, rec Record) error {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 	frame = append(frame, payload...)
 
-	if err := l.write(l.f, frame); err != nil {
+	if err := l.write(frame); err != nil {
 		// Rewind so the torn bytes cannot masquerade as a record prefix for
 		// the next append. A killed writer is the one case where no rewind
 		// runs — the simulated process is dead, and the torn tail it leaves
@@ -426,115 +386,24 @@ func (l *Log) Append(key Key, rec Record) error {
 		return fmt.Errorf("qorlog: append to %s: %w", l.path, err)
 	}
 	l.offset += int64(len(frame))
-	l.remember(key, rec)
+	l.index[key] = rec
 	l.appends++
-
-	if r := l.opts.RecompactRatio; r > 0 && l.total >= l.opts.RecompactMin &&
-		float64(l.Dead()) > r*float64(l.total) {
-		// Best-effort: a failed recompaction leaves the old log intact and
-		// appends continue against it.
-		l.recompact()
-	}
 	return nil
 }
 
 // Sync makes appended records durable.
 func (l *Log) Sync() error {
-	return l.sync(l.f)
+	return l.sync()
 }
 
 // Close syncs and closes the file. The log is unusable afterwards.
 func (l *Log) Close() error {
-	serr := l.sync(l.f)
+	serr := l.sync()
 	cerr := l.f.Close()
 	if serr != nil {
 		return serr
 	}
 	return cerr
-}
-
-// Recompact rewrites the log with only live records, reclaiming the space
-// of superseded entries. The rewrite is crash-safe at every step: the new
-// file is fully written and fsynced beside the log, then swapped in with an
-// atomic rename; a crash before the rename leaves the old log untouched, a
-// crash after it leaves the compact log fully valid.
-func (l *Log) Recompact() error {
-	return l.recompact()
-}
-
-func (l *Log) recompact() error {
-	tmpPath := l.path + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("qorlog: recompact %s: %w", l.path, err)
-	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if err := l.write(tmp, append([]byte(magic), logVersion)); err != nil {
-		return cleanup(fmt.Errorf("qorlog: recompact %s: %w", l.path, err))
-	}
-	offset := int64(headerLen)
-	for _, k := range l.order {
-		rec, ok := l.index[k]
-		if !ok {
-			continue
-		}
-		payload := encodeRecord(k, rec)
-		frame := make([]byte, frameLen, frameLen+len(payload))
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-		frame = append(frame, payload...)
-		if err := l.write(tmp, frame); err != nil {
-			return cleanup(fmt.Errorf("qorlog: recompact %s: %w", l.path, err))
-		}
-		offset += int64(len(frame))
-	}
-	if err := l.sync(tmp); err != nil {
-		return cleanup(fmt.Errorf("qorlog: recompact %s: %w", l.path, err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("qorlog: recompact %s: %w", l.path, err)
-	}
-	if err := os.Rename(tmpPath, l.path); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("qorlog: recompact %s: %w", l.path, err)
-	}
-	syncDir(l.path)
-
-	// The old descriptor points at the unlinked inode; swap to the new file.
-	nf, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
-	if err != nil {
-		// The compact log is safely on disk but this process cannot append
-		// to it anymore; mark broken rather than keep writing to a ghost.
-		l.broken = true
-		return fmt.Errorf("qorlog: reopen after recompact %s: %w", l.path, err)
-	}
-	if _, err := nf.Seek(offset, io.SeekStart); err != nil {
-		nf.Close()
-		l.broken = true
-		return fmt.Errorf("qorlog: reopen after recompact %s: %w", l.path, err)
-	}
-	l.f.Close()
-	l.f = nf
-	l.offset = offset
-	l.total = len(l.index)
-	l.recompactions++
-	return nil
-}
-
-// syncDir fsyncs the directory holding path so the rename itself is
-// durable. Best-effort: some filesystems refuse directory fsync.
-func syncDir(path string) {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }
 
 // encodeRecord serializes key+record:

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -188,20 +189,38 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// appendFrame appends one framed record to a hand-built log image.
+func appendFrame(b []byte, key Key, rec Record) []byte {
+	payload := encodeRecord(key, rec)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, crcTable))
+	return append(b, payload...)
+}
+
+// TestLatestAppendWins: a log written before keys were write-once may hold
+// two records for one key, as this hand-built one does. Replay serves the
+// later record, as it always has, and a store over the log keeps it.
 func TestLatestAppendWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "qor.log")
-	l := mustOpen(t, path, Options{})
 	k := testKey(0)
-	l.Append(k, testRecord(1))
-	l.Append(k, testRecord(2))
-	if l.Len() != 1 || l.Dead() != 1 {
-		t.Fatalf("Len=%d Dead=%d, want 1 live + 1 dead", l.Len(), l.Dead())
+	data := append([]byte(magic), logVersion)
+	data = appendFrame(data, k, testRecord(1))
+	data = appendFrame(data, k, testRecord(2))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	l.Close()
-	l2 := mustOpen(t, path, Options{})
-	defer l2.Close()
-	if rec, _ := l2.Get(k); rec != testRecord(2) {
-		t.Fatalf("reopen returned %+v, want the later record", rec)
+	s, err := OpenStore(path, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Recovered != 2 || st.DroppedBytes != 0 {
+		t.Fatalf("recovery stats = %+v, want 2 clean records", st)
+	}
+	s.Put(k, testRecord(3))
+	if rec, _ := s.Get(k); rec != testRecord(2) || s.Len() != 1 || fileSize(t, path) != int64(len(data)) {
+		t.Fatalf("store serves %+v over %d keys in %d bytes, want the later record over 1 in %d",
+			rec, s.Len(), fileSize(t, path), len(data))
 	}
 }
 
@@ -306,69 +325,6 @@ func TestBadHeaderResets(t *testing.T) {
 	defer lg2.Close()
 	if lg2.Stats().Recovered != 1 {
 		t.Fatal("record appended after reset must survive reopen")
-	}
-}
-
-func TestRecompactionReclaimsDeadEntries(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "qor.log")
-	l := mustOpen(t, path, Options{RecompactMin: 8})
-	// Two live keys, repeatedly superseded: the dead ratio crosses 0.5.
-	for i := 0; i < 20; i++ {
-		l.Append(testKey(i%2), testRecord(i))
-	}
-	if l.Recompactions() == 0 {
-		t.Fatal("dead-entry ratio should have triggered recompaction")
-	}
-	if l.Dead() != 0 && l.Recompactions() > 0 && l.total > 4 {
-		t.Fatalf("recompaction left total=%d dead=%d", l.total, l.Dead())
-	}
-	// Appends keep working against the swapped-in file.
-	if err := l.Append(testKey(7), testRecord(7)); err != nil {
-		t.Fatalf("append after recompaction: %v", err)
-	}
-	l.Close()
-
-	l2 := mustOpen(t, path, Options{})
-	defer l2.Close()
-	if got, _ := l2.Get(testKey(0)); got != testRecord(18) {
-		t.Fatalf("key 0 after recompaction = %+v, want iteration 18's record", got)
-	}
-	if got, _ := l2.Get(testKey(1)); got != testRecord(19) {
-		t.Fatalf("key 1 after recompaction = %+v, want iteration 19's record", got)
-	}
-	if _, ok := l2.Get(testKey(7)); !ok {
-		t.Fatal("post-recompaction append lost")
-	}
-}
-
-// TestRecompactionCrashLeavesOldLogIntact fails the recompaction rewrite
-// mid-way: the original log must stay fully readable and appendable.
-func TestRecompactionCrashLeavesOldLogIntact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "qor.log")
-	l := mustOpen(t, path, Options{RecompactRatio: -1}) // manual recompaction only
-	for i := 0; i < 6; i++ {
-		l.Append(testKey(i%2), testRecord(i))
-	}
-	// The injector is attached only now, so its write count starts here: the
-	// recompaction's tmp header is write 1 — fail its first record write.
-	l.opts.Inject = resilience.NewDiskInjector(
-		resilience.DiskFault{Op: resilience.DiskWrite, Mode: resilience.DiskFail, Calls: []int{2}})
-	if err := l.Recompact(); err == nil {
-		t.Fatal("recompaction should report the injected failure")
-	}
-	l.opts.Inject = nil
-	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("failed recompaction must remove its temp file")
-	}
-	if err := l.Append(testKey(5), testRecord(5)); err != nil {
-		t.Fatalf("append after failed recompaction: %v", err)
-	}
-	l.Close()
-
-	l2 := mustOpen(t, path, Options{})
-	defer l2.Close()
-	if l2.Stats().DroppedBytes != 0 || l2.Len() != 3 { // keys 0, 1, and 5
-		t.Fatalf("old log damaged by failed recompaction: %+v live=%d", l2.Stats(), l2.Len())
 	}
 }
 

@@ -78,8 +78,8 @@ func newStore(l *Log, cacheCap int) *Store {
 	}
 }
 
-// Get returns the record for key: the one put since the log stopped taking
-// writes, else the log's.
+// Get returns the record for key, from the log's index or, for a record
+// that never reached the log, from memory.
 func (s *Store) Get(key Key) (Record, bool) {
 	if s == nil {
 		return Record{}, false
@@ -104,19 +104,20 @@ func (s *Store) get(key Key) (Record, bool) {
 // writable reports whether puts still append to the log.
 func (s *Store) writable() bool { return s.log != nil && !s.closed && !s.degraded.Load() }
 
-// Put stores a record, appending it to the log when one is open and the
-// store has not degraded. Re-putting an identical record is a no-op
-// (skip-if-unchanged): repeat sweeps over unchanged inputs must not grow
-// the log with dead entries. A fatal append failure — or a transient one
-// that survives every retry — degrades the store to memory-only mode with
-// a warning; requests keep being served.
+// Put stores a record for a key the store does not hold yet, appending it
+// to the log when one is open and the store has not degraded. For a held
+// key it stores nothing, in the log or in memory: a key's inputs fix its
+// record, so the first one stays, and neither a repeat sweep nor a faulty
+// client can grow the log or replace it. A fatal append failure — or a
+// transient one that survives every retry — degrades the store to
+// memory-only mode with a warning; requests keep being served.
 func (s *Store) Put(key Key, rec Record) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.get(key); ok && prev == rec {
+	if _, held := s.get(key); held {
 		return
 	}
 	if !s.writable() {
@@ -138,8 +139,7 @@ func (s *Store) Put(key Key, rec Record) {
 // Degraded reports whether log writes have been abandoned for this process.
 func (s *Store) Degraded() bool { return s != nil && s.degraded.Load() }
 
-// Len returns the number of live records (a log-backed store counts the
-// log's).
+// Len returns the number of records (a log-backed store counts the log's).
 func (s *Store) Len() int {
 	if s == nil {
 		return 0
@@ -150,22 +150,6 @@ func (s *Store) Len() int {
 		return s.log.Len()
 	}
 	return s.cache.Len()
-}
-
-// Recompact rewrites the backing log with only live records (see
-// Log.Recompact). A memory-only or degraded store is a no-op. Concurrent
-// Put/Get callers are safe: the rewrite runs under the store lock, exactly
-// like the automatic recompaction an Append can trigger.
-func (s *Store) Recompact() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.writable() {
-		return nil
-	}
-	return s.log.Recompact()
 }
 
 // Sync makes appended records durable now (Close also syncs).
@@ -210,7 +194,6 @@ type StoreStats struct {
 	AppendErrors int64 // failed append attempts (before retry/degradation)
 	Recovered    int64 // fully-written records replayed by recovery
 	DroppedBytes int64 // torn/corrupt trailing bytes truncated by recovery
-	Recompacted  int64 // recompaction rewrites completed
 	Degraded     bool  // true once log writes were abandoned
 }
 
@@ -232,7 +215,6 @@ func (s *Store) Stats() StoreStats {
 		st.Appends = s.log.Appends()
 		st.Recovered = int64(s.log.Stats().Recovered)
 		st.DroppedBytes = s.log.Stats().DroppedBytes
-		st.Recompacted = s.log.Recompactions()
 	}
 	return st
 }

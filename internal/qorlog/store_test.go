@@ -60,19 +60,73 @@ func TestStoreWarmRestart(t *testing.T) {
 	}
 }
 
+// TestStorePutDedupSkipsUnchanged: a held key takes no second record. A
+// repeat sweep's identical re-puts append nothing, and neither does a
+// different record, which is not served either, before or after a reopen.
 func TestStorePutDedupSkipsUnchanged(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "qor.log")
 	s, err := OpenStore(path, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	for i := 0; i < 5; i++ {
 		s.Put(testKey(0), testRecord(0)) // unchanged: a repeat sweep
 	}
-	s.Put(testKey(0), testRecord(1)) // changed result: must append
-	if got := s.Stats().Appends; got != 2 {
-		t.Fatalf("appends = %d, want 2 (dedup must skip identical re-puts)", got)
+	s.Put(testKey(0), testRecord(1)) // a different record for a held key
+	if got := s.Stats().Appends; got != 1 {
+		t.Fatalf("appends = %d, want 1 (a held key takes no second record)", got)
+	}
+	if rec, _ := s.Get(testKey(0)); rec != testRecord(0) {
+		t.Fatalf("store serves %+v, want the first record", rec)
+	}
+	s.Close()
+
+	s2, err := OpenStore(path, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st := s2.Stats(); st.Recovered != 1 {
+		t.Fatalf("reopen recovered %d records, want 1", st.Recovered)
+	}
+	s2.Put(testKey(0), testRecord(2)) // held by replay
+	if rec, _ := s2.Get(testKey(0)); rec != testRecord(0) || s2.Stats().Appends != 0 {
+		t.Fatalf("reopened store serves %+v after %d appends, want the first record after 0",
+			rec, s2.Stats().Appends)
+	}
+}
+
+// TestStoreKeepsFirstRecordInMemory: the records a store keeps in memory —
+// a memory-only store's, and a degraded store's — are write-once too, and a
+// degraded store does not shadow a record its log holds.
+func TestStoreKeepsFirstRecordInMemory(t *testing.T) {
+	mem := NewMemoryStore(0)
+	mem.Put(testKey(0), testRecord(0))
+	mem.Put(testKey(0), testRecord(1))
+	if rec, _ := mem.Get(testKey(0)); rec != testRecord(0) {
+		t.Fatalf("memory store serves %+v, want the first record", rec)
+	}
+
+	path := filepath.Join(t.TempDir(), "qor.log")
+	inj := resilience.NewDiskInjector(
+		resilience.DiskFault{Op: resilience.DiskWrite, Mode: resilience.DiskKill, Calls: []int{3}})
+	s, err := OpenStore(path, 0, Options{Inject: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.warnf = func(string, ...any) {}
+	s.Put(testKey(0), testRecord(0)) // write 2: logged
+	s.Put(testKey(1), testRecord(1)) // write 3: killed -> degrade, held in memory
+	if !s.Degraded() {
+		t.Fatal("store must degrade after a fatal append failure")
+	}
+	s.Put(testKey(0), testRecord(5)) // held by the log
+	s.Put(testKey(1), testRecord(6)) // held in memory
+	for i := 0; i < 2; i++ {
+		if rec, _ := s.Get(testKey(i)); rec != testRecord(i) {
+			t.Fatalf("degraded store serves %+v for key %d, want the first record", rec, i)
+		}
 	}
 }
 

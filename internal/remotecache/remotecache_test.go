@@ -130,6 +130,35 @@ func TestServerRejections(t *testing.T) {
 	}
 }
 
+// TestConflictingPutKeepsFirstRecord: a PUT for a key the tier holds, with
+// a different record, answers 204 and stores nothing — a client cannot
+// replace a result another replica computed.
+func TestConflictingPutKeepsFirstRecord(t *testing.T) {
+	_, ts := newTestTier(t)
+	hc := ts.Client()
+	key := testKey("held")
+	put := func(rec qorlog.Record) {
+		t.Helper()
+		req, _ := http.NewRequest("PUT", ts.URL+"/v1/qor/"+key.Hex(),
+			bytes.NewReader(qorlog.EncodeRecord(key, rec)))
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("PUT = %d, want 204", resp.StatusCode)
+		}
+	}
+	first := testRecord("d", 1)
+	put(first)
+	put(testRecord("d", 2))
+
+	if got, ok := newTestClient(ts).GetQoR(bg, key); !ok || got != first {
+		t.Fatalf("tier serves %+v (ok=%v), want the first record %+v", got, ok, first)
+	}
+}
+
 func TestClientDegradesOnDeadServer(t *testing.T) {
 	_, ts := newTestTier(t)
 	warnings := 0

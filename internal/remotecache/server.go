@@ -57,7 +57,7 @@ func NewServer(cfg ServerConfig) *Server {
 	s := &Server{cfg: cfg, reg: metrics.NewRegistry()}
 	s.qorHits = s.reg.NewCounter("remotecache_qor_hits_total", "QoR record GETs served")
 	s.qorMisses = s.reg.NewCounter("remotecache_qor_misses_total", "QoR record GETs missed")
-	s.qorPuts = s.reg.NewCounter("remotecache_qor_puts_total", "QoR records stored")
+	s.qorPuts = s.reg.NewCounter("remotecache_qor_puts_total", "well-formed QoR record PUTs answered 204; a PUT for a held key stores nothing")
 	s.requests = s.reg.NewCounter("remotecache_http_requests_total", "HTTP requests handled")
 	s.rejected = s.reg.NewCounter("remotecache_input_rejected_total", "requests rejected at the trust boundary")
 	s.reg.NewGaugeFunc("remotecache_qor_records", "live QoR records", func() int64 {

@@ -81,7 +81,7 @@ type Config struct {
 	// log degrades the daemon to memory-only result caching with a warning
 	// rather than failing startup. Empty disables result caching.
 	QoRLogPath string
-	// QoRLogOpts tunes recompaction and fault injection (tests).
+	// QoRLogOpts carries the log's fault injection (tests).
 	QoRLogOpts qorlog.Options
 
 	// RemoteCache, when non-nil, connects this replica to a shared
@@ -276,8 +276,6 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return s.results.Stats().Recovered })
 	s.reg.NewCounterFunc("qorlog_dropped_bytes_total", "torn or corrupt trailing log bytes truncated at startup",
 		func() int64 { return s.results.Stats().DroppedBytes })
-	s.reg.NewCounterFunc("qorlog_recompactions_total", "QoR-log recompaction rewrites completed",
-		func() int64 { return s.results.Stats().Recompacted })
 	s.reg.NewCounterFunc("qorlog_warm_records_total", "QoR records the log served warm at startup",
 		func() int64 { return s.results.Stats().Warmed })
 	s.reg.NewGaugeFunc("qorlog_degraded", "1 once QoR-log writes were abandoned (memory-only mode)",

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +24,7 @@ import (
 //	link
 //
 // produces identical state up to and including link whenever the library,
-// the source contents, the top module, and the parameter overrides match —
+// the source contents and the top module match —
 // only the post-link optimization commands differ across Pass@k samples,
 // pipeline variants, and serving requests. The store memoizes that state
 // under a collision-resistant content hash (see checkpointKey) so repeat
@@ -272,9 +271,9 @@ func (cp *checkpoint) sourceFile() *verilog.SourceFile {
 //
 // Every accessor takes the single source text and the top module the caller
 // wants the front end of, and finds nothing unless the snapshot is the
-// elaboration of exactly that text under that top (the library and the absence
-// of parameter overrides are the caller's to match: the handle comes from a run
-// of the same design on the same library). A reader that finds nothing parses
+// elaboration of exactly that text under that top (the library is the caller's
+// to match: the handle comes from a run of the same design on the same
+// library). A reader that finds nothing parses
 // and elaborates for itself, with the same result — restored and fresh state
 // are indistinguishable.
 type Snapshot struct {
@@ -556,8 +555,7 @@ func linkPrefix(cmds []Cmd) (end int, files []string, top string, ok bool) {
 // hash with length framing (so no two distinct input sequences share a byte
 // stream): the library identity, the sorted (file, content) source set plus
 // the script-order file sequence (read order decides module precedence and
-// the default top), the explicit top module, and the sorted parameter
-// overrides. Unknown source files make the key underivable (ok false); the
+// the default top), and the explicit top module. Unknown source files make the key underivable (ok false); the
 // run then proceeds — and fails — exactly like an uncheckpointed one. The
 // library goes in as its stored fingerprint, 32 bytes; what a run hashes is
 // mostly its sources, every run.
@@ -594,16 +592,6 @@ func (s *Session) checkpointKey(files []string, top string) (string, bool) {
 	}
 	frame("top")
 	frame(top)
-	frame("params")
-	params := make([]string, 0, len(s.ParamOverrides))
-	for k := range s.ParamOverrides {
-		params = append(params, k)
-	}
-	sort.Strings(params)
-	for _, k := range params {
-		frame(k)
-		frame(strconv.FormatInt(s.ParamOverrides[k], 10))
-	}
 	return string(h.Sum(nil)), true
 }
 

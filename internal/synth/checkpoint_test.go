@@ -69,7 +69,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 }
 
 // TestCheckpointKeyInputs: any input that shapes elaboration — source text,
-// top module, parameter overrides, library — changes the key, so a restore
+// top module, library — changes the key, so a restore
 // can never serve the wrong design.
 func TestCheckpointKeyInputs(t *testing.T) {
 	base := newTestSession()
@@ -89,11 +89,6 @@ func TestCheckpointKeyInputs(t *testing.T) {
 	}
 	if key(base, []string{"tiny.v"}, "other_top") == k0 {
 		t.Error("changed top module must change the key")
-	}
-	params := newTestSession()
-	params.ParamOverrides = map[string]int64{"WIDTH": 8}
-	if key(params, []string{"tiny.v"}, "tiny") == k0 {
-		t.Error("parameter overrides must change the key")
 	}
 	otherLib := NewSession(liberty.NewLibrary("empty"))
 	otherLib.AddSource("tiny.v", testDesignSrc)

@@ -24,8 +24,6 @@ const DefaultMaxCommands = 512
 type Session struct {
 	Lib     *liberty.Library
 	Sources map[string]string
-	// ParamOverrides apply at elaboration (top-level parameters).
-	ParamOverrides map[string]int64
 	// MaxCommands caps the commands one run may execute (0 = the
 	// DefaultMaxCommands budget, negative = unlimited). Exceeding it aborts
 	// the run with resilience.ErrBudgetExceeded.
@@ -384,7 +382,7 @@ func (st *execState) needDesign() (*Design, error) {
 		}
 		st.top = st.file.Modules[len(st.file.Modules)-1].Name
 	}
-	nl, err := netlist.Elaborate(st.file, st.top, st.sess.ParamOverrides, st.sess.Lib)
+	nl, err := netlist.Elaborate(st.file, st.top, nil, st.sess.Lib)
 	if err != nil {
 		return nil, fmt.Errorf("link: %v", err)
 	}

@@ -19,8 +19,8 @@ type ResultStore interface {
 
 // ResultKey derives the durable QoR-log key of one synthesis outcome. A
 // simulated synthesis run is a pure function of the library delay models,
-// the RTL sources, and the script text (clock period, wireload model, and
-// parameter overrides all live in the script), so those three inputs —
+// the RTL sources, and the script text (clock period and wireload model live
+// in the script, parameters in the RTL), so those three inputs —
 // library by content fingerprint, design by (file name, source), script
 // verbatim — address the result. Any change to any of them changes the key,
 // which is how skip-if-unchanged sweeps and warm restarts stay sound.
