@@ -22,11 +22,12 @@ race:
 # ten times under the race detector, so more interleavings of notes,
 # captures, hits and push-outs are tried than one run sees. The values kept
 # on a snapshot (Snapshot.Keep) get the same treatment: sixteen goroutines on
-# one snapshot mixing hits, misses, errors and eviction. So do the
-# workspaces of a design's first request (TestColdWorkspaceHammer): sixteen
-# goroutines over a two-snapshot store mixing captures that borrow a
-# workspace's Timing, snapshot reads whose thaw a restore reuses, restores
-# and failing runs.
+# one snapshot mixing hits, misses, errors and eviction. So does the property
+# harness's concurrent mode (TestColdWorkspaceHammer): sixteen
+# goroutines over a two-snapshot store mixing generated cases through both
+# entry points, captures that borrow a workspace's Timing, snapshot reads
+# whose thaw a restore reuses, restores and runs that die after the link
+# prefix.
 derived-race:
 	$(GO) test -race -count=10 -run 'TestDerivedHammer|TestKeepHammer|TestColdWorkspaceHammer' ./internal/synth
 
@@ -136,10 +137,12 @@ ci: check bench-gate
 # Short fuzzing pass over every untrusted-input parser and decoder, and over
 # the simulated LLM's shared prompt reading (FuzzReadingReuse: samples drawn
 # from one llm.Reading equal fresh generations) and the QoR log's prefix keys
-# (FuzzKeyPrefix: a key finished from a saved prefix equals KeyOf), and the
+# (FuzzKeyPrefix: a key finished from a saved prefix equals KeyOf), the
 # timer's worst-path selection (FuzzWorstPaths: the paths WorstPaths selects
 # equal those of a full endpoint sort) and endpoint ordering
-# (FuzzCompareSuffixed). It runs every Fuzz target in the repository, one
+# (FuzzCompareSuffixed), and the synthesis property harness
+# (FuzzStoreMatchesStoreless: a generated case run over a checkpoint store
+# equals its storeless run). It runs every Fuzz target in the repository, one
 # line each; TestFuzzSmokeRunsEveryTarget fails when a target is added
 # without its line here. Each target gets FUZZTIME of
 # coverage-guided input generation on top of its checked-in seed corpus
@@ -149,6 +152,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/verilog -run='^$$' -fuzz=FuzzParseVerilog -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/synth -run='^$$' -fuzz=FuzzParseScript -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/synth -run='^$$' -fuzz=FuzzStoreMatchesStoreless -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/graphdb -run='^$$' -fuzz=FuzzParseCypher -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzCustomizeRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qorlog -run='^$$' -fuzz=FuzzQoRLogRecover -fuzztime=$(FUZZTIME)

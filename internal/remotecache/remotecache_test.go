@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -150,9 +151,28 @@ func TestConflictingPutKeepsFirstRecord(t *testing.T) {
 			t.Fatalf("PUT = %d, want 204", resp.StatusCode)
 		}
 	}
+	conflicts := func() string {
+		t.Helper()
+		resp, err := hc.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		_, v, _ := strings.Cut(string(b), "\nremotecache_qor_put_conflicts_total ")
+		n, _, _ := strings.Cut(v, "\n")
+		return n
+	}
 	first := testRecord("d", 1)
 	put(first)
+	put(first)
+	if n := conflicts(); n != "0" {
+		t.Fatalf("conflicting PUTs = %q after an identical re-PUT, want 0", n)
+	}
 	put(testRecord("d", 2))
+	if n := conflicts(); n != "1" {
+		t.Fatalf("conflicting PUTs = %q after a different record, want 1", n)
+	}
 
 	if got, ok := newTestClient(ts).GetQoR(bg, key); !ok || got != first {
 		t.Fatalf("tier serves %+v (ok=%v), want the first record %+v", got, ok, first)

@@ -1,6 +1,7 @@
 package remotecache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -35,6 +36,7 @@ type Server struct {
 	reg *metrics.Registry
 
 	qorHits, qorMisses, qorPuts *metrics.Counter
+	qorConflicts                *metrics.Counter
 	requests, rejected          *metrics.Counter
 }
 
@@ -58,6 +60,7 @@ func NewServer(cfg ServerConfig) *Server {
 	s.qorHits = s.reg.NewCounter("remotecache_qor_hits_total", "QoR record GETs served")
 	s.qorMisses = s.reg.NewCounter("remotecache_qor_misses_total", "QoR record GETs missed")
 	s.qorPuts = s.reg.NewCounter("remotecache_qor_puts_total", "well-formed QoR record PUTs answered 204; a PUT for a held key stores nothing")
+	s.qorConflicts = s.reg.NewCounter("remotecache_qor_put_conflicts_total", "QoR record PUTs for a held key whose record differs from the held one, which stays")
 	s.requests = s.reg.NewCounter("remotecache_http_requests_total", "HTTP requests handled")
 	s.rejected = s.reg.NewCounter("remotecache_input_rejected_total", "requests rejected at the trust boundary")
 	s.reg.NewGaugeFunc("remotecache_qor_records", "live QoR records", func() int64 {
@@ -159,6 +162,11 @@ func (s *Server) handleQoRPut(w http.ResponseWriter, r *http.Request) {
 		// address is corruption or confusion, never something to store.
 		s.jsonError(w, http.StatusUnprocessableEntity, "record key does not match path key")
 		return
+	}
+	// A held key keeps its first record. A different one for it means two
+	// replicas computed the same content hash differently: count it.
+	if held, ok := s.cfg.QoR.Get(k); ok && !bytes.Equal(qorlog.EncodeRecord(k, held), qorlog.EncodeRecord(k, rec)) {
+		s.qorConflicts.Inc()
 	}
 	s.cfg.QoR.Put(k, rec)
 	s.qorPuts.Inc()

@@ -94,186 +94,6 @@ func derivedDelta(before, after CheckpointStats) (hits, misses, captures int64) 
 		after.DerivedCaptures - before.DerivedCaptures
 }
 
-func derivedCorpus() []*designs.Design {
-	all := designs.Benchmarks()
-	if testing.Short() {
-		return all[:3]
-	}
-	return all
-}
-
-// derivedVariant is a link prefix a matrix compile runs under.
-type derivedVariant struct {
-	name   string
-	prefix func(d *designs.Design) string
-}
-
-var plainVariant = derivedVariant{"", linked}
-
-// otherTail is a second read-only tail: report_qor the entry holds from a
-// reportTail run, the rest not.
-const otherTail = "report_area\nreport_timing -max_paths 2\nreport_qor\nwrite\n"
-
-// readTail is the tail llm.SpliceScript ends every generated script with:
-// reports only, no write, each held by the entry once reportTail and
-// otherTail runs have recorded them.
-const readTail = "report_qor\nreport_timing -max_paths 3\nreport_area\n"
-
-// derivedMatrix runs each compile under each variant four times over one
-// store per design and compares every run with a storeless run. The compile
-// key carries the options, the fanout limit, the wireload and the
-// constraints, so every case is a key of its own: its first two runs
-// compile, the second captures — and records the QoR and reports it reads
-// off the result — and the third and fourth are served from what it
-// recorded, with no full analysis and no incremental update. Under the first
-// variant four more runs follow: two end the compile with otherTail, the first of them
-// computing the reports the entry lacks, on one full analysis of the thawed
-// image, and recording them, the second served entirely; two end it with
-// readTail, which needs no netlist at all. Variants run in order after the
-// first, so a variant's first-run miss, taken while the entry of the case
-// before it is still in the snapshot's FIFO, shows that it splits the key.
-//
-// The runs of a case alternate between the two entry points, starting with
-// RunContext or Evaluate as the sum of the compile's and the variant's index
-// is even or odd, so each takes every role — noting, capturing, served,
-// computing the missing reports — across the matrix, and every case serves
-// each tail through both: its served RunContext runs keep the check of the
-// final netlist for every served role. A RunContext run equals
-// the storeless run in its values and its final netlist; an Evaluate run in
-// its values; both carry the snapshot's handle. Every run thaws one image —
-// the post-link one, or for a served run the one whose netlist a report,
-// write or RunContext's design reads — except a served Evaluate whose tail
-// reads nothing off the netlist, which thaws none. The designs run in
-// parallel, each over its own store; the analyses are counted process-wide,
-// so a served run holds excl alone.
-func derivedMatrix(t *testing.T, compiles []string, variants []derivedVariant) {
-	type run struct {
-		tail   string
-		served bool
-		full   uint64 // the full analyses a served run makes
-	}
-	var excl sync.RWMutex
-	for _, d := range derivedCorpus() {
-		t.Run(d.Name, func(t *testing.T) {
-			t.Parallel()
-			store := NewCheckpointStore(0)
-			excl.RLock()
-			link, err := designSession(d, store).RunContext(context.Background(), linkOnly(d)) // captures the post-link snapshot
-			excl.RUnlock()
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap := link.Snapshot
-			for ic, c := range compiles {
-				for i, v := range variants {
-					runs := []run{{reportTail, false, 0}, {reportTail, false, 0}, {reportTail, true, 0}, {reportTail, true, 0}}
-					if i == 0 {
-						runs = append(runs, run{otherTail, true, 1}, run{otherTail, true, 0}, run{readTail, true, 0}, run{readTail, true, 0})
-					}
-					want, values := map[string]string{}, map[string]string{}
-					for pass, r := range runs {
-						evaluated := (pass+ic+i)%2 == 1
-						name := fmt.Sprintf("%s/%s", v.name, c)
-						script := v.prefix(d) + c + "\n" + r.tail
-						if _, ok := want[r.tail]; !ok {
-							excl.RLock()
-							storeless, err := designSession(d, nil).RunContext(context.Background(), script)
-							excl.RUnlock()
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							want[r.tail], values[r.tail] = fingerprint(t, storeless), runJSON(t, storeless)
-						}
-						lock, unlock := excl.RLock, excl.RUnlock
-						if r.served {
-							lock, unlock = excl.Lock, excl.Unlock
-						}
-						lock()
-						before, full, incr := store.Stats(), sta.FullAnalyses(), sta.IncrementalUpdates()
-						var res *Result
-						if evaluated {
-							res, err = evaluate(t, designSession(d, store), script)
-						} else {
-							res, err = designSession(d, store).RunContext(context.Background(), script)
-						}
-						full, incr = sta.FullAnalyses()-full, sta.IncrementalUpdates()-incr
-						unlock()
-						if err != nil {
-							t.Fatalf("%s: run %d: %v", name, pass+1, err)
-						}
-						if evaluated && runJSON(t, res) != values[r.tail] {
-							t.Errorf("%s: run %d, an Evaluate over the store, differs from a storeless run", name, pass+1)
-						}
-						if !evaluated && fingerprint(t, res) != want[r.tail] {
-							t.Errorf("%s: run %d over the store differs from a storeless run", name, pass+1)
-						}
-						if res.Snapshot != snap {
-							t.Errorf("%s: run %d (Evaluate %v) carries no handle to the design's snapshot", name, pass+1, evaluated)
-						}
-						after := store.Stats()
-						hits, misses, _ := derivedDelta(before, after)
-						if hits+misses != 1 || (hits == 1) != r.served {
-							t.Errorf("%s: run %d made %d derived hits and %d misses, want served = %v", name, pass+1, hits, misses, r.served)
-						}
-						if r.served && (full != r.full || incr != 0) {
-							t.Errorf("%s: served run %d made %d full analyses and %d incremental updates, want %d and 0", name, pass+1, full, incr, r.full)
-						}
-						wantThaws := int64(1)
-						if evaluated && r.served && r.full == 0 && !strings.Contains(r.tail, "write") {
-							wantThaws = 0
-						}
-						if thaws := after.Thaws - before.Thaws; thaws != wantThaws {
-							t.Errorf("%s: run %d (Evaluate %v, served %v) thawed %d images, want %d", name, pass+1, evaluated, r.served, thaws, wantThaws)
-						}
-					}
-				}
-			}
-			if st := store.Stats(); st.DerivedCaptures == 0 || st.DerivedReportsServed == 0 || store.DerivedBytes() == 0 {
-				t.Errorf("nothing was ever captured or served: %+v", st)
-			}
-		})
-	}
-}
-
-// TestDerivedMatchesStoreless: every compile flavour, under its design's own
-// constraints and then with a fanout limit, is a key of its own — the effort
-// scripts miss against their plain twin — and every served run equals a
-// storeless one.
-func TestDerivedMatchesStoreless(t *testing.T) {
-	fanout := derivedVariant{"fanout 16", func(d *designs.Design) string { return linked(d) + "set_max_fanout 16\n" }}
-	derivedMatrix(t, []string{
-		"compile -map_effort low", "compile -map_effort medium", "compile -map_effort high",
-		"compile -incremental", "compile_ultra", "compile_ultra -timing_high_effort_script",
-		"compile_ultra -area_high_effort_script", "compile_ultra -no_autoungroup", "compile_ultra -retime",
-	}, []derivedVariant{plainVariant, fanout})
-}
-
-// TestRetimeKeyMatchesStoreless: the constraints key every compile, not only
-// -retime. A plain compile and the three -retime flavours each run under
-// every set of constraints two periods, two wireloads and the presence of
-// I/O delays make — the design's own first — and each set is a key of its
-// own for every one of them; every served run equals a storeless one. The
-// -retime cases are where retiming and sizing to a slack target taken from
-// the period meet, which a served run skips together.
-func TestRetimeKeyMatchesStoreless(t *testing.T) {
-	var variants []derivedVariant
-	for _, scale := range []float64{1, 0.8} {
-		for _, wl := range []string{"", "set_wire_load_model -name 5K_light_1k\n"} {
-			for _, delays := range []string{"", "set_input_delay 0.05 -clock clk\nset_output_delay 0.08 -clock clk\n"} {
-				scale, wl, delays := scale, wl, delays
-				variants = append(variants, derivedVariant{
-					fmt.Sprintf("period %.1fx, wireload %t, delays %t", scale, wl != "", delays != ""),
-					func(d *designs.Design) string { return linkedAt(d, scale*d.Period) + wl + delays },
-				})
-			}
-		}
-	}
-	derivedMatrix(t, []string{
-		"compile -map_effort low", "compile_ultra -retime",
-		"compile_ultra -retime -timing_high_effort_script", "compile_ultra -retime -no_autoungroup",
-	}, variants)
-}
-
 // TestDerivedBypass: a script whose first compile does not start from the
 // untouched snapshot computes as it always did and never consults the derived
 // level — and a second compile in one run never does, nor does a command
@@ -333,49 +153,28 @@ func TestDerivedBypass(t *testing.T) {
 // TestDerivedHitDropsCachedTiming: report_timing between create_clock and
 // compile leaves the design with a Timing that points into the storage a
 // derived hit thaws over. The run must equal a storeless one, and must run no
-// analysis the storeless one does not.
+// analysis the storeless one does not: checkCase's last run, a RunContext,
+// is served.
 func TestDerivedHitDropsCachedTiming(t *testing.T) {
 	for _, d := range []*designs.Design{designs.TinyRocket(), designs.AES()} {
-		script := linked(d) + "report_timing\ncompile_ultra -retime\nreport_timing\n" + reportTail
-		want := fingerprint(t, mustRun(t, designSession(d, nil), script))
-		store := NewCheckpointStore(0)
-		mustRun(t, designSession(d, store), linked(d))
-		for pass := 1; pass <= 4; pass++ {
-			before := store.Stats()
-			res := mustRun(t, designSession(d, store), script)
-			if fingerprint(t, res) != want {
-				t.Errorf("%s: run %d (report_timing before compile) differs from a storeless run", d.Name, pass)
-			}
-			if hits, _, _ := derivedDelta(before, store.Stats()); (hits == 1) != (pass >= 3) {
-				t.Errorf("%s: run %d: %d derived hits", d.Name, pass, hits)
-			}
-		}
+		checkCase(t, newCaseStore(), testCase{d: d, canonical: true, cons: caseCons{scale: 1}, between: []string{"report_timing"},
+			compile: "compile_ultra -retime", tail: "report_timing\n" + reportTail, evaluate: true})
 	}
 }
 
 // TestDerivedSecondTouch: the first run of a key only notes it; the
-// second freezes its result; from the third on it is served.
+// second freezes its result; from the third on it is served (checkCase's
+// model holds each run to that).
 func TestDerivedSecondTouch(t *testing.T) {
-	d := designs.TinyRocket()
-	store := NewCheckpointStore(0)
-	mustRun(t, designSession(d, store), linked(d))
-	script := linked(d) + "compile_ultra\n"
-	want := [][3]int64{{0, 1, 0}, {0, 1, 1}, {1, 0, 0}, {1, 0, 0}}
-	for pass, w := range want {
-		before := store.Stats()
-		mustEvaluate(t, designSession(d, store), script)
-		hits, misses, captures := derivedDelta(before, store.Stats())
-		if got := [3]int64{hits, misses, captures}; got != w {
-			t.Errorf("run %d: derived hits/misses/captures = %v, want %v", pass+1, got, w)
-		}
-	}
+	d, cs := designs.TinyRocket(), newCaseStore()
+	checkCase(t, cs, testCase{d: d, canonical: true, cons: caseCons{scale: 1}, compile: "compile_ultra", evaluate: true})
 	// A key seen once holds no image, however many other runs pass.
-	mustEvaluate(t, designSession(d, store), linked(d)+"set_max_fanout 8\ncompile\n")
-	if st := store.Stats(); st.DerivedCaptures != 1 {
+	mustEvaluate(t, designSession(d, cs.store), linked(d)+"set_max_fanout 8\ncompile\n")
+	if st := cs.store.Stats(); st.DerivedCaptures != 1 {
 		t.Errorf("captures = %d after a second key ran once, want 1", st.DerivedCaptures)
 	}
-	if st := store.Stats(); st.Hits != 5 || st.Misses != 1 {
-		t.Errorf("post-link hits/misses = %d/%d, want 5/1: derived lookups must not count there", st.Hits, st.Misses)
+	if st := cs.store.Stats(); st.Hits != 4 || st.Misses != 1 {
+		t.Errorf("post-link hits/misses = %d/%d, want 4/1: derived lookups must not count there", st.Hits, st.Misses)
 	}
 }
 
@@ -397,19 +196,12 @@ func snapshotOf(t *testing.T, store *CheckpointStore, d *designs.Design) *checkp
 // at half again its period, meets timing, so compile -map_effort low — no
 // restructuring, no area recovery — edits nothing. That is recorded as such:
 // served as a hit, with no image frozen or held — only the report text the
-// runs read off it.
+// runs read off it. (checkCase's runs: capture the snapshot, note, capture,
+// serve.)
 func TestDerivedIdentity(t *testing.T) {
-	d := designs.JPEG()
-	store := NewCheckpointStore(0)
-	mustRun(t, designSession(d, store), linkOnly(d))
-	script := linkedAt(d, 1.5*d.Period) + "compile -map_effort low\n" + reportTail
-	want := fingerprint(t, mustRun(t, designSession(d, nil), script))
-	for pass := 1; pass <= 3; pass++ {
-		res := mustRun(t, designSession(d, store), script)
-		if fingerprint(t, res) != want {
-			t.Errorf("run %d differs from a storeless run", pass)
-		}
-	}
+	d, cs := designs.JPEG(), newCaseStore()
+	checkCase(t, cs, testCase{d: d, canonical: true, cons: caseCons{scale: 1.5}, compile: "compile -map_effort low", tail: reportTail})
+	store := cs.store
 	if st := store.Stats(); st.DerivedHits != 1 || st.DerivedMisses != 2 || st.DerivedCaptures != 0 {
 		t.Errorf("derived hits/misses/captures = %d/%d/%d, want 1/2/0", st.DerivedHits, st.DerivedMisses, st.DerivedCaptures)
 	}
@@ -430,37 +222,13 @@ func TestDerivedIdentity(t *testing.T) {
 // that share a compile key ask for different reports. Every run serves the
 // compile from one entry and equals a storeless run.
 func TestDerivedTailKeysWhatReportsRead(t *testing.T) {
-	d := designs.TinyRocket()
-	store := NewCheckpointStore(0)
-	mustRun(t, designSession(d, store), linkOnly(d))
-	variable := func(n int) string {
-		return linked(d) + fmt.Sprintf("set n %d\ncompile_ultra\nreport_timing -max_paths $n\n", n)
-	}
-	area := func(limit string) string {
-		return linked(d) + limit + "compile_ultra\nreport_constraint\n"
-	}
-	scripts := []string{
-		variable(1), variable(1), variable(1), variable(3), variable(3), variable(1),
-		area(""), area("set_max_area 1\n"), area("set_max_area 1e9\n"), area("set_max_area 1\n"), area(""),
-	}
-	want := map[string]string{}
-	reports := map[string]bool{}
-	for i, script := range scripts {
-		if _, ok := want[script]; !ok {
-			res := mustRun(t, designSession(d, nil), script)
-			want[script] = fingerprint(t, res)
-			reports[res.Reports[0]] = true
-		}
-		res := mustRun(t, designSession(d, store), script)
-		if fingerprint(t, res) != want[script] {
-			t.Errorf("run %d over the store differs from a storeless run:\n%s", i+1, script)
-		}
-	}
-	if len(reports) != 5 {
-		t.Errorf("the scripts asked for %d distinct reports, want 5", len(reports))
-	}
-	if st := store.Stats(); st.DerivedHits != 9 || st.DerivedReportsServed != 5 {
-		t.Errorf("derived hits %d, reports served %d, want 9 and 5", st.DerivedHits, st.DerivedReportsServed)
+	cs, variable, area := newCaseStore(), "report_timing -max_paths $n\n", "report_constraint\n"
+	for _, c := range []testCase{
+		{between: []string{"set n 1"}, tail: variable}, {between: []string{"set n 3"}, tail: variable}, {between: []string{"set n 1"}, tail: variable},
+		{tail: area}, {between: []string{"set_max_area 1"}, tail: area}, {between: []string{"set_max_area 1e9"}, tail: area}, {tail: area},
+	} {
+		c.d, c.canonical, c.cons, c.compile = designs.TinyRocket(), true, caseCons{scale: 1}, "compile_ultra"
+		checkCase(t, cs, c)
 	}
 }
 
@@ -469,15 +237,13 @@ func TestDerivedTailKeysWhatReportsRead(t *testing.T) {
 // every run of it equals a storeless run.
 func TestDerivedTailIsBounded(t *testing.T) {
 	d := designs.EthMAC()
-	store := NewCheckpointStore(0)
-	mustRun(t, designSession(d, store), linkOnly(d))
 	var walk strings.Builder
-	walk.WriteString(linked(d) + "compile\n")
 	for n := 1; n <= maxTailReports+4; n++ {
 		fmt.Fprintf(&walk, "report_timing -max_paths %d\n", n)
 	}
-	runsMatchStoreless(t, d, store, walk.String())
-	runsMatchStoreless(t, d, store, walk.String())
+	cs := newCaseStore()
+	checkCase(t, cs, testCase{d: d, canonical: true, cons: caseCons{scale: 1}, compile: "compile", tail: walk.String()})
+	store := cs.store
 	cp := snapshotOf(t, store, d)
 	if len(cp.derived) != 1 || cp.derived[0].tail == nil {
 		t.Fatalf("derived entries = %+v, want one resolved entry", cp.derived)
@@ -735,73 +501,6 @@ func TestNaNKeyStaysOutOfTheFIFO(t *testing.T) {
 	}
 	if st := store.Stats(); st.DerivedHits != 9 || st.DerivedCaptures != 1 {
 		t.Errorf("derived hits/captures = %d/%d, want 9/1", st.DerivedHits, st.DerivedCaptures)
-	}
-}
-
-// betweenLinkAndCompile is every command the grammar allows between link and
-// the first compile, for a design with a clk port: the constraint setters,
-// which leave a restored design's image frozen, and everything else, which
-// thaws it.
-func betweenLinkAndCompile(period float64, protect string) []string {
-	return []string{
-		"set_wire_load_model -name 5K_medium_1k", fmt.Sprintf("create_clock -period %.2f clk", period),
-		"set_input_delay 0.05 -clock clk", "set_output_delay 0.05 -clock clk", "set_max_fanout 12", "set_max_area 0",
-		"set_dont_touch " + protect, "ungroup -all", "uniquify", "echo between",
-		"report_timing", "report_area", "report_qor", "report_power", "report_hierarchy", "report_constraint", "write",
-	}
-}
-
-// runsMatchStoreless runs script three times over store through RunContext —
-// noted, captured, served, where it reaches the derived level at all — and
-// then once through Evaluate, against a storeless run: the RunContext runs
-// equal it in their values and final netlist, the Evaluate in its values and
-// the RunContext runs' snapshot handle.
-func runsMatchStoreless(t *testing.T, d *designs.Design, store *CheckpointStore, script string) {
-	t.Helper()
-	storeless := mustRun(t, designSession(d, nil), script)
-	want, values := fingerprint(t, storeless), runJSON(t, storeless)
-	var snap Snapshot
-	for pass := 1; pass <= 3; pass++ {
-		res := mustRun(t, designSession(d, store), script)
-		if fingerprint(t, res) != want {
-			t.Errorf("run %d over the store differs from a storeless run:\n%s", pass, script)
-		}
-		snap = res.Snapshot
-	}
-	res, err := evaluate(t, designSession(d, store), script)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, script)
-	}
-	if runJSON(t, res) != values || res.Snapshot != snap {
-		t.Errorf("an Evaluate over the store differs from a storeless run, or from RunContext's snapshot handle:\n%s", script)
-	}
-}
-
-// TestDeferredThawMatchesStoreless: a restore thaws the snapshot for the
-// first command that reads the netlist and not before. Whatever stands
-// between link and compile — each command alone on tinyRocket, every ordered
-// pair on a 16-bit adder whose clock is too fast for it — and whether the
-// compile is then computed or served, the run equals the storeless one.
-func TestDeferredThawMatchesStoreless(t *testing.T) {
-	d := designs.TinyRocket()
-	store := NewCheckpointStore(0)
-	mustRun(t, designSession(d, store), linkOnly(d))
-	for _, c := range betweenLinkAndCompile(0.9*d.Period, "u_*") {
-		runsMatchStoreless(t, d, store, linked(d)+c+"\ncompile_ultra -retime\n"+reportTail)
-		runsMatchStoreless(t, d, store, linked(d)+c+"\n") // no compile: the closing QoR reads the netlist
-	}
-
-	d = &designs.Design{Name: "tiny", Top: "tiny", FileName: "tiny.v", Source: testDesignSrc, Period: 0.6}
-	store = NewCheckpointStore(0)
-	mustRun(t, designSession(d, store), linkOnly(d))
-	cmds := betweenLinkAndCompile(0.5, "*")
-	for _, a := range cmds {
-		for _, b := range cmds {
-			runsMatchStoreless(t, d, store, linked(d)+a+"\n"+b+"\ncompile_ultra -retime\n"+reportTail)
-		}
-	}
-	if st := store.Stats(); st.DerivedHits == 0 || st.ThawsSkipped == 0 {
-		t.Errorf("the pairs never reached a served compile or a skipped thaw: %+v", st)
 	}
 }
 

@@ -1,13 +1,10 @@
 package synth
 
 import (
-	"context"
 	"fmt"
-	"regexp"
 	"strings"
-	"testing"
 
-	"repro/internal/designs"
+	"repro/internal/netlist"
 )
 
 // reverseModules returns src with its module declarations in reverse order.
@@ -40,55 +37,12 @@ func reverseModules(src string) (string, int) {
 	return outside.String(), len(modules)
 }
 
-var compileLine = regexp.MustCompile(`(?m)^compile .*$`)
-
-// TestModuleOrderLeavesQoR: the order in which a source declares its modules
-// is not part of the design. Reversing it in each benchmark design leaves the
-// QoR of the baseline script, and of the same script compiling with
-// compile_ultra -retime, bit-identical — run storeless, and three times
-// through a checkpoint store holding the post-link snapshot of that source,
-// which note, capture and then serve the compile.
-func TestModuleOrderLeavesQoR(t *testing.T) {
-	for _, d := range designs.Benchmarks() {
-		t.Run(d.Name, func(t *testing.T) {
-			t.Parallel()
-			reversed, n := reverseModules(d.Source)
-			if n < 2 || reversed == d.Source || len(reversed) != len(d.Source) {
-				t.Fatalf("reversing %d modules left %d of %d bytes, changed %v", n, len(reversed), len(d.Source), reversed != d.Source)
-			}
-			baseline := d.BaselineScript()
-			retime := compileLine.ReplaceAllString(baseline, "compile_ultra -retime")
-			if retime == baseline {
-				t.Fatal("the baseline script has no compile line")
-			}
-			want := map[string]string{} // script -> the declared order's QoR
-			for _, src := range []string{d.Source, reversed} {
-				v := *d
-				v.Source = src
-				store := NewCheckpointStore(0)
-				mustRun(t, designSession(&v, store), linkOnly(&v))
-				for _, script := range []string{baseline, retime} {
-					q := fmt.Sprintf("%v", *mustRun(t, designSession(&v, nil), script).QoR)
-					if _, ok := want[script]; !ok {
-						want[script] = q
-					} else if q != want[script] {
-						t.Errorf("storeless, reversed modules: QoR %s, want %s\n%s", q, want[script], script)
-					}
-					before := store.Stats()
-					for pass := 1; pass <= 3; pass++ {
-						res, err := designSession(&v, store).Evaluate(context.Background(), script)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if q := fmt.Sprintf("%v", *res.QoR); q != want[script] {
-							t.Errorf("run %d through a store, reversed %v: QoR %s, want %s\n%s", pass, src != d.Source, q, want[script], script)
-						}
-					}
-					if hits, _, _ := derivedDelta(before, store.Stats()); hits != 1 {
-						t.Errorf("reversed %v: %d derived hits, want 1: the third run was not served\n%s", src != d.Source, hits, script)
-					}
-				}
-			}
-		})
+// renameNets gives every net of nl a new name, the names in the reverse of
+// the nets' order, and returns nl: the transform of a compiled design under
+// which its QoR must stay bit-identical.
+func renameNets(nl *netlist.Netlist) *netlist.Netlist {
+	for i, n := range nl.Nets {
+		n.Name = fmt.Sprintf("r%08d", len(nl.Nets)-i)
 	}
+	return nl
 }

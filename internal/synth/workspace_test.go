@@ -3,18 +3,12 @@ package synth
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/designs"
-	"repro/internal/liberty"
 	"repro/internal/netlist"
 	"repro/internal/resilience"
 	"repro/internal/sta"
-	"repro/internal/verilog"
 )
 
 // Workspace recycling: restores thaw into storage the store parks between
@@ -78,79 +72,6 @@ func TestFailedRunsReturnTheirWorkspace(t *testing.T) {
 	}
 	if res.Design == nil || len(store.idle) != 0 {
 		t.Errorf("a successful RunContext returned design %v and left %d workspaces parked, want a design and none", res.Design != nil, len(store.idle))
-	}
-}
-
-// TestRecycledWorkspacesMatchStoreless hammers one store from 16 goroutines
-// with valid scripts through Evaluate and invalid ones through RunContext
-// over designs of different sizes, each of which hands its workspace back, so
-// workspaces move between goroutines, designs and aborted runs. Every valid
-// run must equal a storeless session's, byte for byte. Run with -race.
-func TestRecycledWorkspacesMatchStoreless(t *testing.T) {
-	lib := liberty.Nangate45()
-	type job struct {
-		name, file, src, script string
-		want                    string // "" = must fail
-	}
-	var jobs []job
-	add := func(name, file, src, script string, valid bool) {
-		j := job{name: name, file: file, src: src, script: script}
-		if valid {
-			sess := NewSession(lib)
-			sess.AddSource(file, src)
-			res, err := sess.RunContext(context.Background(), script)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			j.want = runJSON(t, res)
-		}
-		jobs = append(jobs, j)
-	}
-	add("tiny", "tiny.v", testDesignSrc, goodScript, true)
-	add("tiny/invalid", "tiny.v", testDesignSrc, goodScript+invalidTail, false)
-	for _, d := range []*designs.Design{designs.AES(), designs.RiscV32i()} {
-		prefix := fmt.Sprintf("read_verilog %s\ncurrent_design %s\nlink\ncreate_clock -period %.2f clk\n", d.FileName, d.Top, d.Period)
-		add(d.Name, d.FileName, d.Source, prefix+"compile_ultra -retime\nbalance_buffers\nreport_qor\nreport_timing\n", true)
-		add(d.Name+"/invalid", d.FileName, d.Source, prefix+"compile\n"+invalidTail, false)
-	}
-
-	store := NewCheckpointStore(0)
-	const workers, rounds = 16, 6
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				j := jobs[(w+r)%len(jobs)]
-				sess := NewSession(lib)
-				sess.Checkpoints = store
-				sess.AddSource(j.file, j.src)
-				if j.want == "" {
-					if _, err := sess.RunContext(context.Background(), j.script); err == nil {
-						t.Errorf("%s: invalid script ran to completion", j.name)
-					}
-					continue
-				}
-				res, err := sess.Evaluate(context.Background(), j.script)
-				if err != nil {
-					t.Errorf("%s: %v", j.name, err)
-					continue
-				}
-				if runJSON(t, res) != j.want {
-					t.Errorf("%s: run over the shared store differs from a storeless run", j.name)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	st := store.Stats()
-	if st.Reused == 0 {
-		t.Error("no restore reused a workspace")
-	}
-	if st.Reused+st.Allocated != st.Hits+st.Misses {
-		t.Errorf("reused %d + allocated %d != hits %d + misses %d: every run through the link prefix, restoring or capturing, takes exactly one workspace",
-			st.Reused, st.Allocated, st.Hits, st.Misses)
 	}
 }
 
@@ -250,95 +171,5 @@ func TestCaptureParksNothingOfItsNetlist(t *testing.T) {
 		if c != nil {
 			t.Fatal("the parked workspace's scratch still points at a cell of the captured netlist")
 		}
-	}
-}
-
-// TestColdWorkspaceHammer: sixteen goroutines share one two-snapshot store
-// over four designs, so snapshots are evicted and captured again throughout,
-// and mix what a design's first request does — capturing runs, snapshot
-// reads, restores — with failing runs, through Evaluate (which parks its
-// workspace) and RunContext (which keeps it). Workspaces thus pass between
-// captures that borrow their Timing, reads that leave an unedited thaw behind
-// and restores that use it. Every run equals a storeless one and every read
-// sees the netlist a fresh elaboration builds. make derived-race runs it ten
-// times under -race.
-func TestColdWorkspaceHammer(t *testing.T) {
-	type job struct {
-		d                 *designs.Design
-		script, want      string // want "" = must fail
-		netlist, snapshot string
-	}
-	tiny := func(name string) *designs.Design {
-		return &designs.Design{Name: name, Top: name, FileName: name + ".v", Period: 2.5,
-			Source: strings.Replace(testDesignSrc, "tiny", name, -1)}
-	}
-	var jobs []job
-	for _, d := range []*designs.Design{tiny("tiny"), tiny("tiny2"), tiny("tiny3"), designs.RiscV32i()} {
-		script := linked(d) + "compile\n" + reportTail
-		res := mustRun(t, designSession(d, nil), script)
-		file, err := verilog.Parse(d.Source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nl, err := netlist.Elaborate(file, d.Top, nil, derivedLib)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs,
-			job{d: d, script: script, want: runJSON(t, res), netlist: string(netlist.Encode(nl))},
-			job{d: d, script: linked(d) + "compile\n" + invalidTail})
-	}
-	store := NewCheckpointStore(2)
-	const workers, rounds = 16, 8
-	var reads atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				j := jobs[(w*3+r*5)%len(jobs)]
-				sess := designSession(j.d, store)
-				if j.want == "" {
-					if _, err := sess.RunContext(context.Background(), j.script); err == nil {
-						t.Errorf("%s: invalid script ran to completion", j.d.Name)
-					}
-					continue
-				}
-				run := sess.Evaluate
-				if (w+r)%3 == 0 {
-					run = sess.RunContext
-				}
-				res, err := run(context.Background(), j.script)
-				if err != nil {
-					t.Errorf("%s: %v", j.d.Name, err)
-					continue
-				}
-				if runJSON(t, res) != j.want {
-					t.Errorf("%s: run over the shared store differs from a storeless run", j.d.Name)
-				}
-				// The design's first request reads its snapshot next.
-				found, err := res.Snapshot.Netlist(j.d.Source, j.d.Top, func(nl *netlist.Netlist, tm *sta.Timing) error {
-					if string(netlist.Encode(nl)) != j.netlist {
-						return fmt.Errorf("%s: the snapshot read lent a netlist that is not the elaborated one", j.d.Name)
-					}
-					return tm.Reset(nl, nl.Lib.WireLoad(""), sta.Constraints{Period: j.d.Period})
-				})
-				if err != nil {
-					t.Error(err)
-				}
-				if found {
-					reads.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	st := store.Stats()
-	if st.Evictions == 0 || st.Misses <= 4 || reads.Load() == 0 {
-		t.Errorf("%d evictions, %d captures and %d reads: the mix did not happen", st.Evictions, st.Misses, reads.Load())
-	}
-	if got, want := st.Reused+st.Allocated, st.Hits+st.Misses+reads.Load(); got != want {
-		t.Errorf("%d workspace acquisitions, want %d: every run through the link prefix and every snapshot read takes exactly one", got, want)
 	}
 }
