@@ -8,9 +8,8 @@ import (
 
 	"repro/internal/circuitmentor"
 	"repro/internal/designs"
-	"repro/internal/netlist"
 	"repro/internal/synth"
-	"repro/internal/verilog"
+	"repro/internal/work"
 )
 
 // frontEndCorpus is every design whose front end the pipeline reads from a
@@ -51,16 +50,16 @@ func TestFrontEndFromSnapshotMatchesSource(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			want, err := circuitmentor.AnalyzeNetlist(elaborated(t, d), d.Period)
+			want, err := circuitmentor.AnalyzeContext(ctx, d.Source, d.Top, d.Period, testLib)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reads, elabs := circuitmentor.Stats().SnapshotReads, netlist.Elaborations()
-			got, err := circuitmentor.AnalyzeSnapshotContext(ctx, task.Snapshot, d.Source, d.Top, d.Period, testLib)
+			var read work.Counts
+			got, err := circuitmentor.AnalyzeSnapshotContext(work.With(ctx, &read), task.Snapshot, d.Source, d.Top, d.Period, testLib)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if circuitmentor.Stats().SnapshotReads != reads+1 || netlist.Elaborations() != elabs {
+			if read.Get(work.SnapshotReads) != 1 || read.Get(work.Elaborations) != 0 || read.Get(work.Parses) != 0 {
 				t.Error("the analysis did not read the snapshot")
 			}
 			if !sameAnalysis(got, want) {
@@ -96,13 +95,13 @@ func TestFrontEndFromSnapshotMatchesSource(t *testing.T) {
 			if _, ok := task.Snapshot.File(d.Source, d.Top); ok {
 				t.Fatal("snapshot still readable after its eviction")
 			}
-			reads, elabs = circuitmentor.Stats().SnapshotReads, netlist.Elaborations()
-			evicted, err := circuitmentor.AnalyzeSnapshotContext(ctx, task.Snapshot, d.Source, d.Top, d.Period, testLib)
+			var fresh work.Counts
+			evicted, err := circuitmentor.AnalyzeSnapshotContext(work.With(ctx, &fresh), task.Snapshot, d.Source, d.Top, d.Period, testLib)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if circuitmentor.Stats().SnapshotReads != reads || netlist.Elaborations() != elabs+1 {
-				t.Error("the analysis of an evicted snapshot did not elaborate the source")
+			if fresh.Get(work.SnapshotReads) != 0 || fresh.Get(work.Elaborations) != 1 || fresh.Get(work.Parses) != 1 {
+				t.Error("the analysis of an evicted snapshot did not parse and elaborate the source")
 			}
 			if !sameAnalysis(evicted, want) {
 				t.Errorf("analysis after eviction\n got %+v\nwant %+v", evicted, want)
@@ -116,26 +115,11 @@ func TestFrontEndFromSnapshotMatchesSource(t *testing.T) {
 	}
 }
 
-// elaborated parses and elaborates d the way circuitmentor.AnalyzeContext does.
-func elaborated(t *testing.T, d *designs.Design) *netlist.Netlist {
-	t.Helper()
-	file, err := verilog.Parse(d.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl, err := netlist.Elaborate(file, d.Top, nil, testLib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return nl
-}
-
-// TestFrontEndRunsOncePerDesign pins the counts: building the default
-// database elaborates nothing — every expert entry comes from the checked-in
-// table — and parses once per corpus graph (a build that sweeps adds one
-// elaboration and one parse per expert-entry design: TestSweepFrontEndCounts
-// in internal/synthrag); a first chatls request then elaborates and parses its
-// design once (not once each for the baseline, the analysis and the graph).
+// TestFrontEndRunsOncePerDesign pins the counts of a cold pass over the
+// default database (what building it costs is TestTableBuildFrontEndCounts
+// and TestSweepFrontEndCounts in internal/synthrag): a first chatls request
+// elaborates and parses its design once (not once each for the baseline, the
+// analysis and the graph).
 // The cold pass is sequential, so the serving store never needs a second
 // workspace: each design's baseline captures its snapshot borrowing the one
 // workspace's Timing and scratch, the analysis thaws the snapshot into it, and
@@ -145,34 +129,24 @@ func TestFrontEndRunsOncePerDesign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the full database")
 	}
-	ctx := context.Background()
-	elabs, parses := netlist.Elaborations(), verilog.Parses()
 	built, err := BuildDatabase(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, swept := built.ExpertDrafts(); swept != 0 {
-		t.Fatalf("database build swept %d expert-entry designs, want 0 (all from the table)", swept)
-	}
-	corpus, indexOnly := len(built.Strategies), len(designs.TrainingVariants())
-	if got := netlist.Elaborations() - elabs; got != 0 {
-		t.Errorf("database build: %d elaborations, want 0", got)
-	}
-	if got, want := verilog.Parses()-parses, uint64(corpus+indexOnly); got != want {
-		t.Errorf("database build: %d parses, want %d (one per corpus graph)", got, want)
-	}
-
 	requested := designs.Benchmarks()
-	elabs, parses = netlist.Elaborations(), verilog.Parses()
-	store, err := coldPass(ctx, built, testLib)
+	var c work.Counts
+	store, err := coldPass(work.With(context.Background(), &c), built, testLib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := netlist.Elaborations()-elabs, uint64(len(requested)); got != want {
+	if got, want := c.Get(work.Elaborations), int64(len(requested)); got != want {
 		t.Errorf("cold pass: %d elaborations, want %d (one per requested design)", got, want)
 	}
-	if got, want := verilog.Parses()-parses, uint64(len(requested)); got != want {
+	if got, want := c.Get(work.Parses), int64(len(requested)); got != want {
 		t.Errorf("cold pass: %d parses, want %d (one per requested design)", got, want)
+	}
+	if misses, reads := c.Get(work.MentorMisses), c.Get(work.SnapshotReads); misses != int64(len(requested)) || reads != misses {
+		t.Errorf("cold pass: %d analyses computed, %d of them on the snapshot, want %d and all", misses, reads, len(requested))
 	}
 	st := store.Stats()
 	if st.Allocated != 1 {

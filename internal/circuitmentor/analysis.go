@@ -6,13 +6,13 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/liberty"
 	"repro/internal/netlist"
 	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/verilog"
+	"repro/internal/work"
 )
 
 // Analysis is CircuitMentor's structural characterization of a design: the
@@ -48,23 +48,6 @@ const (
 	serialStepsTh      = 30
 )
 
-var hits, misses, snapshotReads atomic.Int64
-
-// MemoStats are the lifetime analysis counters, exposed by the serving daemon
-// as chatlsd_mentor_cache_{hits,misses}_total and
-// chatlsd_mentor_snapshot_reads_total: Hits read off a snapshot, Misses
-// computed, SnapshotReads the part of Misses that read the design's post-link
-// snapshot (the rest parsed and elaborated).
-type MemoStats struct {
-	Hits, Misses  int64
-	SnapshotReads int64
-}
-
-// Stats returns the analysis counters.
-func Stats() MemoStats {
-	return MemoStats{Hits: hits.Load(), Misses: misses.Load(), SnapshotReads: snapshotReads.Load()}
-}
-
 // AnalyzeContext elaborates the design and computes its structural
 // characterization using a quick timing pass — the graph-based analysis the
 // paper performs with Neo4j path queries and GNN features. The context is
@@ -80,45 +63,53 @@ func AnalyzeContext(ctx context.Context, src, top string, period float64, lib *l
 // and period, and a miss characterizes the post-link netlist the store holds.
 // The zero handle, or one whose snapshot the store has evicted, parses and
 // elaborates src to the same analysis. Every caller gets its own copy.
+//
+// The context's work.Counts, if any, counts the analysis as a MentorHit or a
+// MentorMiss, a miss on the snapshot as a SnapshotRead, and the parse,
+// elaboration and timing analysis a miss runs.
 func AnalyzeSnapshotContext(ctx context.Context, snap synth.Snapshot, src, top string, period float64, lib *liberty.Library) (*Analysis, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	c := work.From(ctx)
 	v, hit, err := snap.Keep(src, top, synth.KeepKey{Owner: lib, N: math.Float64bits(period)}, func() (any, error) {
-		misses.Add(1)
-		return analyze(ctx, snap, src, top, period, lib)
+		c.Add(work.MentorMisses)
+		return analyze(ctx, c, snap, src, top, period, lib)
 	})
 	if err != nil {
 		return nil, err
 	}
 	if hit {
-		hits.Add(1)
+		c.Add(work.MentorHits)
 	}
 	a := *v.(*Analysis)
 	a.Traits = append([]string(nil), a.Traits...)
 	return &a, nil
 }
 
-// analyze computes the analysis: characterize the netlist snap lends,
-// thawed into the store's own workspace and timed in that workspace's Timing —
-// storage the design's next synthesis run overwrites anyway — or, when snap
-// finds nothing, parse, elaborate, characterize.
-func analyze(ctx context.Context, snap synth.Snapshot, src, top string, period float64, lib *liberty.Library) (*Analysis, error) {
+// analyze computes the analysis, counting its work into c: characterize the
+// netlist snap lends, thawed into the store's own workspace and timed in that
+// workspace's Timing — storage the design's next synthesis run overwrites
+// anyway — or, when snap finds nothing, parse, elaborate, characterize.
+func analyze(ctx context.Context, c *work.Counts, snap synth.Snapshot, src, top string, period float64, lib *liberty.Library) (*Analysis, error) {
 	var a *Analysis
-	found, err := snap.Netlist(src, top, func(nl *netlist.Netlist, tm *sta.Timing) error {
+	timed := func(nl *netlist.Netlist, tm *sta.Timing) error {
+		tm.Counts = c
 		if err := tm.Reset(nl, nl.Lib.WireLoad(""), sta.Constraints{Period: period}); err != nil {
 			return err
 		}
 		a = characterize(nl, tm)
 		return nil
-	})
+	}
+	found, err := snap.Netlist(src, top, timed)
 	if found {
 		if err != nil {
 			return nil, err
 		}
-		snapshotReads.Add(1)
+		c.Add(work.SnapshotReads)
 		return a, nil
 	}
+	c.Add(work.Parses)
 	file, err := verilog.Parse(src)
 	if err != nil {
 		return nil, err
@@ -126,6 +117,7 @@ func analyze(ctx context.Context, snap synth.Snapshot, src, top string, period f
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	c.Add(work.Elaborations)
 	nl, err := netlist.Elaborate(file, top, nil, lib)
 	if err != nil {
 		return nil, err
@@ -133,16 +125,8 @@ func analyze(ctx context.Context, snap synth.Snapshot, src, top string, period f
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return AnalyzeNetlist(nl, period)
-}
-
-// AnalyzeNetlist characterizes an already-elaborated netlist.
-func AnalyzeNetlist(nl *netlist.Netlist, period float64) (*Analysis, error) {
-	tm, err := sta.Analyze(nl, nl.Lib.WireLoad(""), sta.Constraints{Period: period})
-	if err != nil {
-		return nil, err
-	}
-	return characterize(nl, tm), nil
+	err = timed(nl, new(sta.Timing))
+	return a, err
 }
 
 // characterize reads the analysis off a netlist and the quick timing pass tm
@@ -226,16 +210,6 @@ func characterize(nl *netlist.Netlist, tm *sta.Timing) *Analysis {
 		a.Traits = append(a.Traits, "balanced")
 	}
 	return a
-}
-
-// HasTrait reports whether the analysis detected the trait.
-func (a *Analysis) HasTrait(t string) bool {
-	for _, x := range a.Traits {
-		if x == t {
-			return true
-		}
-	}
-	return false
 }
 
 // Render formats the analysis as the "Design characteristics" prompt

@@ -3,6 +3,7 @@ package circuitmentor
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -177,7 +178,7 @@ func TestAnalysisMatchesGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
-		if want, ok := expect[d.Name]; ok && !a.HasTrait(want) {
+		if want, ok := expect[d.Name]; ok && !slices.Contains(a.Traits, want) {
 			t.Errorf("%s: detected %v, want %s", d.Name, a.Traits, want)
 		}
 		r := a.Render()
@@ -188,11 +189,11 @@ func TestAnalysisMatchesGroundTruth(t *testing.T) {
 	// tinyRocket must NOT look fanout-bound, and dynamic_node's fanout must
 	// dominate whatever else it shows.
 	trA, _ := AnalyzeContext(context.Background(), designs.TinyRocket().Source, "tinyRocket", 2.85, lib)
-	if trA.HasTrait("high-fanout") {
+	if slices.Contains(trA.Traits, "high-fanout") {
 		t.Errorf("tinyRocket wrongly detected as high-fanout: %+v", trA)
 	}
 	dnA, _ := AnalyzeContext(context.Background(), designs.DynamicNode().Source, "dynamic_node", 3.20, lib)
-	if !dnA.HasTrait("high-fanout") {
+	if !slices.Contains(dnA.Traits, "high-fanout") {
 		t.Errorf("dynamic_node missing high-fanout: %+v", dnA)
 	}
 }

@@ -9,10 +9,8 @@ import (
 
 	"repro/internal/designs"
 	"repro/internal/liberty"
-	"repro/internal/netlist"
-	"repro/internal/sta"
 	"repro/internal/synth"
-	"repro/internal/verilog"
+	"repro/internal/work"
 )
 
 // twoTops has two modules either of which can be the top, for snapshots that
@@ -36,64 +34,57 @@ func snapshotOf(t *testing.T, store *synth.CheckpointStore, src, top string, lib
 	return res.Snapshot
 }
 
-func mustAnalyze(t *testing.T, snap synth.Snapshot, src, top string, period float64, lib *liberty.Library) *Analysis {
+func mustAnalyze(t *testing.T, ctx context.Context, snap synth.Snapshot, src, top string, period float64, lib *liberty.Library) *Analysis {
 	t.Helper()
-	a, err := AnalyzeSnapshotContext(context.Background(), snap, src, top, period, lib)
+	a, err := AnalyzeSnapshotContext(ctx, snap, src, top, period, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return a
 }
 
+// scoped runs call under a work scope of its own and returns what it counted.
+func scoped(call func(ctx context.Context)) *work.Counts {
+	c := new(work.Counts)
+	call(work.With(context.Background(), c))
+	return c
+}
+
 // kept reports whether one call read the analysis off the snapshot (a hit)
 // rather than computing it (a miss); it fails the test on anything else.
-func kept(t *testing.T, what string, call func()) bool {
+func kept(t *testing.T, what string, call func(ctx context.Context)) bool {
 	t.Helper()
-	before := Stats()
-	call()
-	after := Stats()
-	switch {
-	case after.Hits == before.Hits+1 && after.Misses == before.Misses:
+	c := scoped(call)
+	switch hits, misses := c.Get(work.MentorHits), c.Get(work.MentorMisses); {
+	case hits == 1 && misses == 0:
 		return true
-	case after.Hits == before.Hits && after.Misses == before.Misses+1:
+	case hits == 0 && misses == 1:
+		return false
+	default:
+		t.Fatalf("%s: %d hits and %d misses, want one hit or one miss", what, hits, misses)
 		return false
 	}
-	t.Fatalf("%s: counters %+v -> %+v, want one hit or one miss", what, before, after)
-	return false
 }
 
 func TestMemoizedAnalysisEqualsDirect(t *testing.T) {
 	lib := liberty.Nangate45()
 	for _, d := range designs.Benchmarks() {
 		t.Run(d.Name, func(t *testing.T) {
-			file, err := verilog.Parse(d.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nl, err := netlist.Elaborate(file, d.Top, nil, lib)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := AnalyzeNetlist(nl, d.Period)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			source, err := AnalyzeContext(context.Background(), d.Source, d.Top, d.Period, lib)
+			want, err := AnalyzeContext(context.Background(), d.Source, d.Top, d.Period, lib)
 			if err != nil {
 				t.Fatal(err)
 			}
 			snap := snapshotOf(t, synth.NewCheckpointStore(1), d.Source, d.Top, lib)
-			cold := mustAnalyze(t, snap, d.Source, d.Top, d.Period, lib)
-			before := sta.FullAnalyses()
+			cold := mustAnalyze(t, context.Background(), snap, d.Source, d.Top, d.Period, lib)
 			var hot *Analysis
-			if !kept(t, "second call", func() { hot = mustAnalyze(t, snap, d.Source, d.Top, d.Period, lib) }) {
+			c := scoped(func(ctx context.Context) { hot = mustAnalyze(t, ctx, snap, d.Source, d.Top, d.Period, lib) })
+			if c.Get(work.MentorHits) != 1 || c.Get(work.MentorMisses) != 0 {
 				t.Error("second call on the snapshot computed the analysis again")
 			}
-			if n := sta.FullAnalyses() - before; n != 0 {
+			if n := c.Get(work.FullAnalyses); n != 0 {
 				t.Errorf("second call ran %d full timing analyses, want 0", n)
 			}
-			for what, got := range map[string]*Analysis{"source": source, "cold": cold, "hot": hot} {
+			for what, got := range map[string]*Analysis{"cold": cold, "hot": hot} {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s analysis = %+v, want %+v", what, got, want)
 				}
@@ -139,7 +130,7 @@ func TestMemoKeyIsTheFullArguments(t *testing.T) {
 		{"the first arguments again", snap, twoTops, "a", 1.0, lib, true},
 	}
 	for _, c := range calls {
-		if hit := kept(t, c.what, func() { mustAnalyze(t, c.snap, c.src, c.top, c.period, c.lib) }); hit != c.hit {
+		if hit := kept(t, c.what, func(ctx context.Context) { mustAnalyze(t, ctx, c.snap, c.src, c.top, c.period, c.lib) }); hit != c.hit {
 			t.Errorf("%s: hit = %v, want %v", c.what, hit, c.hit)
 		}
 	}
@@ -148,7 +139,7 @@ func TestMemoKeyIsTheFullArguments(t *testing.T) {
 func TestMemoHonoursCancelledContextWhenHot(t *testing.T) {
 	lib := liberty.Nangate45()
 	snap := snapshotOf(t, synth.NewCheckpointStore(1), twoTops, "a", lib)
-	mustAnalyze(t, snap, twoTops, "a", 1.0, lib)
+	mustAnalyze(t, context.Background(), snap, twoTops, "a", 1.0, lib)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if a, err := AnalyzeSnapshotContext(ctx, snap, twoTops, "a", 1.0, lib); !errors.Is(err, context.Canceled) || a != nil {
@@ -182,8 +173,8 @@ func TestMemoStoresSuccessesOnly(t *testing.T) {
 	const loop = "module a (input x, output z); wire w; assign w = ~(w & x); assign z = w; endmodule"
 	loopSnap := snapshotOf(t, store, loop, "a", lib)
 	for i := 0; i < 2; i++ {
-		if kept(t, "analysis of a loop", func() {
-			if _, err := AnalyzeSnapshotContext(context.Background(), loopSnap, loop, "a", 1.0, lib); err == nil {
+		if kept(t, "analysis of a loop", func(ctx context.Context) {
+			if _, err := AnalyzeSnapshotContext(ctx, loopSnap, loop, "a", 1.0, lib); err == nil {
 				t.Fatal("a combinational loop was analysed")
 			}
 		}) {
@@ -200,14 +191,14 @@ func TestMemoStoresSuccessesOnly(t *testing.T) {
 	}
 
 	snap := snapshotOf(t, store, twoTops, "a", lib)
-	before := sta.FullAnalyses()
-	if kept(t, "first analysis on the snapshot", func() { mustAnalyze(t, snap, twoTops, "a", 1.0, lib) }) {
-		t.Error("the first analysis on a fresh snapshot was a hit")
+	c := scoped(func(ctx context.Context) { mustAnalyze(t, ctx, snap, twoTops, "a", 1.0, lib) })
+	if c.Get(work.MentorMisses) != 1 || c.Get(work.SnapshotReads) != 1 {
+		t.Error("the first analysis on a fresh snapshot was not a miss that read it")
 	}
-	if n := sta.FullAnalyses() - before; n != 1 {
+	if n := c.Get(work.FullAnalyses); n != 1 {
 		t.Errorf("the first analysis ran %d full timing analyses, want 1", n)
 	}
-	if !kept(t, "second analysis", func() { mustAnalyze(t, snap, twoTops, "a", 1.0, lib) }) {
+	if !kept(t, "second analysis", func(ctx context.Context) { mustAnalyze(t, ctx, snap, twoTops, "a", 1.0, lib) }) {
 		t.Error("a successful analysis was not kept")
 	}
 }
@@ -215,9 +206,9 @@ func TestMemoStoresSuccessesOnly(t *testing.T) {
 func TestMemoReturnsCopies(t *testing.T) {
 	lib := liberty.Nangate45()
 	snap := snapshotOf(t, synth.NewCheckpointStore(1), twoTops, "a", lib)
-	want := mustAnalyze(t, synth.Snapshot{}, twoTops, "a", 1.0, lib).Traits[0]
+	want := mustAnalyze(t, context.Background(), synth.Snapshot{}, twoTops, "a", 1.0, lib).Traits[0]
 	for i := 0; i < 3; i++ { // the computing caller, then two served from the snapshot
-		a := mustAnalyze(t, snap, twoTops, "a", 1.0, lib)
+		a := mustAnalyze(t, context.Background(), snap, twoTops, "a", 1.0, lib)
 		if a.Traits[0] != want || len(a.Traits) != 1 {
 			t.Fatalf("call %d sees an earlier caller's edit: %q", i, a.Traits)
 		}
@@ -237,7 +228,7 @@ func TestMemoConcurrentCallers(t *testing.T) {
 	snaps := make([]synth.Snapshot, len(tops))
 	store := synth.NewCheckpointStore(len(tops))
 	for i, top := range tops {
-		want[i] = mustAnalyze(t, synth.Snapshot{}, twoTops, top, 1.0, lib)
+		want[i] = mustAnalyze(t, context.Background(), synth.Snapshot{}, twoTops, top, 1.0, lib)
 		snaps[i] = snapshotOf(t, store, twoTops, top, lib)
 	}
 	var wg sync.WaitGroup
@@ -269,14 +260,14 @@ func TestMemoIsBounded(t *testing.T) {
 	lib := liberty.Nangate45()
 	store := synth.NewCheckpointStore(1)
 	snap := snapshotOf(t, store, twoTops, "a", lib)
-	want := mustAnalyze(t, snap, twoTops, "a", 1.0, lib)
-	if !kept(t, "repeat on the held snapshot", func() { mustAnalyze(t, snap, twoTops, "a", 1.0, lib) }) {
+	want := mustAnalyze(t, context.Background(), snap, twoTops, "a", 1.0, lib)
+	if !kept(t, "repeat on the held snapshot", func(ctx context.Context) { mustAnalyze(t, ctx, snap, twoTops, "a", 1.0, lib) }) {
 		t.Error("the analysis was not kept on the held snapshot")
 	}
 	snapshotOf(t, store, twoTops, "b", lib) // the one-entry store evicts a's snapshot
 	for i := 0; i < 2; i++ {
 		var got *Analysis
-		if kept(t, "after eviction", func() { got = mustAnalyze(t, snap, twoTops, "a", 1.0, lib) }) {
+		if kept(t, "after eviction", func(ctx context.Context) { got = mustAnalyze(t, ctx, snap, twoTops, "a", 1.0, lib) }) {
 			t.Error("an evicted snapshot served its analysis")
 		}
 		if !reflect.DeepEqual(got, want) {

@@ -214,24 +214,6 @@ endmodule
 		width-1, width-1, 2*width-1, 2*width-2, width-1)
 }
 
-// wrapPassthrough emits a hierarchy wrapper that routes a bus through a
-// double inversion. Each wrapper level adds 2*width inverter-pair cells
-// that sweep away only after ungrouping — the removable hierarchy overhead
-// that makes jpeg's ungroup-heavy customization pay off.
-func wrapPassthrough(name, inner string, width int) string {
-	return fmt.Sprintf(`module %s(input clk, input [%d:0] din, input [%d:0] aux, output [%d:0] dout);
-    wire [%d:0] inv1, inv2, res;
-    assign inv1 = ~din;
-    assign inv2 = ~inv1;
-    %s u_inner (.clk(clk), .din(inv2), .aux(aux), .dout(res));
-    wire [%d:0] oinv1, oinv2;
-    assign oinv1 = ~res;
-    assign oinv2 = ~oinv1;
-    assign dout = oinv2;
-endmodule
-`, name, width-1, width-1, width-1, width-1, inner, width-1)
-}
-
 // regStage emits a simple pipeline register module.
 func regStage(name string, width int) string {
 	return fmt.Sprintf(`module %s(input clk, input [%d:0] d, output [%d:0] q);
@@ -265,17 +247,4 @@ func decoder(name string, selBits, width int) string {
 	}
 	b.WriteString("endmodule\n")
 	return b.String()
-}
-
-// andChain emits a left-associative reduction chain — depth O(n) until
-// compile -map_effort high rebalances it into a tree.
-func andChain(name string, width int) string {
-	terms := make([]string, width)
-	for i := 0; i < width; i++ {
-		terms[i] = fmt.Sprintf("a[%d]", i)
-	}
-	return fmt.Sprintf(`module %s(input [%d:0] a, output y);
-    assign y = %s;
-endmodule
-`, name, width-1, strings.Join(terms, " & "))
 }

@@ -161,13 +161,6 @@ func isWordChar(c byte) bool {
 	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
-func (lx *cypherLexer) peekWord() string {
-	save := lx.pos
-	tok := lx.next()
-	lx.pos = save
-	return tok
-}
-
 type cypherParser struct {
 	lx    *cypherLexer
 	meter *inputlimits.Meter

@@ -37,20 +37,17 @@ import (
 	"time"
 
 	chatls "repro"
-	"repro/internal/circuitmentor"
 	"repro/internal/designs"
 	"repro/internal/inputlimits"
 	"repro/internal/liberty"
 	"repro/internal/llm"
 	"repro/internal/metrics"
-	"repro/internal/netlist"
 	"repro/internal/qorlog"
 	"repro/internal/remotecache"
 	"repro/internal/resilience"
-	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/synthrag"
-	"repro/internal/verilog"
+	"repro/internal/work"
 )
 
 // Config assembles a Server. Zero values get serving defaults (see New).
@@ -126,6 +123,7 @@ type Server struct {
 	ckpt    *synth.CheckpointStore // process-wide: baselines and Pass@k samples alike restore post-link state from it
 	results *qorlog.Store          // nil when QoRLogPath == ""
 	reg     *metrics.Registry
+	work    *work.Counts // what this server's requests did: every request's context carries it
 
 	// mu orders closed against active.Add, so Shutdown's Wait never races
 	// the Add of a handler that read closed just before it was set.
@@ -234,12 +232,6 @@ func New(cfg Config) (*Server, error) {
 		func() int64 { return cfg.DB.CacheStats().RetrieveHits })
 	s.reg.NewCounterFunc("chatlsd_retrieve_cache_misses_total", "strategy-retrieval cache misses",
 		func() int64 { return cfg.DB.CacheStats().RetrieveMisses })
-	s.reg.NewCounterFunc("chatlsd_mentor_cache_hits_total", "CircuitMentor analyses read off the design's snapshot (process-wide)",
-		func() int64 { return circuitmentor.Stats().Hits })
-	s.reg.NewCounterFunc("chatlsd_mentor_cache_misses_total", "CircuitMentor analyses computed (a timing pass over the design's netlist, read from its checkpoint or elaborated)",
-		func() int64 { return circuitmentor.Stats().Misses })
-	s.reg.NewCounterFunc("chatlsd_mentor_snapshot_reads_total", "CircuitMentor analyses computed on the post-link snapshot in the checkpoint store (no parse, no elaboration)",
-		func() int64 { return circuitmentor.Stats().SnapshotReads })
 	s.reg.NewCounterFunc("synth_checkpoint_hits_total", "synthesis runs restored from an elaboration checkpoint",
 		func() int64 { return s.ckpt.Stats().Hits })
 	s.reg.NewCounterFunc("synth_checkpoint_misses_total", "checkpointable synthesis runs that elaborated fresh",
@@ -317,17 +309,24 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.latency = s.reg.NewHistogram("chatlsd_customize_seconds", "end-to-end customize latency", metrics.DefaultLatencyBuckets)
 
-	// Timing-engine counters are process-wide (the sta package keeps them as
-	// plain atomics so it stays free of a metrics dependency); the daemon is
-	// the natural place to expose them.
-	s.reg.NewCounterFunc("sta_full_analyses_total", "full static timing analyses run",
-		func() int64 { return int64(sta.FullAnalyses()) })
-	s.reg.NewCounterFunc("sta_incremental_updates_total", "incremental timing updates run",
-		func() int64 { return int64(sta.IncrementalUpdates()) })
-	s.reg.NewCounterFunc("netlist_elaborations_total", "designs elaborated from parsed sources (process-wide, the database build included)",
-		func() int64 { return int64(netlist.Elaborations()) })
-	s.reg.NewCounterFunc("verilog_parses_total", "Verilog source files parsed (process-wide, the database build included)",
-		func() int64 { return int64(verilog.Parses()) })
+	// What this server's requests did in the stages they reached, counted
+	// into the Counts every request's context carries (see runCustomize).
+	s.work = &work.Counts{DirtyNodes: s.reg.NewHistogram("sta_dirty_nodes", "nets and cells recomputed per incremental timing update",
+		[]float64{1, 4, 16, 64, 256, 1024, 4096, 16384})}
+	for _, m := range []struct {
+		name, help string
+		k          work.Kind
+	}{
+		{"chatlsd_mentor_cache_hits_total", "CircuitMentor analyses read off the design's snapshot", work.MentorHits},
+		{"chatlsd_mentor_cache_misses_total", "CircuitMentor analyses computed (a timing pass over the design's netlist, read from its checkpoint or elaborated)", work.MentorMisses},
+		{"chatlsd_mentor_snapshot_reads_total", "CircuitMentor analyses computed on the post-link snapshot in the checkpoint store (no parse, no elaboration)", work.SnapshotReads},
+		{"sta_full_analyses_total", "full static timing analyses run", work.FullAnalyses},
+		{"sta_incremental_updates_total", "incremental timing updates run", work.IncrementalUpdates},
+		{"netlist_elaborations_total", "designs elaborated from parsed sources", work.Elaborations},
+		{"verilog_parses_total", "Verilog source files parsed", work.Parses},
+	} {
+		s.reg.NewCounterFunc(m.name, m.help, func() int64 { return s.work.Get(m.k) })
+	}
 	// What the collector is fed and how often it runs, process-wide: a
 	// request's heap bytes and objects are the differences across it.
 	s.reg.NewCounterFunc("go_gc_cycles_total", "completed garbage-collection cycles (runtime/metrics /gc/cycles/total)",
@@ -336,9 +335,6 @@ func New(cfg Config) (*Server, error) {
 		runtimeCounter("/gc/heap/allocs:bytes"))
 	s.reg.NewCounterFunc("go_heap_alloc_objects_total", "objects allocated on the heap (runtime/metrics /gc/heap/allocs:objects)",
 		runtimeCounter("/gc/heap/allocs:objects"))
-	staDirty := s.reg.NewHistogram("sta_dirty_nodes", "nets and cells recomputed per incremental timing update",
-		[]float64{1, 4, 16, 64, 256, 1024, 4096, 16384})
-	sta.SetDirtyNodesObserver(func(n int) { staDirty.Observe(float64(n)) })
 
 	return s, nil
 }
@@ -603,7 +599,8 @@ func (s *Server) admit(d *designs.Design, req customizeRequest) (*customizeRespo
 // The deadline derives from context.Background(), not the client's request
 // context, so a client disconnect does not abort work a coalesced follower
 // may still be waiting on — and so graceful shutdown drains rather than
-// cancels.
+// cancels. The context carries the server's work.Counts, so every stage the
+// request reaches counts into this server's /metrics.
 func (s *Server) runCustomize(d *designs.Design, req customizeRequest) (*customizeResponse, error) {
 	if h := s.cfg.BeforeWork; h != nil {
 		h()
@@ -611,7 +608,7 @@ func (s *Server) runCustomize(d *designs.Design, req customizeRequest) (*customi
 	start := time.Now()
 	defer func() { s.latency.ObserveDuration(time.Since(start)) }()
 
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(work.With(context.Background(), s.work), s.cfg.RequestTimeout)
 	defer cancel()
 
 	task, baseQoR, err := s.baselineTask(ctx, d)

@@ -189,19 +189,24 @@ func TestTaskCacheHit(t *testing.T) {
 		t.Errorf("after first request: task cache hits = %v, want 0", h)
 	}
 
-	// The analysis counters are process-wide, so they are read as deltas.
-	mentorHits := metricValue(t, ts.URL, "chatlsd_mentor_cache_hits_total")
-	mentorMisses := metricValue(t, ts.URL, "chatlsd_mentor_cache_misses_total")
-	if mentorHits+mentorMisses < 1 {
-		t.Errorf("after first request: mentor cache saw %v lookups, want >= 1", mentorHits+mentorMisses)
+	// The store is the server's own, so the analysis was a miss, computed on
+	// the snapshot the baseline left.
+	mentor := func() [3]float64 {
+		return [3]float64{
+			metricValue(t, ts.URL, "chatlsd_mentor_cache_hits_total"),
+			metricValue(t, ts.URL, "chatlsd_mentor_cache_misses_total"),
+			metricValue(t, ts.URL, "chatlsd_mentor_snapshot_reads_total"),
+		}
+	}
+	if got, want := mentor(), [3]float64{0, 1, 1}; got != want {
+		t.Errorf("after first request: mentor hits/misses/snapshot reads = %v, want %v", got, want)
 	}
 	// Every run through the link prefix and every snapshot read takes one
 	// workspace. The first request's baseline captured the checkpoint in a
 	// new one, borrowing only its Timing and scratch, and released it; the
 	// analysis read the checkpoint thawed into that workspace; its sample
 	// restored into the same workspace and used the read's unedited thaw as
-	// it was, so the image was thawed once. (The store is the server's own,
-	// so the analysis was a miss.)
+	// it was, so the image was thawed once.
 	wsReuses := metricValue(t, ts.URL, "synth_checkpoint_workspace_reuses_total")
 	wsAllocs := metricValue(t, ts.URL, "synth_checkpoint_workspace_allocs_total")
 	if wsAllocs != 1 || wsReuses != 2 {
@@ -209,10 +214,6 @@ func TestTaskCacheHit(t *testing.T) {
 	}
 	if got := metricValue(t, ts.URL, "synth_checkpoint_thaws_total"); got != 1 {
 		t.Errorf("after first request: thaws = %v, want 1 (the analysis read's, which the sample reused)", got)
-	}
-	snapshotReads := metricValue(t, ts.URL, "chatlsd_mentor_snapshot_reads_total")
-	if snapshotReads < 1 {
-		t.Errorf("after first request: mentor snapshot reads = %v, want >= 1", snapshotReads)
 	}
 	// The baseline elaborated afresh and ran its compile unseen; the sample,
 	// restored, computed what its own compile sizes and noted the key — which
@@ -241,11 +242,8 @@ func TestTaskCacheHit(t *testing.T) {
 	}
 	// The design was analysed by the first request: the repeat's one sample
 	// reads it off the design's snapshot.
-	if h := metricValue(t, ts.URL, "chatlsd_mentor_cache_hits_total"); h != mentorHits+1 {
-		t.Errorf("after repeat request: mentor cache hits = %v, want %v", h, mentorHits+1)
-	}
-	if m := metricValue(t, ts.URL, "chatlsd_mentor_cache_misses_total"); m != mentorMisses {
-		t.Errorf("after repeat request: mentor cache misses = %v, want %v", m, mentorMisses)
+	if got, want := mentor(), [3]float64{1, 1, 1}; got != want {
+		t.Errorf("after repeat request: mentor hits/misses/snapshot reads = %v, want %v", got, want)
 	}
 	// The repeat's sample restores into the workspace the first one released.
 	if r := metricValue(t, ts.URL, "synth_checkpoint_workspace_reuses_total"); r != wsReuses+1 {
@@ -656,9 +654,10 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestSTAMetricsExposed checks that the timing engine's process-wide
-// counters ride along on /metrics: a customize request runs synthesis, so
-// full analyses must be non-zero and the dirty-node histogram present.
+// TestSTAMetricsExposed checks that the timing engine's counters ride along
+// on /metrics with this server's exact values: one riscv32i request runs
+// three full analyses and no incremental update, and the dirty-node
+// histogram is present.
 func TestSTAMetricsExposed(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	ts := httptest.NewServer(s.Handler())
@@ -669,13 +668,11 @@ func TestSTAMetricsExposed(t *testing.T) {
 		t.Fatalf("customize status %d: %s", hr.StatusCode, body)
 	}
 
-	if n := metricValue(t, ts.URL, "sta_full_analyses_total"); n <= 0 {
-		t.Errorf("sta_full_analyses_total = %v, want > 0", n)
+	if n := metricValue(t, ts.URL, "sta_full_analyses_total"); n != 3 {
+		t.Errorf("sta_full_analyses_total = %v, want 3", n)
 	}
-	// The counters are process-wide, so only presence (not a specific value)
-	// is asserted for the incremental side; the synthesis above exercises it.
-	if n := metricValue(t, ts.URL, "sta_incremental_updates_total"); n < 0 {
-		t.Errorf("sta_incremental_updates_total = %v, want >= 0", n)
+	if n := metricValue(t, ts.URL, "sta_incremental_updates_total"); n != 0 {
+		t.Errorf("sta_incremental_updates_total = %v, want 0", n)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -685,6 +682,41 @@ func TestSTAMetricsExposed(t *testing.T) {
 	b, _ := io.ReadAll(resp.Body)
 	if !bytes.Contains(b, []byte("sta_dirty_nodes_count")) {
 		t.Error("sta_dirty_nodes histogram missing from /metrics exposition")
+	}
+}
+
+// TestServersCountApart: two servers in one process each count their own
+// requests' work. After one ethmac request to a, b reads zero on every
+// analysis, front-end and mentor counter, and a reads that request's exact
+// counts: three full analyses, eight incremental updates (each observed by
+// the dirty-node histogram), one parse and one elaboration (the baseline's;
+// the analysis reads its snapshot) and one mentor miss.
+func TestServersCountApart(t *testing.T) {
+	a := httptest.NewServer(newTestServer(t, Config{Workers: 1, QueueDepth: 4}).Handler())
+	defer a.Close()
+	b := httptest.NewServer(newTestServer(t, Config{Workers: 1, QueueDepth: 4}).Handler())
+	defer b.Close()
+
+	if hr, body := postCustomize(t, a.URL, `{"design":"ethmac","k":1}`); hr.StatusCode != http.StatusOK {
+		t.Fatalf("customize status %d: %s", hr.StatusCode, body)
+	}
+	want := map[string]float64{
+		"sta_full_analyses_total":             3,
+		"sta_incremental_updates_total":       8,
+		"sta_dirty_nodes_count":               8,
+		"netlist_elaborations_total":          1,
+		"verilog_parses_total":                1,
+		"chatlsd_mentor_cache_hits_total":     0,
+		"chatlsd_mentor_cache_misses_total":   1,
+		"chatlsd_mentor_snapshot_reads_total": 1,
+	}
+	for name, n := range want {
+		if got := metricValue(t, a.URL, name); got != n {
+			t.Errorf("server a: %s = %v, want %v", name, got, n)
+		}
+		if got := metricValue(t, b.URL, name); got != 0 {
+			t.Errorf("server b, which served nothing: %s = %v, want 0", name, got)
+		}
 	}
 }
 

@@ -11,13 +11,15 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/netlist"
 	"repro/internal/sta"
+	"repro/internal/work"
 )
 
 // TestUpdateAllocGuard pins the incremental timer's delay-only path at zero
 // steady-state allocations: once the worklist heaps have grown to the cone
 // size, resizing a cell and refreshing timing must not allocate. The budget
 // is part of the perf contract (DESIGN.md "Memory and GC discipline");
-// skipped under -race, which changes allocation counts.
+// skipped under -race, which changes allocation counts. The Timing counts
+// into a scope with a dirty-node histogram, as a served request's does.
 func TestUpdateAllocGuard(t *testing.T) {
 	d := designs.Benchmarks()[0]
 	nl := elaborate(t, d)
@@ -25,6 +27,7 @@ func TestUpdateAllocGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tm.Counts = &work.Counts{DirtyNodes: dirtyNodes()}
 	// Pick a resizable combinational cell and flip it between two drive
 	// strengths, so every run is a real delay-only edit.
 	var c *netlist.Cell
@@ -81,6 +84,7 @@ func TestReanalyzeAllocGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tm.Counts = new(work.Counts)
 	rng := rand.New(rand.NewSource(5))
 	var before, after runtime.MemStats
 	const rounds = 20
@@ -91,14 +95,14 @@ func TestReanalyzeAllocGuard(t *testing.T) {
 				t.Fatal("no net to buffer")
 			}
 		}
-		full := sta.FullAnalyses()
+		full := tm.Counts.Get(work.FullAnalyses)
 		runtime.ReadMemStats(&before)
 		err := tm.Update(nil)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sta.FullAnalyses() != full+1 {
+		if tm.Counts.Get(work.FullAnalyses) != full+1 {
 			t.Fatalf("round %d: Update did not re-analyze", round)
 		}
 		mallocs += after.Mallocs - before.Mallocs

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/netlist"
+	"repro/internal/work"
 )
 
 // Update refreshes timing after netlist edits. changed lists the cells whose
@@ -33,6 +34,7 @@ func (t *Timing) Update(changed []*netlist.Cell) error {
 		return t.reanalyze()
 	}
 	incrementalUpdates.Add(1)
+	t.Counts.Add(work.IncrementalUpdates)
 	t.dirty = 0
 	t.fMin, t.bMax = int32(len(t.order)), -1
 
@@ -121,6 +123,7 @@ func (t *Timing) Update(changed []*netlist.Cell) error {
 
 	t.gen = nl.Gen()
 	observeDirty(t.dirty)
+	t.Counts.Dirty(t.dirty)
 	return nil
 }
 
@@ -179,9 +182,8 @@ func (t *Timing) pushBwd(n *netlist.Net) {
 }
 
 // ----------------------------------------------------------------------------
-// Analysis statistics, surfaced on the chatlsd /metrics endpoint. The package
-// keeps plain atomics and an observer hook so it stays free of a dependency
-// on internal/metrics.
+// The process-wide aggregate, kept only because the frozen benchmark module
+// (bench/replay.go) reads it: everything else reads a Timing's work.Counts.
 
 var (
 	fullAnalyses       atomic.Uint64
@@ -189,15 +191,18 @@ var (
 	dirtyObserver      atomic.Value // of func(int)
 )
 
-// FullAnalyses returns the number of full timing analyses run process-wide.
+// FullAnalyses returns the number of full timing analyses run process-wide,
+// for the benchmark alone.
 func FullAnalyses() uint64 { return fullAnalyses.Load() }
 
 // IncrementalUpdates returns the number of incremental updates run
-// process-wide (excluding topology-change fallbacks, which count as full).
+// process-wide (excluding topology-change fallbacks, which count as full),
+// for the benchmark alone.
 func IncrementalUpdates() uint64 { return incrementalUpdates.Load() }
 
 // SetDirtyNodesObserver registers fn to be called with the dirty-node count
-// (nets recomputed) of every incremental update. Pass nil to unregister.
+// (nets recomputed) of every incremental update, for the benchmark alone.
+// Pass nil to unregister.
 func SetDirtyNodesObserver(fn func(int)) {
 	dirtyObserver.Store(fn)
 }

@@ -7,10 +7,12 @@ import (
 
 	"repro/internal/designs"
 	"repro/internal/liberty"
+	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/verilog"
+	"repro/internal/work"
 )
 
 var eqLib = liberty.Nangate45()
@@ -186,32 +188,34 @@ func TestUpdateIsNoOpWithoutEdits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	before := sta.FullAnalyses()
+	tm.Counts = new(work.Counts)
 	for i := 0; i < 3; i++ {
 		if err := tm.Update(nil); err != nil {
 			t.Fatalf("update: %v", err)
 		}
 	}
-	if after := sta.FullAnalyses(); after != before {
-		t.Errorf("no-op Update ran %d full analyses", after-before)
+	if n := tm.Counts.Get(work.FullAnalyses) + tm.Counts.Get(work.IncrementalUpdates); n != 0 {
+		t.Errorf("no-op Update ran %d analyses", n)
 	}
 }
 
-// TestIncrementalCountersAndObserver checks the process-wide counters move
-// and the dirty-node observer fires with a sane magnitude.
+// dirtyNodes is a histogram like the serving daemon's sta_dirty_nodes.
+func dirtyNodes() *metrics.Histogram {
+	return metrics.NewRegistry().NewHistogram("sta_dirty_nodes", "", []float64{1, 16, 256, 4096})
+}
+
+// TestIncrementalCountersAndObserver checks that a Timing counts into its
+// Counts — a Reset as a full analysis, a delay-only Update as an incremental
+// one — and observes the update's dirty nodes with a sane magnitude.
 func TestIncrementalCountersAndObserver(t *testing.T) {
 	d := designs.RiscV32i()
 	nl := elaborate(t, d)
-	tm, err := sta.Analyze(nl, eqLib.WireLoad(""), sta.Constraints{Period: d.Period})
-	if err != nil {
+	c := &work.Counts{DirtyNodes: dirtyNodes()}
+	tm := &sta.Timing{Counts: c}
+	if err := tm.Reset(nl, eqLib.WireLoad(""), sta.Constraints{Period: d.Period}); err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	var observed []int
-	sta.SetDirtyNodesObserver(func(n int) { observed = append(observed, n) })
-	defer sta.SetDirtyNodesObserver(nil)
-
 	rng := rand.New(rand.NewSource(11))
-	incBefore := sta.IncrementalUpdates()
 	changed := resizeRandom(nl, rng, 3)
 	if len(changed) == 0 {
 		t.Fatal("resizeRandom changed nothing")
@@ -219,14 +223,14 @@ func TestIncrementalCountersAndObserver(t *testing.T) {
 	if err := tm.Update(changed); err != nil {
 		t.Fatalf("update: %v", err)
 	}
-	if got := sta.IncrementalUpdates() - incBefore; got != 1 {
-		t.Errorf("incremental updates = %d, want 1", got)
+	if full, incr := c.Get(work.FullAnalyses), c.Get(work.IncrementalUpdates); full != 1 || incr != 1 {
+		t.Errorf("full analyses %d, incremental updates %d, want 1 and 1", full, incr)
 	}
-	if len(observed) != 1 {
-		t.Fatalf("observer fired %d times, want 1", len(observed))
+	if n := c.DirtyNodes.Count(); n != 1 {
+		t.Fatalf("dirty nodes observed %d times, want 1", n)
 	}
-	if observed[0] <= 0 || observed[0] > 2*(len(nl.Nets)+len(nl.Cells)) {
-		t.Errorf("dirty nodes = %d out of plausible range", observed[0])
+	if dirty := c.DirtyNodes.Sum(); dirty <= 0 || dirty > float64(2*(len(nl.Nets)+len(nl.Cells))) {
+		t.Errorf("dirty nodes = %v out of plausible range", dirty)
 	}
 }
 
@@ -326,23 +330,21 @@ func TestDirtyNodesPinned(t *testing.T) {
 		"aes": 9273, "dynamic_node": 1219, "ethmac": 2499, "jpeg": 17625,
 		"riscv32i": 1944, "swerv": 9106, "tinyRocket": 4082,
 	}
-	var got int
-	sta.SetDirtyNodesObserver(func(n int) { got = n })
-	defer sta.SetDirtyNodesObserver(nil)
 	for _, d := range designs.Benchmarks() {
 		nl := elaborate(t, d)
 		tm, err := sta.Analyze(nl, eqLib.WireLoad(""), sta.Constraints{Period: d.Period})
 		if err != nil {
 			t.Fatalf("%s: analyze: %v", d.Name, err)
 		}
+		tm.Counts = &work.Counts{DirtyNodes: dirtyNodes()}
 		cells, refs := resizable(nl)
 		rng := rand.New(rand.NewSource(16))
 		changed, _ := swapBatch(nl, cells, refs, rng.Perm(len(cells))[:len(cells)/10])
 		if err := tm.Update(changed); err != nil {
 			t.Fatalf("%s: update: %v", d.Name, err)
 		}
-		if got != want[d.Name] {
-			t.Errorf("%s: dirty nodes = %d for a %d-cell batch, want %d", d.Name, got, len(changed), want[d.Name])
+		if n, got := tm.Counts.DirtyNodes.Count(), int(tm.Counts.DirtyNodes.Sum()); n != 1 || got != want[d.Name] {
+			t.Errorf("%s: dirty nodes = %d in %d observations for a %d-cell batch, want %d in one", d.Name, got, n, len(changed), want[d.Name])
 		}
 	}
 }

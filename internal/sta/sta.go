@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/liberty"
 	"repro/internal/netlist"
+	"repro/internal/work"
 )
 
 // Constraints configures an analysis run.
@@ -44,9 +45,10 @@ const DefaultInputDriveRes = 6.0
 // Timing holds the results of one STA run and the state needed to refresh
 // them incrementally.
 type Timing struct {
-	NL   *netlist.Netlist
-	WL   *liberty.WireLoad
-	Cons Constraints
+	NL     *netlist.Netlist
+	WL     *liberty.WireLoad
+	Cons   Constraints
+	Counts *work.Counts // if set, counts t's analyses and updates; Reset keeps it
 
 	arr   []float64       // by Net.ID; NaN = no arrival recorded
 	req   []float64       // by Net.ID; +Inf = unconstrained
@@ -169,6 +171,7 @@ func zeroed[T any](s []T) []T {
 // (a retiming sweep, a buffer tree) re-analyzes without allocating.
 func (t *Timing) reanalyze() error {
 	fullAnalyses.Add(1)
+	t.Counts.Add(work.FullAnalyses)
 	nNets := t.NL.NetIDBound()
 	nCells := t.NL.CellIDBound()
 	t.arr = grow(t.arr, nNets)

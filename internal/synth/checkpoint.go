@@ -12,6 +12,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/sta"
 	"repro/internal/verilog"
+	"repro/internal/work"
 )
 
 // CheckpointStore is a bounded, concurrency-safe, content-addressed cache of
@@ -101,8 +102,8 @@ type workspace struct {
 }
 
 // acquire hands out the most recently parked workspace, or one with nothing
-// in it yet when none is idle.
-func (s *CheckpointStore) acquire() *workspace {
+// in it yet when none is idle, its Timing counting into c.
+func (s *CheckpointStore) acquire(c *work.Counts) *workspace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n := len(s.idle); n > 0 {
@@ -110,10 +111,11 @@ func (s *CheckpointStore) acquire() *workspace {
 		s.idle[n-1] = nil
 		s.idle = s.idle[:n-1]
 		s.reused.Add(1)
+		ws.tm.Counts = c
 		return ws
 	}
 	s.allocated.Add(1)
-	return &workspace{home: s, tm: new(sta.Timing), sc: new(passScratch)}
+	return &workspace{home: s, tm: &sta.Timing{Counts: c}, sc: new(passScratch)}
 }
 
 // thaw is every reader's way to a frozen netlist: img thawed over whatever ws
@@ -139,10 +141,11 @@ func (ws *workspace) release() {
 	ws.sc.forget()
 }
 
-// park takes a workspace back. The caller must hold the only reference to
-// its netlist and Timing. Over the bound, the workspace is left to the
-// garbage collector.
+// park takes a workspace back, its Timing counting nowhere. The caller must
+// hold the only reference to its netlist and Timing. Over the bound, the
+// workspace is left to the garbage collector.
 func (s *CheckpointStore) park(ws *workspace) {
+	ws.tm.Counts = nil
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.idle) < runtime.GOMAXPROCS(0) {
@@ -304,10 +307,10 @@ func (h Snapshot) File(src, top string) (*verilog.SourceFile, bool) {
 
 // Netlist lends fn the snapshot's linked netlist, thawed into one of the
 // store's own workspaces exactly as a restoring session would get it, and that
-// workspace's Timing, which holds no analysis of it yet (Reset it). The
-// workspace goes back to the store when fn returns: fn must keep no reference
-// to the netlist, the timing or anything reached through them, and must not
-// edit the netlist. If it leaves the netlist's edit generations as the thaw
+// workspace's Timing, which holds no analysis of it yet (Reset it) and counts
+// nowhere until fn points its Counts somewhere. The workspace goes back to
+// the store when fn returns: fn must keep no reference to the netlist, the
+// timing or anything reached through them, and must not edit the netlist. If it leaves the netlist's edit generations as the thaw
 // made them, the store takes the netlist for an unedited thaw and the next
 // restore that gets the workspace uses it without thawing the image again;
 // an edit that moves no generation (set_dont_touch's Fixed flag) would reach
@@ -318,7 +321,7 @@ func (h Snapshot) Netlist(src, top string, fn func(nl *netlist.Netlist, tm *sta.
 	if cp == nil {
 		return false, nil
 	}
-	ws := h.store.acquire()
+	ws := h.store.acquire(nil)
 	nl := ws.thaw(cp.img)
 	gen, topoGen := nl.Gen(), nl.TopoGen()
 	err = fn(nl, ws.tm)

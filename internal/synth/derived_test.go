@@ -13,7 +13,7 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/netlist"
 	"repro/internal/resilience"
-	"repro/internal/sta"
+	"repro/internal/work"
 )
 
 // Derived checkpoints: the store keeps, beside each post-link snapshot, the
@@ -417,12 +417,18 @@ func TestDerivedHammer(t *testing.T) {
 }
 
 // analysesOf is the number of full timing analyses and incremental updates
-// one run of script costs.
-func analysesOf(t *testing.T, s *Session, script string) (full, incr uint64) {
+// one Evaluate of script costs, counted in a scope of its own.
+func analysesOf(t *testing.T, s *Session, script string) (full, incr int64) {
 	t.Helper()
-	full, incr = sta.FullAnalyses(), sta.IncrementalUpdates()
-	mustEvaluate(t, s, script)
-	return sta.FullAnalyses() - full, sta.IncrementalUpdates() - incr
+	var c work.Counts
+	res, err := s.Evaluate(work.With(context.Background(), &c), script)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, script)
+	}
+	if res.Design != nil {
+		t.Fatalf("an Evaluate returned a design\n%s", script)
+	}
+	return c.Get(work.FullAnalyses), c.Get(work.IncrementalUpdates)
 }
 
 // TestRetimeHitRunsNoAnalysis pins what a resolved -retime entry removes.
@@ -436,7 +442,7 @@ func analysesOf(t *testing.T, s *Session, script string) (full, incr uint64) {
 func TestRetimeHitRunsNoAnalysis(t *testing.T) {
 	for _, tc := range []struct {
 		d        *designs.Design
-		computed uint64
+		computed int64
 	}{{designs.TinyRocket(), 22}, {designs.EthMAC(), 1}} {
 		d, script := tc.d, linked(tc.d)+"compile_ultra -retime\n"
 		full, incr := analysesOf(t, designSession(d, nil), script)
@@ -445,7 +451,7 @@ func TestRetimeHitRunsNoAnalysis(t *testing.T) {
 		}
 		store := NewCheckpointStore(0)
 		mustRun(t, designSession(d, store), linkOnly(d))
-		for pass, want := range []uint64{tc.computed, tc.computed, 0, 0} {
+		for pass, want := range []int64{tc.computed, tc.computed, 0, 0} {
 			full, incr := analysesOf(t, designSession(d, store), script)
 			if served := pass >= 2; full != want || (incr == 0) != served {
 				t.Errorf("%s: run %d over the store made %d full analyses and %d incremental updates, want %d and none = %v", d.Name, pass+1, full, incr, want, served)

@@ -19,6 +19,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/resilience"
 	"repro/internal/sta"
+	"repro/internal/work"
 )
 
 // The property harness: every fast path of the checkpoint store returns what
@@ -269,10 +270,6 @@ func hashes(t testing.TB, res *Result) (values, nl [sha256.Size]byte) {
 	return values, nl
 }
 
-// excl orders the runs of parallel cases: the analyses are counted
-// process-wide, so a run whose count is checked holds it alone.
-var excl sync.RWMutex
-
 // caseStore is a store and what the harness expects of it.
 type caseStore struct {
 	store *CheckpointStore
@@ -285,8 +282,9 @@ func newCaseStore() *caseStore { return &caseStore{NewCheckpointStore(0), storeM
 // entry point (noted, captured, served) and one through the other. Each run
 // equals the storeless one (a RunContext in its final netlist too; an
 // Evaluate returns no design), carries the first run's snapshot handle, counts
-// what the model predicts, and keeps every workspace accounted for. Then the
-// metamorphic oracles check the final design.
+// what the model predicts — in the store, and in a work scope of its own —
+// and keeps every workspace accounted for. Then the metamorphic oracles check
+// the final design.
 func checkCase(t testing.TB, cs *caseStore, c testCase) {
 	t.Helper()
 	script := c.script()
@@ -295,36 +293,24 @@ func checkCase(t testing.TB, cs *caseStore, c testCase) {
 			t.Fatalf("generated an invalid script (%v):\n%s", is, script)
 		}
 	}
-	var ref *storelessRef
-	identity := false // the compile, if any, edits nothing
-	func() {
-		excl.RLock()
-		defer excl.RUnlock()
-		ref = reference(t, c.d, script)
-		identity = ref.nl == elaborated(t, c.d).nl
-		if c.orig != nil && fmt.Sprint(reference(t, c.orig, script).qor) != fmt.Sprint(ref.qor) {
-			t.Errorf("%s over a transformed source: QoR %v, want the original's\n%s", c.d.Name, ref.qor, script)
-		}
-	}()
+	ref := reference(t, c.d, script)
+	identity := ref.nl == elaborated(t, c.d).nl // the compile, if any, edits nothing
+	if c.orig != nil && fmt.Sprint(reference(t, c.orig, script).qor) != fmt.Sprint(ref.qor) {
+		t.Errorf("%s over a transformed source: QoR %v, want the original's\n%s", c.d.Name, ref.qor, script)
+	}
 	var snap Snapshot
 	var design *Design
 	for run := 0; run < 4; run++ {
 		evaluate := c.evaluate != (run == 3)
 		want := cs.model.run(&c, evaluate, identity)
-		lock, unlock := excl.RLock, excl.RUnlock
-		if want.served {
-			lock, unlock = excl.Lock, excl.Unlock
-		}
-		lock()
-		before, full, incr := cs.store.Stats(), sta.FullAnalyses(), sta.IncrementalUpdates()
+		before := cs.store.Stats()
 		exec := designSession(c.d, cs.store).RunContext
 		if evaluate {
 			exec = designSession(c.d, cs.store).Evaluate
 		}
-		res, err := exec(context.Background(), script)
-		full, incr = sta.FullAnalyses()-full, sta.IncrementalUpdates()-incr
+		var n work.Counts
+		res, err := exec(work.With(context.Background(), &n), script)
 		st := cs.store.Stats()
-		unlock()
 		if err != nil {
 			t.Fatalf("run %d: %v\n%s", run+1, err, script)
 		}
@@ -339,22 +325,23 @@ func checkCase(t testing.TB, cs *caseStore, c testCase) {
 			t.Errorf("%s: snapshot handle %v, want the first run's %v, zero = %v", what, res.Snapshot, snap, !c.canonical)
 		}
 		got := counts{st.DerivedHits - before.DerivedHits, st.DerivedMisses - before.DerivedMisses, st.DerivedCaptures - before.DerivedCaptures,
-			st.DerivedReportsServed - before.DerivedReportsServed, st.Thaws - before.Thaws, st.ThawsSkipped - before.ThawsSkipped, 0, want.served}
+			st.DerivedReportsServed - before.DerivedReportsServed, st.Thaws - before.Thaws, st.ThawsSkipped - before.ThawsSkipped,
+			n.Get(work.Elaborations), 0, want.served}
 		if want.served {
-			got.full = full
+			got.full = n.Get(work.FullAnalyses)
 		} else {
 			want.full = 0
 		}
-		if got != want || (want.served && incr != 0) {
-			t.Errorf("%s counted %+v and %d incremental updates, want %+v and none on a served run:\n%s", what, got, incr, want, script)
+		incr := n.Get(work.IncrementalUpdates)
+		if got != want || (want.served && incr != 0) || n.Get(work.Parses) != got.elabs {
+			t.Errorf("%s counted %+v, %d incremental updates and %d parses, want %+v, none on a served run and a parse per elaboration:\n%s",
+				what, got, incr, n.Get(work.Parses), want, script)
 		}
 		if st.Reused+st.Allocated != st.Hits+st.Misses {
 			t.Errorf("%s: reused %d + allocated %d workspaces != hits %d + misses %d", what, st.Reused, st.Allocated, st.Hits, st.Misses)
 		}
 		design = cmp.Or(res.Design, design)
 	}
-	excl.RLock()
-	defer excl.RUnlock()
 	checkCompiled(t, c.d.Name, design, ref.qor)
 }
 
@@ -399,11 +386,11 @@ type modelEntry struct {
 	reports            []string
 }
 
-// counts is what one run adds to the store's counters, and on a served run
-// the full analyses it makes.
+// counts is what one run adds to the store's counters, the elaborations it
+// makes and, on a served run, the full analyses it makes.
 type counts struct {
 	hits, misses, captures, reports, thaws, skipped int64
-	full                                            uint64
+	elabs, full                                     int64
 	served                                          bool
 }
 
@@ -412,9 +399,10 @@ type counts struct {
 func (m storeModel) run(c *testCase, evaluate, identity bool) (w counts) {
 	src := c.d.Source
 	if _, linked := m[src]; !linked || !c.canonical {
-		if c.canonical { // elaborates and captures the snapshot
+		if c.canonical { // captures the snapshot
 			m[src] = nil
 		}
+		w.elabs = 1
 		return w
 	}
 	cmds, _ := ParseScript(c.script())
@@ -590,14 +578,19 @@ type hammerMode struct {
 // three generated cases per design through both entry points, runs that die
 // after the link prefix and, in a mode with reads, the snapshot read a
 // design's first request makes, so workspaces pass between captures, reads,
-// restores, designs and aborted runs. Every run equals the storeless one,
-// every read lends the elaborated netlist, and every run through the link
-// prefix and every read takes exactly one workspace.
+// restores, designs and aborted runs. Every run equals the storeless one and
+// counts, in a work scope of its own, a parse per elaboration and at most one
+// of each; a served run (one per derived hit) counts no incremental update
+// and at most one full analysis for a report its entry lacks and one for a
+// report before its compile. Every read
+// lends the elaborated netlist, and every run through the link prefix and
+// every read takes exactly one workspace.
 func hammer(t *testing.T, mode hammerMode) {
 	type job struct {
 		c           testCase
 		script      string
 		ref, linked *storelessRef
+		maxFull     int64 // the full analyses a served run may make
 	}
 	rng := rand.New(rand.NewSource(3))
 	var jobs []job
@@ -605,13 +598,21 @@ func hammer(t *testing.T, mode hammerMode) {
 		for i := 0; i < 3; i++ {
 			c := randomCase(rng, d)
 			c.canonical, c.compile = true, flavours[rng.Intn(len(flavours))]
-			jobs = append(jobs, job{c, c.script(), reference(t, d, c.script()), elaborated(t, d)})
+			// A served run may analyse once for a report its entry lacks and
+			// once more for one before its compile.
+			maxFull := int64(1)
+			if slices.ContainsFunc(c.between, func(cmd string) bool {
+				return slices.Contains([]string{"report_timing", "report_qor", "report_constraint"}, cmd)
+			}) {
+				maxFull++
+			}
+			jobs = append(jobs, job{c, c.script(), reference(t, d, c.script()), elaborated(t, d), maxFull})
 		}
 	}
 	store := NewCheckpointStore(mode.capacity)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	var reads atomic.Int64
+	var reads, served atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < mode.workers; w++ {
 		wg.Add(1)
@@ -630,7 +631,8 @@ func hammer(t *testing.T, mode hammerMode) {
 					continue
 				}
 				run := map[bool]func(context.Context, string) (*Result, error){true: sess.RunContext, false: sess.Evaluate}[(w+r)%5 == 2]
-				res, err := run(context.Background(), j.script)
+				var n work.Counts
+				res, err := run(work.With(context.Background(), &n), j.script)
 				if err != nil {
 					t.Errorf("%s: %v", j.c.d.Name, err)
 					continue
@@ -638,6 +640,12 @@ func hammer(t *testing.T, mode hammerMode) {
 				if values, nl := hashes(t, res); values != j.ref.values || (res.Design != nil && nl != j.ref.nl) {
 					t.Errorf("%s: run over the shared store differs from a storeless run:\n%s", j.c.d.Name, j.script)
 				}
+				full, incr, elabs := n.Get(work.FullAnalyses), n.Get(work.IncrementalUpdates), n.Get(work.Elaborations)
+				if elabs > 1 || n.Get(work.Parses) != elabs || (res.served && (full > j.maxFull || incr != 0)) {
+					t.Errorf("%s: %d elaborations, %d parses, %d full analyses and %d incremental updates (served %v), want a parse per elaboration, at most one, and on a served run at most %d full analyses and no update:\n%s",
+						j.c.d.Name, elabs, n.Get(work.Parses), full, incr, res.served, j.maxFull, j.script)
+				}
+				served.Add(map[bool]int64{true: 1}[res.served])
 				if !mode.reads {
 					continue
 				}
@@ -657,8 +665,9 @@ func hammer(t *testing.T, mode hammerMode) {
 	wg.Wait()
 	st := store.Stats()
 	evicting := mode.capacity > 0 && mode.capacity < len(mode.designs)
-	if st.Hits == 0 || st.Reused == 0 || evicting != (st.Evictions > 0) || mode.reads != (reads.Load() > 0) {
-		t.Errorf("%d restores, %d reused workspaces, %d evictions and %d reads: the mix did not happen", st.Hits, st.Reused, st.Evictions, reads.Load())
+	if st.Hits == 0 || st.Reused == 0 || evicting != (st.Evictions > 0) || mode.reads != (reads.Load() > 0) || served.Load() != st.DerivedHits {
+		t.Errorf("%d restores, %d reused workspaces, %d evictions, %d reads and %d served runs of %d derived hits: the mix did not happen",
+			st.Hits, st.Reused, st.Evictions, reads.Load(), served.Load(), st.DerivedHits)
 	}
 	if got, want := st.Reused+st.Allocated, st.Hits+st.Misses+reads.Load(); got != want {
 		t.Errorf("%d workspace acquisitions, want %d: every run through the link prefix and every snapshot read takes exactly one", got, want)

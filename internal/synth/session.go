@@ -10,7 +10,9 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/power"
 	"repro/internal/resilience"
+	"repro/internal/sta"
 	"repro/internal/verilog"
+	"repro/internal/work"
 )
 
 // DefaultMaxCommands bounds script execution when Session.MaxCommands is
@@ -60,13 +62,17 @@ type Result struct {
 	// Session.Checkpoints, restored or captured; zero when the run had no
 	// store or its script no canonical link prefix.
 	Snapshot Snapshot
+
+	served bool // the first compile was served from the store's derived level
 }
 
 // RunContext parses and executes a script. Any command error aborts the run,
 // the way a dc_shell batch run aborts on an invalid command — this is what
 // makes hallucinated commands costly for the baseline pipelines. The context
 // is checked before every command, and execution aborts with
-// resilience.ErrBudgetExceeded once MaxCommands commands have run.
+// resilience.ErrBudgetExceeded once MaxCommands commands have run. The run's
+// parses, its elaboration and every timing analysis of its design count
+// into the context's work.Counts, if it carries one.
 func (s *Session) RunContext(ctx context.Context, script string) (*Result, error) {
 	return s.run(ctx, script, true)
 }
@@ -92,7 +98,7 @@ func (s *Session) run(ctx context.Context, script string, keepDesign bool) (_ *R
 		budget = DefaultMaxCommands
 	}
 	res := &Result{}
-	st := &execState{sess: s, res: res}
+	st := &execState{sess: s, res: res, counts: work.From(ctx)}
 	// A run through the store hands its workspace back here exactly when no
 	// design can escape it: an Evaluate, and a run that dies after the
 	// restore or the capture's acquire — an invalid option value, a command
@@ -136,7 +142,7 @@ func (s *Session) run(ctx context.Context, script string, keepDesign bool) (_ *R
 					start = end + 1
 				} else {
 					captureAt, captureKey, captureFiles = end, key, files
-					st.ws, st.lent = s.Checkpoints.acquire(), true
+					st.ws, st.lent = s.Checkpoints.acquire(st.counts), true
 				}
 			}
 		}
@@ -181,6 +187,7 @@ func (s *Session) run(ctx context.Context, script string, keepDesign bool) (_ *R
 type execState struct {
 	sess   *Session
 	res    *Result
+	counts *work.Counts // the caller's scope: every parse, elaboration and analysis counts here
 	file   *verilog.SourceFile
 	top    string
 	design *Design
@@ -261,7 +268,7 @@ func (st *execState) snapshot(files []string) *checkpoint {
 func (st *execState) restore(cp *checkpoint) {
 	st.file = cp.sourceFile()
 	st.top = cp.top
-	st.ws = st.sess.Checkpoints.acquire()
+	st.ws = st.sess.Checkpoints.acquire(st.counts)
 	st.design = &Design{WL: st.sess.Lib.WireLoad(st.wlName), tm: st.ws.tm, sc: st.ws.sc}
 	st.res.Log = append(st.res.Log, cp.log...)
 	st.pristine, st.frozen = cp, cp.img
@@ -339,6 +346,7 @@ func (st *execState) compile(opts CompileOptions) (QoR, error) {
 	e, hit, capture := cp.lookup(key)
 	if hit {
 		store.derivedHits.Add(1)
+		st.res.served = true
 		if e.img != nil {
 			if d.NL == nil {
 				store.thawsSkipped.Add(1)
@@ -382,6 +390,7 @@ func (st *execState) needDesign() (*Design, error) {
 		}
 		st.top = st.file.Modules[len(st.file.Modules)-1].Name
 	}
+	st.counts.Add(work.Elaborations)
 	nl, err := netlist.Elaborate(st.file, st.top, nil, st.sess.Lib)
 	if err != nil {
 		return nil, fmt.Errorf("link: %v", err)
@@ -390,6 +399,8 @@ func (st *execState) needDesign() (*Design, error) {
 	st.design = &Design{NL: nl, WL: wl}
 	if st.ws != nil {
 		st.design.tm, st.design.sc = st.ws.tm, st.ws.sc
+	} else if st.counts != nil {
+		st.design.tm = &sta.Timing{Counts: st.counts}
 	}
 	st.logf("linked design %s: %d cells, %d registers", st.top, len(nl.Cells), nl.SeqCount())
 	return st.design, nil
@@ -410,6 +421,7 @@ func (st *execState) exec(c Cmd) error {
 			if !ok {
 				return fmt.Errorf("file %q not found", fname)
 			}
+			st.counts.Add(work.Parses)
 			f, err := verilog.Parse(src)
 			if err != nil {
 				return err

@@ -17,9 +17,8 @@ import (
 
 	"repro/internal/designs"
 	"repro/internal/liberty"
-	"repro/internal/netlist"
 	"repro/internal/synth"
-	"repro/internal/verilog"
+	"repro/internal/work"
 )
 
 var update = flag.Bool("update", false, "rewrite expert_drafts.go from a fresh sweep instead of comparing against it")
@@ -104,7 +103,7 @@ func sameDraft(a, b paletteResult) bool {
 func TestExpertDraftsCurrent(t *testing.T) {
 	lib := liberty.Nangate45()
 	corpus := buildCorpus()
-	db, err := build(BuildConfig{Seed: 7, Lib: lib}, nil)
+	db, err := build(context.Background(), BuildConfig{Seed: 7, Lib: lib}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +170,7 @@ func TestExpertDraftsMiss(t *testing.T) {
 				t.Errorf("%s: key in the table %v, want %v", d.Name, ok, !missed[d.Name])
 			}
 			if !ok {
-				if want, err = bestStrategy(d, lib, names); err != nil {
+				if want, err = bestStrategy(context.Background(), d, lib, names); err != nil {
 					t.Fatalf("%s: %v", d.Name, err)
 				}
 			}
@@ -249,7 +248,7 @@ func TestBestStrategyKeepsTheCause(t *testing.T) {
 	lib, names := liberty.Nangate45(), paletteNames()
 	d := *designs.DatabaseDesigns()[0]
 	d.Source = "module broken(input a;\n"
-	_, err := bestStrategy(&d, lib, names)
+	_, err := bestStrategy(context.Background(), &d, lib, names)
 	if err == nil {
 		t.Fatal("a design that does not parse swept without error")
 	}
@@ -270,20 +269,41 @@ func TestBestStrategyKeepsTheCause(t *testing.T) {
 // TestSweepFrontEndCounts pins the front-end work of a build that sweeps
 // every expert-entry design: each is elaborated once (not once per palette
 // plan) and parsed once for its sweep, beside one parse per corpus graph.
-// The table path does neither per design (TestFrontEndRunsOncePerDesign in
-// the root package).
 func TestSweepFrontEndCounts(t *testing.T) {
-	elabs, parses := netlist.Elaborations(), verilog.Parses()
-	db, err := build(BuildConfig{Seed: 7}, nil)
+	t.Parallel()
+	var c work.Counts
+	db, err := build(work.With(context.Background(), &c), BuildConfig{Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	corpus, indexOnly := len(db.Strategies), len(designs.TrainingVariants())
-	if got, want := netlist.Elaborations()-elabs, uint64(corpus); got != want {
+	if got, want := c.Get(work.Elaborations), int64(corpus); got != want {
 		t.Errorf("%d elaborations, want %d (one per expert-entry design)", got, want)
 	}
-	if got, want := verilog.Parses()-parses, uint64(corpus+indexOnly+corpus); got != want {
+	if got, want := c.Get(work.Parses), int64(corpus+indexOnly+corpus); got != want {
 		t.Errorf("%d parses, want %d (one per corpus graph, one per sweep)", got, want)
+	}
+}
+
+// TestTableBuildFrontEndCounts: a build from the checked-in expert-draft
+// table sweeps no design, so it elaborates nothing and parses once per
+// corpus graph.
+func TestTableBuildFrontEndCounts(t *testing.T) {
+	t.Parallel()
+	var c work.Counts
+	db, err := build(work.With(context.Background(), &c), BuildConfig{Seed: 7}, expertDrafts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, swept := db.ExpertDrafts(); swept != 0 {
+		t.Fatalf("build swept %d expert-entry designs, want 0 (all from the table)", swept)
+	}
+	corpus, indexOnly := len(db.Strategies), len(designs.TrainingVariants())
+	if got := c.Get(work.Elaborations); got != 0 {
+		t.Errorf("%d elaborations, want 0", got)
+	}
+	if got, want := c.Get(work.Parses), int64(corpus+indexOnly); got != want {
+		t.Errorf("%d parses, want %d (one per corpus graph)", got, want)
 	}
 }
 
@@ -294,7 +314,7 @@ func BenchmarkExpertSweep(b *testing.B) {
 	lib, names, corpus := liberty.Nangate45(), paletteNames(), buildCorpus()
 	for i := 0; i < b.N; i++ {
 		for _, d := range corpus {
-			if _, err := bestStrategy(d, lib, names); err != nil {
+			if _, err := bestStrategy(context.Background(), d, lib, names); err != nil {
 				b.Fatal(err)
 			}
 		}

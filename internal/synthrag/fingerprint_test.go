@@ -1,6 +1,7 @@
 package synthrag
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -53,7 +54,7 @@ func TestShippedBuildFingerprint(t *testing.T) {
 		workers int
 		drafts  map[string]paletteResult
 	}{{1, expertDrafts}, {2, expertDrafts}, {8, expertDrafts}, {2, nil}} {
-		db, err := build(BuildConfig{Seed: 20250706, TrainEpochs: 40, Lib: lib, Workers: c.workers}, c.drafts)
+		db, err := build(context.Background(), BuildConfig{Seed: 20250706, TrainEpochs: 40, Lib: lib, Workers: c.workers}, c.drafts)
 		if err != nil {
 			t.Fatal(err)
 		}

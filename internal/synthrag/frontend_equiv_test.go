@@ -1,6 +1,7 @@
 package synthrag
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -25,7 +26,7 @@ func TestBuildMatchesStorelessSweep(t *testing.T) {
 	lib := liberty.Nangate45()
 	mk := func(workers int) *Database {
 		t.Helper()
-		db, err := build(BuildConfig{Seed: 7, TrainEpochs: 2, Lib: lib, Workers: workers}, nil)
+		db, err := build(context.Background(), BuildConfig{Seed: 7, TrainEpochs: 2, Lib: lib, Workers: workers}, nil)
 		if err != nil {
 			t.Fatalf("build (workers=%d): %v", workers, err)
 		}
@@ -121,7 +122,7 @@ func TestSweepLeavesNothingBehind(t *testing.T) {
 	ref = nil
 
 	base = heapAfterGC()
-	db, err := build(cfg, nil)
+	db, err := build(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,6 +41,7 @@ import (
 	"repro/internal/synth"
 	"repro/internal/textembed"
 	"repro/internal/vecindex"
+	"repro/internal/work"
 	"repro/internal/workpool"
 )
 
@@ -129,12 +130,13 @@ type BuildConfig struct {
 // under the strategy palette to find it, and indexes embeddings, graphs, the
 // target library, and the manual.
 func Build(cfg BuildConfig) (*Database, error) {
-	return build(cfg, expertDrafts)
+	return build(context.Background(), cfg, expertDrafts)
 }
 
 // build is Build over the expert-draft table drafts, keyed by draftKey; a nil
-// table sweeps every expert-entry design.
-func build(cfg BuildConfig, drafts map[string]paletteResult) (*Database, error) {
+// table sweeps every expert-entry design. The parses of the corpus graphs
+// and the sweeps' synthesis runs count into ctx's work.Counts, if any.
+func build(ctx context.Context, cfg BuildConfig, drafts map[string]paletteResult) (*Database, error) {
 	if cfg.Lib == nil {
 		cfg.Lib = liberty.Nangate45()
 	}
@@ -178,6 +180,7 @@ func build(cfg BuildConfig, drafts map[string]paletteResult) (*Database, error) 
 	buildErrs := make([]error, len(corpus))
 	workpool.Run(workers, len(corpus), func(i int) {
 		d := corpus[i]
+		work.From(ctx).Add(work.Parses)
 		dg, err := circuitmentor.BuildGraph(d.Source, d.Top)
 		if err != nil {
 			buildErrs[i] = fmt.Errorf("%s: %v", d.Name, err)
@@ -236,7 +239,7 @@ func build(cfg BuildConfig, drafts map[string]paletteResult) (*Database, error) 
 		}
 		var ok bool
 		if r.best, ok = drafts[draftKey(libFP, palette, e.d)]; !ok {
-			r.best, r.err = bestStrategy(e.d, cfg.Lib, palette)
+			r.best, r.err = bestStrategy(ctx, e.d, cfg.Lib, palette)
 			r.swept = true
 		}
 	})
@@ -374,12 +377,12 @@ type paletteResult struct {
 // The plans share one checkpoint store that lives for this sweep only: the
 // design is parsed and elaborated once, the other plans restore the snapshot
 // into the store's one workspace, and its derived level serves the front
-// halves the palette repeats. Every run is an Evaluate, which hands its
-// workspace back itself, and the store is garbage when the sweep returns, so
-// a build keeps at most Workers designs' images and workspaces alive at once,
-// and none after it (a store that outlived its sweep is what raised peak RSS;
+// halves the palette repeats. Every run is an Evaluate under ctx, which hands
+// its workspace back itself, and the store is garbage when the sweep returns,
+// so a build keeps at most Workers designs' images and workspaces alive at
+// once, and none after it (a store that outlived its sweep is what raised peak RSS;
 // see DESIGN.md).
-func bestStrategy(d *designs.Design, lib *liberty.Library, names []string) (paletteResult, error) {
+func bestStrategy(ctx context.Context, d *designs.Design, lib *liberty.Library, names []string) (paletteResult, error) {
 	var best paletteResult
 	var firstErr error
 	first := true
@@ -388,7 +391,7 @@ func bestStrategy(d *designs.Design, lib *liberty.Library, names []string) (pale
 		sess := synth.NewSession(lib)
 		sess.Checkpoints = store
 		sess.AddSource(d.FileName, d.Source)
-		res, err := sess.Evaluate(context.Background(), sweepScript(d, StrategyPalette[name]))
+		res, err := sess.Evaluate(ctx, sweepScript(d, StrategyPalette[name]))
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", name, err)
@@ -669,6 +672,7 @@ func (db *Database) embed(ctx context.Context, snap synth.Snapshot, src, top str
 	if file, ok := snap.File(src, top); ok {
 		dg, err = circuitmentor.BuildGraphFromFile(file, top)
 	} else {
+		work.From(ctx).Add(work.Parses)
 		dg, err = circuitmentor.BuildGraph(src, top)
 	}
 	if err != nil {

@@ -209,7 +209,7 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 	sub := designs.DatabaseDesigns()[:5]
 	mk := func(workers int) *Database {
 		t.Helper()
-		db, err := build(BuildConfig{
+		db, err := build(context.Background(), BuildConfig{
 			Seed:        7,
 			TrainEpochs: 2,
 			Designs:     sub,

@@ -4,19 +4,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/inputlimits"
 )
-
-// parses counts ParseWithBudget calls, a plain atomic like sta's analysis
-// counters.
-var parses atomic.Uint64
-
-// Parses returns the number of source-file parses started process-wide,
-// surfaced by the serving daemon as verilog_parses_total.
-func Parses() uint64 { return parses.Load() }
 
 // Parse parses a Verilog source file under the process-default input budget.
 // Untrusted sources — external netlists, pipeline-generated RTL — always
@@ -29,7 +20,6 @@ func Parse(src string) (*SourceFile, error) {
 // ParseWithBudget parses a Verilog source file under an explicit budget.
 // The zero budget disables all limits.
 func ParseWithBudget(src string, budget inputlimits.Budget) (*SourceFile, error) {
-	parses.Add(1)
 	m := inputlimits.NewMeter(inputlimits.SurfaceVerilog, budget)
 	if err := m.CheckBytes(len(src)); err != nil {
 		return nil, err
@@ -1027,15 +1017,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 	default:
 		return nil, p.errorf("unexpected token %q in expression", p.tok.text)
 	}
-}
-
-// decodeNumber converts a Verilog literal into a Number.
-func decodeNumber(text string, pos Position) (*Number, error) {
-	n := &Number{}
-	if err := decodeNumberInto(n, text, pos); err != nil {
-		return nil, err
-	}
-	return n, nil
 }
 
 // decodeNumberInto decodes a literal into an existing (arena-allocated)

@@ -202,13 +202,13 @@ func TestNumberDecoding(t *testing.T) {
 		{"4'bxx01", 4, 1}, // x maps to 0 in the synthesizable subset
 	}
 	for _, c := range cases {
-		n, err := decodeNumber(c.lit, Position{})
-		if err != nil {
-			t.Errorf("decodeNumber(%q): %v", c.lit, err)
+		var n Number
+		if err := decodeNumberInto(&n, c.lit, Position{}); err != nil {
+			t.Errorf("decodeNumberInto(%q): %v", c.lit, err)
 			continue
 		}
 		if n.Width != c.width || n.Value != c.value {
-			t.Errorf("decodeNumber(%q) = width %d value %d, want %d/%d",
+			t.Errorf("decodeNumberInto(%q) = width %d value %d, want %d/%d",
 				c.lit, n.Width, n.Value, c.width, c.value)
 		}
 	}
